@@ -76,8 +76,13 @@ fn main() {
         println!("sharded run: shards=0 degraded_frames=0 timeouts=0 hedged=0 breaker_opens=0");
         report
     } else {
-        let mut router =
-            ShardRouter::new(&env, shards, RouterConfig::default()).expect("router build");
+        let mut router = match ShardRouter::new(&env, shards, RouterConfig::default()) {
+            Ok(router) => router,
+            Err(e) => {
+                eprintln!("sharded_sessions: cannot build a {shards}-shard router: {e}");
+                std::process::exit(2);
+            }
+        };
         if let Some(victim) = kill_shard {
             assert!(victim < shards, "--kill-shard {victim} out of range");
             router.set_chaos(Some(ShardChaos {

@@ -38,6 +38,7 @@ pub mod shard;
 pub mod shared;
 pub mod storage;
 pub mod vpage;
+mod walk;
 
 pub use budget::QueryBudget;
 pub use build::{HdovBuildConfig, HdovTree, TerminationHeuristic};
@@ -55,7 +56,7 @@ pub use shard::{
 };
 pub use shared::{
     search_shared, search_shared_budgeted, search_shared_into, search_shared_into_budgeted,
-    CursorFile, PoolConfig, SearchScratch, SessionCtx, SharedEnvironment, SharedVStore,
+    PoolConfig, SearchScratch, SessionCtx, SharedEnvironment, SharedVStore,
 };
 pub use storage::{StorageScheme, VisibilityStore};
 pub use vpage::{VEntry, VPage, VPageCodec, VPAGE_SIZE};

@@ -10,9 +10,9 @@
 //!   object an owning shard, every node an owner and a *subtree shard
 //!   mask*, precomputes each cell's fan-out mask, and each shard's coarse
 //!   cover (the ready-made entries served when the shard is down).
-//! * [`search_shard_into_budgeted`] — the pruned counterpart of
-//!   [`search_shared_into_budgeted`](crate::shared::search_shared_into_budgeted):
-//!   shard `S` walks the same tree with the same decisions but skips
+//! * [`search_shard_into_budgeted`] — the one Fig. 3 walk that
+//!   [`search_shared_into_budgeted`](crate::shared::search_shared_into_budgeted)
+//!   runs, with a shard frame as its emission filter: shard `S` skips
 //!   subtrees whose mask lacks its bit and emits only the entries it owns,
 //!   each tagged with a [`PathKey`].
 //! * [`merge_frames`] — concatenates per-shard frames (in shard order) and
@@ -30,42 +30,76 @@
 //! carry a coarse duplicate next to another shard's fine entries — coverage
 //! is chosen over minimality, exactly like the budget-stop path.
 
-use crate::budget::{BudgetClock, QueryBudget};
+use crate::budget::QueryBudget;
 use crate::search::{
-    select_level, terminates_with, DegradeCause, DegradeEvent, QueryResult, ResultEntry, ResultKey,
-    SearchStats, BUDGET_EXHAUSTED_DETAIL,
+    select_level, DegradeCause, DegradeEvent, QueryResult, ResultEntry, ResultKey, SearchStats,
 };
-use crate::shared::{SessionCtx, SharedEnvironment};
-use hdov_geom::solid_angle::MAX_DOV;
-use hdov_obs::{Counter, Hist, Phase};
-use hdov_storage::Result;
+use crate::shared::{SessionCtx, SharedEnvironment, SharedStorage};
+use crate::walk::{self, Emit, Storage};
+use hdov_storage::{Result, StorageError};
 use hdov_visibility::CellId;
 use std::collections::HashMap;
 
 /// Hard cap on shards per plan: subtree masks are one `u64` per node.
 pub const MAX_SHARDS: usize = 64;
 
+/// Rejects a shard count outside `1..=`[`MAX_SHARDS`] with
+/// [`StorageError::InvalidPlan`] (call before building anything sized by
+/// it; [`ShardPlan::build`] checks too).
+pub fn check_shard_count(shards: usize) -> Result<()> {
+    check((1..=MAX_SHARDS).contains(&shards), || {
+        format!("shard count {shards} outside 1..={MAX_SHARDS}")
+    })
+}
+
+/// `Ok` when `ok`, else [`StorageError::InvalidPlan`] with `reason`.
+fn check(ok: bool, reason: impl FnOnce() -> String) -> Result<()> {
+    ok.then_some(())
+        .ok_or_else(|| StorageError::InvalidPlan { reason: reason() })
+}
+
 /// A tree position encoded for deterministic merging: 8 bits per level
 /// (child-entry index + 1), left-aligned, so plain numeric order over keys
 /// is exactly the DFS preorder the unsharded traversal emits in. No emitted
 /// key is ever a prefix-extension *and* equal — the zero padding of a
 /// parent's key sorts it before every descendant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PathKey(u128);
 
 impl PathKey {
-    /// The root position (only the last-resort root fallback uses it).
+    /// The root position (also the default; only the last-resort root
+    /// fallback emits at it).
     pub const ROOT: PathKey = PathKey(0);
 
     /// Maximum encodable depth (levels below the root).
     pub const MAX_DEPTH: usize = 16;
 
+    /// Most entries one node may have (the radix of a level is 256, and
+    /// 0 is the padding below a parent's key).
+    pub const MAX_ENTRIES: usize = 254;
+
     /// The key of entry `index` of the node at this key, `depth` levels
-    /// below the root.
+    /// below the root. [`ShardPlan::build`] rejects trees these bounds
+    /// cannot encode, so a walk over a planned tree never violates them.
     pub fn child(self, depth: usize, index: usize) -> PathKey {
-        assert!(depth < Self::MAX_DEPTH, "tree deeper than PathKey encodes");
-        assert!(index < 255, "entry index exceeds PathKey radix");
+        debug_assert!(depth < Self::MAX_DEPTH, "tree deeper than PathKey encodes");
+        debug_assert!(
+            index < Self::MAX_ENTRIES,
+            "entry index exceeds PathKey radix"
+        );
         PathKey(self.0 | ((index as u128 + 1) << (8 * (Self::MAX_DEPTH - 1 - depth))))
+    }
+
+    /// Checks that a node `depth` levels below the root with `entries`
+    /// entries is encodable.
+    fn check_encodable(depth: usize, entries: usize) -> Result<()> {
+        let max_depth = Self::MAX_DEPTH;
+        check(depth < max_depth, || {
+            format!("tree deeper than the {max_depth} levels a PathKey encodes")
+        })?;
+        check(entries <= Self::MAX_ENTRIES, || {
+            format!("node with {entries} entries exceeds the PathKey radix")
+        })
     }
 
     /// The raw key (for tests and diagnostics).
@@ -126,28 +160,11 @@ impl ShardFrame {
         &self.stats
     }
 
-    /// Read errors this sub-query absorbed via LoD fallbacks.
-    pub fn errors_absorbed(&self) -> u64 {
-        self.degrades
-            .iter()
-            .filter(|(_, e)| e.cause == DegradeCause::ReadError)
-            .count() as u64
-    }
-
     /// Test-only constructor hook (mirrors
     /// [`QueryResult::push_for_test`](crate::QueryResult::push_for_test)).
     #[doc(hidden)]
     pub fn push_for_test(&mut self, key: PathKey, e: ResultEntry) {
         self.entries.push((key, e));
-    }
-
-    fn mark(&self) -> (usize, usize) {
-        (self.entries.len(), self.degrades.len())
-    }
-
-    fn rollback(&mut self, mark: (usize, usize)) {
-        self.entries.truncate(mark.0);
-        self.degrades.truncate(mark.1);
     }
 }
 
@@ -169,7 +186,12 @@ pub struct ShardPlan {
 impl ShardPlan {
     /// Walks the frozen tree once and builds the plan. `assign` maps an
     /// object id and its MBR-center to its owning shard (the tile map
-    /// policy lives with the router); it must return values below `shards`.
+    /// policy lives with the router).
+    ///
+    /// Fails with [`StorageError::InvalidPlan`] when `shards` is outside
+    /// `1..=`[`MAX_SHARDS`], when `assign` returns a shard `>= shards`, or
+    /// when the tree is too deep or a node too wide for [`PathKey`] — so
+    /// queries over a built plan cannot hit those limits.
     ///
     /// The walk reads every node page through a scratch session, so it
     /// warms the environment's node pool as a side effect — build the plan
@@ -179,10 +201,7 @@ impl ShardPlan {
         shards: usize,
         mut assign: impl FnMut(u64, hdov_geom::Vec3) -> usize,
     ) -> Result<ShardPlan> {
-        assert!(
-            (1..=MAX_SHARDS).contains(&shards),
-            "shard count must be in 1..={MAX_SHARDS}"
-        );
+        check_shard_count(shards)?;
         let n_nodes = env.tree().node_count() as usize;
         let mut plan = ShardPlan {
             shards,
@@ -255,23 +274,20 @@ impl ShardPlan {
         ordinal: u32,
         depth: usize,
     ) -> Result<(u64, u32)> {
-        assert!(
-            depth < PathKey::MAX_DEPTH,
-            "tree deeper than PathKey encodes"
-        );
         let node = env.tree().read_node(&mut ctx.node_cur, ordinal)?;
-        assert!(node.entries.len() < 255, "fan-out exceeds PathKey radix");
+        PathKey::check_encodable(depth, node.entries.len())?;
         let mut mask = 0u64;
         let mut owner: Option<u32> = None;
         let mut entries = Vec::with_capacity(node.entries.len());
         for entry in &node.entries {
             if entry.is_object() {
                 let s = assign(entry.child, entry.mbr.center());
-                assert!(
-                    s < self.shards,
-                    "assign returned shard {s} of {}",
-                    self.shards
-                );
+                check(s < self.shards, || {
+                    format!(
+                        "object {} assigned to shard {s} of {}",
+                        entry.child, self.shards
+                    )
+                })?;
                 self.object_owner.insert(entry.child, s);
                 mask |= 1 << s;
                 owner.get_or_insert(s as u32);
@@ -431,21 +447,12 @@ impl ShardPlan {
     }
 }
 
-/// Cumulative simulated I/O charge across a session's five cursors (pure
-/// accessor reads — identical to the shared path's budget accounting).
-fn io_elapsed_us(ctx: &SessionCtx) -> f64 {
-    ctx.node_cur.stats().elapsed_us
-        + ctx.internal_cur.stats().elapsed_us
-        + ctx.model_cur.stats().elapsed_us
-        + ctx.index_cur.stats().elapsed_us
-        + ctx.vpage_cur.stats().elapsed_us
-}
-
-/// The pruned sharded traversal: shard `shard`'s contribution to one frame.
+/// The sharded traversal: shard `shard`'s contribution to one frame.
 ///
-/// Decision-for-decision the same walk as
+/// The same walk as
 /// [`search_shared_into_budgeted`](crate::shared::search_shared_into_budgeted)
-/// — same prune/terminate/descend tests against the same V-pages — except:
+/// — same storage adapter, same prune/terminate/descend tests against the
+/// same V-pages — with a shard frame as its emission filter:
 ///
 /// * subtrees whose [`ShardPlan::node_mask`] lacks this shard's bit are
 ///   skipped without reading them,
@@ -455,11 +462,13 @@ fn io_elapsed_us(ctx: &SessionCtx) -> f64 {
 /// * every emission is tagged with its [`PathKey`] so [`merge_frames`] can
 ///   reconstruct the global DFS order.
 ///
-/// With a single-shard plan this degenerates to the unsharded traversal:
-/// same answer, same I/O sequence, same stats (pinned by the `hdov-shard`
-/// tests). Budget exhaustion and absorbed read errors degrade to internal
-/// LoDs exactly like the unsharded path; the fallback is emitted even for
-/// subtrees this shard does not wholly own (coverage over minimality).
+/// With a single-shard plan the filter keeps everything: same answer, same
+/// I/O sequence, same stats (pinned by the `hdov-shard` tests). Budget
+/// exhaustion and absorbed read errors degrade to internal LoDs exactly
+/// like the unsharded path; the fallback is emitted even for subtrees this
+/// shard does not wholly own (coverage over minimality), and the root
+/// fallback stands in for the objects this shard owns. Each sub-query is
+/// reported to `hdov-obs` as one query.
 #[allow(clippy::too_many_arguments)]
 pub fn search_shard_into_budgeted(
     env: &SharedEnvironment,
@@ -473,328 +482,70 @@ pub fn search_shard_into_budgeted(
     prefetch: bool,
     budget: QueryBudget,
 ) -> Result<SearchStats> {
-    assert!(eta >= 0.0, "eta must be non-negative");
     assert!(shard < plan.shards, "shard {shard} out of range");
-    let node0 = ctx.node_cur.stats();
-    let internal0 = ctx.internal_cur.stats();
-    let model0 = ctx.model_cur.stats();
-    let index0 = ctx.index_cur.stats();
-    let vpage0 = ctx.vpage_cur.stats();
-    let bclock = BudgetClock::start(
-        budget,
-        node0.elapsed_us
-            + internal0.elapsed_us
-            + model0.elapsed_us
-            + index0.elapsed_us
-            + vpage0.elapsed_us,
-    );
-
-    frame.clear();
-    let mut stats = SearchStats::default();
-    let attempt = (|| {
-        env.vstore().enter_cell(ctx, cell)?;
-        if prefetch {
-            env.vstore().prefetch_cell(ctx)?;
-        }
-        let _traversal = hdov_obs::span(Phase::Traversal);
-        recurse_shard(
-            env,
-            ctx,
-            plan,
-            shard,
-            env.tree().root_ordinal(),
-            PathKey::ROOT,
-            0,
-            eta,
-            skip,
-            &bclock,
-            frame,
-            &mut stats,
-        )
-    })();
-    if let Err(e) = attempt {
-        // Even the root's own reads failed: last-resort degradation serves
-        // this shard's whole contribution as the root's internal LoD. Only
-        // an unreadable root LoD fails the sub-query.
-        frame.clear();
-        let root = env.tree().root_ordinal();
-        let level = select_level(env.tree().internal_store(), root as u64, 1.0);
-        let key = ResultKey::Internal(root);
-        let cached = skip.and_then(|s| s.get(&key)).is_some_and(|&l| l == level);
-        let h = if cached {
-            env.tree().internal_store().handle(root as u64, level)
-        } else {
-            let _lf = hdov_obs::span(Phase::LodFetch);
-            env.tree()
-                .fetch_internal_lod(&mut ctx.internal_cur, root, level)?
-        };
-        frame.entries.push((
-            PathKey::ROOT,
-            ResultEntry {
-                key,
-                level,
-                polygons: h.polygons as u64,
-                bytes: h.bytes as u64,
-                dov: 0.0,
-                cached,
-            },
-        ));
-        frame.degrades.push((
-            PathKey::ROOT,
-            DegradeEvent {
-                ordinal: root,
-                objects_coarse: plan.owned_objects[shard],
-                cause: DegradeCause::ReadError,
-                error: e.to_string(),
-            },
-        ));
-    }
-
-    stats.node_io = ctx.node_cur.stats().since(&node0);
-    stats.internal_io = ctx.internal_cur.stats().since(&internal0);
-    stats.model_io = ctx.model_cur.stats().since(&model0);
-    stats.vstore_io = ctx.index_cur.stats().since(&index0) + ctx.vpage_cur.stats().since(&vpage0);
-    frame.stats = stats;
-    record_shard_query_obs(&stats, frame);
+    let mut storage = SharedStorage { env, ctx, prefetch };
+    let mut sink = ShardSink { frame, plan, shard };
+    let stats = walk::run(&mut storage, &mut sink, cell, eta, skip, budget)?;
+    sink.frame.stats = stats;
     Ok(stats)
 }
 
-/// Reports one finished shard sub-query to `hdov-obs` (the sharded
-/// counterpart of the search module's per-query recording: each sub-query
-/// counts as one query).
-fn record_shard_query_obs(stats: &SearchStats, frame: &ShardFrame) {
-    if !hdov_obs::is_enabled() {
-        return;
-    }
-    hdov_obs::add(Counter::Queries, 1);
-    hdov_obs::add(Counter::NodesVisited, stats.nodes_visited);
-    hdov_obs::add(Counter::VPagesFetched, stats.vpages_fetched);
-    hdov_obs::observe(Hist::SimSearchUs, (stats.search_time_ms() * 1000.0) as u64);
-    let errors = frame.errors_absorbed();
-    if errors > 0 {
-        hdov_obs::add(Counter::DegradedQueries, 1);
-        hdov_obs::add(Counter::LodFallbacks, errors);
-    }
-    let stops = frame
-        .degrades
-        .iter()
-        .filter(|(_, e)| e.cause == DegradeCause::BudgetExhausted)
-        .count() as u64;
-    if stops > 0 {
-        hdov_obs::add(Counter::BudgetStops, stops);
-    }
-}
-
-/// Serves `ordinal`'s internal LoD in place of its untraversed subtree at
-/// position `key` (the sharded counterpart of `degrade_to_internal_shared`).
-#[allow(clippy::too_many_arguments)]
-fn degrade_to_internal_shard(
-    env: &SharedEnvironment,
-    ctx: &mut SessionCtx,
-    ordinal: u32,
-    key: PathKey,
-    dov: f32,
-    objects_coarse: u64,
-    cause: DegradeCause,
-    detail: &str,
-    skip: Option<&HashMap<ResultKey, usize>>,
-    frame: &mut ShardFrame,
-) -> Result<()> {
-    let level = select_level(env.tree().internal_store(), ordinal as u64, 1.0);
-    let rk = ResultKey::Internal(ordinal);
-    let cached = skip.and_then(|s| s.get(&rk)).is_some_and(|&l| l == level);
-    let h = if cached {
-        env.tree().internal_store().handle(ordinal as u64, level)
-    } else {
-        let _lf = hdov_obs::span(Phase::LodFetch);
-        env.tree()
-            .fetch_internal_lod(&mut ctx.internal_cur, ordinal, level)?
-    };
-    frame.entries.push((
-        key,
-        ResultEntry {
-            key: rk,
-            level,
-            polygons: h.polygons as u64,
-            bytes: h.bytes as u64,
-            dov,
-            cached,
-        },
-    ));
-    frame.degrades.push((
-        key,
-        DegradeEvent {
-            ordinal,
-            objects_coarse,
-            cause,
-            error: detail.to_string(),
-        },
-    ));
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn recurse_shard(
-    env: &SharedEnvironment,
-    ctx: &mut SessionCtx,
-    plan: &ShardPlan,
+/// The shard emission filter: a [`ShardFrame`] that keeps only what
+/// `shard` owns under `plan`.
+struct ShardSink<'a> {
+    frame: &'a mut ShardFrame,
+    plan: &'a ShardPlan,
     shard: usize,
-    ordinal: u32,
-    path: PathKey,
-    depth: usize,
-    eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
-    bclock: &BudgetClock,
-    frame: &mut ShardFrame,
-    stats: &mut SearchStats,
-) -> Result<()> {
-    let bit = 1u64 << shard;
-    let Some(vpage) = ({
-        let _vp = hdov_obs::span(Phase::VPageRead);
-        env.vstore().fetch(ctx, ordinal)?
-    }) else {
-        return Ok(()); // invisible (vertical/indexed prove it for free)
-    };
-    stats.vpages_fetched += 1;
-    if !vpage.any_visible() {
-        return Ok(()); // horizontal placeholder for a hidden node
-    }
-    let node = {
-        let _nr = hdov_obs::span(Phase::NodeRead);
-        env.tree().read_node(&mut ctx.node_cur, ordinal)?
-    };
-    stats.nodes_visited += 1;
+}
 
-    for (i, (entry, ve)) in node.entries.iter().zip(&vpage.entries).enumerate() {
-        if ve.dov <= 0.0 {
-            continue; // completely hidden branch
-        }
-        let key = path.child(depth, i);
-        if entry.is_object() {
-            // Emit only owned objects; the owner is the only shard that
-            // fetches (or skips, when resident) this model.
-            if plan.object_owner.get(&entry.child) != Some(&shard) {
-                continue;
-            }
-            let k = (ve.dov as f64 / MAX_DOV).min(1.0);
-            let level = select_level(env.models().store(), entry.child, k);
-            let rk = ResultKey::Object(entry.child);
-            let cached = skip.and_then(|s| s.get(&rk)).is_some_and(|&l| l == level);
-            let h = if cached {
-                env.models().store().handle(entry.child, level)
-            } else {
-                let _lf = hdov_obs::span(Phase::LodFetch);
-                env.models().fetch(&mut ctx.model_cur, entry.child, level)?
-            };
-            frame.entries.push((
-                key,
-                ResultEntry {
-                    key: rk,
-                    level,
-                    polygons: h.polygons as u64,
-                    bytes: h.bytes as u64,
-                    dov: ve.dov,
-                    cached,
-                },
-            ));
-        } else if (ve.dov as f64) <= eta
-            && terminates_with(
-                env.tree().heuristic(),
-                env.tree().fanout(),
-                env.tree().internal_store(),
-                entry,
-                ve,
-            )
-        {
-            // η-terminated subtree: emitted by its owner only.
-            if plan.node_owner[entry.child_ordinal as usize] as usize != shard {
-                continue;
-            }
-            let k = if eta > 0.0 {
-                (ve.dov as f64 / eta).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            let child = entry.child_ordinal;
-            let level = select_level(env.tree().internal_store(), child as u64, k);
-            let rk = ResultKey::Internal(child);
-            let cached = skip.and_then(|s| s.get(&rk)).is_some_and(|&l| l == level);
-            let h = if cached {
-                env.tree().internal_store().handle(child as u64, level)
-            } else {
-                let _lf = hdov_obs::span(Phase::LodFetch);
-                env.tree()
-                    .fetch_internal_lod(&mut ctx.internal_cur, child, level)?
-            };
-            frame.entries.push((
-                key,
-                ResultEntry {
-                    key: rk,
-                    level,
-                    polygons: h.polygons as u64,
-                    bytes: h.bytes as u64,
-                    dov: ve.dov,
-                    cached,
-                },
-            ));
-        } else {
-            // Descend — but only into subtrees holding something we own.
-            if plan.node_mask[entry.child_ordinal as usize] & bit == 0 {
-                continue;
-            }
-            if bclock.is_limited()
-                && bclock.exhausted(
-                    io_elapsed_us(ctx),
-                    stats.nodes_visited,
-                    stats.vpages_fetched,
-                )
-            {
-                degrade_to_internal_shard(
-                    env,
-                    ctx,
-                    entry.child_ordinal,
-                    key,
-                    ve.dov,
-                    ve.nvo as u64,
-                    DegradeCause::BudgetExhausted,
-                    BUDGET_EXHAUSTED_DETAIL,
-                    skip,
-                    frame,
-                )?;
-                continue;
-            }
-            let mark = frame.mark();
-            if let Err(e) = recurse_shard(
-                env,
-                ctx,
-                plan,
-                shard,
-                entry.child_ordinal,
-                key,
-                depth + 1,
-                eta,
-                skip,
-                bclock,
-                frame,
-                stats,
-            ) {
-                frame.rollback(mark);
-                degrade_to_internal_shard(
-                    env,
-                    ctx,
-                    entry.child_ordinal,
-                    key,
-                    ve.dov,
-                    ve.nvo as u64,
-                    DegradeCause::ReadError,
-                    &e.to_string(),
-                    skip,
-                    frame,
-                )?;
-            }
-        }
+impl Emit for ShardSink<'_> {
+    /// The position's key and its depth below the root (default: the root).
+    type Path = (PathKey, usize);
+
+    fn child(&self, (key, depth): (PathKey, usize), index: usize) -> (PathKey, usize) {
+        (key.child(depth, index), depth + 1)
     }
-    Ok(())
+
+    fn emits_object(&self, id: u64) -> bool {
+        self.plan.object_owner.get(&id) == Some(&self.shard)
+    }
+
+    fn emits_subtree(&self, ordinal: u32) -> bool {
+        self.plan.node_owner[ordinal as usize] as usize == self.shard
+    }
+
+    fn descends(&self, ordinal: u32) -> bool {
+        self.plan.node_mask[ordinal as usize] & (1 << self.shard) != 0
+    }
+
+    fn root_objects(&self, _: &impl Storage) -> u64 {
+        self.plan.owned_objects[self.shard]
+    }
+
+    fn push(&mut self, (key, _): (PathKey, usize), entry: ResultEntry) {
+        self.frame.entries.push((key, entry));
+    }
+
+    fn degrade(&mut self, (key, _): (PathKey, usize), event: DegradeEvent) {
+        self.frame.degrades.push((key, event));
+    }
+
+    fn mark(&self) -> (usize, usize) {
+        (self.frame.entries.len(), self.frame.degrades.len())
+    }
+
+    fn rollback(&mut self, mark: (usize, usize)) {
+        self.frame.entries.truncate(mark.0);
+        self.frame.degrades.truncate(mark.1);
+    }
+
+    fn clear(&mut self) {
+        self.frame.clear();
+    }
+
+    fn events(&self) -> impl Iterator<Item = &DegradeEvent> {
+        self.frame.degrades.iter().map(|(_, e)| e)
+    }
 }
 
 /// Merges per-shard frames into one [`QueryResult`], draining the frames.
@@ -819,7 +570,7 @@ pub fn merge_frames(frames: &mut [ShardFrame], out: &mut QueryResult) {
         out.push(e);
     }
     for (_, d) in degs {
-        out.record_degrade(d.ordinal, d.objects_coarse, d.cause, &d.error);
+        out.record_degrade(d);
     }
 }
 
@@ -849,11 +600,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deeper than PathKey encodes")]
     fn path_key_depth_is_bounded() {
-        let mut k = PathKey::ROOT;
-        for d in 0..=PathKey::MAX_DEPTH {
-            k = k.child(d, 0);
-        }
+        let deepest = PathKey::MAX_DEPTH - 1;
+        assert!(PathKey::check_encodable(deepest, PathKey::MAX_ENTRIES).is_ok());
+        let too_deep = PathKey::check_encodable(PathKey::MAX_DEPTH, 1).unwrap_err();
+        assert!(matches!(too_deep, StorageError::InvalidPlan { .. }));
+        assert!(too_deep.to_string().contains("deeper"), "{too_deep}");
+        let too_wide = PathKey::check_encodable(0, PathKey::MAX_ENTRIES + 1).unwrap_err();
+        assert!(too_wide.to_string().contains("radix"), "{too_wide}");
+        assert!(!too_wide.is_transient());
     }
 }

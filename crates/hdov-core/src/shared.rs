@@ -22,27 +22,27 @@
 //! * **Pool sharing** — V-pages, nodes, and models warmed by one session are
 //!   hits for every other session in the same cell neighbourhood.
 //!
-//! The traversal itself ([`search_shared`]) mirrors
-//! [`search`](crate::search::search) decision-for-decision, so a
-//! single-session run returns bit-identical result entries.
+//! The traversal itself is the same walk the sequential
+//! [`search`](crate::search::search) runs; [`search_shared`] only swaps in
+//! a storage adapter that reads through the shared pools and charges the
+//! session's cursors, so a single-session run returns bit-identical result
+//! entries.
 
-use crate::budget::{BudgetClock, QueryBudget};
+use crate::budget::QueryBudget;
 use crate::build::{HdovTree, TerminationHeuristic};
 use crate::delta::{DeltaSearch, DeltaSummary};
-use crate::search::{
-    select_level, terminates_with, DegradeCause, ObjectModels, QueryResult, ResultEntry, ResultKey,
-    SearchStats, BUDGET_EXHAUSTED_DETAIL,
-};
+use crate::node::{HdovEntry, HdovNode};
+use crate::search::{terminates_with, ObjectModels, QueryResult, ResultKey, SearchStats};
 use crate::storage::{StorageScheme, VisibilityStore};
-use crate::vpage::VPage;
-use hdov_geom::solid_angle::MAX_DOV;
+use crate::vpage::{VEntry, VPage};
+use crate::walk::{self, Storage};
 use hdov_geom::Vec3;
 use hdov_obs::Phase;
 use hdov_scene::{ModelHandle, ModelStore};
 use hdov_storage::codec::ByteReader;
 use hdov_storage::{
-    FaultPlan, IoCursor, Page, PageId, PagedFile, ReplicaHealth, Result, RetryPolicy, ScrubReport,
-    Scrubber, SharedCachedFile, SharedFaultyFile, StorageError, PAGE_SIZE,
+    FaultPlan, IoCursor, IoStats, PageId, ReplicaHealth, Result, RetryPolicy, ScrubReport,
+    Scrubber, SharedCachedFile, SharedFaultyFile, PAGE_SIZE,
 };
 use hdov_visibility::{CellGrid, CellId, DovTable};
 use std::collections::HashMap;
@@ -90,45 +90,6 @@ impl Default for PoolConfig {
             retry: RetryPolicy::default(),
             replicas: 1,
         }
-    }
-}
-
-/// Adapts a `(pool, cursor)` pair to [`PagedFile`] so read-only consumers
-/// written against the sequential API — [`ModelStore::fetch`] in particular —
-/// work on the shared path unchanged.
-pub struct CursorFile<'a> {
-    pool: &'a SharedCachedFile,
-    cursor: &'a mut IoCursor,
-}
-
-impl<'a> CursorFile<'a> {
-    /// Wraps `pool` with per-session state `cursor`.
-    pub fn new(pool: &'a SharedCachedFile, cursor: &'a mut IoCursor) -> Self {
-        CursorFile { pool, cursor }
-    }
-}
-
-impl PagedFile for CursorFile<'_> {
-    fn read_page(&mut self, id: PageId, out: &mut Page) -> Result<()> {
-        self.pool.read_page(self.cursor, id, out)
-    }
-
-    fn write_page(&mut self, _id: PageId, _page: &Page) -> Result<()> {
-        Err(StorageError::Io(std::io::Error::new(
-            std::io::ErrorKind::PermissionDenied,
-            "shared environments are immutable",
-        )))
-    }
-
-    fn allocate_page(&mut self) -> Result<PageId> {
-        Err(StorageError::Io(std::io::Error::new(
-            std::io::ErrorKind::PermissionDenied,
-            "shared environments are immutable",
-        )))
-    }
-
-    fn page_count(&self) -> u64 {
-        self.pool.page_count()
     }
 }
 
@@ -782,11 +743,8 @@ impl SharedEnvironment {
         eta: f64,
         delta: &mut DeltaSearch,
     ) -> Result<(SearchStats, DeltaSummary)> {
-        let cell = self.cell_of(viewpoint);
-        let skip = delta.skip_map();
-        let stats = search_shared_into(self, ctx, scratch, cell, eta, Some(&skip), true)?;
-        let summary = delta.apply(scratch.result());
-        Ok((stats, summary))
+        let budget = QueryBudget::UNLIMITED;
+        self.query_delta_into_budgeted(ctx, scratch, viewpoint, eta, delta, budget)
     }
 
     /// [`query_cell`](Self::query_cell) under a [`QueryBudget`] — see
@@ -1011,9 +969,8 @@ pub fn search_shared(
     skip: Option<&HashMap<ResultKey, usize>>,
     prefetch: bool,
 ) -> Result<(QueryResult, SearchStats)> {
-    let mut scratch = SearchScratch::new();
-    let stats = search_shared_into(env, ctx, &mut scratch, cell, eta, skip, prefetch)?;
-    Ok((scratch.take_result(), stats))
+    let budget = QueryBudget::UNLIMITED;
+    search_shared_budgeted(env, ctx, cell, eta, skip, prefetch, budget)
 }
 
 /// [`search_shared`] under a [`QueryBudget`] — the concurrent counterpart of
@@ -1061,16 +1018,6 @@ pub fn search_shared_into(
     )
 }
 
-/// Cumulative simulated I/O charge across a session's five cursors, for
-/// budget accounting. Pure accessor reads — charges nothing.
-fn io_elapsed_us_shared(ctx: &SessionCtx) -> f64 {
-    ctx.node_cur.stats().elapsed_us
-        + ctx.internal_cur.stats().elapsed_us
-        + ctx.model_cur.stats().elapsed_us
-        + ctx.index_cur.stats().elapsed_us
-        + ctx.vpage_cur.stats().elapsed_us
-}
-
 /// [`search_shared_into`] under a [`QueryBudget`] (see
 /// [`search_shared_budgeted`]). The budget covers everything charged to the
 /// session's cursors from the call on — including the segment flip and the
@@ -1087,235 +1034,93 @@ pub fn search_shared_into_budgeted(
     prefetch: bool,
     budget: QueryBudget,
 ) -> Result<SearchStats> {
-    assert!(eta >= 0.0, "eta must be non-negative");
-    let node0 = ctx.node_cur.stats();
-    let internal0 = ctx.internal_cur.stats();
-    let model0 = ctx.model_cur.stats();
-    let index0 = ctx.index_cur.stats();
-    let vpage0 = ctx.vpage_cur.stats();
-    let bclock = BudgetClock::start(
-        budget,
-        node0.elapsed_us
-            + internal0.elapsed_us
-            + model0.elapsed_us
-            + index0.elapsed_us
-            + vpage0.elapsed_us,
-    );
-
-    scratch.result.clear();
-    let mut stats = SearchStats::default();
-    let attempt = (|| {
-        env.vstore.enter_cell(ctx, cell)?;
-        if prefetch {
-            env.vstore.prefetch_cell(ctx)?;
-        }
-        let _traversal = hdov_obs::span(Phase::Traversal);
-        recurse_shared(
-            env,
-            ctx,
-            env.tree.root_ordinal(),
-            eta,
-            skip,
-            &bclock,
-            &mut scratch.result,
-            &mut stats,
-        )
-    })();
-    if let Err(e) = attempt {
-        // Even the root's own reads failed (or the segment flip did): the
-        // last resort of graceful degradation serves the whole scene as the
-        // root's internal LoD. Only an unreadable root LoD fails the query.
-        scratch.result.clear();
-        degrade_to_internal_shared(
-            env,
-            ctx,
-            env.tree.root_ordinal(),
-            0.0,
-            env.tree.object_count(),
-            DegradeCause::ReadError,
-            &e.to_string(),
-            skip,
-            &mut scratch.result,
-        )?;
-    }
-
-    stats.node_io = ctx.node_cur.stats().since(&node0);
-    stats.internal_io = ctx.internal_cur.stats().since(&internal0);
-    stats.model_io = ctx.model_cur.stats().since(&model0);
-    stats.vstore_io = ctx.index_cur.stats().since(&index0) + ctx.vpage_cur.stats().since(&vpage0);
-    crate::search::record_query_obs(&stats, scratch.result.degrade());
-    Ok(stats)
+    let mut storage = SharedStorage { env, ctx, prefetch };
+    walk::run(&mut storage, &mut scratch.result, cell, eta, skip, budget)
 }
 
-/// The shared-path counterpart of `search::degrade_to_internal`: serves
-/// node `ordinal`'s finest internal LoD in place of its unreadable subtree,
-/// records the absorbed `cause`, and propagates the fetch error when even
-/// the internal LoD cannot be read (the deepest *readable* ancestor wins).
-#[allow(clippy::too_many_arguments)]
-fn degrade_to_internal_shared(
-    env: &SharedEnvironment,
-    ctx: &mut SessionCtx,
-    ordinal: u32,
-    dov: f32,
-    objects_coarse: u64,
-    cause: DegradeCause,
-    detail: &str,
-    skip: Option<&HashMap<ResultKey, usize>>,
-    out: &mut QueryResult,
-) -> Result<()> {
-    let level = select_level(env.tree.internal_store(), ordinal as u64, 1.0);
-    let key = ResultKey::Internal(ordinal);
-    let cached = skip.and_then(|s| s.get(&key)).is_some_and(|&l| l == level);
-    let h = if cached {
-        env.tree.internal_store().handle(ordinal as u64, level)
-    } else {
-        let _lf = hdov_obs::span(Phase::LodFetch);
-        env.tree
-            .fetch_internal_lod(&mut ctx.internal_cur, ordinal, level)?
-    };
-    out.push(ResultEntry {
-        key,
-        level,
-        polygons: h.polygons as u64,
-        bytes: h.bytes as u64,
-        dov,
-        cached,
-    });
-    out.record_degrade(ordinal, objects_coarse, cause, detail);
-    Ok(())
+/// The concurrent engine's [`Storage`]: the frozen environment's shared
+/// pools, charged to one session's cursors.
+pub(crate) struct SharedStorage<'a> {
+    pub(crate) env: &'a SharedEnvironment,
+    pub(crate) ctx: &'a mut SessionCtx,
+    /// Batch-read the cell's V-pages right after the segment flip.
+    pub(crate) prefetch: bool,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn recurse_shared(
-    env: &SharedEnvironment,
-    ctx: &mut SessionCtx,
-    ordinal: u32,
-    eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
-    bclock: &BudgetClock,
-    out: &mut QueryResult,
-    stats: &mut SearchStats,
-) -> Result<()> {
-    let Some(vpage) = ({
-        let _vp = hdov_obs::span(Phase::VPageRead);
-        env.vstore.fetch(ctx, ordinal)?
-    }) else {
-        return Ok(()); // invisible (vertical/indexed prove it for free)
-    };
-    stats.vpages_fetched += 1;
-    if !vpage.any_visible() {
-        return Ok(()); // horizontal placeholder for a hidden node
-    }
-    let node = {
-        let _nr = hdov_obs::span(Phase::NodeRead);
-        env.tree.read_node(&mut ctx.node_cur, ordinal)?
-    };
-    stats.nodes_visited += 1;
+impl Storage for SharedStorage<'_> {
+    type VPage = Arc<VPage>;
+    /// Node, internal-LoD, model, V-page-index and V-page cursors.
+    type Meters = [IoStats; 5];
 
-    for (entry, ve) in node.entries.iter().zip(&vpage.entries) {
-        if ve.dov <= 0.0 {
-            continue; // line 3: completely hidden branch
-        }
-        if entry.is_object() {
-            // Lines 4–5: leaf entry, Eq. 6.
-            let k = (ve.dov as f64 / MAX_DOV).min(1.0);
-            let level = select_level(&env.models.store, entry.child, k);
-            let key = ResultKey::Object(entry.child);
-            let cached = skip.and_then(|s| s.get(&key)).is_some_and(|&l| l == level);
-            let h = if cached {
-                env.models.store.handle(entry.child, level)
-            } else {
-                let _lf = hdov_obs::span(Phase::LodFetch);
-                env.models.fetch(&mut ctx.model_cur, entry.child, level)?
-            };
-            out.push(ResultEntry {
-                key,
-                level,
-                polygons: h.polygons as u64,
-                bytes: h.bytes as u64,
-                dov: ve.dov,
-                cached,
-            });
-        } else if (ve.dov as f64) <= eta
-            && terminates_with(
-                env.tree.heuristic,
-                env.tree.fanout,
-                &env.tree.internal_store,
-                entry,
-                ve,
-            )
-        {
-            // Lines 7–8: barely visible subtree, Eq. 5.
-            let k = if eta > 0.0 {
-                (ve.dov as f64 / eta).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            let child = entry.child_ordinal;
-            let level = select_level(env.tree.internal_store(), child as u64, k);
-            let key = ResultKey::Internal(child);
-            let cached = skip.and_then(|s| s.get(&key)).is_some_and(|&l| l == level);
-            let h = if cached {
-                env.tree.internal_store().handle(child as u64, level)
-            } else {
-                let _lf = hdov_obs::span(Phase::LodFetch);
-                env.tree
-                    .fetch_internal_lod(&mut ctx.internal_cur, child, level)?
-            };
-            out.push(ResultEntry {
-                key,
-                level,
-                polygons: h.polygons as u64,
-                bytes: h.bytes as u64,
-                dov: ve.dov,
-                cached,
-            });
-        } else {
-            // Budget check, charged nothing itself: once the query's spend
-            // reaches its cap, every remaining subtree is served as its
-            // internal LoD instead of being descended (DESIGN.md §12). The
-            // unlimited path is one branch — no meter reads, no clock.
-            if bclock.is_limited()
-                && bclock.exhausted(
-                    io_elapsed_us_shared(ctx),
-                    stats.nodes_visited,
-                    stats.vpages_fetched,
-                )
-            {
-                degrade_to_internal_shared(
-                    env,
-                    ctx,
-                    entry.child_ordinal,
-                    ve.dov,
-                    ve.nvo as u64,
-                    DegradeCause::BudgetExhausted,
-                    BUDGET_EXHAUSTED_DETAIL,
-                    skip,
-                    out,
-                )?;
-                continue;
-            }
-            // Line 10: descend — absorbing read failures beneath this entry
-            // by dropping the subtree's partial answer and serving the
-            // child's internal LoD instead.
-            let mark = out.mark();
-            if let Err(e) =
-                recurse_shared(env, ctx, entry.child_ordinal, eta, skip, bclock, out, stats)
-            {
-                out.rollback(mark);
-                degrade_to_internal_shared(
-                    env,
-                    ctx,
-                    entry.child_ordinal,
-                    ve.dov,
-                    ve.nvo as u64,
-                    DegradeCause::ReadError,
-                    &e.to_string(),
-                    skip,
-                    out,
-                )?;
-            }
-        }
+    fn begin(&mut self) -> [IoStats; 5] {
+        let c = &self.ctx;
+        [
+            c.node_cur.stats(),
+            c.internal_cur.stats(),
+            c.model_cur.stats(),
+            c.index_cur.stats(),
+            c.vpage_cur.stats(),
+        ]
     }
-    Ok(())
+
+    fn io_elapsed_us(&self) -> f64 {
+        let c = &self.ctx;
+        c.node_cur.stats().elapsed_us
+            + c.internal_cur.stats().elapsed_us
+            + c.model_cur.stats().elapsed_us
+            + c.index_cur.stats().elapsed_us
+            + c.vpage_cur.stats().elapsed_us
+    }
+
+    fn enter_cell(&mut self, cell: CellId) -> Result<()> {
+        self.env.vstore.enter_cell(self.ctx, cell)?;
+        if self.prefetch {
+            self.env.vstore.prefetch_cell(self.ctx)?;
+        }
+        Ok(())
+    }
+
+    fn vpage(&mut self, ordinal: u32) -> Result<Option<Arc<VPage>>> {
+        self.env.vstore.fetch(self.ctx, ordinal)
+    }
+
+    fn node(&mut self, ordinal: u32) -> Result<Arc<HdovNode>> {
+        self.env.tree.read_node(&mut self.ctx.node_cur, ordinal)
+    }
+
+    fn object_store(&self) -> &ModelStore {
+        &self.env.models.store
+    }
+
+    fn internal_store(&self) -> &ModelStore {
+        &self.env.tree.internal_store
+    }
+
+    fn fetch_object(&mut self, id: u64, level: usize) -> Result<ModelHandle> {
+        self.env.models.fetch(&mut self.ctx.model_cur, id, level)
+    }
+
+    fn fetch_internal(&mut self, ordinal: u32, level: usize) -> Result<ModelHandle> {
+        self.env
+            .tree
+            .fetch_internal_lod(&mut self.ctx.internal_cur, ordinal, level)
+    }
+
+    fn terminates(&self, entry: &HdovEntry, ve: &VEntry) -> bool {
+        let t = &self.env.tree;
+        terminates_with(t.heuristic, t.fanout, &t.internal_store, entry, ve)
+    }
+
+    fn object_count(&self) -> u64 {
+        self.env.tree.object_count()
+    }
+
+    fn finish(&self, start: &[IoStats; 5], stats: &mut SearchStats) {
+        let c = &self.ctx;
+        stats.node_io = c.node_cur.stats().since(&start[0]);
+        stats.internal_io = c.internal_cur.stats().since(&start[1]);
+        stats.model_io = c.model_cur.stats().since(&start[2]);
+        stats.vstore_io =
+            c.index_cur.stats().since(&start[3]) + c.vpage_cur.stats().since(&start[4]);
+    }
 }

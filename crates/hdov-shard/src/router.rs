@@ -28,7 +28,9 @@
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::tile::TileMap;
-use hdov_core::shard::{merge_frames, search_shard_into_budgeted, ShardFrame, ShardPlan};
+use hdov_core::shard::{
+    check_shard_count, merge_frames, search_shard_into_budgeted, ShardFrame, ShardPlan,
+};
 use hdov_core::{DeltaSearch, QueryBudget, QueryResult, SessionCtx, SharedEnvironment};
 use hdov_geom::Vec3;
 use hdov_obs::Counter;
@@ -153,6 +155,12 @@ impl SessionLane {
     pub fn delta(&self) -> &DeltaSearch {
         &self.delta
     }
+
+    /// The per-shard frame slots of the most recent frame, by shard id
+    /// (entries are drained by the merge; the sub-query stats remain).
+    pub fn frames(&self) -> &[ShardFrame] {
+        &self.frames
+    }
 }
 
 /// What one routed frame cost and survived.
@@ -210,6 +218,10 @@ impl ShardRouter {
     /// private-pool engine fork per shard (cold pools — each shard is its
     /// own fault domain). With `hedge`, each shard also gets a replica
     /// engine for hedged reads.
+    ///
+    /// Fails with [`StorageError::InvalidPlan`](hdov_storage::StorageError)
+    /// when `shards` is outside `1..=`[`MAX_SHARDS`](hdov_core::MAX_SHARDS)
+    /// or the tree cannot be planned (see [`ShardPlan::build`]).
     pub fn new(base: &SharedEnvironment, shards: usize, cfg: RouterConfig) -> Result<ShardRouter> {
         Self::build(base, shards, cfg, false)
     }
@@ -229,6 +241,7 @@ impl ShardRouter {
         cfg: RouterConfig,
         hedge: bool,
     ) -> Result<ShardRouter> {
+        check_shard_count(shards)?;
         let tiles = TileMap::new(base.grid(), shards);
         let grid = base.grid();
         let plan = ShardPlan::build(base, shards, |_, center| {

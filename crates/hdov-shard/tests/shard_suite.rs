@@ -10,16 +10,21 @@
 
 use hdov_core::shard::{merge_frames, PathKey, ShardFrame};
 use hdov_core::{
-    DeltaSearch, HdovBuildConfig, HdovEnvironment, PoolConfig, QueryResult, ResultEntry, ResultKey,
-    SharedEnvironment, StorageScheme,
+    DeltaSearch, HdovBuildConfig, HdovEnvironment, PoolConfig, QueryBudget, QueryResult,
+    ResultEntry, ResultKey, SearchScratch, SharedEnvironment, StorageScheme, MAX_SHARDS,
 };
 use hdov_scene::CityConfig;
 use hdov_shard::{
     BreakerState, RouterConfig, ShardChaos, ShardRouter, ShardedConfig, ShardedServer,
 };
+use hdov_storage::StorageError;
 use hdov_visibility::CellGridConfig;
 use hdov_walkthrough::{ServerConfig, Session, SessionKind, SessionServer};
 use proptest::prelude::*;
+
+/// A per-sub-query simulated budget tight enough that some frames stop
+/// descending.
+const BUDGET_MS: f64 = 1.0;
 
 fn shared_env() -> SharedEnvironment {
     let scene = CityConfig::tiny().seed(11).generate();
@@ -43,17 +48,38 @@ fn record_sessions(env: &SharedEnvironment, n: usize, frames: usize) -> Vec<Sess
 
 /// Frame-level byte-identity: every delta frame of a walkthrough routed
 /// through `shards` shards carries exactly the entries (keys, levels,
-/// polygon counts, cached flags — everything) the unsharded search emits.
-fn assert_frames_identical(shards: usize) {
+/// polygon counts, cached flags — everything) and the degrade events the
+/// unsharded search emits under the same `budget`.
+///
+/// At one shard the emission filter must be a no-op all the way down to
+/// the cost model, so each sub-query's `SearchStats` must also equal the
+/// unsharded search's. The reference runs on its own private-pool fork:
+/// the router's plan build warms the base environment's node pool, while
+/// each shard engine starts cold.
+fn assert_frames_identical(shards: usize, budget: QueryBudget) -> u64 {
     let env = shared_env();
-    let router = ShardRouter::new(&env, shards, RouterConfig::default()).unwrap();
+    let router = ShardRouter::new(
+        &env,
+        shards,
+        RouterConfig {
+            budget,
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+    let reference = env.fork_with_private_pools();
     let session = &record_sessions(&env, 1, 30)[0];
 
-    let mut ctx = env.session();
+    let mut ctx = reference.session();
+    let mut scratch = SearchScratch::new();
     let mut delta = DeltaSearch::new();
     let mut lane = router.lane();
+    let mut budget_stops = 0;
     for (i, &vp) in session.viewpoints.iter().enumerate() {
-        let (want, _, _) = env.query_delta(&mut ctx, vp, 0.002, &mut delta).unwrap();
+        let (want_stats, _) = reference
+            .query_delta_into_budgeted(&mut ctx, &mut scratch, vp, 0.002, &mut delta, budget)
+            .unwrap();
+        let want = scratch.result();
         router.route(&mut lane, vp, 0.002);
         let got = lane.merged();
         assert_eq!(
@@ -62,27 +88,62 @@ fn assert_frames_identical(shards: usize) {
             "frame {i} diverged through {shards} shard(s)"
         );
         assert_eq!(got.total_polygons(), want.total_polygons());
-        assert_eq!(got.degrade().events().len(), want.degrade().events().len());
+        assert_eq!(
+            got.degrade().events(),
+            want.degrade().events(),
+            "frame {i} degrade events diverged through {shards} shard(s)"
+        );
+        budget_stops += want.degrade().budget_stops();
+        if shards == 1 {
+            assert_eq!(lane.frames()[0].stats(), &want_stats, "frame {i} costs");
+        }
     }
     assert_eq!(router.totals().degraded_frames, 0);
     assert_eq!(router.totals().breaker_opens, 0);
+    budget_stops
 }
 
 #[test]
 fn single_shard_frames_are_byte_identical_to_unsharded() {
-    assert_frames_identical(1);
+    assert_frames_identical(1, QueryBudget::UNLIMITED);
+}
+
+#[test]
+fn single_shard_budget_stops_match_unsharded() {
+    let stops = assert_frames_identical(1, QueryBudget::sim_ms(BUDGET_MS));
+    assert!(
+        stops > 0,
+        "the budget must be tight enough to stop descents"
+    );
 }
 
 #[test]
 fn four_shard_frames_are_byte_identical_to_unsharded() {
-    assert_frames_identical(4);
+    assert_frames_identical(4, QueryBudget::UNLIMITED);
 }
 
 #[test]
 fn seven_shard_frames_are_byte_identical_to_unsharded() {
     // A deliberately lopsided count: the tile grid (3×3 for 7) leaves two
     // tiles empty-handed, exercising uneven ownership.
-    assert_frames_identical(7);
+    assert_frames_identical(7, QueryBudget::UNLIMITED);
+}
+
+/// Shard counts a plan cannot encode are typed, non-transient errors at
+/// router build — never a panic at query time.
+#[test]
+fn router_rejects_invalid_shard_counts() {
+    let env = shared_env();
+    for shards in [0, MAX_SHARDS + 1] {
+        let err = ShardRouter::new(&env, shards, RouterConfig::default())
+            .err()
+            .unwrap_or_else(|| panic!("{shards} shards must be rejected"));
+        assert!(
+            matches!(err, StorageError::InvalidPlan { .. }),
+            "{shards} shards: {err}"
+        );
+        assert!(!err.is_transient());
+    }
 }
 
 /// Whole-server equality: the sharded server's per-session answers match

@@ -64,6 +64,14 @@ pub enum StorageError {
         /// The fixed record slot it had to fit.
         record_bytes: usize,
     },
+    /// A shard plan cannot be built for this tree and shard count (too
+    /// many or too few shards, an out-of-range owner, or a tree too deep
+    /// or too wide for its position keys). Never transient: the same
+    /// inputs are rejected every time.
+    InvalidPlan {
+        /// What check failed.
+        reason: String,
+    },
 }
 
 impl StorageError {
@@ -72,9 +80,10 @@ impl StorageError {
     /// Only [`Io`](StorageError::Io) is transient (a timeout or dropped
     /// request may clear); [`Corrupt`](StorageError::Corrupt),
     /// [`InvalidStore`](StorageError::InvalidStore),
-    /// [`PageOutOfBounds`](StorageError::PageOutOfBounds) and
-    /// [`VPageOverflow`](StorageError::VPageOverflow) are properties of
-    /// the stored bytes or the request itself and are never retried.
+    /// [`PageOutOfBounds`](StorageError::PageOutOfBounds),
+    /// [`VPageOverflow`](StorageError::VPageOverflow) and
+    /// [`InvalidPlan`](StorageError::InvalidPlan) are properties of the
+    /// stored bytes or the request itself and are never retried.
     #[must_use]
     pub fn is_transient(&self) -> bool {
         matches!(self, StorageError::Io(_))
@@ -110,6 +119,7 @@ impl fmt::Display for StorageError {
                      exceeding the {record_bytes}-byte record slot"
                 )
             }
+            StorageError::InvalidPlan { reason } => write!(f, "invalid shard plan: {reason}"),
         }
     }
 }
@@ -191,6 +201,10 @@ mod tests {
             entries: 3,
             needed: 28,
             record_bytes: 12,
+        }
+        .is_transient());
+        assert!(!StorageError::InvalidPlan {
+            reason: "65 shards".into(),
         }
         .is_transient());
     }
