@@ -5,10 +5,11 @@
 //! over N tile shards (`--shards N`) and writes an **answer-only** CSV —
 //! per-session polygon totals, served-LoD sums, degraded/failed/shed frame
 //! counts; no timing or I/O columns, because shard pools warm differently
-//! than one shared pool while the answers must not move. `--shards 0` runs
-//! the plain unsharded `SessionServer` on the same sessions and writes the
-//! same CSV, so CI can `cmp` a fault-free sharded run byte-for-byte against
-//! the unsharded baseline.
+//! than one shared pool while the answers must not move. The same
+//! `SessionServer` drives every run; `--shards 0` hands it the plain
+//! unsharded environment instead of the router and writes the same CSV,
+//! so CI can `cmp` a fault-free sharded run byte-for-byte against the
+//! unsharded baseline.
 //!
 //! Chaos mode (`--kill-shard S [--kill-at-frame F --revive-at-frame G]`)
 //! arms the router's deterministic kill/revive schedule and asserts the
@@ -20,9 +21,7 @@
 
 use hdov_bench::{print_table, write_csv, EvalScene, RunOptions};
 use hdov_core::{PoolConfig, StorageScheme};
-use hdov_shard::{
-    BreakerState, RouterConfig, ShardChaos, ShardRouter, ShardedConfig, ShardedServer,
-};
+use hdov_shard::{BreakerState, RouterConfig, ShardChaos, ShardRouter};
 use hdov_walkthrough::{ServerConfig, ServerReport, Session, SessionKind, SessionServer};
 
 /// Parses `--flag <v>` / `--flag=<v>` out of the raw argument list.
@@ -84,12 +83,15 @@ fn main() {
             }
         };
         if let Some(victim) = kill_shard {
-            assert!(victim < shards, "--kill-shard {victim} out of range");
-            router.set_chaos(Some(ShardChaos {
+            let chaos = ShardChaos {
                 shard: victim,
                 kill_at_frame: kill_at,
                 revive_at_frame: revive_at,
-            }));
+            };
+            if let Err(e) = router.set_chaos(Some(chaos)) {
+                eprintln!("sharded_sessions: cannot kill shard {victim}: {e}");
+                std::process::exit(2);
+            }
             println!(
                 "chaos armed: kill shard {victim} at frame {kill_at}, revive at {}",
                 if revive_at == u64::MAX {
@@ -99,15 +101,14 @@ fn main() {
                 }
             );
         }
-        let sharded = ShardedServer::new(&router, ShardedConfig::default())
+        let report = SessionServer::new(&router, ServerConfig::default())
             .run(&sessions, 4)
             .expect("sharded run");
+        // The router is fresh, so its totals are this run's counters.
+        let t = router.totals();
         println!(
             "sharded run: shards={shards} degraded_frames={} timeouts={} hedged={} breaker_opens={}",
-            sharded.shard_degraded_frames,
-            sharded.shard_timeouts,
-            sharded.hedged_reads,
-            sharded.breaker_opens
+            t.degraded_frames, t.timeouts, t.hedged, t.breaker_opens
         );
         let states: Vec<String> = (0..shards)
             .map(|s| format!("{:?}", router.breaker_state(s)))
@@ -117,13 +118,10 @@ fn main() {
             // The fault-domain contract (ISSUE 10 acceptance), asserted in
             // the binary so the drill cannot silently weaken.
             assert!(
-                sharded.shard_degraded_frames > 0,
+                t.degraded_frames > 0,
                 "a killed shard must degrade frames to covers"
             );
-            assert!(
-                sharded.breaker_opens >= 1,
-                "the victim's breaker never opened"
-            );
+            assert!(t.breaker_opens >= 1, "the victim's breaker never opened");
             if revive_at != u64::MAX {
                 assert_eq!(
                     router.breaker_state(victim),
@@ -132,10 +130,10 @@ fn main() {
                 );
             }
         } else {
-            assert_eq!(sharded.shard_degraded_frames, 0, "fault-free run degraded");
-            assert_eq!(sharded.breaker_opens, 0, "fault-free run tripped a breaker");
+            assert_eq!(t.degraded_frames, 0, "fault-free run degraded");
+            assert_eq!(t.breaker_opens, 0, "fault-free run tripped a breaker");
         }
-        sharded.report
+        report
     };
 
     let failed: u64 = report.sessions.iter().map(|s| s.failed_frames).sum();

@@ -254,34 +254,27 @@ impl Counter {
 pub enum Hist {
     /// Simulated per-query search latency, microseconds.
     SimSearchUs,
-    /// Simulated per-frame time, microseconds.
-    SimFrameUs,
     /// Wall-clock per-query search latency, nanoseconds.
     WallSearchNs,
-    /// Simulated end-to-end frame time, nanoseconds (`sim_` by construction:
-    /// derived from the deterministic cost model, never a wall clock).
+    /// Simulated end-to-end frame time, nanoseconds (derived from the
+    /// deterministic cost model, never a wall clock).
     SimFrameTimeNs,
 }
 
 impl Hist {
     /// Number of histograms.
-    pub const COUNT: usize = 4;
+    pub const COUNT: usize = 3;
 
     /// Every histogram, in snapshot order.
-    pub const ALL: [Hist; Hist::COUNT] = [
-        Hist::SimSearchUs,
-        Hist::SimFrameUs,
-        Hist::WallSearchNs,
-        Hist::SimFrameTimeNs,
-    ];
+    pub const ALL: [Hist; Hist::COUNT] =
+        [Hist::SimSearchUs, Hist::WallSearchNs, Hist::SimFrameTimeNs];
 
     /// Stable snake_case name used in snapshot keys.
     pub fn name(self) -> &'static str {
         match self {
             Hist::SimSearchUs => "sim_search_us",
-            Hist::SimFrameUs => "sim_frame_us",
             Hist::WallSearchNs => "wall_search_ns",
-            Hist::SimFrameTimeNs => "frame_time_ns",
+            Hist::SimFrameTimeNs => "sim_frame_time_ns",
         }
     }
 

@@ -281,7 +281,7 @@ mod tests {
         // Untouched metrics are omitted entirely.
         assert!(!s.counters.contains_key("pool_misses"));
         assert!(!s.counters.contains_key("phase.prefetch.spans"));
-        assert!(!s.histograms.contains_key("sim_frame_us"));
+        assert!(!s.histograms.contains_key("sim_frame_time_ns"));
 
         reg.reset();
         let s = reg.snapshot("after-reset");
@@ -295,11 +295,11 @@ mod tests {
         // or register a thread-local recorder.
         assert!(!is_enabled());
         add(Counter::PoolMisses, 5);
-        observe(Hist::SimFrameUs, 1);
+        observe(Hist::SimFrameTimeNs, 1);
         drop(span(Phase::CacheProbe));
         let s = snapshot("disabled");
         assert!(!s.counters.contains_key("pool_misses"));
-        assert!(!s.histograms.contains_key("sim_frame_us"));
+        assert!(!s.histograms.contains_key("sim_frame_time_ns"));
     }
 
     #[test]

@@ -126,7 +126,7 @@ proptest! {
                     for i in 0..n {
                         rec.add(Counter::PoolMisses, 1);
                         rec.record_span(Phase::LodFetch, 3);
-                        rec.observe(Hist::SimFrameUs, i);
+                        rec.observe(Hist::SimFrameTimeNs, i);
                     }
                 });
             }
@@ -136,7 +136,7 @@ proptest! {
         prop_assert_eq!(s.counters["pool_misses"], total);
         prop_assert_eq!(s.counters["phase.lod_fetch.spans"], total);
         prop_assert_eq!(s.counters["phase.lod_fetch.wall_ns"], 3 * total);
-        let h = &s.histograms["sim_frame_us"];
+        let h = &s.histograms["sim_frame_time_ns"];
         prop_assert_eq!(h.count, total);
         prop_assert_eq!(h.max, per_thread.iter().max().unwrap() - 1);
     }

@@ -20,21 +20,22 @@
 //!   coarsest internal LoD
 //!   ([`DegradeCause::ShardUnavailable`](hdov_core::DegradeCause)) instead
 //!   of failing the frame.
-//! * [`ShardedServer`] drives recorded sessions through the router with a
-//!   **global** admission book (one logical slot per visitor across all
-//!   shards) and per-visitor η control fed by the merged frame.
+//! * [`ShardRouter`] is a [`FrameEngine`](hdov_walkthrough::FrameEngine):
+//!   `SessionServer::new(&router, cfg)` drives recorded sessions through
+//!   it with the unsharded server's own loop — one **global** admission
+//!   slot per visitor across all shards, η control fed by the merged
+//!   frame, the per-frame budget on every sub-query, and motion prefetch
+//!   on every shard of the predicted cell's fan-out.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod breaker;
 pub mod router;
-pub mod server;
 pub mod tile;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use router::{
     RouteStats, RouterConfig, RouterTotals, SessionLane, ShardChaos, ShardEngine, ShardRouter,
 };
-pub use server::{ShardedConfig, ShardedReport, ShardedServer};
 pub use tile::TileMap;

@@ -20,6 +20,10 @@
 //! ([`DegradeCause::ShardUnavailable`](hdov_core::DegradeCause)); the
 //! router never returns an error for a routable frame.
 //!
+//! The router is a [`FrameEngine`], so
+//! [`SessionServer`](hdov_walkthrough::SessionServer) drives recorded
+//! sessions through it exactly as through one unsharded engine.
+//!
 //! All robustness accounting is simulated-time and deterministic: deadlines
 //! compare *simulated* search milliseconds, retries are instant (a retry
 //! against a dead engine models the network timeout the real system would
@@ -34,8 +38,9 @@ use hdov_core::shard::{
 use hdov_core::{DeltaSearch, QueryBudget, QueryResult, SessionCtx, SharedEnvironment};
 use hdov_geom::Vec3;
 use hdov_obs::Counter;
-use hdov_storage::{ReplicaHealth, Result};
+use hdov_storage::{ReplicaHealth, Result, StorageError};
 use hdov_visibility::CellId;
+use hdov_walkthrough::FrameEngine;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Router tuning. The defaults keep every fault-domain mechanism inert:
@@ -57,10 +62,6 @@ pub struct RouterConfig {
     /// is hedged to the shard's replica engine (when one is attached): the
     /// faster of the two answers wins. `INFINITY` never hedges.
     pub hedge_sim_ms: f64,
-    /// Per-sub-query traversal budget (passed through to the shard search).
-    pub budget: QueryBudget,
-    /// Batched V-page prefetch on cell entry (as in the unsharded path).
-    pub prefetch: bool,
 }
 
 impl Default for RouterConfig {
@@ -70,8 +71,6 @@ impl Default for RouterConfig {
             retries: 1,
             breaker: BreakerConfig::default(),
             hedge_sim_ms: f64::INFINITY,
-            budget: QueryBudget::UNLIMITED,
-            prefetch: true,
         }
     }
 }
@@ -135,11 +134,13 @@ impl ShardEngine {
 }
 
 /// Per-visitor routing state: one cursor set per shard (plus one per
-/// replica), the per-shard frame slots, the merged frame, and the delta
-/// resident set — everything a visitor carries between frames.
+/// replica and one for motion prefetch), the per-shard frame slots, the
+/// merged frame, and the delta resident set — everything a visitor carries
+/// between frames.
 pub struct SessionLane {
     ctxs: Vec<SessionCtx>,
     hedge_ctxs: Vec<SessionCtx>,
+    prefetch_ctxs: Vec<SessionCtx>,
     frames: Vec<ShardFrame>,
     merged: QueryResult,
     delta: DeltaSearch,
@@ -274,11 +275,21 @@ impl ShardRouter {
     }
 
     /// Installs (or clears) the chaos schedule. Set before routing.
-    pub fn set_chaos(&mut self, chaos: Option<ShardChaos>) {
-        if let Some(c) = chaos {
-            assert!(c.shard < self.engines.len(), "chaos shard out of range");
+    ///
+    /// Fails with [`StorageError::InvalidPlan`] when the schedule names a
+    /// shard this router does not have; the previous schedule then stays.
+    pub fn set_chaos(&mut self, chaos: Option<ShardChaos>) -> Result<()> {
+        if let Some(c) = chaos.filter(|c| c.shard >= self.engines.len()) {
+            return Err(StorageError::InvalidPlan {
+                reason: format!(
+                    "chaos shard {} out of range for {} shards",
+                    c.shard,
+                    self.engines.len()
+                ),
+            });
         }
         self.chaos = chaos;
+        Ok(())
     }
 
     /// The shard engines, indexed by shard id.
@@ -329,24 +340,39 @@ impl ShardRouter {
     /// A fresh per-visitor lane.
     pub fn lane(&self) -> SessionLane {
         let n = self.engines.len();
+        let ctxs = || self.engines.iter().map(|e| e.env.session()).collect();
         SessionLane {
-            ctxs: self.engines.iter().map(|e| e.env.session()).collect(),
-            hedge_ctxs: self.engines.iter().map(|e| e.env.session()).collect(),
+            ctxs: ctxs(),
+            hedge_ctxs: ctxs(),
+            prefetch_ctxs: ctxs(),
             frames: (0..n).map(|_| ShardFrame::new()).collect(),
             merged: QueryResult::default(),
             delta: DeltaSearch::new(),
         }
     }
 
-    /// Routes one delta frame for the visitor at `viewpoint`: fan out,
-    /// guard, merge into `lane.merged()`, fold into the delta resident set.
-    pub fn route(&self, lane: &mut SessionLane, viewpoint: Vec3, eta: f64) -> RouteStats {
-        let cell = self.engines[0].env.cell_of(viewpoint);
-        self.route_cell(lane, cell, eta)
+    /// The shards a frame at `cell` fans out to: its home tile plus every
+    /// shard that can contribute an entry.
+    fn fanout_mask(&self, cell: CellId) -> u64 {
+        self.plan.cell_mask(cell) | (1u64 << self.tiles.shard_of_cell(cell))
     }
 
-    /// [`route`](Self::route) by cell id.
-    pub fn route_cell(&self, lane: &mut SessionLane, cell: CellId, eta: f64) -> RouteStats {
+    /// [`route_budgeted`](Self::route_budgeted) with no traversal budget.
+    pub fn route(&self, lane: &mut SessionLane, viewpoint: Vec3, eta: f64) -> RouteStats {
+        self.route_budgeted(lane, viewpoint, eta, QueryBudget::UNLIMITED)
+    }
+
+    /// Routes one delta frame for the visitor at `viewpoint`: fan out with
+    /// `budget` on every sub-query, guard, merge into `lane.merged()`, fold
+    /// into the delta resident set.
+    pub fn route_budgeted(
+        &self,
+        lane: &mut SessionLane,
+        viewpoint: Vec3,
+        eta: f64,
+        budget: QueryBudget,
+    ) -> RouteStats {
+        let cell = self.engines[0].env.cell_of(viewpoint);
         let frame_no = self.frames_routed.fetch_add(1, Ordering::Relaxed);
         if let Some(c) = self.chaos {
             // fetch_add hands each frame index to exactly one caller, so
@@ -359,7 +385,7 @@ impl ShardRouter {
             }
         }
 
-        let mask = self.plan.cell_mask(cell) | (1u64 << self.tiles.shard_of_cell(cell));
+        let mask = self.fanout_mask(cell);
         let skip = lane.delta.skip_map();
         let mut rs = RouteStats::default();
 
@@ -369,7 +395,7 @@ impl ShardRouter {
                 continue;
             }
             rs.fanout += 1;
-            self.sub_query(lane, s, cell, eta, &skip, &mut rs);
+            self.sub_query(lane, s, cell, eta, budget, &skip, &mut rs);
         }
 
         merge_frames(&mut lane.frames, &mut lane.merged);
@@ -385,12 +411,14 @@ impl ShardRouter {
     /// One shard's guarded sub-query: breaker gate → primary (with retries
     /// and deadline) → hedge → coarse cover. Leaves `lane.frames[s]`
     /// holding the shard's contribution no matter what failed.
+    #[allow(clippy::too_many_arguments)]
     fn sub_query(
         &self,
         lane: &mut SessionLane,
         s: usize,
         cell: CellId,
         eta: f64,
+        budget: QueryBudget,
         skip: &std::collections::HashMap<hdov_core::ResultKey, usize>,
         rs: &mut RouteStats,
     ) {
@@ -414,8 +442,8 @@ impl ShardRouter {
                     cell,
                     eta,
                     Some(skip),
-                    self.cfg.prefetch,
-                    self.cfg.budget,
+                    true,
+                    budget,
                 ) {
                     Ok(stats) => {
                         let ms = stats.search_time_ms();
@@ -473,8 +501,8 @@ impl ShardRouter {
                     cell,
                     eta,
                     Some(skip),
-                    self.cfg.prefetch,
-                    self.cfg.budget,
+                    true,
+                    budget,
                 ) {
                     let ms = stats.search_time_ms();
                     if primary_ms.is_none() {
@@ -496,5 +524,55 @@ impl ShardRouter {
                 rs.degraded_shards += 1;
             }
         }
+    }
+}
+
+/// Each frame is routed; the answer is the lane's merged frame.
+impl FrameEngine for ShardRouter {
+    type Lane = SessionLane;
+
+    fn lane(&self) -> SessionLane {
+        ShardRouter::lane(self)
+    }
+
+    /// Never fails: an unreachable shard serves its coarse cover.
+    fn serve(
+        &self,
+        lane: &mut SessionLane,
+        viewpoint: Vec3,
+        eta: f64,
+        budget: QueryBudget,
+    ) -> Result<(f64, u64)> {
+        let rs = self.route_budgeted(lane, viewpoint, eta, budget);
+        Ok((rs.search_ms, rs.page_reads))
+    }
+
+    fn answer<'l>(&self, lane: &'l SessionLane) -> &'l QueryResult {
+        lane.merged()
+    }
+
+    /// Warms `cell` on every live shard in its fan-out mask through the
+    /// lane's prefetch cursors. Dead engines are skipped and errors warm
+    /// nothing; neither reaches a breaker.
+    fn prefetch(&self, lane: &mut SessionLane, cell: CellId) -> u64 {
+        let mask = self.fanout_mask(cell);
+        let mut pages = 0;
+        for (s, engine) in self.engines.iter().enumerate() {
+            if mask & (1u64 << s) != 0 && engine.is_alive() {
+                pages += engine
+                    .env
+                    .prefetch_cell(&mut lane.prefetch_ctxs[s], cell)
+                    .unwrap_or(0);
+            }
+        }
+        pages
+    }
+
+    fn env(&self) -> &SharedEnvironment {
+        &self.engines[0].env
+    }
+
+    fn storage_health(&self) -> ReplicaHealth {
+        ShardRouter::storage_health(self)
     }
 }

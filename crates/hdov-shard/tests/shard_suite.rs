@@ -2,6 +2,8 @@
 //!
 //! * fault-free sharded answers are **byte-identical** to the unsharded
 //!   search — per frame, entry for entry, for 1 shard and for N shards;
+//! * `SessionServer` over a 1-shard router returns the unsharded server's
+//!   session outcomes field for field;
 //! * the merged frame is deterministic under every shard-reply-order
 //!   permutation (proptest);
 //! * a shard killed mid-run degrades frames instead of failing them, trips
@@ -14,17 +16,21 @@ use hdov_core::{
     ResultEntry, ResultKey, SearchScratch, SharedEnvironment, StorageScheme, MAX_SHARDS,
 };
 use hdov_scene::CityConfig;
-use hdov_shard::{
-    BreakerState, RouterConfig, ShardChaos, ShardRouter, ShardedConfig, ShardedServer,
-};
+use hdov_shard::{BreakerState, RouterConfig, ShardChaos, ShardRouter};
 use hdov_storage::StorageError;
 use hdov_visibility::CellGridConfig;
-use hdov_walkthrough::{ServerConfig, Session, SessionKind, SessionServer};
+use hdov_walkthrough::{
+    AdmissionConfig, EtaControlConfig, ServerConfig, Session, SessionKind, SessionServer,
+};
 use proptest::prelude::*;
 
-/// A per-sub-query simulated budget tight enough that some frames stop
+/// A per-frame simulated budget tight enough that some frames stop
 /// descending.
 const BUDGET_MS: f64 = 1.0;
+
+/// An η-control frame deadline (ms) close enough to the tiny scene's frame
+/// times that the controller both raises and drops η.
+const CONTROL_TARGET_MS: f64 = 3.0;
 
 fn shared_env() -> SharedEnvironment {
     let scene = CityConfig::tiny().seed(11).generate();
@@ -58,15 +64,7 @@ fn record_sessions(env: &SharedEnvironment, n: usize, frames: usize) -> Vec<Sess
 /// each shard engine starts cold.
 fn assert_frames_identical(shards: usize, budget: QueryBudget) -> u64 {
     let env = shared_env();
-    let router = ShardRouter::new(
-        &env,
-        shards,
-        RouterConfig {
-            budget,
-            ..RouterConfig::default()
-        },
-    )
-    .unwrap();
+    let router = ShardRouter::new(&env, shards, RouterConfig::default()).unwrap();
     let reference = env.fork_with_private_pools();
     let session = &record_sessions(&env, 1, 30)[0];
 
@@ -80,7 +78,7 @@ fn assert_frames_identical(shards: usize, budget: QueryBudget) -> u64 {
             .query_delta_into_budgeted(&mut ctx, &mut scratch, vp, 0.002, &mut delta, budget)
             .unwrap();
         let want = scratch.result();
-        router.route(&mut lane, vp, 0.002);
+        router.route_budgeted(&mut lane, vp, 0.002, budget);
         let got = lane.merged();
         assert_eq!(
             got.entries(),
@@ -129,8 +127,9 @@ fn seven_shard_frames_are_byte_identical_to_unsharded() {
     assert_frames_identical(7, QueryBudget::UNLIMITED);
 }
 
-/// Shard counts a plan cannot encode are typed, non-transient errors at
-/// router build — never a panic at query time.
+/// Shard counts a plan cannot encode — and chaos schedules naming a shard
+/// the router lacks — are typed, non-transient errors at setup, never a
+/// panic.
 #[test]
 fn router_rejects_invalid_shard_counts() {
     let env = shared_env();
@@ -144,32 +143,95 @@ fn router_rejects_invalid_shard_counts() {
         );
         assert!(!err.is_transient());
     }
+
+    let mut router = ShardRouter::new(&env, 4, RouterConfig::default()).unwrap();
+    let err = router
+        .set_chaos(Some(ShardChaos {
+            shard: 4,
+            kill_at_frame: 0,
+            revive_at_frame: u64::MAX,
+        }))
+        .unwrap_err();
+    assert!(matches!(err, StorageError::InvalidPlan { .. }), "{err}");
+    assert!(!err.is_transient());
+    router.set_chaos(None).unwrap();
 }
 
-/// Whole-server equality: the sharded server's per-session answers match
-/// the unsharded `SessionServer` on the same recorded walkthroughs.
+/// Whole-server equality: `SessionServer` through a 4-shard router answers
+/// exactly as over the unsharded environment, with motion prefetch on
+/// (warming every shard of the predicted cell's fan-out) and off.
 #[test]
 fn sharded_server_answers_match_unsharded_server() {
     let env = shared_env();
     let sessions = record_sessions(&env, 4, 25);
-    let plain = SessionServer::new(&env, ServerConfig::default())
-        .run(&sessions, 2)
-        .unwrap();
-    let router = ShardRouter::new(&env, 4, RouterConfig::default()).unwrap();
-    let sharded = ShardedServer::new(&router, ShardedConfig::default())
-        .run(&sessions, 2)
-        .unwrap();
-    assert_eq!(sharded.shard_degraded_frames, 0);
-    assert_eq!(sharded.shard_timeouts, 0);
-    assert_eq!(sharded.hedged_reads, 0);
-    assert_eq!(sharded.breaker_opens, 0);
-    for (a, b) in plain.sessions.iter().zip(&sharded.report.sessions) {
-        assert_eq!(a.session, b.session);
-        assert_eq!(a.total_polygons, b.total_polygons, "session {}", a.session);
-        assert_eq!(a.lod_level_sum, b.lod_level_sum, "session {}", a.session);
-        assert_eq!(a.lod_entries, b.lod_entries, "session {}", a.session);
-        assert_eq!(b.failed_frames, 0);
-        assert_eq!(b.degraded_frames, 0);
+    for motion_prefetch in [true, false] {
+        let cfg = ServerConfig {
+            motion_prefetch,
+            ..ServerConfig::default()
+        };
+        let plain = SessionServer::new(&env, cfg).run(&sessions, 2).unwrap();
+        let router = ShardRouter::new(&env, 4, RouterConfig::default()).unwrap();
+        let sharded = SessionServer::new(&router, cfg).run(&sessions, 2).unwrap();
+        let t = router.totals();
+        assert_eq!((t.degraded_frames, t.timeouts), (0, 0));
+        assert_eq!((t.hedged, t.breaker_opens), (0, 0));
+        let warmed: u64 = sharded.sessions.iter().map(|s| s.prefetched_pages).sum();
+        assert_eq!(warmed > 0, motion_prefetch, "prefetch {motion_prefetch}");
+        for (a, b) in plain.sessions.iter().zip(&sharded.sessions) {
+            assert_eq!(a.session, b.session);
+            assert_eq!(a.total_polygons, b.total_polygons, "session {}", a.session);
+            assert_eq!(a.lod_level_sum, b.lod_level_sum, "session {}", a.session);
+            assert_eq!(a.lod_entries, b.lod_entries, "session {}", a.session);
+            assert_eq!(b.failed_frames, 0);
+            assert_eq!(b.degraded_frames, 0);
+        }
+    }
+}
+
+/// One server, two engines: at one shard and one worker, `SessionServer`
+/// over the router returns the outcome it returns over the unsharded
+/// environment — field for field, simulated costs, prefetch, budget stops
+/// and η moves included — under every per-frame feature of the driver.
+///
+/// The reference is a fresh private-pool fork because the router's plan
+/// build warms the base environment's node pool.
+#[test]
+fn single_shard_server_outcomes_equal_unsharded() {
+    let env = shared_env();
+    let sessions = record_sessions(&env, 3, 30);
+    let configs = [
+        ServerConfig::default(),
+        ServerConfig {
+            budget: QueryBudget::sim_ms(BUDGET_MS),
+            ..ServerConfig::default()
+        },
+        ServerConfig {
+            control: Some(EtaControlConfig::for_target_ms(CONTROL_TARGET_MS)),
+            warm_start: true,
+            ..ServerConfig::default()
+        },
+        ServerConfig {
+            motion_prefetch: false,
+            ..ServerConfig::default()
+        },
+    ];
+    for (k, cfg) in configs.into_iter().enumerate() {
+        let reference = env.fork_with_private_pools();
+        let plain = SessionServer::new(&reference, cfg)
+            .run(&sessions, 1)
+            .unwrap();
+        let router = ShardRouter::new(&env, 1, RouterConfig::default()).unwrap();
+        let sharded = SessionServer::new(&router, cfg).run(&sessions, 1).unwrap();
+        assert_eq!(sharded.sessions, plain.sessions, "config {k}");
+        let sum = |f: fn(&hdov_walkthrough::SessionOutcome) -> u64| {
+            plain.sessions.iter().map(f).sum::<u64>()
+        };
+        match k {
+            0 => assert!(sum(|s| s.prefetched_pages) > 0, "prefetch must warm"),
+            1 => assert!(sum(|s| s.budget_stops) > 0, "budget must stop descents"),
+            2 => assert!(sum(|s| s.eta_raises + s.eta_drops) > 0, "η must move"),
+            _ => assert_eq!(sum(|s| s.prefetched_pages), 0),
+        }
     }
 }
 
@@ -180,26 +242,26 @@ fn sharded_server_answers_match_unsharded_server() {
 fn shard_kill_drill_degrades_and_recovers() {
     let env = shared_env();
     let mut router = ShardRouter::new(&env, 4, RouterConfig::default()).unwrap();
-    router.set_chaos(Some(ShardChaos {
-        shard: 1,
-        kill_at_frame: 10,
-        revive_at_frame: 45,
-    }));
+    router
+        .set_chaos(Some(ShardChaos {
+            shard: 1,
+            kill_at_frame: 10,
+            revive_at_frame: 45,
+        }))
+        .unwrap();
     let sessions = record_sessions(&env, 3, 40);
-    let report = ShardedServer::new(&router, ShardedConfig::default())
+    let report = SessionServer::new(&router, ServerConfig::default())
         .run(&sessions, 2)
         .unwrap();
 
-    for s in &report.report.sessions {
+    for s in &report.sessions {
         assert_eq!(s.failed_frames, 0, "a dead shard must never fail a frame");
         assert_eq!(s.search_ms.len(), 40, "every frame answered");
         assert!(s.total_polygons > 0);
     }
-    assert!(
-        report.shard_degraded_frames > 0,
-        "the outage window must serve covers"
-    );
-    assert!(report.breaker_opens >= 1, "the victim's breaker must trip");
+    let t = router.totals();
+    assert!(t.degraded_frames > 0, "the outage window must serve covers");
+    assert!(t.breaker_opens >= 1, "the victim's breaker must trip");
     assert_eq!(
         router.breaker_state(1),
         BreakerState::Closed,
@@ -208,8 +270,6 @@ fn shard_kill_drill_degrades_and_recovers() {
     for s in [0, 2, 3] {
         assert_eq!(router.breaker_state(s), BreakerState::Closed);
     }
-    let t = router.totals();
-    assert!(t.degraded_frames > 0);
     assert_eq!(t.timeouts, 0, "liveness faults are not deadline faults");
 }
 
@@ -228,12 +288,13 @@ fn impossible_deadline_degrades_every_frame() {
     )
     .unwrap();
     let sessions = record_sessions(&env, 2, 10);
-    let report = ShardedServer::new(&router, ShardedConfig::default())
+    let report = SessionServer::new(&router, ServerConfig::default())
         .run(&sessions, 1)
         .unwrap();
-    assert_eq!(report.shard_degraded_frames, 20, "every frame degrades");
-    assert!(report.shard_timeouts > 0);
-    for s in &report.report.sessions {
+    let t = router.totals();
+    assert_eq!(t.degraded_frames, 20, "every frame degrades");
+    assert!(t.timeouts > 0);
+    for s in &report.sessions {
         assert_eq!(s.failed_frames, 0);
         assert!(s.total_polygons > 0, "covers are a real picture");
     }
@@ -274,19 +335,19 @@ fn global_admission_sheds_overflow_once() {
     let env = shared_env();
     let router = ShardRouter::new(&env, 4, RouterConfig::default()).unwrap();
     let sessions = record_sessions(&env, 5, 8);
-    let report = ShardedServer::new(
+    let report = SessionServer::new(
         &router,
-        ShardedConfig {
-            admission: Some(hdov_walkthrough::AdmissionConfig::strict(2)),
-            ..ShardedConfig::default()
+        ServerConfig {
+            admission: Some(AdmissionConfig::strict(2)),
+            ..ServerConfig::default()
         },
     )
     .run(&sessions, 3)
     .unwrap();
-    let shed = report.report.shed_sessions();
+    let shed = report.shed_sessions();
     assert!(shed > 0, "3 workers racing 2 global slots must shed");
-    assert_eq!(report.report.backpressure.admitted + shed, 5);
-    for s in report.report.sessions.iter().filter(|s| s.shed) {
+    assert_eq!(report.backpressure.admitted + shed, 5);
+    for s in report.sessions.iter().filter(|s| s.shed) {
         assert_eq!(s.failed_frames, 0);
         assert_eq!(
             s.page_reads, 0,

@@ -15,7 +15,9 @@
 //! * [`WalkthroughMetrics`] — average/variance frame time, per-query search
 //!   time and I/O, DoV-coverage fidelity, and peak memory, and
 //! * [`SessionServer`] — a concurrent multi-session server replaying many
-//!   recorded sessions against one shared, immutable HDoV-tree.
+//!   recorded sessions against one shared, immutable HDoV-tree. It is the
+//!   one session driver: any [`FrameEngine`] serves its frames, either a
+//!   single `SharedEnvironment` or hdov-shard's tile-sharded router.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +35,7 @@ pub use admission::{AdmissionConfig, BackpressureStats, SessionSlots};
 pub use control::{EtaAction, EtaControlConfig, EtaController};
 pub use frame::{FrameModel, FrameRecord};
 pub use metrics::{run_session, WalkthroughMetrics};
-pub use server::{ServerConfig, ServerReport, SessionOutcome, SessionServer};
+pub use server::{EnvLane, FrameEngine, ServerConfig, ServerReport, SessionOutcome, SessionServer};
 pub use session::{Session, SessionKind};
 pub use streaming::StreamingVisualSystem;
 pub use system::{LodRTreeWalkthrough, ReviewWalkthrough, VisualSystem, WalkthroughSystem};

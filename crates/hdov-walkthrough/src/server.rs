@@ -4,12 +4,19 @@
 //! The paper's walkthrough evaluation (§5.4) replays one session at a time;
 //! a deployed server hosts many independent visitors of the same virtual
 //! city. [`SessionServer`] drives each recorded [`Session`] as its own
-//! logical client — its own [`SessionCtx`](hdov_core::SessionCtx) (disk
-//! heads, flipped segment) and
-//! [`DeltaSearch`] resident set — on a `std::thread::scope` worker pool,
-//! where workers claim whole sessions from an atomic-counter queue.
+//! logical client — its own [`FrameEngine::Lane`] (disk heads, flipped
+//! segment, [`DeltaSearch`] resident set) — on a `std::thread::scope`
+//! worker pool, where workers claim whole sessions from an atomic-counter
+//! queue.
 //!
-//! All sessions share the environment's lock-striped buffer pools, so pages
+//! The server is one driver over any [`FrameEngine`]: the claim queue,
+//! admission and shed path, η control, motion prefetch and outcome
+//! bookkeeping are the same whether a frame is answered by one
+//! [`SharedEnvironment`] or fanned out over tile shards by
+//! `hdov_shard::ShardRouter`. What is passed to [`SessionServer::new`]
+//! decides which engine runs.
+//!
+//! All sessions share the engine's lock-striped buffer pools, so pages
 //! warmed by one visitor are hits for the next one walking the same streets.
 //! Along each session's motion vector the server also *prefetches*: it
 //! extrapolates the next viewpoint, and when that lands in a different cell
@@ -25,11 +32,111 @@ use crate::admission::{AdmissionConfig, BackpressureStats, SessionSlots};
 use crate::control::{EtaAction, EtaControlConfig, EtaController};
 use crate::frame::FrameModel;
 use crate::session::Session;
-use hdov_core::{DeltaSearch, QueryBudget, ResultKey, SearchScratch, SharedEnvironment};
+use hdov_core::{
+    DeltaSearch, QueryBudget, QueryResult, ResultKey, SearchScratch, SessionCtx, SharedEnvironment,
+};
+use hdov_geom::Vec3;
 use hdov_obs::{Counter, Hist};
 use hdov_storage::{ReplicaHealth, Result};
+use hdov_visibility::CellId;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
+
+/// The engine that answers one frame for a [`SessionServer`] visitor.
+///
+/// Everything around the frame — claim queue, admission, shed path, η
+/// control, prefetch scheduling, outcome bookkeeping — belongs to the
+/// server; the engine only serves the per-frame delta query.
+pub trait FrameEngine: Sync {
+    /// Per-visitor state carried between frames; holds the latest answer.
+    type Lane;
+
+    /// A fresh lane for one visitor.
+    fn lane(&self) -> Self::Lane;
+
+    /// Serves the delta frame at `viewpoint` under `eta` and `budget`,
+    /// leaving the answer in `lane`. Returns the frame's simulated search
+    /// time (ms) and simulated page reads.
+    fn serve(
+        &self,
+        lane: &mut Self::Lane,
+        viewpoint: Vec3,
+        eta: f64,
+        budget: QueryBudget,
+    ) -> Result<(f64, u64)>;
+
+    /// The answer of the lane's latest served frame.
+    fn answer<'l>(&self, lane: &'l Self::Lane) -> &'l QueryResult;
+
+    /// Warms `cell`'s V-pages ahead of the visitor, off the visitor's books.
+    /// Advisory: a failed warm-up warms nothing. Returns pages warmed.
+    fn prefetch(&self, lane: &mut Self::Lane, cell: CellId) -> u64;
+
+    /// The frozen environment behind the engine: cell lookup, the η warm
+    /// start's polygon estimate and the shed path's root LoD.
+    fn env(&self) -> &SharedEnvironment;
+
+    /// Replica-set health merged over every pool the engine reads.
+    fn storage_health(&self) -> ReplicaHealth;
+}
+
+/// A visitor's lane on one [`SharedEnvironment`]: query and prefetch
+/// cursors, the result buffer reused across frames, and the delta resident
+/// set.
+pub struct EnvLane {
+    ctx: SessionCtx,
+    prefetch_ctx: SessionCtx,
+    scratch: SearchScratch,
+    delta: DeltaSearch,
+}
+
+impl FrameEngine for SharedEnvironment {
+    type Lane = EnvLane;
+
+    fn lane(&self) -> EnvLane {
+        EnvLane {
+            ctx: self.session(),
+            prefetch_ctx: self.session(),
+            scratch: SearchScratch::new(),
+            delta: DeltaSearch::new(),
+        }
+    }
+
+    fn serve(
+        &self,
+        lane: &mut EnvLane,
+        viewpoint: Vec3,
+        eta: f64,
+        budget: QueryBudget,
+    ) -> Result<(f64, u64)> {
+        let (stats, _) = self.query_delta_into_budgeted(
+            &mut lane.ctx,
+            &mut lane.scratch,
+            viewpoint,
+            eta,
+            &mut lane.delta,
+            budget,
+        )?;
+        Ok((stats.search_time_ms(), stats.total_io().page_reads))
+    }
+
+    fn answer<'l>(&self, lane: &'l EnvLane) -> &'l QueryResult {
+        lane.scratch.result()
+    }
+
+    fn prefetch(&self, lane: &mut EnvLane, cell: CellId) -> u64 {
+        self.prefetch_cell(&mut lane.prefetch_ctx, cell)
+            .unwrap_or(0)
+    }
+
+    fn env(&self) -> &SharedEnvironment {
+        self
+    }
+
+    fn storage_health(&self) -> ReplicaHealth {
+        SharedEnvironment::storage_health(self)
+    }
+}
 
 /// Fidelity-ladder rank of an internal-LoD entry's level 0.
 ///
@@ -66,6 +173,7 @@ pub struct ServerConfig {
     pub frame_model: FrameModel,
     /// Per-frame traversal budget; an exhausted budget serves the remaining
     /// subtrees as internal LoDs instead of failing or running long.
+    /// Through a shard router every fanned-out sub-query gets this budget.
     /// [`QueryBudget::UNLIMITED`] (the default) changes nothing.
     pub budget: QueryBudget,
     /// Closed-loop AIMD η control per session; `None` (the default) keeps η
@@ -95,7 +203,7 @@ impl Default for ServerConfig {
 }
 
 /// One session's outcome.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionOutcome {
     /// Index of the session in the input slice.
     pub session: usize,
@@ -165,8 +273,8 @@ pub struct ServerReport {
     /// Admission counters for the run (all zero without
     /// [`ServerConfig::admission`]).
     pub backpressure: BackpressureStats,
-    /// Replica-set health merged over the environment's pools at the end of
-    /// the run: failovers served, pages repaired, pages still quarantined.
+    /// Replica-set health merged over the engine's pools at the end of the
+    /// run: failovers served, pages repaired, pages still quarantined.
     /// All-zero (`is_clean`) in fault-free runs.
     pub health: ReplicaHealth,
 }
@@ -316,16 +424,17 @@ impl ServerReport {
     }
 }
 
-/// Drives recorded sessions concurrently against a [`SharedEnvironment`].
-pub struct SessionServer<'a> {
-    env: &'a SharedEnvironment,
+/// Drives recorded sessions concurrently against a [`FrameEngine`]: one
+/// [`SharedEnvironment`], or a sharded router.
+pub struct SessionServer<'a, E: FrameEngine> {
+    engine: &'a E,
     cfg: ServerConfig,
 }
 
-impl<'a> SessionServer<'a> {
-    /// A server over `env` with configuration `cfg`.
-    pub fn new(env: &'a SharedEnvironment, cfg: ServerConfig) -> Self {
-        SessionServer { env, cfg }
+impl<'a, E: FrameEngine> SessionServer<'a, E> {
+    /// A server over `engine` with configuration `cfg`.
+    pub fn new(engine: &'a E, cfg: ServerConfig) -> Self {
+        SessionServer { engine, cfg }
     }
 
     /// Runs every session to completion on `threads` scoped workers, each
@@ -396,7 +505,7 @@ impl<'a> SessionServer<'a> {
             wall_seconds,
             threads: workers,
             backpressure: slots.map(|s| s.stats()).unwrap_or_default(),
-            health: self.env.storage_health(),
+            health: self.engine.storage_health(),
         })
     }
 
@@ -437,7 +546,7 @@ impl<'a> SessionServer<'a> {
     /// fail — so the visitor keeps a (coarse) picture while the admitted
     /// sessions keep their frame times.
     fn drive_shed(&self, index: usize, session: &Session) -> SessionOutcome {
-        let tree = self.env.tree();
+        let tree = self.engine.env().tree();
         let root = tree.root_ordinal();
         let level = tree.internal_store().select_level(root as u64, 1.0);
         let h = tree.internal_store().handle(root as u64, level);
@@ -467,22 +576,21 @@ impl<'a> SessionServer<'a> {
     }
 
     /// Replays one session: delta query per frame, plus motion-vector
-    /// prefetch of the predicted next cell through a scratch context.
+    /// prefetch of the predicted next cell through the lane's prefetch
+    /// cursors.
     ///
-    /// One [`SearchScratch`] is carried across every frame of the session,
-    /// so steady-state frames reuse the previous frame's result buffer
-    /// instead of allocating a fresh one.
+    /// One lane is carried across every frame of the session, so
+    /// steady-state frames reuse the previous frame's result buffer instead
+    /// of allocating a fresh one.
     ///
     /// Infallible by design: read errors that graceful degradation inside
     /// the query could not absorb drop only the failing frame
     /// ([`SessionOutcome::failed_frames`]) — one visitor's bad disk reads
     /// never take down another visitor's walkthrough.
     fn drive(&self, index: usize, session: &Session) -> SessionOutcome {
-        let env = self.env;
-        let mut ctx = env.session();
-        let mut prefetch_ctx = env.session(); // prefetch I/O stays off the books
-        let mut scratch = SearchScratch::new();
-        let mut delta = DeltaSearch::new();
+        let engine = self.engine;
+        let env = engine.env();
+        let mut lane = engine.lane();
         let mut controller = self.cfg.control.map(|c| {
             if self.cfg.warm_start && !session.viewpoints.is_empty() {
                 let cell = env.cell_of(session.viewpoints[0]);
@@ -508,29 +616,22 @@ impl<'a> SessionServer<'a> {
         for (i, &vp) in session.viewpoints.iter().enumerate() {
             let eta = controller.as_ref().map_or(self.cfg.eta, |c| c.eta());
             let wall = hdov_obs::is_enabled().then(Instant::now);
-            match env.query_delta_into_budgeted(
-                &mut ctx,
-                &mut scratch,
-                vp,
-                eta,
-                &mut delta,
-                self.cfg.budget,
-            ) {
-                Ok((stats, _)) => {
+            match engine.serve(&mut lane, vp, eta, self.cfg.budget) {
+                Ok((search, reads)) => {
                     if let Some(t0) = wall {
                         hdov_obs::observe(Hist::WallSearchNs, t0.elapsed().as_nanos() as u64);
                     }
-                    let search = stats.search_time_ms();
-                    let polygons = scratch.result().total_polygons();
+                    let answer = engine.answer(&lane);
+                    let polygons = answer.total_polygons();
                     search_ms.push(search);
                     frame_ms.push(self.cfg.frame_model.frame_time_ms(search, polygons));
                     total_polygons += polygons;
-                    page_reads += stats.total_io().page_reads;
-                    if scratch.result().degrade().errors_absorbed() > 0 {
+                    page_reads += reads;
+                    if answer.degrade().errors_absorbed() > 0 {
                         degraded_frames += 1;
                     }
-                    budget_stops += scratch.result().degrade().budget_stops();
-                    for e in scratch.result().entries() {
+                    budget_stops += answer.degrade().budget_stops();
+                    for e in answer.entries() {
                         lod_level_sum += served_lod_rank(e.key, e.level);
                         lod_entries += 1;
                     }
@@ -568,9 +669,7 @@ impl<'a> SessionServer<'a> {
                 let here = env.cell_of(vp);
                 let ahead = env.cell_of(predicted);
                 if ahead != here {
-                    if let Ok(warmed) = env.prefetch_cell(&mut prefetch_ctx, ahead) {
-                        prefetched_pages += warmed;
-                    }
+                    prefetched_pages += engine.prefetch(&mut lane, ahead);
                 }
             }
         }
