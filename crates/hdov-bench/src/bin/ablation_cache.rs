@@ -25,7 +25,7 @@ fn main() {
     for cache_nodes in [0usize, 16, 64, 256, 1024] {
         let mut env = eval.environment(StorageScheme::IndexedVertical);
         if cache_nodes > 0 {
-            env.tree_mut().enable_node_cache(cache_nodes);
+            env.enable_node_cache(cache_nodes);
         }
         let (mut node_reads, mut times) = (Vec::new(), Vec::new());
         for &vp in &session.viewpoints {
@@ -34,7 +34,6 @@ fn main() {
             times.push(st.search_time_ms());
         }
         let hit_rate = env
-            .tree_mut()
             .node_cache_stats()
             .map(|(h, m)| 100.0 * h as f64 / (h + m).max(1) as f64)
             .unwrap_or(0.0);

@@ -14,9 +14,7 @@ use crate::vpage::{VEntry, VPage};
 use hdov_mesh::{simplify, LodChain, TriMesh};
 use hdov_rtree::{bulk, ChildRef, RTree, SplitMethod};
 use hdov_scene::{ModelStore, Scene};
-use hdov_storage::{
-    DiskModel, MemPagedFile, PageId, PagedFile, Result, SimulatedDisk, StorageBackend, StoreFile,
-};
+use hdov_storage::{DiskModel, MemPagedFile, PageId, PagedFile, Result, SimulatedDisk, StoreFile};
 use hdov_visibility::{CellGrid, CellId, DovConfig, DovTable};
 
 /// How the traversal decides that a barely-visible subtree's internal LoD is
@@ -104,9 +102,10 @@ impl HdovBuildConfig {
 /// [`StorageScheme::build`](crate::StorageScheme::build).
 pub type CellVPages = Vec<Vec<(u32, VPage)>>;
 
-/// The view-invariant part of the HDoV-tree: node pages, internal-LoD store,
-/// and tree metadata. View-variant data lives in a
-/// [`VisibilityStore`](crate::VisibilityStore).
+/// The view-invariant part of the HDoV-tree as built: node pages,
+/// internal-LoD store, and tree metadata. View-variant data goes to a
+/// [`SharedVStore`](crate::SharedVStore); queries read the tree once it is
+/// frozen into a [`SharedTree`](crate::shared::SharedTree).
 pub struct HdovTree {
     node_disk: SimulatedDisk<StoreFile>,
     internal_disk: SimulatedDisk<StoreFile>,
@@ -121,10 +120,6 @@ pub struct HdovTree {
     /// Object ids per leaf, parallel to `leaf_ordinals` — the naïve
     /// (cell, list-of-objects) baseline's in-memory list.
     leaf_objects: Vec<Vec<u64>>,
-    /// Optional node buffer pool. The paper's head-to-head runs cache-less
-    /// ("none of the two systems caches the tree nodes"); enable it to
-    /// measure what a buffer pool buys (see the `ablation_cache` bench).
-    node_cache: Option<hdov_storage::LruCache<u32, std::sync::Arc<HdovNode>>>,
 }
 
 /// Intermediate lifted node used during construction.
@@ -310,7 +305,6 @@ impl HdovTree {
             entry_counts,
             leaf_ordinals,
             leaf_objects,
-            node_cache: None,
         };
         Ok((tree, cells))
     }
@@ -361,173 +355,9 @@ impl HdovTree {
         &self.leaf_objects[i]
     }
 
-    /// Reads node `ordinal`, charging node-file I/O (unless the node is in
-    /// the buffer pool).
-    ///
-    /// The node comes back `Arc`-shared: a buffer-pool hit clones the
-    /// pointer, not the decoded entry vector, so enabling the cache also
-    /// removes the per-hit decode-and-copy cost.
-    pub fn read_node(&mut self, ordinal: u32) -> Result<std::sync::Arc<HdovNode>> {
-        if let Some(cache) = &mut self.node_cache {
-            if let Some(node) = cache.get(&ordinal) {
-                return Ok(std::sync::Arc::clone(node));
-            }
-        }
-        let mut page = hdov_storage::Page::zeroed();
-        self.node_disk
-            .read_page(PageId(ordinal as u64), &mut page)?;
-        let node = std::sync::Arc::new(HdovNode::decode(page.bytes())?);
-        if let Some(cache) = &mut self.node_cache {
-            cache.insert(ordinal, std::sync::Arc::clone(&node));
-        }
-        Ok(node)
-    }
-
-    /// Enables an LRU node buffer pool holding up to `capacity` nodes
-    /// (one page each). Disabled by default to match the paper's cache-less
-    /// evaluation setup.
-    pub fn enable_node_cache(&mut self, capacity: usize) {
-        self.node_cache = Some(hdov_storage::LruCache::new(capacity));
-    }
-
-    /// Drops the node buffer pool.
-    pub fn disable_node_cache(&mut self) {
-        self.node_cache = None;
-    }
-
-    /// `(hits, misses)` of the node buffer pool, if enabled.
-    pub fn node_cache_stats(&self) -> Option<(u64, u64)> {
-        self.node_cache.as_ref().map(|c| c.hit_stats())
-    }
-
     /// The internal-LoD store (key = node ordinal).
     pub fn internal_store(&self) -> &ModelStore {
         &self.internal_store
-    }
-
-    /// Fetches (charges I/O for) node `ordinal`'s internal LoD at `level`.
-    pub fn fetch_internal_lod(
-        &mut self,
-        ordinal: u32,
-        level: usize,
-    ) -> Result<hdov_scene::ModelHandle> {
-        self.internal_store
-            .fetch(&mut self.internal_disk, ordinal as u64, level)
-    }
-
-    /// Re-derives the per-cell V-page data from an updated [`DovTable`]
-    /// against this tree's (unchanged) topology — the companion to
-    /// [`DovTable::recompute_cells`] for visibility-only scene changes.
-    ///
-    /// Reads every node page once (bottom-up, reverse preorder); the object
-    /// set and tree structure must match the table's scene.
-    pub fn aggregate_from_table(&mut self, table: &DovTable) -> Result<CellVPages> {
-        // Reconstruct the aggregation inputs from the node pages.
-        let n = self.n_nodes;
-        let mut is_leaf = vec![false; n as usize];
-        let mut children: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
-        let mut objects: Vec<Vec<u64>> = vec![Vec::new(); n as usize];
-        for ord in 0..n {
-            let node = self.read_node(ord)?;
-            is_leaf[ord as usize] = node.is_leaf;
-            for e in &node.entries {
-                if e.is_object() {
-                    objects[ord as usize].push(e.child);
-                } else {
-                    children[ord as usize].push(e.child_ordinal);
-                }
-            }
-        }
-        self.reset_io();
-
-        let mut cells = Vec::with_capacity(table.cell_count());
-        for cell in 0..table.cell_count() as hdov_visibility::CellId {
-            let mut node_dov = vec![0.0f64; n as usize];
-            let mut node_nvo = vec![0u32; n as usize];
-            let mut vpages: Vec<(u32, VPage)> = Vec::new();
-            for ord in (0..n).rev() {
-                let idx = ord as usize;
-                let mut entries = Vec::new();
-                let (mut dov_sum, mut nvo_sum) = (0.0f64, 0u32);
-                if is_leaf[idx] {
-                    for &obj in &objects[idx] {
-                        let d = table.dov(cell, obj as u32);
-                        let nvo = u32::from(d > 0.0);
-                        entries.push(VEntry { dov: d, nvo });
-                        dov_sum += d as f64;
-                        nvo_sum += nvo;
-                    }
-                } else {
-                    for &c in &children[idx] {
-                        let d = node_dov[c as usize];
-                        let nv = node_nvo[c as usize];
-                        entries.push(VEntry {
-                            dov: d as f32,
-                            nvo: nv,
-                        });
-                        dov_sum += d;
-                        nvo_sum += nv;
-                    }
-                }
-                node_dov[idx] = dov_sum;
-                node_nvo[idx] = nvo_sum;
-                if dov_sum > 0.0 {
-                    vpages.push((ord, VPage::new(entries)));
-                }
-            }
-            vpages.sort_by_key(|&(o, _)| o);
-            cells.push(vpages);
-        }
-        Ok(cells)
-    }
-
-    /// I/O stats of the node file.
-    pub fn node_io(&self) -> hdov_storage::IoStats {
-        self.node_disk.stats()
-    }
-
-    /// I/O stats of the internal-LoD file.
-    pub fn internal_io(&self) -> hdov_storage::IoStats {
-        self.internal_disk.stats()
-    }
-
-    /// Clears both I/O counters.
-    pub fn reset_io(&mut self) {
-        self.node_disk.reset_stats();
-        self.internal_disk.reset_stats();
-    }
-
-    /// Arms seeded fault injection on the node and internal-LoD files
-    /// (chaos testing): reads retry transient failures per the disks'
-    /// retry policy, and corrupted pages surface as
-    /// [`StorageError::Corrupt`](hdov_storage::StorageError::Corrupt) via
-    /// the build-time checksum tables.
-    pub fn arm_faults(&mut self, plan: &hdov_storage::FaultPlan) {
-        self.node_disk.arm_faults(plan.clone());
-        self.internal_disk.arm_faults(plan.clone());
-    }
-
-    /// Disarms fault injection on both files.
-    pub fn disarm_faults(&mut self) {
-        self.node_disk.disarm_faults();
-        self.internal_disk.disarm_faults();
-    }
-
-    /// Relocates the node and internal-LoD files onto `backend` (see
-    /// [`StorageBackend::freeze`]), naming them `<prefix>tree_nodes` and
-    /// `<prefix>tree_internal`. The tree becomes read-only; answers and
-    /// simulated charges are unchanged.
-    pub fn relocate(&mut self, backend: &StorageBackend, prefix: &str) -> Result<()> {
-        crate::storage::relocate_disk(
-            &mut self.node_disk,
-            backend,
-            &format!("{prefix}tree_nodes"),
-        )?;
-        crate::storage::relocate_disk(
-            &mut self.internal_disk,
-            backend,
-            &format!("{prefix}tree_internal"),
-        )
     }
 
     /// Decomposes the tree for freezing into a
@@ -538,6 +368,8 @@ impl HdovTree {
             internal_disk: self.internal_disk,
             internal_store: self.internal_store,
             n_nodes: self.n_nodes,
+            height: self.height,
+            object_count: self.object_count,
             fanout: self.fanout,
             heuristic: self.heuristic,
             entry_counts: self.entry_counts,
@@ -553,6 +385,8 @@ pub(crate) struct TreeParts {
     pub internal_disk: SimulatedDisk<StoreFile>,
     pub internal_store: ModelStore,
     pub n_nodes: u32,
+    pub height: u32,
+    pub object_count: u64,
     pub fanout: usize,
     pub heuristic: TerminationHeuristic,
     pub entry_counts: Vec<u16>,
@@ -750,6 +584,15 @@ mod tests {
     use hdov_scene::CityConfig;
     use hdov_visibility::CellGridConfig;
 
+    /// Node `ordinal`, decoded straight off the tree's node file.
+    fn read_node(tree: &mut HdovTree, ordinal: u32) -> HdovNode {
+        let mut page = hdov_storage::Page::zeroed();
+        tree.node_disk
+            .read_page(PageId(ordinal as u64), &mut page)
+            .unwrap();
+        HdovNode::decode(page.bytes()).unwrap()
+    }
+
     fn build_tiny() -> (Scene, CellGrid, HdovTree, CellVPages) {
         let scene = CityConfig::tiny().seed(2).generate();
         let grid = CellGridConfig::for_scene(&scene)
@@ -765,7 +608,7 @@ mod tests {
         assert!(tree.height() >= 2, "height {}", tree.height());
         assert_eq!(tree.object_count(), scene.len() as u64);
         assert!(tree.node_count() > 1);
-        let root = tree.read_node(0).unwrap();
+        let root = read_node(&mut tree, 0);
         assert_eq!(root.ordinal, 0);
         assert!(!root.entries.is_empty());
     }
@@ -774,7 +617,7 @@ mod tests {
     fn ordinals_are_dense_dfs_preorder() {
         let (_, _, mut tree, _) = build_tiny();
         for ord in 0..tree.node_count() {
-            let node = tree.read_node(ord).unwrap();
+            let node = read_node(&mut tree, ord);
             assert_eq!(node.ordinal, ord);
             if !node.is_leaf {
                 // Preorder: first child is ordinal + 1.
@@ -801,7 +644,7 @@ mod tests {
     fn internal_lod_is_coarser_than_descendants() {
         let (scene, _, mut tree, _) = build_tiny();
         for ord in 0..tree.node_count() {
-            let node = tree.read_node(ord).unwrap();
+            let node = read_node(&mut tree, ord);
             if !node.is_leaf {
                 continue;
             }
@@ -826,7 +669,7 @@ mod tests {
             let lookup: std::collections::HashMap<u32, &VPage> =
                 cell.iter().map(|(o, v)| (*o, v)).collect();
             for (ordinal, vpage) in cell {
-                let node = tree.read_node(*ordinal).unwrap();
+                let node = read_node(&mut tree, *ordinal);
                 if node.is_leaf {
                     continue;
                 }
@@ -860,7 +703,7 @@ mod tests {
         // parent map
         let mut parent = vec![u32::MAX; tree.node_count() as usize];
         for ord in 0..tree.node_count() {
-            let node = tree.read_node(ord).unwrap();
+            let node = read_node(&mut tree, ord);
             if !node.is_leaf {
                 for e in &node.entries {
                     parent[e.child_ordinal as usize] = ord;
@@ -907,7 +750,7 @@ mod tests {
         let (_, _, mut tree, _) = build_tiny();
         let mut saw_internal_entry = false;
         for ord in 0..tree.node_count() {
-            let node = tree.read_node(ord).unwrap();
+            let node = read_node(&mut tree, ord);
             for e in &node.entries {
                 if e.is_object() {
                     assert!(e.child_f > 0.0);

@@ -7,7 +7,7 @@
 //!
 //! [`DeltaSearch`] tracks the resident set (model key → LoD level and bytes)
 //! across a sequence of queries, produces the skip map consumed by
-//! [`search`](crate::search::search), and accounts resident/peak memory —
+//! [`search_shared`](crate::shared::search_shared), and accounts resident/peak memory —
 //! the numbers behind the paper's 28 MB (VISUAL) vs 62 MB (REVIEW)
 //! comparison.
 
@@ -39,7 +39,7 @@ impl DeltaSearch {
         Self::default()
     }
 
-    /// The skip map to pass to [`search`](crate::search::search): resident
+    /// The skip map to pass to [`search_shared`](crate::shared::search_shared): resident
     /// key → resident level.
     pub fn skip_map(&self) -> HashMap<ResultKey, usize> {
         self.resident

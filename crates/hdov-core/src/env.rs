@@ -1,29 +1,51 @@
 //! [`HdovEnvironment`] — the assembled system: tree + storage scheme +
-//! models + cell grid, behind a small query API.
+//! models + cell grid, behind a small single-user query API.
 
-use crate::build::{HdovBuildConfig, HdovTree};
+use crate::build::{CellVPages, HdovBuildConfig, HdovTree};
 use crate::delta::{DeltaSearch, DeltaSummary};
-use crate::search::{naive_query, search, ObjectModels, QueryResult, SearchStats};
-use crate::storage::{StorageScheme, VisibilityStore};
-use hdov_geom::Vec3;
+use crate::node::HdovNode;
+use crate::priority::{search_prioritized_delta, PrioritizedOutcome};
+use crate::search::{naive_query, QueryResult, SearchStats};
+use crate::shared::{
+    search_shared, search_shared_budgeted, PoolConfig, SessionCtx, SharedEnvironment, SharedModels,
+    SharedTree, SharedVStore,
+};
+use crate::storage::StorageScheme;
+use crate::vpage::VPageCodec;
+use crate::QueryBudget;
+use hdov_geom::{Frustum, Vec3};
 use hdov_scene::Scene;
-use hdov_storage::Result;
+use hdov_storage::{FaultPlan, Result, SharedFaultyFile, StorageBackend};
 use hdov_visibility::{CellGrid, CellGridConfig, CellId, DovTable};
 use std::sync::Arc;
 
-/// A complete, queryable HDoV-tree deployment.
+/// Single-session pool geometry `(capacity_pages, shards)` of the node,
+/// internal-LoD, object-model and V-page-index files: they keep nothing,
+/// so every read is a charged miss — the paper's cache-less simulated
+/// disk ("none of the two systems caches the tree nodes", §5.4).
+pub(crate) const UNBUFFERED: (usize, usize) = (0, 1);
+
+/// Single-session pool geometry of the V-page file: the one disk page last
+/// read, as any paging client holds while copying records out.
+pub(crate) const VPAGE_BUFFER: (usize, usize) = (1, 1);
+
+/// A complete, queryable HDoV-tree deployment for one user.
 ///
-/// Owns the node file, the chosen visibility store, the object and
-/// internal-LoD model banks, the cell grid, and (for fidelity metrics) the
-/// ground-truth DoV table.
+/// Owns a frozen [`SharedEnvironment`] — node file, visibility store, object
+/// and internal-LoD model banks, cell grid and (for fidelity metrics) the
+/// ground-truth DoV table — and the one [`SessionCtx`] that queries it. The
+/// pools keep nothing but the last V-page disk page read (the
+/// single-session layout, DESIGN.md §3), and the session's cursors start
+/// where the build left each disk's head, so every query is charged exactly
+/// as the paper's single-disk setup would charge it. V-pages are read where
+/// the traversal needs them (no batched prefetch).
 pub struct HdovEnvironment {
-    tree: HdovTree,
-    vstore: Box<dyn VisibilityStore>,
-    objects: ObjectModels,
-    grid: Arc<CellGrid>,
-    table: Arc<DovTable>,
-    scheme: StorageScheme,
-    codec: crate::vpage::VPageCodec,
+    env: SharedEnvironment,
+    ctx: SessionCtx,
+    /// Whether [`enable_node_cache`](Self::enable_node_cache) is in force.
+    node_cache: bool,
+    /// Injectors armed by [`arm_faults`](Self::arm_faults).
+    faults: Vec<Arc<SharedFaultyFile>>,
 }
 
 impl HdovEnvironment {
@@ -50,17 +72,7 @@ impl HdovEnvironment {
         table: Arc<DovTable>,
     ) -> Result<Self> {
         let (tree, cells) = HdovTree::build_with_table(scene, &cfg, &table)?;
-        let vstore = scheme.build(tree.entry_counts(), &cells, cfg.disk, cfg.codec)?;
-        let objects = ObjectModels::build(scene, cfg.disk)?;
-        Ok(HdovEnvironment {
-            tree,
-            vstore,
-            objects,
-            grid,
-            table,
-            scheme,
-            codec: cfg.codec,
-        })
+        Self::assemble(scene, tree, &cells, &cfg, scheme, grid, table)
     }
 
     /// Builds the environment over an existing R-tree backbone whose leaf
@@ -77,22 +89,49 @@ impl HdovEnvironment {
         remap: &dyn Fn(u64) -> u64,
     ) -> Result<Self> {
         let (tree, cells) = HdovTree::build_from_backbone(scene, &cfg, &table, rtree, remap)?;
-        let vstore = scheme.build(tree.entry_counts(), &cells, cfg.disk, cfg.codec)?;
-        let objects = ObjectModels::build(scene, cfg.disk)?;
-        Ok(HdovEnvironment {
+        Self::assemble(scene, tree, &cells, &cfg, scheme, grid, table)
+    }
+
+    /// Lays out the visibility store and model bank, then freezes
+    /// everything behind the single-session layout.
+    fn assemble(
+        scene: &Scene,
+        tree: HdovTree,
+        cells: &CellVPages,
+        cfg: &HdovBuildConfig,
+        scheme: StorageScheme,
+        grid: Arc<CellGrid>,
+        table: Arc<DovTable>,
+    ) -> Result<Self> {
+        let (vstore, [index_cur, vpage_cur]) =
+            scheme.build(tree.entry_counts(), cells, cfg.disk, cfg.codec)?;
+        let (models, model_cur) = SharedModels::build(scene, cfg.disk)?;
+        let (tree, [node_cur, internal_cur]) = SharedTree::freeze(tree);
+        let mut ctx = SessionCtx::new();
+        ctx.node_cur = node_cur;
+        ctx.internal_cur = internal_cur;
+        ctx.model_cur = model_cur;
+        ctx.index_cur = index_cur;
+        ctx.vpage_cur = vpage_cur;
+        let env = SharedEnvironment {
             tree,
             vstore,
-            objects,
+            models,
             grid,
             table,
             scheme,
-            codec: cfg.codec,
+        };
+        Ok(HdovEnvironment {
+            env,
+            ctx,
+            node_cache: false,
+            faults: Vec::new(),
         })
     }
 
     /// The viewing cell containing (or nearest to) `viewpoint`.
     pub fn cell_of(&self, viewpoint: Vec3) -> CellId {
-        self.grid.clamped_cell_of(viewpoint)
+        self.env.cell_of(viewpoint)
     }
 
     /// Visibility query at `viewpoint` with threshold `eta` (Fig. 3).
@@ -112,53 +151,28 @@ impl HdovEnvironment {
 
     /// Query by cell id.
     pub fn query_cell(&mut self, cell: CellId, eta: f64) -> Result<(QueryResult, SearchStats)> {
-        self.tree.reset_io();
-        self.objects.disk.reset_stats();
-        search(
-            &mut self.tree,
-            self.vstore.as_mut(),
-            &mut self.objects,
-            cell,
-            eta,
-            None,
-        )
+        self.query_cell_budgeted(cell, eta, QueryBudget::UNLIMITED)
     }
 
-    /// [`query_cell`](Self::query_cell) under a
-    /// [`QueryBudget`](crate::QueryBudget): an exhausted budget stops the
-    /// descent and serves the remaining subtrees as internal LoDs (see
-    /// [`search_budgeted`](crate::search::search_budgeted)). An unlimited
-    /// budget is byte-identical to [`query_cell`](Self::query_cell).
+    /// [`query_cell`](Self::query_cell) under a [`QueryBudget`]: an
+    /// exhausted budget stops the descent and serves the remaining subtrees
+    /// as internal LoDs (see
+    /// [`search_shared_budgeted`]).
+    /// An unlimited budget is byte-identical to
+    /// [`query_cell`](Self::query_cell).
     pub fn query_cell_budgeted(
         &mut self,
         cell: CellId,
         eta: f64,
-        budget: crate::QueryBudget,
+        budget: QueryBudget,
     ) -> Result<(QueryResult, SearchStats)> {
-        self.tree.reset_io();
-        self.objects.disk.reset_stats();
-        crate::search::search_budgeted(
-            &mut self.tree,
-            self.vstore.as_mut(),
-            &mut self.objects,
-            cell,
-            eta,
-            None,
-            budget,
-        )
+        search_shared_budgeted(&self.env, &mut self.ctx, cell, eta, None, false, budget)
     }
 
     /// The naïve (cell, list-of-objects) baseline at `viewpoint`.
     pub fn query_naive(&mut self, viewpoint: Vec3) -> Result<(QueryResult, SearchStats)> {
         let cell = self.cell_of(viewpoint);
-        self.tree.reset_io();
-        self.objects.disk.reset_stats();
-        naive_query(
-            &mut self.tree,
-            self.vstore.as_mut(),
-            &mut self.objects,
-            cell,
-        )
+        naive_query(&self.env, &mut self.ctx, cell)
     }
 
     /// Delta query for walkthroughs: models resident in `delta` at the same
@@ -170,17 +184,9 @@ impl HdovEnvironment {
         delta: &mut DeltaSearch,
     ) -> Result<(QueryResult, SearchStats, DeltaSummary)> {
         let cell = self.cell_of(viewpoint);
-        self.tree.reset_io();
-        self.objects.disk.reset_stats();
         let skip = delta.skip_map();
-        let (result, stats) = search(
-            &mut self.tree,
-            self.vstore.as_mut(),
-            &mut self.objects,
-            cell,
-            eta,
-            Some(&skip),
-        )?;
+        let (result, stats) =
+            search_shared(&self.env, &mut self.ctx, cell, eta, Some(&skip), false)?;
         let summary = delta.apply(&result);
         Ok((result, stats, summary))
     }
@@ -189,21 +195,19 @@ impl HdovEnvironment {
     /// [`search_prioritized`](crate::priority::search_prioritized).
     pub fn query_prioritized(
         &mut self,
-        frustum: &hdov_geom::Frustum,
+        frustum: &Frustum,
         eta: f64,
         budget_ms: Option<f64>,
-    ) -> Result<(crate::priority::PrioritizedOutcome, SearchStats)> {
+    ) -> Result<(PrioritizedOutcome, SearchStats)> {
         let cell = self.cell_of(frustum.eye);
-        self.tree.reset_io();
-        self.objects.disk.reset_stats();
-        crate::priority::search_prioritized(
-            &mut self.tree,
-            self.vstore.as_mut(),
-            &mut self.objects,
+        search_prioritized_delta(
+            &self.env,
+            &mut self.ctx,
             cell,
             eta,
             frustum,
             budget_ms,
+            None,
         )
     }
 
@@ -213,19 +217,16 @@ impl HdovEnvironment {
     /// loaded.
     pub fn query_prioritized_delta(
         &mut self,
-        frustum: &hdov_geom::Frustum,
+        frustum: &Frustum,
         eta: f64,
         budget_ms: Option<f64>,
         delta: &mut DeltaSearch,
-    ) -> Result<(crate::priority::PrioritizedOutcome, SearchStats)> {
+    ) -> Result<(PrioritizedOutcome, SearchStats)> {
         let cell = self.cell_of(frustum.eye);
-        self.tree.reset_io();
-        self.objects.disk.reset_stats();
         let skip = delta.skip_map();
-        let (outcome, stats) = crate::priority::search_prioritized_delta(
-            &mut self.tree,
-            self.vstore.as_mut(),
-            &mut self.objects,
+        let (outcome, stats) = search_prioritized_delta(
+            &self.env,
+            &mut self.ctx,
             cell,
             eta,
             frustum,
@@ -244,77 +245,64 @@ impl HdovEnvironment {
 
     /// Arms seeded fault injection on every file of the environment — node
     /// pages, internal LoDs, object models, and the visibility store's
-    /// disks (chaos testing). Reads then flow through each disk's retry
-    /// policy; unreadable subtrees degrade to internal LoDs (see
+    /// files (chaos testing). The pools start cold, so every read draws
+    /// from the fault stream; reads flow through each pool's retry policy,
+    /// and unreadable subtrees degrade to internal LoDs (see
     /// [`QueryResult::degrade`]).
-    pub fn arm_faults(&mut self, plan: &hdov_storage::FaultPlan) {
-        self.tree.arm_faults(plan);
-        self.vstore.arm_faults(plan);
-        self.objects.disk.arm_faults(plan.clone());
+    pub fn arm_faults(&mut self, plan: &FaultPlan) {
+        self.env = self.env.fork_with_private_pools();
+        self.faults = self.env.arm_faults(plan);
     }
 
     /// Disarms fault injection everywhere (subsequent reads are clean).
     pub fn disarm_faults(&mut self) {
-        self.tree.disarm_faults();
-        self.vstore.disarm_faults();
-        self.objects.disk.disarm_faults();
+        for f in self.faults.drain(..) {
+            f.disarm();
+        }
     }
 
-    /// Relocates every store of the environment — node pages, internal
-    /// LoDs, object models, and the visibility store's disks — onto
+    /// Relocates every file of the environment — node pages, internal
+    /// LoDs, object models, and the visibility store's files — onto
     /// `backend` (see [`hdov_storage::StorageBackend::freeze`]). Store
     /// names are prefixed with the scheme label so several schemes can
     /// share one directory. Answers and simulated I/O costs are
     /// byte-identical across backends; only the physical residence of the
-    /// pages changes. The environment becomes read-only (in particular
-    /// [`refresh_visibility`](Self::refresh_visibility) rebuilds the
-    /// V-page store in memory again).
-    pub fn relocate(&mut self, backend: &hdov_storage::StorageBackend) -> Result<()> {
-        let prefix = format!("{}_", self.scheme);
-        self.tree.relocate(backend, &prefix)?;
-        self.objects.relocate(backend, &prefix)?;
-        self.vstore.relocate(backend)
+    /// pages changes.
+    pub fn relocate(&mut self, backend: &StorageBackend) -> Result<()> {
+        self.env = self.env.relocated(backend)?;
+        Ok(())
     }
 
     /// The ground-truth total DoV of a cell (denominator of fidelity
     /// metrics).
     pub fn cell_total_dov(&self, cell: CellId) -> f64 {
-        self.table.total_dov(cell)
+        self.env.table.total_dov(cell)
     }
 
     /// Number of visible objects in a cell (`N_vobj`).
     pub fn cell_visible_objects(&self, cell: CellId) -> usize {
-        self.table.visible_count(cell)
+        self.env.table.visible_count(cell)
     }
 
-    /// Replaces the environment's visibility data with an updated
-    /// [`DovTable`] (e.g. after [`DovTable::recompute_cells`] absorbed a
-    /// lighting or door-state change): the view-invariant tree, internal
-    /// LoDs, and object models are reused; only the V-page store is rebuilt.
-    pub fn refresh_visibility(
-        &mut self,
-        table: DovTable,
-        disk: hdov_storage::DiskModel,
-    ) -> Result<()> {
-        let cells = self.tree.aggregate_from_table(&table)?;
-        self.vstore = self
-            .scheme
-            .build(self.tree.entry_counts(), &cells, disk, self.codec)?;
-        self.table = Arc::new(table);
-        Ok(())
+    /// Reads node `ordinal` outside any query, charged to the session's
+    /// node cursor like a query's read (so later queries see the head where
+    /// this read left it).
+    pub fn read_node(&mut self, ordinal: u32) -> Result<Arc<HdovNode>> {
+        self.env.tree.read_node(&mut self.ctx.node_cur, ordinal)
     }
 
     /// Renders the *instantiated* tree of one cell as indented text — the
     /// paper's Fig. 1 made inspectable: the same topology, with each entry's
     /// view-variant `(DoV, NVO)` for that cell. Hidden subtrees print as
-    /// `(hidden)` and are not descended into.
+    /// `(hidden)` and are not descended into. Reads are charged to the
+    /// session like a query's.
     pub fn dump_cell(&mut self, cell: CellId) -> Result<String> {
-        self.vstore.enter_cell(cell)?;
+        self.env.vstore.enter_cell(&mut self.ctx, cell)?;
         let mut out = String::new();
         out.push_str(&format!(
             "cell {cell}: {} visible objects, total DoV {:.4}\n",
-            self.table.visible_count(cell),
-            self.table.total_dov(cell)
+            self.env.table.visible_count(cell),
+            self.env.table.total_dov(cell)
         ));
         self.dump_node(0, 0, &mut out)?;
         Ok(out)
@@ -323,11 +311,11 @@ impl HdovEnvironment {
     fn dump_node(&mut self, ordinal: u32, depth: usize, out: &mut String) -> Result<()> {
         use std::fmt::Write as _;
         let indent = "  ".repeat(depth);
-        let Some(vpage) = self.vstore.fetch(ordinal)? else {
+        let Some(vpage) = self.env.vstore.fetch(&mut self.ctx, ordinal)? else {
             let _ = writeln!(out, "{indent}node {ordinal} (hidden)");
             return Ok(());
         };
-        let node = self.tree.read_node(ordinal)?;
+        let node = self.read_node(ordinal)?;
         let _ = writeln!(
             out,
             "{indent}node {ordinal} [{}] dov={:.4} nvo={}",
@@ -348,70 +336,76 @@ impl HdovEnvironment {
         Ok(())
     }
 
+    /// Enables an LRU node buffer pool holding up to `capacity` nodes (one
+    /// page each, one lock stripe). Disabled by default to match the
+    /// paper's cache-less evaluation setup; enable it to measure what a
+    /// buffer pool buys (see the `ablation_cache` bench).
+    pub fn enable_node_cache(&mut self, capacity: usize) {
+        self.set_node_pool(capacity);
+        self.node_cache = true;
+    }
+
+    /// Drops the node buffer pool.
+    pub fn disable_node_cache(&mut self) {
+        self.set_node_pool(UNBUFFERED.0);
+        self.node_cache = false;
+    }
+
+    /// `(hits, misses)` of the node buffer pool, if enabled.
+    pub fn node_cache_stats(&self) -> Option<(u64, u64)> {
+        self.node_cache.then(|| self.env.tree.nodes.hit_stats())
+    }
+
+    fn set_node_pool(&mut self, capacity: usize) {
+        let nodes = &mut self.env.tree.nodes;
+        *nodes = nodes.resized(capacity, 1, true);
+    }
+
     /// The precomputed DoV table (ground truth for metrics).
     pub fn dov_table(&self) -> &DovTable {
-        &self.table
+        &self.env.table
     }
 
     /// A shared handle to the DoV table — systems needing their own copy of
     /// the ground truth clone the `Arc`, not the table.
     pub fn dov_table_shared(&self) -> Arc<DovTable> {
-        Arc::clone(&self.table)
+        Arc::clone(&self.env.table)
     }
 
     /// The cell grid.
     pub fn grid(&self) -> &CellGrid {
-        &self.grid
+        &self.env.grid
     }
 
     /// A shared handle to the cell grid.
     pub fn grid_shared(&self) -> Arc<CellGrid> {
-        Arc::clone(&self.grid)
+        Arc::clone(&self.env.grid)
     }
 
     /// The view-invariant tree.
-    pub fn tree(&self) -> &HdovTree {
-        &self.tree
-    }
-
-    /// Mutable tree access (benchmarks reading nodes directly).
-    pub fn tree_mut(&mut self) -> &mut HdovTree {
-        &mut self.tree
-    }
-
-    /// The object model bank.
-    pub fn objects(&self) -> &ObjectModels {
-        &self.objects
+    pub fn tree(&self) -> &SharedTree {
+        &self.env.tree
     }
 
     /// The active storage scheme.
     pub fn scheme(&self) -> StorageScheme {
-        self.scheme
+        self.env.scheme
     }
 
     /// The V-page codec the visibility store was built with.
-    pub fn codec(&self) -> crate::vpage::VPageCodec {
-        self.codec
+    pub fn codec(&self) -> VPageCodec {
+        self.env.vstore.vpages().codec()
     }
 
     /// The visibility store (for storage-size accounting).
-    pub fn vstore(&self) -> &dyn VisibilityStore {
-        self.vstore.as_ref()
+    pub fn vstore(&self) -> &SharedVStore {
+        &self.env.vstore
     }
 
-    /// Freezes the environment into its immutable, `&`-shareable
-    /// counterpart for concurrent multi-session querying — see
-    /// [`crate::shared`]. The on-disk layout of every file is preserved
-    /// (pages are moved, not rewritten).
-    pub fn into_shared(self, pool: crate::shared::PoolConfig) -> crate::shared::SharedEnvironment {
-        crate::shared::SharedEnvironment::from_parts(
-            self.tree,
-            self.vstore,
-            self.objects,
-            self.grid,
-            self.table,
-            self.scheme,
-            pool,
-        )
+    /// Hands the environment over to concurrent serving: the same frozen
+    /// files behind cold pools of `pool` geometry — see [`crate::shared`].
+    /// Pages are shared, not copied, and the checksum tables are reused.
+    pub fn into_shared(self, pool: PoolConfig) -> SharedEnvironment {
+        self.env.with_pools(pool)
     }
 }

@@ -14,14 +14,17 @@
 //! the Eq. 3/4 polygon heuristic) terminate at an internal LoD, and the rest
 //! recurse down to objects whose LoD level is blended by Eq. 6.
 //!
-//! Three on-disk layouts for the view-variant data are provided behind
-//! [`VisibilityStore`]: [`StorageScheme::Horizontal`],
-//! [`StorageScheme::Vertical`], and [`StorageScheme::IndexedVertical`]
-//! (paper §4), with exact storage-size and page-I/O accounting.
+//! Three on-disk layouts for the view-variant data are provided:
+//! [`StorageScheme::Horizontal`], [`StorageScheme::Vertical`], and
+//! [`StorageScheme::IndexedVertical`] (paper §4), with exact storage-size
+//! and page-I/O accounting, all read by one [`SharedVStore`].
 //!
-//! The easiest entry point is [`HdovEnvironment`], which owns the whole
-//! stack (node file, V-page store, model stores, cell grid) and answers
-//! point visibility queries and delta queries.
+//! There is one query engine. A built tree is frozen into a
+//! [`SharedEnvironment`] that any number of sessions query concurrently,
+//! each through its own [`SessionCtx`]. The easiest entry point is
+//! [`HdovEnvironment`]: one such session over one environment, laid out as
+//! the paper's cache-less single disk, answering point visibility queries
+//! and delta queries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,8 +51,8 @@ pub use mutable::{MutableScene, ObjectHandle, ObjectInfo, SCENE_FILES};
 pub use node::{HdovEntry, HdovNode};
 pub use priority::{search_prioritized, search_prioritized_delta, PrioritizedOutcome};
 pub use search::{
-    naive_query, search, search_budgeted, DegradeCause, DegradeEvent, DegradeReport, QueryResult,
-    ResultEntry, ResultKey, SearchStats,
+    naive_query, DegradeCause, DegradeEvent, DegradeReport, QueryResult, ResultEntry, ResultKey,
+    SearchStats,
 };
 pub use shard::{
     merge_frames, search_shard_into_budgeted, PathKey, ShardFrame, ShardPlan, MAX_SHARDS,
@@ -58,5 +61,5 @@ pub use shared::{
     search_shared, search_shared_budgeted, search_shared_into, search_shared_into_budgeted,
     PoolConfig, SearchScratch, SessionCtx, SharedEnvironment, SharedVStore,
 };
-pub use storage::{StorageScheme, VisibilityStore};
+pub use storage::StorageScheme;
 pub use vpage::{VEntry, VPage, VPageCodec, VPAGE_SIZE};

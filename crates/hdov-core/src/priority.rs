@@ -14,9 +14,8 @@
 //! *budgeted* query (a frame deadline) captures far more of the visually
 //! important mass before the deadline than blind truncation would.
 
-use crate::build::HdovTree;
-use crate::search::{terminates_entry, ObjectModels, QueryResult, ResultEntry, ResultKey};
-use crate::storage::VisibilityStore;
+use crate::search::{select_level, QueryResult, ResultEntry, ResultKey, CPU_PER_NODE_US};
+use crate::shared::{SessionCtx, SharedEnvironment, SharedStorage};
 use crate::SearchStats;
 use hdov_geom::solid_angle::MAX_DOV;
 use hdov_geom::{Aabb, Frustum};
@@ -62,7 +61,7 @@ impl Ord for Priority {
 enum Work {
     Node(u32),
     Object { id: u64, dov: f32 },
-    Internal { ordinal: u32, dov: f32, eta: f64 },
+    Internal { ordinal: u32, dov: f32 },
 }
 
 struct Item {
@@ -102,7 +101,7 @@ pub struct PrioritizedOutcome {
     pub spent_ms: f64,
 }
 
-/// Best-first variant of the Fig. 3 search.
+/// Best-first variant of the Fig. 3 search, charged to `ctx`'s cursors.
 ///
 /// * `frustum` — the camera volume driving prioritization (its `eye` is the
 ///   distance reference).
@@ -110,27 +109,24 @@ pub struct PrioritizedOutcome {
 ///   already-loaded entries are returned with `completed = false`.
 ///
 /// Run without a budget the answer set is identical to
-/// [`search`](crate::search::search) (entry order differs).
+/// [`search_shared`](crate::shared::search_shared) (entry order differs).
 pub fn search_prioritized(
-    tree: &mut HdovTree,
-    vstore: &mut dyn VisibilityStore,
-    objects: &mut ObjectModels,
+    env: &SharedEnvironment,
+    ctx: &mut SessionCtx,
     cell: CellId,
     eta: f64,
     frustum: &Frustum,
     budget_ms: Option<f64>,
 ) -> Result<(PrioritizedOutcome, SearchStats)> {
-    search_prioritized_delta(tree, vstore, objects, cell, eta, frustum, budget_ms, None)
+    search_prioritized_delta(env, ctx, cell, eta, frustum, budget_ms, None)
 }
 
 /// [`search_prioritized`] with a delta-search skip map (resident key →
 /// resident LoD level): matching entries are returned `cached` and cost no
 /// model I/O, so a walkthrough's per-frame budget is spent on *new* content.
-#[allow(clippy::too_many_arguments)]
 pub fn search_prioritized_delta(
-    tree: &mut HdovTree,
-    vstore: &mut dyn VisibilityStore,
-    objects: &mut ObjectModels,
+    env: &SharedEnvironment,
+    ctx: &mut SessionCtx,
     cell: CellId,
     eta: f64,
     frustum: &Frustum,
@@ -138,11 +134,14 @@ pub fn search_prioritized_delta(
     skip: Option<&HashMap<ResultKey, usize>>,
 ) -> Result<(PrioritizedOutcome, SearchStats)> {
     assert!(eta >= 0.0, "eta must be non-negative");
-    let node_io0 = tree.node_io();
-    let internal_io0 = tree.internal_io();
-    let model_io0 = objects.disk.stats();
-    vstore.reset_stats();
-    vstore.enter_cell(cell)?;
+    let mut storage = SharedStorage {
+        env,
+        ctx,
+        prefetch: false,
+    };
+    let meters = storage.begin();
+    let io0 = storage.io_elapsed_us();
+    storage.enter_cell(cell)?;
 
     let mut stats = SearchStats::default();
     let mut out = QueryResult::default();
@@ -163,84 +162,59 @@ pub fn search_prioritized_delta(
         &mut heap,
         &mut seq,
         &root_mbr,
-        Work::Node(tree.root_ordinal()),
+        Work::Node(env.tree().root_ordinal()),
     );
 
     let mut completed = true;
-    let spent = |tree: &HdovTree,
-                 objects: &ObjectModels,
-                 vstore: &dyn VisibilityStore,
-                 stats: &SearchStats|
-     -> f64 {
-        let io = tree.node_io().since(&node_io0).elapsed_us
-            + tree.internal_io().since(&internal_io0).elapsed_us
-            + objects.disk.stats().since(&model_io0).elapsed_us
-            + vstore.stats().elapsed_us;
-        (io + stats.nodes_visited as f64 * crate::search::CPU_PER_NODE_US) / 1000.0
-    };
-
     while let Some(item) = heap.pop() {
         if let Some(budget) = budget_ms {
-            if spent(tree, objects, &*vstore, &stats) >= budget {
+            let io = storage.io_elapsed_us() - io0;
+            let spent_ms = (io + stats.nodes_visited as f64 * CPU_PER_NODE_US) / 1000.0;
+            if spent_ms >= budget {
                 completed = false;
                 break;
             }
         }
         match item.work {
             Work::Node(ordinal) => {
-                let Some(vpage) = vstore.fetch(ordinal)? else {
+                let Some(vpage) = storage.vpage(ordinal)? else {
                     continue;
                 };
                 stats.vpages_fetched += 1;
                 if !vpage.any_visible() {
                     continue;
                 }
-                let node = tree.read_node(ordinal)?;
+                let node = storage.node(ordinal)?;
                 stats.nodes_visited += 1;
                 for (entry, ve) in node.entries.iter().zip(&vpage.entries) {
                     if ve.dov <= 0.0 {
                         continue;
                     }
-                    if entry.is_object() {
-                        push(
-                            &mut heap,
-                            &mut seq,
-                            &entry.mbr,
-                            Work::Object {
-                                id: entry.child,
-                                dov: ve.dov,
-                            },
-                        );
-                    } else if (ve.dov as f64) <= eta && terminates_entry(tree, entry, ve) {
-                        push(
-                            &mut heap,
-                            &mut seq,
-                            &entry.mbr,
-                            Work::Internal {
-                                ordinal: entry.child_ordinal,
-                                dov: ve.dov,
-                                eta,
-                            },
-                        );
+                    let work = if entry.is_object() {
+                        Work::Object {
+                            id: entry.child,
+                            dov: ve.dov,
+                        }
+                    } else if (ve.dov as f64) <= eta && storage.terminates(entry, ve) {
+                        Work::Internal {
+                            ordinal: entry.child_ordinal,
+                            dov: ve.dov,
+                        }
                     } else {
-                        push(
-                            &mut heap,
-                            &mut seq,
-                            &entry.mbr,
-                            Work::Node(entry.child_ordinal),
-                        );
-                    }
+                        Work::Node(entry.child_ordinal)
+                    };
+                    push(&mut heap, &mut seq, &entry.mbr, work);
                 }
             }
             Work::Object { id, dov } => {
                 let k = (dov as f64 / MAX_DOV).min(1.0);
-                let level = objects.store.select_level(id, k);
+                let level = select_level(storage.object_store(), id, k);
                 let key = ResultKey::Object(id);
                 let cached = skip.and_then(|s| s.get(&key)).is_some_and(|&l| l == level);
                 let h = if cached {
-                    objects.store.handle(id, level)
+                    storage.object_store().handle(id, level)
                 } else {
-                    objects.store.fetch(&mut objects.disk, id, level)?
+                    storage.fetch_object(id, level)?
                 };
                 out.push_for_test(ResultEntry {
                     key,
@@ -251,19 +225,19 @@ pub fn search_prioritized_delta(
                     cached,
                 });
             }
-            Work::Internal { ordinal, dov, eta } => {
+            Work::Internal { ordinal, dov } => {
                 let k = if eta > 0.0 {
                     (dov as f64 / eta).clamp(0.0, 1.0)
                 } else {
                     0.0
                 };
-                let level = crate::search::select_level(tree.internal_store(), ordinal as u64, k);
+                let level = select_level(storage.internal_store(), ordinal as u64, k);
                 let key = ResultKey::Internal(ordinal);
                 let cached = skip.and_then(|s| s.get(&key)).is_some_and(|&l| l == level);
                 let h = if cached {
-                    tree.internal_store().handle(ordinal as u64, level)
+                    storage.internal_store().handle(ordinal as u64, level)
                 } else {
-                    tree.fetch_internal_lod(ordinal, level)?
+                    storage.fetch_internal(ordinal, level)?
                 };
                 out.push_for_test(ResultEntry {
                     key,
@@ -277,10 +251,7 @@ pub fn search_prioritized_delta(
         }
     }
 
-    stats.node_io = tree.node_io().since(&node_io0);
-    stats.internal_io = tree.internal_io().since(&internal_io0);
-    stats.model_io = objects.disk.stats().since(&model_io0);
-    stats.vstore_io = vstore.stats();
+    storage.finish(&meters, &mut stats);
     let spent_ms = stats.search_time_ms();
     Ok((
         PrioritizedOutcome {

@@ -1,27 +1,22 @@
-//! The HDoV-tree visibility query (paper Fig. 3) on the sequential engine,
-//! its result and cost types, and the naïve (cell, list-of-objects)
-//! baseline.
+//! The result and cost types of the HDoV-tree visibility query (paper
+//! Fig. 3), and the naïve (cell, list-of-objects) baseline.
 //!
-//! The traversal itself lives in the walk module, shared with the
-//! concurrent and sharded engines; this module supplies the sequential
-//! storage adapter. Model retrieval is charged against the object /
-//! internal-LoD model files, V-page fetches against the
-//! [`VisibilityStore`], and node reads against the node file;
-//! [`SearchStats`] separates "light-weight" (nodes + V-pages) from
+//! The traversal itself lives in the walk module and runs through
+//! [`search_shared`](crate::shared::search_shared). Model retrieval is
+//! charged against the object / internal-LoD model files, V-page fetches
+//! against the visibility store's files, and node reads against the node
+//! file; [`SearchStats`] separates "light-weight" (nodes + V-pages) from
 //! "heavy-weight" (models) I/O exactly as the paper's Fig. 8 does.
 
-use crate::budget::QueryBudget;
-use crate::build::{HdovTree, TerminationHeuristic};
-use crate::node::{HdovEntry, HdovNode};
-use crate::storage::VisibilityStore;
-use crate::vpage::{VEntry, VPage};
-use crate::walk::{self, Emit, Storage};
+use crate::build::TerminationHeuristic;
+use crate::node::HdovEntry;
+use crate::shared::{SessionCtx, SharedEnvironment, SharedStorage};
+use crate::vpage::VEntry;
+use crate::walk::Emit;
 use hdov_geom::solid_angle::MAX_DOV;
-use hdov_scene::{ModelHandle, ModelStore, Scene};
-use hdov_storage::{DiskModel, IoStats, Result, SimulatedDisk, StorageBackend, StoreFile};
+use hdov_scene::ModelStore;
+use hdov_storage::{IoStats, Result};
 use hdov_visibility::CellId;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// CPU cost charged per node visited (µs) on top of simulated I/O time.
 pub const CPU_PER_NODE_US: f64 = 15.0;
@@ -60,8 +55,9 @@ pub struct ResultEntry {
 pub enum DegradeCause {
     /// A read error retries could not absorb (DESIGN.md §11).
     ReadError,
-    /// The query's [`QueryBudget`] ran out before this subtree's descent
-    /// (DESIGN.md §12) — the fallback preserves coverage, not the error path.
+    /// The query's [`QueryBudget`](crate::QueryBudget) ran out before this
+    /// subtree's descent (DESIGN.md §12) — the fallback preserves coverage,
+    /// not the error path.
     BudgetExhausted,
     /// A shard engine was tripped, timed out, or failed, and the router
     /// served its tiles from the shard's precomputed coarse cover instead
@@ -117,7 +113,7 @@ impl DegradeReport {
     }
 
     /// Subtrees served as internal LoDs because the query's
-    /// [`QueryBudget`] ran out mid-descent.
+    /// [`QueryBudget`](crate::QueryBudget) ran out mid-descent.
     pub fn budget_stops(&self) -> u64 {
         self.events
             .iter()
@@ -275,163 +271,12 @@ impl SearchStats {
     }
 }
 
-/// The object-model bank: the scene's LoD geometry on its own metered disk.
-pub struct ObjectModels {
-    /// Directory of per-object LoD chains.
-    pub store: ModelStore,
-    /// The metered model file.
-    pub disk: SimulatedDisk<StoreFile>,
-}
-
-impl ObjectModels {
-    /// Lays out every scene object's LoD chain on a fresh simulated disk.
-    pub fn build(scene: &Scene, model: DiskModel) -> Result<Self> {
-        let mut disk = SimulatedDisk::new(StoreFile::new_mem(), model);
-        let chains = scene
-            .objects()
-            .iter()
-            .map(|o| scene.prototypes().chain(o.prototype));
-        let store = ModelStore::build(&mut disk, chains)?;
-        disk.reset_stats();
-        disk.enable_checksums()?;
-        Ok(ObjectModels { store, disk })
-    }
-
-    /// Relocates the model file onto `backend` as `<prefix>models` (see
-    /// [`StorageBackend::freeze`]); the bank becomes read-only.
-    pub fn relocate(&mut self, backend: &StorageBackend, prefix: &str) -> Result<()> {
-        crate::storage::relocate_disk(&mut self.disk, backend, &format!("{prefix}models"))
-    }
-}
-
 /// Resolves a blend factor `k ∈ [0, 1]` to a discrete LoD level of `key` in
 /// `store` — the paper's Eq. 5/6 interpolation
 /// (`k · LoD_highest + (1 − k) · LoD_lowest`), snapped to the level whose
 /// polygon count is nearest the interpolated budget.
 pub fn select_level(store: &ModelStore, key: u64, k: f64) -> usize {
     store.select_level(key, k)
-}
-
-/// Runs the threshold visibility query of Fig. 3.
-///
-/// `skip` maps already-resident keys to their resident LoD level: matching
-/// entries are included in the result with `cached = true` and cost no model
-/// I/O (the walkthrough "delta" optimisation, §5.4).
-pub fn search(
-    tree: &mut HdovTree,
-    vstore: &mut dyn VisibilityStore,
-    objects: &mut ObjectModels,
-    cell: CellId,
-    eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
-) -> Result<(QueryResult, SearchStats)> {
-    search_budgeted(
-        tree,
-        vstore,
-        objects,
-        cell,
-        eta,
-        skip,
-        QueryBudget::UNLIMITED,
-    )
-}
-
-/// [`search`] under a [`QueryBudget`]: when the budget exhausts mid-descent
-/// the traversal stops descending and serves every remaining subtree as its
-/// internal LoD, recorded as [`DegradeCause::BudgetExhausted`] events in the
-/// result's [`DegradeReport`]. An unlimited budget is byte-identical to
-/// [`search`] (answer, simulated costs, empty degrade report).
-pub fn search_budgeted(
-    tree: &mut HdovTree,
-    vstore: &mut dyn VisibilityStore,
-    objects: &mut ObjectModels,
-    cell: CellId,
-    eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
-    budget: QueryBudget,
-) -> Result<(QueryResult, SearchStats)> {
-    let mut out = QueryResult::default();
-    let mut storage = SeqStorage {
-        tree,
-        vstore,
-        objects,
-    };
-    let stats = walk::run(&mut storage, &mut out, cell, eta, skip, budget)?;
-    Ok((out, stats))
-}
-
-/// The sequential engine's [`Storage`]: the tree's node cache and disks,
-/// the store's one-page V-page buffer, and the model bank's disk.
-struct SeqStorage<'a> {
-    tree: &'a mut HdovTree,
-    vstore: &'a mut dyn VisibilityStore,
-    objects: &'a mut ObjectModels,
-}
-
-impl Storage for SeqStorage<'_> {
-    type VPage = VPage;
-    /// Node, internal-LoD and model meters (the store's are reset instead).
-    type Meters = [IoStats; 3];
-
-    fn begin(&mut self) -> [IoStats; 3] {
-        let meters = [
-            self.tree.node_io(),
-            self.tree.internal_io(),
-            self.objects.disk.stats(),
-        ];
-        self.vstore.reset_stats();
-        meters
-    }
-
-    fn io_elapsed_us(&self) -> f64 {
-        self.tree.node_io().elapsed_us
-            + self.tree.internal_io().elapsed_us
-            + self.objects.disk.stats().elapsed_us
-            + self.vstore.stats().elapsed_us
-    }
-
-    fn enter_cell(&mut self, cell: CellId) -> Result<()> {
-        self.vstore.enter_cell(cell)
-    }
-
-    fn vpage(&mut self, ordinal: u32) -> Result<Option<VPage>> {
-        self.vstore.fetch(ordinal)
-    }
-
-    fn node(&mut self, ordinal: u32) -> Result<Arc<HdovNode>> {
-        self.tree.read_node(ordinal)
-    }
-
-    fn object_store(&self) -> &ModelStore {
-        &self.objects.store
-    }
-
-    fn internal_store(&self) -> &ModelStore {
-        self.tree.internal_store()
-    }
-
-    fn fetch_object(&mut self, id: u64, level: usize) -> Result<ModelHandle> {
-        self.objects.store.fetch(&mut self.objects.disk, id, level)
-    }
-
-    fn fetch_internal(&mut self, ordinal: u32, level: usize) -> Result<ModelHandle> {
-        self.tree.fetch_internal_lod(ordinal, level)
-    }
-
-    fn terminates(&self, entry: &HdovEntry, ve: &VEntry) -> bool {
-        terminates_entry(self.tree, entry, ve)
-    }
-
-    fn object_count(&self) -> u64 {
-        self.tree.object_count()
-    }
-
-    fn finish(&self, start: &[IoStats; 3], stats: &mut SearchStats) {
-        stats.node_io = self.tree.node_io().since(&start[0]);
-        stats.internal_io = self.tree.internal_io().since(&start[1]);
-        stats.model_io = self.objects.disk.stats().since(&start[2]);
-        stats.vstore_io = self.vstore.stats();
-    }
 }
 
 /// The unsharded sink: keeps every entry, needs no positions.
@@ -467,19 +312,6 @@ impl Emit for QueryResult {
 }
 
 /// The second condition of Fig. 3 line 7, per the configured heuristic.
-/// (Shared with the prioritized traversal in [`crate::priority`].)
-pub(crate) fn terminates_entry(tree: &HdovTree, entry: &HdovEntry, ve: &VEntry) -> bool {
-    terminates_with(
-        tree.heuristic(),
-        tree.fanout(),
-        tree.internal_store(),
-        entry,
-        ve,
-    )
-}
-
-/// [`terminates_entry`] decomposed to its actual inputs, so the shared
-/// (concurrent) traversal can evaluate it without an `HdovTree`.
 pub(crate) fn terminates_with(
     heuristic: TerminationHeuristic,
     fanout: usize,
@@ -511,36 +343,38 @@ pub(crate) fn terminates_with(
 /// The naïve (cell, list-of-objects) baseline of §5.3: "accesses the V-pages
 /// of visible leaf nodes only; all the models retrieved are from the object
 /// LoDs". Leaf→object lists are in-memory (view-invariant), so the only
-/// light-weight I/O is the leaf V-pages.
+/// light-weight I/O is the leaf V-pages. Charged to `ctx`'s cursors.
 pub fn naive_query(
-    tree: &mut HdovTree,
-    vstore: &mut dyn VisibilityStore,
-    objects: &mut ObjectModels,
+    env: &SharedEnvironment,
+    ctx: &mut SessionCtx,
     cell: CellId,
 ) -> Result<(QueryResult, SearchStats)> {
-    let model_io0 = objects.disk.stats();
-    vstore.reset_stats();
-    vstore.enter_cell(cell)?;
+    let mut storage = SharedStorage {
+        env,
+        ctx,
+        prefetch: false,
+    };
+    let meters = storage.begin();
+    storage.enter_cell(cell)?;
 
     let mut out = QueryResult::default();
     let mut stats = SearchStats::default();
-    let leaf_ordinals: Vec<u32> = tree.leaf_ordinals().to_vec();
-    for (i, ordinal) in leaf_ordinals.iter().enumerate() {
-        let Some(vpage) = vstore.fetch(*ordinal)? else {
+    let tree = env.tree();
+    for (i, &ordinal) in tree.leaf_ordinals().iter().enumerate() {
+        let Some(vpage) = storage.vpage(ordinal)? else {
             continue;
         };
         stats.vpages_fetched += 1;
         if !vpage.any_visible() {
             continue;
         }
-        let ids: Vec<u64> = tree.leaf_objects(i).to_vec();
-        for (&id, ve) in ids.iter().zip(&vpage.entries) {
+        for (&id, ve) in tree.leaf_objects(i).iter().zip(&vpage.entries) {
             if ve.dov <= 0.0 {
                 continue;
             }
             let k = (ve.dov as f64 / MAX_DOV).min(1.0);
-            let level = select_level(&objects.store, id, k);
-            let h = objects.store.fetch(&mut objects.disk, id, level)?;
+            let level = select_level(storage.object_store(), id, k);
+            let h = storage.fetch_object(id, level)?;
             out.entries.push(ResultEntry {
                 key: ResultKey::Object(id),
                 level,
@@ -551,8 +385,7 @@ pub fn naive_query(
             });
         }
     }
-    stats.model_io = objects.disk.stats().since(&model_io0);
-    stats.vstore_io = vstore.stats();
+    storage.finish(&meters, &mut stats);
     Ok((out, stats))
 }
 

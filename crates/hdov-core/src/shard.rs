@@ -34,8 +34,8 @@ use crate::budget::QueryBudget;
 use crate::search::{
     select_level, DegradeCause, DegradeEvent, QueryResult, ResultEntry, ResultKey, SearchStats,
 };
-use crate::shared::{SessionCtx, SharedEnvironment, SharedStorage};
-use crate::walk::{self, Emit, Storage};
+use crate::shared::{SessionCtx, SharedEnvironment, SharedStorage, SharedTree};
+use crate::walk::{self, Emit};
 use hdov_storage::{Result, StorageError};
 use hdov_visibility::CellId;
 use std::collections::HashMap;
@@ -483,9 +483,9 @@ pub fn search_shard_into_budgeted(
     budget: QueryBudget,
 ) -> Result<SearchStats> {
     assert!(shard < plan.shards, "shard {shard} out of range");
-    let mut storage = SharedStorage { env, ctx, prefetch };
+    let storage = SharedStorage { env, ctx, prefetch };
     let mut sink = ShardSink { frame, plan, shard };
-    let stats = walk::run(&mut storage, &mut sink, cell, eta, skip, budget)?;
+    let stats = walk::run(storage, &mut sink, cell, eta, skip, budget)?;
     sink.frame.stats = stats;
     Ok(stats)
 }
@@ -518,7 +518,7 @@ impl Emit for ShardSink<'_> {
         self.plan.node_mask[ordinal as usize] & (1 << self.shard) != 0
     }
 
-    fn root_objects(&self, _: &impl Storage) -> u64 {
+    fn root_objects(&self, _: &SharedTree) -> u64 {
         self.plan.owned_objects[self.shard]
     }
 

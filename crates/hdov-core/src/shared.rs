@@ -1,56 +1,77 @@
-//! The concurrent read path: query a built HDoV-tree from many sessions at
+//! The read path: query a built HDoV-tree from one session or from many at
 //! once.
 //!
-//! The single-session engine ([`HdovEnvironment`](crate::HdovEnvironment))
-//! threads `&mut` from the query down to the simulated disks, so one tree
-//! serves one walkthrough at a time. This module freezes a built environment
-//! into a [`SharedEnvironment`]: every file becomes an immutable
-//! [`SharedCachedFile`] (lock-striped LRU pool + atomic counters), and all
-//! per-session mutability — disk-head positions, I/O counters, the flipped-in
-//! V-page-index segment — moves into a per-session [`SessionCtx`]. Queries
-//! then take `&SharedEnvironment` and any number of threads can search
-//! concurrently, sharing pool contents.
+//! A built tree is frozen into a [`SharedEnvironment`]: every file becomes
+//! an immutable [`SharedCachedFile`] (lock-striped LRU pool + atomic
+//! counters), and all per-session mutability — disk-head positions, I/O
+//! counters, the flipped-in V-page-index segment — lives in a per-session
+//! [`SessionCtx`]. Queries take `&SharedEnvironment`, so any number of
+//! threads can search concurrently, sharing pool contents; V-pages, nodes,
+//! and models warmed by one session are hits for every other session in
+//! the same cell neighbourhood.
 //!
-//! Two read-path changes relative to the sequential engine:
+//! The single-user [`HdovEnvironment`](crate::HdovEnvironment) is one
+//! session over one such environment, with a pool layout that keeps
+//! nothing but the last V-page disk page read — the paper's cache-less
+//! simulated disk, charged by the same [`IoCursor`] rule.
 //!
-//! * **Batched V-page reads** — after the segment flip, the distinct V-page
-//!   disk pages of the cell are read once, in ascending order (one
-//!   sequential run), instead of being pointer-chased mid-recursion
-//!   ([`SharedEnvironment::prefetch_cell`]). The horizontal scheme cannot
-//!   batch (its layout is node-major, the paper's §4.1 weakness) and skips
-//!   this.
-//! * **Pool sharing** — V-pages, nodes, and models warmed by one session are
-//!   hits for every other session in the same cell neighbourhood.
+//! Served sessions ([`SharedEnvironment::query_cell`] and friends) also
+//! batch their V-page reads: after the segment flip, the distinct V-page
+//! disk pages of the cell are read once, in ascending order (one
+//! sequential run), instead of being pointer-chased mid-recursion
+//! ([`SharedEnvironment::prefetch_cell`]). The horizontal scheme cannot
+//! batch (its layout is node-major, the paper's §4.1 weakness) and skips
+//! this.
 //!
-//! The traversal itself is the same walk the sequential
-//! [`search`](crate::search::search) runs; [`search_shared`] only swaps in
-//! a storage adapter that reads through the shared pools and charges the
-//! session's cursors, so a single-session run returns bit-identical result
-//! entries.
+//! The traversal itself is the one walk of the walk module; [`search_shared`]
+//! runs it with a storage adapter that reads through the pools and charges
+//! the session's cursors.
 
 use crate::budget::QueryBudget;
 use crate::build::{HdovTree, TerminationHeuristic};
 use crate::delta::{DeltaSearch, DeltaSummary};
 use crate::node::{HdovEntry, HdovNode};
-use crate::search::{terminates_with, ObjectModels, QueryResult, ResultKey, SearchStats};
-use crate::storage::{StorageScheme, VisibilityStore};
+use crate::search::{terminates_with, QueryResult, ResultKey, SearchStats};
+use crate::storage::StorageScheme;
 use crate::vpage::{VEntry, VPage};
-use crate::walk::{self, Storage};
+use crate::walk;
 use hdov_geom::Vec3;
 use hdov_obs::Phase;
-use hdov_scene::{ModelHandle, ModelStore};
+use hdov_scene::{ModelHandle, ModelStore, Scene};
 use hdov_storage::codec::ByteReader;
 use hdov_storage::{
-    FaultPlan, IoCursor, IoStats, PageId, ReplicaHealth, Result, RetryPolicy, ScrubReport,
-    Scrubber, SharedCachedFile, SharedFaultyFile, PAGE_SIZE,
+    DiskModel, FaultPlan, IoCursor, IoStats, PageId, ReplicaHealth, Result, RetryPolicy,
+    ScrubReport, Scrubber, SharedCachedFile, SharedFaultyFile, SimulatedDisk, StorageBackend,
+    StoreFile, PAGE_SIZE,
 };
 use hdov_visibility::{CellGrid, CellId, DovTable};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Nil pointer in a dense V-page-index segment (matches the vertical
 /// scheme's on-disk encoding).
-const NIL: u64 = u64::MAX;
+pub(crate) const NIL: u64 = u64::MAX;
+
+/// Bytes per indexed-vertical index record: node offset (u32) + V-page
+/// pointer (u64).
+pub(crate) const INDEX_REC_BYTES: usize = 12;
+
+/// Maps one pool of an environment to its replacement (see
+/// [`SharedEnvironment::try_map_pools`]).
+type MapPool<'a, E> =
+    dyn FnMut(PoolFile, &SharedCachedFile) -> std::result::Result<SharedCachedFile, E> + 'a;
+
+/// The five files behind an environment, in
+/// [`for_each_pool`](SharedEnvironment::for_each_pool) order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PoolFile {
+    Nodes,
+    Internal,
+    Models,
+    Index,
+    VPages,
+}
 
 /// Buffer-pool geometry for a frozen environment.
 ///
@@ -81,6 +102,15 @@ pub struct PoolConfig {
     pub replicas: usize,
 }
 
+impl PoolConfig {
+    /// A cold pool over `pool`'s frozen data with this geometry.
+    fn apply(&self, pool: &SharedCachedFile) -> SharedCachedFile {
+        pool.resized(self.capacity_pages, self.shards, self.decode_overlay)
+            .with_retry(self.retry)
+            .with_replicas(self.replicas)
+    }
+}
+
 impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
@@ -93,8 +123,8 @@ impl Default for PoolConfig {
     }
 }
 
-/// Frozen V-page records behind a shared pool (the `&`-shareable counterpart
-/// of the schemes' internal `VPageFile`).
+/// Frozen V-page records behind a shared pool, packed several per disk
+/// page (never straddling), addressed by record index.
 pub struct SharedVPageFile {
     pool: SharedCachedFile,
     records: u64,
@@ -165,14 +195,9 @@ impl SharedVPageFile {
         &self.pool
     }
 
-    fn fork(&self) -> Self {
-        SharedVPageFile {
-            pool: self.pool.fork(),
-            records: self.records,
-            record_bytes: self.record_bytes,
-            records_per_page: self.records_per_page,
-            codec: self.codec,
-        }
+    /// The wire format of the records.
+    pub fn codec(&self) -> crate::vpage::VPageCodec {
+        self.codec
     }
 }
 
@@ -215,8 +240,9 @@ impl SessionCtx {
     }
 }
 
-/// A frozen [`VisibilityStore`]: same on-disk layout, all per-session state
-/// externalized into [`SessionCtx`].
+/// A frozen visibility store — one of the three §4 layouts (see
+/// [`StorageScheme`]) — with all per-session state (current cell, flipped
+/// segment, disk heads) in [`SessionCtx`].
 pub enum SharedVStore {
     /// §4.1 node-major layout.
     Horizontal(SharedHorizontal),
@@ -303,9 +329,8 @@ impl SharedVStore {
                 }
             }
             SharedVStore::IndexedVertical(s) => {
-                const REC_BYTES: usize = 12;
                 let (start_byte, count) = s.dir[cell as usize];
-                let seg_bytes = count as usize * REC_BYTES;
+                let seg_bytes = count as usize * INDEX_REC_BYTES;
                 ctx.seg_sparse.clear();
                 if seg_bytes > 0 {
                     // Records straddle page boundaries, so stage the raw
@@ -334,10 +359,17 @@ impl SharedVStore {
         Ok(())
     }
 
-    /// Fetches the V-page of `ordinal` in the session's current cell (same
-    /// `Ok(None)` semantics as [`VisibilityStore::fetch`]). The V-page is
-    /// borrowed from the pooled frame's decoded overlay — no per-fetch
-    /// decode or copy once the frame is warm.
+    /// Fetches the V-page of node `ordinal` in the session's current cell.
+    ///
+    /// Returns `Ok(None)` when the node is invisible **and** the scheme can
+    /// prove it without touching disk (vertical / indexed-vertical). The
+    /// horizontal scheme always performs one V-page access and returns an
+    /// all-hidden V-page for invisible nodes. The V-page is borrowed from
+    /// the pooled frame's decoded overlay — no per-fetch decode or copy
+    /// once the frame is warm.
+    ///
+    /// # Panics
+    /// Panics if the session entered no cell.
     pub fn fetch(&self, ctx: &mut SessionCtx, ordinal: u32) -> Result<Option<Arc<VPage>>> {
         let cell = ctx.current_cell.expect("enter_cell before fetch");
         match self {
@@ -451,40 +483,97 @@ impl SharedVStore {
         (h, m)
     }
 
-    fn fork(&self) -> Self {
+    /// Exact storage footprint in bytes, per the paper's §4 formulas
+    /// (excluding the tree structure, as in Table 2).
+    pub fn storage_bytes(&self) -> u64 {
         match self {
+            // size_vpage · c · N_node (§4.1).
+            SharedVStore::Horizontal(s) => {
+                s.vpages.record_bytes as u64 * s.cells as u64 * s.n_nodes as u64
+            }
+            // size_ptr · N_node · c + size_vpage · Σ N_vnode (§4.2).
+            SharedVStore::Vertical(s) => {
+                8 * s.n_nodes as u64 * s.cells as u64
+                    + s.vpages.record_bytes as u64 * s.vpages.records
+            }
+            // (size_ptr + size_int) · Σ N_vnode + size_vpage · Σ N_vnode (§4.3).
+            SharedVStore::IndexedVertical(s) => {
+                (INDEX_REC_BYTES as u64 + s.vpages.record_bytes as u64) * s.vpages.records
+            }
+        }
+    }
+
+    /// The same store behind cold pools of `pool` geometry (checksum tables
+    /// are reused, not recomputed).
+    pub fn with_pools(&self, pool: PoolConfig) -> Self {
+        let Ok(store) = self.try_map::<Infallible>(&mut |_, p| Ok(pool.apply(p)));
+        store
+    }
+
+    /// Relocates the store's files onto `backend` (see
+    /// [`SharedCachedFile::relocated`]) behind cold pools of unchanged
+    /// geometry. Files are named after the scheme; the V-page file records
+    /// its codec in the store header.
+    pub fn relocated(&self, backend: &StorageBackend) -> Result<Self> {
+        self.try_map(&mut |file, pool| self.relocate_pool(backend, file, pool))
+    }
+
+    fn relocate_pool(
+        &self,
+        backend: &StorageBackend,
+        file: PoolFile,
+        pool: &SharedCachedFile,
+    ) -> Result<SharedCachedFile> {
+        let store = self.scheme().to_string().replace('-', "_");
+        match file {
+            PoolFile::VPages => {
+                let flags = self.vpages().codec().store_flags();
+                pool.relocated(backend, &format!("{store}_vpages"), flags)
+            }
+            _ => pool.relocated(backend, &format!("{store}_index"), 0),
+        }
+    }
+
+    /// The same store over new pools: `f` maps the index pool (where one
+    /// exists), then the V-page pool.
+    fn try_map<E>(&self, f: &mut MapPool<'_, E>) -> std::result::Result<Self, E> {
+        let vpages = |v: &SharedVPageFile, f: &mut MapPool<'_, E>| {
+            Ok(SharedVPageFile {
+                pool: f(PoolFile::VPages, &v.pool)?,
+                ..*v
+            })
+        };
+        Ok(match self {
             SharedVStore::Horizontal(s) => SharedVStore::Horizontal(SharedHorizontal {
-                vpages: s.vpages.fork(),
-                cells: s.cells,
-                n_nodes: s.n_nodes,
+                vpages: vpages(&s.vpages, f)?,
+                ..*s
             }),
             SharedVStore::Vertical(s) => SharedVStore::Vertical(SharedVertical {
-                index: s.index.fork(),
-                vpages: s.vpages.fork(),
-                cells: s.cells,
-                n_nodes: s.n_nodes,
-                seg_pages: s.seg_pages,
+                index: f(PoolFile::Index, &s.index)?,
+                vpages: vpages(&s.vpages, f)?,
+                ..*s
             }),
             SharedVStore::IndexedVertical(s) => {
                 SharedVStore::IndexedVertical(SharedIndexedVertical {
-                    index: s.index.fork(),
-                    vpages: s.vpages.fork(),
-                    cells: s.cells,
-                    n_nodes: s.n_nodes,
+                    index: f(PoolFile::Index, &s.index)?,
+                    vpages: vpages(&s.vpages, f)?,
                     dir: Arc::clone(&s.dir),
+                    ..*s
                 })
             }
-        }
+        })
     }
 }
 
 /// The view-invariant tree, frozen: node pages and internal-LoD models
 /// behind shared pools.
 pub struct SharedTree {
-    nodes: SharedCachedFile,
+    pub(crate) nodes: SharedCachedFile,
     internal_pool: SharedCachedFile,
     internal_store: Arc<ModelStore>,
     n_nodes: u32,
+    height: u32,
+    object_count: u64,
     fanout: usize,
     heuristic: TerminationHeuristic,
     entry_counts: Arc<Vec<u16>>,
@@ -493,9 +582,39 @@ pub struct SharedTree {
 }
 
 impl SharedTree {
+    /// Freezes a built tree behind the single-session layout; returns the
+    /// node and internal-LoD cursors parked where the build left each
+    /// disk's head.
+    pub(crate) fn freeze(tree: HdovTree) -> (Self, [IoCursor; 2]) {
+        let p = tree.into_parts();
+        let (cap, shards) = crate::env::UNBUFFERED;
+        let (nodes, node_cur) = SharedCachedFile::from_disk(p.node_disk, cap, shards);
+        let (internal_pool, internal_cur) =
+            SharedCachedFile::from_disk(p.internal_disk, cap, shards);
+        let tree = SharedTree {
+            nodes,
+            internal_pool,
+            internal_store: Arc::new(p.internal_store),
+            n_nodes: p.n_nodes,
+            height: p.height,
+            object_count: p.object_count,
+            fanout: p.fanout,
+            heuristic: p.heuristic,
+            entry_counts: Arc::new(p.entry_counts),
+            leaf_ordinals: Arc::new(p.leaf_ordinals),
+            leaf_objects: Arc::new(p.leaf_objects),
+        };
+        (tree, [node_cur, internal_cur])
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> u32 {
         self.n_nodes
+    }
+
+    /// Tree height (1 = root is a leaf).
+    pub fn height(&self) -> u32 {
+        self.height
     }
 
     /// Fan-out cap `M`.
@@ -528,11 +647,9 @@ impl SharedTree {
         &self.leaf_objects[i]
     }
 
-    /// Total objects indexed by the tree (Σ leaf objects). Only used on the
-    /// degraded path, so the per-call walk over the leaf lists is free at
-    /// steady state.
+    /// Number of indexed objects.
     pub fn object_count(&self) -> u64 {
-        self.leaf_objects.iter().map(|o| o.len() as u64).sum()
+        self.object_count
     }
 
     /// The internal-LoD store (key = node ordinal).
@@ -573,18 +690,16 @@ impl SharedTree {
         Ok(h)
     }
 
-    fn fork(&self) -> Self {
-        SharedTree {
-            nodes: self.nodes.fork(),
-            internal_pool: self.internal_pool.fork(),
+    fn try_map<E>(&self, f: &mut MapPool<'_, E>) -> std::result::Result<Self, E> {
+        Ok(SharedTree {
+            nodes: f(PoolFile::Nodes, &self.nodes)?,
+            internal_pool: f(PoolFile::Internal, &self.internal_pool)?,
             internal_store: Arc::clone(&self.internal_store),
-            n_nodes: self.n_nodes,
-            fanout: self.fanout,
-            heuristic: self.heuristic,
             entry_counts: Arc::clone(&self.entry_counts),
             leaf_ordinals: Arc::clone(&self.leaf_ordinals),
             leaf_objects: Arc::clone(&self.leaf_objects),
-        }
+            ..*self
+        })
     }
 }
 
@@ -595,6 +710,26 @@ pub struct SharedModels {
 }
 
 impl SharedModels {
+    /// Lays out every scene object's LoD chain on a fresh disk and freezes
+    /// it behind the single-session layout; returns the bank and a cursor
+    /// parked where the build left the disk's head.
+    pub(crate) fn build(scene: &Scene, model: DiskModel) -> Result<(Self, IoCursor)> {
+        let mut disk = SimulatedDisk::new(StoreFile::new_mem(), model);
+        let chains = scene
+            .objects()
+            .iter()
+            .map(|o| scene.prototypes().chain(o.prototype));
+        let store = ModelStore::build(&mut disk, chains)?;
+        disk.enable_checksums()?;
+        let (cap, shards) = crate::env::UNBUFFERED;
+        let (pool, cursor) = SharedCachedFile::from_disk(disk, cap, shards);
+        let models = SharedModels {
+            store: Arc::new(store),
+            pool,
+        };
+        Ok((models, cursor))
+    }
+
     /// The model directory.
     pub fn store(&self) -> &ModelStore {
         &self.store
@@ -621,78 +756,63 @@ impl SharedModels {
 /// A complete frozen deployment: one immutable HDoV-tree that any number of
 /// concurrent sessions can query through their own [`SessionCtx`].
 pub struct SharedEnvironment {
-    tree: SharedTree,
-    vstore: SharedVStore,
-    models: SharedModels,
-    grid: Arc<CellGrid>,
-    table: Arc<DovTable>,
-    scheme: StorageScheme,
+    pub(crate) tree: SharedTree,
+    pub(crate) vstore: SharedVStore,
+    pub(crate) models: SharedModels,
+    pub(crate) grid: Arc<CellGrid>,
+    pub(crate) table: Arc<DovTable>,
+    pub(crate) scheme: StorageScheme,
 }
 
 impl SharedEnvironment {
-    pub(crate) fn from_parts(
-        tree: HdovTree,
-        vstore: Box<dyn VisibilityStore>,
-        objects: ObjectModels,
-        grid: Arc<CellGrid>,
-        table: Arc<DovTable>,
-        scheme: StorageScheme,
-        pool: PoolConfig,
-    ) -> Self {
-        let parts = tree.into_parts();
-        let node_model = parts.node_disk.model();
-        let internal_model = parts.internal_disk.model();
-        let mk_pool = |file: hdov_storage::StoreFile, model| {
-            SharedCachedFile::with_overlay(
-                file.into_frozen(),
-                model,
-                pool.capacity_pages,
-                pool.shards,
-                pool.decode_overlay,
-            )
-            .with_retry(pool.retry)
-            .with_replicas(pool.replicas)
-        };
-        let tree = SharedTree {
-            nodes: mk_pool(parts.node_disk.into_inner(), node_model),
-            internal_pool: mk_pool(parts.internal_disk.into_inner(), internal_model),
-            internal_store: Arc::new(parts.internal_store),
-            n_nodes: parts.n_nodes,
-            fanout: parts.fanout,
-            heuristic: parts.heuristic,
-            entry_counts: Arc::new(parts.entry_counts),
-            leaf_ordinals: Arc::new(parts.leaf_ordinals),
-            leaf_objects: Arc::new(parts.leaf_objects),
-        };
-        let model_model = objects.disk.model();
-        let models = SharedModels {
-            store: Arc::new(objects.store),
-            pool: mk_pool(objects.disk.into_inner(), model_model),
-        };
-        SharedEnvironment {
-            tree,
-            vstore: vstore.into_shared(pool),
-            models,
-            grid,
-            table,
-            scheme,
-        }
-    }
-
     /// A new environment with the same frozen data but cold, private pools —
     /// the per-session-pool baseline of the concurrency benchmark.
     pub fn fork_with_private_pools(&self) -> Self {
-        SharedEnvironment {
-            tree: self.tree.fork(),
-            vstore: self.vstore.fork(),
+        self.map_pools(|_, pool| pool.fork())
+    }
+
+    /// The same frozen data behind cold pools of `pool` geometry (checksum
+    /// tables are reused, not recomputed).
+    pub(crate) fn with_pools(&self, pool: PoolConfig) -> Self {
+        self.map_pools(|_, p| pool.apply(p))
+    }
+
+    /// Relocates every file onto `backend` (see
+    /// [`SharedCachedFile::relocated`]) behind cold pools of unchanged
+    /// geometry. Store names are prefixed with the scheme label so several
+    /// schemes can share one directory.
+    pub(crate) fn relocated(&self, backend: &StorageBackend) -> Result<Self> {
+        let tree = self.scheme.to_string();
+        self.try_map_pools(&mut |file, pool| match file {
+            PoolFile::Nodes => pool.relocated(backend, &format!("{tree}_tree_nodes"), 0),
+            PoolFile::Internal => pool.relocated(backend, &format!("{tree}_tree_internal"), 0),
+            PoolFile::Models => pool.relocated(backend, &format!("{tree}_models"), 0),
+            PoolFile::Index | PoolFile::VPages => self.vstore.relocate_pool(backend, file, pool),
+        })
+    }
+
+    fn map_pools(
+        &self,
+        mut f: impl FnMut(PoolFile, &SharedCachedFile) -> SharedCachedFile,
+    ) -> Self {
+        let Ok(env) = self.try_map_pools::<Infallible>(&mut |file, pool| Ok(f(file, pool)));
+        env
+    }
+
+    /// The same frozen deployment over new pools: `f` maps every pool, in
+    /// [`for_each_pool`](Self::for_each_pool) order.
+    fn try_map_pools<E>(&self, f: &mut MapPool<'_, E>) -> std::result::Result<Self, E> {
+        Ok(SharedEnvironment {
+            tree: self.tree.try_map(f)?,
             models: SharedModels {
                 store: Arc::clone(&self.models.store),
-                pool: self.models.pool.fork(),
+                pool: f(PoolFile::Models, &self.models.pool)?,
             },
+            vstore: self.vstore.try_map(f)?,
             grid: Arc::clone(&self.grid),
             table: Arc::clone(&self.table),
             scheme: self.scheme,
-        }
+        })
     }
 
     /// A fresh per-session query context.
@@ -715,8 +835,9 @@ impl SharedEnvironment {
         search_shared(self, ctx, cell, eta, None, true)
     }
 
-    /// Delta query for walkthroughs (shared-path counterpart of
-    /// [`HdovEnvironment::query_delta`](crate::HdovEnvironment::query_delta)).
+    /// Delta query for walkthroughs (the served counterpart of
+    /// [`HdovEnvironment::query_delta`](crate::HdovEnvironment::query_delta),
+    /// with batched V-page prefetch).
     pub fn query_delta(
         &self,
         ctx: &mut SessionCtx,
@@ -951,9 +1072,12 @@ impl SearchScratch {
     }
 }
 
-/// The threshold visibility query of Fig. 3 against a frozen environment —
-/// the `&`-shareable counterpart of [`search`](crate::search::search), with
-/// optional batched V-page prefetch (`prefetch`).
+/// The threshold visibility query of Fig. 3 against a frozen environment,
+/// with optional batched V-page prefetch (`prefetch`).
+///
+/// `skip` maps already-resident keys to their resident LoD level: matching
+/// entries are included in the result with `cached = true` and cost no model
+/// I/O (the walkthrough "delta" optimisation, §5.4).
 ///
 /// All simulated I/O is charged to `ctx`'s cursors; the returned
 /// [`SearchStats`] cover this query only.
@@ -973,11 +1097,11 @@ pub fn search_shared(
     search_shared_budgeted(env, ctx, cell, eta, skip, prefetch, budget)
 }
 
-/// [`search_shared`] under a [`QueryBudget`] — the concurrent counterpart of
-/// [`search_budgeted`](crate::search::search_budgeted): when the budget
-/// exhausts mid-descent, every remaining subtree is served as its internal
-/// LoD and recorded as a `BudgetExhausted` degrade event. An unlimited
-/// budget is byte-identical to [`search_shared`].
+/// [`search_shared`] under a [`QueryBudget`]: when the budget exhausts
+/// mid-descent, every remaining subtree is served as its internal LoD and
+/// recorded as a `BudgetExhausted` degrade event in the result's
+/// [`DegradeReport`](crate::DegradeReport). An unlimited budget is
+/// byte-identical to [`search_shared`].
 pub fn search_shared_budgeted(
     env: &SharedEnvironment,
     ctx: &mut SessionCtx,
@@ -1034,12 +1158,12 @@ pub fn search_shared_into_budgeted(
     prefetch: bool,
     budget: QueryBudget,
 ) -> Result<SearchStats> {
-    let mut storage = SharedStorage { env, ctx, prefetch };
-    walk::run(&mut storage, &mut scratch.result, cell, eta, skip, budget)
+    let storage = SharedStorage { env, ctx, prefetch };
+    walk::run(storage, &mut scratch.result, cell, eta, skip, budget)
 }
 
-/// The concurrent engine's [`Storage`]: the frozen environment's shared
-/// pools, charged to one session's cursors.
+/// How the walk reaches a frozen environment's pages, and what they cost:
+/// the environment's pools, charged to one session's cursors.
 pub(crate) struct SharedStorage<'a> {
     pub(crate) env: &'a SharedEnvironment,
     pub(crate) ctx: &'a mut SessionCtx,
@@ -1047,12 +1171,10 @@ pub(crate) struct SharedStorage<'a> {
     pub(crate) prefetch: bool,
 }
 
-impl Storage for SharedStorage<'_> {
-    type VPage = Arc<VPage>;
-    /// Node, internal-LoD, model, V-page-index and V-page cursors.
-    type Meters = [IoStats; 5];
-
-    fn begin(&mut self) -> [IoStats; 5] {
+impl SharedStorage<'_> {
+    /// Snapshots the node, internal-LoD, model, V-page-index and V-page
+    /// cursors a query will be charged against.
+    pub(crate) fn begin(&self) -> [IoStats; 5] {
         let c = &self.ctx;
         [
             c.node_cur.stats(),
@@ -1063,7 +1185,9 @@ impl Storage for SharedStorage<'_> {
         ]
     }
 
-    fn io_elapsed_us(&self) -> f64 {
+    /// Cumulative simulated I/O charged to the session, for budget clocks.
+    /// Pure accessor reads: it charges nothing.
+    pub(crate) fn io_elapsed_us(&self) -> f64 {
         let c = &self.ctx;
         c.node_cur.stats().elapsed_us
             + c.internal_cur.stats().elapsed_us
@@ -1072,7 +1196,9 @@ impl Storage for SharedStorage<'_> {
             + c.vpage_cur.stats().elapsed_us
     }
 
-    fn enter_cell(&mut self, cell: CellId) -> Result<()> {
+    /// The segment flip into `cell` (plus the batched V-page prefetch when
+    /// enabled).
+    pub(crate) fn enter_cell(&mut self, cell: CellId) -> Result<()> {
         self.env.vstore.enter_cell(self.ctx, cell)?;
         if self.prefetch {
             self.env.vstore.prefetch_cell(self.ctx)?;
@@ -1080,42 +1206,47 @@ impl Storage for SharedStorage<'_> {
         Ok(())
     }
 
-    fn vpage(&mut self, ordinal: u32) -> Result<Option<Arc<VPage>>> {
+    /// The V-page of `ordinal` in the current cell; `None` when the scheme
+    /// proves the node invisible for free.
+    pub(crate) fn vpage(&mut self, ordinal: u32) -> Result<Option<Arc<VPage>>> {
         self.env.vstore.fetch(self.ctx, ordinal)
     }
 
-    fn node(&mut self, ordinal: u32) -> Result<Arc<HdovNode>> {
+    /// Node `ordinal`.
+    pub(crate) fn node(&mut self, ordinal: u32) -> Result<Arc<HdovNode>> {
         self.env.tree.read_node(&mut self.ctx.node_cur, ordinal)
     }
 
-    fn object_store(&self) -> &ModelStore {
+    /// The object-model directory.
+    pub(crate) fn object_store(&self) -> &ModelStore {
         &self.env.models.store
     }
 
-    fn internal_store(&self) -> &ModelStore {
+    /// The internal-LoD directory (key = node ordinal).
+    pub(crate) fn internal_store(&self) -> &ModelStore {
         &self.env.tree.internal_store
     }
 
-    fn fetch_object(&mut self, id: u64, level: usize) -> Result<ModelHandle> {
+    /// Charges the page reads of object `id` at `level`.
+    pub(crate) fn fetch_object(&mut self, id: u64, level: usize) -> Result<ModelHandle> {
         self.env.models.fetch(&mut self.ctx.model_cur, id, level)
     }
 
-    fn fetch_internal(&mut self, ordinal: u32, level: usize) -> Result<ModelHandle> {
+    /// Charges the page reads of node `ordinal`'s internal LoD at `level`.
+    pub(crate) fn fetch_internal(&mut self, ordinal: u32, level: usize) -> Result<ModelHandle> {
         self.env
             .tree
             .fetch_internal_lod(&mut self.ctx.internal_cur, ordinal, level)
     }
 
-    fn terminates(&self, entry: &HdovEntry, ve: &VEntry) -> bool {
+    /// The second condition of Fig. 3 line 7.
+    pub(crate) fn terminates(&self, entry: &HdovEntry, ve: &VEntry) -> bool {
         let t = &self.env.tree;
         terminates_with(t.heuristic, t.fanout, &t.internal_store, entry, ve)
     }
 
-    fn object_count(&self) -> u64 {
-        self.env.tree.object_count()
-    }
-
-    fn finish(&self, start: &[IoStats; 5], stats: &mut SearchStats) {
+    /// This query's I/O since `start`, into `stats`.
+    pub(crate) fn finish(&self, start: &[IoStats; 5], stats: &mut SearchStats) {
         let c = &self.ctx;
         stats.node_io = c.node_cur.stats().since(&start[0]);
         stats.internal_io = c.internal_cur.stats().since(&start[1]);

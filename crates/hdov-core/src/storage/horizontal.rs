@@ -8,167 +8,93 @@
 //! layout is node-major, the V-pages touched by one cell's query are
 //! scattered (extra seeks: the paper's Fig. 7 worst case).
 
-use super::{record_bytes_for, StorageScheme, VPageFile, VisibilityStore};
+use super::{record_bytes_for, VPageFile};
+use crate::shared::{SharedHorizontal, SharedVStore};
 use crate::vpage::{VEntry, VPage, VPageCodec};
-use hdov_storage::{DiskModel, FaultPlan, IoStats, Result, StorageBackend};
-use hdov_visibility::CellId;
+use hdov_storage::{DiskModel, IoCursor, Result};
 
-/// Horizontal store: record index = `ordinal · c + cell`.
-pub struct HorizontalStore {
-    vpages: VPageFile,
-    cells: u32,
-    n_nodes: u32,
-    current: Option<CellId>,
-}
-
-impl HorizontalStore {
-    /// Builds the store; see
-    /// [`StorageScheme::build`](super::StorageScheme::build) for argument
-    /// conventions.
-    pub fn build(
-        entry_counts: &[u16],
-        cells: &[Vec<(u32, VPage)>],
-        model: DiskModel,
-        codec: VPageCodec,
-    ) -> Result<Self> {
-        let n_nodes = entry_counts.len() as u32;
-        let c = cells.len() as u32;
-        let max_entries = entry_counts.iter().copied().max().unwrap_or(1) as usize;
-        // Hidden placeholders are stored too, so they participate in slot
-        // sizing under the delta codec.
-        let record_bytes = record_bytes_for(codec, max_entries, entry_counts, cells, true);
-        let mut vpages = VPageFile::new(model, codec, record_bytes);
-        // Node-major: for each node, a run of `c` V-pages indexed by cell.
-        for n in 0..n_nodes {
-            // Sparse lookup per cell.
-            for cell in cells.iter() {
-                let vp = match cell.binary_search_by_key(&n, |&(o, _)| o) {
-                    Ok(i) => cell[i].1.clone(),
-                    Err(_) => VPage::new(vec![VEntry::HIDDEN; entry_counts[n as usize] as usize]),
-                };
-                vpages.append(&vp)?;
-            }
+/// Builds the store (record index = `ordinal · c + cell`); see
+/// [`StorageScheme::build`](super::StorageScheme::build) for argument
+/// conventions.
+pub(crate) fn build(
+    entry_counts: &[u16],
+    cells: &[Vec<(u32, VPage)>],
+    model: DiskModel,
+    codec: VPageCodec,
+) -> Result<(SharedVStore, [IoCursor; 2])> {
+    let n_nodes = entry_counts.len() as u32;
+    let max_entries = entry_counts.iter().copied().max().unwrap_or(1) as usize;
+    // Hidden placeholders are stored too, so they participate in slot
+    // sizing under the delta codec.
+    let record_bytes = record_bytes_for(codec, max_entries, entry_counts, cells, true);
+    let mut vpages = VPageFile::new(model, codec, record_bytes);
+    // Node-major: for each node, a run of `c` V-pages indexed by cell.
+    for n in 0..n_nodes {
+        // Sparse lookup per cell.
+        for cell in cells.iter() {
+            let vp = match cell.binary_search_by_key(&n, |&(o, _)| o) {
+                Ok(i) => cell[i].1.clone(),
+                Err(_) => VPage::new(vec![VEntry::HIDDEN; entry_counts[n as usize] as usize]),
+            };
+            vpages.append(&vp)?;
         }
-        vpages.reset_stats(); // build-time writes are not query I/O
-        vpages.enable_checksums()?;
-        Ok(HorizontalStore {
-            vpages,
-            cells: c,
-            n_nodes,
-            current: None,
-        })
     }
-}
-
-impl VisibilityStore for HorizontalStore {
-    fn scheme(&self) -> StorageScheme {
-        StorageScheme::Horizontal
-    }
-
-    fn cell_count(&self) -> u32 {
-        self.cells
-    }
-
-    fn enter_cell(&mut self, cell: CellId) -> Result<()> {
-        assert!(cell < self.cells, "cell {cell} out of range");
-        self.current = Some(cell);
-        Ok(())
-    }
-
-    fn current_cell(&self) -> Option<CellId> {
-        self.current
-    }
-
-    fn fetch(&mut self, ordinal: u32) -> Result<Option<VPage>> {
-        let cell = self.current.expect("enter_cell before fetch");
-        assert!(ordinal < self.n_nodes, "node ordinal out of range");
-        let record = ordinal as u64 * self.cells as u64 + cell as u64;
-        Ok(Some(self.vpages.read(record)?))
-    }
-
-    fn stats(&self) -> IoStats {
-        self.vpages.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.vpages.reset_stats();
-    }
-
-    fn storage_bytes(&self) -> u64 {
-        // size_vpage · c · N_node (paper §4.1).
-        self.vpages.record_bytes() as u64 * self.cells as u64 * self.n_nodes as u64
-    }
-
-    fn arm_faults(&mut self, plan: &FaultPlan) {
-        self.vpages.arm_faults(plan.clone());
-    }
-
-    fn disarm_faults(&mut self) {
-        self.vpages.disarm_faults();
-    }
-
-    fn relocate(&mut self, backend: &StorageBackend) -> Result<()> {
-        self.vpages.relocate(backend, "horizontal_vpages")
-    }
-
-    fn into_shared(
-        self: Box<Self>,
-        pool: crate::shared::PoolConfig,
-    ) -> crate::shared::SharedVStore {
-        crate::shared::SharedVStore::Horizontal(crate::shared::SharedHorizontal {
-            vpages: self.vpages.into_shared(pool),
-            cells: self.cells,
-            n_nodes: self.n_nodes,
-        })
-    }
+    let (vpages, vpage_cur) = vpages.freeze()?;
+    let store = SharedVStore::Horizontal(SharedHorizontal {
+        vpages,
+        cells: cells.len() as u32,
+        n_nodes,
+    });
+    Ok((store, [IoCursor::new(), vpage_cur]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::testutil;
+    use crate::storage::testutil::{self, io, session};
 
     #[test]
     fn conformance() {
         for codec in [VPageCodec::Raw, VPageCodec::Delta] {
             let (counts, cells) = testutil::sample_cells(12);
-            let mut s = HorizontalStore::build(&counts, &cells, DiskModel::FREE, codec).unwrap();
-            testutil::conformance(&mut s, &cells, 12);
+            let built = build(&counts, &cells, DiskModel::FREE, codec).unwrap();
+            testutil::conformance(built, &cells, 12);
         }
     }
 
     #[test]
     fn reads_are_charged_per_distinct_disk_page() {
         let (counts, cells) = testutil::sample_cells(120);
-        let mut s =
-            HorizontalStore::build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Raw).unwrap();
-        s.enter_cell(0).unwrap();
-        s.reset_stats();
+        let (s, cursors) = build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Raw).unwrap();
+        let mut ctx = session(cursors);
+        s.enter_cell(&mut ctx, 0).unwrap();
+        testutil::reset(&mut ctx);
         // Raw records here are 4 + 8·4 = 36 bytes → 113 per 4 KiB disk
         // page. Fetching every node in cell 0 walks records 0, 3, …, 357
         // (stride = cell count): four distinct disk pages, and the
-        // one-page read buffer makes every same-page fetch after the
+        // one-page V-page pool makes every same-page fetch after the
         // first one free.
         for n in 0..120 {
-            let _ = s.fetch(n).unwrap();
+            let _ = s.fetch(&mut ctx, n).unwrap();
         }
-        assert_eq!(s.stats().page_reads, 4);
+        assert_eq!(io(&ctx).page_reads, 4);
         // Re-fetching a record on the buffered page is free…
-        let _ = s.fetch(119).unwrap();
-        assert_eq!(s.stats().page_reads, 4);
+        let _ = s.fetch(&mut ctx, 119).unwrap();
+        assert_eq!(io(&ctx).page_reads, 4);
         // …while jumping back to the first page is a real read again.
-        let _ = s.fetch(0).unwrap();
-        assert_eq!(s.stats().page_reads, 5);
+        let _ = s.fetch(&mut ctx, 0).unwrap();
+        assert_eq!(io(&ctx).page_reads, 5);
     }
 
     #[test]
     fn hidden_nodes_return_hidden_pages() {
         for codec in [VPageCodec::Raw, VPageCodec::Delta] {
             let (counts, cells) = testutil::sample_cells(12);
-            let mut s = HorizontalStore::build(&counts, &cells, DiskModel::FREE, codec).unwrap();
-            s.enter_cell(2).unwrap(); // nothing visible
+            let (s, cursors) = build(&counts, &cells, DiskModel::FREE, codec).unwrap();
+            let mut ctx = session(cursors);
+            s.enter_cell(&mut ctx, 2).unwrap(); // nothing visible
             for n in 0..12 {
-                let vp = s.fetch(n).unwrap().unwrap();
+                let vp = s.fetch(&mut ctx, n).unwrap().unwrap();
                 assert!(!vp.any_visible());
                 assert_eq!(vp.entries.len(), counts[n as usize] as usize);
             }
@@ -178,7 +104,7 @@ mod tests {
     #[test]
     fn storage_matches_formula() {
         let (counts, cells) = testutil::sample_cells(10);
-        let s = HorizontalStore::build(&counts, &cells, DiskModel::FREE, VPageCodec::Raw).unwrap();
+        let (s, _) = build(&counts, &cells, DiskModel::FREE, VPageCodec::Raw).unwrap();
         let vpage = 4 + 8 * *counts.iter().max().unwrap() as u64;
         assert_eq!(s.storage_bytes(), vpage * 3 * 10);
     }
@@ -186,25 +112,22 @@ mod tests {
     #[test]
     fn delta_codec_shrinks_storage_with_identical_answers() {
         let (counts, cells) = testutil::sample_cells(10);
-        let raw =
-            HorizontalStore::build(&counts, &cells, DiskModel::FREE, VPageCodec::Raw).unwrap();
-        let mut delta =
-            HorizontalStore::build(&counts, &cells, DiskModel::FREE, VPageCodec::Delta).unwrap();
+        let (raw, _) = build(&counts, &cells, DiskModel::FREE, VPageCodec::Raw).unwrap();
+        let delta = build(&counts, &cells, DiskModel::FREE, VPageCodec::Delta).unwrap();
         assert!(
-            delta.storage_bytes() < raw.storage_bytes(),
+            delta.0.storage_bytes() < raw.storage_bytes(),
             "delta {} !< raw {}",
-            delta.storage_bytes(),
+            delta.0.storage_bytes(),
             raw.storage_bytes()
         );
-        testutil::conformance(&mut delta, &cells, 10);
+        testutil::conformance(delta, &cells, 10);
     }
 
     #[test]
     #[should_panic]
     fn fetch_before_enter_panics() {
         let (counts, cells) = testutil::sample_cells(4);
-        let mut s =
-            HorizontalStore::build(&counts, &cells, DiskModel::FREE, VPageCodec::Delta).unwrap();
-        let _ = s.fetch(0);
+        let (s, cursors) = build(&counts, &cells, DiskModel::FREE, VPageCodec::Delta).unwrap();
+        let _ = s.fetch(&mut session(cursors), 0);
     }
 }

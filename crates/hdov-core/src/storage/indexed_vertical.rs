@@ -7,215 +7,72 @@
 //! `O(N_vnode)` I/Os. A tiny in-memory directory maps each cell to its
 //! segment extent (the "simple one-to-one index").
 
-use super::{record_bytes_for, relocate_disk, StorageScheme, VPageFile, VisibilityStore};
+use super::{freeze_index, record_bytes_for, VPageFile};
+use crate::shared::{SharedIndexedVertical, SharedVStore};
 use crate::vpage::{VPage, VPageCodec};
-use hdov_storage::codec::ByteReader;
 use hdov_storage::{
-    DiskModel, FaultPlan, IoStats, Page, PageId, PagedFile, Result, SimulatedDisk, StorageBackend,
-    StoreFile, PAGE_SIZE,
+    DiskModel, IoCursor, Page, PagedFile, Result, SimulatedDisk, StoreFile, PAGE_SIZE,
 };
-use hdov_visibility::CellId;
+use std::sync::Arc;
 
-/// Bytes per index record: node offset (u32) + V-page pointer (u64).
-const REC_BYTES: usize = 12;
+/// Builds the store (sparse segments for visible nodes only, plus the
+/// in-memory per-cell `(start_byte, record_count)` directory); see
+/// [`StorageScheme::build`](super::StorageScheme::build) for argument
+/// conventions.
+pub(crate) fn build(
+    entry_counts: &[u16],
+    cells: &[Vec<(u32, VPage)>],
+    model: DiskModel,
+    codec: VPageCodec,
+) -> Result<(SharedVStore, [IoCursor; 2])> {
+    let max_entries = entry_counts.iter().copied().max().unwrap_or(1) as usize;
+    // Only visible pages are stored — no hidden placeholders.
+    let record_bytes = record_bytes_for(codec, max_entries, entry_counts, cells, false);
+    let mut vpages = VPageFile::new(model, codec, record_bytes);
+    let mut index = SimulatedDisk::new(StoreFile::new_mem(), model);
 
-#[derive(Debug, Clone, Copy)]
-struct SegmentDir {
-    start_byte: u64,
-    count: u32,
-}
-
-/// Indexed-vertical store: sparse segments for visible nodes only.
-pub struct IndexedVerticalStore {
-    index: SimulatedDisk<StoreFile>,
-    vpages: VPageFile,
-    cells: u32,
-    n_nodes: u32,
-    dir: Vec<SegmentDir>,
-    current: Option<CellId>,
-    /// Flipped-in segment: `(ordinal, pointer)` sorted by ordinal.
-    segment: Vec<(u32, u64)>,
-}
-
-impl IndexedVerticalStore {
-    /// Builds the store; see
-    /// [`StorageScheme::build`](super::StorageScheme::build) for argument
-    /// conventions.
-    pub fn build(
-        entry_counts: &[u16],
-        cells: &[Vec<(u32, VPage)>],
-        model: DiskModel,
-        codec: VPageCodec,
-    ) -> Result<Self> {
-        let n_nodes = entry_counts.len() as u32;
-        let c = cells.len() as u32;
-        let max_entries = entry_counts.iter().copied().max().unwrap_or(1) as usize;
-        // Only visible pages are stored — no hidden placeholders.
-        let record_bytes = record_bytes_for(codec, max_entries, entry_counts, cells, false);
-        let mut vpages = VPageFile::new(model, codec, record_bytes);
-        let mut index = SimulatedDisk::new(StoreFile::new_mem(), model);
-
-        let mut raw: Vec<u8> = Vec::new();
-        let mut dir = Vec::with_capacity(cells.len());
-        for cell in cells {
-            dir.push(SegmentDir {
-                start_byte: raw.len() as u64,
-                count: cell.len() as u32,
-            });
-            for (ordinal, vp) in cell {
-                let ptr = vpages.append(vp)?;
-                raw.extend_from_slice(&ordinal.to_le_bytes());
-                raw.extend_from_slice(&ptr.to_le_bytes());
-            }
-        }
-        // Lay the packed segments out in pages.
-        for chunk in raw.chunks(PAGE_SIZE) {
-            index.append_page(&Page::from_bytes(chunk))?;
-        }
-        if raw.is_empty() {
-            index.allocate_page()?;
-        }
-        vpages.reset_stats();
-        index.reset_stats();
-        vpages.enable_checksums()?;
-        index.enable_checksums()?;
-        Ok(IndexedVerticalStore {
-            index,
-            vpages,
-            cells: c,
-            n_nodes,
-            dir,
-            current: None,
-            segment: Vec::new(),
-        })
-    }
-}
-
-impl VisibilityStore for IndexedVerticalStore {
-    fn scheme(&self) -> StorageScheme {
-        StorageScheme::IndexedVertical
-    }
-
-    fn cell_count(&self) -> u32 {
-        self.cells
-    }
-
-    fn enter_cell(&mut self, cell: CellId) -> Result<()> {
-        assert!(cell < self.cells, "cell {cell} out of range");
-        if self.current == Some(cell) {
-            return Ok(());
-        }
-        let d = self.dir[cell as usize];
-        let seg_bytes = d.count as usize * REC_BYTES;
-        let mut segment = Vec::with_capacity(d.count as usize);
-        if seg_bytes > 0 {
-            let first_page = d.start_byte / PAGE_SIZE as u64;
-            let last_page = (d.start_byte + seg_bytes as u64 - 1) / PAGE_SIZE as u64;
-            let mut bytes = Vec::with_capacity(((last_page - first_page + 1) as usize) * PAGE_SIZE);
-            let mut page = Page::zeroed();
-            for p in first_page..=last_page {
-                self.index.read_page(PageId(p), &mut page)?;
-                bytes.extend_from_slice(page.bytes());
-            }
-            let off = (d.start_byte - first_page * PAGE_SIZE as u64) as usize;
-            let mut r = ByteReader::new(&bytes[off..off + seg_bytes]);
-            for _ in 0..d.count {
-                let ordinal = r.get_u32()?;
-                let ptr = r.get_u64()?;
-                segment.push((ordinal, ptr));
-            }
-        }
-        self.segment = segment;
-        self.current = Some(cell);
-        Ok(())
-    }
-
-    fn current_cell(&self) -> Option<CellId> {
-        self.current
-    }
-
-    fn fetch(&mut self, ordinal: u32) -> Result<Option<VPage>> {
-        assert!(self.current.is_some(), "enter_cell before fetch");
-        assert!(ordinal < self.n_nodes, "node ordinal out of range");
-        match self.segment.binary_search_by_key(&ordinal, |&(o, _)| o) {
-            Err(_) => Ok(None),
-            Ok(i) => {
-                let ptr = self.segment[i].1;
-                Ok(Some(self.vpages.read(ptr)?))
-            }
+    let mut raw: Vec<u8> = Vec::new();
+    let mut dir = Vec::with_capacity(cells.len());
+    for cell in cells {
+        dir.push((raw.len() as u64, cell.len() as u32));
+        for (ordinal, vp) in cell {
+            let ptr = vpages.append(vp)?;
+            raw.extend_from_slice(&ordinal.to_le_bytes());
+            raw.extend_from_slice(&ptr.to_le_bytes());
         }
     }
-
-    fn stats(&self) -> IoStats {
-        self.index.stats() + self.vpages.stats()
+    // Lay the packed segments out in pages.
+    for chunk in raw.chunks(PAGE_SIZE) {
+        index.append_page(&Page::from_bytes(chunk))?;
     }
-
-    fn reset_stats(&mut self) {
-        self.index.reset_stats();
-        self.vpages.reset_stats();
+    if raw.is_empty() {
+        index.allocate_page()?;
     }
-
-    fn storage_bytes(&self) -> u64 {
-        // (size_ptr + size_int) · Σ N_vnode + size_vpage · Σ N_vnode (§4.3).
-        (REC_BYTES as u64 + self.vpages.record_bytes() as u64) * self.vpages.records()
-    }
-
-    fn arm_faults(&mut self, plan: &FaultPlan) {
-        self.index.arm_faults(plan.clone());
-        self.vpages.arm_faults(plan.clone());
-    }
-
-    fn disarm_faults(&mut self) {
-        self.index.disarm_faults();
-        self.vpages.disarm_faults();
-    }
-
-    fn relocate(&mut self, backend: &StorageBackend) -> Result<()> {
-        relocate_disk(&mut self.index, backend, "indexed_vertical_index")?;
-        self.vpages.relocate(backend, "indexed_vertical_vpages")
-    }
-
-    fn into_shared(
-        self: Box<Self>,
-        pool: crate::shared::PoolConfig,
-    ) -> crate::shared::SharedVStore {
-        let model = self.index.model();
-        crate::shared::SharedVStore::IndexedVertical(crate::shared::SharedIndexedVertical {
-            index: hdov_storage::SharedCachedFile::with_overlay(
-                self.index.into_inner().into_frozen(),
-                model,
-                pool.capacity_pages,
-                pool.shards,
-                pool.decode_overlay,
-            )
-            .with_retry(pool.retry)
-            .with_replicas(pool.replicas),
-            vpages: self.vpages.into_shared(pool),
-            cells: self.cells,
-            n_nodes: self.n_nodes,
-            dir: std::sync::Arc::new(
-                self.dir
-                    .iter()
-                    .map(|d| (d.start_byte, d.count))
-                    .collect::<Vec<_>>(),
-            ),
-        })
-    }
+    let (vpages, vpage_cur) = vpages.freeze()?;
+    index.enable_checksums()?;
+    let (index, index_cur) = freeze_index(index);
+    let store = SharedVStore::IndexedVertical(SharedIndexedVertical {
+        index,
+        vpages,
+        cells: cells.len() as u32,
+        n_nodes: entry_counts.len() as u32,
+        dir: Arc::new(dir),
+    });
+    Ok((store, [index_cur, vpage_cur]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::testutil;
-    use crate::storage::VerticalStore;
+    use crate::storage::testutil::{self, io, session};
+    use crate::storage::vertical;
 
     #[test]
     fn conformance() {
         for codec in [VPageCodec::Raw, VPageCodec::Delta] {
             let (counts, cells) = testutil::sample_cells(12);
-            let mut s =
-                IndexedVerticalStore::build(&counts, &cells, DiskModel::FREE, codec).unwrap();
-            testutil::conformance(&mut s, &cells, 12);
+            let built = build(&counts, &cells, DiskModel::FREE, codec).unwrap();
+            testutil::conformance(built, &cells, 12);
         }
     }
 
@@ -227,24 +84,25 @@ mod tests {
         let (counts, cells) = testutil::sample_cells(n);
         // Keep only cell 1 (3 visible nodes) replicated.
         let sparse_cells = vec![cells[1].clone(), cells[1].clone()];
-        let mut iv = IndexedVerticalStore::build(
+        let (iv, iv_cursors) = build(
             &counts,
             &sparse_cells,
             DiskModel::PAPER_ERA,
             VPageCodec::Delta,
         )
         .unwrap();
-        let mut v = VerticalStore::build(
+        let (v, v_cursors) = vertical::build(
             &counts,
             &sparse_cells,
             DiskModel::PAPER_ERA,
             VPageCodec::Delta,
         )
         .unwrap();
-        iv.enter_cell(0).unwrap();
-        v.enter_cell(0).unwrap();
-        let iv_flip = iv.stats().page_reads;
-        let v_flip = v.stats().page_reads;
+        let (mut iv_ctx, mut v_ctx) = (session(iv_cursors), session(v_cursors));
+        iv.enter_cell(&mut iv_ctx, 0).unwrap();
+        v.enter_cell(&mut v_ctx, 0).unwrap();
+        let iv_flip = io(&iv_ctx).page_reads;
+        let v_flip = io(&v_ctx).page_reads;
         assert!(iv_flip <= 1, "indexed flip read {iv_flip} pages");
         assert_eq!(v_flip, (n as u64 * 8).div_ceil(PAGE_SIZE as u64));
         assert!(iv_flip < v_flip);
@@ -254,8 +112,8 @@ mod tests {
     fn storage_smaller_than_vertical() {
         for codec in [VPageCodec::Raw, VPageCodec::Delta] {
             let (counts, cells) = testutil::sample_cells(500);
-            let iv = IndexedVerticalStore::build(&counts, &cells, DiskModel::FREE, codec).unwrap();
-            let v = VerticalStore::build(&counts, &cells, DiskModel::FREE, codec).unwrap();
+            let (iv, _) = build(&counts, &cells, DiskModel::FREE, codec).unwrap();
+            let (v, _) = vertical::build(&counts, &cells, DiskModel::FREE, codec).unwrap();
             assert!(iv.storage_bytes() < v.storage_bytes());
         }
     }
@@ -263,8 +121,7 @@ mod tests {
     #[test]
     fn storage_matches_formula() {
         let (counts, cells) = testutil::sample_cells(10);
-        let s =
-            IndexedVerticalStore::build(&counts, &cells, DiskModel::FREE, VPageCodec::Raw).unwrap();
+        let (s, _) = build(&counts, &cells, DiskModel::FREE, VPageCodec::Raw).unwrap();
         let vnode_total: u64 = cells.iter().map(|c| c.len() as u64).sum();
         let vpage = 4 + 8 * *counts.iter().max().unwrap() as u64;
         assert_eq!(s.storage_bytes(), (12 + vpage) * vnode_total);
@@ -273,24 +130,20 @@ mod tests {
     #[test]
     fn delta_codec_shrinks_storage_with_identical_answers() {
         let (counts, cells) = testutil::sample_cells(10);
-        let raw =
-            IndexedVerticalStore::build(&counts, &cells, DiskModel::FREE, VPageCodec::Raw).unwrap();
-        let mut delta =
-            IndexedVerticalStore::build(&counts, &cells, DiskModel::FREE, VPageCodec::Delta)
-                .unwrap();
-        assert!(delta.storage_bytes() < raw.storage_bytes());
-        testutil::conformance(&mut delta, &cells, 10);
+        let (raw, _) = build(&counts, &cells, DiskModel::FREE, VPageCodec::Raw).unwrap();
+        let delta = build(&counts, &cells, DiskModel::FREE, VPageCodec::Delta).unwrap();
+        assert!(delta.0.storage_bytes() < raw.storage_bytes());
+        testutil::conformance(delta, &cells, 10);
     }
 
     #[test]
     fn empty_cell_flip_is_free_after_dir_lookup() {
         let (counts, cells) = testutil::sample_cells(12);
-        let mut s =
-            IndexedVerticalStore::build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta)
-                .unwrap();
-        s.enter_cell(2).unwrap(); // empty cell: zero records
-        assert_eq!(s.stats().page_reads, 0);
-        assert!(s.fetch(0).unwrap().is_none());
+        let (s, cursors) = build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta).unwrap();
+        let mut ctx = session(cursors);
+        s.enter_cell(&mut ctx, 2).unwrap(); // empty cell: zero records
+        assert_eq!(io(&ctx).page_reads, 0);
+        assert!(s.fetch(&mut ctx, 0).unwrap().is_none());
     }
 
     #[test]
@@ -313,13 +166,12 @@ mod tests {
             (0..500).map(mk).collect::<Vec<_>>(),
             (300..800).map(mk).collect::<Vec<_>>(),
         ];
-        let mut s =
-            IndexedVerticalStore::build(&counts, &cells, DiskModel::FREE, VPageCodec::Delta)
-                .unwrap();
+        let (s, cursors) = build(&counts, &cells, DiskModel::FREE, VPageCodec::Delta).unwrap();
+        let mut ctx = session(cursors);
         for cid in 0..2u32 {
-            s.enter_cell(cid).unwrap();
+            s.enter_cell(&mut ctx, cid).unwrap();
             for &(o, ref vp) in &cells[cid as usize] {
-                assert_eq!(s.fetch(o).unwrap().as_ref(), Some(vp));
+                assert_eq!(s.fetch(&mut ctx, o).unwrap().as_deref(), Some(vp));
             }
         }
     }

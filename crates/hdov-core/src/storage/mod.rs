@@ -10,23 +10,21 @@
 //! | [`Vertical`](StorageScheme::Vertical) | per-cell segment of `N_node` pointers + per-cell DFS-clustered V-pages | `size_ptr · N_node · c + size_vpage · N_vnode · c` |
 //! | [`IndexedVertical`](StorageScheme::IndexedVertical) | per-cell sparse segment of `(offset, ptr)` pairs for visible nodes only | `(size_ptr + size_int) · N_vnode · c + size_vpage · N_vnode · c` |
 //!
-//! All three implement [`VisibilityStore`]; the search code is agnostic.
+//! Each scheme is built once, in memory, and frozen into a
+//! [`SharedVStore`] — the one reader of all three layouts; the search code
+//! is agnostic.
 
 mod horizontal;
 mod indexed_vertical;
 mod vertical;
 
-pub use horizontal::HorizontalStore;
-pub use indexed_vertical::IndexedVerticalStore;
-pub use vertical::VerticalStore;
-
+use crate::shared::{SharedVPageFile, SharedVStore};
 use crate::vpage::{VPage, VPageCodec, MIN_DELTA_RECORD_BYTES};
 use hdov_obs::Counter;
 use hdov_storage::{
-    DiskModel, FaultPlan, IoStats, Page, PageId, PagedFile, Result, SimulatedDisk, StorageBackend,
+    DiskModel, IoCursor, Page, PageId, PagedFile, Result, SharedCachedFile, SimulatedDisk,
     StoreFile, PAGE_SIZE,
 };
-use hdov_visibility::CellId;
 
 /// The three storage schemes of paper §4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,7 +47,8 @@ impl StorageScheme {
         ]
     }
 
-    /// Builds a store of this scheme over the given per-cell visibility data.
+    /// Builds a store of this scheme over the given per-cell visibility
+    /// data and freezes it behind the single-session layout.
     ///
     /// * `entry_counts[n]` — number of entries of node `n` (for hidden-node
     ///   placeholders in the horizontal scheme),
@@ -57,27 +56,23 @@ impl StorageScheme {
     ///   sorted by ordinal (DFS preorder),
     /// * `model` — disk cost model for the store's files,
     /// * `codec` — wire format for V-page records (see [`VPageCodec`]).
+    ///
+    /// Also returns the V-page-index and V-page cursors, parked where the
+    /// build left each file's head (the horizontal scheme has no index).
     pub fn build(
         self,
         entry_counts: &[u16],
         cells: &[Vec<(u32, VPage)>],
         model: DiskModel,
         codec: VPageCodec,
-    ) -> Result<Box<dyn VisibilityStore>> {
-        Ok(match self {
-            StorageScheme::Horizontal => {
-                Box::new(HorizontalStore::build(entry_counts, cells, model, codec)?)
+    ) -> Result<(SharedVStore, [IoCursor; 2])> {
+        match self {
+            StorageScheme::Horizontal => horizontal::build(entry_counts, cells, model, codec),
+            StorageScheme::Vertical => vertical::build(entry_counts, cells, model, codec),
+            StorageScheme::IndexedVertical => {
+                indexed_vertical::build(entry_counts, cells, model, codec)
             }
-            StorageScheme::Vertical => {
-                Box::new(VerticalStore::build(entry_counts, cells, model, codec)?)
-            }
-            StorageScheme::IndexedVertical => Box::new(IndexedVerticalStore::build(
-                entry_counts,
-                cells,
-                model,
-                codec,
-            )?),
-        })
+        }
     }
 }
 
@@ -91,95 +86,10 @@ impl std::fmt::Display for StorageScheme {
     }
 }
 
-/// Access to one scheme's view-variant data at query time.
-pub trait VisibilityStore: Send {
-    /// The scheme this store implements.
-    fn scheme(&self) -> StorageScheme;
-
-    /// Number of cells the store was built for.
-    fn cell_count(&self) -> u32;
-
-    /// Prepares for queries in `cell` — the paper's "segment flip". Charged
-    /// against the store's disks. A no-op when already in `cell`.
-    fn enter_cell(&mut self, cell: CellId) -> Result<()>;
-
-    /// The cell last entered.
-    fn current_cell(&self) -> Option<CellId>;
-
-    /// Fetches the V-page of node `ordinal` in the current cell.
-    ///
-    /// Returns `Ok(None)` when the node is invisible **and** the scheme can
-    /// prove it without touching disk (vertical / indexed-vertical). The
-    /// horizontal scheme always performs one V-page access and returns an
-    /// all-hidden V-page for invisible nodes.
-    ///
-    /// # Panics
-    /// Panics if no cell was entered.
-    fn fetch(&mut self, ordinal: u32) -> Result<Option<VPage>>;
-
-    /// Accumulated I/O since construction / [`reset_stats`](Self::reset_stats).
-    fn stats(&self) -> IoStats;
-
-    /// Clears the I/O counters.
-    fn reset_stats(&mut self);
-
-    /// Exact storage footprint in bytes, per the paper's §4 formulas
-    /// (excluding the tree structure, as in Table 2).
-    fn storage_bytes(&self) -> u64;
-
-    /// Arms seeded fault injection on every disk of the store (chaos
-    /// testing). Reads then flow through the configured retry policy;
-    /// corruptions surface as [`StorageError::Corrupt`](hdov_storage::StorageError::Corrupt)
-    /// via the store's build-time checksum tables.
-    fn arm_faults(&mut self, plan: &FaultPlan);
-
-    /// Disarms any armed fault injection (subsequent reads are clean).
-    fn disarm_faults(&mut self);
-
-    /// Relocates every disk of the store onto `backend` (see
-    /// [`StorageBackend::freeze`]): the built pages are serialized as
-    /// frozen-store files and reopened mmap'd or pread-backed (or simply
-    /// frozen in place on the mem backend). Answers and simulated I/O
-    /// charges are byte-identical across backends — only the physical
-    /// residence of the pages changes. The store becomes read-only.
-    fn relocate(&mut self, backend: &StorageBackend) -> Result<()>;
-
-    /// Freezes this store into its `&`-shareable counterpart for the
-    /// concurrent engine: the same on-disk layout behind lock-striped
-    /// buffer pools, with all per-session state (current cell, flipped
-    /// segment, disk heads) moved into
-    /// [`SessionCtx`](crate::shared::SessionCtx).
-    fn into_shared(self: Box<Self>, pool: crate::shared::PoolConfig)
-        -> crate::shared::SharedVStore;
-}
-
-/// Relocates one built disk onto `backend` under the store name `name`.
-///
-/// The disk's inner [`StoreFile`] is swapped out, frozen through
-/// [`StorageBackend::freeze`] (a no-op beyond freezing on the mem
-/// backend; serialize + reopen on the file backend), and swapped back.
-/// Stats, head position, and the build-time checksum table survive —
-/// relocation guarantees byte-identical pages, so the table stays valid.
-pub(crate) fn relocate_disk(
-    disk: &mut SimulatedDisk<StoreFile>,
-    backend: &StorageBackend,
-    name: &str,
-) -> Result<()> {
-    relocate_disk_flagged(disk, backend, name, 0)
-}
-
-/// [`relocate_disk`] with an explicit frozen-store header `flags` word
-/// (V-page files record their codec; other stores pass 0).
-pub(crate) fn relocate_disk_flagged(
-    disk: &mut SimulatedDisk<StoreFile>,
-    backend: &StorageBackend,
-    name: &str,
-    flags: u32,
-) -> Result<()> {
-    let built = disk.swap_inner(StoreFile::new_mem());
-    let frozen = backend.freeze_flagged(name, built, flags)?;
-    disk.swap_inner(frozen);
-    Ok(())
+/// Freezes a built index file behind the single-session layout.
+pub(crate) fn freeze_index(disk: SimulatedDisk<StoreFile>) -> (SharedCachedFile, IoCursor) {
+    let (cap, shards) = crate::env::UNBUFFERED;
+    SharedCachedFile::from_disk(disk, cap, shards)
 }
 
 /// V-page records packed into disk pages (several per page, never
@@ -193,20 +103,15 @@ pub(crate) fn relocate_disk_flagged(
 /// store will hold (computed up front by [`record_bytes_for`]), which is
 /// never larger and usually much smaller — shrinking the paper's
 /// `size_vpage` term in every §4 formula at identical answers.
+///
+/// This is the build-time writer; [`freeze`](Self::freeze) hands the pages
+/// to the [`SharedVPageFile`] every query reads.
 pub(crate) struct VPageFile {
     disk: SimulatedDisk<StoreFile>,
     records: u64,
     record_bytes: usize,
     records_per_page: u64,
     codec: VPageCodec,
-    /// One-page read buffer: the most recently read disk page, as any
-    /// paging client would hold while copying records out. Consecutive
-    /// reads of records packed into the same disk page charge a single
-    /// simulated page read — which is exactly how the Delta codec's denser
-    /// packing (more records per 4 KiB page) turns into strictly fewer
-    /// fig8 I/Os at identical answers. Invalidated on writes, relocation,
-    /// and fault arming so mutation and chaos tests always hit the disk.
-    read_buf: Option<(u64, Page)>,
 }
 
 /// Raw-codec V-page record size for nodes holding at most `max_entries`
@@ -258,13 +163,7 @@ impl VPageFile {
             record_bytes,
             records_per_page: (PAGE_SIZE / record_bytes) as u64,
             codec,
-            read_buf: None,
         }
-    }
-
-    /// The fixed per-record size (the paper's `size_vpage`).
-    pub fn record_bytes(&self) -> usize {
-        self.record_bytes
     }
 
     /// Appends a V-page, returning its record index. Errors with a typed
@@ -292,89 +191,39 @@ impl VPageFile {
         page.bytes_mut()[slot * self.record_bytes..(slot + 1) * self.record_bytes]
             .copy_from_slice(&bytes);
         self.disk.write_page(PageId(page_id), &page)?;
-        self.read_buf = None;
         self.records += 1;
         Ok(idx)
     }
 
-    /// Reads record `idx`: one simulated page I/O unless `idx` lives on the
-    /// page already held in the one-page read buffer, in which case the
-    /// read is free and only the decode is charged.
-    pub fn read(&mut self, idx: u64) -> Result<VPage> {
-        let page_id = idx / self.records_per_page;
-        let slot = (idx % self.records_per_page) as usize;
-        if self.read_buf.as_ref().map(|(id, _)| *id) != Some(page_id) {
-            let mut page = Page::zeroed();
-            self.disk.read_page(PageId(page_id), &mut page)?;
-            self.read_buf = Some((page_id, page));
-        }
-        let page = &self.read_buf.as_ref().expect("buffer just filled").1;
-        hdov_obs::add(Counter::CodecDecodes, 1);
-        self.codec
-            .decode_record(&page.bytes()[slot * self.record_bytes..(slot + 1) * self.record_bytes])
-    }
-
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    pub fn stats(&self) -> IoStats {
-        self.disk.stats()
-    }
-
-    pub fn reset_stats(&mut self) {
-        self.disk.reset_stats();
-    }
-
     /// Stamps the build-time checksum table (call once after the last
-    /// append; verification itself charges no simulated I/O).
-    pub fn enable_checksums(&mut self) -> Result<()> {
-        self.disk.enable_checksums()
-    }
-
-    pub fn arm_faults(&mut self, plan: FaultPlan) {
-        self.read_buf = None;
-        self.disk.arm_faults(plan);
-    }
-
-    pub fn disarm_faults(&mut self) {
-        self.disk.disarm_faults();
-    }
-
-    /// Relocates the backing pages onto `backend` under `name` (read-only
-    /// afterwards; see [`relocate_disk`]). The frozen-store header records
-    /// this file's codec.
-    pub fn relocate(&mut self, backend: &StorageBackend, name: &str) -> Result<()> {
-        self.read_buf = None;
-        relocate_disk_flagged(&mut self.disk, backend, name, self.codec.store_flags())
-    }
-
-    /// Freezes the file behind a lock-striped shared pool (identical record
-    /// layout — the backing pages are moved, not rewritten).
-    pub fn into_shared(self, pool: crate::shared::PoolConfig) -> crate::shared::SharedVPageFile {
-        let model = self.disk.model();
-        crate::shared::SharedVPageFile::new(
-            hdov_storage::SharedCachedFile::with_overlay(
-                self.disk.into_inner().into_frozen(),
-                model,
-                pool.capacity_pages,
-                pool.shards,
-                pool.decode_overlay,
-            )
-            .with_retry(pool.retry)
-            .with_replicas(pool.replicas),
+    /// append) and freezes the file behind the single-session layout: a
+    /// one-page pool, so consecutive reads of records packed into the same
+    /// disk page charge a single simulated page read — which is exactly how
+    /// the Delta codec's denser packing (more records per 4 KiB page) turns
+    /// into strictly fewer fig8 I/Os at identical answers. Returns the file
+    /// and a cursor parked where the build left the head.
+    pub fn freeze(mut self) -> Result<(SharedVPageFile, IoCursor)> {
+        self.disk.enable_checksums()?;
+        let (cap, shards) = crate::env::VPAGE_BUFFER;
+        let (pool, cursor) = SharedCachedFile::from_disk(self.disk, cap, shards);
+        let file = SharedVPageFile::new(
+            pool,
             self.records,
             self.record_bytes,
             self.records_per_page,
             self.codec,
-        )
+        );
+        Ok((file, cursor))
     }
 }
 
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
+    use crate::shared::SessionCtx;
     use crate::vpage::VEntry;
+    use hdov_storage::IoStats;
+    use hdov_visibility::CellId;
 
     /// A small synthetic dataset: `n_nodes` nodes, 3 cells with differing
     /// visible sets.
@@ -405,20 +254,45 @@ pub(crate) mod testutil {
         (entry_counts, cells)
     }
 
+    /// A session over a freshly built store: its index and V-page
+    /// cursors, no cell entered.
+    pub fn session([index_cur, vpage_cur]: [IoCursor; 2]) -> SessionCtx {
+        let mut ctx = SessionCtx::new();
+        ctx.index_cur = index_cur;
+        ctx.vpage_cur = vpage_cur;
+        ctx
+    }
+
+    /// The session's visibility-store I/O (V-page index + V-pages).
+    pub fn io(ctx: &SessionCtx) -> IoStats {
+        ctx.index_cur.stats() + ctx.vpage_cur.stats()
+    }
+
+    /// Clears the session's visibility-store counters (heads are kept).
+    pub fn reset(ctx: &mut SessionCtx) {
+        ctx.index_cur.reset_stats();
+        ctx.vpage_cur.reset_stats();
+    }
+
     /// Scheme-agnostic conformance suite.
-    pub fn conformance(store: &mut dyn VisibilityStore, cells: &[Vec<(u32, VPage)>], n_nodes: u32) {
+    pub fn conformance(
+        (store, cursors): (SharedVStore, [IoCursor; 2]),
+        cells: &[Vec<(u32, VPage)>],
+        n_nodes: u32,
+    ) {
+        let mut ctx = session(cursors);
         assert_eq!(store.cell_count(), cells.len() as u32);
         for (cid, cell) in cells.iter().enumerate() {
-            store.enter_cell(cid as CellId).unwrap();
-            assert_eq!(store.current_cell(), Some(cid as CellId));
+            store.enter_cell(&mut ctx, cid as CellId).unwrap();
+            assert_eq!(ctx.current_cell(), Some(cid as CellId));
             let visible: std::collections::HashMap<u32, &VPage> =
                 cell.iter().map(|(o, v)| (*o, v)).collect();
             for n in 0..n_nodes {
-                let got = store.fetch(n).unwrap();
+                let got = store.fetch(&mut ctx, n).unwrap();
                 match visible.get(&n) {
                     Some(want) => {
                         let got = got.expect("visible node must have a V-page");
-                        assert_eq!(&got, *want, "cell {cid} node {n}");
+                        assert_eq!(&*got, *want, "cell {cid} node {n}");
                     }
                     None => match got {
                         None => {}
@@ -431,9 +305,9 @@ pub(crate) mod testutil {
             }
         }
         // Re-entering the same cell is a no-op (no extra flip I/O).
-        store.enter_cell(0).unwrap();
-        store.reset_stats();
-        store.enter_cell(0).unwrap();
-        assert_eq!(store.stats().page_reads, 0, "re-entering cell must be free");
+        store.enter_cell(&mut ctx, 0).unwrap();
+        reset(&mut ctx);
+        store.enter_cell(&mut ctx, 0).unwrap();
+        assert_eq!(io(&ctx).page_reads, 0, "re-entering cell must be free");
     }
 }

@@ -7,207 +7,86 @@
 //! scan". Entering a cell "flips" the segment: `⌈N_node · size_ptr /
 //! size_page⌉` sequential page reads; fetches of hidden nodes are then free.
 
-use super::{record_bytes_for, relocate_disk, StorageScheme, VPageFile, VisibilityStore};
+use super::{freeze_index, record_bytes_for, VPageFile};
+use crate::shared::{SharedVStore, SharedVertical, NIL};
 use crate::vpage::{VPage, VPageCodec};
-use hdov_storage::codec::ByteReader;
 use hdov_storage::{
-    DiskModel, FaultPlan, IoStats, Page, PageId, PagedFile, Result, SimulatedDisk, StorageBackend,
-    StoreFile, PAGE_SIZE,
+    DiskModel, IoCursor, Page, PagedFile, Result, SimulatedDisk, StoreFile, PAGE_SIZE,
 };
-use hdov_visibility::CellId;
 
-const NIL: u64 = u64::MAX;
-const PTRS_PER_PAGE: usize = PAGE_SIZE / 8;
+/// Builds the store (dense per-cell pointer segments + clustered
+/// V-pages); see [`StorageScheme::build`](super::StorageScheme::build) for
+/// argument conventions.
+pub(crate) fn build(
+    entry_counts: &[u16],
+    cells: &[Vec<(u32, VPage)>],
+    model: DiskModel,
+    codec: VPageCodec,
+) -> Result<(SharedVStore, [IoCursor; 2])> {
+    let n_nodes = entry_counts.len() as u32;
+    let seg_pages = (n_nodes as u64 * 8).div_ceil(PAGE_SIZE as u64).max(1);
 
-/// Vertical store: dense per-cell pointer segments + clustered V-pages.
-pub struct VerticalStore {
-    index: SimulatedDisk<StoreFile>,
-    vpages: VPageFile,
-    cells: u32,
-    n_nodes: u32,
-    seg_pages: u64,
-    current: Option<CellId>,
-    /// The flipped-in segment: pointer per node, `NIL` = hidden.
-    segment: Vec<u64>,
-}
-
-impl VerticalStore {
-    /// Builds the store; see
-    /// [`StorageScheme::build`](super::StorageScheme::build) for argument
-    /// conventions.
-    pub fn build(
-        entry_counts: &[u16],
-        cells: &[Vec<(u32, VPage)>],
-        model: DiskModel,
-        codec: VPageCodec,
-    ) -> Result<Self> {
-        let n_nodes = entry_counts.len() as u32;
-        let c = cells.len() as u32;
-        let seg_pages = (n_nodes as u64 * 8).div_ceil(PAGE_SIZE as u64).max(1);
-
-        let max_entries = entry_counts.iter().copied().max().unwrap_or(1) as usize;
-        // Only visible pages are stored — no hidden placeholders.
-        let record_bytes = record_bytes_for(codec, max_entries, entry_counts, cells, false);
-        let mut vpages = VPageFile::new(model, codec, record_bytes);
-        let mut index = SimulatedDisk::new(StoreFile::new_mem(), model);
-        for cell in cells {
-            let mut segment = vec![NIL; n_nodes as usize];
-            // DFS order: input is sorted by ordinal, which is DFS preorder.
-            for (ordinal, vp) in cell {
-                segment[*ordinal as usize] = vpages.append(vp)?;
-            }
-            // Write the segment as whole pages.
-            let mut bytes = Vec::with_capacity(seg_pages as usize * PAGE_SIZE);
-            for p in &segment {
-                bytes.extend_from_slice(&p.to_le_bytes());
-            }
-            bytes.resize(seg_pages as usize * PAGE_SIZE, 0);
-            for chunk in bytes.chunks(PAGE_SIZE) {
-                index.append_page(&Page::from_bytes(chunk))?;
-            }
+    let max_entries = entry_counts.iter().copied().max().unwrap_or(1) as usize;
+    // Only visible pages are stored — no hidden placeholders.
+    let record_bytes = record_bytes_for(codec, max_entries, entry_counts, cells, false);
+    let mut vpages = VPageFile::new(model, codec, record_bytes);
+    let mut index = SimulatedDisk::new(StoreFile::new_mem(), model);
+    for cell in cells {
+        let mut segment = vec![NIL; n_nodes as usize];
+        // DFS order: input is sorted by ordinal, which is DFS preorder.
+        for (ordinal, vp) in cell {
+            segment[*ordinal as usize] = vpages.append(vp)?;
         }
-        vpages.reset_stats();
-        index.reset_stats();
-        vpages.enable_checksums()?;
-        index.enable_checksums()?;
-        Ok(VerticalStore {
-            index,
-            vpages,
-            cells: c,
-            n_nodes,
-            seg_pages,
-            current: None,
-            segment: Vec::new(),
-        })
-    }
-}
-
-impl VisibilityStore for VerticalStore {
-    fn scheme(&self) -> StorageScheme {
-        StorageScheme::Vertical
-    }
-
-    fn cell_count(&self) -> u32 {
-        self.cells
-    }
-
-    fn enter_cell(&mut self, cell: CellId) -> Result<()> {
-        assert!(cell < self.cells, "cell {cell} out of range");
-        if self.current == Some(cell) {
-            return Ok(());
+        // Write the segment as whole pages.
+        let mut bytes = Vec::with_capacity(seg_pages as usize * PAGE_SIZE);
+        for p in &segment {
+            bytes.extend_from_slice(&p.to_le_bytes());
         }
-        // Flip: sequential read of the cell's segment.
-        let mut segment = Vec::with_capacity(self.n_nodes as usize);
-        let first = cell as u64 * self.seg_pages;
-        let mut page = Page::zeroed();
-        for i in 0..self.seg_pages {
-            self.index.read_page(PageId(first + i), &mut page)?;
-            let mut r = ByteReader::new(page.bytes());
-            for _ in 0..PTRS_PER_PAGE {
-                if segment.len() == self.n_nodes as usize {
-                    break;
-                }
-                segment.push(r.get_u64()?);
-            }
-        }
-        self.segment = segment;
-        self.current = Some(cell);
-        Ok(())
-    }
-
-    fn current_cell(&self) -> Option<CellId> {
-        self.current
-    }
-
-    fn fetch(&mut self, ordinal: u32) -> Result<Option<VPage>> {
-        assert!(self.current.is_some(), "enter_cell before fetch");
-        assert!(ordinal < self.n_nodes, "node ordinal out of range");
-        match self.segment[ordinal as usize] {
-            NIL => Ok(None), // pruned without I/O
-            ptr => Ok(Some(self.vpages.read(ptr)?)),
+        bytes.resize(seg_pages as usize * PAGE_SIZE, 0);
+        for chunk in bytes.chunks(PAGE_SIZE) {
+            index.append_page(&Page::from_bytes(chunk))?;
         }
     }
-
-    fn stats(&self) -> IoStats {
-        self.index.stats() + self.vpages.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.index.reset_stats();
-        self.vpages.reset_stats();
-    }
-
-    fn storage_bytes(&self) -> u64 {
-        // size_ptr · N_node · c + size_vpage · Σ N_vnode (paper §4.2).
-        8 * self.n_nodes as u64 * self.cells as u64
-            + self.vpages.record_bytes() as u64 * self.vpages.records()
-    }
-
-    fn arm_faults(&mut self, plan: &FaultPlan) {
-        self.index.arm_faults(plan.clone());
-        self.vpages.arm_faults(plan.clone());
-    }
-
-    fn disarm_faults(&mut self) {
-        self.index.disarm_faults();
-        self.vpages.disarm_faults();
-    }
-
-    fn relocate(&mut self, backend: &StorageBackend) -> Result<()> {
-        relocate_disk(&mut self.index, backend, "vertical_index")?;
-        self.vpages.relocate(backend, "vertical_vpages")
-    }
-
-    fn into_shared(
-        self: Box<Self>,
-        pool: crate::shared::PoolConfig,
-    ) -> crate::shared::SharedVStore {
-        let model = self.index.model();
-        crate::shared::SharedVStore::Vertical(crate::shared::SharedVertical {
-            index: hdov_storage::SharedCachedFile::with_overlay(
-                self.index.into_inner().into_frozen(),
-                model,
-                pool.capacity_pages,
-                pool.shards,
-                pool.decode_overlay,
-            )
-            .with_retry(pool.retry)
-            .with_replicas(pool.replicas),
-            vpages: self.vpages.into_shared(pool),
-            cells: self.cells,
-            n_nodes: self.n_nodes,
-            seg_pages: self.seg_pages,
-        })
-    }
+    let (vpages, vpage_cur) = vpages.freeze()?;
+    index.enable_checksums()?;
+    let (index, index_cur) = freeze_index(index);
+    let store = SharedVStore::Vertical(SharedVertical {
+        index,
+        vpages,
+        cells: cells.len() as u32,
+        n_nodes,
+        seg_pages,
+    });
+    Ok((store, [index_cur, vpage_cur]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::testutil;
+    use crate::storage::testutil::{self, io, session};
 
     #[test]
     fn conformance() {
         for codec in [VPageCodec::Raw, VPageCodec::Delta] {
             let (counts, cells) = testutil::sample_cells(12);
-            let mut s = VerticalStore::build(&counts, &cells, DiskModel::FREE, codec).unwrap();
-            testutil::conformance(&mut s, &cells, 12);
+            let built = build(&counts, &cells, DiskModel::FREE, codec).unwrap();
+            testutil::conformance(built, &cells, 12);
         }
     }
 
     #[test]
     fn flip_costs_segment_pages_and_hidden_fetches_are_free() {
         let (counts, cells) = testutil::sample_cells(12);
-        let mut s =
-            VerticalStore::build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta).unwrap();
-        s.enter_cell(2).unwrap(); // empty cell
-        let flip_reads = s.stats().page_reads;
+        let (s, cursors) = build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta).unwrap();
+        let mut ctx = session(cursors);
+        s.enter_cell(&mut ctx, 2).unwrap(); // empty cell
+        let flip_reads = io(&ctx).page_reads;
         assert_eq!(flip_reads, 1, "12 pointers fit one segment page");
         for n in 0..12 {
-            assert!(s.fetch(n).unwrap().is_none());
+            assert!(s.fetch(&mut ctx, n).unwrap().is_none());
         }
         assert_eq!(
-            s.stats().page_reads,
+            io(&ctx).page_reads,
             flip_reads,
             "hidden fetches must be free"
         );
@@ -216,16 +95,16 @@ mod tests {
     #[test]
     fn sequential_vpage_scan_in_dfs_order() {
         let (counts, cells) = testutil::sample_cells(40);
-        let mut s =
-            VerticalStore::build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta).unwrap();
-        s.enter_cell(0).unwrap();
-        s.reset_stats();
+        let (s, cursors) = build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta).unwrap();
+        let mut ctx = session(cursors);
+        s.enter_cell(&mut ctx, 0).unwrap();
+        testutil::reset(&mut ctx);
         // Fetch visible nodes in DFS (ordinal) order: V-pages are clustered,
         // so most reads land on the same or next disk page.
         for &(ordinal, _) in &cells[0] {
-            let _ = s.fetch(ordinal).unwrap().unwrap();
+            let _ = s.fetch(&mut ctx, ordinal).unwrap().unwrap();
         }
-        let st = s.stats();
+        let st = io(&ctx);
         assert!(st.page_reads >= 1);
         assert!(
             st.random_reads <= 1,
@@ -236,7 +115,7 @@ mod tests {
     #[test]
     fn storage_matches_formula() {
         let (counts, cells) = testutil::sample_cells(10);
-        let s = VerticalStore::build(&counts, &cells, DiskModel::FREE, VPageCodec::Raw).unwrap();
+        let (s, _) = build(&counts, &cells, DiskModel::FREE, VPageCodec::Raw).unwrap();
         let vnode_total: u64 = cells.iter().map(|c| c.len() as u64).sum();
         let vpage = 4 + 8 * *counts.iter().max().unwrap() as u64;
         assert_eq!(s.storage_bytes(), 8 * 10 * 3 + vpage * vnode_total);
@@ -245,21 +124,20 @@ mod tests {
     #[test]
     fn delta_codec_shrinks_storage_with_identical_answers() {
         let (counts, cells) = testutil::sample_cells(10);
-        let raw = VerticalStore::build(&counts, &cells, DiskModel::FREE, VPageCodec::Raw).unwrap();
-        let mut delta =
-            VerticalStore::build(&counts, &cells, DiskModel::FREE, VPageCodec::Delta).unwrap();
-        assert!(delta.storage_bytes() < raw.storage_bytes());
-        testutil::conformance(&mut delta, &cells, 10);
+        let (raw, _) = build(&counts, &cells, DiskModel::FREE, VPageCodec::Raw).unwrap();
+        let delta = build(&counts, &cells, DiskModel::FREE, VPageCodec::Delta).unwrap();
+        assert!(delta.0.storage_bytes() < raw.storage_bytes());
+        testutil::conformance(delta, &cells, 10);
     }
 
     #[test]
     fn flip_between_cells_changes_answers() {
         let (counts, cells) = testutil::sample_cells(6);
-        let mut s =
-            VerticalStore::build(&counts, &cells, DiskModel::FREE, VPageCodec::Delta).unwrap();
-        s.enter_cell(0).unwrap();
-        assert!(s.fetch(1).unwrap().is_none()); // odd node hidden in cell 0
-        s.enter_cell(1).unwrap();
-        assert!(s.fetch(1).unwrap().is_some()); // visible in cell 1
+        let (s, cursors) = build(&counts, &cells, DiskModel::FREE, VPageCodec::Delta).unwrap();
+        let mut ctx = session(cursors);
+        s.enter_cell(&mut ctx, 0).unwrap();
+        assert!(s.fetch(&mut ctx, 1).unwrap().is_none()); // odd node hidden in cell 0
+        s.enter_cell(&mut ctx, 1).unwrap();
+        assert!(s.fetch(&mut ctx, 1).unwrap().is_some()); // visible in cell 1
     }
 }

@@ -10,36 +10,31 @@
 //! 10.  else                  -> Search(E.ptr)
 //! ```
 //!
-//! Every query engine runs this one walk. What differs between them is
-//! fixed at compile time by two type parameters:
+//! Every query runs this one walk over a frozen
+//! [`SharedEnvironment`](crate::SharedEnvironment), read and charged
+//! through one session's [`SessionCtx`](crate::SessionCtx) — the
+//! single-user [`HdovEnvironment`](crate::HdovEnvironment) is just such a
+//! session. What differs between callers is an [`Emit`] sink, fixed at
+//! compile time: it says where answers go and which of them to keep — a
+//! [`QueryResult`] keeps everything, a shard frame keeps only what its
+//! shard owns and tags each entry with its [`PathKey`](crate::PathKey).
 //!
-//! * a [`Storage`] adapter says how pages are reached and charged — the
-//!   sequential `(HdovTree, VisibilityStore, ObjectModels)` triple, or a
-//!   frozen [`SharedEnvironment`](crate::SharedEnvironment) read through a
-//!   per-session [`SessionCtx`](crate::SessionCtx);
-//! * an [`Emit`] sink says where answers go and which of them to keep — a
-//!   [`QueryResult`] keeps everything, a shard frame keeps only what its
-//!   shard owns and tags each entry with its [`PathKey`](crate::PathKey).
-//!
-//! Around the walk sit the behaviours every engine shares: the
+//! Around the walk sit the behaviours every caller shares: the
 //! [`QueryBudget`] check before each descent (DESIGN.md §12), graceful
 //! degradation of unreadable subtrees to their internal LoD (§11), the
 //! last-resort root fallback, and the per-query `hdov-obs` report.
 
 use crate::budget::{BudgetClock, QueryBudget};
-use crate::node::{HdovEntry, HdovNode};
 use crate::search::{
     select_level, DegradeCause, DegradeEvent, ResultEntry, ResultKey, SearchStats,
 };
-use crate::vpage::{VEntry, VPage};
+use crate::shared::{SharedStorage, SharedTree};
+use crate::vpage::VPage;
 use hdov_geom::solid_angle::MAX_DOV;
 use hdov_obs::{Counter, Hist, Phase};
-use hdov_scene::{ModelHandle, ModelStore};
 use hdov_storage::Result;
 use hdov_visibility::CellId;
-use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Resident keys and their LoD levels (the walkthrough delta, §5.4).
 pub(crate) type Skip<'a> = Option<&'a HashMap<ResultKey, usize>>;
@@ -50,42 +45,6 @@ const BUDGET_EXHAUSTED_DETAIL: &str = "query budget exhausted before descent";
 
 /// The root ordinal (nodes are numbered in DFS preorder).
 const ROOT: u32 = 0;
-
-/// How the walk reaches the tree's pages, and what they cost. Each
-/// implementation keeps its engine's own charging rules.
-pub(crate) trait Storage {
-    /// A fetched V-page (owned, or shared from a pooled frame).
-    type VPage: Borrow<VPage>;
-    /// A snapshot of the I/O meters at query start.
-    type Meters;
-
-    /// Snapshots the meters a query will be charged against.
-    fn begin(&mut self) -> Self::Meters;
-    /// Cumulative simulated I/O charged to the meters, for the budget clock.
-    /// Pure accessor reads: it charges nothing.
-    fn io_elapsed_us(&self) -> f64;
-    /// The segment flip into `cell` (plus any batched V-page prefetch).
-    fn enter_cell(&mut self, cell: CellId) -> Result<()>;
-    /// The V-page of `ordinal` in the current cell; `None` when the scheme
-    /// proves the node invisible for free.
-    fn vpage(&mut self, ordinal: u32) -> Result<Option<Self::VPage>>;
-    /// Node `ordinal`.
-    fn node(&mut self, ordinal: u32) -> Result<Arc<HdovNode>>;
-    /// The object-model directory.
-    fn object_store(&self) -> &ModelStore;
-    /// The internal-LoD directory (key = node ordinal).
-    fn internal_store(&self) -> &ModelStore;
-    /// Charges the page reads of object `id` at `level`.
-    fn fetch_object(&mut self, id: u64, level: usize) -> Result<ModelHandle>;
-    /// Charges the page reads of node `ordinal`'s internal LoD at `level`.
-    fn fetch_internal(&mut self, ordinal: u32, level: usize) -> Result<ModelHandle>;
-    /// The second condition of Fig. 3 line 7.
-    fn terminates(&self, entry: &HdovEntry, ve: &VEntry) -> bool;
-    /// Objects indexed by the tree (the root fallback's coverage).
-    fn object_count(&self) -> u64;
-    /// This query's I/O since `start`, into `stats`.
-    fn finish(&self, start: &Self::Meters, stats: &mut SearchStats);
-}
 
 /// Where the walk's answers go, and which positions this sink keeps (by
 /// default: every one).
@@ -109,8 +68,8 @@ pub(crate) trait Emit {
         true
     }
     /// Objects the last-resort root fallback stands in for.
-    fn root_objects(&self, storage: &impl Storage) -> u64 {
-        storage.object_count()
+    fn root_objects(&self, tree: &SharedTree) -> u64 {
+        tree.object_count()
     }
     /// Appends an entry at `at`.
     fn push(&mut self, at: Self::Path, entry: ResultEntry);
@@ -136,8 +95,8 @@ pub(crate) trait Emit {
 /// Under an exhausted [`QueryBudget`] the walk stops descending and serves
 /// every remaining subtree as its internal LoD; an unlimited budget costs
 /// one branch per descent and touches no clock or meter.
-pub(crate) fn run<S: Storage, E: Emit>(
-    storage: &mut S,
+pub(crate) fn run<E: Emit>(
+    mut storage: SharedStorage<'_>,
     sink: &mut E,
     cell: CellId,
     eta: f64,
@@ -149,7 +108,7 @@ pub(crate) fn run<S: Storage, E: Emit>(
     let bclock = BudgetClock::start(budget, storage.io_elapsed_us());
     sink.clear();
     let mut walk = Walk {
-        storage,
+        storage: &mut storage,
         sink,
         eta,
         skip,
@@ -161,7 +120,7 @@ pub(crate) fn run<S: Storage, E: Emit>(
         // last resort of graceful degradation serves the whole scene as the
         // root's internal LoD. Only an unreadable root LoD fails the query.
         walk.sink.clear();
-        let coarse = walk.sink.root_objects(&*walk.storage);
+        let coarse = walk.sink.root_objects(&walk.storage.env.tree);
         let cause = DegradeCause::ReadError;
         walk.degrade(ROOT, E::Path::default(), 0.0, coarse, cause, e.to_string())?;
     }
@@ -172,8 +131,8 @@ pub(crate) fn run<S: Storage, E: Emit>(
 }
 
 /// One query's walk state.
-struct Walk<'a, S, E> {
-    storage: &'a mut S,
+struct Walk<'a, 's, E> {
+    storage: &'a mut SharedStorage<'s>,
     sink: &'a mut E,
     eta: f64,
     skip: Skip<'a>,
@@ -181,7 +140,7 @@ struct Walk<'a, S, E> {
     stats: SearchStats,
 }
 
-impl<S: Storage, E: Emit> Walk<'_, S, E> {
+impl<E: Emit> Walk<'_, '_, E> {
     fn enter_and_walk(&mut self, cell: CellId) -> Result<()> {
         self.storage.enter_cell(cell)?;
         let _traversal = hdov_obs::span(Phase::Traversal);
@@ -196,7 +155,7 @@ impl<S: Storage, E: Emit> Walk<'_, S, E> {
         }) else {
             return Ok(()); // invisible (vertical/indexed prove it for free)
         };
-        let vpage: &VPage = vpage.borrow();
+        let vpage: &VPage = &vpage;
         self.stats.vpages_fetched += 1;
         if !vpage.any_visible() {
             return Ok(()); // horizontal placeholder for a hidden node

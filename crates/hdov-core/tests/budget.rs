@@ -72,7 +72,7 @@ fn costs(s: &SearchStats) -> impl PartialEq + std::fmt::Debug {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// (a) on the sequential engine: two freshly built environments, one
+    /// (a) on the single-user `HdovEnvironment`: two freshly built environments, one
     /// queried plain and one under an unlimited budget, agree byte-for-byte
     /// on every cell.
     #[test]

@@ -95,7 +95,7 @@ fn overlay_dropped_exactly_on_frame_eviction() {
         .unwrap();
     // A single-shard two-frame V-page pool: reading three distinct pages is
     // guaranteed to evict the oldest.
-    let vs = store.into_shared(PoolConfig {
+    let vs = store.0.with_pools(PoolConfig {
         capacity_pages: 2,
         shards: 1,
         ..PoolConfig::default()
@@ -151,7 +151,7 @@ fn overlay_eviction_semantics_hold_under_delta_codec() {
     let store = StorageScheme::Vertical
         .build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta)
         .unwrap();
-    let vs = store.into_shared(PoolConfig {
+    let vs = store.0.with_pools(PoolConfig {
         capacity_pages: 2,
         shards: 1,
         ..PoolConfig::default()

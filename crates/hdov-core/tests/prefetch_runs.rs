@@ -42,11 +42,13 @@ fn cold_prefetch_issues_one_physical_read_per_run() {
                 mode,
                 replicas: 1,
             };
-            let mut store = scheme
+            let (store, _) = scheme
                 .build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta)
                 .unwrap();
-            store.relocate(&backend).unwrap();
-            let shared = store.into_shared(PoolConfig::default());
+            let shared = store
+                .relocated(&backend)
+                .unwrap()
+                .with_pools(PoolConfig::default());
             let mut ctx = SessionCtx::new();
             shared.enter_cell(&mut ctx, 0).unwrap();
 
@@ -76,11 +78,13 @@ fn cold_prefetch_issues_one_physical_read_per_run() {
         }
 
         // Mem backend: same prefetch, zero physical reads by definition.
-        let mut store = scheme
+        let (store, _) = scheme
             .build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta)
             .unwrap();
-        store.relocate(&StorageBackend::Mem).unwrap();
-        let shared = store.into_shared(PoolConfig::default());
+        let shared = store
+            .relocated(&StorageBackend::Mem)
+            .unwrap()
+            .with_pools(PoolConfig::default());
         let mut ctx = SessionCtx::new();
         shared.enter_cell(&mut ctx, 0).unwrap();
         hdov_obs::reset();

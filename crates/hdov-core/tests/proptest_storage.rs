@@ -2,9 +2,29 @@
 //! observationally equivalent on arbitrary sparse visibility data, and
 //! their storage formulas stay ordered in the sparse regime.
 
-use hdov_core::{StorageScheme, VEntry, VPage, VPageCodec};
-use hdov_storage::{DiskModel, FileMode, StorageBackend};
+use hdov_core::{SessionCtx, SharedVStore, StorageScheme, VEntry, VPage, VPageCodec};
+use hdov_storage::{DiskModel, FileMode, IoStats, StorageBackend};
 use proptest::prelude::*;
+
+/// A built store plus a session whose cursors start at the build's heads.
+fn build(
+    scheme: StorageScheme,
+    entry_counts: &[u16],
+    cells: &[Vec<(u32, VPage)>],
+    model: DiskModel,
+    codec: VPageCodec,
+) -> (SharedVStore, SessionCtx) {
+    let (store, [index_cur, vpage_cur]) = scheme.build(entry_counts, cells, model, codec).unwrap();
+    let mut ctx = SessionCtx::new();
+    ctx.index_cur = index_cur;
+    ctx.vpage_cur = vpage_cur;
+    (store, ctx)
+}
+
+/// The session's visibility-store I/O (V-page index + V-pages).
+fn io(ctx: &SessionCtx) -> IoStats {
+    ctx.index_cur.stats() + ctx.vpage_cur.stats()
+}
 
 /// Arbitrary per-cell sparse visibility data over `n_nodes` nodes.
 fn cells_strategy(n_nodes: u32, max_cells: usize) -> impl Strategy<Value = Vec<Vec<(u32, VPage)>>> {
@@ -38,18 +58,18 @@ proptest! {
         let entry_counts: Vec<u16> = (0..60u32).map(|n| ((n % 7) + 2) as u16).collect();
         let mut stores: Vec<_> = StorageScheme::all()
             .into_iter()
-            .map(|s| s.build(&entry_counts, &cells, DiskModel::FREE, VPageCodec::Delta).unwrap())
+            .map(|s| build(s, &entry_counts, &cells, DiskModel::FREE, VPageCodec::Delta))
             .collect();
         for (cid, cell) in cells.iter().enumerate() {
-            for store in stores.iter_mut() {
-                store.enter_cell(cid as u32).unwrap();
+            for (store, ctx) in stores.iter_mut() {
+                store.enter_cell(ctx, cid as u32).unwrap();
             }
             let expected: std::collections::HashMap<u32, &VPage> =
                 cell.iter().map(|(o, v)| (*o, v)).collect();
             for n in 0..60u32 {
                 let answers: Vec<Option<VPage>> = stores
                     .iter_mut()
-                    .map(|s| s.fetch(n).unwrap())
+                    .map(|(s, ctx)| s.fetch(ctx, n).unwrap().map(|v| (*v).clone()))
                     .collect();
                 match expected.get(&n) {
                     Some(want) => {
@@ -82,17 +102,21 @@ proptest! {
     #[test]
     fn revisiting_cells_is_stable(cells in cells_strategy(40, 6), order in prop::collection::vec(0usize..6, 1..20)) {
         let entry_counts: Vec<u16> = (0..40u32).map(|n| ((n % 7) + 2) as u16).collect();
-        let mut store = StorageScheme::IndexedVertical
-            .build(&entry_counts, &cells, DiskModel::FREE, VPageCodec::Delta)
-            .unwrap();
+        let (store, mut ctx) = build(
+            StorageScheme::IndexedVertical,
+            &entry_counts,
+            &cells,
+            DiskModel::FREE,
+            VPageCodec::Delta,
+        );
         for &raw in &order {
             let cid = raw % cells.len();
-            store.enter_cell(cid as u32).unwrap();
+            store.enter_cell(&mut ctx, cid as u32).unwrap();
             let expected: std::collections::HashMap<u32, &VPage> =
                 cells[cid].iter().map(|(o, v)| (*o, v)).collect();
             for n in 0..40u32 {
-                let got = store.fetch(n).unwrap();
-                prop_assert_eq!(got.as_ref(), expected.get(&n).copied(), "cell {} node {}", cid, n);
+                let got = store.fetch(&mut ctx, n).unwrap();
+                prop_assert_eq!(got.as_deref(), expected.get(&n).copied(), "cell {} node {}", cid, n);
             }
         }
     }
@@ -109,33 +133,29 @@ proptest! {
             for mode in [FileMode::Mmap, FileMode::Pread] {
                 // Fresh twin per mode: simulated charges depend on the disk
                 // head, which moves as the reference store is queried.
-                let mut mem = scheme
-                    .build(&entry_counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta)
-                    .unwrap();
+                let (mem, mut mem_ctx) =
+                    build(scheme, &entry_counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta);
                 let backend = StorageBackend::File {
                     dir: dir.join(format!("{scheme}_{mode:?}")),
                     mode,
                     replicas: 1,
                 };
-                let mut filed = scheme
-                    .build(&entry_counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta)
-                    .unwrap();
-                filed.relocate(&backend).unwrap();
-                mem.reset_stats();
-                filed.reset_stats();
+                let (filed, mut filed_ctx) =
+                    build(scheme, &entry_counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta);
+                let filed = filed.relocated(&backend).unwrap();
                 for cid in 0..cells.len() as u32 {
-                    mem.enter_cell(cid).unwrap();
-                    filed.enter_cell(cid).unwrap();
+                    mem.enter_cell(&mut mem_ctx, cid).unwrap();
+                    filed.enter_cell(&mut filed_ctx, cid).unwrap();
                     for n in 0..40u32 {
                         prop_assert_eq!(
-                            mem.fetch(n).unwrap(),
-                            filed.fetch(n).unwrap(),
+                            mem.fetch(&mut mem_ctx, n).unwrap(),
+                            filed.fetch(&mut filed_ctx, n).unwrap(),
                             "{} node {} cell {} diverged after {:?} round-trip",
                             scheme, n, cid, mode
                         );
                     }
                 }
-                prop_assert_eq!(mem.stats(), filed.stats(), "{} I/O charges", scheme);
+                prop_assert_eq!(io(&mem_ctx), io(&filed_ctx), "{} I/O charges", scheme);
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -149,17 +169,17 @@ proptest! {
         let vpage = 4 + 8 * max_entries;
         let c = cells.len() as u64;
 
-        let h = StorageScheme::Horizontal
+        let (h, _) = StorageScheme::Horizontal
             .build(&entry_counts, &cells, DiskModel::FREE, VPageCodec::Raw)
             .unwrap();
         prop_assert_eq!(h.storage_bytes(), vpage * c * 80);
 
-        let v = StorageScheme::Vertical
+        let (v, _) = StorageScheme::Vertical
             .build(&entry_counts, &cells, DiskModel::FREE, VPageCodec::Raw)
             .unwrap();
         prop_assert_eq!(v.storage_bytes(), 8 * 80 * c + vpage * vnode_total);
 
-        let iv = StorageScheme::IndexedVertical
+        let (iv, _) = StorageScheme::IndexedVertical
             .build(&entry_counts, &cells, DiskModel::FREE, VPageCodec::Raw)
             .unwrap();
         prop_assert_eq!(iv.storage_bytes(), (12 + vpage) * vnode_total);

@@ -3,8 +3,8 @@
 //! search.
 
 use hdov_core::{
-    DeltaSearch, HdovBuildConfig, HdovEnvironment, QueryResult, ResultKey, StorageScheme,
-    VPageCodec,
+    DeltaSearch, HdovBuildConfig, HdovEnvironment, QueryResult, ResultKey, SessionCtx,
+    StorageScheme, VPageCodec,
 };
 use hdov_geom::Vec3;
 use hdov_scene::{CityConfig, Scene};
@@ -121,7 +121,7 @@ fn every_visible_object_is_represented() {
     let n = e.tree().node_count();
     let mut parents: HashMap<u32, u32> = HashMap::new();
     for ord in 0..n {
-        let node = e.tree_mut().read_node(ord).unwrap();
+        let node = e.read_node(ord).unwrap();
         for entry in &node.entries {
             if entry.is_object() {
                 object_leaf.insert(entry.child, ord);
@@ -203,26 +203,31 @@ fn light_io_cheaper_for_indexed_than_horizontal() {
     // the indexed scheme's are clustered per cell (flip + sequential scan).
     use hdov_storage::DiskModel;
     let (counts, cells) = sparse_store_data();
-    let mut h = StorageScheme::Horizontal
-        .build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta)
-        .unwrap();
-    let mut iv = StorageScheme::IndexedVertical
-        .build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta)
-        .unwrap();
+    let session = |scheme: StorageScheme| {
+        let (store, [index_cur, vpage_cur]) = scheme
+            .build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta)
+            .unwrap();
+        let mut ctx = SessionCtx::new();
+        ctx.index_cur = index_cur;
+        ctx.vpage_cur = vpage_cur;
+        (store, ctx)
+    };
+    let elapsed =
+        |ctx: &SessionCtx| ctx.index_cur.stats().elapsed_us + ctx.vpage_cur.stats().elapsed_us;
+    let (h, mut h_ctx) = session(StorageScheme::Horizontal);
+    let (iv, mut iv_ctx) = session(StorageScheme::IndexedVertical);
     let (mut us_h, mut us_iv) = (0.0f64, 0.0f64);
     for (c, cell) in cells.iter().enumerate() {
-        for store in [&mut h, &mut iv] {
-            store.enter_cell(c as CellId).unwrap();
-        }
+        let (h0, iv0) = (elapsed(&h_ctx), elapsed(&iv_ctx));
+        h.enter_cell(&mut h_ctx, c as CellId).unwrap();
+        iv.enter_cell(&mut iv_ctx, c as CellId).unwrap();
         // Traversal touches the visible nodes in DFS (ordinal) order.
         for &(ordinal, _) in cell {
-            assert!(h.fetch(ordinal).unwrap().is_some());
-            assert!(iv.fetch(ordinal).unwrap().is_some());
+            assert!(h.fetch(&mut h_ctx, ordinal).unwrap().is_some());
+            assert!(iv.fetch(&mut iv_ctx, ordinal).unwrap().is_some());
         }
-        us_h += h.stats().elapsed_us;
-        us_iv += iv.stats().elapsed_us;
-        h.reset_stats();
-        iv.reset_stats();
+        us_h += elapsed(&h_ctx) - h0;
+        us_iv += elapsed(&iv_ctx) - iv0;
     }
     assert!(us_h > us_iv, "horizontal {us_h}us !> indexed {us_iv}us");
 }
@@ -236,6 +241,7 @@ fn storage_sizes_ordered_like_table2() {
         .map(|s| {
             s.build(&counts, &cells, DiskModel::FREE, VPageCodec::Raw)
                 .unwrap()
+                .0
                 .storage_bytes()
         })
         .collect();
@@ -361,7 +367,7 @@ fn node_cache_preserves_results_and_cuts_node_io() {
     let (baseline, s0) = e.query_with_stats(vp, 0.001).unwrap();
     assert!(s0.node_io.page_reads > 0);
 
-    e.tree_mut().enable_node_cache(256);
+    e.enable_node_cache(256);
     let (warm1, _) = e.query_with_stats(vp, 0.001).unwrap();
     let (warm2, s2) = e.query_with_stats(vp, 0.001).unwrap();
     assert_eq!(object_set(&baseline), object_set(&warm1));
@@ -371,45 +377,14 @@ fn node_cache_preserves_results_and_cuts_node_io() {
         s2.node_io.page_reads, 0,
         "warm query still hit the node file"
     );
-    let (hits, misses) = e.tree_mut().node_cache_stats().unwrap();
+    let (hits, misses) = e.node_cache_stats().unwrap();
     assert!(hits > 0);
     assert!(misses > 0);
 
-    e.tree_mut().disable_node_cache();
+    e.disable_node_cache();
     let (cold, s3) = e.query_with_stats(vp, 0.001).unwrap();
     assert_eq!(object_set(&baseline), object_set(&cold));
     assert!(s3.node_io.page_reads > 0, "cache must be fully disabled");
-}
-
-#[test]
-fn refresh_visibility_is_equivalent_to_rebuild() {
-    use hdov_storage::DiskModel;
-    let scene = scene();
-    let mut e = env(&scene, StorageScheme::IndexedVertical);
-    let vp = scene.bounds().center();
-    let baseline = object_set(&e.query(vp, 0.002).unwrap());
-
-    // Refresh with the identical table: answers unchanged.
-    let same_table = e.dov_table().clone();
-    e.refresh_visibility(same_table, DiskModel::PAPER_ERA)
-        .unwrap();
-    assert_eq!(object_set(&e.query(vp, 0.002).unwrap()), baseline);
-
-    // Refresh with a recomputed table on the same scene (determinism means
-    // it is identical data): still unchanged, across all cells.
-    let grid = e.grid().clone();
-    let table2 = hdov_visibility::DovTable::compute(
-        &scene,
-        &grid,
-        &hdov_core::HdovBuildConfig::fast_test().dov,
-        3,
-    );
-    e.refresh_visibility(table2, DiskModel::PAPER_ERA).unwrap();
-    for c in 0..e.grid().cell_count() as CellId {
-        let (r, _) = e.query_cell(c, 0.002).unwrap();
-        assert!(r.captured_dov() <= e.cell_total_dov(c) + 1e-6);
-    }
-    assert_eq!(object_set(&e.query(vp, 0.002).unwrap()), baseline);
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! The shared (concurrent) read path must agree with the sequential engine:
+//! Served sessions must agree with the single-user `HdovEnvironment` session:
 //! identical result entries and traversal counts on every scheme, identical
 //! answers from any number of concurrent sessions, and the batched V-page
 //! prefetch must not change answers — only costs.
@@ -34,7 +34,7 @@ fn shared_path_matches_mutable_path_on_all_schemes() {
         let cells: Vec<CellId> = (0..mutable.grid().cell_count() as CellId).collect();
         let etas = [0.0, 0.001, 0.01];
 
-        // Reference answers from the sequential engine.
+        // Reference answers from the single-user session.
         let mut want = Vec::new();
         for &cell in &cells {
             for &eta in &etas {

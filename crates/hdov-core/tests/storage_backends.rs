@@ -5,11 +5,11 @@
 //! runs.
 
 use hdov_core::{
-    search_shared_into, HdovBuildConfig, HdovEnvironment, PoolConfig, SearchScratch, StorageScheme,
-    VEntry, VPage, VPageCodec,
+    search_shared_into, HdovBuildConfig, HdovEnvironment, PoolConfig, SearchScratch, SessionCtx,
+    SharedVStore, StorageScheme, VEntry, VPage, VPageCodec,
 };
 use hdov_scene::CityConfig;
-use hdov_storage::{DiskModel, FileMode, FrozenPages, StorageBackend};
+use hdov_storage::{DiskModel, FileMode, FrozenPages, IoStats, StorageBackend};
 use hdov_visibility::{CellGridConfig, CellId};
 use std::path::PathBuf;
 
@@ -47,6 +47,28 @@ fn sample(n_nodes: u32) -> (Vec<u16>, Vec<Vec<(u32, VPage)>>) {
     (counts, cells)
 }
 
+/// A delta-codec store plus a session whose cursors start at the build's
+/// heads.
+fn build(
+    scheme: StorageScheme,
+    counts: &[u16],
+    cells: &[Vec<(u32, VPage)>],
+    model: DiskModel,
+) -> (SharedVStore, SessionCtx) {
+    let (store, [index_cur, vpage_cur]) = scheme
+        .build(counts, cells, model, VPageCodec::Delta)
+        .unwrap();
+    let mut ctx = SessionCtx::new();
+    ctx.index_cur = index_cur;
+    ctx.vpage_cur = vpage_cur;
+    (store, ctx)
+}
+
+/// The session's visibility-store I/O (V-page index + V-pages).
+fn io(ctx: &SessionCtx) -> IoStats {
+    ctx.index_cur.stats() + ctx.vpage_cur.stats()
+}
+
 fn file_backends(dir: &std::path::Path) -> [StorageBackend; 2] {
     [
         StorageBackend::File {
@@ -70,29 +92,23 @@ fn every_scheme_answers_identically_on_file_backends() {
         for backend in file_backends(&dir.join(scheme.to_string())) {
             // Fresh twin per backend: simulated charges depend on the disk
             // head, which moves as the reference store is queried.
-            let mut mem = scheme
-                .build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta)
-                .unwrap();
-            let mut filed = scheme
-                .build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta)
-                .unwrap();
-            filed.relocate(&backend).unwrap();
-            mem.reset_stats();
-            filed.reset_stats();
+            let (mem, mut mem_ctx) = build(scheme, &counts, &cells, DiskModel::PAPER_ERA);
+            let (filed, mut filed_ctx) = build(scheme, &counts, &cells, DiskModel::PAPER_ERA);
+            let filed = filed.relocated(&backend).unwrap();
             for cid in 0..cells.len() as CellId {
-                mem.enter_cell(cid).unwrap();
-                filed.enter_cell(cid).unwrap();
+                mem.enter_cell(&mut mem_ctx, cid).unwrap();
+                filed.enter_cell(&mut filed_ctx, cid).unwrap();
                 for n in 0..40u32 {
                     assert_eq!(
-                        mem.fetch(n).unwrap(),
-                        filed.fetch(n).unwrap(),
+                        mem.fetch(&mut mem_ctx, n).unwrap(),
+                        filed.fetch(&mut filed_ctx, n).unwrap(),
                         "{scheme} node {n} cell {cid} ({backend:?})"
                     );
                 }
             }
             assert_eq!(
-                mem.stats(),
-                filed.stats(),
+                io(&mem_ctx),
+                io(&filed_ctx),
                 "{scheme}: simulated I/O must not depend on the backend"
             );
         }
@@ -163,10 +179,8 @@ fn corrupted_store_files_fail_fast_for_every_scheme() {
     let (counts, cells) = sample(24);
     for scheme in StorageScheme::all() {
         let store_dir = dir.join(scheme.to_string());
-        let mut s = scheme
-            .build(&counts, &cells, DiskModel::FREE, VPageCodec::Delta)
-            .unwrap();
-        s.relocate(&StorageBackend::file(&store_dir)).unwrap();
+        let (s, _) = build(scheme, &counts, &cells, DiskModel::FREE);
+        s.relocated(&StorageBackend::file(&store_dir)).unwrap();
         let mut files = 0;
         for entry in std::fs::read_dir(&store_dir).unwrap() {
             let path = entry.unwrap().path();

@@ -24,11 +24,11 @@ use std::sync::Arc;
 
 /// A write-through page cache wrapping another [`PagedFile`].
 ///
-/// The pool holds [`Arc<Frame>`]s — the same frame type as the shared
-/// engine's [`SharedCachedFile`](crate::SharedCachedFile) — so the
-/// sequential engine reads through [`read_frame`](Self::read_frame) without
-/// copying pooled bytes, and decoded overlays live exactly as long as a
-/// page stays pooled. The [`PagedFile`] `read_page` remains available as a
+/// The pool holds [`Arc<Frame>`]s — the same frame type as
+/// [`SharedCachedFile`](crate::SharedCachedFile), whose single-stripe
+/// behaviour this type is the reference for — so
+/// [`read_frame`](Self::read_frame) reads without copying pooled bytes, and
+/// decoded overlays live exactly as long as a page stays pooled. The [`PagedFile`] `read_page` remains available as a
 /// copying compatibility wrapper.
 pub struct CachedFile<F> {
     inner: F,

@@ -10,9 +10,7 @@
 //! The accumulated [`IoStats`] is the sole time source for the experiment
 //! harness, making results deterministic.
 
-use crate::{
-    page_checksum, FaultPlan, IoStats, Page, PageId, PagedFile, Result, RetryPolicy, StorageError,
-};
+use crate::{page_checksum, IoStats, Page, PageId, PagedFile, Result, RetryPolicy, StorageError};
 
 /// Disk timing parameters (microseconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,17 +71,10 @@ pub struct SimulatedDisk<F> {
     /// write. `None` until stamped. Verification costs zero simulated time.
     checksums: Option<Vec<u64>>,
     /// Per-page "verified since last stamp" bits. The backend is an
-    /// immutable in-memory store between writes, so with no fault plan
-    /// armed, re-hashing a page already verified this generation can only
-    /// re-measure the hasher — verification is amortized to once per page
-    /// per stamp. An armed plan corrupts the *read copy*, so while armed
-    /// every read verifies regardless of this bitmap.
+    /// immutable in-memory store between writes, so re-hashing a page
+    /// already verified this generation can only re-measure the hasher —
+    /// verification is amortized to once per page per stamp.
     verified: Vec<bool>,
-    /// Armed fault plan ([`arm_faults`](Self::arm_faults)); `None` in
-    /// production.
-    plan: Option<FaultPlan>,
-    fault_reads: u64,
-    fault_injected: u64,
     retry: RetryPolicy,
 }
 
@@ -97,9 +88,6 @@ impl<F: PagedFile> SimulatedDisk<F> {
             last_page: None,
             checksums: None,
             verified: Vec::new(),
-            plan: None,
-            fault_reads: 0,
-            fault_injected: 0,
             retry: RetryPolicy::default(),
         }
     }
@@ -129,29 +117,9 @@ impl<F: PagedFile> SimulatedDisk<F> {
         self.checksums.is_some()
     }
 
-    /// Arms fault injection: subsequent reads draw from `plan`'s
-    /// deterministic fault stream (same counting rule as
-    /// [`FaultyFile`](crate::FaultyFile): failed attempts advance the read
-    /// counter). Transient failures are retried per
-    /// [`set_retry`](Self::set_retry); injected corruption is caught by the
-    /// checksum table when enabled.
-    pub fn arm_faults(&mut self, plan: FaultPlan) {
-        self.plan = Some(plan);
-    }
-
-    /// Disables fault injection (the injection counters are kept).
-    pub fn disarm_faults(&mut self) {
-        self.plan = None;
-    }
-
-    /// Number of faults injected since construction.
-    pub fn fault_injected(&self) -> u64 {
-        self.fault_injected
-    }
-
     /// Sets the transient-failure retry policy (default:
-    /// [`RetryPolicy::default`]). Inert unless faults are armed or the
-    /// backend itself fails transiently.
+    /// [`RetryPolicy::default`]). Inert unless the backend fails
+    /// transiently (for example a [`FaultyFile`](crate::FaultyFile)).
     pub fn set_retry(&mut self, retry: RetryPolicy) {
         self.retry = retry;
     }
@@ -182,11 +150,17 @@ impl<F: PagedFile> SimulatedDisk<F> {
         self.inner
     }
 
+    /// Consumes the wrapper into what a buffer pool over the same pages
+    /// needs: the backend, the cost model, the head position (the last
+    /// page touched, if any), and the stamped checksum table, if any.
+    pub(crate) fn into_parts(self) -> (F, DiskModel, Option<u64>, Option<Vec<u64>>) {
+        (self.inner, self.model, self.last_page, self.checksums)
+    }
+
     /// Replaces the wrapped backend, returning the old one. Stats, the
-    /// head position, and any enabled checksum table are all kept — this
-    /// is the relocation seam, and relocation guarantees the new backend
-    /// holds byte-identical pages (so the table and the per-page
-    /// `verified` memoization stay valid).
+    /// head position, and any enabled checksum table are all kept, so the
+    /// new backend must hold byte-identical pages (the table and the
+    /// per-page `verified` memoization stay valid).
     pub fn swap_inner(&mut self, inner: F) -> F {
         std::mem::replace(&mut self.inner, inner)
     }
@@ -215,45 +189,13 @@ impl<F: PagedFile> SimulatedDisk<F> {
 }
 
 impl<F: PagedFile> SimulatedDisk<F> {
-    /// One uncharged read attempt: backend read, then fault injection.
-    /// Returns the latency-spike microseconds to charge (0 when none).
-    fn try_read(&mut self, id: PageId, out: &mut Page) -> Result<f64> {
-        self.inner.read_page(id, out)?;
-        let Some(plan) = &self.plan else {
-            return Ok(0.0);
-        };
-        let nth = self.fault_reads + 1;
-        let fails = plan.fails_read(nth, id.0);
-        let corrupt_mask = plan
-            .corrupt_pages
-            .contains(&id.0)
-            .then_some(plan.corruption_mask);
-        let spike_us = plan.draws_spike_us(nth, id.0);
-        self.fault_reads = nth;
-        if fails {
-            self.fault_injected += 1;
-            return Err(StorageError::Io(std::io::Error::other(format!(
-                "injected read fault at {id}"
-            ))));
-        }
-        if let Some(mask) = corrupt_mask {
-            self.fault_injected += 1;
-            for b in out.bytes_mut() {
-                *b ^= mask;
-            }
-        }
-        Ok(spike_us)
-    }
-
     /// Verifies `out` against the stamped table (no-op when disabled).
     ///
-    /// Amortized: with no fault plan armed, a page re-read since its last
-    /// stamp-and-verify is skipped (the in-memory backend cannot rot
-    /// between writes); while a plan is armed every read verifies, because
-    /// injection corrupts the read copy, not the store.
+    /// Amortized: a page re-read since its last stamp-and-verify is skipped
+    /// (the in-memory backend cannot rot between writes).
     fn verify(&mut self, id: PageId, out: &Page) -> Result<()> {
         let slot = id.0 as usize;
-        if self.plan.is_none() && self.verified.get(slot).copied().unwrap_or(false) {
+        if self.verified.get(slot).copied().unwrap_or(false) {
             return Ok(());
         }
         if let Some(expect) = self.checksums.as_ref().and_then(|t| t.get(slot).copied()) {
@@ -274,9 +216,8 @@ impl<F: PagedFile> PagedFile for SimulatedDisk<F> {
         let attempts = self.retry.attempts();
         let mut attempt = 0u32;
         loop {
-            match self.try_read(id, out) {
-                Ok(spike_us) => {
-                    self.stats.elapsed_us += spike_us;
+            match self.inner.read_page(id, out) {
+                Ok(()) => {
                     // Integrity first (zero simulated cost, errors are
                     // never charged), then the ordinary access charge.
                     self.verify(id, out)?;
@@ -332,7 +273,7 @@ impl<F: PagedFile> PagedFile for SimulatedDisk<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemPagedFile;
+    use crate::{FaultPlan, FaultyFile, MemPagedFile};
 
     fn disk_with_pages(n: u64) -> SimulatedDisk<MemPagedFile> {
         let mut f = MemPagedFile::new();
@@ -429,8 +370,12 @@ mod tests {
     }
 
     fn written_disk(n: u64) -> SimulatedDisk<MemPagedFile> {
+        written(MemPagedFile::new(), n)
+    }
+
+    fn written<F: PagedFile>(inner: F, n: u64) -> SimulatedDisk<F> {
         let mut d = SimulatedDisk::new(
-            MemPagedFile::new(),
+            inner,
             DiskModel {
                 seek_us: 1000.0,
                 transfer_us: 10.0,
@@ -444,9 +389,25 @@ mod tests {
         d
     }
 
+    /// `written_disk(n)` behind a [`FaultyFile`] that injects nothing yet.
+    fn faulty_disk(n: u64) -> SimulatedDisk<FaultyFile<MemPagedFile>> {
+        written(
+            FaultyFile::new(MemPagedFile::new(), FaultPlan::default()),
+            n,
+        )
+    }
+
+    /// Replaces the fault plan between `d` and its pages (head, stats and
+    /// checksum table are kept).
+    fn set_plan(d: &mut SimulatedDisk<FaultyFile<MemPagedFile>>, plan: FaultPlan) {
+        let empty = FaultyFile::new(MemPagedFile::new(), FaultPlan::default());
+        let pages = d.swap_inner(empty).into_inner();
+        d.swap_inner(FaultyFile::new(pages, plan));
+    }
+
     #[test]
     fn checksums_cost_nothing_and_catch_corruption() {
-        let mut d = written_disk(3);
+        let mut d = faulty_disk(3);
         d.enable_checksums().unwrap();
         assert!(d.checksums_enabled());
         let mut p = Page::zeroed();
@@ -458,21 +419,21 @@ mod tests {
         assert_eq!(clean.elapsed_us, plain.stats().elapsed_us);
         assert_eq!(clean.page_reads, plain.stats().page_reads);
         // A bit flip is caught before any charge.
-        d.arm_faults(FaultPlan::corrupt_one(2));
+        set_plan(&mut d, FaultPlan::corrupt_one(2));
         let before = d.stats();
         let err = d.read_page(PageId(2), &mut p).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
         assert_eq!(d.stats().page_reads, before.page_reads);
         assert_eq!(d.stats().elapsed_us, before.elapsed_us);
-        assert_eq!(d.fault_injected(), 1);
+        assert_eq!(d.inner().injected(), 1);
     }
 
     #[test]
     fn corruption_without_checksums_passes_through() {
         // Matches FaultyFile: undetected bit rot is the baseline hazard
         // the checksum table exists to close.
-        let mut d = written_disk(1);
-        d.arm_faults(FaultPlan::corrupt_one(0));
+        let mut d = faulty_disk(1);
+        set_plan(&mut d, FaultPlan::corrupt_one(0));
         let mut p = Page::zeroed();
         d.read_page(PageId(0), &mut p).unwrap();
         assert_eq!(p.bytes()[0], 0xA5);
@@ -505,7 +466,7 @@ mod tests {
 
     #[test]
     fn transient_faults_retry_with_penalties() {
-        let mut d = written_disk(2);
+        let mut d = faulty_disk(2);
         d.set_retry(RetryPolicy {
             max_attempts: 3,
             base_backoff_us: 5.0,
@@ -513,10 +474,13 @@ mod tests {
         });
         // Fault-stream read #2 fails: the first read passes, the second
         // fails once and succeeds on retry.
-        d.arm_faults(FaultPlan {
-            fail_every_nth_read: 2,
-            ..Default::default()
-        });
+        set_plan(
+            &mut d,
+            FaultPlan {
+                fail_every_nth_read: 2,
+                ..Default::default()
+            },
+        );
         let mut p = Page::zeroed();
         d.read_page(PageId(0), &mut p).unwrap();
         let base = d.stats().elapsed_us;
@@ -526,42 +490,25 @@ mod tests {
         assert_eq!(s.page_reads, 2, "failed attempts are not reads");
         // Penalty (1000 + 10 + 5) then the sequential success (10).
         assert_eq!(s.elapsed_us, base + 1015.0 + 10.0);
-        assert_eq!(d.fault_injected(), 1);
+        assert_eq!(d.inner().injected(), 1);
     }
 
     #[test]
     fn exhausted_retries_surface_io_error() {
-        let mut d = written_disk(1);
+        let mut d = faulty_disk(1);
         d.set_retry(RetryPolicy {
             max_attempts: 2,
             base_backoff_us: 5.0,
             max_backoff_us: 100.0,
         });
-        d.arm_faults(FaultPlan::fail_one(0));
+        set_plan(&mut d, FaultPlan::fail_one(0));
         let mut p = Page::zeroed();
         let err = d.read_page(PageId(0), &mut p).unwrap_err();
         assert!(err.is_transient());
         assert_eq!(d.stats().page_reads, 0);
         assert_eq!(d.stats().elapsed_us, 1015.0, "one charged retry penalty");
-        d.disarm_faults();
+        set_plan(&mut d, FaultPlan::default());
         d.read_page(PageId(0), &mut p).unwrap();
         assert_eq!(d.stats().page_reads, 1);
-    }
-
-    #[test]
-    fn latency_spike_adds_simulated_time() {
-        let mut d = written_disk(1);
-        d.arm_faults(FaultPlan {
-            latency_spike_rate: 1.0,
-            latency_spike_us: 77.0,
-            seed: 1,
-            ..Default::default()
-        });
-        let mut p = Page::zeroed();
-        d.read_page(PageId(0), &mut p).unwrap();
-        assert_eq!(d.stats().page_reads, 1);
-        // Head is already at page 0 after the build writes: a sequential
-        // transfer (10) plus the injected spike (77).
-        assert_eq!(d.stats().elapsed_us, 10.0 + 77.0);
     }
 }

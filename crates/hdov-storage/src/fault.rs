@@ -129,7 +129,7 @@ impl FaultPlan {
 ///
 /// Latency spikes ([`FaultPlan::latency_spike_rate`]) are inert here: a
 /// bare [`PagedFile`] has no cost channel. They take effect on the metered
-/// paths ([`SimulatedDisk`](crate::SimulatedDisk) and [`SharedFaultyFile`]).
+/// pool path ([`SharedFaultyFile`]).
 #[derive(Debug)]
 pub struct FaultyFile<F> {
     inner: F,

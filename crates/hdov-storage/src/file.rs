@@ -192,17 +192,14 @@ impl PagedFile for FilePagedFile {
     }
 }
 
-/// The swappable store behind every experiment `SimulatedDisk`: a mutable
-/// in-memory file while a structure is being **built**, or an immutable
-/// [`FrozenPages`] snapshot (possibly file-backed) once it has been
-/// **relocated** to a storage backend.
-///
-/// This is the seam that lets the storage backend change *underneath* a
-/// built environment without touching any index code: every disk in the
-/// engine is a `SimulatedDisk<StoreFile>`, building always starts in
-/// `Mem`, and relocation swaps in a `Frozen` store holding byte-identical
-/// pages. Reads behave identically in both states; writes to a frozen
-/// store fail (the build phase is over).
+/// A store in either phase of its life: a mutable in-memory file while a
+/// structure is being **built** (every build disk is a
+/// `SimulatedDisk<StoreFile>` starting in `Mem`), or an immutable
+/// [`FrozenPages`] snapshot (possibly file-backed) once it has been frozen
+/// or relocated to a storage backend
+/// ([`StorageBackend::freeze`](crate::StorageBackend::freeze)). Reads
+/// behave identically in both states; writes to a frozen store fail (the
+/// build phase is over).
 #[derive(Debug)]
 pub enum StoreFile {
     /// A mutable in-memory file (the build phase).
@@ -254,9 +251,7 @@ impl PagedFile for StoreFile {
     fn read_page(&mut self, id: PageId, out: &mut Page) -> Result<()> {
         match self {
             StoreFile::Mem(f) => f.read_page(id, out),
-            // Frozen reads are verified and fail over to any attached
-            // replicas — the sequential engine's self-healing seam.
-            StoreFile::Frozen(fp) => fp.read_into_failover(id, out.bytes_mut()),
+            StoreFile::Frozen(fp) => fp.read_into(id, out.bytes_mut()),
         }
     }
 

@@ -40,12 +40,10 @@ pub struct LruCache<K, V> {
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
-    /// Creates a cache holding at most `capacity` entries.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
+    /// Creates a cache holding at most `capacity` entries. A zero-capacity
+    /// cache keeps nothing: every [`insert`](Self::insert) hands its pair
+    /// straight back, so every lookup misses.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "LRU capacity must be positive");
         LruCache {
             map: HashMap::with_capacity(capacity),
             slab: Vec::with_capacity(capacity),
@@ -144,8 +142,12 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Inserts `key -> value`, evicting the least-recently-used entry when
-    /// full. Returns the evicted `(key, value)` if any.
+    /// full. Returns the evicted `(key, value)` if any — the inserted pair
+    /// itself when the capacity is zero.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
+        if self.capacity == 0 {
+            return Some((key, value));
+        }
         if let Some(&idx) = self.map.get(&key) {
             self.slab[idx].value = value;
             self.detach(idx);
@@ -300,9 +302,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn zero_capacity_panics() {
-        let _: LruCache<u8, u8> = LruCache::new(0);
+    fn zero_capacity_keeps_nothing() {
+        let mut c = LruCache::new(0);
+        assert_eq!(c.insert("a", 1), Some(("a", 1)));
+        assert!(c.is_empty());
+        assert_eq!(c.get(&"a"), None);
+        assert_eq!(c.hit_stats(), (0, 1));
     }
 
     #[test]

@@ -136,7 +136,12 @@ impl ReplicaSet {
     /// Panics when an attached replica's page count differs from the
     /// primary's (replicas are byte-identical copies by construction).
     pub fn new(primary: &FrozenPages) -> Self {
-        let checksums = primary.checksum_table();
+        Self::with_checksums(primary, primary.checksum_table())
+    }
+
+    /// [`new`](Self::new) trusting an already computed checksum table for
+    /// the primary's pages (no rehash).
+    pub(crate) fn with_checksums(primary: &FrozenPages, checksums: Arc<[u64]>) -> Self {
         let mut replicas = vec![Replica::new(primary.clone())];
         for extra in primary.replicas() {
             assert_eq!(

@@ -1,10 +1,8 @@
-//! Concurrent, shared read path: frozen page stores and a lock-striped
-//! buffer pool.
+//! The read path: frozen page stores and a lock-striped buffer pool.
 //!
-//! The single-session engine threads `&mut` exclusively from the query down
-//! to [`SimulatedDisk`](crate::SimulatedDisk), so one tree can serve one
-//! walkthrough at a time. This module is the storage half of the concurrent
-//! engine:
+//! Stores are built in memory behind a [`SimulatedDisk`] and then frozen;
+//! every query reads them through this module, whether one session or many
+//! share the pools:
 //!
 //! * [`FrozenPages`] — an immutable, `Arc`-shared snapshot of a fully built
 //!   [`MemPagedFile`]; any number of threads may read it.
@@ -18,11 +16,12 @@
 //!   cursor, and a pool hit costs nothing, exactly like a
 //!   [`CachedFile`](crate::CachedFile) hit.
 //!
-//! The cost semantics deliberately mirror the sequential engine: a miss
-//! charges `seek + transfer` or `transfer` against the session's own head
-//! position using the same rule as [`SimulatedDisk`](crate::SimulatedDisk),
-//! so a single session over a cold shared pool sees the same simulated
-//! timings as one over a private pool of the same capacity.
+//! A miss charges `seek + transfer` or `transfer` against the session's own
+//! head position using the same rule as [`SimulatedDisk`], so a single
+//! session over a cold shared pool sees the same simulated timings as one
+//! over a private pool of the same capacity — and a pool of capacity 0
+//! whose cursor starts at a disk's head charges exactly what that disk
+//! would ([`SharedCachedFile::from_disk`]).
 
 use crate::error::StoreOrigin;
 use crate::mmap::MappedStore;
@@ -30,7 +29,8 @@ use crate::pread::PreadStore;
 use crate::replica::ReplicaSet;
 use crate::{
     page_checksum, DiskModel, FaultPlan, Frame, IoStats, LruCache, MemPagedFile, Page, PageId,
-    Result, RetryPolicy, SharedFaultyFile, StorageError, PAGE_SIZE,
+    Result, RetryPolicy, SharedFaultyFile, SimulatedDisk, StorageBackend, StorageError, StoreFile,
+    PAGE_SIZE,
 };
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -267,61 +267,6 @@ impl FrozenPages {
         Ok(())
     }
 
-    /// The verified on-disk sidecar table, when this store is file-backed
-    /// (mem stores have no sidecar; their bytes are the source of truth).
-    pub fn stored_checksums(&self) -> Option<&Arc<[u64]>> {
-        match &self.repr {
-            Repr::Mem { .. } => None,
-            Repr::Mapped { store } => Some(store.checksums()),
-            Repr::Pread { store } => Some(store.checksums()),
-        }
-    }
-
-    /// [`read_into`](Self::read_into) with verification and transparent
-    /// failover to attached replicas — the sequential engine's self-healing
-    /// read. File-backed reads are verified against the store's sidecar
-    /// (counting `checksum_failures` on a mismatch); a failed or corrupt
-    /// primary read retries each replica in order, and a replica-served
-    /// page counts `failover_reads`. Out-of-bounds errors never fail over
-    /// (every copy is the same length). Unreplicated mem stores behave
-    /// bit-identically to [`read_into`](Self::read_into).
-    ///
-    /// Repair is deliberately not wired here: the sequential engine is the
-    /// single-session path, and in-place healing (with its per-page repair
-    /// locking) lives in the shared pool's [`crate::ReplicaSet`] and the
-    /// [`crate::Scrubber`].
-    pub fn read_into_failover(&self, id: PageId, out: &mut [u8]) -> Result<()> {
-        match self.read_verified(id, out) {
-            Ok(()) => Ok(()),
-            Err(e @ StorageError::PageOutOfBounds { .. }) => Err(e),
-            Err(first) => {
-                for r in self.extra.iter() {
-                    if r.read_verified(id, out).is_ok() {
-                        hdov_obs::add(hdov_obs::Counter::FailoverReads, 1);
-                        return Ok(());
-                    }
-                }
-                Err(first)
-            }
-        }
-    }
-
-    /// [`read_into`](Self::read_into), verified against the on-disk sidecar
-    /// when one exists.
-    fn read_verified(&self, id: PageId, out: &mut [u8]) -> Result<()> {
-        self.read_into(id, out)?;
-        if let Some(table) = self.stored_checksums() {
-            if page_checksum(&out[..PAGE_SIZE]) != table[id.0 as usize] {
-                hdov_obs::add(hdov_obs::Counter::ChecksumFailures, 1);
-                return Err(StorageError::Corrupt(format!(
-                    "checksum mismatch on {id} ({})",
-                    self.origin()
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// The mmap store behind this handle, when the mmap backend is active
     /// (the borrowed-frame and `madvise` fast paths key off this).
     pub fn mapped(&self) -> Option<&Arc<MappedStore>> {
@@ -423,9 +368,8 @@ impl AtomicIoStats {
 /// Per-session disk-head state plus accumulated per-session costs.
 ///
 /// The shared pool charges misses against this cursor with the same
-/// sequential-run rule as [`SimulatedDisk`](crate::SimulatedDisk): an access
-/// is sequential iff it targets the session's previous page or the one after
-/// it.
+/// sequential-run rule as [`SimulatedDisk`]: an access is sequential iff it
+/// targets the session's previous page or the one after it.
 #[derive(Debug, Clone, Default)]
 pub struct IoCursor {
     last_page: Option<u64>,
@@ -515,11 +459,12 @@ pub struct SharedCachedFile {
 impl SharedCachedFile {
     /// Builds a pool of `capacity` total pages striped over `shards` locks.
     ///
-    /// Capacity is divided evenly (rounding up) across shards; each shard
-    /// holds at least one page.
+    /// Capacity is divided evenly (rounding up) across shards. A pool of
+    /// capacity 0 keeps nothing: every read is a charged miss, exactly as
+    /// on a [`SimulatedDisk`].
     ///
     /// # Panics
-    /// Panics when `capacity` or `shards` is zero.
+    /// Panics when `shards` is zero.
     pub fn new(data: FrozenPages, model: DiskModel, capacity: usize, shards: usize) -> Self {
         Self::with_overlay(data, model, capacity, shards, true)
     }
@@ -536,11 +481,20 @@ impl SharedCachedFile {
         shards: usize,
         cache_overlay: bool,
     ) -> Self {
-        assert!(capacity > 0, "pool capacity must be positive");
+        let replicas = ReplicaSet::new(&data);
+        Self::from_replicas(data, model, capacity, shards, cache_overlay, replicas)
+    }
+
+    fn from_replicas(
+        data: FrozenPages,
+        model: DiskModel,
+        capacity: usize,
+        shards: usize,
+        cache_overlay: bool,
+        replicas: ReplicaSet,
+    ) -> Self {
         assert!(shards > 0, "shard count must be positive");
         let per_shard = capacity.div_ceil(shards);
-        let replicas = ReplicaSet::new(&data);
-        let checksums = Arc::clone(replicas.checksums());
         SharedCachedFile {
             data,
             model,
@@ -549,10 +503,34 @@ impl SharedCachedFile {
                 .collect(),
             stats: AtomicIoStats::default(),
             cache_overlay,
-            checksums,
+            checksums: Arc::clone(replicas.checksums()),
             retry: RetryPolicy::default(),
             replicas,
         }
+    }
+
+    /// Freezes a fully built disk into a pool of `capacity` pages over
+    /// `shards` locks (decoded overlays on). The disk's stamped checksum
+    /// table is reused rather than recomputed, and the returned cursor is
+    /// parked where the disk's head stopped, so the first read after the
+    /// build is charged exactly as the disk would have charged it.
+    pub fn from_disk(
+        disk: SimulatedDisk<StoreFile>,
+        capacity: usize,
+        shards: usize,
+    ) -> (Self, IoCursor) {
+        let (file, model, head, checksums) = disk.into_parts();
+        let data = file.into_frozen();
+        let replicas = match checksums {
+            Some(table) => ReplicaSet::with_checksums(&data, table.into()),
+            None => ReplicaSet::new(&data),
+        };
+        let pool = Self::from_replicas(data, model, capacity, shards, true, replicas);
+        let cursor = IoCursor {
+            last_page: head,
+            stats: IoStats::new(),
+        };
+        (pool, cursor)
     }
 
     /// Pads the replica set to at least `n` copies by cloning the primary —
@@ -625,21 +603,42 @@ impl SharedCachedFile {
     /// concurrent bench.
     pub fn fork(&self) -> Self {
         let per_shard = lock_shard(&self.shards[0]).capacity();
-        SharedCachedFile {
-            data: self.data.clone(),
-            model: self.model,
-            shards: (0..self.shards.len())
-                .map(|_| Mutex::new(LruCache::new(per_shard)))
-                .collect(),
-            stats: AtomicIoStats::default(),
-            cache_overlay: self.cache_overlay,
-            checksums: Arc::clone(&self.checksums),
-            retry: self.retry,
-            // Faults and health are not inherited: each pool arms its own
-            // injectors and keeps its own quarantine/repair book (over the
-            // same stores, at the same replica count).
-            replicas: self.replicas.fork(),
+        let shards = self.shards.len();
+        self.resized(per_shard * shards, shards, self.cache_overlay)
+    }
+
+    /// A cold pool over the same frozen data and trusted checksum table,
+    /// with a new geometry and overlay policy (retry policy and replica
+    /// count are kept). Like [`fork`](Self::fork), faults and health are
+    /// not inherited: each pool arms its own injectors and keeps its own
+    /// quarantine/repair book over the same stores.
+    pub fn resized(&self, capacity: usize, shards: usize, cache_overlay: bool) -> Self {
+        let replicas = self.replicas.fork();
+        let data = self.data.clone();
+        Self::from_replicas(data, self.model, capacity, shards, cache_overlay, replicas)
+            .with_retry(self.retry)
+    }
+
+    /// This pool's pages relocated onto `backend` as store `name` (header
+    /// `flags`, see [`StorageBackend::freeze_flagged`]), behind a cold pool
+    /// of the same geometry. On the mem backend the pages stay where they
+    /// are; on a file backend they are serialized and reopened, and the
+    /// verified on-disk sidecar becomes the trusted checksum table.
+    pub fn relocated(&self, backend: &StorageBackend, name: &str, flags: u32) -> Result<Self> {
+        if !backend.is_file() {
+            return Ok(self.fork());
         }
+        let file = backend.freeze_flagged(name, StoreFile::Frozen(self.data.clone()), flags)?;
+        let per_shard = lock_shard(&self.shards[0]).capacity();
+        let shards = self.shards.len();
+        let pool = Self::with_overlay(
+            file.into_frozen(),
+            self.model,
+            per_shard * shards,
+            shards,
+            self.cache_overlay,
+        );
+        Ok(pool.with_retry(self.retry))
     }
 
     /// The underlying frozen snapshot.

@@ -117,7 +117,7 @@ fn single_shard_matches_cached_file_on_same_trace() {
     let shared = SharedCachedFile::from_mem(mem_file(), model, CAPACITY, 1);
     let mut cursor = IoCursor::new();
 
-    // Baseline: the sequential engine's pool over a fresh simulated disk
+    // Baseline: the reference single-threaded pool over a fresh simulated disk
     // (head position starts unset, matching a fresh IoCursor).
     let mut baseline = CachedFile::new(
         hdov_storage::SimulatedDisk::new(mem_file(), model),

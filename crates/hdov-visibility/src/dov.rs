@@ -293,6 +293,9 @@ impl DovTable {
     ///
     /// Typical flow after a scene edit:
     /// `let dirty = table.affected_cells(...); table.recompute_cells(&new_scene, &grid, &cfg, &dirty);`
+    /// — the mutable write path (`hdov_core::MutableScene::commit`) runs
+    /// exactly this, then republishes the environment from the patched
+    /// table.
     pub fn recompute_cells(
         &mut self,
         scene: &Scene,

@@ -43,32 +43,8 @@ impl StreamingVisualSystem {
     pub fn new(mut env: HdovEnvironment, eta: f64, budget_ms: f64) -> Result<Self> {
         assert!(budget_ms > 0.0, "budget must be positive");
         let n = env.tree().node_count() as usize;
-        env.tree_mut().enable_node_cache(n.max(1));
-        // Ancestor map for fidelity (same construction as VisualSystem).
-        let n = env.tree().node_count();
-        let mut parent: HashMap<u32, u32> = HashMap::new();
-        let mut leaf_of: HashMap<u64, u32> = HashMap::new();
-        for ord in 0..n {
-            let node = env.tree_mut().read_node(ord)?;
-            for e in &node.entries {
-                if e.is_object() {
-                    leaf_of.insert(e.child, ord);
-                } else {
-                    parent.insert(e.child_ordinal, ord);
-                }
-            }
-        }
-        env.tree_mut().reset_io();
-        let mut ancestors = HashMap::with_capacity(leaf_of.len());
-        for (&obj, &leaf) in &leaf_of {
-            let mut chain = vec![leaf];
-            let mut cur = leaf;
-            while let Some(&p) = parent.get(&cur) {
-                chain.push(p);
-                cur = p;
-            }
-            ancestors.insert(obj, chain);
-        }
+        env.enable_node_cache(n.max(1));
+        let ancestors = crate::system::ancestor_map(&mut env)?;
         Ok(StreamingVisualSystem {
             env,
             delta: DeltaSearch::new(),

@@ -26,6 +26,35 @@ pub trait WalkthroughSystem {
     fn peak_memory_bytes(&self) -> u64;
 }
 
+/// Object id → ordinals of its ancestor nodes, leaf first (view-invariant).
+/// Reads every node once through the environment's session, so the node
+/// file's head ends where a scan leaves it.
+pub(crate) fn ancestor_map(env: &mut HdovEnvironment) -> Result<HashMap<u64, Vec<u32>>> {
+    let mut parent: HashMap<u32, u32> = HashMap::new();
+    let mut leaf_of: HashMap<u64, u32> = HashMap::new();
+    for ord in 0..env.tree().node_count() {
+        let node = env.read_node(ord)?;
+        for e in &node.entries {
+            if e.is_object() {
+                leaf_of.insert(e.child, ord);
+            } else {
+                parent.insert(e.child_ordinal, ord);
+            }
+        }
+    }
+    let mut ancestors = HashMap::with_capacity(leaf_of.len());
+    for (&obj, &leaf) in &leaf_of {
+        let mut chain = vec![leaf];
+        let mut cur = leaf;
+        while let Some(&p) = parent.get(&cur) {
+            chain.push(p);
+            cur = p;
+        }
+        ancestors.insert(obj, chain);
+    }
+    Ok(ancestors)
+}
+
 /// VISUAL: the HDoV-tree system with delta search (paper §5.4).
 pub struct VisualSystem {
     env: HdovEnvironment,
@@ -39,31 +68,7 @@ pub struct VisualSystem {
 impl VisualSystem {
     /// Wraps an environment with threshold `eta`.
     pub fn new(mut env: HdovEnvironment, eta: f64) -> Result<Self> {
-        // Build the ancestor map once (view-invariant).
-        let n = env.tree().node_count();
-        let mut parent: HashMap<u32, u32> = HashMap::new();
-        let mut leaf_of: HashMap<u64, u32> = HashMap::new();
-        for ord in 0..n {
-            let node = env.tree_mut().read_node(ord)?;
-            for e in &node.entries {
-                if e.is_object() {
-                    leaf_of.insert(e.child, ord);
-                } else {
-                    parent.insert(e.child_ordinal, ord);
-                }
-            }
-        }
-        env.tree_mut().reset_io();
-        let mut ancestors = HashMap::with_capacity(leaf_of.len());
-        for (&obj, &leaf) in &leaf_of {
-            let mut chain = vec![leaf];
-            let mut cur = leaf;
-            while let Some(&p) = parent.get(&cur) {
-                chain.push(p);
-                cur = p;
-            }
-            ancestors.insert(obj, chain);
-        }
+        let ancestors = ancestor_map(&mut env)?;
         Ok(VisualSystem {
             env,
             delta: DeltaSearch::new(),
