@@ -8,7 +8,7 @@
 //! * `node_overlay/memoized` vs `node_overlay/rerun`: reading every node
 //!   through the memoized overlay vs re-running `HdovNode::decode` per read
 //!   (the `decode_overlay: false` A/B arm);
-//! * `search_shared_steady/*`: a full steady-state query sweep over warm
+//! * `search_steady/*`: a full steady-state query sweep over warm
 //!   pools, overlays on vs off — the end-to-end CPU win.
 //!
 //! Kept deliberately small (tiny scene, fast build) so the CI perf gate can
@@ -16,8 +16,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdov_core::{
-    search_shared_into, HdovBuildConfig, HdovEnvironment, PoolConfig, SearchScratch,
-    SharedEnvironment, StorageScheme, VEntry, VPage, VPageCodec,
+    HdovBuildConfig, HdovEnvironment, PoolConfig, Query, SearchScratch, SharedEnvironment,
+    StorageScheme, VEntry, VPage, VPageCodec,
 };
 use hdov_scene::CityConfig;
 use hdov_storage::{IoCursor, Page, PageId, PAGE_SIZE};
@@ -91,22 +91,25 @@ fn node_overlay(c: &mut Criterion) {
 }
 
 /// Steady-state query sweep over warm pools: the end-to-end hit path.
-fn search_shared_steady(c: &mut Criterion) {
-    let mut group = c.benchmark_group("decode/search_shared_steady");
+fn search_steady(c: &mut Criterion) {
+    let mut group = c.benchmark_group("decode/search_steady");
     for (label, overlay) in [("overlay_on", true), ("overlay_off", false)] {
         let env = shared_env(overlay);
         let cells: Vec<CellId> = (0..env.grid().cell_count() as CellId).collect();
         let mut ctx = env.session();
         let mut scratch = SearchScratch::new();
+        let query = |cell| Query {
+            prefetch: true,
+            ..Query::new(cell, 0.002)
+        };
         for &cell in &cells {
-            search_shared_into(&env, &mut ctx, &mut scratch, cell, 0.002, None, true).unwrap();
+            env.search(&mut ctx, &mut scratch, query(cell)).unwrap();
         }
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
             b.iter(|| {
                 let mut polygons = 0u64;
                 for &cell in &cells {
-                    search_shared_into(&env, &mut ctx, &mut scratch, cell, 0.002, None, true)
-                        .unwrap();
+                    env.search(&mut ctx, &mut scratch, query(cell)).unwrap();
                     polygons += scratch.result().total_polygons();
                 }
                 black_box(polygons)
@@ -167,6 +170,6 @@ fn vpage_batch(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = frame_vs_copy, node_overlay, search_shared_steady, vpage_batch
+    targets = frame_vs_copy, node_overlay, search_steady, vpage_batch
 }
 criterion_main!(benches);

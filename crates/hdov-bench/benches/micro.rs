@@ -4,7 +4,7 @@
 //! LoD selection.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hdov_core::{HdovBuildConfig, HdovEnvironment, StorageScheme};
+use hdov_core::{HdovBuildConfig, HdovEnvironment, Query, StorageScheme};
 use hdov_geom::{Aabb, Vec3};
 use hdov_mesh::{generate, simplify};
 use hdov_rtree::{RTree, SplitMethod};
@@ -47,7 +47,10 @@ fn hdov_search_by_scheme(c: &mut Criterion) {
     for scheme in StorageScheme::all() {
         let mut env = HdovEnvironment::build(&scene, &grid_cfg, cfg.clone(), scheme).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(scheme), &(), |b, _| {
-            b.iter(|| black_box(env.query(black_box(vp), 0.001).unwrap().total_polygons()))
+            b.iter(|| {
+                let q = Query::new(env.cell_of(black_box(vp)), 0.001);
+                black_box(env.query(q).unwrap().0.total_polygons())
+            })
         });
     }
     group.finish();
@@ -132,9 +135,8 @@ fn prioritized_search(c: &mut Criterion) {
     let frustum = hdov_geom::Frustum::new(eye, Vec3::X, Vec3::Z, 1.2, 1.6, 0.5, 5000.0);
     c.bench_function("hdov/prioritized_search", |b| {
         b.iter(|| {
-            let (o, _) = env
-                .query_prioritized(black_box(&frustum), 0.001, None)
-                .unwrap();
+            let q = Query::new(env.cell_of(frustum.eye), 0.001);
+            let (o, _) = env.query_prioritized(q, black_box(&frustum)).unwrap();
             black_box(o.result.total_polygons())
         })
     });

@@ -7,7 +7,7 @@
 //! absorbs most node reads.
 
 use hdov_bench::{mean, print_table, write_csv, EvalScene, RunOptions};
-use hdov_core::StorageScheme;
+use hdov_core::{Query, StorageScheme};
 use hdov_walkthrough::{Session, SessionKind};
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
         }
         let (mut node_reads, mut times) = (Vec::new(), Vec::new());
         for &vp in &session.viewpoints {
-            let (_, st) = env.query_with_stats(vp, eta).unwrap();
+            let (_, st) = env.query(Query::new(env.cell_of(vp), eta)).unwrap();
             node_reads.push(st.node_io.page_reads as f64);
             times.push(st.search_time_ms());
         }

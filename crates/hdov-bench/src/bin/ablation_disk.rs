@@ -6,7 +6,7 @@
 //! ablation replays the Fig. 7 comparison under both cost models.
 
 use hdov_bench::{mean, print_table, write_csv, EvalScene, RunOptions};
-use hdov_core::{HdovBuildConfig, HdovEnvironment, StorageScheme};
+use hdov_core::{HdovBuildConfig, HdovEnvironment, Query, StorageScheme};
 use hdov_storage::DiskModel;
 
 fn main() {
@@ -37,7 +37,7 @@ fn main() {
             )
             .expect("build");
             let t = mean(viewpoints.iter().map(|&vp| {
-                let (_, st) = env.query_with_stats(vp, eta).unwrap();
+                let (_, st) = env.query(Query::new(env.cell_of(vp), eta)).unwrap();
                 st.search_time_ms()
             }));
             base.get_or_insert(t);

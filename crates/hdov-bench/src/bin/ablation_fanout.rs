@@ -6,7 +6,7 @@
 //! `M` over the same scene.
 
 use hdov_bench::{fmt_bytes, mean, print_table, write_csv, EvalScene, RunOptions};
-use hdov_core::{HdovBuildConfig, HdovEnvironment, StorageScheme};
+use hdov_core::{HdovBuildConfig, HdovEnvironment, Query, StorageScheme};
 
 fn main() {
     let opts = RunOptions::from_args();
@@ -30,7 +30,7 @@ fn main() {
         .expect("build");
         let (mut time, mut light) = (Vec::new(), Vec::new());
         for &vp in &viewpoints {
-            let (_, st) = env.query_with_stats(vp, eta).unwrap();
+            let (_, st) = env.query(Query::new(env.cell_of(vp), eta)).unwrap();
             time.push(st.search_time_ms());
             light.push(st.light_io().page_reads as f64);
         }

@@ -8,7 +8,7 @@
 //! model I/O across the η sweep.
 
 use hdov_bench::{mean, print_table, write_csv, EvalScene, RunOptions, ETA_SWEEP};
-use hdov_core::{HdovBuildConfig, HdovEnvironment, StorageScheme, TerminationHeuristic};
+use hdov_core::{HdovBuildConfig, HdovEnvironment, Query, StorageScheme, TerminationHeuristic};
 
 fn main() {
     let opts = RunOptions::from_args();
@@ -45,7 +45,7 @@ fn main() {
         for (_, env) in envs.iter_mut() {
             let (mut polys, mut heavy) = (Vec::new(), Vec::new());
             for &vp in &viewpoints {
-                let (r, st) = env.query_with_stats(vp, eta).unwrap();
+                let (r, st) = env.query(Query::new(env.cell_of(vp), eta)).unwrap();
                 polys.push(r.total_polygons() as f64);
                 heavy.push(st.heavy_io().page_reads as f64);
             }

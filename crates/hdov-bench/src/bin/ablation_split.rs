@@ -7,7 +7,7 @@
 //! the same scene and DoV data.
 
 use hdov_bench::{mean, print_table, write_csv, EvalScene, RunOptions};
-use hdov_core::{HdovBuildConfig, HdovEnvironment, StorageScheme};
+use hdov_core::{HdovBuildConfig, HdovEnvironment, Query, StorageScheme};
 use hdov_rtree::SplitMethod;
 
 fn main() {
@@ -40,11 +40,11 @@ fn main() {
         let build_s = build_start.elapsed().as_secs_f64();
 
         let light = mean(viewpoints.iter().map(|&vp| {
-            let (_, st) = env.query_with_stats(vp, 0.001).unwrap();
+            let (_, st) = env.query(Query::new(env.cell_of(vp), 0.001)).unwrap();
             st.light_io().page_reads as f64
         }));
         let time = mean(viewpoints.iter().map(|&vp| {
-            let (_, st) = env.query_with_stats(vp, 0.001).unwrap();
+            let (_, st) = env.query(Query::new(env.cell_of(vp), 0.001)).unwrap();
             st.search_time_ms()
         }));
         rows.push(vec![

@@ -21,7 +21,7 @@
 
 use hdov_bench::{print_table, write_csv};
 use hdov_core::{
-    search_shared, HdovBuildConfig, MutableScene, PoolConfig, SessionCtx, SharedEnvironment,
+    HdovBuildConfig, MutableScene, PoolConfig, Query, SearchScratch, SessionCtx, SharedEnvironment,
     StorageScheme, SCENE_FILES,
 };
 use hdov_geom::Vec3;
@@ -37,9 +37,12 @@ type Answers = Vec<Vec<(hdov_core::ResultKey, usize)>>;
 
 fn answers(env: &SharedEnvironment) -> Answers {
     let mut out = Vec::new();
+    let mut scratch = SearchScratch::new();
     for cell in 0..env.grid().cell_count() as CellId {
         let mut ctx = SessionCtx::new();
-        let (res, _) = search_shared(env, &mut ctx, cell, 0.0, None, false).unwrap();
+        env.search(&mut ctx, &mut scratch, Query::new(cell, 0.0))
+            .unwrap();
+        let res = scratch.result();
         let mut entries: Vec<_> = res.entries().iter().map(|e| (e.key, e.level)).collect();
         entries.sort();
         out.push(entries);

@@ -6,7 +6,7 @@
 //! indexed-vertical with the latter marginally better.
 
 use hdov_bench::{answers_digest, mean, print_table, write_csv, EvalScene, RunOptions, ETA_SWEEP};
-use hdov_core::StorageScheme;
+use hdov_core::{Query, StorageScheme};
 
 fn main() {
     let opts = RunOptions::from_args();
@@ -42,7 +42,7 @@ fn main() {
             let t0 = std::time::Instant::now();
             let mut digest = 0u64;
             let t = mean(viewpoints.iter().map(|&vp| {
-                let (r, st) = env.query_with_stats(vp, eta).unwrap();
+                let (r, st) = env.query(Query::new(env.cell_of(vp), eta)).unwrap();
                 digest = digest.rotate_left(1) ^ answers_digest(&r, &st);
                 st.search_time_ms()
             }));

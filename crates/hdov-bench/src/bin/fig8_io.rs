@@ -11,7 +11,7 @@
 //!   itself is not observable at our scale (EXPERIMENTS.md).
 
 use hdov_bench::{answers_digest, mean, print_table, write_csv, EvalScene, RunOptions, ETA_SWEEP};
-use hdov_core::StorageScheme;
+use hdov_core::{Query, StorageScheme};
 
 fn main() {
     let opts = RunOptions::from_args();
@@ -41,7 +41,7 @@ fn main() {
         let mut digest = 0u64;
         let t0 = std::time::Instant::now();
         for &vp in &viewpoints {
-            let (r, st) = env.query_with_stats(vp, eta).unwrap();
+            let (r, st) = env.query(Query::new(env.cell_of(vp), eta)).unwrap();
             digest = digest.rotate_left(1) ^ answers_digest(&r, &st);
             total.push(st.total_io().page_reads as f64);
             light.push(st.light_io().page_reads as f64);

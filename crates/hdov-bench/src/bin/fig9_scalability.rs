@@ -5,7 +5,7 @@
 //! Paper shape: both grow only marginally with a 4× larger dataset.
 
 use hdov_bench::{fmt_bytes, mean, print_table, write_csv, EvalScene, RunOptions};
-use hdov_core::StorageScheme;
+use hdov_core::{Query, StorageScheme};
 use hdov_scene::DatasetPreset;
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
         let viewpoints = eval.random_viewpoints(queries, 9);
         let (mut t, mut io) = (Vec::new(), Vec::new());
         for &vp in &viewpoints {
-            let (_, st) = env.query_with_stats(vp, eta).unwrap();
+            let (_, st) = env.query(Query::new(env.cell_of(vp), eta)).unwrap();
             t.push(st.traversal_time_ms());
             io.push(st.light_io().page_reads as f64);
         }

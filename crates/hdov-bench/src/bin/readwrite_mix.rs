@@ -14,7 +14,7 @@
 //! simulated read latency, wall-clock commit latency, and dirty-cell counts.
 
 use hdov_bench::{mean, print_table, write_csv, EvalScene, RunOptions, ETA_SWEEP};
-use hdov_core::{search_shared, MutableScene, PoolConfig, SessionCtx, StorageScheme};
+use hdov_core::{MutableScene, PoolConfig, Query, SearchScratch, SessionCtx, StorageScheme};
 use hdov_geom::Vec3;
 use hdov_scene::CityConfig;
 use hdov_storage::PAGE_SIZE;
@@ -78,7 +78,7 @@ fn read_only(opts: &RunOptions) {
         let mut row = vec![format!("{eta}")];
         for (_, env) in envs.iter_mut() {
             let t = mean(viewpoints.iter().map(|&vp| {
-                let (_, st) = env.query_with_stats(vp, eta).unwrap();
+                let (_, st) = env.query(Query::new(env.cell_of(vp), eta)).unwrap();
                 st.search_time_ms()
             }));
             row.push(format!("{t:.2}"));
@@ -171,6 +171,7 @@ fn read_write(opts: &RunOptions, wf: f64) {
         let env0 = ms.current();
         let cells = env0.grid().cell_count() as u32;
         let mut ctx = SessionCtx::new();
+        let mut scratch = SearchScratch::new();
         for _ in 0..ops {
             if rng.next_f64() < wf {
                 let handles = ms.handles();
@@ -192,7 +193,8 @@ fn read_write(opts: &RunOptions, wf: f64) {
             } else {
                 let env = ms.current();
                 let cell = (rng.next_u64() % cells as u64) as u32;
-                let (_, st) = search_shared(&env, &mut ctx, cell, eta, None, false).expect("query");
+                let q = Query::new(cell, eta);
+                let st = env.search(&mut ctx, &mut scratch, q).expect("query");
                 read_ms.push(st.search_time_ms());
             }
         }

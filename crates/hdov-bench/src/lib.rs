@@ -524,7 +524,8 @@ mod tests {
         let vps = eval.random_viewpoints(10, 1);
         assert_eq!(vps.len(), 10);
         let mut env = eval.environment(hdov_core::StorageScheme::IndexedVertical);
-        let (r, st) = env.query_with_stats(vps[0], 0.001).unwrap();
+        let q = hdov_core::Query::new(env.cell_of(vps[0]), 0.001);
+        let (r, st) = env.query(q).unwrap();
         assert!(!r.entries().is_empty());
         assert!(st.search_time_ms() > 0.0);
     }

@@ -138,9 +138,11 @@ impl BudgetClock {
         let spent_us = (io_elapsed_us - self.base_io_us)
             + nodes as f64 * crate::search::CPU_PER_NODE_US
             + vpages as f64 * crate::search::CPU_PER_RESULT_US;
-        if spent_us >= self.sim_budget_us {
-            return true;
-        }
+        spent_us >= self.sim_budget_us || self.past_deadline()
+    }
+
+    /// True when the wall-clock deadline (if any) has passed.
+    pub(crate) fn past_deadline(&self) -> bool {
         matches!(self.deadline, Some(d) if Instant::now() >= d)
     }
 }

@@ -6,10 +6,13 @@
 //! delta search can reduce the I/O cost significantly."
 //!
 //! [`DeltaSearch`] tracks the resident set (model key → LoD level and bytes)
-//! across a sequence of queries, produces the skip map consumed by
-//! [`search_shared`](crate::shared::search_shared), and accounts resident/peak memory —
-//! the numbers behind the paper's 28 MB (VISUAL) vs 62 MB (REVIEW)
-//! comparison.
+//! across a sequence of queries and accounts resident/peak memory — the
+//! numbers behind the paper's 28 MB (VISUAL) vs 62 MB (REVIEW) comparison.
+//! A [`Query`](crate::Query) carries it as its `resident` set: every
+//! traversal looks resident levels up in place
+//! ([`resident_level`](DeltaSearch::resident_level)), and the caller folds
+//! the answer back in with [`apply`](DeltaSearch::apply) or
+//! [`merge`](DeltaSearch::merge).
 
 use crate::search::{QueryResult, ResultKey};
 use std::collections::HashMap;
@@ -39,13 +42,9 @@ impl DeltaSearch {
         Self::default()
     }
 
-    /// The skip map to pass to [`search_shared`](crate::shared::search_shared): resident
-    /// key → resident level.
-    pub fn skip_map(&self) -> HashMap<ResultKey, usize> {
-        self.resident
-            .iter()
-            .map(|(k, &(lvl, _))| (*k, lvl))
-            .collect()
+    /// The LoD level at which `key` is resident, if it is.
+    pub fn resident_level(&self, key: ResultKey) -> Option<usize> {
+        self.resident.get(&key).map(|&(level, _)| level)
     }
 
     /// Folds a query result into the resident set: newly fetched entries are
@@ -186,12 +185,14 @@ mod tests {
     }
 
     #[test]
-    fn skip_map_reflects_levels() {
+    fn resident_level_reflects_levels() {
         let mut d = DeltaSearch::new();
         d.apply(&result(vec![obj(7, 2, 40, false)]));
-        let m = d.skip_map();
-        assert_eq!(m.get(&ResultKey::Object(7)), Some(&2));
-        assert_eq!(m.len(), 1);
+        assert_eq!(d.resident_level(ResultKey::Object(7)), Some(2));
+        assert_eq!(d.resident_level(ResultKey::Object(8)), None);
+        assert_eq!(d.resident_level(ResultKey::Internal(7)), None);
+        d.merge(&result(vec![obj(7, 0, 90, false)]));
+        assert_eq!(d.resident_level(ResultKey::Object(7)), Some(0));
     }
 
     #[test]

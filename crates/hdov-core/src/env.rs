@@ -2,17 +2,15 @@
 //! models + cell grid, behind a small single-user query API.
 
 use crate::build::{CellVPages, HdovBuildConfig, HdovTree};
-use crate::delta::{DeltaSearch, DeltaSummary};
 use crate::node::HdovNode;
-use crate::priority::{search_prioritized_delta, PrioritizedOutcome};
-use crate::search::{naive_query, QueryResult, SearchStats};
+use crate::priority::{search_prioritized, PrioritizedOutcome};
+use crate::search::{naive_query, Query, QueryResult, SearchStats};
 use crate::shared::{
-    search_shared, search_shared_budgeted, PoolConfig, SessionCtx, SharedEnvironment, SharedModels,
-    SharedTree, SharedVStore,
+    PoolConfig, SearchScratch, SessionCtx, SharedEnvironment, SharedModels, SharedTree,
+    SharedVStore,
 };
 use crate::storage::StorageScheme;
 use crate::vpage::VPageCodec;
-use crate::QueryBudget;
 use hdov_geom::{Frustum, Vec3};
 use hdov_scene::Scene;
 use hdov_storage::{FaultPlan, Result, SharedFaultyFile, StorageBackend};
@@ -134,39 +132,19 @@ impl HdovEnvironment {
         self.env.cell_of(viewpoint)
     }
 
-    /// Visibility query at `viewpoint` with threshold `eta` (Fig. 3).
-    pub fn query(&mut self, viewpoint: Vec3, eta: f64) -> Result<QueryResult> {
-        Ok(self.query_with_stats(viewpoint, eta)?.0)
-    }
-
-    /// [`query`](Self::query) plus the per-query cost breakdown.
-    pub fn query_with_stats(
-        &mut self,
-        viewpoint: Vec3,
-        eta: f64,
-    ) -> Result<(QueryResult, SearchStats)> {
-        let cell = self.cell_of(viewpoint);
-        self.query_cell(cell, eta)
-    }
-
-    /// Query by cell id.
-    pub fn query_cell(&mut self, cell: CellId, eta: f64) -> Result<(QueryResult, SearchStats)> {
-        self.query_cell_budgeted(cell, eta, QueryBudget::UNLIMITED)
-    }
-
-    /// [`query_cell`](Self::query_cell) under a [`QueryBudget`]: an
-    /// exhausted budget stops the descent and serves the remaining subtrees
-    /// as internal LoDs (see
-    /// [`search_shared_budgeted`]).
-    /// An unlimited budget is byte-identical to
-    /// [`query_cell`](Self::query_cell).
-    pub fn query_cell_budgeted(
-        &mut self,
-        cell: CellId,
-        eta: f64,
-        budget: QueryBudget,
-    ) -> Result<(QueryResult, SearchStats)> {
-        search_shared_budgeted(&self.env, &mut self.ctx, cell, eta, None, false, budget)
+    /// Runs query `q` (Fig. 3) and returns its answer and cost breakdown.
+    /// A caller with a viewpoint asks for
+    /// `Query::new(env.cell_of(viewpoint), eta)`; with a
+    /// [`resident`](Query::resident) set, models resident at the same LoD
+    /// level are reused without model I/O (fold the answer back in with
+    /// [`DeltaSearch::apply`](crate::DeltaSearch::apply)).
+    ///
+    /// Fails with [`StorageError::InvalidPlan`](hdov_storage::StorageError)
+    /// on a cell outside the grid or a negative or NaN η.
+    pub fn query(&mut self, q: Query<'_>) -> Result<(QueryResult, SearchStats)> {
+        let mut scratch = SearchScratch::new();
+        let stats = self.env.search(&mut self.ctx, &mut scratch, q)?;
+        Ok((scratch.take_result(), stats))
     }
 
     /// The naïve (cell, list-of-objects) baseline at `viewpoint`.
@@ -175,72 +153,14 @@ impl HdovEnvironment {
         naive_query(&self.env, &mut self.ctx, cell)
     }
 
-    /// Delta query for walkthroughs: models resident in `delta` at the same
-    /// LoD level are reused without model I/O; the resident set is updated.
-    pub fn query_delta(
-        &mut self,
-        viewpoint: Vec3,
-        eta: f64,
-        delta: &mut DeltaSearch,
-    ) -> Result<(QueryResult, SearchStats, DeltaSummary)> {
-        let cell = self.cell_of(viewpoint);
-        let skip = delta.skip_map();
-        let (result, stats) =
-            search_shared(&self.env, &mut self.ctx, cell, eta, Some(&skip), false)?;
-        let summary = delta.apply(&result);
-        Ok((result, stats, summary))
-    }
-
-    /// Frustum-prioritized (optionally budgeted) query — see
-    /// [`search_prioritized`](crate::priority::search_prioritized).
+    /// Frustum-prioritized query `q`, stopped early by its budget — see
+    /// [`search_prioritized`].
     pub fn query_prioritized(
         &mut self,
+        q: Query<'_>,
         frustum: &Frustum,
-        eta: f64,
-        budget_ms: Option<f64>,
     ) -> Result<(PrioritizedOutcome, SearchStats)> {
-        let cell = self.cell_of(frustum.eye);
-        search_prioritized_delta(
-            &self.env,
-            &mut self.ctx,
-            cell,
-            eta,
-            frustum,
-            budget_ms,
-            None,
-        )
-    }
-
-    /// Budgeted, frustum-prioritized delta query: resident models are
-    /// reused without I/O, the rest stream in priority order until
-    /// `budget_ms` expires; the resident set is updated with whatever
-    /// loaded.
-    pub fn query_prioritized_delta(
-        &mut self,
-        frustum: &Frustum,
-        eta: f64,
-        budget_ms: Option<f64>,
-        delta: &mut DeltaSearch,
-    ) -> Result<(PrioritizedOutcome, SearchStats)> {
-        let cell = self.cell_of(frustum.eye);
-        let skip = delta.skip_map();
-        let (outcome, stats) = search_prioritized_delta(
-            &self.env,
-            &mut self.ctx,
-            cell,
-            eta,
-            frustum,
-            budget_ms,
-            Some(&skip),
-        )?;
-        if outcome.completed {
-            delta.apply(&outcome.result);
-        } else {
-            // A truncated frame must not evict content that simply didn't
-            // get re-confirmed before the deadline: merge instead.
-            delta.merge(&outcome.result);
-        }
-        Ok((outcome, stats))
+        search_prioritized(&self.env, &mut self.ctx, q, frustum)
     }
 
     /// Arms seeded fault injection on every file of the environment — node

@@ -21,10 +21,12 @@
 //!
 //! There is one query engine. A built tree is frozen into a
 //! [`SharedEnvironment`] that any number of sessions query concurrently,
-//! each through its own [`SessionCtx`]. The easiest entry point is
-//! [`HdovEnvironment`]: one such session over one environment, laid out as
-//! the paper's cache-less single disk, answering point visibility queries
-//! and delta queries.
+//! each through its own [`SessionCtx`]. Every query is one [`Query`] value —
+//! cell, threshold, resident set, budget, prefetch — run by
+//! [`SharedEnvironment::search`] (or, filtered to one shard, by
+//! [`search_shard`]; best-first, by [`search_prioritized`]). The easiest
+//! entry point is [`HdovEnvironment`]: one such session over one
+//! environment, laid out as the paper's cache-less single disk.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,17 +51,12 @@ pub use delta::DeltaSearch;
 pub use env::HdovEnvironment;
 pub use mutable::{MutableScene, ObjectHandle, ObjectInfo, SCENE_FILES};
 pub use node::{HdovEntry, HdovNode};
-pub use priority::{search_prioritized, search_prioritized_delta, PrioritizedOutcome};
+pub use priority::{search_prioritized, PrioritizedOutcome};
 pub use search::{
-    naive_query, DegradeCause, DegradeEvent, DegradeReport, QueryResult, ResultEntry, ResultKey,
+    DegradeCause, DegradeEvent, DegradeReport, Query, QueryResult, ResultEntry, ResultKey,
     SearchStats,
 };
-pub use shard::{
-    merge_frames, search_shard_into_budgeted, PathKey, ShardFrame, ShardPlan, MAX_SHARDS,
-};
-pub use shared::{
-    search_shared, search_shared_budgeted, search_shared_into, search_shared_into_budgeted,
-    PoolConfig, SearchScratch, SessionCtx, SharedEnvironment, SharedVStore,
-};
+pub use shard::{merge_frames, search_shard, PathKey, ShardFrame, ShardPlan, MAX_SHARDS};
+pub use shared::{PoolConfig, SearchScratch, SessionCtx, SharedEnvironment, SharedVStore};
 pub use storage::StorageScheme;
 pub use vpage::{VEntry, VPage, VPageCodec, VPAGE_SIZE};

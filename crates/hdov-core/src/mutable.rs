@@ -429,7 +429,7 @@ impl MutableScene {
         // 2. Dirty cells, judged against the previous epoch's visibility.
         let dirty = self
             .dov
-            .affected_cells(&self.grid, &w.changed_old, &w.regions);
+            .affected_cells(&self.grid, &self.cfg.dov, &w.changed_old, &w.regions);
         hdov_obs::add(Counter::DovRepatches, dirty.len() as u64);
 
         // 3. Dense view of the edited scene.
@@ -490,7 +490,7 @@ impl MutableScene {
 
     /// The committed epoch's environment. The returned `Arc` pins that
     /// epoch: later commits publish a *new* environment and never touch this
-    /// one, so in-flight [`search_shared`](crate::search_shared) sessions
+    /// one, so in-flight [`search`](SharedEnvironment::search) sessions
     /// are wait-free against writers.
     pub fn current(&self) -> Arc<SharedEnvironment> {
         Arc::clone(&self.shared)
@@ -939,9 +939,12 @@ mod tests {
 
     fn answers(env: &SharedEnvironment) -> Vec<Vec<(crate::ResultKey, usize)>> {
         let mut out = Vec::new();
+        let mut scratch = crate::SearchScratch::new();
         for cell in 0..env.grid().cell_count() as CellId {
             let mut ctx = crate::SessionCtx::new();
-            let (res, _) = crate::search_shared(env, &mut ctx, cell, 0.0, None, false).unwrap();
+            let q = crate::Query::new(cell, 0.0);
+            env.search(&mut ctx, &mut scratch, q).unwrap();
+            let res = scratch.result();
             let mut entries: Vec<_> = res.entries().iter().map(|e| (e.key, e.level)).collect();
             entries.sort();
             out.push(entries);

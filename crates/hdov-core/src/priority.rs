@@ -14,16 +14,14 @@
 //! *budgeted* query (a frame deadline) captures far more of the visually
 //! important mass before the deadline than blind truncation would.
 
-use crate::search::{select_level, QueryResult, ResultEntry, ResultKey, CPU_PER_NODE_US};
-use crate::shared::{SessionCtx, SharedEnvironment, SharedStorage};
+use crate::budget::BudgetClock;
+use crate::search::{Query, QueryResult, ResultKey, CPU_PER_NODE_US};
+use crate::shared::{SessionCtx, SharedEnvironment, SharedStorage, Step};
 use crate::SearchStats;
-use hdov_geom::solid_angle::MAX_DOV;
 use hdov_geom::{Aabb, Frustum};
 use hdov_storage::Result;
-use hdov_visibility::CellId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 
 /// Loading priority of a work item: in-frustum content strictly before
 /// out-of-frustum content, nearer before farther within each class.
@@ -59,9 +57,10 @@ impl Ord for Priority {
 }
 
 enum Work {
+    /// Visit a node (Fig. 3 lines 1–10).
     Node(u32),
-    Object { id: u64, dov: f32 },
-    Internal { ordinal: u32, dov: f32 },
+    /// Fetch an answer entry at blend factor `k` (Eq. 5/6).
+    Lod { key: ResultKey, k: f64, dov: f32 },
 }
 
 struct Item {
@@ -101,47 +100,37 @@ pub struct PrioritizedOutcome {
     pub spent_ms: f64,
 }
 
-/// Best-first variant of the Fig. 3 search, charged to `ctx`'s cursors.
+/// Best-first variant of the Fig. 3 search for query `q`, charged to
+/// `ctx`'s cursors. `frustum` drives the prioritization (its `eye` is the
+/// distance reference).
 ///
-/// * `frustum` — the camera volume driving prioritization (its `eye` is the
-///   distance reference).
-/// * `budget_ms` — optional simulated-time deadline; when it expires,
-///   already-loaded entries are returned with `completed = false`.
+/// The per-entry decision and the LoD step are the depth-first walk's, so
+/// entries resident in `q.resident` are returned `cached` and cost no model
+/// I/O — a walkthrough's per-frame budget is spent on *new* content. When
+/// `q.budget` runs out — its simulated cap (I/O plus per-node CPU, checked
+/// before each work item) or its wall-clock deadline — the entries loaded
+/// so far are returned with `completed = false`.
 ///
 /// Run without a budget the answer set is identical to
-/// [`search_shared`](crate::shared::search_shared) (entry order differs).
+/// [`SharedEnvironment::search`] (entry order differs). Fails with
+/// [`StorageError::InvalidPlan`](hdov_storage::StorageError) on a cell
+/// outside the grid or a negative or NaN η.
 pub fn search_prioritized(
     env: &SharedEnvironment,
     ctx: &mut SessionCtx,
-    cell: CellId,
-    eta: f64,
+    q: Query<'_>,
     frustum: &Frustum,
-    budget_ms: Option<f64>,
 ) -> Result<(PrioritizedOutcome, SearchStats)> {
-    search_prioritized_delta(env, ctx, cell, eta, frustum, budget_ms, None)
-}
-
-/// [`search_prioritized`] with a delta-search skip map (resident key →
-/// resident LoD level): matching entries are returned `cached` and cost no
-/// model I/O, so a walkthrough's per-frame budget is spent on *new* content.
-pub fn search_prioritized_delta(
-    env: &SharedEnvironment,
-    ctx: &mut SessionCtx,
-    cell: CellId,
-    eta: f64,
-    frustum: &Frustum,
-    budget_ms: Option<f64>,
-    skip: Option<&HashMap<ResultKey, usize>>,
-) -> Result<(PrioritizedOutcome, SearchStats)> {
-    assert!(eta >= 0.0, "eta must be non-negative");
+    q.check(env)?;
     let mut storage = SharedStorage {
         env,
         ctx,
-        prefetch: false,
+        prefetch: q.prefetch,
     };
     let meters = storage.begin();
     let io0 = storage.io_elapsed_us();
-    storage.enter_cell(cell)?;
+    let bclock = BudgetClock::start(q.budget, io0);
+    storage.enter_cell(q.cell)?;
 
     let mut stats = SearchStats::default();
     let mut out = QueryResult::default();
@@ -167,10 +156,10 @@ pub fn search_prioritized_delta(
 
     let mut completed = true;
     while let Some(item) = heap.pop() {
-        if let Some(budget) = budget_ms {
+        if bclock.is_limited() {
             let io = storage.io_elapsed_us() - io0;
             let spent_ms = (io + stats.nodes_visited as f64 * CPU_PER_NODE_US) / 1000.0;
-            if spent_ms >= budget {
+            if spent_ms >= q.budget.sim_ms || bclock.past_deadline() {
                 completed = false;
                 break;
             }
@@ -187,66 +176,20 @@ pub fn search_prioritized_delta(
                 let node = storage.node(ordinal)?;
                 stats.nodes_visited += 1;
                 for (entry, ve) in node.entries.iter().zip(&vpage.entries) {
-                    if ve.dov <= 0.0 {
-                        continue;
-                    }
-                    let work = if entry.is_object() {
-                        Work::Object {
-                            id: entry.child,
+                    let work = match storage.step(entry, ve, q.eta) {
+                        Step::Prune => continue,
+                        Step::Emit { key, k } => Work::Lod {
+                            key,
+                            k,
                             dov: ve.dov,
-                        }
-                    } else if (ve.dov as f64) <= eta && storage.terminates(entry, ve) {
-                        Work::Internal {
-                            ordinal: entry.child_ordinal,
-                            dov: ve.dov,
-                        }
-                    } else {
-                        Work::Node(entry.child_ordinal)
+                        },
+                        Step::Descend(child) => Work::Node(child),
                     };
                     push(&mut heap, &mut seq, &entry.mbr, work);
                 }
             }
-            Work::Object { id, dov } => {
-                let k = (dov as f64 / MAX_DOV).min(1.0);
-                let level = select_level(storage.object_store(), id, k);
-                let key = ResultKey::Object(id);
-                let cached = skip.and_then(|s| s.get(&key)).is_some_and(|&l| l == level);
-                let h = if cached {
-                    storage.object_store().handle(id, level)
-                } else {
-                    storage.fetch_object(id, level)?
-                };
-                out.push_for_test(ResultEntry {
-                    key,
-                    level,
-                    polygons: h.polygons as u64,
-                    bytes: h.bytes as u64,
-                    dov,
-                    cached,
-                });
-            }
-            Work::Internal { ordinal, dov } => {
-                let k = if eta > 0.0 {
-                    (dov as f64 / eta).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                let level = select_level(storage.internal_store(), ordinal as u64, k);
-                let key = ResultKey::Internal(ordinal);
-                let cached = skip.and_then(|s| s.get(&key)).is_some_and(|&l| l == level);
-                let h = if cached {
-                    storage.internal_store().handle(ordinal as u64, level)
-                } else {
-                    storage.fetch_internal(ordinal, level)?
-                };
-                out.push_for_test(ResultEntry {
-                    key,
-                    level,
-                    polygons: h.polygons as u64,
-                    bytes: h.bytes as u64,
-                    dov,
-                    cached,
-                });
+            Work::Lod { key, k, dov } => {
+                out.push(storage.lod(key, k, dov, q.resident, false)?);
             }
         }
     }

@@ -1,22 +1,93 @@
-//! The result and cost types of the HDoV-tree visibility query (paper
-//! Fig. 3), and the naïve (cell, list-of-objects) baseline.
+//! The description, result and cost types of the HDoV-tree visibility
+//! query (paper Fig. 3), and the naïve (cell, list-of-objects) baseline.
 //!
-//! The traversal itself lives in the walk module and runs through
-//! [`search_shared`](crate::shared::search_shared). Model retrieval is
-//! charged against the object / internal-LoD model files, V-page fetches
-//! against the visibility store's files, and node reads against the node
-//! file; [`SearchStats`] separates "light-weight" (nodes + V-pages) from
-//! "heavy-weight" (models) I/O exactly as the paper's Fig. 8 does.
+//! A [`Query`] says what one traversal answers — cell, threshold, resident
+//! set, budget, prefetch — and every traversal takes one:
+//! [`SharedEnvironment::search`] (the walk module's depth-first Fig. 3),
+//! [`search_shard`](crate::shard::search_shard) (the same walk, filtered to
+//! one shard) and [`search_prioritized`](crate::priority::search_prioritized)
+//! (best-first). Model retrieval is charged against the object /
+//! internal-LoD model files, V-page fetches against the visibility store's
+//! files, and node reads against the node file; [`SearchStats`] separates
+//! "light-weight" (nodes + V-pages) from "heavy-weight" (models) I/O
+//! exactly as the paper's Fig. 8 does.
 
+use crate::budget::QueryBudget;
 use crate::build::TerminationHeuristic;
+use crate::delta::DeltaSearch;
 use crate::node::HdovEntry;
 use crate::shared::{SessionCtx, SharedEnvironment, SharedStorage};
 use crate::vpage::VEntry;
 use crate::walk::Emit;
 use hdov_geom::solid_angle::MAX_DOV;
 use hdov_scene::ModelStore;
-use hdov_storage::{IoStats, Result};
+use hdov_storage::{IoStats, Result, StorageError};
 use hdov_visibility::CellId;
+
+/// One visibility query: the cell to answer for, the Fig. 3 threshold, and
+/// how to run it. Build one with [`Query::new`] and struct-update syntax:
+///
+/// ```
+/// # use hdov_core::{DeltaSearch, Query, QueryBudget};
+/// let resident = DeltaSearch::new();
+/// let q = Query {
+///     resident: Some(&resident),
+///     budget: QueryBudget::sim_ms(5.0),
+///     ..Query::new(3, 0.002)
+/// };
+/// assert!(q.resident.is_some() && !q.prefetch);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Query<'a> {
+    /// The viewing cell.
+    pub cell: CellId,
+    /// The DoV threshold `η ≥ 0` of Fig. 3 line 7.
+    pub eta: f64,
+    /// The walkthrough's resident set (§5.4 delta search): an answer entry
+    /// already resident at the same LoD level is returned `cached` and
+    /// costs no model I/O. The set is only read; folding the answer into it
+    /// ([`DeltaSearch::apply`] or [`merge`](DeltaSearch::merge)) is the
+    /// caller's move.
+    pub resident: Option<&'a DeltaSearch>,
+    /// What the query may spend before it stops descending (DESIGN.md §12).
+    pub budget: QueryBudget,
+    /// Batch-read the cell's V-pages right after the segment flip (served
+    /// sessions); off, V-pages are read where the traversal needs them.
+    pub prefetch: bool,
+}
+
+impl Query<'_> {
+    /// A query for `cell` at threshold `eta`: no resident set, an unlimited
+    /// budget, no prefetch.
+    pub fn new(cell: CellId, eta: f64) -> Self {
+        Query {
+            cell,
+            eta,
+            resident: None,
+            budget: QueryBudget::UNLIMITED,
+            prefetch: false,
+        }
+    }
+
+    /// Rejects a query `env` cannot answer — a cell outside the grid, or a
+    /// negative or NaN η — with [`StorageError::InvalidPlan`], before
+    /// anything is read or charged.
+    pub(crate) fn check(&self, env: &SharedEnvironment) -> Result<()> {
+        let cells = env.vstore.cell_count();
+        check(self.cell < cells, || {
+            format!("cell {} outside the {cells}-cell grid", self.cell)
+        })?;
+        check(self.eta >= 0.0, || {
+            format!("eta {} is not a non-negative number", self.eta)
+        })
+    }
+}
+
+/// `Ok` when `ok`, else [`StorageError::InvalidPlan`] with `reason`.
+pub(crate) fn check(ok: bool, reason: impl FnOnce() -> String) -> Result<()> {
+    ok.then_some(())
+        .ok_or_else(|| StorageError::InvalidPlan { reason: reason() })
+}
 
 /// CPU cost charged per node visited (µs) on top of simulated I/O time.
 pub const CPU_PER_NODE_US: f64 = 15.0;
@@ -55,7 +126,7 @@ pub struct ResultEntry {
 pub enum DegradeCause {
     /// A read error retries could not absorb (DESIGN.md §11).
     ReadError,
-    /// The query's [`QueryBudget`](crate::QueryBudget) ran out before this
+    /// The query's [`QueryBudget`] ran out before this
     /// subtree's descent (DESIGN.md §12) — the fallback preserves coverage,
     /// not the error path.
     BudgetExhausted,
@@ -78,7 +149,7 @@ pub struct DegradeEvent {
     /// Why the subtree degraded.
     pub cause: DegradeCause,
     /// Display form of the absorbed
-    /// [`StorageError`](hdov_storage::StorageError), or a fixed budget
+    /// [`StorageError`], or a fixed budget
     /// notice — never empty.
     pub error: String,
 }
@@ -113,7 +184,7 @@ impl DegradeReport {
     }
 
     /// Subtrees served as internal LoDs because the query's
-    /// [`QueryBudget`](crate::QueryBudget) ran out mid-descent.
+    /// [`QueryBudget`] ran out mid-descent.
     pub fn budget_stops(&self) -> u64 {
         self.events
             .iter()
@@ -340,11 +411,16 @@ pub(crate) fn terminates_with(
     }
 }
 
+/// Eq. 6's blend factor for an object entry with DoV `dov`.
+pub(crate) fn object_blend(dov: f32) -> f64 {
+    (dov as f64 / MAX_DOV).min(1.0)
+}
+
 /// The naïve (cell, list-of-objects) baseline of §5.3: "accesses the V-pages
 /// of visible leaf nodes only; all the models retrieved are from the object
 /// LoDs". Leaf→object lists are in-memory (view-invariant), so the only
 /// light-weight I/O is the leaf V-pages. Charged to `ctx`'s cursors.
-pub fn naive_query(
+pub(crate) fn naive_query(
     env: &SharedEnvironment,
     ctx: &mut SessionCtx,
     cell: CellId,
@@ -372,17 +448,8 @@ pub fn naive_query(
             if ve.dov <= 0.0 {
                 continue;
             }
-            let k = (ve.dov as f64 / MAX_DOV).min(1.0);
-            let level = select_level(storage.object_store(), id, k);
-            let h = storage.fetch_object(id, level)?;
-            out.entries.push(ResultEntry {
-                key: ResultKey::Object(id),
-                level,
-                polygons: h.polygons as u64,
-                bytes: h.bytes as u64,
-                dov: ve.dov,
-                cached: false,
-            });
+            let key = ResultKey::Object(id);
+            out.push(storage.lod(key, object_blend(ve.dov), ve.dov, None, false)?);
         }
     }
     storage.finish(&meters, &mut stats);

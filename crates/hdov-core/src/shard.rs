@@ -10,17 +10,17 @@
 //!   object an owning shard, every node an owner and a *subtree shard
 //!   mask*, precomputes each cell's fan-out mask, and each shard's coarse
 //!   cover (the ready-made entries served when the shard is down).
-//! * [`search_shard_into_budgeted`] — the one Fig. 3 walk that
-//!   [`search_shared_into_budgeted`](crate::shared::search_shared_into_budgeted)
-//!   runs, with a shard frame as its emission filter: shard `S` skips
-//!   subtrees whose mask lacks its bit and emits only the entries it owns,
-//!   each tagged with a [`PathKey`].
+//! * [`search_shard`] — the one Fig. 3 walk that
+//!   [`SharedEnvironment::search`] runs, for the same [`Query`], with a
+//!   shard frame as its emission filter: shard `S` skips subtrees whose
+//!   mask lacks its bit and emits only the entries it owns, each tagged
+//!   with a [`PathKey`].
 //! * [`merge_frames`] — concatenates per-shard frames (in shard order) and
 //!   sorts by path key, reconstructing the *exact* DFS emission order of
 //!   the unsharded traversal. Fault-free, the merged frame is
-//!   byte-identical to [`search_shared`](crate::shared::search_shared),
-//!   independent of shard completion order (pinned by the `hdov-shard`
-//!   crate's proptests).
+//!   byte-identical to [`SharedEnvironment::search`]'s answer, independent
+//!   of shard completion order (pinned by the `hdov-shard` crate's
+//!   proptests).
 //!
 //! The key invariant: every emission position of the unsharded traversal —
 //! an object entry, or an entry whose subtree η-terminates at an internal
@@ -30,13 +30,13 @@
 //! carry a coarse duplicate next to another shard's fine entries — coverage
 //! is chosen over minimality, exactly like the budget-stop path.
 
-use crate::budget::QueryBudget;
 use crate::search::{
-    select_level, DegradeCause, DegradeEvent, QueryResult, ResultEntry, ResultKey, SearchStats,
+    check, select_level, DegradeCause, DegradeEvent, Query, QueryResult, ResultEntry, ResultKey,
+    SearchStats,
 };
-use crate::shared::{SessionCtx, SharedEnvironment, SharedStorage, SharedTree};
+use crate::shared::{SessionCtx, SharedEnvironment, SharedTree};
 use crate::walk::{self, Emit};
-use hdov_storage::{Result, StorageError};
+use hdov_storage::Result;
 use hdov_visibility::CellId;
 use std::collections::HashMap;
 
@@ -44,18 +44,13 @@ use std::collections::HashMap;
 pub const MAX_SHARDS: usize = 64;
 
 /// Rejects a shard count outside `1..=`[`MAX_SHARDS`] with
-/// [`StorageError::InvalidPlan`] (call before building anything sized by
-/// it; [`ShardPlan::build`] checks too).
+/// [`StorageError::InvalidPlan`](hdov_storage::StorageError::InvalidPlan)
+/// (call before building anything sized by it; [`ShardPlan::build`] checks
+/// too).
 pub fn check_shard_count(shards: usize) -> Result<()> {
     check((1..=MAX_SHARDS).contains(&shards), || {
         format!("shard count {shards} outside 1..={MAX_SHARDS}")
     })
-}
-
-/// `Ok` when `ok`, else [`StorageError::InvalidPlan`] with `reason`.
-fn check(ok: bool, reason: impl FnOnce() -> String) -> Result<()> {
-    ok.then_some(())
-        .ok_or_else(|| StorageError::InvalidPlan { reason: reason() })
 }
 
 /// A tree position encoded for deterministic merging: 8 bits per level
@@ -188,10 +183,12 @@ impl ShardPlan {
     /// object id and its MBR-center to its owning shard (the tile map
     /// policy lives with the router).
     ///
-    /// Fails with [`StorageError::InvalidPlan`] when `shards` is outside
-    /// `1..=`[`MAX_SHARDS`], when `assign` returns a shard `>= shards`, or
-    /// when the tree is too deep or a node too wide for [`PathKey`] — so
-    /// queries over a built plan cannot hit those limits.
+    /// Fails with
+    /// [`StorageError::InvalidPlan`](hdov_storage::StorageError::InvalidPlan)
+    /// when `shards` is outside `1..=`[`MAX_SHARDS`], when `assign` returns
+    /// a shard `>= shards`, or when the tree is too deep or a node too wide
+    /// for [`PathKey`] — so queries over a built plan cannot hit those
+    /// limits.
     ///
     /// The walk reads every node page through a scratch session, so it
     /// warms the environment's node pool as a side effect — build the plan
@@ -447,12 +444,11 @@ impl ShardPlan {
     }
 }
 
-/// The sharded traversal: shard `shard`'s contribution to one frame.
+/// The sharded traversal: shard `shard`'s contribution to query `q`.
 ///
-/// The same walk as
-/// [`search_shared_into_budgeted`](crate::shared::search_shared_into_budgeted)
-/// — same storage adapter, same prune/terminate/descend tests against the
-/// same V-pages — with a shard frame as its emission filter:
+/// The same walk as [`SharedEnvironment::search`] — same storage adapter,
+/// same prune/terminate/descend tests against the same V-pages — with a
+/// shard frame as its emission filter:
 ///
 /// * subtrees whose [`ShardPlan::node_mask`] lacks this shard's bit are
 ///   skipped without reading them,
@@ -469,23 +465,24 @@ impl ShardPlan {
 /// shard does not wholly own (coverage over minimality), and the root
 /// fallback stands in for the objects this shard owns. Each sub-query is
 /// reported to `hdov-obs` as one query.
-#[allow(clippy::too_many_arguments)]
-pub fn search_shard_into_budgeted(
+///
+/// Fails with [`StorageError::InvalidPlan`](hdov_storage::StorageError)
+/// when `shard` is not one of the plan's shards, or `q` is invalid (see
+/// [`SharedEnvironment::search`]).
+pub fn search_shard(
     env: &SharedEnvironment,
     ctx: &mut SessionCtx,
     plan: &ShardPlan,
     shard: usize,
     frame: &mut ShardFrame,
-    cell: CellId,
-    eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
-    prefetch: bool,
-    budget: QueryBudget,
+    q: Query<'_>,
 ) -> Result<SearchStats> {
-    assert!(shard < plan.shards, "shard {shard} out of range");
-    let storage = SharedStorage { env, ctx, prefetch };
+    let shards = plan.shards;
+    check(shard < shards, || {
+        format!("shard {shard} outside the plan's {shards} shards")
+    })?;
     let mut sink = ShardSink { frame, plan, shard };
-    let stats = walk::run(storage, &mut sink, cell, eta, skip, budget)?;
+    let stats = walk::run(env, ctx, &mut sink, q)?;
     sink.frame.stats = stats;
     Ok(stats)
 }
@@ -506,12 +503,13 @@ impl Emit for ShardSink<'_> {
         (key.child(depth, index), depth + 1)
     }
 
-    fn emits_object(&self, id: u64) -> bool {
-        self.plan.object_owner.get(&id) == Some(&self.shard)
-    }
-
-    fn emits_subtree(&self, ordinal: u32) -> bool {
-        self.plan.node_owner[ordinal as usize] as usize == self.shard
+    fn emits(&self, key: ResultKey) -> bool {
+        match key {
+            ResultKey::Object(id) => self.plan.object_owner.get(&id) == Some(&self.shard),
+            ResultKey::Internal(ordinal) => {
+                self.plan.node_owner[ordinal as usize] as usize == self.shard
+            }
+        }
     }
 
     fn descends(&self, ordinal: u32) -> bool {
@@ -577,6 +575,7 @@ pub fn merge_frames(frames: &mut [ShardFrame], out: &mut QueryResult) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdov_storage::StorageError;
 
     #[test]
     fn path_keys_order_like_dfs() {

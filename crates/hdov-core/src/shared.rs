@@ -15,7 +15,9 @@
 //! nothing but the last V-page disk page read — the paper's cache-less
 //! simulated disk, charged by the same [`IoCursor`] rule.
 //!
-//! Served sessions ([`SharedEnvironment::query_cell`] and friends) also
+//! Served sessions (a [`Query`] with `prefetch` set, as
+//! [`SharedEnvironment::query_cell`] and
+//! [`query_delta_into`](SharedEnvironment::query_delta_into) issue) also
 //! batch their V-page reads: after the segment flip, the distinct V-page
 //! disk pages of the cell are read once, in ascending order (one
 //! sequential run), instead of being pointer-chased mid-recursion
@@ -23,15 +25,19 @@
 //! batch (its layout is node-major, the paper's §4.1 weakness) and skips
 //! this.
 //!
-//! The traversal itself is the one walk of the walk module; [`search_shared`]
-//! runs it with a storage adapter that reads through the pools and charges
-//! the session's cursors.
+//! The traversal itself is the one walk of the walk module;
+//! [`SharedEnvironment::search`] runs it with a storage adapter that reads
+//! through the pools and charges the session's cursors. The adapter also
+//! owns the two steps every traversal shares: Fig. 3's per-entry decision
+//! and the Eq. 5/6 LoD fetch.
 
-use crate::budget::QueryBudget;
 use crate::build::{HdovTree, TerminationHeuristic};
 use crate::delta::{DeltaSearch, DeltaSummary};
 use crate::node::{HdovEntry, HdovNode};
-use crate::search::{terminates_with, QueryResult, ResultKey, SearchStats};
+use crate::search::{
+    object_blend, select_level, terminates_with, Query, QueryResult, ResultEntry, ResultKey,
+    SearchStats,
+};
 use crate::storage::StorageScheme;
 use crate::vpage::{VEntry, VPage};
 use crate::walk;
@@ -45,7 +51,6 @@ use hdov_storage::{
     StoreFile, PAGE_SIZE,
 };
 use hdov_visibility::{CellGrid, CellId, DovTable};
-use std::collections::HashMap;
 use std::convert::Infallible;
 use std::sync::Arc;
 
@@ -825,37 +830,50 @@ impl SharedEnvironment {
         self.grid.clamped_cell_of(viewpoint)
     }
 
-    /// Visibility query by cell, with batched V-page prefetch.
+    /// The one Fig. 3 entry: runs `q` charged to `ctx`, writing the answer
+    /// into `scratch` (read it via [`SearchScratch::result`]). The returned
+    /// [`SearchStats`] cover this query only.
+    ///
+    /// With warm pools and a same-cell session the whole query touches no
+    /// allocator (overlay `Arc` clones on every node and V-page, reused
+    /// segment and result buffers — pinned by the `alloc_free` test). An
+    /// exhausted [`budget`](Query::budget) serves every remaining subtree
+    /// as its internal LoD, recorded as a `BudgetExhausted` degrade event;
+    /// the budget covers everything charged from the call on, including the
+    /// segment flip and the batched V-page prefetch.
+    ///
+    /// Fails with [`StorageError::InvalidPlan`](hdov_storage::StorageError)
+    /// on a cell outside the grid or a negative or NaN η.
+    pub fn search(
+        &self,
+        ctx: &mut SessionCtx,
+        scratch: &mut SearchScratch,
+        q: Query<'_>,
+    ) -> Result<SearchStats> {
+        walk::run(self, ctx, &mut scratch.result, q)
+    }
+
+    /// Visibility query by cell, with batched V-page prefetch, into an
+    /// owned result.
     pub fn query_cell(
         &self,
         ctx: &mut SessionCtx,
         cell: CellId,
         eta: f64,
     ) -> Result<(QueryResult, SearchStats)> {
-        search_shared(self, ctx, cell, eta, None, true)
+        let mut scratch = SearchScratch::new();
+        let q = Query {
+            prefetch: true,
+            ..Query::new(cell, eta)
+        };
+        let stats = self.search(ctx, &mut scratch, q)?;
+        Ok((scratch.take_result(), stats))
     }
 
-    /// Delta query for walkthroughs (the served counterpart of
-    /// [`HdovEnvironment::query_delta`](crate::HdovEnvironment::query_delta),
-    /// with batched V-page prefetch).
-    pub fn query_delta(
-        &self,
-        ctx: &mut SessionCtx,
-        viewpoint: Vec3,
-        eta: f64,
-        delta: &mut DeltaSearch,
-    ) -> Result<(QueryResult, SearchStats, DeltaSummary)> {
-        let cell = self.cell_of(viewpoint);
-        let skip = delta.skip_map();
-        let (result, stats) = search_shared(self, ctx, cell, eta, Some(&skip), true)?;
-        let summary = delta.apply(&result);
-        Ok((result, stats, summary))
-    }
-
-    /// [`query_delta`](Self::query_delta) writing into a reusable
-    /// [`SearchScratch`]: the result stays in `scratch` (read it via
-    /// [`SearchScratch::result`]), so a walkthrough session reuses one
-    /// buffer across every frame.
+    /// Delta query for walkthroughs, with batched V-page prefetch: models
+    /// resident in `delta` at the same LoD level are reused without model
+    /// I/O, and the answer — left in `scratch`, so a session reuses one
+    /// buffer across every frame — is folded into the resident set.
     pub fn query_delta_into(
         &self,
         ctx: &mut SessionCtx,
@@ -864,42 +882,13 @@ impl SharedEnvironment {
         eta: f64,
         delta: &mut DeltaSearch,
     ) -> Result<(SearchStats, DeltaSummary)> {
-        let budget = QueryBudget::UNLIMITED;
-        self.query_delta_into_budgeted(ctx, scratch, viewpoint, eta, delta, budget)
-    }
-
-    /// [`query_cell`](Self::query_cell) under a [`QueryBudget`] — see
-    /// [`search_shared_budgeted`].
-    pub fn query_cell_budgeted(
-        &self,
-        ctx: &mut SessionCtx,
-        cell: CellId,
-        eta: f64,
-        budget: QueryBudget,
-    ) -> Result<(QueryResult, SearchStats)> {
-        search_shared_budgeted(self, ctx, cell, eta, None, true, budget)
-    }
-
-    /// [`query_delta_into`](Self::query_delta_into) under a [`QueryBudget`]:
-    /// the per-frame serving path of an overloaded `SessionServer` — a frame
-    /// that exhausts its budget still returns a full-coverage (coarser)
-    /// answer and updates the resident set with it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn query_delta_into_budgeted(
-        &self,
-        ctx: &mut SessionCtx,
-        scratch: &mut SearchScratch,
-        viewpoint: Vec3,
-        eta: f64,
-        delta: &mut DeltaSearch,
-        budget: QueryBudget,
-    ) -> Result<(SearchStats, DeltaSummary)> {
-        let cell = self.cell_of(viewpoint);
-        let skip = delta.skip_map();
-        let stats =
-            search_shared_into_budgeted(self, ctx, scratch, cell, eta, Some(&skip), true, budget)?;
-        let summary = delta.apply(scratch.result());
-        Ok((stats, summary))
+        let q = Query {
+            resident: Some(delta),
+            prefetch: true,
+            ..Query::new(self.cell_of(viewpoint), eta)
+        };
+        let stats = self.search(ctx, scratch, q)?;
+        Ok((stats, delta.apply(scratch.result())))
     }
 
     /// Warms the pools for `cell`: segment flip plus batched V-page read,
@@ -1044,7 +1033,7 @@ impl SharedEnvironment {
 }
 
 /// Reusable per-session search state: the result buffer survives across
-/// queries, so a steady-state [`search_shared_into`] call over warm pools
+/// queries, so a steady-state [`SharedEnvironment::search`] call over warm pools
 /// performs **no heap allocation** (pinned by the `alloc_free` integration
 /// test). One per walkthrough session, alongside its [`SessionCtx`].
 #[derive(Debug, Default)]
@@ -1072,98 +1061,19 @@ impl SearchScratch {
     }
 }
 
-/// The threshold visibility query of Fig. 3 against a frozen environment,
-/// with optional batched V-page prefetch (`prefetch`).
-///
-/// `skip` maps already-resident keys to their resident LoD level: matching
-/// entries are included in the result with `cached = true` and cost no model
-/// I/O (the walkthrough "delta" optimisation, §5.4).
-///
-/// All simulated I/O is charged to `ctx`'s cursors; the returned
-/// [`SearchStats`] cover this query only.
-///
-/// Convenience wrapper over [`search_shared_into`] that returns an owned
-/// result; loops that care about allocations should hold a
-/// [`SearchScratch`] and call `search_shared_into` directly.
-pub fn search_shared(
-    env: &SharedEnvironment,
-    ctx: &mut SessionCtx,
-    cell: CellId,
-    eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
-    prefetch: bool,
-) -> Result<(QueryResult, SearchStats)> {
-    let budget = QueryBudget::UNLIMITED;
-    search_shared_budgeted(env, ctx, cell, eta, skip, prefetch, budget)
+/// Fig. 3's decision for one entry of a visited node.
+pub(crate) enum Step {
+    /// Line 3: a completely hidden branch.
+    Prune,
+    /// Lines 4–8: an answer entry — an object at its Eq. 6 blend factor
+    /// `k`, or a barely visible subtree's internal LoD at its Eq. 5 one.
+    Emit { key: ResultKey, k: f64 },
+    /// Line 10: search the child node with this ordinal.
+    Descend(u32),
 }
 
-/// [`search_shared`] under a [`QueryBudget`]: when the budget exhausts
-/// mid-descent, every remaining subtree is served as its internal LoD and
-/// recorded as a `BudgetExhausted` degrade event in the result's
-/// [`DegradeReport`](crate::DegradeReport). An unlimited budget is
-/// byte-identical to [`search_shared`].
-pub fn search_shared_budgeted(
-    env: &SharedEnvironment,
-    ctx: &mut SessionCtx,
-    cell: CellId,
-    eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
-    prefetch: bool,
-    budget: QueryBudget,
-) -> Result<(QueryResult, SearchStats)> {
-    let mut scratch = SearchScratch::new();
-    let stats =
-        search_shared_into_budgeted(env, ctx, &mut scratch, cell, eta, skip, prefetch, budget)?;
-    Ok((scratch.take_result(), stats))
-}
-
-/// [`search_shared`] writing its answer into `scratch` instead of a fresh
-/// [`QueryResult`] — the zero-allocation hot path: with warm pools and a
-/// same-cell session, the whole query touches no allocator (overlay `Arc`
-/// clones on every node/V-page, reused segment and result buffers).
-pub fn search_shared_into(
-    env: &SharedEnvironment,
-    ctx: &mut SessionCtx,
-    scratch: &mut SearchScratch,
-    cell: CellId,
-    eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
-    prefetch: bool,
-) -> Result<SearchStats> {
-    search_shared_into_budgeted(
-        env,
-        ctx,
-        scratch,
-        cell,
-        eta,
-        skip,
-        prefetch,
-        QueryBudget::UNLIMITED,
-    )
-}
-
-/// [`search_shared_into`] under a [`QueryBudget`] (see
-/// [`search_shared_budgeted`]). The budget covers everything charged to the
-/// session's cursors from the call on — including the segment flip and the
-/// batched V-page prefetch, which is what makes a saturated cell's prefetch
-/// count against its own deadline.
-#[allow(clippy::too_many_arguments)]
-pub fn search_shared_into_budgeted(
-    env: &SharedEnvironment,
-    ctx: &mut SessionCtx,
-    scratch: &mut SearchScratch,
-    cell: CellId,
-    eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
-    prefetch: bool,
-    budget: QueryBudget,
-) -> Result<SearchStats> {
-    let storage = SharedStorage { env, ctx, prefetch };
-    walk::run(storage, &mut scratch.result, cell, eta, skip, budget)
-}
-
-/// How the walk reaches a frozen environment's pages, and what they cost:
-/// the environment's pools, charged to one session's cursors.
+/// How a traversal reaches a frozen environment's pages, and what they
+/// cost: the environment's pools, charged to one session's cursors.
 pub(crate) struct SharedStorage<'a> {
     pub(crate) env: &'a SharedEnvironment,
     pub(crate) ctx: &'a mut SessionCtx,
@@ -1217,32 +1127,76 @@ impl SharedStorage<'_> {
         self.env.tree.read_node(&mut self.ctx.node_cur, ordinal)
     }
 
-    /// The object-model directory.
-    pub(crate) fn object_store(&self) -> &ModelStore {
-        &self.env.models.store
-    }
-
-    /// The internal-LoD directory (key = node ordinal).
-    pub(crate) fn internal_store(&self) -> &ModelStore {
-        &self.env.tree.internal_store
-    }
-
-    /// Charges the page reads of object `id` at `level`.
-    pub(crate) fn fetch_object(&mut self, id: u64, level: usize) -> Result<ModelHandle> {
-        self.env.models.fetch(&mut self.ctx.model_cur, id, level)
-    }
-
-    /// Charges the page reads of node `ordinal`'s internal LoD at `level`.
-    pub(crate) fn fetch_internal(&mut self, ordinal: u32, level: usize) -> Result<ModelHandle> {
-        self.env
-            .tree
-            .fetch_internal_lod(&mut self.ctx.internal_cur, ordinal, level)
-    }
-
-    /// The second condition of Fig. 3 line 7.
-    pub(crate) fn terminates(&self, entry: &HdovEntry, ve: &VEntry) -> bool {
+    /// Fig. 3 lines 3–10 for `entry`, whose V-entry in the current cell is
+    /// `ve`, under threshold `eta`: prune, answer (object or η-terminated
+    /// subtree), or descend. Reads and charges nothing.
+    pub(crate) fn step(&self, entry: &HdovEntry, ve: &VEntry, eta: f64) -> Step {
         let t = &self.env.tree;
-        terminates_with(t.heuristic, t.fanout, &t.internal_store, entry, ve)
+        if ve.dov <= 0.0 {
+            Step::Prune
+        } else if entry.is_object() {
+            let k = object_blend(ve.dov);
+            Step::Emit {
+                key: ResultKey::Object(entry.child),
+                k,
+            }
+        } else if (ve.dov as f64) <= eta
+            && terminates_with(t.heuristic, t.fanout, &t.internal_store, entry, ve)
+        {
+            let k = if eta > 0.0 {
+                (ve.dov as f64 / eta).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            Step::Emit {
+                key: ResultKey::Internal(entry.child_ordinal),
+                k,
+            }
+        } else {
+            Step::Descend(entry.child_ordinal)
+        }
+    }
+
+    /// The answer entry for `key` at blend factor `k` (Eq. 5/6), driven by
+    /// `dov`: picks the LoD level and charges its page reads — unless
+    /// `resident` already holds that level, in which case the entry is
+    /// `cached` and costs no I/O. `traced` records the fetch as a
+    /// [`Phase::LodFetch`] span.
+    pub(crate) fn lod(
+        &mut self,
+        key: ResultKey,
+        k: f64,
+        dov: f32,
+        resident: Option<&DeltaSearch>,
+        traced: bool,
+    ) -> Result<ResultEntry> {
+        let env = self.env;
+        let (store, id) = match key {
+            ResultKey::Object(id) => (env.models.store(), id),
+            ResultKey::Internal(ordinal) => (env.tree.internal_store(), ordinal as u64),
+        };
+        let level = select_level(store, id, k);
+        let cached = resident.and_then(|r| r.resident_level(key)) == Some(level);
+        let h = if cached {
+            store.handle(id, level)
+        } else {
+            let _lf = traced.then(|| hdov_obs::span(Phase::LodFetch));
+            match key {
+                ResultKey::Object(id) => env.models.fetch(&mut self.ctx.model_cur, id, level)?,
+                ResultKey::Internal(ordinal) => {
+                    env.tree
+                        .fetch_internal_lod(&mut self.ctx.internal_cur, ordinal, level)?
+                }
+            }
+        };
+        Ok(ResultEntry {
+            key,
+            level,
+            polygons: h.polygons as u64,
+            bytes: h.bytes as u64,
+            dov,
+            cached,
+        })
     }
 
     /// This query's I/O since `start`, into `stats`.

@@ -10,34 +10,32 @@
 //! 10.  else                  -> Search(E.ptr)
 //! ```
 //!
-//! Every query runs this one walk over a frozen
+//! Every depth-first query runs this one walk over a frozen
 //! [`SharedEnvironment`](crate::SharedEnvironment), read and charged
 //! through one session's [`SessionCtx`](crate::SessionCtx) — the
 //! single-user [`HdovEnvironment`](crate::HdovEnvironment) is just such a
-//! session. What differs between callers is an [`Emit`] sink, fixed at
-//! compile time: it says where answers go and which of them to keep — a
-//! [`QueryResult`] keeps everything, a shard frame keeps only what its
-//! shard owns and tags each entry with its [`PathKey`](crate::PathKey).
+//! session — as one [`Query`] describes it. What differs between callers is
+//! an [`Emit`] sink, fixed at compile time: it says where answers go and
+//! which of them to keep — a [`QueryResult`](crate::QueryResult) keeps
+//! everything, a shard frame keeps only what its shard owns and tags each
+//! entry with its [`PathKey`](crate::PathKey). The per-entry decision
+//! (lines 3–10) and the Eq. 5/6 LoD step are the storage adapter's, shared
+//! with the best-first search and the naïve baseline.
 //!
 //! Around the walk sit the behaviours every caller shares: the
-//! [`QueryBudget`] check before each descent (DESIGN.md §12), graceful
-//! degradation of unreadable subtrees to their internal LoD (§11), the
-//! last-resort root fallback, and the per-query `hdov-obs` report.
+//! [`QueryBudget`](crate::QueryBudget) check before each descent (DESIGN.md
+//! §12), graceful degradation of unreadable subtrees to their internal LoD
+//! (§11), the last-resort root fallback, and the per-query `hdov-obs`
+//! report.
 
-use crate::budget::{BudgetClock, QueryBudget};
-use crate::search::{
-    select_level, DegradeCause, DegradeEvent, ResultEntry, ResultKey, SearchStats,
-};
-use crate::shared::{SharedStorage, SharedTree};
-use crate::vpage::VPage;
-use hdov_geom::solid_angle::MAX_DOV;
+use crate::budget::BudgetClock;
+use crate::delta::DeltaSearch;
+use crate::search::{DegradeCause, DegradeEvent, Query, ResultEntry, ResultKey, SearchStats};
+use crate::shared::{SessionCtx, SharedEnvironment, SharedStorage, SharedTree, Step};
+use crate::vpage::{VEntry, VPage};
 use hdov_obs::{Counter, Hist, Phase};
 use hdov_storage::Result;
 use hdov_visibility::CellId;
-use std::collections::HashMap;
-
-/// Resident keys and their LoD levels (the walkthrough delta, §5.4).
-pub(crate) type Skip<'a> = Option<&'a HashMap<ResultKey, usize>>;
 
 /// The `error` string recorded on a [`DegradeCause::BudgetExhausted`] event
 /// (kept non-empty so every event explains itself, like absorbed errors do).
@@ -55,12 +53,9 @@ pub(crate) trait Emit {
 
     /// The position of entry `index` of the node at `parent`.
     fn child(&self, parent: Self::Path, index: usize) -> Self::Path;
-    /// Keep object `id` (and fetch its model)?
-    fn emits_object(&self, _id: u64) -> bool {
-        true
-    }
-    /// Keep the η-terminated subtree rooted at `ordinal`?
-    fn emits_subtree(&self, _ordinal: u32) -> bool {
+    /// Keep the answer entry for `key` (and fetch its model) — an object,
+    /// or an η-terminated subtree's internal LoD?
+    fn emits(&self, _key: ResultKey) -> bool {
         true
     }
     /// Descend into the subtree rooted at `ordinal`?
@@ -88,34 +83,38 @@ pub(crate) trait Emit {
     fn events(&self) -> impl Iterator<Item = &DegradeEvent>;
 }
 
-/// Runs one Fig. 3 query from the root: flips into `cell`, walks, falls
-/// back to the root's internal LoD if even the root is unreadable, and
-/// reports the query to `hdov-obs`. Returns this query's cost breakdown.
+/// Runs query `q` from the root, charged to `ctx`: flips into the cell,
+/// walks, falls back to the root's internal LoD if even the root is
+/// unreadable, and reports the query to `hdov-obs`. Returns this query's
+/// cost breakdown; an invalid `q` is rejected before anything is charged.
 ///
-/// Under an exhausted [`QueryBudget`] the walk stops descending and serves
-/// every remaining subtree as its internal LoD; an unlimited budget costs
-/// one branch per descent and touches no clock or meter.
+/// Under an exhausted budget the walk stops descending and serves every
+/// remaining subtree as its internal LoD; an unlimited budget costs one
+/// branch per descent and touches no clock or meter.
 pub(crate) fn run<E: Emit>(
-    mut storage: SharedStorage<'_>,
+    env: &SharedEnvironment,
+    ctx: &mut SessionCtx,
     sink: &mut E,
-    cell: CellId,
-    eta: f64,
-    skip: Skip<'_>,
-    budget: QueryBudget,
+    q: Query<'_>,
 ) -> Result<SearchStats> {
-    assert!(eta >= 0.0, "eta must be non-negative");
+    q.check(env)?;
+    let mut storage = SharedStorage {
+        env,
+        ctx,
+        prefetch: q.prefetch,
+    };
     let meters = storage.begin();
-    let bclock = BudgetClock::start(budget, storage.io_elapsed_us());
+    let bclock = BudgetClock::start(q.budget, storage.io_elapsed_us());
     sink.clear();
     let mut walk = Walk {
         storage: &mut storage,
         sink,
-        eta,
-        skip,
+        eta: q.eta,
+        resident: q.resident,
         bclock,
         stats: SearchStats::default(),
     };
-    if let Err(e) = walk.enter_and_walk(cell) {
+    if let Err(e) = walk.enter_and_walk(q.cell) {
         // Even the root's own reads failed (or the segment flip did): the
         // last resort of graceful degradation serves the whole scene as the
         // root's internal LoD. Only an unreadable root LoD fails the query.
@@ -135,7 +134,7 @@ struct Walk<'a, 's, E> {
     storage: &'a mut SharedStorage<'s>,
     sink: &'a mut E,
     eta: f64,
-    skip: Skip<'a>,
+    resident: Option<&'a DeltaSearch>,
     bclock: BudgetClock,
     stats: SearchStats,
 }
@@ -167,94 +166,54 @@ impl<E: Emit> Walk<'_, '_, E> {
         self.stats.nodes_visited += 1;
 
         for (i, (entry, ve)) in node.entries.iter().zip(&vpage.entries).enumerate() {
-            if ve.dov <= 0.0 {
-                continue; // line 3: completely hidden branch
-            }
-            let at = self.sink.child(path, i);
-            if entry.is_object() {
-                // Lines 4–5: leaf entry, Eq. 6.
-                if !self.sink.emits_object(entry.child) {
-                    continue;
+            match self.storage.step(entry, ve, self.eta) {
+                Step::Emit { key, k } if self.sink.emits(key) => {
+                    let e = self.storage.lod(key, k, ve.dov, self.resident, true)?;
+                    let at = self.sink.child(path, i);
+                    self.sink.push(at, e);
                 }
-                let k = (ve.dov as f64 / MAX_DOV).min(1.0);
-                let e = self.lod(ResultKey::Object(entry.child), k, ve.dov)?;
-                self.sink.push(at, e);
-            } else if (ve.dov as f64) <= self.eta && self.storage.terminates(entry, ve) {
-                // Lines 7–8: barely visible subtree, Eq. 5.
-                if !self.sink.emits_subtree(entry.child_ordinal) {
-                    continue;
+                Step::Descend(child) if self.sink.descends(child) => {
+                    let at = self.sink.child(path, i);
+                    self.descend(child, at, ve)?;
                 }
-                let k = if self.eta > 0.0 {
-                    (ve.dov as f64 / self.eta).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                let e = self.lod(ResultKey::Internal(entry.child_ordinal), k, ve.dov)?;
-                self.sink.push(at, e);
-            } else if self.sink.descends(entry.child_ordinal) {
-                let child = entry.child_ordinal;
-                // Budget check, charged nothing itself: once the query's
-                // spend reaches its cap, every remaining subtree is served
-                // as its internal LoD instead of being descended (DESIGN.md
-                // §12). The unlimited path is one branch — no meter reads,
-                // no clock.
-                let spent = self.bclock.is_limited()
-                    && self.bclock.exhausted(
-                        self.storage.io_elapsed_us(),
-                        self.stats.nodes_visited,
-                        self.stats.vpages_fetched,
-                    );
-                let fallback = if spent {
-                    let detail = BUDGET_EXHAUSTED_DETAIL.to_string();
-                    Some((DegradeCause::BudgetExhausted, detail))
-                } else {
-                    // Line 10: descend — absorbing read failures beneath
-                    // this entry by dropping the subtree's partial answer
-                    // and serving the child's internal LoD instead.
-                    let mark = self.sink.mark();
-                    let descent = self.visit(child, at);
-                    descent.err().map(|e| {
-                        self.sink.rollback(mark);
-                        (DegradeCause::ReadError, e.to_string())
-                    })
-                };
-                if let Some((cause, detail)) = fallback {
-                    self.degrade(child, at, ve.dov, ve.nvo as u64, cause, detail)?;
-                }
+                Step::Prune | Step::Emit { .. } | Step::Descend(_) => {}
             }
         }
         Ok(())
     }
 
-    /// The entry for `key` at blend factor `k` (Eq. 5/6): model I/O is
-    /// charged unless the delta `skip` map already holds that level.
-    fn lod(&mut self, key: ResultKey, k: f64, dov: f32) -> Result<ResultEntry> {
-        let (store, id) = match key {
-            ResultKey::Object(id) => (self.storage.object_store(), id),
-            ResultKey::Internal(ordinal) => (self.storage.internal_store(), ordinal as u64),
-        };
-        let level = select_level(store, id, k);
-        let cached = self
-            .skip
-            .and_then(|s| s.get(&key))
-            .is_some_and(|&l| l == level);
-        let h = if cached {
-            store.handle(id, level)
+    /// Line 10: descends into `child` at `at` (its V-entry is `ve`) — or,
+    /// once the budget is spent or the subtree proves unreadable, serves
+    /// the child's internal LoD instead.
+    fn descend(&mut self, child: u32, at: E::Path, ve: &VEntry) -> Result<()> {
+        // Budget check, charged nothing itself: once the query's spend
+        // reaches its cap, every remaining subtree is served as its
+        // internal LoD instead of being descended (DESIGN.md §12). The
+        // unlimited path is one branch — no meter reads, no clock.
+        let spent = self.bclock.is_limited()
+            && self.bclock.exhausted(
+                self.storage.io_elapsed_us(),
+                self.stats.nodes_visited,
+                self.stats.vpages_fetched,
+            );
+        let fallback = if spent {
+            let detail = BUDGET_EXHAUSTED_DETAIL.to_string();
+            Some((DegradeCause::BudgetExhausted, detail))
         } else {
-            let _lf = hdov_obs::span(Phase::LodFetch);
-            match key {
-                ResultKey::Object(id) => self.storage.fetch_object(id, level)?,
-                ResultKey::Internal(ordinal) => self.storage.fetch_internal(ordinal, level)?,
-            }
+            // Absorb read failures beneath this entry by dropping the
+            // subtree's partial answer and serving the child's internal LoD
+            // instead.
+            let mark = self.sink.mark();
+            let descent = self.visit(child, at);
+            descent.err().map(|e| {
+                self.sink.rollback(mark);
+                (DegradeCause::ReadError, e.to_string())
+            })
         };
-        Ok(ResultEntry {
-            key,
-            level,
-            polygons: h.polygons as u64,
-            bytes: h.bytes as u64,
-            dov,
-            cached,
-        })
+        match fallback {
+            Some((cause, detail)) => self.degrade(child, at, ve.dov, ve.nvo as u64, cause, detail),
+            None => Ok(()),
+        }
     }
 
     /// Serves node `ordinal`'s finest internal LoD at `at` in place of its
@@ -272,7 +231,8 @@ impl<E: Emit> Walk<'_, '_, E> {
         cause: DegradeCause,
         error: String,
     ) -> Result<()> {
-        let e = self.lod(ResultKey::Internal(ordinal), 1.0, dov)?;
+        let key = ResultKey::Internal(ordinal);
+        let e = self.storage.lod(key, 1.0, dov, self.resident, true)?;
         self.sink.push(at, e);
         let event = DegradeEvent {
             ordinal,

@@ -1,8 +1,8 @@
 //! The acceptance criterion of the zero-copy read path: a steady-state
-//! `search_shared_into` over warm pools performs **zero** heap allocations.
-//! Every byte the query touches is either a pooled frame (`Arc` clone), a
-//! decoded overlay (`Arc` clone), or a buffer reused from `SessionCtx` /
-//! `SearchScratch`.
+//! `SharedEnvironment::search` over warm pools performs **zero** heap
+//! allocations. Every byte the query touches is either a pooled frame
+//! (`Arc` clone), a decoded overlay (`Arc` clone), or a buffer reused from
+//! `SessionCtx` / `SearchScratch`; a resident set is read in place.
 //!
 //! A counting global allocator needs its own process: this file holds
 //! exactly one test, and obs stays disabled (registering a thread-local
@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hdov_core::{
-    search_shared_into, HdovBuildConfig, HdovEnvironment, PoolConfig, SearchScratch, StorageScheme,
+    DeltaSearch, HdovBuildConfig, HdovEnvironment, PoolConfig, Query, SearchScratch, StorageScheme,
     VPageCodec,
 };
 use hdov_scene::CityConfig;
@@ -53,7 +53,7 @@ fn allocations() -> u64 {
 }
 
 #[test]
-fn steady_state_search_shared_allocates_nothing() {
+fn steady_state_search_allocates_nothing() {
     assert!(!hdov_obs::is_enabled(), "obs must stay disabled here");
     let scene = CityConfig::tiny().seed(5).generate();
     let grid_cfg = CellGridConfig::for_scene(&scene).with_resolution(3, 3);
@@ -90,24 +90,27 @@ fn steady_state_search_shared_allocates_nothing() {
                 let cells: Vec<CellId> = (0..env.grid().cell_count() as CellId).collect();
                 let mut ctx = env.session();
                 let mut scratch = SearchScratch::new();
+                // A walkthrough's resident set: the answer of the last cell.
+                let mut delta = DeltaSearch::new();
+                let last = *cells.last().unwrap();
+                env.search(&mut ctx, &mut scratch, Query::new(last, 0.004))
+                    .unwrap();
+                delta.apply(scratch.result());
 
-                for prefetch in [false, true] {
+                for (prefetch, resident) in [(false, None), (true, None), (true, Some(&delta))] {
+                    let query = |cell, eta| Query {
+                        resident,
+                        prefetch,
+                        ..Query::new(cell, eta)
+                    };
                     // Warm-up: two full rounds populate the pools and grow every
                     // reused buffer (segments, staging bytes, prefetch list,
                     // result entries) to its per-workload high-water mark.
                     for _ in 0..2 {
                         for &cell in &cells {
                             for eta in [0.0, 0.004] {
-                                search_shared_into(
-                                    &env,
-                                    &mut ctx,
-                                    &mut scratch,
-                                    cell,
-                                    eta,
-                                    None,
-                                    prefetch,
-                                )
-                                .unwrap();
+                                env.search(&mut ctx, &mut scratch, query(cell, eta))
+                                    .unwrap();
                             }
                         }
                     }
@@ -119,16 +122,9 @@ fn steady_state_search_shared_allocates_nothing() {
                     let mut polygons = 0u64;
                     for &cell in &cells {
                         for eta in [0.0, 0.004] {
-                            let stats = search_shared_into(
-                                &env,
-                                &mut ctx,
-                                &mut scratch,
-                                cell,
-                                eta,
-                                None,
-                                prefetch,
-                            )
-                            .unwrap();
+                            let stats = env
+                                .search(&mut ctx, &mut scratch, query(cell, eta))
+                                .unwrap();
                             assert!(stats.nodes_visited > 0);
                             polygons += scratch.result().total_polygons();
                         }
@@ -138,8 +134,9 @@ fn steady_state_search_shared_allocates_nothing() {
                     assert_eq!(
                         after - before,
                         0,
-                        "steady-state all-hits search_shared_into allocated \
-                         ({scheme}, {codec:?}, backend {label}, prefetch {prefetch})"
+                        "steady-state all-hits search allocated ({scheme}, {codec:?}, \
+                         backend {label}, prefetch {prefetch}, resident {})",
+                        resident.is_some()
                     );
                 }
             }

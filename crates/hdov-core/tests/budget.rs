@@ -14,8 +14,8 @@
 //!     records more stops than a tight one on the same query.
 
 use hdov_core::{
-    search_shared, DegradeCause, HdovBuildConfig, HdovEnvironment, PoolConfig, QueryBudget,
-    QueryResult, ResultKey, SearchStats, SharedEnvironment, StorageScheme,
+    DegradeCause, HdovBuildConfig, HdovEnvironment, PoolConfig, Query, QueryBudget, QueryResult,
+    ResultKey, SearchScratch, SearchStats, SessionCtx, SharedEnvironment, StorageScheme,
 };
 use hdov_scene::{CityConfig, Scene};
 use hdov_visibility::{CellGridConfig, CellId};
@@ -35,6 +35,25 @@ fn env(scheme: StorageScheme) -> HdovEnvironment {
 
 fn shared_env(scheme: StorageScheme) -> SharedEnvironment {
     env(scheme).into_shared(PoolConfig::default())
+}
+
+/// A served query (batched V-page prefetch) under `budget`, into an owned
+/// result.
+fn served(
+    env: &SharedEnvironment,
+    ctx: &mut SessionCtx,
+    cell: CellId,
+    eta: f64,
+    budget: QueryBudget,
+) -> (QueryResult, SearchStats) {
+    let mut scratch = SearchScratch::new();
+    let q = Query {
+        budget,
+        prefetch: true,
+        ..Query::new(cell, eta)
+    };
+    let stats = env.search(ctx, &mut scratch, q).unwrap();
+    (scratch.take_result(), stats)
 }
 
 /// Every byte of a result entry that the query contract promises.
@@ -86,10 +105,12 @@ proptest! {
         let cells: Vec<CellId> = (0..plain.grid().cell_count() as CellId).collect();
 
         for &c in &cells {
-            let (r0, s0) = plain.query_cell(c, eta).unwrap();
-            let (r1, s1) = budgeted
-                .query_cell_budgeted(c, eta, QueryBudget::unlimited())
-                .unwrap();
+            let (r0, s0) = plain.query(Query::new(c, eta)).unwrap();
+            let unlimited = Query {
+                budget: QueryBudget::unlimited(),
+                ..Query::new(c, eta)
+            };
+            let (r1, s1) = budgeted.query(unlimited).unwrap();
             prop_assert_eq!(keyed(&r1), keyed(&r0), "{} cell {}: entries", scheme, c);
             prop_assert_eq!(costs(&s1), costs(&s0), "{} cell {}: costs", scheme, c);
             prop_assert!(!r1.degrade().is_degraded(), "{} cell {}: spurious degrade", scheme, c);
@@ -113,10 +134,8 @@ proptest! {
         let mut ctx0 = plain.session();
         let mut ctx1 = budgeted.session();
         for &c in &cells {
-            let (r0, s0) = search_shared(&plain, &mut ctx0, c, eta, None, true).unwrap();
-            let (r1, s1) = budgeted
-                .query_cell_budgeted(&mut ctx1, c, eta, QueryBudget::unlimited())
-                .unwrap();
+            let (r0, s0) = plain.query_cell(&mut ctx0, c, eta).unwrap();
+            let (r1, s1) = served(&budgeted, &mut ctx1, c, eta, QueryBudget::unlimited());
             prop_assert_eq!(keyed(&r1), keyed(&r0), "{} cell {}: entries", scheme, c);
             prop_assert_eq!(costs(&s1), costs(&s0), "{} cell {}: costs", scheme, c);
             prop_assert!(!r1.degrade().is_degraded());
@@ -138,9 +157,11 @@ proptest! {
         let mut tight_stops = 0u64;
         let mut loose_stops = 0u64;
         for &c in &cells {
-            let (r, _) = e
-                .query_cell_budgeted(c, eta, QueryBudget::sim_ms(0.001))
-                .unwrap();
+            let tight = Query {
+                budget: QueryBudget::sim_ms(0.001),
+                ..Query::new(c, eta)
+            };
+            let (r, _) = e.query(tight).unwrap();
             let d = r.degrade();
             prop_assert_eq!(d.errors_absorbed(), 0, "budget stops are not read errors");
             prop_assert_eq!(d.budget_stops(), d.events().len() as u64);
@@ -151,9 +172,11 @@ proptest! {
             prop_assert!(!r.entries().is_empty(), "coverage must survive the stop");
             tight_stops += d.budget_stops();
 
-            let (r, _) = e
-                .query_cell_budgeted(c, eta, QueryBudget::sim_ms(1e9))
-                .unwrap();
+            let loose = Query {
+                budget: QueryBudget::sim_ms(1e9),
+                ..Query::new(c, eta)
+            };
+            let (r, _) = e.query(loose).unwrap();
             loose_stops += r.degrade().budget_stops();
         }
         prop_assert!(tight_stops > 0, "a 1µs budget must stop some descent");
@@ -183,9 +206,7 @@ proptest! {
         let mut starved = shared.session();
         let mut saw_stop = false;
         for &c in &cells {
-            let (r, _) = shared
-                .query_cell_budgeted(&mut starved, c, eta, QueryBudget::sim_ms(0.001))
-                .unwrap();
+            let (r, _) = served(&shared, &mut starved, c, eta, QueryBudget::sim_ms(0.001));
             saw_stop |= r.degrade().budget_stops() > 0;
             prop_assert!(!r.entries().is_empty());
         }

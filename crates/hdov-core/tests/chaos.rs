@@ -20,8 +20,8 @@
 //! out of a memory image, a mapping, or a positioned read.
 
 use hdov_core::{
-    search_shared, DegradeReport, HdovBuildConfig, HdovEnvironment, PoolConfig, QueryResult,
-    ResultKey, SharedEnvironment, StorageScheme, VPageCodec,
+    DegradeReport, HdovBuildConfig, HdovEnvironment, PoolConfig, Query, QueryResult, ResultKey,
+    SearchScratch, SharedEnvironment, StorageScheme, VPageCodec,
 };
 use hdov_scene::{CityConfig, Scene};
 use hdov_storage::{FaultPlan, StorageBackend};
@@ -101,14 +101,14 @@ proptest! {
 
         let baseline: Vec<_> = cells
             .iter()
-            .map(|&c| keyed(&e.query_cell(c, eta).unwrap().0))
+            .map(|&c| keyed(&e.query(Query::new(c, eta)).unwrap().0))
             .collect();
 
         e.arm_faults(&FaultPlan::transient(rate, seed));
         for (i, &c) in cells.iter().enumerate() {
             // An Err means even the root's internal LoD was unreadable: an
             // error, not a panic, is the contract.
-            if let Ok((r, _)) = e.query_cell(c, eta) {
+            if let Ok((r, _)) = e.query(Query::new(c, eta)) {
                 if r.degrade().is_degraded() {
                     assert_report_coherent(r.degrade());
                 } else {
@@ -122,7 +122,7 @@ proptest! {
 
         e.disarm_faults();
         for (i, &c) in cells.iter().enumerate() {
-            let (r, _) = e.query_cell(c, eta).unwrap();
+            let (r, _) = e.query(Query::new(c, eta)).unwrap();
             prop_assert!(!r.degrade().is_degraded());
             prop_assert_eq!(
                 keyed(&r), baseline[i].clone(),
@@ -149,7 +149,7 @@ proptest! {
 
         let baseline: Vec<_> = cells
             .iter()
-            .map(|&c| keyed(&e.query_cell(c, eta).unwrap().0))
+            .map(|&c| keyed(&e.query(Query::new(c, eta)).unwrap().0))
             .collect();
 
         e.arm_faults(&FaultPlan {
@@ -158,13 +158,13 @@ proptest! {
             ..FaultPlan::default()
         });
         for (i, &c) in cells.iter().enumerate() {
-            match e.query_cell(c, eta) {
+            match e.query(Query::new(c, eta)) {
                 Ok((r, _)) => {
                     if r.degrade().is_degraded() {
                         assert_report_coherent(r.degrade());
                         // Corruption is permanent: the degraded answer must
                         // be reproducible, not flapping.
-                        let (again, _) = e.query_cell(c, eta).unwrap();
+                        let (again, _) = e.query(Query::new(c, eta)).unwrap();
                         prop_assert_eq!(keyed(&again), keyed(&r));
                     } else {
                         prop_assert_eq!(
@@ -182,7 +182,7 @@ proptest! {
 
         e.disarm_faults();
         for (i, &c) in cells.iter().enumerate() {
-            let (r, _) = e.query_cell(c, eta).unwrap();
+            let (r, _) = e.query(Query::new(c, eta)).unwrap();
             prop_assert_eq!(keyed(&r), baseline[i].clone());
         }
     }
@@ -238,17 +238,18 @@ fn shared_chaos_case(scheme: StorageScheme, codec: VPageCodec, backend: &str) {
                 let baseline = &baseline;
                 s.spawn(move || {
                     let mut ctx = shared.session();
+                    let mut scratch = SearchScratch::new();
                     for i in 0..cells.len() {
                         let j = (i + t) % cells.len();
+                        let q = Query::new(cells[j], eta);
                         // An Err stays isolated to this session's frame.
-                        if let Ok((r, _)) =
-                            search_shared(shared, &mut ctx, cells[j], eta, None, false)
-                        {
+                        if shared.search(&mut ctx, &mut scratch, q).is_ok() {
+                            let r = scratch.result();
                             if r.degrade().is_degraded() {
                                 assert_report_coherent(r.degrade());
                             } else {
                                 assert_eq!(
-                                    keyed(&r),
+                                    keyed(r),
                                     baseline[j],
                                     "thread {t}: non-degraded faulty answer diverged"
                                 );

@@ -12,11 +12,12 @@
 //! Sweep: the tiny city × 3 schemes × raw/delta codecs × mem/file:pread
 //! backends. Per environment: a cell dump; every cell × η ∈ {0, 0.002,
 //! 0.01} through the plain, budgeted and prioritized queries; the naïve
-//! baseline per cell; 20-frame `query_delta` and `query_prioritized_delta`
-//! walks; then the prioritized queries again with a node cache enabled.
+//! baseline per cell; 20-frame delta walks through `query` and through
+//! `query_prioritized` (each folding its answers into a resident set); then
+//! the prioritized queries again with a node cache enabled.
 
 use hdov_core::{
-    DeltaSearch, HdovBuildConfig, HdovEnvironment, QueryBudget, QueryResult, ResultKey,
+    DeltaSearch, HdovBuildConfig, HdovEnvironment, Query, QueryBudget, QueryResult, ResultKey,
     SearchStats, StorageScheme, VPageCodec,
 };
 use hdov_geom::{Frustum, Vec3};
@@ -107,12 +108,14 @@ fn sweep_cells(env: &mut HdovEnvironment, h: &mut Fnv) {
     for cell in 0..env.grid().cell_count() as CellId {
         let eye = env.grid().cell_bounds(cell).center();
         for eta in ETAS {
-            let (r, s) = env.query_cell(cell, eta).unwrap();
+            let (r, s) = env.query(Query::new(cell, eta)).unwrap();
             h.result(&r);
             h.stats(&s);
-            let (r, s) = env
-                .query_cell_budgeted(cell, eta, QueryBudget::sim_ms(1.0))
-                .unwrap();
+            let budgeted = Query {
+                budget: QueryBudget::sim_ms(1.0),
+                ..Query::new(cell, eta)
+            };
+            let (r, s) = env.query(budgeted).unwrap();
             h.result(&r);
             h.stats(&s);
             sweep_prioritized(env, h, eye, eta);
@@ -121,10 +124,12 @@ fn sweep_cells(env: &mut HdovEnvironment, h: &mut Fnv) {
 }
 
 fn sweep_prioritized(env: &mut HdovEnvironment, h: &mut Fnv, eye: Vec3, eta: f64) {
-    for budget in [None, Some(2.0)] {
-        let (o, s) = env
-            .query_prioritized(&frustum_at(eye, Vec3::X), eta, budget)
-            .unwrap();
+    for budget in [QueryBudget::UNLIMITED, QueryBudget::sim_ms(2.0)] {
+        let q = Query {
+            budget,
+            ..Query::new(env.cell_of(eye), eta)
+        };
+        let (o, s) = env.query_prioritized(q, &frustum_at(eye, Vec3::X)).unwrap();
         h.result(&o.result);
         h.u64(o.completed as u64);
         h.u64(o.spent_ms.to_bits());
@@ -155,7 +160,12 @@ fn stream(env: &mut HdovEnvironment, scene: &Scene, h: &mut Fnv) {
     }
     let mut delta = DeltaSearch::new();
     for &vp in &walk(scene) {
-        let (r, s, d) = env.query_delta(vp, 0.002, &mut delta).unwrap();
+        let q = Query {
+            resident: Some(&delta),
+            ..Query::new(env.cell_of(vp), 0.002)
+        };
+        let (r, s) = env.query(q).unwrap();
+        let d = delta.apply(&r);
         h.result(&r);
         h.stats(&s);
         h.u64(d.added as u64);
@@ -169,9 +179,18 @@ fn stream(env: &mut HdovEnvironment, scene: &Scene, h: &mut Fnv) {
             .and_then(|p: Vec3| (vp - p).try_normalize())
             .unwrap_or(Vec3::X);
         prev = Some(vp);
-        let (o, s) = env
-            .query_prioritized_delta(&frustum_at(vp, dir), 0.002, Some(3.0), &mut delta)
-            .unwrap();
+        let q = Query {
+            resident: Some(&delta),
+            budget: QueryBudget::sim_ms(3.0),
+            ..Query::new(env.cell_of(vp), 0.002)
+        };
+        let (o, s) = env.query_prioritized(q, &frustum_at(vp, dir)).unwrap();
+        // A truncated frame merges, so content not yet re-confirmed stays.
+        if o.completed {
+            delta.apply(&o.result);
+        } else {
+            delta.merge(&o.result);
+        }
         h.result(&o.result);
         h.u64(o.completed as u64);
         h.u64(o.spent_ms.to_bits());

@@ -14,8 +14,8 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use hdov_core::{
-    search_shared, HdovBuildConfig, HdovEnvironment, PoolConfig, SessionCtx, SharedEnvironment,
-    StorageScheme, VEntry, VPage, VPageCodec,
+    HdovBuildConfig, HdovEnvironment, PoolConfig, SessionCtx, SharedEnvironment, StorageScheme,
+    VEntry, VPage, VPageCodec,
 };
 use hdov_scene::{CityConfig, Scene};
 use hdov_storage::{DiskModel, IoCursor, PageId, PAGE_SIZE};
@@ -361,7 +361,7 @@ fn shared_answers_identical_overlays_on_vs_off() {
         let mut ctx = env.session();
         let mut arm = Vec::new();
         for cell in 0..env.grid().cell_count() as CellId {
-            let (r, st) = search_shared(&env, &mut ctx, cell, 0.003, None, true).unwrap();
+            let (r, st) = env.query_cell(&mut ctx, cell, 0.003).unwrap();
             let keyed: Vec<_> = r
                 .entries()
                 .iter()

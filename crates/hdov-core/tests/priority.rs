@@ -1,11 +1,15 @@
 //! Integration tests of the frustum-prioritized traversal (paper §3.2
 //! third advantage / §6 future work).
 
-use hdov_core::{HdovBuildConfig, HdovEnvironment, ResultKey, StorageScheme};
+use hdov_core::{
+    HdovBuildConfig, HdovEnvironment, PrioritizedOutcome, Query, QueryBudget, ResultKey,
+    SearchStats, StorageScheme,
+};
 use hdov_geom::{Frustum, Vec3};
 use hdov_scene::{CityConfig, Scene};
 use hdov_visibility::CellGridConfig;
 use std::collections::BTreeSet;
+use std::time::Duration;
 
 fn setup() -> (Scene, HdovEnvironment) {
     let scene = CityConfig::tiny().seed(21).generate();
@@ -25,6 +29,20 @@ fn frustum_at(scene: &Scene, dir: Vec3) -> Frustum {
     Frustum::new(eye, dir, Vec3::Z, 1.2, 1.3, 0.5, 2000.0)
 }
 
+/// Best-first from the frustum's eye cell under `budget`.
+fn prioritized(
+    env: &mut HdovEnvironment,
+    frustum: &Frustum,
+    eta: f64,
+    budget: QueryBudget,
+) -> (PrioritizedOutcome, SearchStats) {
+    let q = Query {
+        budget,
+        ..Query::new(env.cell_of(frustum.eye), eta)
+    };
+    env.query_prioritized(q, frustum).unwrap()
+}
+
 fn keyset(entries: &[hdov_core::ResultEntry]) -> BTreeSet<(ResultKey, usize)> {
     entries.iter().map(|e| (e.key, e.level)).collect()
 }
@@ -35,11 +53,9 @@ fn unbudgeted_prioritized_equals_plain_search() {
     let frustum = frustum_at(&scene, Vec3::X);
     for eta in [0.0, 0.005, 0.05] {
         let (plain, _) = env
-            .query_with_stats(frustum.eye, eta)
+            .query(Query::new(env.cell_of(frustum.eye), eta))
             .expect("plain search");
-        let (prio, _) = env
-            .query_prioritized(&frustum, eta, None)
-            .expect("prioritized search");
+        let (prio, _) = prioritized(&mut env, &frustum, eta, QueryBudget::UNLIMITED);
         assert!(prio.completed);
         assert_eq!(
             keyset(plain.entries()),
@@ -53,7 +69,7 @@ fn unbudgeted_prioritized_equals_plain_search() {
 fn in_frustum_content_loads_first() {
     let (scene, mut env) = setup();
     let frustum = frustum_at(&scene, Vec3::X);
-    let (prio, _) = env.query_prioritized(&frustum, 0.001, None).unwrap();
+    let (prio, _) = prioritized(&mut env, &frustum, 0.001, QueryBudget::UNLIMITED);
     let entries = prio.result.entries();
     assert!(entries.len() >= 6, "need enough entries to compare halves");
 
@@ -82,7 +98,7 @@ fn in_frustum_content_loads_first() {
 fn nearer_objects_load_before_farther_among_in_frustum() {
     let (scene, mut env) = setup();
     let frustum = frustum_at(&scene, Vec3::new(1.0, 1.0, 0.0));
-    let (prio, _) = env.query_prioritized(&frustum, 0.0, None).unwrap();
+    let (prio, _) = prioritized(&mut env, &frustum, 0.0, QueryBudget::UNLIMITED);
     let dists: Vec<f64> = prio
         .result
         .entries()
@@ -111,15 +127,18 @@ fn nearer_objects_load_before_farther_among_in_frustum() {
 fn budget_truncates_but_keeps_important_content() {
     let (scene, mut env) = setup();
     let frustum = frustum_at(&scene, Vec3::X);
-    let (full, _) = env.query_prioritized(&frustum, 0.001, None).unwrap();
+    let (full, _) = prioritized(&mut env, &frustum, 0.001, QueryBudget::UNLIMITED);
     assert!(full.completed);
     let full_count = full.result.entries().len();
     let full_time = full.spent_ms;
 
     // Half the time budget: fewer entries, truncated flag set.
-    let (half, _) = env
-        .query_prioritized(&frustum, 0.001, Some(full_time / 2.0))
-        .unwrap();
+    let (half, _) = prioritized(
+        &mut env,
+        &frustum,
+        0.001,
+        QueryBudget::sim_ms(full_time / 2.0),
+    );
     assert!(!half.completed, "half budget should truncate");
     assert!(half.result.entries().len() < full_count);
     assert!(
@@ -138,9 +157,12 @@ fn budget_truncates_but_keeps_important_content() {
     );
 
     // Generous budget completes.
-    let (gen, _) = env
-        .query_prioritized(&frustum, 0.001, Some(full_time * 10.0))
-        .unwrap();
+    let (gen, _) = prioritized(
+        &mut env,
+        &frustum,
+        0.001,
+        QueryBudget::sim_ms(full_time * 10.0),
+    );
     assert!(gen.completed);
     assert_eq!(gen.result.entries().len(), full_count);
 }
@@ -149,15 +171,15 @@ fn budget_truncates_but_keeps_important_content() {
 fn budgeted_beats_blind_truncation_on_captured_dov() {
     let (scene, mut env) = setup();
     let frustum = frustum_at(&scene, Vec3::X);
-    let (full, _) = env.query_prioritized(&frustum, 0.001, None).unwrap();
+    let (full, _) = prioritized(&mut env, &frustum, 0.001, QueryBudget::UNLIMITED);
     let budget = full.spent_ms * 0.4;
-    let (prio, _) = env
-        .query_prioritized(&frustum, 0.001, Some(budget))
-        .unwrap();
+    let (prio, _) = prioritized(&mut env, &frustum, 0.001, QueryBudget::sim_ms(budget));
 
     // "Blind truncation": take the plain (DFS-ordered) result and cut it to
     // the same entry count.
-    let (plain, _) = env.query_with_stats(frustum.eye, 0.001).unwrap();
+    let (plain, _) = env
+        .query(Query::new(env.cell_of(frustum.eye), 0.001))
+        .unwrap();
     let n = prio.result.entries().len().min(plain.entries().len());
     if n == 0 {
         return;
@@ -177,7 +199,21 @@ fn budgeted_beats_blind_truncation_on_captured_dov() {
 fn deterministic_order() {
     let (scene, mut env) = setup();
     let frustum = frustum_at(&scene, Vec3::Y);
-    let (a, _) = env.query_prioritized(&frustum, 0.002, None).unwrap();
-    let (b, _) = env.query_prioritized(&frustum, 0.002, None).unwrap();
+    let (a, _) = prioritized(&mut env, &frustum, 0.002, QueryBudget::UNLIMITED);
+    let (b, _) = prioritized(&mut env, &frustum, 0.002, QueryBudget::UNLIMITED);
     assert_eq!(a.result.entries(), b.result.entries());
+}
+
+/// Every `Query` field reaches best-first: a wall-clock deadline that has
+/// already passed stops the traversal before its first work item.
+#[test]
+fn wall_clock_deadline_stops_best_first() {
+    let (scene, mut env) = setup();
+    let frustum = frustum_at(&scene, Vec3::X);
+    let budget = QueryBudget::unlimited().with_wall(Duration::ZERO);
+    let (o, s) = prioritized(&mut env, &frustum, 0.001, budget);
+    assert!(!o.completed, "a passed deadline must stop the traversal");
+    assert!(o.result.entries().is_empty());
+    assert_eq!((s.nodes_visited, s.vpages_fetched), (0, 0));
+    assert_eq!(s.model_io.page_reads + s.internal_io.page_reads, 0);
 }

@@ -75,11 +75,13 @@ proptest! {
             prop_assert_eq!(delta.resident_count(), model.len());
             prop_assert_eq!(delta.peak_bytes(), model_peak);
 
-            // Skip map equals the model's key → level view.
-            let skip = delta.skip_map();
-            prop_assert_eq!(skip.len(), model.len());
+            // The resident lookup equals the model's key → level view.
+            prop_assert_eq!(delta.resident_keys().count(), model.len());
             for (k, &(l, _)) in &model {
-                prop_assert_eq!(skip.get(k), Some(&l));
+                prop_assert_eq!(delta.resident_level(*k), Some(l));
+            }
+            for k in delta.resident_keys() {
+                prop_assert!(model.contains_key(&k), "{k:?} resident but not modelled");
             }
         }
     }

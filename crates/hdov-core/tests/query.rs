@@ -2,9 +2,10 @@
 //! the three storage schemes, the η trade-off, the naïve baseline, and delta
 //! search.
 
+use hdov_core::delta::DeltaSummary;
 use hdov_core::{
-    DeltaSearch, HdovBuildConfig, HdovEnvironment, QueryResult, ResultKey, SessionCtx,
-    StorageScheme, VPageCodec,
+    DeltaSearch, HdovBuildConfig, HdovEnvironment, Query, QueryResult, ResultKey, SearchStats,
+    SessionCtx, StorageScheme, VPageCodec,
 };
 use hdov_geom::Vec3;
 use hdov_scene::{CityConfig, Scene};
@@ -18,6 +19,23 @@ fn scene() -> Scene {
 fn env(scene: &Scene, scheme: StorageScheme) -> HdovEnvironment {
     let grid_cfg = CellGridConfig::for_scene(scene).with_resolution(3, 3);
     HdovEnvironment::build(scene, &grid_cfg, HdovBuildConfig::fast_test(), scheme).unwrap()
+}
+
+/// One walkthrough frame at `vp`: a query with `delta` as its resident set,
+/// whose answer is then folded into `delta`.
+fn delta_frame(
+    e: &mut HdovEnvironment,
+    vp: Vec3,
+    eta: f64,
+    delta: &mut DeltaSearch,
+) -> (QueryResult, SearchStats, DeltaSummary) {
+    let q = Query {
+        resident: Some(delta),
+        ..Query::new(e.cell_of(vp), eta)
+    };
+    let (r, s) = e.query(q).unwrap();
+    let d = delta.apply(&r);
+    (r, s, d)
 }
 
 fn object_set(r: &QueryResult) -> Vec<(ResultKey, usize)> {
@@ -42,7 +60,7 @@ fn all_three_schemes_agree_on_results() {
         for eta in [0.0, 0.001, 0.01] {
             let results: Vec<_> = envs
                 .iter_mut()
-                .map(|e| object_set(&e.query(vp, eta).unwrap()))
+                .map(|e| object_set(&e.query(Query::new(e.cell_of(vp), eta)).unwrap().0))
                 .collect();
             assert_eq!(
                 results[0], results[1],
@@ -59,7 +77,7 @@ fn eta_zero_equals_naive_object_set() {
     let scene = scene();
     let mut e = env(&scene, StorageScheme::IndexedVertical);
     let vp = scene.bounds().center();
-    let (hdov, _) = e.query_with_stats(vp, 0.0).unwrap();
+    let (hdov, _) = e.query(Query::new(e.cell_of(vp), 0.0)).unwrap();
     let (naive, _) = e.query_naive(vp).unwrap();
     // At η = 0 no internal LoD can be used (DoV ≤ 0 is already pruned), so
     // the HDoV result must be exactly the naïve object set, same levels.
@@ -84,7 +102,7 @@ fn raising_eta_never_increases_polygons() {
     let mut first_reads = None;
     let mut last_reads = 0u64;
     for eta in [0.0, 0.001, 0.004, 0.008, 0.02, 0.05, 0.1] {
-        let (r, st) = e.query_with_stats(vp, eta).unwrap();
+        let (r, st) = e.query(Query::new(e.cell_of(vp), eta)).unwrap();
         let polys = r.total_polygons();
         assert!(
             polys as f64 <= prev as f64 * 1.25,
@@ -144,7 +162,7 @@ fn every_visible_object_is_represented() {
     };
 
     for eta in [0.0, 0.002, 0.02] {
-        let (r, _) = e.query_cell(cell, eta).unwrap();
+        let (r, _) = e.query(Query::new(cell, eta)).unwrap();
         let direct: HashSet<u64> = r
             .entries()
             .iter()
@@ -262,13 +280,13 @@ fn delta_search_reuses_resident_models() {
     let vp = scene.bounds().center();
     let mut delta = DeltaSearch::new();
 
-    let (r1, s1, d1) = e.query_delta(vp, 0.001, &mut delta).unwrap();
+    let (r1, s1, d1) = delta_frame(&mut e, vp, 0.001, &mut delta);
     assert_eq!(d1.retained, 0);
     assert_eq!(d1.added, r1.entries().len());
     assert!(s1.model_io.page_reads + s1.internal_io.page_reads > 0);
 
     // Identical repeat: everything retained, zero model I/O.
-    let (r2, s2, d2) = e.query_delta(vp, 0.001, &mut delta).unwrap();
+    let (r2, s2, d2) = delta_frame(&mut e, vp, 0.001, &mut delta);
     assert_eq!(d2.added, 0);
     assert_eq!(d2.retained, r2.entries().len());
     assert_eq!(d2.evicted, 0);
@@ -285,14 +303,14 @@ fn delta_search_moving_viewpoint_fetches_only_changes() {
     let a = region.min.lerp(region.max, 0.3);
     let b = region.min.lerp(region.max, 0.4);
     let mut delta = DeltaSearch::new();
-    let (_, _, _) = e.query_delta(a, 0.001, &mut delta).unwrap();
-    let (r2, s2, d2) = e.query_delta(b, 0.001, &mut delta).unwrap();
+    let (_, _, _) = delta_frame(&mut e, a, 0.001, &mut delta);
+    let (r2, s2, d2) = delta_frame(&mut e, b, 0.001, &mut delta);
     assert_eq!(d2.added + d2.retained, r2.entries().len());
     // A small move keeps part of the scene resident (DoV changes can still
     // re-level many models on a coarsely sampled tiny scene).
     assert!(d2.retained > 0, "nothing retained across a small move");
     // Full non-delta query from scratch costs at least as much model I/O.
-    let (_, s_full) = e.query_with_stats(b, 0.001).unwrap();
+    let (_, s_full) = e.query(Query::new(e.cell_of(b), 0.001)).unwrap();
     assert!(s_full.heavy_io().page_reads >= s2.heavy_io().page_reads);
 }
 
@@ -304,9 +322,13 @@ fn internal_lods_engage_at_high_eta() {
     // terminate branches at internal LoDs (exact onset depends on the
     // Eq. 4 guard and the tiny scene's DoV distribution).
     let vp = scene.viewpoint_region().min;
-    let engaged = [0.05, 0.1, 0.2, 0.5, 1.0]
-        .iter()
-        .any(|&eta| e.query(vp, eta).unwrap().internal_count() > 0);
+    let engaged = [0.05, 0.1, 0.2, 0.5, 1.0].iter().any(|&eta| {
+        e.query(Query::new(e.cell_of(vp), eta))
+            .unwrap()
+            .0
+            .internal_count()
+            > 0
+    });
     assert!(engaged, "no eta up to 1.0 engaged internal LoDs");
 }
 
@@ -314,7 +336,9 @@ fn internal_lods_engage_at_high_eta() {
 fn search_stats_are_consistent() {
     let scene = scene();
     let mut e = env(&scene, StorageScheme::Vertical);
-    let (r, s) = e.query_with_stats(scene.bounds().center(), 0.001).unwrap();
+    let (r, s) = e
+        .query(Query::new(e.cell_of(scene.bounds().center()), 0.001))
+        .unwrap();
     assert!(s.nodes_visited >= 1);
     assert!(s.vpages_fetched >= s.nodes_visited);
     let total = s.total_io();
@@ -338,7 +362,7 @@ fn queries_cover_all_cells() {
     let cells = e.grid().cell_count() as CellId;
     let mut nonempty = 0;
     for c in 0..cells {
-        let (r, _) = e.query_cell(c, 0.001).unwrap();
+        let (r, _) = e.query(Query::new(c, 0.001)).unwrap();
         if !r.entries().is_empty() {
             nonempty += 1;
         }
@@ -353,7 +377,7 @@ fn clamps_outside_viewpoints() {
     let scene = scene();
     let mut e = env(&scene, StorageScheme::IndexedVertical);
     let far = Vec3::new(-1e6, -1e6, 500.0);
-    let r = e.query(far, 0.001).unwrap();
+    let r = e.query(Query::new(e.cell_of(far), 0.001)).unwrap().0;
     // Clamped to the nearest cell; still answers.
     assert_eq!(e.cell_of(far), 0);
     assert!(!r.entries().is_empty() || e.cell_total_dov(0) == 0.0);
@@ -364,12 +388,12 @@ fn node_cache_preserves_results_and_cuts_node_io() {
     let scene = scene();
     let mut e = env(&scene, StorageScheme::IndexedVertical);
     let vp = scene.bounds().center();
-    let (baseline, s0) = e.query_with_stats(vp, 0.001).unwrap();
+    let (baseline, s0) = e.query(Query::new(e.cell_of(vp), 0.001)).unwrap();
     assert!(s0.node_io.page_reads > 0);
 
     e.enable_node_cache(256);
-    let (warm1, _) = e.query_with_stats(vp, 0.001).unwrap();
-    let (warm2, s2) = e.query_with_stats(vp, 0.001).unwrap();
+    let (warm1, _) = e.query(Query::new(e.cell_of(vp), 0.001)).unwrap();
+    let (warm2, s2) = e.query(Query::new(e.cell_of(vp), 0.001)).unwrap();
     assert_eq!(object_set(&baseline), object_set(&warm1));
     assert_eq!(object_set(&baseline), object_set(&warm2));
     // Second warm query: every node comes from the pool.
@@ -382,7 +406,7 @@ fn node_cache_preserves_results_and_cuts_node_io() {
     assert!(misses > 0);
 
     e.disable_node_cache();
-    let (cold, s3) = e.query_with_stats(vp, 0.001).unwrap();
+    let (cold, s3) = e.query(Query::new(e.cell_of(vp), 0.001)).unwrap();
     assert_eq!(object_set(&baseline), object_set(&cold));
     assert!(s3.node_io.page_reads > 0, "cache must be fully disabled");
 }
@@ -409,4 +433,37 @@ fn dump_cell_is_consistent_with_table() {
         let d = e.dump_cell(empty).unwrap();
         assert!(d.contains("(hidden)") || d.contains("0 visible"));
     }
+}
+
+#[test]
+fn invalid_queries_are_typed_errors_not_panics() {
+    let scene = scene();
+    let mut e = env(&scene, StorageScheme::Vertical);
+    let mut reference = env(&scene, StorageScheme::Vertical);
+    let cells = e.grid().cell_count() as CellId;
+    let vp = scene.bounds().center();
+    let frustum = hdov_geom::Frustum::new(vp, Vec3::X, Vec3::Z, 1.2, 1.6, 0.5, 5_000.0);
+    for q in [
+        Query::new(0, -1.0),
+        Query::new(0, f64::NAN),
+        Query::new(cells, 0.001),
+    ] {
+        for err in [
+            e.query(q).unwrap_err(),
+            e.query_prioritized(q, &frustum).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, hdov_storage::StorageError::InvalidPlan { .. }),
+                "{q:?}: {err}"
+            );
+            assert!(!err.is_transient());
+        }
+    }
+    // Rejected before anything was read: the session's disk heads did not
+    // move, so the next query costs exactly what it costs on a fresh one.
+    let q = Query::new(e.cell_of(vp), 0.001);
+    let (got, got_stats) = e.query(q).unwrap();
+    let (want, want_stats) = reference.query(q).unwrap();
+    assert_eq!(object_set(&got), object_set(&want));
+    assert_eq!(got_stats, want_stats);
 }

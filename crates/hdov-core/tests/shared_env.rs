@@ -4,8 +4,8 @@
 //! prefetch must not change answers — only costs.
 
 use hdov_core::{
-    search_shared, DeltaSearch, HdovBuildConfig, HdovEnvironment, PoolConfig, QueryResult,
-    ResultKey, StorageScheme,
+    DeltaSearch, HdovBuildConfig, HdovEnvironment, PoolConfig, Query, QueryResult, ResultKey,
+    SearchScratch, StorageScheme,
 };
 use hdov_scene::{CityConfig, Scene};
 use hdov_visibility::{CellGridConfig, CellId};
@@ -38,7 +38,7 @@ fn shared_path_matches_mutable_path_on_all_schemes() {
         let mut want = Vec::new();
         for &cell in &cells {
             for &eta in &etas {
-                let (r, s) = mutable.query_cell(cell, eta).unwrap();
+                let (r, s) = mutable.query(Query::new(cell, eta)).unwrap();
                 want.push((keyed(&r), s.nodes_visited, s.vpages_fetched));
             }
         }
@@ -46,14 +46,19 @@ fn shared_path_matches_mutable_path_on_all_schemes() {
         let shared = mutable.into_shared(PoolConfig::default());
         for prefetch in [false, true] {
             let mut ctx = shared.session();
+            let mut scratch = SearchScratch::new();
             let mut i = 0;
             for &cell in &cells {
                 for &eta in &etas {
-                    let (r, s) =
-                        search_shared(&shared, &mut ctx, cell, eta, None, prefetch).unwrap();
+                    let q = Query {
+                        prefetch,
+                        ..Query::new(cell, eta)
+                    };
+                    let s = shared.search(&mut ctx, &mut scratch, q).unwrap();
+                    let r = scratch.result();
                     let (want_r, want_nodes, want_vpages) = &want[i];
                     assert_eq!(
-                        &keyed(&r),
+                        &keyed(r),
                         want_r,
                         "{scheme} cell {cell} eta {eta} prefetch {prefetch}: entries diverged"
                     );
@@ -119,12 +124,18 @@ fn prefetch_batches_vpage_reads_into_sequential_runs() {
     // order.
     let baseline = shared.fork_with_private_pools();
     let mut ctx = baseline.session();
-    let (_, cold) = search_shared(&baseline, &mut ctx, busiest, 0.0, None, false).unwrap();
+    let mut scratch = SearchScratch::new();
+    let q = Query::new(busiest, 0.0);
+    let cold = baseline.search(&mut ctx, &mut scratch, q).unwrap();
 
     // Cold pools, with prefetch: one ascending run over the cell's V-pages.
     let batched = shared.fork_with_private_pools();
     let mut ctx = batched.session();
-    let (_, warm) = search_shared(&batched, &mut ctx, busiest, 0.0, None, true).unwrap();
+    let q = Query {
+        prefetch: true,
+        ..q
+    };
+    let warm = batched.search(&mut ctx, &mut scratch, q).unwrap();
 
     assert!(
         warm.vstore_io.sequential_reads >= cold.vstore_io.sequential_reads,
@@ -155,16 +166,28 @@ fn delta_queries_match_between_paths() {
     let mut delta = DeltaSearch::new();
     let mut want = Vec::new();
     for &vp in &path {
-        let (r, _, sum) = mutable.query_delta(vp, 0.004, &mut delta).unwrap();
+        let q = Query {
+            resident: Some(&delta),
+            ..Query::new(mutable.cell_of(vp), 0.004)
+        };
+        let (r, _) = mutable.query(q).unwrap();
+        let sum = delta.apply(&r);
         want.push((keyed(&r), sum));
     }
 
     let shared = mutable.into_shared(PoolConfig::default());
     let mut ctx = shared.session();
+    let mut scratch = SearchScratch::new();
     let mut delta = DeltaSearch::new();
     for (i, &vp) in path.iter().enumerate() {
-        let (r, _, sum) = shared.query_delta(&mut ctx, vp, 0.004, &mut delta).unwrap();
-        assert_eq!(keyed(&r), want[i].0, "frame {i} entries diverged");
+        let (_, sum) = shared
+            .query_delta_into(&mut ctx, &mut scratch, vp, 0.004, &mut delta)
+            .unwrap();
+        assert_eq!(
+            keyed(scratch.result()),
+            want[i].0,
+            "frame {i} entries diverged"
+        );
         assert_eq!(sum, want[i].1, "frame {i} delta summary diverged");
     }
 }

@@ -5,8 +5,8 @@
 //! runs.
 
 use hdov_core::{
-    search_shared_into, HdovBuildConfig, HdovEnvironment, PoolConfig, SearchScratch, SessionCtx,
-    SharedVStore, StorageScheme, VEntry, VPage, VPageCodec,
+    HdovBuildConfig, HdovEnvironment, PoolConfig, Query, SearchScratch, SessionCtx, SharedVStore,
+    StorageScheme, VEntry, VPage, VPageCodec,
 };
 use hdov_scene::CityConfig;
 use hdov_storage::{DiskModel, FileMode, FrozenPages, IoStats, StorageBackend};
@@ -141,16 +141,11 @@ fn shared_search_identical_across_backends() {
         for prefetch in [false, true] {
             for cell in 0..shared.grid().cell_count() as CellId {
                 for eta in [0.0, 0.004] {
-                    let st = search_shared_into(
-                        &shared,
-                        &mut ctx,
-                        &mut scratch,
-                        cell,
-                        eta,
-                        None,
+                    let q = Query {
                         prefetch,
-                    )
-                    .unwrap();
+                        ..Query::new(cell, eta)
+                    };
+                    let st = shared.search(&mut ctx, &mut scratch, q).unwrap();
                     out.push((
                         st.search_time_ms(),
                         st.total_io().page_reads,

@@ -32,10 +32,8 @@
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::tile::TileMap;
-use hdov_core::shard::{
-    check_shard_count, merge_frames, search_shard_into_budgeted, ShardFrame, ShardPlan,
-};
-use hdov_core::{DeltaSearch, QueryBudget, QueryResult, SessionCtx, SharedEnvironment};
+use hdov_core::shard::{check_shard_count, merge_frames, search_shard, ShardFrame, ShardPlan};
+use hdov_core::{DeltaSearch, Query, QueryBudget, QueryResult, SessionCtx, SharedEnvironment};
 use hdov_geom::Vec3;
 use hdov_obs::Counter;
 use hdov_storage::{ReplicaHealth, Result, StorageError};
@@ -386,16 +384,31 @@ impl ShardRouter {
         }
 
         let mask = self.fanout_mask(cell);
-        let skip = lane.delta.skip_map();
         let mut rs = RouteStats::default();
 
+        // Every sub-query reads the resident set in place while writing its
+        // own cursors and frame slot.
+        let SessionLane {
+            ctxs,
+            hedge_ctxs,
+            frames,
+            delta,
+            ..
+        } = &mut *lane;
+        let q = Query {
+            resident: Some(delta),
+            budget,
+            prefetch: true,
+            ..Query::new(cell, eta)
+        };
         for s in 0..self.engines.len() {
             if mask & (1u64 << s) == 0 {
-                lane.frames[s].clear();
+                frames[s].clear();
                 continue;
             }
             rs.fanout += 1;
-            self.sub_query(lane, s, cell, eta, budget, &skip, &mut rs);
+            let (ctx, hedge_ctx) = (&mut ctxs[s], &mut hedge_ctxs[s]);
+            self.sub_query(s, q, ctx, hedge_ctx, &mut frames[s], &mut rs);
         }
 
         merge_frames(&mut lane.frames, &mut lane.merged);
@@ -408,18 +421,17 @@ impl ShardRouter {
         rs
     }
 
-    /// One shard's guarded sub-query: breaker gate → primary (with retries
-    /// and deadline) → hedge → coarse cover. Leaves `lane.frames[s]`
-    /// holding the shard's contribution no matter what failed.
-    #[allow(clippy::too_many_arguments)]
+    /// One shard's guarded sub-query for `q`: breaker gate → primary
+    /// through `ctx` (with retries and deadline) → hedge through
+    /// `hedge_ctx` → coarse cover. Leaves `frame` holding the shard's
+    /// contribution no matter what failed.
     fn sub_query(
         &self,
-        lane: &mut SessionLane,
         s: usize,
-        cell: CellId,
-        eta: f64,
-        budget: QueryBudget,
-        skip: &std::collections::HashMap<hdov_core::ResultKey, usize>,
+        q: Query<'_>,
+        ctx: &mut SessionCtx,
+        hedge_ctx: &mut SessionCtx,
+        frame: &mut ShardFrame,
         rs: &mut RouteStats,
     ) {
         let engine = &self.engines[s];
@@ -433,18 +445,7 @@ impl ShardRouter {
                     detail = format!("shard {s} engine down");
                     continue; // deterministic retry: instant in simulated time
                 }
-                match search_shard_into_budgeted(
-                    &engine.env,
-                    &mut lane.ctxs[s],
-                    &self.plan,
-                    s,
-                    &mut lane.frames[s],
-                    cell,
-                    eta,
-                    Some(skip),
-                    true,
-                    budget,
-                ) {
+                match search_shard(&engine.env, ctx, &self.plan, s, frame, q) {
                     Ok(stats) => {
                         let ms = stats.search_time_ms();
                         if ms > self.cfg.deadline_sim_ms {
@@ -492,18 +493,7 @@ impl ShardRouter {
                 hdov_obs::add(Counter::HedgedReads, 1);
                 // Rerunning into the same slot is safe: frozen data, so the
                 // replica's entries are identical to the primary's.
-                if let Ok(stats) = search_shard_into_budgeted(
-                    replica,
-                    &mut lane.hedge_ctxs[s],
-                    &self.plan,
-                    s,
-                    &mut lane.frames[s],
-                    cell,
-                    eta,
-                    Some(skip),
-                    true,
-                    budget,
-                ) {
+                if let Ok(stats) = search_shard(replica, hedge_ctx, &self.plan, s, frame, q) {
                     let ms = stats.search_time_ms();
                     if primary_ms.is_none() {
                         rs.page_reads += stats.total_io().page_reads;
@@ -519,8 +509,7 @@ impl ShardRouter {
                 // Tripped, timed out, or dead past retries and hedges: the
                 // shard's tiles arrive at the coarsest internal LoD instead
                 // of failing the frame.
-                self.plan
-                    .cover_frame(&engine.env, s, &detail, &mut lane.frames[s]);
+                self.plan.cover_frame(&engine.env, s, &detail, frame);
                 rs.degraded_shards += 1;
             }
         }

@@ -10,9 +10,9 @@
 //!   its breaker, and recovers after revival;
 //! * a default-configured router keeps every fault-domain mechanism inert.
 
-use hdov_core::shard::{merge_frames, PathKey, ShardFrame};
+use hdov_core::shard::{merge_frames, search_shard, PathKey, ShardFrame, ShardPlan};
 use hdov_core::{
-    DeltaSearch, HdovBuildConfig, HdovEnvironment, PoolConfig, QueryBudget, QueryResult,
+    DeltaSearch, HdovBuildConfig, HdovEnvironment, PoolConfig, Query, QueryBudget, QueryResult,
     ResultEntry, ResultKey, SearchScratch, SharedEnvironment, StorageScheme, MAX_SHARDS,
 };
 use hdov_scene::CityConfig;
@@ -74,10 +74,15 @@ fn assert_frames_identical(shards: usize, budget: QueryBudget) -> u64 {
     let mut lane = router.lane();
     let mut budget_stops = 0;
     for (i, &vp) in session.viewpoints.iter().enumerate() {
-        let (want_stats, _) = reference
-            .query_delta_into_budgeted(&mut ctx, &mut scratch, vp, 0.002, &mut delta, budget)
-            .unwrap();
+        let q = Query {
+            resident: Some(&delta),
+            budget,
+            prefetch: true,
+            ..Query::new(reference.cell_of(vp), 0.002)
+        };
+        let want_stats = reference.search(&mut ctx, &mut scratch, q).unwrap();
         let want = scratch.result();
+        delta.apply(want);
         router.route_budgeted(&mut lane, vp, 0.002, budget);
         let got = lane.merged();
         assert_eq!(
@@ -155,6 +160,22 @@ fn router_rejects_invalid_shard_counts() {
     assert!(matches!(err, StorageError::InvalidPlan { .. }), "{err}");
     assert!(!err.is_transient());
     router.set_chaos(None).unwrap();
+}
+
+/// A sub-query naming a shard the plan lacks, or carrying a negative η, is
+/// a typed, non-transient error, never a panic.
+#[test]
+fn search_shard_rejects_invalid_shards_and_queries() {
+    let env = shared_env();
+    let plan = ShardPlan::build(&env, 4, |id, _| id as usize % 4).unwrap();
+    let mut ctx = env.session();
+    let mut frame = ShardFrame::new();
+    for (shard, q) in [(4, Query::new(0, 0.002)), (0, Query::new(0, -1.0))] {
+        let err = search_shard(&env, &mut ctx, &plan, shard, &mut frame, q).unwrap_err();
+        assert!(matches!(err, StorageError::InvalidPlan { .. }), "{err}");
+        assert!(!err.is_transient());
+    }
+    search_shard(&env, &mut ctx, &plan, 3, &mut frame, Query::new(0, 0.002)).unwrap();
 }
 
 /// Whole-server equality: `SessionServer` through a 4-shard router answers

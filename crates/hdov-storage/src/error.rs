@@ -64,10 +64,12 @@ pub enum StorageError {
         /// The fixed record slot it had to fit.
         record_bytes: usize,
     },
-    /// A shard plan cannot be built for this tree and shard count (too
-    /// many or too few shards, an out-of-range owner, or a tree too deep
-    /// or too wide for its position keys). Never transient: the same
-    /// inputs are rejected every time.
+    /// A plan or query parameter is invalid: a shard plan cannot be built
+    /// for this tree and shard count (too many or too few shards, an
+    /// out-of-range owner, or a tree too deep or too wide for its position
+    /// keys), or a query names a shard, cell, threshold or budget outside
+    /// its domain. Never transient: the same inputs are rejected every
+    /// time.
     InvalidPlan {
         /// What check failed.
         reason: String,
@@ -119,7 +121,9 @@ impl fmt::Display for StorageError {
                      exceeding the {record_bytes}-byte record slot"
                 )
             }
-            StorageError::InvalidPlan { reason } => write!(f, "invalid shard plan: {reason}"),
+            StorageError::InvalidPlan { reason } => {
+                write!(f, "invalid plan or query parameter: {reason}")
+            }
         }
     }
 }

@@ -10,7 +10,7 @@
 use crate::bvh::{Bvh, Hit, TriBvh};
 use crate::cell::{CellGrid, CellId};
 use hdov_geom::sampling;
-use hdov_geom::Ray;
+use hdov_geom::{Ray, Vec3};
 use hdov_scene::Scene;
 
 /// What geometry the visibility rays are cast against.
@@ -242,14 +242,17 @@ impl DovTable {
     }
 
     /// Cells whose visibility data can be affected by adding, removing, or
-    /// moving objects (conservative): a cell is affected when any changed
-    /// object was visible from it, or when a changed region's *unoccluded*
-    /// solid-angle bound from the cell reaches the estimator's resolution.
+    /// moving objects: a cell is affected when any changed object was
+    /// visible from it, or when one of its own sample rays — the viewpoints
+    /// and ray sets [`compute`](Self::compute) casts under `cfg`, which must
+    /// be the table's configuration — passes through a changed region.
     ///
-    /// Occlusion only shrinks DoV, so cells outside this set can neither see
-    /// a changed object nor have anything revealed/hidden behind one —
-    /// revealed geometry appears only along rays that pass through a changed
-    /// region.
+    /// Exact for the estimator: a cell's Monte-Carlo estimate changes only
+    /// when some ray's first hit changes, and a first hit can change only
+    /// along a ray that passes through a changed region (revealed or hidden
+    /// geometry lies behind, or is, a changed object). The regions are
+    /// inflated by [`EPSILON`](hdov_geom::EPSILON) so a ray grazing a box
+    /// edge counts as a hit.
     ///
     /// * `changed_objects` — ids whose previous visibility forces a
     ///   recompute wherever they appeared,
@@ -257,34 +260,26 @@ impl DovTable {
     pub fn affected_cells(
         &self,
         grid: &CellGrid,
+        cfg: &DovConfig,
         changed_objects: &[u32],
         changed_regions: &[hdov_geom::Aabb],
     ) -> Vec<CellId> {
-        use hdov_geom::solid_angle;
-        let resolution = self.resolution();
-        let mut out = Vec::new();
-        'cells: for cell in 0..self.cells.len() as CellId {
-            for &obj in changed_objects {
-                if self.dov(cell, obj) > 0.0 {
-                    out.push(cell);
-                    continue 'cells;
-                }
-            }
-            let cb = grid.cell_bounds(cell);
-            for region in changed_regions {
-                if region.is_empty() {
-                    continue;
-                }
-                // Nearest possible viewpoint in the cell to the region.
-                let vp = cb.closest_point(region.center());
-                let bound = solid_angle::aabb_dov_upper_bound(region, vp);
-                if bound >= resolution {
-                    out.push(cell);
-                    continue 'cells;
-                }
-            }
-        }
-        out
+        let regions: Vec<_> = changed_regions
+            .iter()
+            .filter(|r| !r.is_empty())
+            .map(|r| r.inflate(hdov_geom::EPSILON))
+            .collect();
+        (0..self.cells.len() as CellId)
+            .filter(|&cell| {
+                changed_objects.iter().any(|&obj| self.dov(cell, obj) > 0.0)
+                    || sample_rays(grid, cell, *cfg).any(|(vp, dirs)| {
+                        dirs.iter().any(|&d| {
+                            let ray = Ray::new(vp, d);
+                            regions.iter().any(|r| r.ray_hit(&ray).is_some())
+                        })
+                    })
+            })
+            .collect()
     }
 
     /// Recomputes the listed cells in place against the (edited) `scene` —
@@ -387,19 +382,28 @@ impl DovTable {
     }
 }
 
-fn compute_cell(bvh: &Caster, grid: &CellGrid, cell: CellId, cfg: &DovConfig) -> Vec<(u32, f32)> {
+/// The estimator's sample rays of `cell` under `cfg`: each sample viewpoint
+/// with its ray directions.
+fn sample_rays(
+    grid: &CellGrid,
+    cell: CellId,
+    cfg: DovConfig,
+) -> impl Iterator<Item = (Vec3, Vec<Vec3>)> {
     let viewpoints = grid.sample_viewpoints(cell, cfg.viewpoints_per_cell, cfg.seed);
+    viewpoints.into_iter().enumerate().map(move |(vi, vp)| {
+        // A distinct ray set per viewpoint decorrelates the MC error.
+        let seed = cfg.seed ^ ((cell as u64) << 20) ^ vi as u64;
+        (vp, sampling::random_sphere(cfg.rays_per_viewpoint, seed))
+    })
+}
+
+fn compute_cell(bvh: &Caster, grid: &CellGrid, cell: CellId, cfg: &DovConfig) -> Vec<(u32, f32)> {
     let mut max_dov: std::collections::HashMap<u32, f32> = std::collections::HashMap::new();
     let mut hits: Vec<u32> = Vec::new();
-    for (vi, vp) in viewpoints.iter().enumerate() {
-        // A distinct ray set per viewpoint decorrelates the MC error.
-        let dirs = sampling::random_sphere(
-            cfg.rays_per_viewpoint,
-            cfg.seed ^ ((cell as u64) << 20) ^ vi as u64,
-        );
+    for (vp, dirs) in sample_rays(grid, cell, *cfg) {
         hits.clear();
         for d in &dirs {
-            if let Hit::Object { index, .. } = bvh.first_hit(&Ray::new(*vp, *d)) {
+            if let Hit::Object { index, .. } = bvh.first_hit(&Ray::new(vp, *d)) {
                 hits.push(index);
             }
         }

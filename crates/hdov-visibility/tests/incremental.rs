@@ -50,7 +50,7 @@ fn removing_the_occluder_incrementally_matches_full_recompute() {
     let occluder_id = (scene_before.len() - 1) as u32;
     let occluder_mbr = scene_before.object(occluder_id as u64).mbr;
 
-    let dirty = table.affected_cells(&g, &[occluder_id], &[occluder_mbr]);
+    let dirty = table.affected_cells(&g, &cfg(), &[occluder_id], &[occluder_mbr]);
     assert!(!dirty.is_empty(), "removing a wall must affect some cells");
     table.recompute_cells(&scene_after, &g, &cfg(), &dirty);
 
@@ -79,7 +79,7 @@ fn adding_an_object_incrementally_matches_full_recompute() {
     let new_id = (scene_after.len() - 1) as u64;
     let new_mbr = scene_after.object(new_id).mbr;
 
-    let dirty = table.affected_cells(&g, &[], &[new_mbr]);
+    let dirty = table.affected_cells(&g, &cfg(), &[], &[new_mbr]);
     table.recompute_cells(&scene_after, &g, &cfg(), &dirty);
 
     // Note: the *grids* differ in region only if scene bounds changed; the
@@ -95,13 +95,12 @@ fn distant_edit_leaves_far_cells_untouched() {
     let scene = Scene::from_meshes(meshes(false), 2, 0.5).unwrap();
     let g = grid(&scene);
     let table = DovTable::compute(&scene, &g, &cfg(), 2);
-    // A tiny pebble 100 km away: its solid-angle bound is far below the
-    // estimator resolution from every cell.
+    // A tiny pebble 100 km away: no cell's sample rays come near it.
     let far = hdov_geom::Aabb::new(
         Vec3::new(1e5, 1e5, 0.0),
         Vec3::new(1e5 + 0.1, 1e5 + 0.1, 0.1),
     );
-    let dirty = table.affected_cells(&g, &[], &[far]);
+    let dirty = table.affected_cells(&g, &cfg(), &[], &[far]);
     assert!(dirty.is_empty(), "a distant pebble affected {dirty:?}");
 }
 

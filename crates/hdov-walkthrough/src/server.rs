@@ -33,7 +33,8 @@ use crate::control::{EtaAction, EtaControlConfig, EtaController};
 use crate::frame::FrameModel;
 use crate::session::Session;
 use hdov_core::{
-    DeltaSearch, QueryBudget, QueryResult, ResultKey, SearchScratch, SessionCtx, SharedEnvironment,
+    DeltaSearch, Query, QueryBudget, QueryResult, ResultKey, SearchScratch, SessionCtx,
+    SharedEnvironment,
 };
 use hdov_geom::Vec3;
 use hdov_obs::{Counter, Hist};
@@ -109,14 +110,16 @@ impl FrameEngine for SharedEnvironment {
         eta: f64,
         budget: QueryBudget,
     ) -> Result<(f64, u64)> {
-        let (stats, _) = self.query_delta_into_budgeted(
-            &mut lane.ctx,
-            &mut lane.scratch,
-            viewpoint,
-            eta,
-            &mut lane.delta,
+        let q = Query {
+            resident: Some(&lane.delta),
             budget,
-        )?;
+            prefetch: true,
+            ..Query::new(self.cell_of(viewpoint), eta)
+        };
+        let stats = self.search(&mut lane.ctx, &mut lane.scratch, q)?;
+        // A frame that exhausted its budget still answered with full
+        // (coarser) coverage, so it replaces the resident set like any other.
+        lane.delta.apply(lane.scratch.result());
         Ok((stats.search_time_ms(), stats.total_io().page_reads))
     }
 

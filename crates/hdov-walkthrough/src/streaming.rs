@@ -10,10 +10,10 @@
 
 use crate::frame::{FrameModel, FrameRecord};
 use crate::system::WalkthroughSystem;
-use hdov_core::{DeltaSearch, HdovEnvironment, ResultKey};
+use hdov_core::{DeltaSearch, HdovEnvironment, Query, QueryBudget, ResultKey};
 use hdov_geom::{Frustum, Vec3};
 use hdov_review::FidelityReport;
-use hdov_storage::Result;
+use hdov_storage::{Result, StorageError};
 use std::collections::{HashMap, HashSet};
 
 /// VISUAL with a per-frame loading budget and a camera heading.
@@ -33,7 +33,9 @@ pub struct StreamingVisualSystem {
 }
 
 impl StreamingVisualSystem {
-    /// Wraps an environment. `budget_ms` bounds each frame's loading time.
+    /// Wraps an environment. `budget_ms` bounds each frame's loading time;
+    /// a budget that is not a positive number is rejected with
+    /// [`StorageError::InvalidPlan`].
     ///
     /// Streaming mode enables a node buffer pool sized to the whole tree:
     /// best-first traversal reads node pages in priority order (scattered,
@@ -41,7 +43,10 @@ impl StreamingVisualSystem {
     /// the same upper levels every frame. (The paper's cache-less rule
     /// applies to its §5.4 head-to-head, not to this extension.)
     pub fn new(mut env: HdovEnvironment, eta: f64, budget_ms: f64) -> Result<Self> {
-        assert!(budget_ms > 0.0, "budget must be positive");
+        if budget_ms.is_nan() || budget_ms <= 0.0 {
+            let reason = format!("frame budget {budget_ms} ms is not positive");
+            return Err(StorageError::InvalidPlan { reason });
+        }
         let n = env.tree().node_count() as usize;
         env.enable_node_cache(n.max(1));
         let ancestors = crate::system::ancestor_map(&mut env)?;
@@ -99,13 +104,18 @@ impl WalkthroughSystem for StreamingVisualSystem {
         let frustum = self.frustum_for(viewpoint);
         self.last_pos = Some(viewpoint);
         let cell = self.env.cell_of(viewpoint);
-        let (outcome, stats) = self.env.query_prioritized_delta(
-            &frustum,
-            self.eta,
-            Some(self.budget_ms),
-            &mut self.delta,
-        )?;
-        if !outcome.completed {
+        let q = Query {
+            resident: Some(&self.delta),
+            budget: QueryBudget::sim_ms(self.budget_ms),
+            ..Query::new(cell, self.eta)
+        };
+        let (outcome, stats) = self.env.query_prioritized(q, &frustum)?;
+        if outcome.completed {
+            self.delta.apply(&outcome.result);
+        } else {
+            // A truncated frame must not evict content that simply didn't
+            // get re-confirmed before the deadline: merge instead.
+            self.delta.merge(&outcome.result);
             self.truncated_frames += 1;
         }
 

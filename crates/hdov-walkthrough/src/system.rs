@@ -1,7 +1,7 @@
 //! The two walkthrough systems behind one trait.
 
 use crate::frame::{FrameModel, FrameRecord};
-use hdov_core::{DeltaSearch, HdovEnvironment, ResultKey};
+use hdov_core::{DeltaSearch, HdovEnvironment, Query, ResultKey};
 use hdov_geom::Vec3;
 use hdov_review::{FidelityReport, ReviewSystem};
 use hdov_storage::Result;
@@ -100,7 +100,12 @@ impl WalkthroughSystem for VisualSystem {
 
     fn frame(&mut self, viewpoint: Vec3, model: &FrameModel) -> Result<FrameRecord> {
         let cell = self.env.cell_of(viewpoint);
-        let (result, stats, _) = self.env.query_delta(viewpoint, self.eta, &mut self.delta)?;
+        let q = Query {
+            resident: Some(&self.delta),
+            ..Query::new(cell, self.eta)
+        };
+        let (result, stats) = self.env.query(q)?;
+        self.delta.apply(&result);
 
         // Fidelity: direct objects + internal-LoD-covered subtrees.
         let mut direct: HashSet<u64> = HashSet::new();

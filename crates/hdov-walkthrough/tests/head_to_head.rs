@@ -177,16 +177,41 @@ mod streaming {
     use super::*;
     use hdov_walkthrough::{StreamingVisualSystem, WalkthroughSystem};
 
-    fn streaming(scene: &Scene, eta: f64, budget_ms: f64) -> StreamingVisualSystem {
+    fn env(scene: &Scene) -> HdovEnvironment {
         let grid_cfg = CellGridConfig::for_scene(scene).with_resolution(4, 4);
-        let env = HdovEnvironment::build(
+        HdovEnvironment::build(
             scene,
             &grid_cfg,
             HdovBuildConfig::fast_test(),
             StorageScheme::IndexedVertical,
         )
-        .unwrap();
-        StreamingVisualSystem::new(env, eta, budget_ms).unwrap()
+        .unwrap()
+    }
+
+    fn streaming(scene: &Scene, eta: f64, budget_ms: f64) -> StreamingVisualSystem {
+        StreamingVisualSystem::new(env(scene), eta, budget_ms).unwrap()
+    }
+
+    /// A frame budget that is not a positive number, and a negative η
+    /// reaching the prioritized query, are typed errors — never panics.
+    #[test]
+    fn invalid_budget_and_eta_are_typed_errors() {
+        let scene = CityConfig::tiny().seed(12).generate();
+        let invalid = |e: hdov_storage::StorageError| {
+            assert!(
+                matches!(e, hdov_storage::StorageError::InvalidPlan { .. }),
+                "{e}"
+            );
+        };
+        for budget_ms in [0.0, -1.0, f64::NAN] {
+            match StreamingVisualSystem::new(env(&scene), 0.01, budget_ms) {
+                Ok(_) => panic!("frame budget {budget_ms} ms accepted"),
+                Err(e) => invalid(e),
+            }
+        }
+        let mut negative = streaming(&scene, -1.0, 5.0);
+        let s = Session::record(scene.viewpoint_region(), SessionKind::Normal, 3, 5);
+        invalid(run_session(&mut negative, &s, &FrameModel::PAPER_ERA).unwrap_err());
     }
 
     #[test]

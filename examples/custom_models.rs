@@ -51,7 +51,7 @@ f 1 2 5\nf 2 3 5\nf 3 4 5\nf 4 1 5\nf 4 3 2 1\n";
 
     let vp = Vec3::new(80.0, 80.0, 1.7); // beside the pyramid
     for eta in [0.0, 0.01] {
-        let (result, stats) = env.query_with_stats(vp, eta)?;
+        let (result, stats) = env.query(Query::new(env.cell_of(vp), eta))?;
         println!(
             "eta={eta}: {} objects + {} internal LoDs, {} polygons, {:.2} ms",
             result.object_count(),
@@ -62,7 +62,7 @@ f 1 2 5\nf 2 3 5\nf 3 4 5\nf 4 1 5\nf 4 3 2 1\n";
     }
 
     // Export what the query returned, as one merged OBJ a viewer can open.
-    let result = env.query(vp, 0.01)?;
+    let result = env.query(Query::new(env.cell_of(vp), 0.01))?.0;
     let mut merged = TriMesh::new();
     for entry in result.entries() {
         if let hdov::core::ResultKey::Object(id) = entry.key {

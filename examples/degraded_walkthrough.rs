@@ -13,7 +13,7 @@
 //!
 //! [`DegradeReport`]: hdov::core::DegradeReport
 
-use hdov::core::{DeltaSearch, PoolConfig};
+use hdov::core::{DeltaSearch, PoolConfig, SearchScratch};
 use hdov::prelude::*;
 use hdov::storage::{FaultPlan, RetryPolicy};
 use hdov::walkthrough::{ServerConfig, Session, SessionKind, SessionServer};
@@ -56,11 +56,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let session = Session::record(scene.viewpoint_region(), SessionKind::Normal, 60, 5);
     let mut ctx = shared.session();
     let mut delta = DeltaSearch::new();
+    let mut scratch = SearchScratch::new();
     let (mut degraded, mut failed, mut fallbacks, mut coarse) = (0u64, 0u64, 0u64, 0u64);
     println!("frame  entries  polygons  degradation");
     for (i, &vp) in session.viewpoints.iter().enumerate() {
-        match shared.query_delta(&mut ctx, vp, 0.002, &mut delta) {
-            Ok((r, _, _)) => {
+        match shared.query_delta_into(&mut ctx, &mut scratch, vp, 0.002, &mut delta) {
+            Ok(_) => {
+                let r = scratch.result();
                 let d = r.degrade();
                 if d.is_degraded() {
                     degraded += 1;

@@ -11,6 +11,7 @@
 //! cargo run --release --example progressive_loading
 //! ```
 
+use hdov::core::QueryBudget;
 use hdov::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,7 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let eta = 0.001;
 
     // Reference: the complete prioritized answer.
-    let (full, _) = env.query_prioritized(&frustum, eta, None)?;
+    let q = Query::new(env.cell_of(eye), eta);
+    let (full, _) = env.query_prioritized(q, &frustum)?;
     let total_entries = full.result.entries().len();
     let total_dov = full.result.captured_dov();
     println!(
@@ -43,7 +45,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for fraction in [0.1, 0.25, 0.5, 0.75, 1.0, 2.0] {
         let budget = full.spent_ms * fraction;
-        let (partial, _) = env.query_prioritized(&frustum, eta, Some(budget))?;
+        let budgeted = Query {
+            budget: QueryBudget::sim_ms(budget),
+            ..q
+        };
+        let (partial, _) = env.query_prioritized(budgeted, &frustum)?;
         let dov = partial.result.captured_dov();
         println!(
             "{:>12.1} {:>10} {:>12.4} {:>13.1}% {:>10}",

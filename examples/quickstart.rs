@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "eta", "objects", "internal", "polygons", "bytes", "time"
     );
     for eta in [0.0, 0.001, 0.004, 0.02] {
-        let (result, stats) = env.query_with_stats(viewpoint, eta)?;
+        let (result, stats) = env.query(Query::new(env.cell_of(viewpoint), eta))?;
         println!(
             "{:>8}  {:>8} {:>9} {:>10} {:>12} {:>9.2}ms",
             eta,

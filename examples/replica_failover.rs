@@ -14,7 +14,7 @@
 //!
 //! [`PoolConfig::replicas`]: hdov::core::PoolConfig
 
-use hdov::core::{DeltaSearch, PoolConfig};
+use hdov::core::{DeltaSearch, PoolConfig, SearchScratch};
 use hdov::prelude::*;
 use hdov::storage::{FaultPlan, RetryPolicy};
 
@@ -44,10 +44,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let replay = |env: &hdov::core::SharedEnvironment| {
         let mut ctx = env.session();
         let mut delta = DeltaSearch::new();
+        let mut scratch = SearchScratch::new();
         let mut frames = Vec::with_capacity(session.viewpoints.len());
         let mut degraded = 0u64;
         for &vp in &session.viewpoints {
-            let (r, _, _) = env.query_delta(&mut ctx, vp, 0.002, &mut delta)?;
+            env.query_delta_into(&mut ctx, &mut scratch, vp, 0.002, &mut delta)?;
+            let r = scratch.result();
             if r.degrade().is_degraded() {
                 degraded += 1;
             }

@@ -5,7 +5,7 @@
 //! cargo run --release --example scene_edit
 //! ```
 
-use hdov::core::{search_shared, PoolConfig, SessionCtx};
+use hdov::core::{PoolConfig, SearchScratch, SessionCtx};
 use hdov::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,13 +41,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    no matter what commits land meanwhile.
     let pinned = ms.current();
     let mut ctx = SessionCtx::new();
+    let mut scratch = SearchScratch::new();
     let cell = 0;
-    let (before, _) = search_shared(&pinned, &mut ctx, cell, 0.0, None, false)?;
-    println!(
-        "cell {cell} sees {} entries at epoch {}",
-        before.entries().len(),
-        ms.epoch()
-    );
+    let q = Query::new(cell, 0.0);
+    pinned.search(&mut ctx, &mut scratch, q)?;
+    let before = scratch.result().entries().len();
+    println!("cell {cell} sees {before} entries at epoch {}", ms.epoch());
 
     // 3. Stage a transaction: move a building, add a copy of another.
     //    Nothing is visible — or durable — until `commit`.
@@ -72,20 +71,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    first, then the commit marker; only the DoV cells whose view could
     //    have changed are re-estimated, and a fresh epoch is published.
     let epoch = ms.commit()?;
-    let mut ctx2 = SessionCtx::new();
-    let (after, _) = search_shared(&ms.current(), &mut ctx2, cell, 0.0, None, false)?;
-    println!(
-        "committed epoch {epoch}: cell {cell} now sees {} entries",
-        after.entries().len()
-    );
+    ms.current()
+        .search(&mut SessionCtx::new(), &mut scratch, q)?;
+    let after = scratch.result().entries().len();
+    println!("committed epoch {epoch}: cell {cell} now sees {after} entries");
 
     // The pinned pre-commit session still answers from its own epoch.
-    let (still, _) = search_shared(&pinned, &mut ctx, cell, 0.0, None, false)?;
-    assert_eq!(still.entries().len(), before.entries().len());
-    println!(
-        "pinned session still sees {} entries — no torn reads",
-        still.entries().len()
-    );
+    pinned.search(&mut ctx, &mut scratch, q)?;
+    let still = scratch.result().entries().len();
+    assert_eq!(still, before);
+    println!("pinned session still sees {still} entries — no torn reads");
 
     // 5. Durability: drop everything and reopen. The WAL replays up to the
     //    last commit marker; a crash mid-commit would replay to the
@@ -102,9 +97,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PoolConfig::default(),
     )?;
     assert_eq!(ms.epoch(), epoch);
-    let mut ctx3 = SessionCtx::new();
-    let (reopened, _) = search_shared(&ms.current(), &mut ctx3, cell, 0.0, None, false)?;
-    assert_eq!(reopened.entries().len(), after.entries().len());
+    ms.current()
+        .search(&mut SessionCtx::new(), &mut scratch, q)?;
+    assert_eq!(scratch.result().entries().len(), after);
     println!(
         "reopened at epoch {} — WAL replay reproduced the answers",
         ms.epoch()

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut reads = 0u64;
         let mut us = 0.0;
         for &vp in &viewpoints {
-            let (_, stats) = env.query_with_stats(vp, 0.001)?;
+            let (_, stats) = env.query(Query::new(env.cell_of(vp), 0.001))?;
             reads += stats.vstore_io.page_reads;
             us += stats.vstore_io.elapsed_us;
         }

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!("\nanswer-set composition vs eta:");
     for eta in [0.0, 0.002, 0.01, 0.05] {
-        let result = env.query(viewpoint, eta)?;
+        let result = env.query(Query::new(env.cell_of(viewpoint), eta))?.0;
         let internals: Vec<u32> = result
             .entries()
             .iter()

@@ -205,7 +205,7 @@ fn cmd_query(opts: &Flags) -> Result<(), hdov::storage::StorageError> {
     let c = scene.viewpoint_region().center();
     let vp = Vec3::new(flag_f64(opts, "x", c.x), flag_f64(opts, "y", c.y), c.z);
     let eta = flag_f64(opts, "eta", 0.001);
-    let (result, stats) = env.query_with_stats(vp, eta)?;
+    let (result, stats) = env.query(Query::new(env.cell_of(vp), eta))?;
     println!(
         "query at ({:.1}, {:.1}) cell {} eta {eta}",
         vp.x,
@@ -294,7 +294,7 @@ fn cmd_schemes(opts: &Flags) -> Result<(), hdov::storage::StorageError> {
         let res = if scene.len() > 1000 { (16, 16) } else { (8, 8) };
         let cells = CellGridConfig::for_scene(&scene).with_resolution(res.0, res.1);
         let mut env = HdovEnvironment::build(&scene, &cells, HdovBuildConfig::default(), scheme)?;
-        let (_, stats) = env.query_with_stats(vp, 0.001)?;
+        let (_, stats) = env.query(Query::new(env.cell_of(vp), 0.001))?;
         println!(
             "{:<18} {:>14} {:>12} {:>12.2}",
             scheme.to_string(),

@@ -38,12 +38,13 @@
 //!     StorageScheme::IndexedVertical,
 //! ).unwrap();
 //!
-//! // 3. Run a visibility query at a viewpoint with DoV threshold η = 0.001.
+//! // 3. Run a visibility query from the viewpoint's cell with DoV
+//! //    threshold η = 0.001.
 //! let viewpoint = scene.bounds().center();
-//! let result = env.query(viewpoint, 0.001).unwrap();
+//! let (result, stats) = env.query(Query::new(env.cell_of(viewpoint), 0.001)).unwrap();
 //! assert!(result.entries().len() > 0);
-//! println!("retrieved {} models, {} polygons",
-//!          result.entries().len(), result.total_polygons());
+//! println!("retrieved {} models, {} polygons in {:.2} simulated ms",
+//!          result.entries().len(), result.total_polygons(), stats.search_time_ms());
 //! ```
 
 pub mod project;
@@ -62,7 +63,7 @@ pub use hdov_walkthrough as walkthrough;
 /// Convenient glob-import surface covering the common entry points.
 pub mod prelude {
     pub use hdov_core::{
-        HdovBuildConfig, HdovEnvironment, HdovTree, MutableScene, ObjectHandle, ObjectInfo,
+        HdovBuildConfig, HdovEnvironment, HdovTree, MutableScene, ObjectHandle, ObjectInfo, Query,
         QueryResult, SearchStats, StorageScheme,
     };
     pub use hdov_geom::{Aabb, Frustum, Ray, Vec3};

@@ -18,11 +18,16 @@ fn small_env(scheme: StorageScheme) -> (Scene, HdovEnvironment) {
 fn full_pipeline_through_prelude() {
     let (scene, mut env) = small_env(StorageScheme::IndexedVertical);
     let viewpoint = scene.bounds().center();
-    let result = env.query(viewpoint, 0.001).unwrap();
+    let result = env
+        .query(Query::new(env.cell_of(viewpoint), 0.001))
+        .unwrap()
+        .0;
     assert!(!result.entries().is_empty());
     assert!(result.total_polygons() > 0);
 
-    let (result2, stats) = env.query_with_stats(viewpoint, 0.001).unwrap();
+    let (result2, stats) = env
+        .query(Query::new(env.cell_of(viewpoint), 0.001))
+        .unwrap();
     assert_eq!(result.total_polygons(), result2.total_polygons());
     assert!(stats.search_time_ms() > 0.0);
     assert!(stats.total_io().page_reads > 0);
@@ -32,7 +37,10 @@ fn full_pipeline_through_prelude() {
 fn all_schemes_usable_from_facade() {
     for scheme in StorageScheme::all() {
         let (scene, mut env) = small_env(scheme);
-        let r = env.query(scene.bounds().center(), 0.002).unwrap();
+        let r = env
+            .query(Query::new(env.cell_of(scene.bounds().center()), 0.002))
+            .unwrap()
+            .0;
         assert!(!r.entries().is_empty(), "{scheme} empty");
         assert!(env.vstore().storage_bytes() > 0);
         assert_eq!(env.scheme(), scheme);
@@ -90,8 +98,8 @@ fn deterministic_rebuild_same_results() {
     let (scene_b, mut env_b) = small_env(StorageScheme::Vertical);
     assert_eq!(scene_a.objects(), scene_b.objects());
     let vp = scene_a.bounds().center();
-    let ra = env_a.query(vp, 0.001).unwrap();
-    let rb = env_b.query(vp, 0.001).unwrap();
+    let ra = env_a.query(Query::new(env_a.cell_of(vp), 0.001)).unwrap().0;
+    let rb = env_b.query(Query::new(env_b.cell_of(vp), 0.001)).unwrap().0;
     assert_eq!(ra.entries(), rb.entries());
 }
 
@@ -127,7 +135,10 @@ fn empty_scene_is_handled_end_to_end() {
         StorageScheme::IndexedVertical,
     )
     .unwrap();
-    let r = env.query(Vec3::new(5.0, 5.0, 1.7), 0.001).unwrap();
+    let r = env
+        .query(Query::new(env.cell_of(Vec3::new(5.0, 5.0, 1.7)), 0.001))
+        .unwrap()
+        .0;
     assert!(r.entries().is_empty());
     assert_eq!(r.total_polygons(), 0);
     let (naive, _) = env.query_naive(Vec3::new(5.0, 5.0, 1.7)).unwrap();
@@ -150,6 +161,9 @@ fn single_object_scene() {
         StorageScheme::Vertical,
     )
     .unwrap();
-    let r = env.query(Vec3::new(-8.0, 0.0, 1.7), 0.0).unwrap();
+    let r = env
+        .query(Query::new(env.cell_of(Vec3::new(-8.0, 0.0, 1.7)), 0.0))
+        .unwrap()
+        .0;
     assert_eq!(r.object_count(), 1, "the sphere must be visible");
 }

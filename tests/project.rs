@@ -55,8 +55,8 @@ fn loaded_project_answers_identically() {
         .environment(HdovBuildConfig::fast_test(), StorageScheme::IndexedVertical)
         .unwrap();
     let vp = p.scene().bounds().center();
-    let ra = env_a.query(vp, 0.002).unwrap();
-    let rb = env_b.query(vp, 0.002).unwrap();
+    let ra = env_a.query(Query::new(env_a.cell_of(vp), 0.002)).unwrap().0;
+    let rb = env_b.query(Query::new(env_b.cell_of(vp), 0.002)).unwrap().0;
     assert_eq!(ra.entries(), rb.entries());
     assert!(!ra.entries().is_empty());
 }
