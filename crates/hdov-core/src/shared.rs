@@ -46,9 +46,9 @@ use hdov_obs::Phase;
 use hdov_scene::{ModelHandle, ModelStore, Scene};
 use hdov_storage::codec::ByteReader;
 use hdov_storage::{
-    DiskModel, FaultPlan, IoCursor, IoStats, PageId, ReplicaHealth, Result, RetryPolicy,
-    ScrubReport, Scrubber, SharedCachedFile, SharedFaultyFile, SimulatedDisk, StorageBackend,
-    StoreFile, PAGE_SIZE,
+    DiskModel, FaultPlan, IoCursor, IoStats, MemPagedFile, PageId, ReplicaHealth, Result,
+    RetryPolicy, ScrubReport, Scrubber, SharedCachedFile, SharedFaultyFile, SimulatedDisk,
+    StorageBackend, PAGE_SIZE,
 };
 use hdov_visibility::{CellGrid, CellId, DovTable};
 use std::convert::Infallible;
@@ -719,13 +719,12 @@ impl SharedModels {
     /// it behind the single-session layout; returns the bank and a cursor
     /// parked where the build left the disk's head.
     pub(crate) fn build(scene: &Scene, model: DiskModel) -> Result<(Self, IoCursor)> {
-        let mut disk = SimulatedDisk::new(StoreFile::new_mem(), model);
+        let mut disk = SimulatedDisk::new(MemPagedFile::new(), model);
         let chains = scene
             .objects()
             .iter()
             .map(|o| scene.prototypes().chain(o.prototype));
         let store = ModelStore::build(&mut disk, chains)?;
-        disk.enable_checksums()?;
         let (cap, shards) = crate::env::UNBUFFERED;
         let (pool, cursor) = SharedCachedFile::from_disk(disk, cap, shards);
         let models = SharedModels {

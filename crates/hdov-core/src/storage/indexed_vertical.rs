@@ -11,7 +11,7 @@ use super::{freeze_index, record_bytes_for, VPageFile};
 use crate::shared::{SharedIndexedVertical, SharedVStore};
 use crate::vpage::{VPage, VPageCodec};
 use hdov_storage::{
-    DiskModel, IoCursor, Page, PagedFile, Result, SimulatedDisk, StoreFile, PAGE_SIZE,
+    DiskModel, IoCursor, MemPagedFile, Page, PagedFile, Result, SimulatedDisk, PAGE_SIZE,
 };
 use std::sync::Arc;
 
@@ -29,7 +29,7 @@ pub(crate) fn build(
     // Only visible pages are stored — no hidden placeholders.
     let record_bytes = record_bytes_for(codec, max_entries, entry_counts, cells, false);
     let mut vpages = VPageFile::new(model, codec, record_bytes);
-    let mut index = SimulatedDisk::new(StoreFile::new_mem(), model);
+    let mut index = SimulatedDisk::new(MemPagedFile::new(), model);
 
     let mut raw: Vec<u8> = Vec::new();
     let mut dir = Vec::with_capacity(cells.len());
@@ -49,7 +49,6 @@ pub(crate) fn build(
         index.allocate_page()?;
     }
     let (vpages, vpage_cur) = vpages.freeze()?;
-    index.enable_checksums()?;
     let (index, index_cur) = freeze_index(index);
     let store = SharedVStore::IndexedVertical(SharedIndexedVertical {
         index,

@@ -22,8 +22,8 @@ use crate::shared::{SharedVPageFile, SharedVStore};
 use crate::vpage::{VPage, VPageCodec, MIN_DELTA_RECORD_BYTES};
 use hdov_obs::Counter;
 use hdov_storage::{
-    DiskModel, IoCursor, Page, PageId, PagedFile, Result, SharedCachedFile, SimulatedDisk,
-    StoreFile, PAGE_SIZE,
+    DiskModel, IoCursor, MemPagedFile, Page, PageId, PagedFile, Result, SharedCachedFile,
+    SimulatedDisk, PAGE_SIZE,
 };
 
 /// The three storage schemes of paper §4.
@@ -87,7 +87,7 @@ impl std::fmt::Display for StorageScheme {
 }
 
 /// Freezes a built index file behind the single-session layout.
-pub(crate) fn freeze_index(disk: SimulatedDisk<StoreFile>) -> (SharedCachedFile, IoCursor) {
+pub(crate) fn freeze_index(disk: SimulatedDisk<MemPagedFile>) -> (SharedCachedFile, IoCursor) {
     let (cap, shards) = crate::env::UNBUFFERED;
     SharedCachedFile::from_disk(disk, cap, shards)
 }
@@ -107,7 +107,7 @@ pub(crate) fn freeze_index(disk: SimulatedDisk<StoreFile>) -> (SharedCachedFile,
 /// This is the build-time writer; [`freeze`](Self::freeze) hands the pages
 /// to the [`SharedVPageFile`] every query reads.
 pub(crate) struct VPageFile {
-    disk: SimulatedDisk<StoreFile>,
+    disk: SimulatedDisk<MemPagedFile>,
     records: u64,
     record_bytes: usize,
     records_per_page: u64,
@@ -158,7 +158,7 @@ impl VPageFile {
     pub fn new(model: DiskModel, codec: VPageCodec, record_bytes: usize) -> Self {
         let record_bytes = record_bytes.min(PAGE_SIZE);
         VPageFile {
-            disk: SimulatedDisk::new(StoreFile::new_mem(), model),
+            disk: SimulatedDisk::new(MemPagedFile::new(), model),
             records: 0,
             record_bytes,
             records_per_page: (PAGE_SIZE / record_bytes) as u64,
@@ -195,15 +195,14 @@ impl VPageFile {
         Ok(idx)
     }
 
-    /// Stamps the build-time checksum table (call once after the last
-    /// append) and freezes the file behind the single-session layout: a
+    /// Freezes the file (call once after the last append) behind the
+    /// single-session layout: a
     /// one-page pool, so consecutive reads of records packed into the same
     /// disk page charge a single simulated page read — which is exactly how
     /// the Delta codec's denser packing (more records per 4 KiB page) turns
     /// into strictly fewer fig8 I/Os at identical answers. Returns the file
     /// and a cursor parked where the build left the head.
-    pub fn freeze(mut self) -> Result<(SharedVPageFile, IoCursor)> {
-        self.disk.enable_checksums()?;
+    pub fn freeze(self) -> Result<(SharedVPageFile, IoCursor)> {
         let (cap, shards) = crate::env::VPAGE_BUFFER;
         let (pool, cursor) = SharedCachedFile::from_disk(self.disk, cap, shards);
         let file = SharedVPageFile::new(

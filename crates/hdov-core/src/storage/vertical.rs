@@ -11,7 +11,7 @@ use super::{freeze_index, record_bytes_for, VPageFile};
 use crate::shared::{SharedVStore, SharedVertical, NIL};
 use crate::vpage::{VPage, VPageCodec};
 use hdov_storage::{
-    DiskModel, IoCursor, Page, PagedFile, Result, SimulatedDisk, StoreFile, PAGE_SIZE,
+    DiskModel, IoCursor, MemPagedFile, Page, PagedFile, Result, SimulatedDisk, PAGE_SIZE,
 };
 
 /// Builds the store (dense per-cell pointer segments + clustered
@@ -30,7 +30,7 @@ pub(crate) fn build(
     // Only visible pages are stored — no hidden placeholders.
     let record_bytes = record_bytes_for(codec, max_entries, entry_counts, cells, false);
     let mut vpages = VPageFile::new(model, codec, record_bytes);
-    let mut index = SimulatedDisk::new(StoreFile::new_mem(), model);
+    let mut index = SimulatedDisk::new(MemPagedFile::new(), model);
     for cell in cells {
         let mut segment = vec![NIL; n_nodes as usize];
         // DFS order: input is sorted by ordinal, which is DFS preorder.
@@ -48,7 +48,6 @@ pub(crate) fn build(
         }
     }
     let (vpages, vpage_cur) = vpages.freeze()?;
-    index.enable_checksums()?;
     let (index, index_cur) = freeze_index(index);
     let store = SharedVStore::Vertical(SharedVertical {
         index,

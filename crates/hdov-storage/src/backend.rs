@@ -1,7 +1,8 @@
 //! Storage-backend selection: where a built environment's frozen stores
 //! live.
 //!
-//! Building always happens in memory (`StoreFile::Mem`); a
+//! Building always happens in memory (a
+//! [`MemPagedFile`](crate::MemPagedFile) frozen into a [`FrozenPages`]); a
 //! [`StorageBackend`] then decides what **relocation** does to each built
 //! store: nothing (the deterministic mem twin), or serialize it as a
 //! frozen-store file and reopen it mmap'd or pread-backed. Answers and
@@ -9,7 +10,6 @@
 //! the file holds exactly the pages the mem store held, verified by the
 //! checksum sidecar at open.
 
-use crate::file::StoreFile;
 use crate::shared::FrozenPages;
 use crate::Result;
 use std::path::{Path, PathBuf};
@@ -133,21 +133,17 @@ impl StorageBackend {
         }
     }
 
-    /// Freezes `file` onto this backend under the store name `name`.
+    /// Places the frozen store `frozen` on this backend under the store
+    /// name `name`, with frozen-store header `flags` (see
+    /// [`crate::frozen::STORE_FLAG_VPAGE_DELTA`]).
     ///
-    /// On `Mem` this is a no-op beyond freezing in place. On `File` the
-    /// store is serialized (with its checksum sidecar) to
-    /// `<dir>/<name>.hdov`, then reopened — and thereby fully verified —
-    /// in the backend's [`FileMode`].
-    pub fn freeze(&self, name: &str, file: StoreFile) -> Result<StoreFile> {
-        self.freeze_flagged(name, file, 0)
-    }
-
-    /// [`freeze`](Self::freeze) with an explicit frozen-store header `flags`
-    /// word (see [`crate::frozen::STORE_FLAG_VPAGE_DELTA`]).
-    pub fn freeze_flagged(&self, name: &str, file: StoreFile, flags: u32) -> Result<StoreFile> {
+    /// On `Mem` this returns `frozen` as it is. On `File` the store is
+    /// serialized (with its checksum sidecar) to `<dir>/<name>.hdov` plus
+    /// one file per extra replica, then reopened — and thereby fully
+    /// verified — in the backend's [`FileMode`].
+    pub fn freeze(&self, name: &str, frozen: FrozenPages, flags: u32) -> Result<FrozenPages> {
         match self {
-            StorageBackend::Mem => Ok(StoreFile::Frozen(file.into_frozen())),
+            StorageBackend::Mem => Ok(frozen),
             StorageBackend::File {
                 dir,
                 mode,
@@ -155,7 +151,6 @@ impl StorageBackend {
             } => {
                 std::fs::create_dir_all(dir)?;
                 let n = (*replicas).max(1);
-                let frozen = file.into_frozen();
                 let generation = GENERATION.fetch_add(1, Ordering::Relaxed);
                 let paths: Vec<PathBuf> = (0..n).map(|k| replica_path(dir, name, k)).collect();
                 frozen.write_replicated(&paths, generation, flags)?;
@@ -165,7 +160,7 @@ impl StorageBackend {
                 };
                 let primary = open(&paths[0])?;
                 let extras = paths[1..].iter().map(open).collect::<Result<Vec<_>>>()?;
-                Ok(StoreFile::Frozen(primary.with_replicas(extras)))
+                Ok(primary.with_replicas(extras))
             }
         }
     }
@@ -176,7 +171,7 @@ mod tests {
     use super::*;
     use crate::{MemPagedFile, Page, PageId, PagedFile};
 
-    fn built(n: u64) -> StoreFile {
+    fn built(n: u64) -> FrozenPages {
         let mut f = MemPagedFile::new();
         for i in 0..n {
             let id = f.allocate_page().unwrap();
@@ -184,7 +179,7 @@ mod tests {
             p.bytes_mut()[..8].copy_from_slice(&i.to_le_bytes());
             f.write_page(id, &p).unwrap();
         }
-        StoreFile::Mem(f)
+        FrozenPages::from_mem(f)
     }
 
     #[test]
@@ -227,8 +222,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hdov_backend_rep_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let b = StorageBackend::file(&dir).replicated(3);
-        let s = b.freeze("cells", built(4)).unwrap();
-        let fp = s.frozen().unwrap();
+        let fp = b.freeze("cells", built(4), 0).unwrap();
         assert_eq!(fp.replica_count(), 3);
         let bytes0 = std::fs::read(replica_path(&dir, "cells", 0)).unwrap();
         for k in 1..3 {
@@ -259,15 +253,14 @@ mod tests {
             },
         ];
         for b in backends {
-            let mut s = b.freeze("cells", built(4)).unwrap();
-            assert_eq!(s.page_count(), 4);
+            let fp = b.freeze("cells", built(4), 0).unwrap();
+            assert_eq!(fp.page_count(), 4);
             let mut out = Page::zeroed();
             for i in 0..4u64 {
-                s.read_page(PageId(i), &mut out).unwrap();
+                fp.read_into(PageId(i), out.bytes_mut()).unwrap();
                 assert_eq!(&out.bytes()[..8], &i.to_le_bytes(), "{}", b.label());
             }
             if b.is_file() {
-                let fp = s.frozen().unwrap();
                 assert!(fp.generation() > 0, "file stores carry a generation");
                 assert!(fp.origin().to_string().contains("cells.hdov"));
             }

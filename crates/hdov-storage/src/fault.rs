@@ -116,6 +116,13 @@ impl FaultPlan {
 
 /// A [`PagedFile`] wrapper that injects faults per a [`FaultPlan`].
 ///
+/// This is the fake substituted under structures generic over
+/// [`PagedFile`] (the R-tree's fault-tolerance tests) to prove injected
+/// faults surface as typed errors. Nothing wrapping it retries or verifies
+/// checksums; queries over frozen stores inject through
+/// [`SharedFaultyFile`] instead, on the buffer pool's miss path, where
+/// retries and checksum admission live.
+///
 /// # Read counting
 ///
 /// Every `read_page` call increments the read counter, **including the

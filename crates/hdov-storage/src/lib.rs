@@ -4,11 +4,16 @@
 //! this crate provides:
 //!
 //! * fixed-size [`page`]s and little-endian [`codec`] helpers,
-//! * the [`PagedFile`] abstraction with in-memory and real-file backends,
-//! * a [`SimulatedDisk`] wrapper that charges a seek + transfer cost model and
-//!   keeps exact [`IoStats`] (page reads/writes, sequential vs. random,
-//!   simulated elapsed time), and
-//! * an [`LruCache`] used for buffer pools.
+//! * the [`PagedFile`] abstraction with an in-memory backend, the build-time
+//!   writer,
+//! * an [`IoCursor`] that holds a disk head and charges the seek + transfer
+//!   cost model into exact [`IoStats`] (page reads/writes, sequential vs.
+//!   random, simulated elapsed time), and a [`SimulatedDisk`] wrapper that
+//!   meters a build through one cursor,
+//! * [`FrozenPages`] snapshots (in memory, mmap'd or pread-backed files) and
+//!   the [`SharedCachedFile`] buffer pool: the one page-read path, where
+//!   every miss is checksum-verified, retried and failed over, and
+//! * an [`LruCache`] used for the pool's shards.
 //!
 //! All experiment "search time" numbers in the benchmark harness come from
 //! the simulated clock, which makes the reproduction deterministic and
@@ -20,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod cached;
 pub mod checksum;
 pub mod codec;
 pub mod disk;
@@ -42,13 +46,12 @@ pub mod stats;
 pub mod wal;
 
 pub use backend::{replica_path, FileMode, StorageBackend};
-pub use cached::CachedFile;
 pub use checksum::page_checksum;
 pub use codec::{read_varint, unzigzag, varint_len, zigzag, ByteReader, ByteWriter};
-pub use disk::{DiskModel, SimulatedDisk};
+pub use disk::{DiskModel, IoCursor, SimulatedDisk};
 pub use error::{Result, StorageError, StoreOrigin};
 pub use fault::{FaultPlan, FaultyFile, SharedFaultyFile};
-pub use file::{FilePagedFile, MemPagedFile, PagedFile, StoreFile};
+pub use file::{MemPagedFile, PagedFile};
 pub use frame::Frame;
 pub use lru::LruCache;
 pub use mmap::MappedStore;
@@ -58,6 +61,6 @@ pub use pread::PreadStore;
 pub use replica::{ReplicaHealth, ReplicaSet};
 pub use retry::RetryPolicy;
 pub use scrub::{verify_pool, ManualScrubClock, ScrubClock, ScrubConfig, ScrubReport, Scrubber};
-pub use shared::{AtomicIoStats, FrozenPages, IoCursor, SharedCachedFile};
+pub use shared::{AtomicIoStats, FrozenPages, SharedCachedFile};
 pub use stats::IoStats;
 pub use wal::{RecoveredTxn, Wal};

@@ -2,34 +2,35 @@
 //!
 //! Stores are built in memory behind a [`SimulatedDisk`] and then frozen;
 //! every query reads them through this module, whether one session or many
-//! share the pools:
+//! share the pools. This is the only place pages are read for a query and
+//! the only place they are checked:
 //!
 //! * [`FrozenPages`] — an immutable, `Arc`-shared snapshot of a fully built
-//!   [`MemPagedFile`]; any number of threads may read it.
+//!   [`MemPagedFile`] (or a frozen-store file); any number of threads may
+//!   read it, and it has no write API.
 //! * [`SharedCachedFile`] — a buffer pool over a frozen file, striped into
 //!   independently locked LRU shards keyed by page id, so concurrent readers
-//!   contend only when they touch the same stripe. Global pool counters are
+//!   contend only when they touch the same stripe. Every miss is verified
+//!   against the store's checksum table before admission, with transient
+//!   failures retried and replicas failed over to. Global pool counters are
 //!   plain atomics ([`AtomicIoStats`]).
-//! * [`IoCursor`] — the *per-session* half of the simulated-disk cost model.
-//!   Seek-vs-transfer charging needs a disk-head position, which cannot be
-//!   shared state once N sessions interleave; each session carries its own
-//!   cursor, and a pool hit costs nothing, exactly like a
-//!   [`CachedFile`](crate::CachedFile) hit.
 //!
-//! A miss charges `seek + transfer` or `transfer` against the session's own
-//! head position using the same rule as [`SimulatedDisk`], so a single
-//! session over a cold shared pool sees the same simulated timings as one
-//! over a private pool of the same capacity — and a pool of capacity 0
-//! whose cursor starts at a disk's head charges exactly what that disk
-//! would ([`SharedCachedFile::from_disk`]).
+//! Each session carries its own [`IoCursor`], because a disk-head position
+//! cannot be shared state once N sessions interleave. A pool hit costs
+//! nothing; a miss charges `seek + transfer` or `transfer` against the
+//! session's head by the cursor's rule, so a single session over a cold
+//! shared pool sees the same simulated timings as one over a private pool
+//! of the same capacity — and a pool of capacity 0 whose cursor is the
+//! build disk's own charges exactly what that disk would
+//! ([`SharedCachedFile::from_disk`]).
 
 use crate::error::StoreOrigin;
 use crate::mmap::MappedStore;
 use crate::pread::PreadStore;
 use crate::replica::ReplicaSet;
 use crate::{
-    page_checksum, DiskModel, FaultPlan, Frame, IoStats, LruCache, MemPagedFile, Page, PageId,
-    Result, RetryPolicy, SharedFaultyFile, SimulatedDisk, StorageBackend, StorageError, StoreFile,
+    page_checksum, DiskModel, FaultPlan, Frame, IoCursor, IoStats, LruCache, MemPagedFile, Page,
+    PageId, Result, RetryPolicy, SharedFaultyFile, SimulatedDisk, StorageBackend, StorageError,
     PAGE_SIZE,
 };
 use std::path::Path;
@@ -226,13 +227,8 @@ impl FrozenPages {
     }
 
     /// Serializes this store (whatever its backend) as a frozen-store file
-    /// at `path`.
-    pub fn write_store(&self, path: &Path, generation: u64) -> Result<()> {
-        self.write_store_flagged(path, generation, 0)
-    }
-
-    /// [`write_store`](Self::write_store) with an explicit header `flags`
-    /// word (see [`crate::frozen::STORE_FLAG_VPAGE_DELTA`]).
+    /// at `path` with header `flags` (see
+    /// [`crate::frozen::STORE_FLAG_VPAGE_DELTA`]).
     pub fn write_store_flagged(&self, path: &Path, generation: u64, flags: u32) -> Result<()> {
         match &self.repr {
             Repr::Mem { pages } => {
@@ -365,60 +361,6 @@ impl AtomicIoStats {
     }
 }
 
-/// Per-session disk-head state plus accumulated per-session costs.
-///
-/// The shared pool charges misses against this cursor with the same
-/// sequential-run rule as [`SimulatedDisk`]: an access is sequential iff it
-/// targets the session's previous page or the one after it.
-#[derive(Debug, Clone, Default)]
-pub struct IoCursor {
-    last_page: Option<u64>,
-    stats: IoStats,
-}
-
-impl IoCursor {
-    /// A cursor with no head-position memory and zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Accumulated per-session stats.
-    pub fn stats(&self) -> IoStats {
-        self.stats
-    }
-
-    /// Clears counters; the head position is kept (mirrors
-    /// [`SimulatedDisk::reset_stats`](crate::SimulatedDisk::reset_stats)).
-    pub fn reset_stats(&mut self) {
-        self.stats = IoStats::new();
-    }
-
-    fn charge_read(&mut self, id: PageId, model: DiskModel) -> (bool, f64) {
-        let sequential =
-            self.last_page == Some(id.0.wrapping_sub(1)) || self.last_page == Some(id.0);
-        let cost = if sequential {
-            model.transfer_us
-        } else {
-            model.seek_us + model.transfer_us
-        };
-        self.stats.elapsed_us += cost;
-        self.stats.page_reads += 1;
-        if sequential {
-            self.stats.sequential_reads += 1;
-        } else {
-            self.stats.random_reads += 1;
-        }
-        self.last_page = Some(id.0);
-        (sequential, cost)
-    }
-
-    /// Adds pure simulated time with no read counted (see
-    /// [`AtomicIoStats::record_penalty`]).
-    fn charge_penalty(&mut self, cost_us: f64) {
-        self.stats.elapsed_us += cost_us;
-    }
-}
-
 /// A lock-striped LRU buffer pool over a [`FrozenPages`] snapshot.
 ///
 /// `read_frame`/`read_page` take `&self`: all mutability is interior (the
@@ -510,27 +452,18 @@ impl SharedCachedFile {
     }
 
     /// Freezes a fully built disk into a pool of `capacity` pages over
-    /// `shards` locks (decoded overlays on). The disk's stamped checksum
-    /// table is reused rather than recomputed, and the returned cursor is
-    /// parked where the disk's head stopped, so the first read after the
-    /// build is charged exactly as the disk would have charged it.
+    /// `shards` locks (decoded overlays on). The returned cursor is the
+    /// disk's own, with its head kept and its stats zeroed, so the first
+    /// read after the build is charged exactly as the disk would have
+    /// charged it.
     pub fn from_disk(
-        disk: SimulatedDisk<StoreFile>,
+        disk: SimulatedDisk<MemPagedFile>,
         capacity: usize,
         shards: usize,
     ) -> (Self, IoCursor) {
-        let (file, model, head, checksums) = disk.into_parts();
-        let data = file.into_frozen();
-        let replicas = match checksums {
-            Some(table) => ReplicaSet::with_checksums(&data, table.into()),
-            None => ReplicaSet::new(&data),
-        };
-        let pool = Self::from_replicas(data, model, capacity, shards, true, replicas);
-        let cursor = IoCursor {
-            last_page: head,
-            stats: IoStats::new(),
-        };
-        (pool, cursor)
+        let (file, model, mut cursor) = disk.into_parts();
+        cursor.reset_stats();
+        (Self::from_mem(file, model, capacity, shards), cursor)
     }
 
     /// Pads the replica set to at least `n` copies by cloning the primary —
@@ -620,19 +553,19 @@ impl SharedCachedFile {
     }
 
     /// This pool's pages relocated onto `backend` as store `name` (header
-    /// `flags`, see [`StorageBackend::freeze_flagged`]), behind a cold pool
-    /// of the same geometry. On the mem backend the pages stay where they
-    /// are; on a file backend they are serialized and reopened, and the
-    /// verified on-disk sidecar becomes the trusted checksum table.
+    /// `flags`, see [`StorageBackend::freeze`]), behind a cold pool of the
+    /// same geometry. On the mem backend the pages stay where they are; on
+    /// a file backend they are serialized and reopened, and the verified
+    /// on-disk sidecar becomes the trusted checksum table.
     pub fn relocated(&self, backend: &StorageBackend, name: &str, flags: u32) -> Result<Self> {
         if !backend.is_file() {
             return Ok(self.fork());
         }
-        let file = backend.freeze_flagged(name, StoreFile::Frozen(self.data.clone()), flags)?;
+        let data = backend.freeze(name, self.data.clone(), flags)?;
         let per_shard = lock_shard(&self.shards[0]).capacity();
         let shards = self.shards.len();
         let pool = Self::with_overlay(
-            file.into_frozen(),
+            data,
             self.model,
             per_shard * shards,
             shards,
@@ -1423,6 +1356,40 @@ mod tests {
         assert!(h.is_clean(), "health and faults are not inherited");
         fork.read_page(&mut cur, PageId(0), &mut out).unwrap();
         assert_eq!(&out.bytes()[..8], &0u64.to_le_bytes());
+    }
+
+    #[test]
+    fn from_disk_hands_over_the_build_cursor() {
+        // Pages 0..4 written, page 4 allocated but never written: the
+        // build head stops at page 3.
+        let mut disk = SimulatedDisk::new(MemPagedFile::new(), DiskModel::PAPER_ERA);
+        for i in 0..4u64 {
+            let mut p = Page::zeroed();
+            p.bytes_mut()[..8].copy_from_slice(&i.to_le_bytes());
+            disk.append_page(&p).unwrap();
+        }
+        let unwritten = disk.allocate_page().unwrap();
+        assert_eq!(disk.stats().page_writes, 4);
+        let (pool, mut cur) = SharedCachedFile::from_disk(disk, 8, 2);
+        assert_eq!(cur.stats(), IoStats::new(), "build charges stay behind");
+        // The next page after the build head is sequential; the unwritten
+        // page reads as zeroes and passes admission.
+        let mut out = Page::zeroed();
+        pool.read_page(&mut cur, unwritten, &mut out).unwrap();
+        assert_eq!(out, Page::zeroed());
+        assert!(pool.contains(unwritten));
+        assert_eq!(cur.stats().sequential_reads, 1);
+        assert_eq!(cur.stats().elapsed_us, 100.0);
+        // A far page is random.
+        pool.read_page(&mut cur, PageId(0), &mut out).unwrap();
+        assert_eq!(&out.bytes()[..8], &0u64.to_le_bytes());
+        assert_eq!(cur.stats().random_reads, 1);
+        assert_eq!(cur.stats().elapsed_us, 100.0 + 8100.0);
+        // The trusted table came with the handover: corruption is caught.
+        pool.arm_faults(&FaultPlan::corrupt_one(1));
+        let err = pool.read_page(&mut cur, PageId(1), &mut out).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+        assert!(!pool.contains(PageId(1)), "poison must not enter the pool");
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //!
 //! 1. scoped-thread stress under contention (correct contents, exact
 //!    accounting),
-//! 2. single-shard [`SharedCachedFile`] matches single-threaded
-//!    [`CachedFile`] hit/miss/eviction and simulated-cost accounting on the
-//!    same access trace,
+//! 2. single-shard [`SharedCachedFile`] matches an in-test reference (an
+//!    [`LruCache`] of page ids over a [`SimulatedDisk`]) on hit/miss,
+//!    eviction and simulated-cost accounting for the same access trace,
 //! 3. atomic [`AtomicIoStats`] totals equal the sum of per-shard LRU
 //!    counters.
 
 use hdov_storage::{
-    CachedFile, DiskModel, IoCursor, MemPagedFile, Page, PageId, PagedFile, SharedCachedFile,
+    DiskModel, IoCursor, LruCache, MemPagedFile, Page, PageId, PagedFile, SharedCachedFile,
+    SimulatedDisk,
 };
 
 const N_PAGES: u64 = 64;
@@ -111,38 +112,51 @@ fn stress_scoped_threads_under_contention() {
 }
 
 #[test]
-fn single_shard_matches_cached_file_on_same_trace() {
+fn single_shard_matches_lru_over_simulated_disk() {
     const CAPACITY: usize = 12;
     let model = DiskModel::PAPER_ERA;
     let shared = SharedCachedFile::from_mem(mem_file(), model, CAPACITY, 1);
     let mut cursor = IoCursor::new();
 
-    // Baseline: the reference single-threaded pool over a fresh simulated disk
-    // (head position starts unset, matching a fresh IoCursor).
-    let mut baseline = CachedFile::new(
-        hdov_storage::SimulatedDisk::new(mem_file(), model),
-        CAPACITY,
-    );
-    baseline.invalidate(); // construction wrote nothing, but be explicit
+    // Reference pool: an LRU of page ids over a fresh simulated disk (head
+    // position starts unset, matching a fresh IoCursor). A hit is free; a
+    // miss reads through the disk and inserts.
+    let mut disk = SimulatedDisk::new(mem_file(), model);
+    let mut lru: LruCache<u64, ()> = LruCache::new(CAPACITY);
 
     let mut shared_out = Page::zeroed();
-    let mut base_out = Page::zeroed();
+    let mut disk_out = Page::zeroed();
     for (step, id) in trace(0xDEAD_BEEF, 4_000).into_iter().enumerate() {
         shared
             .read_page(&mut cursor, PageId(id), &mut shared_out)
             .unwrap();
-        baseline.read_page(PageId(id), &mut base_out).unwrap();
-        assert_eq!(shared_out, base_out, "contents diverged at step {step}");
+        if lru.get(&id).is_none() {
+            disk.read_page(PageId(id), &mut disk_out).unwrap();
+            lru.insert(id, ());
+            assert_eq!(shared_out, disk_out, "contents diverged at step {step}");
+        }
+        assert_eq!(
+            &shared_out.bytes()[..8],
+            &id.to_le_bytes(),
+            "contents diverged at step {step}"
+        );
         assert_eq!(
             shared.hit_stats(),
-            baseline.pool_stats(),
-            "hit/miss accounting diverged at step {step} (eviction order differs)"
+            lru.hit_stats(),
+            "hit/miss accounting diverged at step {step}"
         );
+        for p in 0..N_PAGES {
+            assert_eq!(
+                shared.contains(PageId(p)),
+                lru.peek(&p).is_some(),
+                "eviction order diverged at step {step} (page {p})"
+            );
+        }
     }
 
     // Simulated cost model agrees exactly: same misses, same seek/transfer
     // split, same elapsed time.
-    let disk_stats = baseline.inner().stats();
+    let disk_stats = disk.stats();
     let cur_stats = cursor.stats();
     assert_eq!(cur_stats.page_reads, disk_stats.page_reads);
     assert_eq!(cur_stats.sequential_reads, disk_stats.sequential_reads);
