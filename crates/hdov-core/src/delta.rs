@@ -32,6 +32,10 @@ pub struct DeltaSummary {
 #[derive(Debug, Default)]
 pub struct DeltaSearch {
     resident: HashMap<ResultKey, (usize, u64)>, // level, bytes
+    /// The map [`apply`](Self::apply) builds the next resident set in,
+    /// then swaps with `resident`: cleared and reused, so a frame's apply
+    /// allocates nothing once both maps have grown to the working set.
+    next: HashMap<ResultKey, (usize, u64)>,
     resident_bytes: u64,
     peak_bytes: u64,
 }
@@ -52,22 +56,21 @@ impl DeltaSearch {
     /// evicted (the paper's systems do not cache beyond the active set).
     pub fn apply(&mut self, result: &QueryResult) -> DeltaSummary {
         let mut summary = DeltaSummary::default();
-        let mut next: HashMap<ResultKey, (usize, u64)> =
-            HashMap::with_capacity(result.entries().len());
+        self.next.clear();
         for e in result.entries() {
             if e.cached {
                 summary.retained += 1;
             } else {
                 summary.added += 1;
             }
-            next.insert(e.key, (e.level, e.bytes));
+            self.next.insert(e.key, (e.level, e.bytes));
         }
         summary.evicted = self
             .resident
             .keys()
-            .filter(|k| !next.contains_key(k))
+            .filter(|k| !self.next.contains_key(k))
             .count();
-        self.resident = next;
+        std::mem::swap(&mut self.resident, &mut self.next);
         self.resident_bytes = self.resident.values().map(|&(_, b)| b).sum();
         self.peak_bytes = self.peak_bytes.max(self.resident_bytes);
         summary

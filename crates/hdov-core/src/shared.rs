@@ -662,6 +662,11 @@ impl SharedTree {
         &self.internal_store
     }
 
+    /// The internal-LoD pool.
+    pub fn internal_pool(&self) -> &SharedCachedFile {
+        &self.internal_pool
+    }
+
     /// Reads node `ordinal`, charging any pool miss to `cursor`.
     ///
     /// Zero-copy: the node comes from the pooled frame's decoded overlay —
@@ -679,8 +684,10 @@ impl SharedTree {
     /// Fetches node `ordinal`'s internal LoD at `level`, charging `cursor`.
     ///
     /// Same page sequence (and therefore identical simulated charging) as
-    /// [`ModelStore::fetch`], but through the frame API: pool hits cost no
-    /// memcpy and the loop allocates nothing.
+    /// [`ModelStore::fetch`], read as one page run
+    /// ([`SharedCachedFile::read_run`]): pool hits cost no memcpy, an
+    /// all-hit LoD allocates nothing, and on a pread store the LoD's misses
+    /// cost one physical read.
     pub fn fetch_internal_lod(
         &self,
         cursor: &mut IoCursor,
@@ -688,10 +695,8 @@ impl SharedTree {
         level: usize,
     ) -> Result<ModelHandle> {
         let h = self.internal_store.handle(ordinal as u64, level);
-        for i in 0..h.pages as u64 {
-            self.internal_pool
-                .read_frame(cursor, PageId(h.first_page.0 + i))?;
-        }
+        self.internal_pool
+            .read_run(cursor, h.first_page, u64::from(h.pages))?;
         Ok(h)
     }
 
@@ -746,13 +751,14 @@ impl SharedModels {
 
     /// Fetches (charges the page reads for) `(key, level)` — the zero-copy
     /// counterpart of [`ModelStore::fetch`]: the identical page sequence is
-    /// charged to `cursor`, but pool hits hand back pooled frames instead
-    /// of copying into a scratch page, and the loop allocates nothing.
+    /// charged to `cursor`, read as one page run
+    /// ([`SharedCachedFile::read_run`]), so pool hits copy nothing, an
+    /// all-hit LoD allocates nothing, and on a pread store the LoD's misses
+    /// cost one physical read.
     pub fn fetch(&self, cursor: &mut IoCursor, key: u64, level: usize) -> Result<ModelHandle> {
         let h = self.store.handle(key, level);
-        for i in 0..h.pages as u64 {
-            self.pool.read_frame(cursor, PageId(h.first_page.0 + i))?;
-        }
+        self.pool
+            .read_run(cursor, h.first_page, u64::from(h.pages))?;
         Ok(h)
     }
 }

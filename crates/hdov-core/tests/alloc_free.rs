@@ -2,7 +2,9 @@
 //! `SharedEnvironment::search` over warm pools performs **zero** heap
 //! allocations. Every byte the query touches is either a pooled frame
 //! (`Arc` clone), a decoded overlay (`Arc` clone), or a buffer reused from
-//! `SessionCtx` / `SearchScratch`; a resident set is read in place.
+//! `SessionCtx` / `SearchScratch`; a resident set is read in place, and
+//! folding each answer into a walk's resident set (`DeltaSearch::apply`)
+//! reuses its maps.
 //!
 //! A counting global allocator needs its own process: this file holds
 //! exactly one test, and obs stays disabled (registering a thread-local
@@ -96,6 +98,8 @@ fn steady_state_search_allocates_nothing() {
                 env.search(&mut ctx, &mut scratch, Query::new(last, 0.004))
                     .unwrap();
                 delta.apply(scratch.result());
+                // The walk's own resident set, folded after every frame.
+                let mut walked = DeltaSearch::new();
 
                 for (prefetch, resident) in [(false, None), (true, None), (true, Some(&delta))] {
                     let query = |cell, eta| Query {
@@ -111,13 +115,15 @@ fn steady_state_search_allocates_nothing() {
                             for eta in [0.0, 0.004] {
                                 env.search(&mut ctx, &mut scratch, query(cell, eta))
                                     .unwrap();
+                                walked.apply(scratch.result());
                             }
                         }
                     }
 
                     // Steady state: the same workload must never touch the
                     // allocator — cell flips, prefetch probes, node and V-page
-                    // reads, LoD charging, and result assembly included.
+                    // reads, LoD charging, result assembly and the
+                    // resident-set fold included.
                     let before = allocations();
                     let mut polygons = 0u64;
                     for &cell in &cells {
@@ -127,6 +133,7 @@ fn steady_state_search_allocates_nothing() {
                                 .unwrap();
                             assert!(stats.nodes_visited > 0);
                             polygons += scratch.result().total_polygons();
+                            walked.apply(scratch.result());
                         }
                     }
                     let after = allocations();

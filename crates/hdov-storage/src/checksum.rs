@@ -3,10 +3,9 @@
 //! Integrity on the read path uses a word-wide FNV-1a variant: the page is
 //! consumed as 8-byte little-endian words (plus a length-tagged tail), so
 //! a 4 KiB page is 512 multiply–xor steps — cheap enough to verify on
-//! every simulated read without moving the benches' wall time, and —
-//! critically for the experiment harness — verification is charged **zero
-//! simulated I/O time**, so enabling checksums cannot perturb any figure
-//! or metrics baseline.
+//! every pool miss — and, critically for the experiment harness,
+//! verification is charged **zero simulated I/O time**, so checksums cannot
+//! perturb any figure or metrics baseline.
 //!
 //! Each step is `h = (h ^ word) * FNV_PRIME`: xor is injective and
 //! multiplication by an odd prime is invertible mod 2⁶⁴, so any change
@@ -14,9 +13,19 @@
 //! always changes the final hash. This is an integrity check against disk
 //! bit rot, not an adversarial MAC.
 //!
+//! Word `i` feeds lane `i % 4` of four independent FNV chains, which fold
+//! into one hash at the end. The loop takes one 32-byte block per step and
+//! keeps the four lanes in locals, so the multiplies of a block overlap
+//! and no lane is addressed by a runtime index. On x86-64 this form hashes
+//! a 4 KiB page in under half the time of a one-word-per-step loop with an
+//! indexed lane array, and produces the same value for every input (the
+//! `golden_values` test pins outputs of that original loop).
+//!
 //! Checksums live in *sidecar* tables (one `u64` per page), never inside
 //! the page payload: page formats, `records_per_page`, and every storage
-//! formula in the paper reproduction are unchanged.
+//! formula in the paper reproduction are unchanged. Because the sidecars of
+//! frozen `.hdov` stores are written with this function, its output is part
+//! of the on-disk format.
 
 /// 64-bit FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -32,37 +41,60 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// ```
 #[must_use]
 pub fn page_checksum(bytes: &[u8]) -> u64 {
-    // Four independent FNV lanes over interleaved words: the serial
-    // multiply chain of classic FNV would bottleneck a 4 KiB page on
-    // multiplier latency; four lanes run in instruction-level parallelism
-    // and fold injectively at the end.
-    let mut lanes = [
+    // Four independent FNV lanes over interleaved words: word `i` folds
+    // into lane `i % 4`. The serial multiply chain of classic FNV would
+    // bottleneck a 4 KiB page on multiplier latency; four lanes run in
+    // instruction-level parallelism and fold injectively at the end. Each
+    // 32-byte block feeds the four lanes held in locals, so no lane is
+    // addressed by a runtime index (which would force a store and reload
+    // per word); the at most three whole words left over continue the
+    // rotation from lane 0.
+    let mut blocks = bytes.chunks_exact(32);
+    let (mut l0, mut l1, mut l2, mut l3) = (
         FNV_OFFSET,
         FNV_OFFSET.rotate_left(16),
         FNV_OFFSET.rotate_left(32),
         FNV_OFFSET.rotate_left(48),
-    ];
-    let mut chunks = bytes.chunks_exact(8);
-    let mut lane = 0usize;
-    for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
-        lanes[lane] = (lanes[lane] ^ word).wrapping_mul(FNV_PRIME);
-        lane = (lane + 1) & 3;
+    );
+    for block in &mut blocks {
+        l0 = fnv_step(l0, le_word(&block[0..8]));
+        l1 = fnv_step(l1, le_word(&block[8..16]));
+        l2 = fnv_step(l2, le_word(&block[16..24]));
+        l3 = fnv_step(l3, le_word(&block[24..32]));
     }
-    let tail = chunks.remainder();
+    let mut lanes = [l0, l1, l2, l3];
+    let mut words = blocks.remainder().chunks_exact(8);
+    let mut lane = 0usize;
+    for word in &mut words {
+        lanes[lane] = fnv_step(lanes[lane], le_word(word));
+        lane += 1;
+    }
+    let tail = words.remainder();
     if !tail.is_empty() {
         // Length-tag the tail word so e.g. b"\0" and b"\0\0" differ.
         let mut word = [0u8; 8];
         word[..tail.len()].copy_from_slice(tail);
         word[7] = tail.len() as u8 | 0x80;
-        lanes[lane] = (lanes[lane] ^ u64::from_le_bytes(word)).wrapping_mul(FNV_PRIME);
+        lanes[lane] = fnv_step(lanes[lane], u64::from_le_bytes(word));
     }
     // Injective fold: a change in any one lane changes the result.
     let mut h = bytes.len() as u64;
     for l in lanes {
-        h = (h ^ l).wrapping_mul(FNV_PRIME);
+        h = fnv_step(h, l);
     }
     h
+}
+
+/// One FNV-1a step: xor in `word`, multiply by the prime.
+#[inline(always)]
+fn fnv_step(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// The little-endian `u64` in an 8-byte slice.
+#[inline(always)]
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte word"))
 }
 
 #[cfg(test)]
@@ -117,5 +149,75 @@ mod tests {
     fn deterministic() {
         let page = vec![7u8; 4096];
         assert_eq!(page_checksum(&page), page_checksum(&page));
+    }
+
+    /// Outputs of the original one-lane-index loop, pinned: sidecar
+    /// `.hdov` checksum tables and the serving benchmark's answer digests
+    /// both depend on this function staying bit-identical.
+    #[test]
+    fn golden_values() {
+        const PREFIXES: [u64; 41] = [
+            0x35a0961d9fa95a51,
+            0x4e57c09eeb0be0df,
+            0xecd124ad20f1b164,
+            0xf856efaeadaa37bd,
+            0x475ad69321f02292,
+            0x3dba66ae3d61431b,
+            0x11670231d0e5ba10,
+            0xeef5a6be8d839159,
+            0x8a3f5ced8f75617e,
+            0x7486d00535578ee4,
+            0x4677286aab82de6f,
+            0x41799722795b53aa,
+            0x082d7ebc7a2ebdd5,
+            0xd5279749fac9e990,
+            0xc646722e83f2976b,
+            0x19424a2cbdd49526,
+            0x58d47ade5193b8c1,
+            0x79a8ac764b3a0ff9,
+            0xdc09370c817e8552,
+            0xadb4b48d219582b7,
+            0xa0ef765dc7af2c90,
+            0x2d1298bafd1f7575,
+            0x60ab64a9b0667aae,
+            0x898b94ab4c3bd3d3,
+            0x83b49cbf877869fc,
+            0x19f7b38b262292de,
+            0x835e438de9b97c3d,
+            0x828445c2e13938bc,
+            0x1d382d718bca11fb,
+            0x99439c6bea220d7a,
+            0xded862aab06585b9,
+            0xfa9770eb987f9bd8,
+            0x62b0f99c45e1c2a7,
+            0x5a0f6c27a8d8187f,
+            0x276de25682273adc,
+            0xfe55d43d197a1c5d,
+            0xcb2463747e68ec9a,
+            0xc0d139be3f15311b,
+            0x97fdec17faf2c9f8,
+            0x13117e0cb63bb3d9,
+            0xaadd2bdfb2d7d4b6,
+        ];
+        let bytes: Vec<u8> = (0..40u32).map(|i| (i * 37 + 11) as u8).collect();
+        for (n, &want) in PREFIXES.iter().enumerate() {
+            assert_eq!(page_checksum(&bytes[..n]), want, "length {n}");
+        }
+
+        let pattern: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+        assert_eq!(page_checksum(&pattern), 0x5604_878e_2246_e049);
+
+        // splitmix64 from seed 2003, 512 words little-endian.
+        let mut state = 2003u64;
+        let random: Vec<u8> = (0..512)
+            .flat_map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)).to_le_bytes()
+            })
+            .collect();
+        assert_eq!(page_checksum(&random), 0x1ede_b0dc_79e9_806c);
     }
 }

@@ -1,9 +1,57 @@
 //! A slab-based LRU cache used for buffer pools.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 const NIL: usize = usize::MAX;
+
+/// The map hasher: a fixed multiplicative (Fibonacci) hash instead of the
+/// default SipHash.
+///
+/// Pool keys are page ids chosen by the store layout, not by any outside
+/// party, so SipHash's flooding resistance buys nothing here, and a page
+/// probe pays for its hash on every pool access. Each written word is
+/// xored in and multiplied by 2⁶⁴/φ; [`finish`](Hasher::finish) rotates the
+/// well-mixed high bits down, because the table picks a bucket from the
+/// low bits and one pool shard's keys share their residue modulo the shard
+/// count. Nothing iterates the map, so the hasher changes no behaviour.
+#[derive(Debug, Default, Clone, Copy)]
+struct MulHasher(u64);
+
+impl MulHasher {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for MulHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.fold(u64::from_le_bytes(w.try_into().expect("8-byte word")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.fold(u64::from_le_bytes(w));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.fold(word);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 #[derive(Debug)]
 struct Node<K, V> {
@@ -29,7 +77,7 @@ struct Node<K, V> {
 /// ```
 #[derive(Debug)]
 pub struct LruCache<K, V> {
-    map: HashMap<K, usize>,
+    map: HashMap<K, usize, BuildHasherDefault<MulHasher>>,
     slab: Vec<Node<K, V>>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -45,7 +93,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// straight back, so every lookup misses.
     pub fn new(capacity: usize) -> Self {
         LruCache {
-            map: HashMap::with_capacity(capacity),
+            map: HashMap::with_capacity_and_hasher(capacity, Default::default()),
             slab: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,
@@ -104,18 +152,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Looks up `key`, marking it most-recently-used on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        match self.map.get(key).copied() {
-            Some(idx) => {
-                self.hits += 1;
-                self.detach(idx);
-                self.attach_front(idx);
-                Some(&self.slab[idx].value)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        self.counted(key, true)
     }
 
     /// Looks up `key` without touching recency or hit counters.
@@ -129,16 +166,44 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// recency state, while the hit/miss accounting stays comparable with
     /// [`get`](Self::get).
     pub fn probe(&mut self, key: &K) -> Option<&V> {
-        match self.map.get(key) {
-            Some(&idx) => {
-                self.hits += 1;
-                Some(&self.slab[idx].value)
-            }
+        self.counted(key, false)
+    }
+
+    /// Finds `key`'s slot, counting a hit (and promoting when `promote`).
+    fn find(&mut self, key: &K, promote: bool) -> Option<usize> {
+        let idx = *self.map.get(key)?;
+        self.hits += 1;
+        if promote {
+            self.detach(idx);
+            self.attach_front(idx);
+        }
+        Some(idx)
+    }
+
+    /// [`find`](Self::find), counting a miss when `key` is absent.
+    fn counted(&mut self, key: &K, promote: bool) -> Option<&V> {
+        match self.find(key, promote) {
+            Some(idx) => Some(&self.slab[idx].value),
             None => {
                 self.misses += 1;
                 None
             }
         }
+    }
+
+    /// Looks up `key`, counting a hit (and promoting it when `promote`),
+    /// but counting **no** miss: a caller whose miss can still fail after
+    /// the lookup counts it with [`count_miss`](Self::count_miss) once it
+    /// has succeeded, so the counters only ever record completed accesses.
+    pub fn lookup(&mut self, key: &K, promote: bool) -> Option<&V> {
+        let idx = self.find(key, promote)?;
+        Some(&self.slab[idx].value)
+    }
+
+    /// Counts one miss (the completion of a [`lookup`](Self::lookup) that
+    /// found nothing).
+    pub fn count_miss(&mut self) {
+        self.misses += 1;
     }
 
     /// Inserts `key -> value`, evicting the least-recently-used entry when
@@ -268,6 +333,35 @@ mod tests {
         c.get(&2);
         c.get(&1);
         assert_eq!(c.hit_stats(), (2, 1));
+    }
+
+    #[test]
+    fn lookup_counts_hits_and_leaves_misses_to_the_caller() {
+        let mut c = LruCache::new(2);
+        c.insert("a", 1);
+        c.insert("b", 2);
+        assert_eq!(c.lookup(&"z", true), None);
+        assert_eq!(c.hit_stats(), (0, 0), "a failed lookup counts nothing");
+        c.count_miss();
+        assert_eq!(c.lookup(&"a", false), Some(&1));
+        assert_eq!(c.hit_stats(), (1, 1));
+        // The non-promoting hit left "a" least recently used.
+        assert_eq!(c.insert("c", 3), Some(("a", 1)));
+        assert_eq!(c.lookup(&"b", true), Some(&2));
+        assert_eq!(c.insert("d", 4), Some(("c", 3)));
+    }
+
+    #[test]
+    fn keys_sharing_a_residue_stay_distinct() {
+        // One pool shard's page ids: all congruent modulo the shard count.
+        let mut c = LruCache::new(512);
+        for k in 0..512u64 {
+            c.insert(k * 8 + 3, k);
+        }
+        for k in 0..512u64 {
+            assert_eq!(c.peek(&(k * 8 + 3)), Some(&k));
+            assert_eq!(c.peek(&(k * 8 + 4)), None);
+        }
     }
 
     #[test]

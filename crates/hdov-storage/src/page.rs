@@ -38,7 +38,9 @@ impl Page {
         Page(vec![0u8; PAGE_SIZE].into_boxed_slice())
     }
 
-    /// Builds a page from `data`, zero-padding to [`PAGE_SIZE`].
+    /// Builds a page from `data`, zero-padding to [`PAGE_SIZE`]. A full
+    /// page of `data` is copied straight into the new buffer, with no
+    /// zero-fill to overwrite.
     ///
     /// # Panics
     /// Panics if `data` is longer than a page.
@@ -48,6 +50,9 @@ impl Page {
             "data larger than a page: {}",
             data.len()
         );
+        if data.len() == PAGE_SIZE {
+            return Page(data.into());
+        }
         let mut p = Page::zeroed();
         p.0[..data.len()].copy_from_slice(data);
         p
@@ -95,6 +100,12 @@ mod tests {
         let p = Page::from_bytes(&[1, 2, 3]);
         assert_eq!(&p.bytes()[..3], &[1, 2, 3]);
         assert!(p.bytes()[3..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn from_bytes_full_page_copies() {
+        let data: Vec<u8> = (0..PAGE_SIZE).map(|i| i as u8).collect();
+        assert_eq!(Page::from_bytes(&data).bytes(), &data[..]);
     }
 
     #[test]

@@ -48,6 +48,9 @@ fn lock_shard<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
     shard.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// One pool stripe: page id → pooled frame.
+type Shard = LruCache<u64, Arc<Frame>>;
+
 /// An immutable snapshot of a paged file, cheap to share across threads.
 ///
 /// Three backends hide behind the same handle:
@@ -380,7 +383,7 @@ impl AtomicIoStats {
 pub struct SharedCachedFile {
     data: FrozenPages,
     model: DiskModel,
-    shards: Vec<Mutex<LruCache<u64, Arc<Frame>>>>,
+    shards: Vec<Mutex<Shard>>,
     stats: AtomicIoStats,
     cache_overlay: bool,
     /// Sidecar per-page FNV-1a table, stamped from the trusted frozen
@@ -800,25 +803,45 @@ impl SharedCachedFile {
         Ok(Frame::with_overlay_policy(id, page, self.cache_overlay))
     }
 
+    /// The stripe that owns page `id`.
+    fn shard(&self, id: PageId) -> &Mutex<Shard> {
+        &self.shards[(id.0 % self.shards.len() as u64) as usize]
+    }
+
+    /// Counts a pool hit (the shard's own counter was bumped by its lookup).
+    fn count_hit(&self) {
+        self.stats.record_hit();
+        hdov_obs::add(hdov_obs::Counter::PoolHits, 1);
+    }
+
+    /// Charges and installs a verified miss: the cursor charge, the global
+    /// and per-shard miss counters, then the frame. A miss is counted only
+    /// here, once its fetch has succeeded, so a failed fetch leaves every
+    /// counter untouched and the per-shard sums equal
+    /// [`hit_stats`](Self::hit_stats).
+    fn admit(&self, pool: &mut Shard, cursor: &mut IoCursor, frame: Arc<Frame>) {
+        let id = frame.id();
+        let (sequential, cost) = cursor.charge_read(id, self.model);
+        self.stats.record_miss(sequential, cost);
+        pool.count_miss();
+        hdov_obs::add(hdov_obs::Counter::PoolMisses, 1);
+        pool.insert(id.0, frame);
+    }
+
     fn read_frame_inner(&self, cursor: &mut IoCursor, id: PageId) -> Result<Arc<Frame>> {
         let _probe = hdov_obs::span(hdov_obs::Phase::CacheProbe);
         // Bounds-check before any accounting: errors are never charged.
         self.data.check(id)?;
-        let shard = &self.shards[(id.0 % self.shards.len() as u64) as usize];
-        let mut pool = lock_shard(shard);
-        if let Some(frame) = pool.get(&id.0) {
+        let mut pool = lock_shard(self.shard(id));
+        if let Some(frame) = pool.lookup(&id.0, true) {
             let frame = Arc::clone(frame);
-            self.stats.record_hit();
-            hdov_obs::add(hdov_obs::Counter::PoolHits, 1);
+            self.count_hit();
             return Ok(frame);
         }
         // A failed or corrupt fetch returns here before any read is
         // counted or any frame built: poison never enters the pool.
         let frame = Arc::new(self.build_frame(cursor, id)?);
-        let (sequential, cost) = cursor.charge_read(id, self.model);
-        self.stats.record_miss(sequential, cost);
-        hdov_obs::add(hdov_obs::Counter::PoolMisses, 1);
-        pool.insert(id.0, Arc::clone(&frame));
+        self.admit(&mut pool, cursor, Arc::clone(&frame));
         Ok(frame)
     }
 
@@ -834,6 +857,22 @@ impl SharedCachedFile {
         Ok(())
     }
 
+    /// Reads the contiguous `len`-page run starting at `first` into the
+    /// pool: the page run of one LoD.
+    ///
+    /// Per-page accounting is exactly a loop of
+    /// [`read_frame`](Self::read_frame) calls in ascending order: the same
+    /// probes, promotions, hit/miss sequence, cursor charges and counters.
+    /// What changes is the physical I/O on a pread store: the first miss
+    /// reads the rest of the run with **one** `pread`, and later misses are
+    /// installed from that buffer (see [`warm_run`](Self::warm_run) for the
+    /// shared rules). An all-hit run allocates nothing.
+    pub fn read_run(&self, cursor: &mut IoCursor, first: PageId, len: u64) -> Result<()> {
+        self.probe_run(cursor, first, len, true)?;
+        hdov_obs::add(hdov_obs::Counter::BytesCopiedSaved, len * PAGE_SIZE as u64);
+        Ok(())
+    }
+
     /// Ensures page `id` is pooled without promoting it: the speculative
     /// prefetch path.
     ///
@@ -842,21 +881,7 @@ impl SharedCachedFile {
     /// *might* use must not displace genuinely hot recency state); a miss
     /// is charged and installed exactly like [`read_frame`](Self::read_frame).
     pub fn warm(&self, cursor: &mut IoCursor, id: PageId) -> Result<()> {
-        let _probe = hdov_obs::span(hdov_obs::Phase::CacheProbe);
-        self.data.check(id)?;
-        let shard = &self.shards[(id.0 % self.shards.len() as u64) as usize];
-        let mut pool = lock_shard(shard);
-        if pool.probe(&id.0).is_some() {
-            self.stats.record_hit();
-            hdov_obs::add(hdov_obs::Counter::PoolHits, 1);
-            return Ok(());
-        }
-        let frame = Arc::new(self.build_frame(cursor, id)?);
-        let (sequential, cost) = cursor.charge_read(id, self.model);
-        self.stats.record_miss(sequential, cost);
-        hdov_obs::add(hdov_obs::Counter::PoolMisses, 1);
-        pool.insert(id.0, frame);
-        Ok(())
+        self.probe_run(cursor, id, 1, false)
     }
 
     /// Warms the contiguous `len`-page run starting at `first` — the
@@ -867,76 +892,97 @@ impl SharedCachedFile {
     /// cursor charging, pool counters — all identical, so simulated-cost
     /// figures cannot depend on the backend). What changes is the
     /// *physical* I/O: when any page of the run is missing, the file
-    /// backends issue **one** operation for the whole run — a single
-    /// `madvise(WILLNEED)` readahead on the mmap path, a single `pread` of
-    /// the run's byte range on the pread path (misses are then installed
-    /// from that buffer, not re-read page by page). The mem backend issues
-    /// none. Each call bumps `prefetch_runs`; the physical operations bump
-    /// `phys_reads` at the syscall wrappers, so on a cold file backend
-    /// `phys_reads` counts exactly one per run.
+    /// backends issue **one** operation for it — a single
+    /// `madvise(WILLNEED)` readahead of the run on the mmap path, a single
+    /// `pread` from the first missing page to the end of the run on the
+    /// pread path (later misses are then installed from that buffer, each
+    /// verified against its sidecar checksum, not re-read page by page). The
+    /// mem backend issues none. Each call bumps `prefetch_runs`; the
+    /// physical operations bump `phys_reads` at the syscall wrappers, so on
+    /// a cold file backend `phys_reads` counts exactly one per run.
     ///
-    /// With a fault injector armed the run falls back to plain per-page
-    /// warms so every attempt draws from the deterministic fault stream.
+    /// With a fault injector armed every miss is fetched on its own, so each
+    /// attempt draws from the deterministic fault stream as a per-page warm
+    /// would.
     pub fn warm_run(&self, cursor: &mut IoCursor, first: PageId, len: u64) -> Result<()> {
         if len == 0 {
             return Ok(());
         }
         hdov_obs::add(hdov_obs::Counter::PrefetchRuns, 1);
-        if self.replicas.any_faults() {
-            for k in 0..len {
-                self.warm(cursor, PageId(first.0 + k))?;
-            }
-            return Ok(());
-        }
-        let missing = (0..len).any(|k| !self.contains(PageId(first.0 + k)));
-        if missing {
+        if !self.replicas.any_faults() {
             if let Some(store) = self.data.mapped() {
-                store.advise_willneed(first, len);
+                if (0..len).any(|k| !self.contains(PageId(first.0 + k))) {
+                    store.advise_willneed(first, len);
+                }
             }
         }
-        let run_buf = match (missing, self.data.pread_store()) {
-            (true, Some(store)) => {
-                let mut buf = vec![0u8; len as usize * PAGE_SIZE];
-                store.read_run(first, len, &mut buf)?;
-                Some(buf)
-            }
-            _ => None,
-        };
-        let Some(buf) = run_buf else {
-            for k in 0..len {
-                self.warm(cursor, PageId(first.0 + k))?;
-            }
+        self.probe_run(cursor, first, len, false)
+    }
+
+    /// Probes the `len`-page run at `first` in ascending order, each page
+    /// exactly as [`read_frame`](Self::read_frame) (`promote`) or
+    /// [`warm`](Self::warm) (not `promote`) would: a hit is counted, a miss
+    /// is fetched, charged and installed before the next page is probed.
+    ///
+    /// On a pread store with no faults armed, the first miss that is not
+    /// the run's last page reads every page from it to the end of the run
+    /// with one `pread`. Later misses are installed from that buffer after
+    /// their own checksum check; a page that fails it — or every page, when
+    /// the run read itself fails — takes the per-page fetch, which retries,
+    /// counts the failure and fails over to a replica. Any other store, or
+    /// a pool with faults armed, fetches each miss on its own.
+    fn probe_run(
+        &self,
+        cursor: &mut IoCursor,
+        first: PageId,
+        len: u64,
+        promote: bool,
+    ) -> Result<()> {
+        if len == 0 {
             return Ok(());
+        }
+        let end = first.0 + len;
+        // Bounds-check the whole run before any accounting.
+        self.data.check(PageId(end - 1))?;
+        let mut store = if self.replicas.any_faults() {
+            None
+        } else {
+            self.data.pread_store()
         };
-        // Pread path: install misses from the single run read. Counter and
-        // charging order per page mirrors `warm` exactly.
-        for k in 0..len {
-            let id = PageId(first.0 + k);
+        // Pages `run_first..end`, read at the first miss.
+        let mut run = Vec::new();
+        let mut run_first = end;
+        for id in (first.0..end).map(PageId) {
             let _probe = hdov_obs::span(hdov_obs::Phase::CacheProbe);
-            let shard = &self.shards[(id.0 % self.shards.len() as u64) as usize];
-            let mut pool = lock_shard(shard);
-            if pool.probe(&id.0).is_some() {
-                self.stats.record_hit();
-                hdov_obs::add(hdov_obs::Counter::PoolHits, 1);
+            let mut pool = lock_shard(self.shard(id));
+            if pool.lookup(&id.0, promote).is_some() {
+                self.count_hit();
                 continue;
             }
-            let bytes = &buf[k as usize * PAGE_SIZE..(k as usize + 1) * PAGE_SIZE];
-            if page_checksum(bytes) != self.checksums[id.0 as usize] {
-                // The run read surfaced a corrupt page: route this page
-                // through the full per-page warm, whose fetch path counts
-                // the failure and fails over to a healthy replica (the
-                // shard lock must drop first — `warm` re-takes it).
-                drop(pool);
-                self.warm(cursor, id)?;
-                continue;
+            // The first miss short of the run's last page reads the rest.
+            if let Some(s) = store.filter(|_| run.is_empty() && id.0 + 1 < end) {
+                run_first = id.0;
+                run.resize((end - id.0) as usize * PAGE_SIZE, 0);
+                if s.read_run(id, end - id.0, &mut run).is_err() {
+                    // Leave every remaining miss to the per-page fetch.
+                    store = None;
+                }
             }
-            let mut page = Page::zeroed();
-            page.bytes_mut().copy_from_slice(bytes);
-            let frame = Arc::new(Frame::with_overlay_policy(id, page, self.cache_overlay));
-            let (sequential, cost) = cursor.charge_read(id, self.model);
-            self.stats.record_miss(sequential, cost);
-            hdov_obs::add(hdov_obs::Counter::PoolMisses, 1);
-            pool.insert(id.0, frame);
+            let staged = match store {
+                Some(_) if id.0 >= run_first => {
+                    let at = (id.0 - run_first) as usize * PAGE_SIZE;
+                    Some(&run[at..at + PAGE_SIZE])
+                }
+                _ => None,
+            };
+            let frame = match staged {
+                Some(bytes) if page_checksum(bytes) == self.checksums[id.0 as usize] => {
+                    self.replicas.note_clean(0, id.0);
+                    Frame::with_overlay_policy(id, Page::from_bytes(bytes), self.cache_overlay)
+                }
+                _ => self.build_frame(cursor, id)?,
+            };
+            self.admit(&mut pool, cursor, Arc::new(frame));
         }
         Ok(())
     }
@@ -1134,11 +1180,131 @@ mod tests {
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
         assert!(!pool.contains(PageId(1)), "poison must not enter the pool");
         assert_eq!(injector.injected(), 1);
+        // The failed fetch is charged nowhere: no miss on any counter.
+        assert_eq!(pool.hit_stats(), (0, 1));
+        assert_eq!(shard_sums(&pool), pool.hit_stats());
+        // A corrupt page inside a faulted run takes the same per-page path.
+        assert!(pool.warm_run(&mut cur, PageId(0), 3).is_err());
+        assert_eq!(pool.hit_stats(), (1, 1));
+        assert_eq!(shard_sums(&pool), pool.hit_stats());
         // No negative caching either: disarm and the page reads clean.
         injector.disarm();
         pool.read_page(&mut cur, PageId(1), &mut out).unwrap();
         assert_eq!(&out.bytes()[..8], &1u64.to_le_bytes());
         assert!(pool.contains(PageId(1)));
+        assert_eq!(shard_sums(&pool), pool.hit_stats());
+    }
+
+    /// Per-shard LRU `(hits, misses)` summed over the stripes.
+    fn shard_sums(pool: &SharedCachedFile) -> (u64, u64) {
+        pool.per_shard_hit_stats()
+            .iter()
+            .fold((0, 0), |(h, m), &(sh, sm)| (h + sh, m + sm))
+    }
+
+    /// Writes `n` numbered pages as frozen-store file `name` under a fresh
+    /// temp dir and returns its path.
+    fn store_file(dir: &Path, name: &str, n: u64) -> std::path::PathBuf {
+        std::fs::create_dir_all(dir).unwrap();
+        let pages: Vec<Vec<u8>> = (0..n)
+            .map(|i| {
+                let mut p = vec![0u8; PAGE_SIZE];
+                p[..8].copy_from_slice(&i.to_le_bytes());
+                p
+            })
+            .collect();
+        let path = dir.join(name);
+        crate::frozen::write_store(&path, &pages, 1).unwrap();
+        path
+    }
+
+    /// Flips a byte of data page `page` in the store file at `path`, behind
+    /// the back of any store already opened (and verified) over it.
+    fn corrupt_on_disk(path: &Path, page: u64) {
+        use std::os::unix::fs::FileExt;
+        let f = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+        let at = crate::frozen::StoreLayout::page_offset(page) + 100;
+        f.write_all_at(&[0xEE], at).unwrap();
+    }
+
+    #[test]
+    fn pread_run_with_corrupt_page_keeps_counters_reconciled() {
+        let dir = std::env::temp_dir().join(format!("hdov_shared_run_{}", std::process::id()));
+        // Unreplicated: the corrupt page ends the run with an error, after
+        // the pages before it were charged and pooled exactly as per page.
+        let path = store_file(&dir, "single.hdov", 4);
+        let data = FrozenPages::open_pread(&path).unwrap();
+        corrupt_on_disk(&path, 2);
+        let pool = SharedCachedFile::new(data, DiskModel::PAPER_ERA, 8, 2);
+        let mut cur = IoCursor::new();
+        let err = pool.read_run(&mut cur, PageId(0), 4).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+        assert!(pool.contains(PageId(1)) && !pool.contains(PageId(2)));
+        assert!(!pool.contains(PageId(3)), "the run stops at the error");
+        assert_eq!(pool.hit_stats(), (0, 2));
+        assert_eq!(shard_sums(&pool), pool.hit_stats());
+        assert_eq!(cur.stats().page_reads, 2);
+        assert!(pool.warm_run(&mut cur, PageId(0), 4).is_err());
+        assert_eq!(pool.hit_stats(), (2, 2));
+        assert_eq!(shard_sums(&pool), pool.hit_stats());
+
+        // Replicated: the corrupt page fails over inside the run, every page
+        // is charged once, and the counters still reconcile.
+        let primary = store_file(&dir, "primary.hdov", 4);
+        let replica = store_file(&dir, "replica.hdov", 4);
+        let data = FrozenPages::open_pread(&primary)
+            .unwrap()
+            .with_replicas(vec![FrozenPages::open_pread(&replica).unwrap()]);
+        corrupt_on_disk(&primary, 2);
+        let pool = SharedCachedFile::new(data, DiskModel::PAPER_ERA, 8, 2);
+        let mut cur = IoCursor::new();
+        pool.warm_run(&mut cur, PageId(0), 4).unwrap();
+        assert_eq!(pool.hit_stats(), (0, 4));
+        assert_eq!(shard_sums(&pool), pool.hit_stats());
+        assert_eq!(cur.stats().page_reads, 4);
+        assert_eq!(cur.stats().elapsed_us, 8100.0 + 3.0 * 100.0);
+        let h = pool.replica_set().status();
+        assert_eq!((h.failover_reads, h.pages_repaired), (1, 1));
+        for i in 0..4 {
+            let frame = pool.read_frame(&mut cur, PageId(i)).unwrap();
+            assert_eq!(&frame.bytes()[..8], &i.to_le_bytes());
+        }
+        assert_eq!(shard_sums(&pool), pool.hit_stats());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_run_accounts_like_per_page_reads() {
+        // Run reads on a pread store against per-page reads of the same
+        // pages in memory. A tiny pool, so later pages of a run evict
+        // earlier ones and a repeated run mixes hits and misses.
+        let dir = std::env::temp_dir().join(format!("hdov_shared_acct_{}", std::process::id()));
+        let data = FrozenPages::open_pread(&store_file(&dir, "run.hdov", 8)).unwrap();
+        let run = SharedCachedFile::new(data, DiskModel::PAPER_ERA, 3, 2);
+        let per_page = SharedCachedFile::new(frozen(8), DiskModel::PAPER_ERA, 3, 2);
+        let (mut c1, mut c2) = (IoCursor::new(), IoCursor::new());
+        for (first, len) in [(0u64, 3u64), (1, 4), (0, 2), (5, 3), (2, 1)] {
+            run.read_run(&mut c1, PageId(first), len).unwrap();
+            for i in first..first + len {
+                per_page.read_frame(&mut c2, PageId(i)).unwrap();
+            }
+            assert_eq!(c1.stats(), c2.stats());
+            assert_eq!(run.hit_stats(), per_page.hit_stats());
+            assert_eq!(run.per_shard_hit_stats(), per_page.per_shard_hit_stats());
+            for i in 0..8 {
+                assert_eq!(run.contains(PageId(i)), per_page.contains(PageId(i)));
+            }
+        }
+        assert!(
+            run.read_run(&mut c1, PageId(7), 2).is_err(),
+            "out of bounds"
+        );
+        assert_eq!(
+            run.hit_stats(),
+            per_page.hit_stats(),
+            "errors are not charged"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
