@@ -13,9 +13,16 @@
 //! ([`resident_level`](DeltaSearch::resident_level)), and the caller folds
 //! the answer back in with [`apply`](DeltaSearch::apply) or
 //! [`merge`](DeltaSearch::merge).
+//!
+//! A walked frame looks every returned entry up once and folds it in once,
+//! so both maps are keyed through the store's
+//! [`IdHasher`](hdov_storage::IdHasher): a [`ResultKey`] hashes in two
+//! multiplies instead of a SipHash round. Nothing here depends on map
+//! order — `apply` and `merge` only count and sum, and
+//! [`resident_keys`](DeltaSearch::resident_keys) feeds sets.
 
 use crate::search::{QueryResult, ResultKey};
-use std::collections::HashMap;
+use hdov_storage::IdHashMap;
 
 /// Outcome of folding one query into the resident set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,11 +38,11 @@ pub struct DeltaSummary {
 /// Resident-set tracker for walkthrough sessions.
 #[derive(Debug, Default)]
 pub struct DeltaSearch {
-    resident: HashMap<ResultKey, (usize, u64)>, // level, bytes
+    resident: IdHashMap<ResultKey, (usize, u64)>, // level, bytes
     /// The map [`apply`](Self::apply) builds the next resident set in,
     /// then swaps with `resident`: cleared and reused, so a frame's apply
     /// allocates nothing once both maps have grown to the working set.
-    next: HashMap<ResultKey, (usize, u64)>,
+    next: IdHashMap<ResultKey, (usize, u64)>,
     resident_bytes: u64,
     peak_bytes: u64,
 }
@@ -196,6 +203,48 @@ mod tests {
         assert_eq!(d.resident_level(ResultKey::Internal(7)), None);
         d.merge(&result(vec![obj(7, 0, 90, false)]));
         assert_eq!(d.resident_level(ResultKey::Object(7)), Some(0));
+    }
+
+    #[test]
+    fn keys_stay_distinct_under_the_id_hasher() {
+        // Same payload, different variant; and ids that differ only above
+        // bit 32 (a u32-truncating hash would merge them).
+        let high = 7 | (1u64 << 40);
+        let mut d = DeltaSearch::new();
+        let s = d.apply(&result(vec![
+            obj(7, 1, 10, false),
+            ResultEntry {
+                key: ResultKey::Internal(7),
+                ..obj(0, 2, 20, false)
+            },
+            obj(high, 3, 40, false),
+        ]));
+        assert_eq!(
+            s,
+            DeltaSummary {
+                added: 3,
+                retained: 0,
+                evicted: 0
+            }
+        );
+        assert_eq!(d.resident_count(), 3);
+        assert_eq!(d.resident_bytes(), 70);
+        assert_eq!(d.resident_level(ResultKey::Object(7)), Some(1));
+        assert_eq!(d.resident_level(ResultKey::Internal(7)), Some(2));
+        assert_eq!(d.resident_level(ResultKey::Object(high)), Some(3));
+        assert_eq!(d.resident_level(ResultKey::Object(1 << 40)), None);
+        // Dropping one of the look-alikes evicts exactly that one.
+        let s = d.apply(&result(vec![obj(7, 1, 10, true), obj(high, 3, 40, true)]));
+        assert_eq!(
+            s,
+            DeltaSummary {
+                added: 0,
+                retained: 2,
+                evicted: 1
+            }
+        );
+        assert_eq!(d.resident_level(ResultKey::Internal(7)), None);
+        assert_eq!(d.resident_bytes(), 50);
     }
 
     #[test]

@@ -73,25 +73,9 @@ impl HdovEnvironment {
         Self::assemble(scene, tree, &cells, &cfg, scheme, grid, table)
     }
 
-    /// Builds the environment over an existing R-tree backbone whose leaf
-    /// payloads resolve through `remap` to dense ids of `scene` — the
-    /// mutable write path's per-epoch derived rebuild (see
-    /// [`HdovTree::build_from_backbone`]).
-    pub fn build_from_backbone<F: hdov_storage::PagedFile>(
-        scene: &Scene,
-        grid: Arc<CellGrid>,
-        cfg: HdovBuildConfig,
-        scheme: StorageScheme,
-        table: Arc<DovTable>,
-        rtree: &mut hdov_rtree::RTree<F>,
-        remap: &dyn Fn(u64) -> u64,
-    ) -> Result<Self> {
-        let (tree, cells) = HdovTree::build_from_backbone(scene, &cfg, &table, rtree, remap)?;
-        Self::assemble(scene, tree, &cells, &cfg, scheme, grid, table)
-    }
-
     /// Lays out the visibility store and model bank, then freezes
-    /// everything behind the single-session layout.
+    /// everything behind the single-session layout, with the session's
+    /// cursors parked where each build left its disk's head.
     fn assemble(
         scene: &Scene,
         tree: HdovTree,
@@ -101,24 +85,9 @@ impl HdovEnvironment {
         grid: Arc<CellGrid>,
         table: Arc<DovTable>,
     ) -> Result<Self> {
-        let (vstore, [index_cur, vpage_cur]) =
-            scheme.build(tree.entry_counts(), cells, cfg.disk, cfg.codec)?;
         let (models, model_cur) = SharedModels::build(scene, cfg.disk)?;
-        let (tree, [node_cur, internal_cur]) = SharedTree::freeze(tree);
-        let mut ctx = SessionCtx::new();
-        ctx.node_cur = node_cur;
-        ctx.internal_cur = internal_cur;
+        let (env, mut ctx) = freeze(tree, cells, cfg, scheme, grid, table, models)?;
         ctx.model_cur = model_cur;
-        ctx.index_cur = index_cur;
-        ctx.vpage_cur = vpage_cur;
-        let env = SharedEnvironment {
-            tree,
-            vstore,
-            models,
-            grid,
-            table,
-            scheme,
-        };
         Ok(HdovEnvironment {
             env,
             ctx,
@@ -328,4 +297,37 @@ impl HdovEnvironment {
     pub fn into_shared(self, pool: PoolConfig) -> SharedEnvironment {
         self.env.with_pools(pool)
     }
+}
+
+/// Lays out the visibility store and freezes the tree next to `models`,
+/// behind the single-session layout. Returns the environment and a session
+/// whose node, internal-LoD, V-page-index and V-page cursors are parked
+/// where each build left its disk's head (the model cursor is the bank
+/// builder's to set).
+pub(crate) fn freeze(
+    tree: HdovTree,
+    cells: &CellVPages,
+    cfg: &HdovBuildConfig,
+    scheme: StorageScheme,
+    grid: Arc<CellGrid>,
+    table: Arc<DovTable>,
+    models: SharedModels,
+) -> Result<(SharedEnvironment, SessionCtx)> {
+    let (vstore, [index_cur, vpage_cur]) =
+        scheme.build(tree.entry_counts(), cells, cfg.disk, cfg.codec)?;
+    let (tree, [node_cur, internal_cur]) = SharedTree::freeze(tree);
+    let mut ctx = SessionCtx::new();
+    ctx.node_cur = node_cur;
+    ctx.internal_cur = internal_cur;
+    ctx.index_cur = index_cur;
+    ctx.vpage_cur = vpage_cur;
+    let env = SharedEnvironment {
+        tree,
+        vstore,
+        models,
+        grid,
+        table,
+        scheme,
+    };
+    Ok((env, ctx))
 }

@@ -53,8 +53,8 @@ use hdov_storage::{
 };
 use hdov_visibility::{CellGrid, CellGridConfig, CellId, DovTable};
 
-use crate::shared::{PoolConfig, SharedEnvironment};
-use crate::{HdovBuildConfig, HdovEnvironment, StorageScheme};
+use crate::shared::{PoolConfig, SharedEnvironment, SharedModels};
+use crate::{HdovBuildConfig, HdovTree, StorageScheme};
 
 /// Stable identifier of an object in a mutable scene. Unlike the frozen
 /// stack's dense [`ObjectId`](hdov_scene::ObjectId), handles survive
@@ -194,6 +194,7 @@ impl MutableScene {
             pool,
             dense,
             &mut rtree,
+            None,
         )?;
         Ok(MutableScene {
             store,
@@ -271,6 +272,7 @@ impl MutableScene {
             pool,
             dense,
             &mut rtree,
+            None,
         )?;
         Ok(MutableScene {
             store,
@@ -432,7 +434,14 @@ impl MutableScene {
             .affected_cells(&self.grid, &self.cfg.dov, &w.changed_old, &w.regions);
         hdov_obs::add(Counter::DovRepatches, dirty.len() as u64);
 
-        // 3. Dense view of the edited scene.
+        // 3. Dense view of the edited scene. The model bank follows the
+        //    dense prototype sequence alone, so a commit that keeps it
+        //    (translations only) shares the previous epoch's bank.
+        let keeps_bank = self
+            .objects
+            .values()
+            .map(|r| r.prototype)
+            .eq(w.objects.values().map(|r| r.prototype));
         self.objects = w.objects;
         let handles: Vec<u64> = self.objects.keys().copied().collect();
         let scene = self.dense_scene(&handles);
@@ -477,6 +486,7 @@ impl MutableScene {
             self.pool,
             dense,
             &mut self.rtree,
+            keeps_bank.then(|| self.shared.models()),
         )?;
         Ok(epoch)
     }
@@ -594,7 +604,15 @@ fn handle_table(dense: &DovTable, handles: &[u64]) -> DovTable {
 
 /// Builds and publishes the derived environment for one epoch: the tree is
 /// lifted from the live backbone with handle payloads remapped to dense
-/// ids, then V-pages, internal LoDs, and model banks are rebuilt.
+/// ids, then V-pages and internal LoDs are rebuilt, and everything is
+/// frozen behind cold pools of `pool` geometry.
+///
+/// The object model bank depends only on the dense sequence of prototypes
+/// (object `i`'s LoD chain is prototype `i`'s, laid out in id order). When
+/// that sequence is unchanged since the previous epoch the caller passes
+/// that epoch's bank as `bank`, and its directory and frozen pages are
+/// shared behind a cold pool instead of being rebuilt byte for byte: the
+/// new epoch starts exactly as cold, so simulated costs do not move.
 #[allow(clippy::too_many_arguments)]
 fn publish(
     objects: &BTreeMap<ObjectHandle, ObjectInfo>,
@@ -606,6 +624,7 @@ fn publish(
     pool: PoolConfig,
     dense: DovTable,
     rtree: &mut RTree<MemPagedFile>,
+    bank: Option<&SharedModels>,
 ) -> Result<Arc<SharedEnvironment>> {
     let objs = handles
         .iter()
@@ -621,16 +640,14 @@ fn publish(
             .binary_search(&h)
             .expect("backbone payload is not a live handle") as u64
     };
-    let env = HdovEnvironment::build_from_backbone(
-        &scene,
-        Arc::clone(grid),
-        cfg.clone(),
-        scheme,
-        Arc::new(dense),
-        rtree,
-        &remap,
-    )?;
-    Ok(Arc::new(env.into_shared(pool)))
+    let table = Arc::new(dense);
+    let (tree, cells) = HdovTree::build_from_backbone(&scene, cfg, &table, rtree, &remap)?;
+    let models = match bank {
+        Some(bank) => bank.fork(),
+        None => SharedModels::build(&scene, cfg.disk)?.0,
+    };
+    let (env, _) = crate::env::freeze(tree, &cells, cfg, scheme, Arc::clone(grid), table, models)?;
+    Ok(Arc::new(env.with_pools(pool)))
 }
 
 // ---------------------------------------------------------------------------
@@ -904,6 +921,7 @@ fn decode_backbone(pages: &[Vec<u8>]) -> Result<RTree<MemPagedFile>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HdovEnvironment;
     use hdov_scene::CityConfig;
     use hdov_visibility::CellGridConfig;
 
@@ -1016,6 +1034,57 @@ mod tests {
         .unwrap()
         .into_shared(PoolConfig::default());
         assert_eq!(answers(&ms.current()), answers(&oracle));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn model_bank_is_shared_exactly_while_the_prototype_sequence_holds() {
+        let dir = tmp("bank");
+        let mut ms = build(&dir);
+        let e0 = ms.current();
+        answers(&e0);
+        assert_ne!(e0.models().pool().hit_stats(), (0, 0), "epoch 0 warmed");
+
+        // Translations keep the dense prototype sequence: the new epoch
+        // shares the directory and frozen pages behind a cold pool.
+        ms.translate(0, Vec3::new(4.0, 1.0, 0.0)).unwrap();
+        ms.translate(3, Vec3::new(-2.0, 0.5, 0.0)).unwrap();
+        ms.commit().unwrap();
+        let e1 = ms.current();
+        assert!(std::ptr::eq(e0.models().store(), e1.models().store()));
+        assert_eq!(e1.models().pool().hit_stats(), (0, 0));
+        assert_eq!(
+            e1.models().pool().page_count(),
+            e0.models().pool().page_count()
+        );
+
+        // An insert or a delete changes the sequence: the bank is rebuilt.
+        let probe = ms.object(0).unwrap();
+        ms.insert(probe.kind, probe.prototype, probe.mbr).unwrap();
+        ms.commit().unwrap();
+        let e2 = ms.current();
+        assert!(!std::ptr::eq(e1.models().store(), e2.models().store()));
+        assert!(e2.models().pool().page_count() > e1.models().pool().page_count());
+        ms.remove(1).unwrap();
+        ms.commit().unwrap();
+        let e3 = ms.current();
+        assert!(!std::ptr::eq(e2.models().store(), e3.models().store()));
+
+        // A reopened scene builds its bank afresh.
+        let protos = ms.prototypes.clone();
+        drop(ms);
+        let ms = MutableScene::open(
+            &dir,
+            "edit",
+            protos,
+            HdovBuildConfig::fast_test(),
+            StorageScheme::IndexedVertical,
+            PoolConfig::default(),
+        )
+        .unwrap();
+        let e4 = ms.current();
+        assert!(!std::ptr::eq(e3.models().store(), e4.models().store()));
+        assert_eq!(answers(&e4), answers(&e3));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -36,7 +36,7 @@ use crate::search::{
 };
 use crate::shared::{SessionCtx, SharedEnvironment, SharedTree};
 use crate::walk::{self, Emit};
-use hdov_storage::Result;
+use hdov_storage::{IdHashMap, Result};
 use hdov_visibility::CellId;
 use std::collections::HashMap;
 
@@ -170,7 +170,9 @@ impl ShardFrame {
 #[derive(Debug)]
 pub struct ShardPlan {
     shards: usize,
-    object_owner: HashMap<u64, usize>,
+    /// Looked up for every object entry of every shard sub-walk, so it is
+    /// keyed through the store's [`IdHasher`](hdov_storage::IdHasher).
+    object_owner: IdHashMap<u64, usize>,
     node_owner: Vec<u32>,
     node_mask: Vec<u64>,
     cell_masks: Vec<u64>,
@@ -202,7 +204,7 @@ impl ShardPlan {
         let n_nodes = env.tree().node_count() as usize;
         let mut plan = ShardPlan {
             shards,
-            object_owner: HashMap::new(),
+            object_owner: IdHashMap::default(),
             node_owner: vec![0; n_nodes],
             node_mask: vec![0; n_nodes],
             cell_masks: Vec::new(),
@@ -546,27 +548,53 @@ impl Emit for ShardSink<'_> {
     }
 }
 
+/// The reusable buffer [`merge_frames`] orders entries in: one per
+/// visitor lane, so a steady-state merge allocates nothing.
+#[derive(Debug, Default)]
+pub struct MergeScratch {
+    /// `(key, shard, position)` of every entry: unique, so an unstable
+    /// (allocation-free) sort yields the stable shard-order tiebreak.
+    order: Vec<(PathKey, u32, u32)>,
+}
+
+impl MergeScratch {
+    /// An empty buffer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
 /// Merges per-shard frames into one [`QueryResult`], draining the frames.
 ///
 /// Pass the frames **in shard order** (slot per shard id), never in
-/// completion order: sorting by [`PathKey`] is stable, so shard order is
-/// the deterministic tiebreak for the duplicate keys a faulty run can
-/// produce. Fault-free there are no duplicates, and the sorted sequence is
-/// exactly the unsharded traversal's DFS emission order.
-pub fn merge_frames(frames: &mut [ShardFrame], out: &mut QueryResult) {
+/// completion order: entries sort by [`PathKey`], then shard id, then
+/// emission position, so shard order is the deterministic tiebreak for the
+/// duplicate keys a faulty run can produce. Fault-free there are no
+/// duplicates, and the sorted sequence is exactly the unsharded
+/// traversal's DFS emission order. `scratch` is reused across calls: once
+/// it has grown to the largest frame, a fault-free merge allocates nothing.
+pub fn merge_frames(frames: &mut [ShardFrame], scratch: &mut MergeScratch, out: &mut QueryResult) {
     out.clear();
-    let total: usize = frames.iter().map(|f| f.entries.len()).sum();
-    let mut keyed: Vec<(PathKey, ResultEntry)> = Vec::with_capacity(total);
+    let order = &mut scratch.order;
+    order.clear();
+    for (s, f) in frames.iter().enumerate() {
+        order.extend(
+            f.entries
+                .iter()
+                .enumerate()
+                .map(|(i, &(k, _))| (k, s as u32, i as u32)),
+        );
+    }
+    order.sort_unstable();
+    for &(_, s, i) in order.iter() {
+        out.push(frames[s as usize].entries[i as usize].1);
+    }
     let mut degs: Vec<(PathKey, DegradeEvent)> = Vec::new();
     for f in frames.iter_mut() {
-        keyed.append(&mut f.entries);
+        f.entries.clear();
         degs.append(&mut f.degrades);
     }
-    keyed.sort_by_key(|&(k, _)| k);
     degs.sort_by_key(|&(k, _)| k);
-    for (_, e) in keyed {
-        out.push(e);
-    }
     for (_, d) in degs {
         out.record_degrade(d);
     }

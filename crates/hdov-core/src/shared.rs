@@ -178,16 +178,19 @@ impl SharedVPageFile {
         let codec = self.codec;
         // Batch decode: one pass materializes every record of the page into
         // the frame's OnceLock overlay slot, so the whole page pays decode
-        // at most once per pool residency regardless of codec.
-        let decoded: Arc<Vec<Arc<VPage>>> = frame.overlay(|page| {
-            hdov_obs::add(hdov_obs::Counter::CodecDecodes, rpp as u64);
-            let mut v = Vec::with_capacity(rpp);
-            for s in 0..rpp {
-                v.push(Arc::new(codec.decode_record(&page[s * rb..(s + 1) * rb])?));
-            }
-            Ok(v)
-        })?;
-        Ok(Arc::clone(&decoded[slot]))
+        // at most once per pool residency regardless of codec. The read
+        // borrows the decoded vector and clones only the one record's `Arc`.
+        frame.with_overlay(
+            |page| {
+                hdov_obs::add(hdov_obs::Counter::CodecDecodes, rpp as u64);
+                let mut v = Vec::with_capacity(rpp);
+                for s in 0..rpp {
+                    v.push(Arc::new(codec.decode_record(&page[s * rb..(s + 1) * rb])?));
+                }
+                Ok(v)
+            },
+            |decoded: &Vec<Arc<VPage>>| Arc::clone(&decoded[slot]),
+        )
     }
 
     /// Number of records.
@@ -737,6 +740,15 @@ impl SharedModels {
             pool,
         };
         Ok((models, cursor))
+    }
+
+    /// The same bank — directory and frozen pages, shared, not copied —
+    /// behind a cold fork of its pool.
+    pub(crate) fn fork(&self) -> Self {
+        SharedModels {
+            store: Arc::clone(&self.store),
+            pool: self.pool.fork(),
+        }
     }
 
     /// The model directory.

@@ -15,12 +15,13 @@
 //!   `bench_report` diffs for the CI perf-regression gate.
 //!
 //! **Zero-cost when disabled.** The global registry starts disabled; every
-//! instrumentation site ([`add`], [`span`], [`observe`]) first performs one
-//! relaxed `AtomicBool` load and does nothing else. No clocks are read, no
-//! thread-locals initialized. Enabling recording changes *only* wall-clock
-//! measurements and event counts — never the simulated-I/O cost model — so
-//! the fig7/fig8 CSVs stay bit-identical with instrumentation on, which the
-//! CI determinism job verifies.
+//! instrumentation site ([`add`], [`span`], [`observe`]) first runs the
+//! inlined [`is_enabled`] — one relaxed `AtomicBool` load of the
+//! constant-initialised registry — and does nothing else. No clocks are
+//! read, no thread-locals initialized. Enabling recording changes *only*
+//! wall-clock measurements and event counts — never the simulated-I/O cost
+//! model — so the fig7/fig8 CSVs stay bit-identical with instrumentation
+//! on, which the CI determinism job verifies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,17 +9,20 @@
 //!
 //! Instrumentation sites go through the free functions ([`add`], [`span`],
 //! [`observe`]), which hit the process-global registry. When the registry is
-//! disabled — the default — every site reduces to a single relaxed load of
-//! one `AtomicBool`: no clock reads, no thread-local registration, no
-//! counter traffic. That is the "zero-cost-when-disabled" contract the
-//! fig7/fig8 bit-identical CI check guards.
+//! disabled — the default — every site reduces to the inlined
+//! [`is_enabled`]: a single relaxed load of the registry's one `AtomicBool`
+//! (the registry is a constant-initialised `static`, so there is no lazy
+//! initialisation to check first) — no call, no clock reads, no
+//! thread-local registration, no counter traffic. That is the
+//! "zero-cost-when-disabled" contract the fig7/fig8 bit-identical CI check
+//! guards.
 
 use crate::histogram::Histogram;
 use crate::phase::{Counter, Hist, Phase};
 use crate::snapshot::MetricsSnapshot;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 #[derive(Debug, Default)]
@@ -93,8 +96,11 @@ pub struct Registry {
 
 impl Registry {
     /// A new, disabled registry with no recorders.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Registry {
+            enabled: AtomicBool::new(false),
+            recorders: Mutex::new(Vec::new()),
+        }
     }
 
     /// Flips recording on or off. Disabled is the default; when disabled,
@@ -104,6 +110,7 @@ impl Registry {
     }
 
     /// Whether recording is on.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
@@ -170,11 +177,12 @@ impl Registry {
     }
 }
 
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
+static GLOBAL: Registry = Registry::new();
 
 /// The process-global registry used by the free-function API.
+#[inline]
 pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::new)
+    &GLOBAL
 }
 
 /// Enables recording on the global registry.
@@ -187,9 +195,11 @@ pub fn disable() {
     global().set_enabled(false);
 }
 
-/// Whether the global registry is recording.
+/// Whether the global registry is recording: one relaxed load, inlined
+/// into every instrumentation site.
+#[inline]
 pub fn is_enabled() -> bool {
-    global().is_enabled()
+    GLOBAL.is_enabled()
 }
 
 /// Zeroes the global registry's recorders.
@@ -246,12 +256,21 @@ pub struct SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    /// Inlined like [`span`], so an inert guard costs its caller one
+    /// branch and no call.
+    #[inline]
     fn drop(&mut self) {
         if let Some((p, start)) = self.live.take() {
-            let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            with_recorder(|r| r.record_span(p, ns));
+            record_span(p, start);
         }
     }
+}
+
+/// The recording half of a live [`SpanGuard`]'s drop.
+#[cold]
+fn record_span(p: Phase, start: Instant) {
+    let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    with_recorder(|r| r.record_span(p, ns));
 }
 
 #[cfg(test)]

@@ -32,7 +32,9 @@
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::tile::TileMap;
-use hdov_core::shard::{check_shard_count, merge_frames, search_shard, ShardFrame, ShardPlan};
+use hdov_core::shard::{
+    check_shard_count, merge_frames, search_shard, MergeScratch, ShardFrame, ShardPlan,
+};
 use hdov_core::{DeltaSearch, Query, QueryBudget, QueryResult, SessionCtx, SharedEnvironment};
 use hdov_geom::Vec3;
 use hdov_obs::Counter;
@@ -133,13 +135,15 @@ impl ShardEngine {
 
 /// Per-visitor routing state: one cursor set per shard (plus one per
 /// replica and one for motion prefetch), the per-shard frame slots, the
-/// merged frame, and the delta resident set — everything a visitor carries
-/// between frames.
+/// merge buffer, the merged frame, and the delta resident set — everything
+/// a visitor carries between frames. All of it is reused, so a
+/// steady-state fault-free frame over warm pools allocates nothing.
 pub struct SessionLane {
     ctxs: Vec<SessionCtx>,
     hedge_ctxs: Vec<SessionCtx>,
     prefetch_ctxs: Vec<SessionCtx>,
     frames: Vec<ShardFrame>,
+    merge: MergeScratch,
     merged: QueryResult,
     delta: DeltaSearch,
 }
@@ -344,6 +348,7 @@ impl ShardRouter {
             hedge_ctxs: ctxs(),
             prefetch_ctxs: ctxs(),
             frames: (0..n).map(|_| ShardFrame::new()).collect(),
+            merge: MergeScratch::new(),
             merged: QueryResult::default(),
             delta: DeltaSearch::new(),
         }
@@ -411,7 +416,7 @@ impl ShardRouter {
             self.sub_query(s, q, ctx, hedge_ctx, &mut frames[s], &mut rs);
         }
 
-        merge_frames(&mut lane.frames, &mut lane.merged);
+        merge_frames(&mut lane.frames, &mut lane.merge, &mut lane.merged);
         lane.delta.apply(&lane.merged);
 
         if rs.degraded_shards > 0 {

@@ -10,7 +10,7 @@
 //!   its breaker, and recovers after revival;
 //! * a default-configured router keeps every fault-domain mechanism inert.
 
-use hdov_core::shard::{merge_frames, search_shard, PathKey, ShardFrame, ShardPlan};
+use hdov_core::shard::{merge_frames, search_shard, MergeScratch, PathKey, ShardFrame, ShardPlan};
 use hdov_core::{
     DeltaSearch, HdovBuildConfig, HdovEnvironment, PoolConfig, Query, QueryBudget, QueryResult,
     ResultEntry, ResultKey, SearchScratch, SharedEnvironment, StorageScheme, MAX_SHARDS,
@@ -401,7 +401,7 @@ fn key_of(i: usize) -> PathKey {
 
 fn merged(frames: &mut [ShardFrame]) -> QueryResult {
     let mut out = QueryResult::default();
-    merge_frames(frames, &mut out);
+    merge_frames(frames, &mut MergeScratch::new(), &mut out);
     out
 }
 

@@ -26,12 +26,16 @@
 use crate::mmap::MappedStore;
 use crate::{Page, PageId, Result, StorageError, PAGE_SIZE};
 use std::any::Any;
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 /// The memoized outcome of one decode. Errors are cached as their display
 /// string ([`StorageError`] is not `Clone`); the bytes are immutable, so a
 /// failed decode is deterministic and rerunning it would be wasted work.
-type OverlaySlot = OnceLock<std::result::Result<Arc<dyn Any + Send + Sync>, String>>;
+type OverlaySlot = OnceLock<std::result::Result<DynOverlay, String>>;
+
+/// A decoded overlay of some page type.
+type DynOverlay = Arc<dyn Any + Send + Sync>;
 
 /// Where a frame's bytes live.
 #[derive(Debug)]
@@ -138,15 +142,45 @@ impl Frame {
         T: Any + Send + Sync,
         F: FnOnce(&[u8]) -> Result<T>,
     {
+        let any = self.decoded(decode)?.into_owned();
+        any.downcast::<T>().map_err(|_| self.type_mismatch())
+    }
+
+    /// [`overlay`](Self::overlay), lending the decoded value to `read`
+    /// instead of cloning its `Arc`: same decode-once rule, same counters,
+    /// same errors. A reader that copies one small piece out of a large
+    /// overlay (one V-page of a decoded page) takes no reference count.
+    pub fn with_overlay<T, F, R>(&self, decode: F, read: impl FnOnce(&T) -> R) -> Result<R>
+    where
+        T: Any + Send + Sync,
+        F: FnOnce(&[u8]) -> Result<T>,
+    {
+        let any = self.decoded(decode)?;
+        let value = any
+            .downcast_ref::<T>()
+            .ok_or_else(|| self.type_mismatch())?;
+        Ok(read(value))
+    }
+
+    /// The one decode path behind [`overlay`](Self::overlay) and
+    /// [`with_overlay`](Self::with_overlay): the memoized slot (borrowed),
+    /// or — with overlay caching off — a fresh decode (owned), with the
+    /// decode counters recorded either way.
+    fn decoded<T, F>(&self, decode: F) -> Result<Cow<'_, DynOverlay>>
+    where
+        T: Any + Send + Sync,
+        F: FnOnce(&[u8]) -> Result<T>,
+    {
         if !self.cache_overlay {
             hdov_obs::add(hdov_obs::Counter::DecodeMisses, 1);
-            return decode(self.bytes()).map(Arc::new);
+            let fresh: DynOverlay = Arc::new(decode(self.bytes())?);
+            return Ok(Cow::Owned(fresh));
         }
         let mut ran = false;
         let slot = self.overlay.get_or_init(|| {
             ran = true;
             match decode(self.bytes()) {
-                Ok(v) => Ok(Arc::new(v) as Arc<dyn Any + Send + Sync>),
+                Ok(v) => Ok(Arc::new(v) as DynOverlay),
                 Err(e) => Err(e.to_string()),
             }
         });
@@ -156,14 +190,16 @@ impl Frame {
             hdov_obs::add(hdov_obs::Counter::DecodeHits, 1);
         }
         match slot {
-            Ok(any) => Arc::clone(any).downcast::<T>().map_err(|_| {
-                StorageError::Corrupt(format!(
-                    "{} overlay requested as two different types",
-                    self.id
-                ))
-            }),
+            Ok(any) => Ok(Cow::Borrowed(any)),
             Err(msg) => Err(StorageError::Corrupt(msg.clone())),
         }
+    }
+
+    fn type_mismatch(&self) -> StorageError {
+        StorageError::Corrupt(format!(
+            "{} overlay requested as two different types",
+            self.id
+        ))
     }
 }
 
@@ -197,6 +233,36 @@ mod tests {
         assert_eq!(decodes, 1);
         assert!(f.has_overlay());
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn with_overlay_lends_the_shared_decode() {
+        let f = frame(4);
+        let mut decodes = 0;
+        let first = f
+            .with_overlay(
+                |p| {
+                    decodes += 1;
+                    Ok(vec![u32::from(p[0]), 7])
+                },
+                |v: &Vec<u32>| v[1],
+            )
+            .unwrap();
+        assert_eq!(first, 7);
+        // The lent value is the memoized one `overlay` hands out.
+        let shared: Arc<Vec<u32>> = f.overlay(|_| Ok(vec![0])).unwrap();
+        assert_eq!(*shared, vec![4, 7]);
+        assert_eq!(decodes, 1);
+        let err = f.with_overlay(|_| Ok(1u8), |v: &u8| *v).unwrap_err();
+        assert!(err.to_string().contains("two different types"));
+
+        // With caching off every call decodes afresh and keeps nothing.
+        let g = Frame::with_overlay_policy(PageId(1), Page::from_bytes(&[9]), false);
+        for _ in 0..2 {
+            let v = g.with_overlay(|p| Ok(p[0]), |v: &u8| *v).unwrap();
+            assert_eq!(v, 9);
+        }
+        assert!(!g.has_overlay());
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * [`FrozenPages`] snapshots (in memory, mmap'd or pread-backed files) and
 //!   the [`SharedCachedFile`] buffer pool: the one page-read path, where
 //!   every miss is checksum-verified, retried and failed over, and
-//! * an [`LruCache`] used for the pool's shards.
+//! * an [`LruCache`] used for the pool's shards, keyed through the one
+//!   [`IdHasher`] every store-id map shares.
 //!
 //! All experiment "search time" numbers in the benchmark harness come from
 //! the simulated clock, which makes the reproduction deterministic and
@@ -33,6 +34,7 @@ pub mod fault;
 pub mod file;
 pub mod frame;
 pub mod frozen;
+pub mod idhash;
 pub mod lru;
 pub mod mmap;
 pub mod mutable;
@@ -53,6 +55,7 @@ pub use error::{Result, StorageError, StoreOrigin};
 pub use fault::{FaultPlan, FaultyFile, SharedFaultyFile};
 pub use file::{MemPagedFile, PagedFile};
 pub use frame::Frame;
+pub use idhash::{IdHashMap, IdHasher};
 pub use lru::LruCache;
 pub use mmap::MappedStore;
 pub use mutable::{MutTxn, MutableStore, PageLoc, PageTable, StoreSnapshot};

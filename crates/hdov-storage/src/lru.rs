@@ -1,57 +1,9 @@
 //! A slab-based LRU cache used for buffer pools.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use crate::idhash::IdHashMap;
+use std::hash::Hash;
 
 const NIL: usize = usize::MAX;
-
-/// The map hasher: a fixed multiplicative (Fibonacci) hash instead of the
-/// default SipHash.
-///
-/// Pool keys are page ids chosen by the store layout, not by any outside
-/// party, so SipHash's flooding resistance buys nothing here, and a page
-/// probe pays for its hash on every pool access. Each written word is
-/// xored in and multiplied by 2⁶⁴/φ; [`finish`](Hasher::finish) rotates the
-/// well-mixed high bits down, because the table picks a bucket from the
-/// low bits and one pool shard's keys share their residue modulo the shard
-/// count. Nothing iterates the map, so the hasher changes no behaviour.
-#[derive(Debug, Default, Clone, Copy)]
-struct MulHasher(u64);
-
-impl MulHasher {
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-
-    #[inline]
-    fn fold(&mut self, word: u64) {
-        self.0 = (self.0 ^ word).wrapping_mul(Self::K);
-    }
-}
-
-impl Hasher for MulHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.fold(u64::from_le_bytes(w.try_into().expect("8-byte word")));
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let mut w = [0u8; 8];
-            w[..tail.len()].copy_from_slice(tail);
-            self.fold(u64::from_le_bytes(w));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, word: u64) {
-        self.fold(word);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
 
 #[derive(Debug)]
 struct Node<K, V> {
@@ -77,7 +29,7 @@ struct Node<K, V> {
 /// ```
 #[derive(Debug)]
 pub struct LruCache<K, V> {
-    map: HashMap<K, usize, BuildHasherDefault<MulHasher>>,
+    map: IdHashMap<K, usize>,
     slab: Vec<Node<K, V>>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -93,7 +45,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// straight back, so every lookup misses.
     pub fn new(capacity: usize) -> Self {
         LruCache {
-            map: HashMap::with_capacity_and_hasher(capacity, Default::default()),
+            map: IdHashMap::with_capacity_and_hasher(capacity, Default::default()),
             slab: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,
@@ -349,19 +301,6 @@ mod tests {
         assert_eq!(c.insert("c", 3), Some(("a", 1)));
         assert_eq!(c.lookup(&"b", true), Some(&2));
         assert_eq!(c.insert("d", 4), Some(("c", 3)));
-    }
-
-    #[test]
-    fn keys_sharing_a_residue_stay_distinct() {
-        // One pool shard's page ids: all congruent modulo the shard count.
-        let mut c = LruCache::new(512);
-        for k in 0..512u64 {
-            c.insert(k * 8 + 3, k);
-        }
-        for k in 0..512u64 {
-            assert_eq!(c.peek(&(k * 8 + 3)), Some(&k));
-            assert_eq!(c.peek(&(k * 8 + 4)), None);
-        }
     }
 
     #[test]
