@@ -1,30 +1,30 @@
 //! `decode_bench` — microbenchmarks of the zero-copy hot read path.
 //!
-//! Three comparisons quantify what the `Arc<Frame>` + decoded-overlay
-//! rework buys on pool hits:
+//! Three groups measure what the `Arc<Frame>` + decoded-overlay path
+//! costs on pool hits:
 //!
 //! * `frame_hit_arc_clone` vs `page_hit_memcpy`: handing back the pooled
-//!   frame vs copying the page into a caller buffer;
-//! * `node_overlay/memoized` vs `node_overlay/rerun`: reading every node
-//!   through the memoized overlay vs re-running `HdovNode::decode` per read
-//!   (the `decode_overlay: false` A/B arm);
-//! * `search_steady/*`: a full steady-state query sweep over warm
-//!   pools, overlays on vs off — the end-to-end CPU win.
+//!   frame vs copying its bytes into a caller buffer;
+//! * `node_overlay/memoized` vs `node_overlay/direct_decode`: reading every
+//!   node through the memoized overlay vs running `HdovNode::decode` on the
+//!   pooled frame's bytes per read;
+//! * `search_steady/overlay_on`: a full steady-state query sweep over warm
+//!   pools.
 //!
 //! Kept deliberately small (tiny scene, fast build) so the CI perf gate can
 //! run it as a smoke test.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdov_core::{
-    HdovBuildConfig, HdovEnvironment, PoolConfig, Query, SearchScratch, SharedEnvironment,
-    StorageScheme, VEntry, VPage, VPageCodec,
+    HdovBuildConfig, HdovEnvironment, HdovNode, PoolConfig, Query, SearchScratch,
+    SharedEnvironment, StorageScheme, VEntry, VPage, VPageCodec,
 };
 use hdov_scene::CityConfig;
 use hdov_storage::{IoCursor, Page, PageId, PAGE_SIZE};
 use hdov_visibility::{CellGridConfig, CellId};
 use std::hint::black_box;
 
-fn shared_env(decode_overlay: bool) -> SharedEnvironment {
+fn shared_env() -> SharedEnvironment {
     let scene = CityConfig::tiny().seed(11).generate();
     let grid_cfg = CellGridConfig::for_scene(&scene).with_resolution(3, 3);
     HdovEnvironment::build(
@@ -37,14 +37,13 @@ fn shared_env(decode_overlay: bool) -> SharedEnvironment {
     .into_shared(PoolConfig {
         capacity_pages: 4096,
         shards: 8,
-        decode_overlay,
         ..PoolConfig::default()
     })
 }
 
 /// Pool hit served as an `Arc` clone vs copied into a caller-owned page.
 fn frame_vs_copy(c: &mut Criterion) {
-    let env = shared_env(true);
+    let env = shared_env();
     let pool = env.vstore().vpages().pool();
     let mut cur = IoCursor::new();
     pool.read_frame(&mut cur, PageId(0)).unwrap(); // warm
@@ -56,66 +55,73 @@ fn frame_vs_copy(c: &mut Criterion) {
     let mut out = Page::zeroed();
     c.bench_function("decode/page_hit_memcpy", |b| {
         b.iter(|| {
-            pool.read_page(&mut cur, PageId(0), &mut out).unwrap();
+            let frame = pool.read_frame(&mut cur, PageId(0)).unwrap();
+            out.bytes_mut().copy_from_slice(frame.bytes());
             black_box(out.bytes()[0])
         })
     });
 }
 
-/// Every node read through the overlay: memoized decode vs rerun-per-read.
+/// Every node read through the memoized overlay vs decoded from the pooled
+/// frame's bytes on every read.
 fn node_overlay(c: &mut Criterion) {
     let mut group = c.benchmark_group("decode/node_overlay");
-    for (label, overlay) in [("memoized", true), ("rerun", false)] {
-        let env = shared_env(overlay);
-        let n = env.tree().node_count();
-        let mut cur = IoCursor::new();
-        for ordinal in 0..n {
-            env.tree().read_node(&mut cur, ordinal).unwrap(); // warm
-        }
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter(|| {
-                let mut entries = 0usize;
-                for ordinal in 0..n {
-                    entries += env
-                        .tree()
-                        .read_node(&mut cur, ordinal)
-                        .unwrap()
-                        .entries
-                        .len();
-                }
-                black_box(entries)
-            })
-        });
+    let env = shared_env();
+    let tree = env.tree();
+    let n = tree.node_count();
+    let mut cur = IoCursor::new();
+    for ordinal in 0..n {
+        tree.read_node(&mut cur, ordinal).unwrap(); // warm
     }
+    group.bench_function(BenchmarkId::from_parameter("memoized"), |b| {
+        b.iter(|| {
+            let mut entries = 0usize;
+            for ordinal in 0..n {
+                entries += tree.read_node(&mut cur, ordinal).unwrap().entries.len();
+            }
+            black_box(entries)
+        })
+    });
+    group.bench_function(BenchmarkId::from_parameter("direct_decode"), |b| {
+        b.iter(|| {
+            let mut entries = 0usize;
+            for ordinal in 0..n {
+                let frame = tree
+                    .node_pool()
+                    .read_frame(&mut cur, PageId(u64::from(ordinal)))
+                    .unwrap();
+                entries += HdovNode::decode(frame.bytes()).unwrap().entries.len();
+            }
+            black_box(entries)
+        })
+    });
     group.finish();
 }
 
 /// Steady-state query sweep over warm pools: the end-to-end hit path.
 fn search_steady(c: &mut Criterion) {
     let mut group = c.benchmark_group("decode/search_steady");
-    for (label, overlay) in [("overlay_on", true), ("overlay_off", false)] {
-        let env = shared_env(overlay);
-        let cells: Vec<CellId> = (0..env.grid().cell_count() as CellId).collect();
-        let mut ctx = env.session();
-        let mut scratch = SearchScratch::new();
-        let query = |cell| Query {
-            prefetch: true,
-            ..Query::new(cell, 0.002)
-        };
-        for &cell in &cells {
-            env.search(&mut ctx, &mut scratch, query(cell)).unwrap();
-        }
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter(|| {
-                let mut polygons = 0u64;
-                for &cell in &cells {
-                    env.search(&mut ctx, &mut scratch, query(cell)).unwrap();
-                    polygons += scratch.result().total_polygons();
-                }
-                black_box(polygons)
-            })
-        });
+    let env = shared_env();
+    let cells: Vec<CellId> = (0..env.grid().cell_count() as CellId).collect();
+    let mut ctx = env.session();
+    let mut scratch = SearchScratch::new();
+    let query = |cell| Query {
+        prefetch: true,
+        ..Query::new(cell, 0.002)
+    };
+    for &cell in &cells {
+        env.search(&mut ctx, &mut scratch, query(cell)).unwrap();
     }
+    group.bench_function(BenchmarkId::from_parameter("overlay_on"), |b| {
+        b.iter(|| {
+            let mut polygons = 0u64;
+            for &cell in &cells {
+                env.search(&mut ctx, &mut scratch, query(cell)).unwrap();
+                polygons += scratch.result().total_polygons();
+            }
+            black_box(polygons)
+        })
+    });
     group.finish();
 }
 

@@ -114,20 +114,20 @@ fn main() {
     let mut built = eval.environment(StorageScheme::IndexedVertical);
     opts.relocate("concurrent_sessions", &mut built);
     let env = built.into_shared(PoolConfig {
-        replicas: opts.replicas,
+        replicas: opts.backend.replicas(),
         ..PoolConfig::default()
     });
 
     if corrupt_pages > 0 {
         assert!(
-            opts.backend.is_file() && opts.replicas >= 2,
+            opts.backend.replicas() >= 2,
             "--corrupt-pages needs a replicated file backend \
              (e.g. --backend file:pread@2) so a healthy copy exists to heal from"
         );
         // The stores were verified page-by-page when they were opened above;
         // flipping bytes *now* means only failover + repair (or the
         // scrubber) can be the reason the answers stay intact.
-        let dir = match opts.backend.storage("concurrent_sessions") {
+        let dir = match opts.storage("concurrent_sessions") {
             StorageBackend::File { dir, .. } => dir,
             StorageBackend::Mem => unreachable!("is_file checked above"),
         };

@@ -16,7 +16,7 @@ use hdov_core::{
 };
 use hdov_geom::Vec3;
 use hdov_scene::{CityConfig, Scene};
-use hdov_storage::{FileMode, StorageBackend};
+use hdov_storage::StorageBackend;
 use hdov_visibility::{CellGrid, CellGridConfig, DovConfig, DovTable};
 use std::io::Write;
 use std::path::PathBuf;
@@ -32,96 +32,39 @@ pub const TABLE3_ETAS: [f64; 9] = [
     0.0, 0.00005, 0.0001, 0.0002, 0.0003, 0.0005, 0.001, 0.002, 0.004,
 ];
 
-/// Storage-backend axis of the harness (`--backend mem|file|file:pread`).
-///
-/// `mem` serves every frozen store from memory (the deterministic default);
-/// the file variants serialize each built store as a frozen-store file and
-/// serve pages from it, mmap'd or via positioned reads. CSV cells derive
-/// exclusively from the simulated cost model, so they are byte-identical
-/// across backends — the file backends add *wall-clock* I/O measurements as
-/// a separate, never-gated metrics snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BenchBackend {
-    /// In-memory frozen stores (default).
-    #[default]
-    Mem,
-    /// File-backed stores, read through a shared read-only mapping.
-    FileMmap,
-    /// File-backed stores, read through `pread`-style positioned reads.
-    FilePread,
-}
-
-impl BenchBackend {
-    fn parse(arg: &str) -> Option<Self> {
-        match arg {
-            "mem" => Some(BenchBackend::Mem),
-            "file" | "file:mmap" => Some(BenchBackend::FileMmap),
-            "file:pread" => Some(BenchBackend::FilePread),
-            _ => None,
-        }
-    }
-
-    /// Short stable label (matches [`StorageBackend::label`]).
-    pub fn label(self) -> &'static str {
-        match self {
-            BenchBackend::Mem => "mem",
-            BenchBackend::FileMmap => "file:mmap",
-            BenchBackend::FilePread => "file:pread",
-        }
-    }
-
-    /// Whether pages are served from real files.
-    pub fn is_file(self) -> bool {
-        self != BenchBackend::Mem
-    }
-
-    /// The concrete [`StorageBackend`] for harness binary `bin`. File
-    /// stores go under `results/store/<bin>` (base directory overridable
-    /// via `HDOV_STORE_DIR`); the per-binary subdirectory keeps parallel
-    /// binaries from truncating each other's live mappings.
-    pub fn storage(self, bin: &str) -> StorageBackend {
-        let mode = match self {
-            BenchBackend::Mem => return StorageBackend::Mem,
-            BenchBackend::FileMmap => FileMode::Mmap,
-            BenchBackend::FilePread => FileMode::Pread,
-        };
-        let base = std::env::var_os("HDOV_STORE_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("results/store"));
-        StorageBackend::File {
-            dir: base.join(bin),
-            mode,
-            replicas: 1,
-        }
-    }
-}
-
 /// Harness run options.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Smaller scene, fewer queries (CI / smoke).
     pub quick: bool,
-    /// Where frozen stores live during the run.
-    pub backend: BenchBackend,
+    /// Where frozen stores live during the run (`--backend
+    /// mem|file|file:mmap|file:pread`, default `mem`). `mem` serves every
+    /// frozen store from memory; the file backends serialize each built
+    /// store under the store directory (`results/store`, or
+    /// `HDOV_STORE_DIR`) and serve pages from it, mmap'd or via positioned
+    /// reads. CSV cells derive exclusively from the simulated cost model,
+    /// so they are byte-identical across backends — the file backends add
+    /// *wall-clock* I/O measurements as a separate, never-gated metrics
+    /// snapshot. The backend's replica count (`--backend file:mmap@2` or
+    /// `--replicas N`) changes nothing either, outside faults.
+    pub backend: StorageBackend,
     /// V-page wire format (`--codec raw|delta`). Answers are byte-identical
     /// across codecs; simulated I/O and storage footprints are not.
     pub codec: VPageCodec,
-    /// Store copies per pool (`--backend file:mmap@2` or `--replicas N`).
-    /// Answers and simulated costs are byte-identical at any count — extra
-    /// replicas only matter under faults. `mem` rejects N > 1 like
-    /// [`StorageBackend::from_arg`] does.
-    pub replicas: usize,
 }
 
 impl RunOptions {
     /// Parses `--quick`, `--backend <mem|file|file:mmap|file:pread>` (with
-    /// an optional `@N` replica suffix), `--replicas <n>`, and `--codec
-    /// <raw|delta>` (also the `--flag=<...>` forms) from the process
-    /// arguments.
+    /// an optional `@N` replica suffix, see [`StorageBackend::from_arg`]),
+    /// `--replicas <n>`, and `--codec <raw|delta>` (also the `--flag=<...>`
+    /// forms) from the process arguments. A bad value exits with status 2.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
         let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-        let mut backend = BenchBackend::Mem;
+        let store_dir = std::env::var_os("HDOV_STORE_DIR")
+            .map(PathBuf::from)
+            .unwrap_or_else(|| PathBuf::from("results/store"));
+        let mut backend = StorageBackend::Mem;
         let mut codec = VPageCodec::default();
         let mut replicas = 1usize;
         for (i, a) in args.iter().enumerate() {
@@ -133,21 +76,19 @@ impl RunOptions {
                 None
             };
             if let Some(v) = val {
-                let (base, copies) = match v.split_once('@') {
-                    Some((b, n)) => (b, n.parse::<usize>().ok().filter(|&n| n >= 1)),
-                    None => (v.as_str(), Some(replicas)),
-                };
-                backend = BenchBackend::parse(base).unwrap_or_else(|| {
+                let parsed = StorageBackend::from_arg(&v, &store_dir).unwrap_or_else(|| {
                     eprintln!(
                         "unknown --backend {v:?}; use mem, file, file:mmap, or file:pread \
-                         (optionally with an @N replica suffix)"
+                         (the file backends optionally with an @N replica suffix, N >= 1)"
                     );
                     std::process::exit(2);
                 });
-                replicas = copies.unwrap_or_else(|| {
-                    eprintln!("bad replica count in --backend {v:?}");
-                    std::process::exit(2);
-                });
+                backend = if v.contains('@') {
+                    replicas = parsed.replicas();
+                    parsed
+                } else {
+                    parsed.replicated(replicas)
+                };
             }
             let rval = if let Some(v) = a.strip_prefix("--replicas=") {
                 Some(v.to_string())
@@ -165,6 +106,7 @@ impl RunOptions {
                         eprintln!("bad --replicas {v:?}; use an integer >= 1");
                         std::process::exit(2);
                     });
+                backend = backend.replicated(replicas);
             }
             let cval = if let Some(v) = a.strip_prefix("--codec=") {
                 Some(v.to_string())
@@ -180,7 +122,7 @@ impl RunOptions {
                 });
             }
         }
-        if replicas > 1 && backend == BenchBackend::Mem {
+        if replicas > 1 && !backend.is_file() {
             eprintln!("--replicas {replicas} needs a file backend (mem stores are not replicated)");
             std::process::exit(2);
         }
@@ -188,8 +130,18 @@ impl RunOptions {
             quick,
             backend,
             codec,
-            replicas,
         }
+    }
+
+    /// The selected backend for harness binary `bin`: file stores go under
+    /// `<store dir>/<bin>`, so parallel binaries never truncate each
+    /// other's live mappings.
+    pub fn storage(&self, bin: &str) -> StorageBackend {
+        let mut backend = self.backend.clone();
+        if let StorageBackend::File { dir, .. } = &mut backend {
+            *dir = dir.join(bin);
+        }
+        backend
     }
 
     /// Relocates `env` onto the selected backend (a no-op on `mem`, so the
@@ -197,7 +149,7 @@ impl RunOptions {
     /// names the store directory — pass the binary's snapshot name.
     pub fn relocate(&self, bin: &str, env: &mut HdovEnvironment) {
         if self.backend.is_file() {
-            env.relocate(&self.backend.storage(bin).replicated(self.replicas))
+            env.relocate(&self.storage(bin))
                 .expect("relocate environment onto file backend");
         }
     }
@@ -452,6 +404,7 @@ pub fn mean(it: impl IntoIterator<Item = f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     #[test]
     fn fmt_bytes_ranges() {
@@ -471,40 +424,34 @@ mod tests {
     fn run_options_defaults() {
         let o = RunOptions {
             quick: false,
-            backend: BenchBackend::Mem,
+            backend: StorageBackend::Mem,
             codec: VPageCodec::Delta,
-            replicas: 1,
         };
         assert_eq!(o.query_count(), 2000);
         assert_eq!(o.session_frames(), 400);
         let q = RunOptions {
             quick: true,
-            backend: BenchBackend::Mem,
+            backend: StorageBackend::Mem,
             codec: VPageCodec::Delta,
-            replicas: 1,
         };
         assert!(q.query_count() < o.query_count());
         assert!(q.session_frames() < o.session_frames());
     }
 
     #[test]
-    fn backend_axis_parses_and_routes() {
-        assert_eq!(BenchBackend::parse("mem"), Some(BenchBackend::Mem));
-        assert_eq!(BenchBackend::parse("file"), Some(BenchBackend::FileMmap));
-        assert_eq!(
-            BenchBackend::parse("file:pread"),
-            Some(BenchBackend::FilePread)
-        );
-        assert_eq!(BenchBackend::parse("tape"), None);
-        assert!(!BenchBackend::Mem.is_file());
-        assert_eq!(BenchBackend::Mem.storage("fig7"), StorageBackend::Mem);
-        let s = BenchBackend::FileMmap.storage("fig7");
-        assert!(s.is_file());
-        assert_eq!(s.label(), "file:mmap");
+    fn storage_dir_is_per_binary() {
+        let mut o = RunOptions {
+            quick: true,
+            backend: StorageBackend::Mem,
+            codec: VPageCodec::Delta,
+        };
+        assert_eq!(o.storage("fig7"), StorageBackend::Mem);
+        o.backend = StorageBackend::from_arg("file:pread@2", Path::new("stores")).unwrap();
+        let s = o.storage("fig7");
+        assert_eq!((s.label(), s.replicas()), ("file:pread", 2));
         if let StorageBackend::File { dir, .. } = &s {
-            assert!(dir.ends_with("fig7"));
+            assert_eq!(dir, Path::new("stores/fig7"));
         }
-        assert_eq!(BenchBackend::FilePread.storage("x").label(), "file:pread");
     }
 
     /// Heavy smoke test over the shared harness plumbing; run with
@@ -514,9 +461,8 @@ mod tests {
     fn eval_scene_smoke() {
         let opts = RunOptions {
             quick: true,
-            backend: BenchBackend::Mem,
+            backend: StorageBackend::Mem,
             codec: VPageCodec::Delta,
-            replicas: 1,
         };
         let eval = EvalScene::standard(&opts);
         assert!(eval.scene.len() > 100);

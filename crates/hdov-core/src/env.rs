@@ -247,7 +247,7 @@ impl HdovEnvironment {
 
     fn set_node_pool(&mut self, capacity: usize) {
         let nodes = &mut self.env.tree.nodes;
-        *nodes = nodes.resized(capacity, 1, true);
+        *nodes = nodes.resized(capacity, 1);
     }
 
     /// The precomputed DoV table (ground truth for metrics).

@@ -89,12 +89,6 @@ pub struct PoolConfig {
     pub capacity_pages: usize,
     /// Lock stripes per pool.
     pub shards: usize,
-    /// Whether pooled frames memoize their decoded overlay (nodes and
-    /// V-pages decode at most once per pool residency). Purely an in-memory
-    /// CPU saving: switching it off reruns every decoder but changes no
-    /// query answers and no simulated costs (the `overlay_residency`
-    /// integration test pins this down).
-    pub decode_overlay: bool,
     /// Transient-failure retry policy applied by every pool on page reads.
     /// Only engages under armed fault injection
     /// ([`SharedEnvironment::arm_faults`]); fault-free reads never retry.
@@ -110,7 +104,7 @@ pub struct PoolConfig {
 impl PoolConfig {
     /// A cold pool over `pool`'s frozen data with this geometry.
     fn apply(&self, pool: &SharedCachedFile) -> SharedCachedFile {
-        pool.resized(self.capacity_pages, self.shards, self.decode_overlay)
+        pool.resized(self.capacity_pages, self.shards)
             .with_retry(self.retry)
             .with_replicas(self.replicas)
     }
@@ -121,7 +115,6 @@ impl Default for PoolConfig {
         PoolConfig {
             capacity_pages: 128,
             shards: 8,
-            decode_overlay: true,
             retry: RetryPolicy::default(),
             replicas: 1,
         }
@@ -196,6 +189,12 @@ impl SharedVPageFile {
     /// Number of records.
     pub fn records(&self) -> u64 {
         self.records
+    }
+
+    /// Bytes per record slot; slot `s` of a disk page starts at byte
+    /// `s · record_bytes`.
+    pub fn record_bytes(&self) -> usize {
+        self.record_bytes
     }
 
     /// The backing pool.
@@ -663,6 +662,11 @@ impl SharedTree {
     /// The internal-LoD store (key = node ordinal).
     pub fn internal_store(&self) -> &ModelStore {
         &self.internal_store
+    }
+
+    /// The node pool.
+    pub fn node_pool(&self) -> &SharedCachedFile {
+        &self.nodes
     }
 
     /// The internal-LoD pool.

@@ -3,8 +3,9 @@
 //! (a) a frame's decoded overlay is dropped exactly when the frame is
 //!     evicted — no unbounded decoded-object memory — while data an active
 //!     session still holds stays alive through its own `Arc`;
-//! (b) the fig7/fig8 simulated-cost tables are byte-identical with overlays
-//!     on vs. off (the overlay is pure CPU memoization, never cost model);
+//! (b) after a fig7/fig8-style η sweep, every pooled node and V-page
+//!     overlay equals a fresh decode of its frame's bytes (the overlay is
+//!     pure CPU memoization, never a different answer);
 //! (c) concurrent sessions racing on one frame observe exactly one decode:
 //!     `decode_misses == pool_misses` for node pages.
 //!
@@ -14,8 +15,8 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use hdov_core::{
-    HdovBuildConfig, HdovEnvironment, PoolConfig, SessionCtx, SharedEnvironment, StorageScheme,
-    VEntry, VPage, VPageCodec,
+    HdovBuildConfig, HdovEnvironment, HdovNode, PoolConfig, SessionCtx, SharedEnvironment,
+    StorageScheme, VEntry, VPage, VPageCodec,
 };
 use hdov_scene::{CityConfig, Scene};
 use hdov_storage::{DiskModel, IoCursor, PageId, PAGE_SIZE};
@@ -230,61 +231,69 @@ fn node_reads_share_one_decoded_arc() {
     );
 }
 
-/// Reproduces the fig7/fig8 row computations (same metrics, same float
-/// formatting as the bench bins) over the shared engine.
-fn mini_fig_csvs(decode_overlay: bool) -> (String, String) {
-    let scene = scene();
-    let pool = PoolConfig {
-        decode_overlay,
-        ..PoolConfig::default()
-    };
-    let envs: Vec<SharedEnvironment> = StorageScheme::all()
-        .into_iter()
-        .map(|s| shared_env(&scene, s, pool))
-        .collect();
-    let mut ctxs: Vec<SessionCtx> = envs.iter().map(|e| e.session()).collect();
-    let cells: Vec<CellId> = (0..envs[0].grid().cell_count() as CellId).collect();
-
-    let mut fig7 = String::from("eta,horizontal_ms,vertical_ms,indexed_ms\n");
-    let mut fig8 = String::from("eta,hdov_total,hdov_light\n");
-    for eta in [0.0, 0.002, 0.01] {
-        fig7.push_str(&format!("{eta}"));
-        for (env, ctx) in envs.iter().zip(ctxs.iter_mut()) {
-            let sum: f64 = cells
-                .iter()
-                .map(|&c| env.query_cell(ctx, c, eta).unwrap().1.search_time_ms())
-                .sum();
-            fig7.push_str(&format!(",{:.2}", sum / cells.len() as f64));
+/// The overlay oracle: every pooled node and V-page frame whose overlay is
+/// populated holds exactly what a fresh `HdovNode::decode` /
+/// `VPageCodec::decode_record` of the frame's bytes gives. Returns the
+/// number of overlays checked.
+fn check_overlays_against_fresh_decodes(env: &SharedEnvironment) -> usize {
+    let mut cur = IoCursor::new();
+    let mut checked = 0;
+    let nodes = env.tree().node_pool();
+    for id in (0..nodes.page_count()).map(PageId) {
+        if !nodes.contains(id) {
+            continue;
         }
-        fig7.push('\n');
-
-        let (mut total, mut light) = (0.0f64, 0.0f64);
-        for &c in &cells {
-            let (_, st) = envs[2].query_cell(&mut ctxs[2], c, eta).unwrap();
-            total += st.total_io().page_reads as f64;
-            light += st.light_io().page_reads as f64;
+        let frame = nodes.read_frame(&mut cur, id).unwrap();
+        if frame.has_overlay() {
+            let pooled: Arc<HdovNode> = frame.overlay(|_| unreachable!("decoded")).unwrap();
+            assert_eq!(*pooled, HdovNode::decode(frame.bytes()).unwrap(), "{id}");
+            checked += 1;
         }
-        let n = cells.len() as f64;
-        fig8.push_str(&format!("{eta},{:.1},{:.2}\n", total / n, light / n));
     }
-    (fig7, fig8)
+    let vpages = env.vstore().vpages();
+    let (rb, codec) = (vpages.record_bytes(), vpages.codec());
+    for id in (0..vpages.pool().page_count()).map(PageId) {
+        if !vpages.pool().contains(id) {
+            continue;
+        }
+        let frame = vpages.pool().read_frame(&mut cur, id).unwrap();
+        if frame.has_overlay() {
+            let pooled: Arc<Vec<Arc<VPage>>> = frame.overlay(|_| unreachable!("decoded")).unwrap();
+            for (slot, vp) in pooled.iter().enumerate() {
+                let fresh = codec.decode_record(&frame.bytes()[slot * rb..(slot + 1) * rb]);
+                assert_eq!(**vp, fresh.unwrap(), "{id} slot {slot}");
+            }
+            checked += 1;
+        }
+    }
+    checked
 }
 
 #[test]
-fn fig7_fig8_tables_byte_identical_overlays_on_vs_off() {
+fn pooled_overlays_equal_fresh_decodes() {
     let _g = serial();
-    let (fig7_on, fig8_on) = mini_fig_csvs(true);
-    let (fig7_off, fig8_off) = mini_fig_csvs(false);
-    assert_eq!(
-        fig7_on, fig7_off,
-        "overlay memoization must not move any fig7 search time"
-    );
-    assert_eq!(
-        fig8_on, fig8_off,
-        "overlay memoization must not move any fig8 page-I/O count"
-    );
-    assert_eq!(fig7_on.lines().count(), 4, "header + one row per eta");
-    assert_eq!(fig8_on.lines().count(), 4);
+    let scene = scene();
+    for scheme in StorageScheme::all() {
+        // A pool smaller than the node and V-page files, so the sweep
+        // evicts and re-decodes frames.
+        let env = shared_env(
+            &scene,
+            scheme,
+            PoolConfig {
+                capacity_pages: 16,
+                shards: 2,
+                ..PoolConfig::default()
+            },
+        );
+        let mut ctx = env.session();
+        for eta in [0.0, 0.002, 0.01] {
+            for cell in 0..env.grid().cell_count() as CellId {
+                env.query_cell(&mut ctx, cell, eta).unwrap();
+            }
+            let checked = check_overlays_against_fresh_decodes(&env);
+            assert!(checked > 0, "{scheme}: the sweep must leave decoded frames");
+        }
+    }
 }
 
 #[test]
@@ -341,38 +350,5 @@ fn concurrent_sessions_observe_one_decode_per_node_frame() {
         snap.counters["bytes_copied_saved"],
         reads * PAGE_SIZE as u64,
         "every frame read saves one page memcpy"
-    );
-}
-
-#[test]
-fn shared_answers_identical_overlays_on_vs_off() {
-    let _g = serial();
-    let scene = scene();
-    let mut answers = Vec::new();
-    for decode_overlay in [true, false] {
-        let env = shared_env(
-            &scene,
-            StorageScheme::Vertical,
-            PoolConfig {
-                decode_overlay,
-                ..PoolConfig::default()
-            },
-        );
-        let mut ctx = env.session();
-        let mut arm = Vec::new();
-        for cell in 0..env.grid().cell_count() as CellId {
-            let (r, st) = env.query_cell(&mut ctx, cell, 0.003).unwrap();
-            let keyed: Vec<_> = r
-                .entries()
-                .iter()
-                .map(|e| (e.key, e.level, e.polygons, e.bytes))
-                .collect();
-            arm.push((keyed, st.nodes_visited, st.vpages_fetched));
-        }
-        answers.push(arm);
-    }
-    assert_eq!(
-        answers[0], answers[1],
-        "decode_overlay must change no answers and no traversal counts"
     );
 }

@@ -207,16 +207,9 @@ impl PerPage {
             (env.tree().internal_pool(), &self.internal),
         ] {
             assert_eq!(run.hit_stats(), per_page.hit_stats(), "{label}");
-            assert_eq!(
-                run.per_shard_hit_stats(),
-                per_page.per_shard_hit_stats(),
-                "{label}"
-            );
-            let sums = run
-                .per_shard_hit_stats()
-                .iter()
-                .fold((0, 0), |(h, m), &(sh, sm)| (h + sh, m + sm));
-            assert_eq!(sums, run.hit_stats(), "{label}: shard sums");
+            for id in (0..run.page_count()).map(PageId) {
+                assert_eq!(run.contains(id), per_page.contains(id), "{label}: {id}");
+            }
         }
         assert_eq!(ctx.model_cur.stats(), self.model_cur.stats(), "{label}");
         assert_eq!(

@@ -81,7 +81,7 @@ pub enum Counter {
     DecodeHits,
     /// Frame-overlay lookups that had to run the decoder.
     DecodeMisses,
-    /// Page bytes the zero-copy frame path did not memcpy (vs `read_page`).
+    /// Page bytes the zero-copy frame path did not memcpy (vs a copying read).
     BytesCopiedSaved,
     /// Pages whose bytes failed checksum verification at frame admission.
     ChecksumFailures,

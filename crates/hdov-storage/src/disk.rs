@@ -82,30 +82,27 @@ impl IoCursor {
     }
 
     /// Moves the head to `id` and charges the access time; returns whether
-    /// the access was sequential and what it cost.
-    fn seek(&mut self, id: PageId, model: DiskModel) -> (bool, f64) {
+    /// the access was sequential.
+    fn seek(&mut self, id: PageId, model: DiskModel) -> bool {
         let sequential =
             self.last_page == Some(id.0.wrapping_sub(1)) || self.last_page == Some(id.0);
-        let cost = if sequential {
+        self.stats.elapsed_us += if sequential {
             model.transfer_us
         } else {
             model.seek_us + model.transfer_us
         };
-        self.stats.elapsed_us += cost;
         self.last_page = Some(id.0);
-        (sequential, cost)
+        sequential
     }
 
     /// Charges a page read of `id`.
-    pub(crate) fn charge_read(&mut self, id: PageId, model: DiskModel) -> (bool, f64) {
-        let (sequential, cost) = self.seek(id, model);
+    pub(crate) fn charge_read(&mut self, id: PageId, model: DiskModel) {
         self.stats.page_reads += 1;
-        if sequential {
+        if self.seek(id, model) {
             self.stats.sequential_reads += 1;
         } else {
             self.stats.random_reads += 1;
         }
-        (sequential, cost)
     }
 
     /// Charges a page write of `id`.

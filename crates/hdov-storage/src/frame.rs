@@ -6,27 +6,27 @@
 //! the same `Arc` while the pool retains (or evicts) its own.
 //!
 //! A frame's bytes come in two forms: **owned** (a [`Page`] copied out of
-//! the store at admission — the mem backend and any faulted read) or
-//! **borrowed** (a slice of an [`MappedStore`] mapping — the mmap backend's
-//! miss path, which skips even that one copy; the frame keeps the mapping
-//! alive via `Arc`, see the safety argument in [`crate::mmap`]).
+//! the store at admission — the mem and pread backends and any faulted
+//! read) or **borrowed** (a slice of an [`MappedStore`] mapping — the mmap
+//! backend's miss path, which skips even that one copy; the frame keeps the
+//! mapping alive via `Arc`, see the safety argument in [`crate::mmap`]).
 //!
 //! Each frame also carries a **decoded overlay**: a `OnceLock` slot that
 //! memoizes the result of decoding the page into a typed object (an
-//! `HdovNode`, a vector of V-pages, …). The overlay is populated at most
-//! once per pool residency — concurrent sessions racing on a cold frame run
-//! the decoder once and everyone shares the same `Arc<T>` — and it is
-//! dropped exactly when the frame itself is evicted, because the pool's
-//! `Arc` is the only long-lived owner. Overlay state is deliberately
-//! *outside* the simulated-disk cost model: whether a decode memoizes or
-//! reruns changes no page-read charging, so every simulated-cost figure
-//! stays bit-identical with overlays on or off (the `overlay_residency`
-//! integration test pins this down).
+//! `HdovNode`, a vector of V-pages, …). Every frame memoizes; there is no
+//! policy to turn it off. The overlay is populated at most once per pool
+//! residency — concurrent sessions racing on a cold frame run the decoder
+//! once and everyone shares the same `Arc<T>` — and it is dropped exactly
+//! when the frame itself is evicted, because the pool's `Arc` is the only
+//! long-lived owner. Overlay state is *outside* the simulated-disk cost
+//! model: the pool has counted and charged the read before any decode
+//! runs, and a decode never reads a page (the `overlay_residency`
+//! integration test checks every pooled overlay against a fresh decode of
+//! its frame's bytes).
 
 use crate::mmap::MappedStore;
 use crate::{Page, PageId, Result, StorageError, PAGE_SIZE};
 use std::any::Any;
-use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 /// The memoized outcome of one decode. Errors are cached as their display
@@ -55,24 +55,15 @@ enum FrameBytes {
 pub struct Frame {
     id: PageId,
     bytes: FrameBytes,
-    cache_overlay: bool,
     overlay: OverlaySlot,
 }
 
 impl Frame {
-    /// A frame that memoizes its decoded overlay (the normal mode).
+    /// A frame owning a page copied out of the store.
     pub fn new(id: PageId, page: Page) -> Self {
-        Frame::with_overlay_policy(id, page, true)
-    }
-
-    /// A frame with an explicit overlay policy. With `cache_overlay` off,
-    /// [`overlay`](Self::overlay) reruns the decoder on every call — the A/B
-    /// arm used to prove overlays change no answers and no simulated costs.
-    pub fn with_overlay_policy(id: PageId, page: Page, cache_overlay: bool) -> Self {
         Frame {
             id,
             bytes: FrameBytes::Owned(page),
-            cache_overlay,
             overlay: OnceLock::new(),
         }
     }
@@ -80,12 +71,11 @@ impl Frame {
     /// A frame whose bytes are borrowed straight from an mmap'd store —
     /// no page copy at all. The caller must have bounds-checked `id`
     /// against the store.
-    pub fn borrowed(id: PageId, store: Arc<MappedStore>, cache_overlay: bool) -> Self {
+    pub fn borrowed(id: PageId, store: Arc<MappedStore>) -> Self {
         let offset = MappedStore::page_offset(id);
         Frame {
             id,
             bytes: FrameBytes::Mapped { store, offset },
-            cache_overlay,
             overlay: OnceLock::new(),
         }
     }
@@ -93,12 +83,6 @@ impl Frame {
     /// The page id this frame holds.
     pub fn id(&self) -> PageId {
         self.id
-    }
-
-    /// Whether this frame borrows mmap'd bytes (as opposed to owning a
-    /// copied page).
-    pub fn is_borrowed(&self) -> bool {
-        matches!(self.bytes, FrameBytes::Mapped { .. })
     }
 
     /// Raw page bytes.
@@ -111,11 +95,6 @@ impl Frame {
                 &store.mapped_bytes()[*offset..*offset + PAGE_SIZE]
             }
         }
-    }
-
-    /// Whether this frame memoizes decoded overlays.
-    pub fn caches_overlay(&self) -> bool {
-        self.cache_overlay
     }
 
     /// Whether the overlay slot is populated (for residency tests).
@@ -142,7 +121,7 @@ impl Frame {
         T: Any + Send + Sync,
         F: FnOnce(&[u8]) -> Result<T>,
     {
-        let any = self.decoded(decode)?.into_owned();
+        let any = Arc::clone(self.decoded(decode)?);
         any.downcast::<T>().map_err(|_| self.type_mismatch())
     }
 
@@ -163,19 +142,13 @@ impl Frame {
     }
 
     /// The one decode path behind [`overlay`](Self::overlay) and
-    /// [`with_overlay`](Self::with_overlay): the memoized slot (borrowed),
-    /// or — with overlay caching off — a fresh decode (owned), with the
-    /// decode counters recorded either way.
-    fn decoded<T, F>(&self, decode: F) -> Result<Cow<'_, DynOverlay>>
+    /// [`with_overlay`](Self::with_overlay): the memoized slot, decoding on
+    /// first use, with the decode counters recorded.
+    fn decoded<T, F>(&self, decode: F) -> Result<&DynOverlay>
     where
         T: Any + Send + Sync,
         F: FnOnce(&[u8]) -> Result<T>,
     {
-        if !self.cache_overlay {
-            hdov_obs::add(hdov_obs::Counter::DecodeMisses, 1);
-            let fresh: DynOverlay = Arc::new(decode(self.bytes())?);
-            return Ok(Cow::Owned(fresh));
-        }
         let mut ran = false;
         let slot = self.overlay.get_or_init(|| {
             ran = true;
@@ -190,7 +163,7 @@ impl Frame {
             hdov_obs::add(hdov_obs::Counter::DecodeHits, 1);
         }
         match slot {
-            Ok(any) => Ok(Cow::Borrowed(any)),
+            Ok(any) => Ok(any),
             Err(msg) => Err(StorageError::Corrupt(msg.clone())),
         }
     }
@@ -215,7 +188,6 @@ mod tests {
     fn overlay_decodes_once_and_shares() {
         let f = frame(3);
         assert!(!f.has_overlay());
-        assert!(!f.is_borrowed());
         let mut decodes = 0;
         let a: Arc<u32> = f
             .overlay(|p| {
@@ -255,31 +227,6 @@ mod tests {
         assert_eq!(decodes, 1);
         let err = f.with_overlay(|_| Ok(1u8), |v: &u8| *v).unwrap_err();
         assert!(err.to_string().contains("two different types"));
-
-        // With caching off every call decodes afresh and keeps nothing.
-        let g = Frame::with_overlay_policy(PageId(1), Page::from_bytes(&[9]), false);
-        for _ in 0..2 {
-            let v = g.with_overlay(|p| Ok(p[0]), |v: &u8| *v).unwrap();
-            assert_eq!(v, 9);
-        }
-        assert!(!g.has_overlay());
-    }
-
-    #[test]
-    fn overlay_policy_off_reruns_decoder() {
-        let f = Frame::with_overlay_policy(PageId(0), Page::from_bytes(&[5]), false);
-        let mut decodes = 0;
-        for _ in 0..3 {
-            let v: Arc<u8> = f
-                .overlay(|p| {
-                    decodes += 1;
-                    Ok(p[0])
-                })
-                .unwrap();
-            assert_eq!(*v, 5);
-        }
-        assert_eq!(decodes, 3);
-        assert!(!f.has_overlay(), "uncached mode must not populate the slot");
     }
 
     #[test]
@@ -340,8 +287,7 @@ mod tests {
             .collect();
         write_store(&path, &pages, 0).unwrap();
         let store = Arc::new(MappedStore::open(&path).unwrap());
-        let f = Frame::borrowed(PageId(2), Arc::clone(&store), true);
-        assert!(f.is_borrowed());
+        let f = Frame::borrowed(PageId(2), Arc::clone(&store));
         assert_eq!(&f.bytes()[..8], &2u64.to_le_bytes());
         let v: Arc<u64> = f
             .overlay(|b| Ok(u64::from_le_bytes(b[..8].try_into().unwrap())))

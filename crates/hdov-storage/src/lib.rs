@@ -12,9 +12,12 @@
 //!   meters a build through one cursor,
 //! * [`FrozenPages`] snapshots (in memory, mmap'd or pread-backed files) and
 //!   the [`SharedCachedFile`] buffer pool: the one page-read path, where
-//!   every miss is checksum-verified, retried and failed over, and
-//! * an [`LruCache`] used for the pool's shards, keyed through the one
-//!   [`IdHasher`] every store-id map shares.
+//!   every page request takes one per-page probe, every miss is
+//!   checksum-verified, retried and failed over, and the pool counts only
+//!   `(hits, misses)` — the session's cursor is the one ledger of charges,
+//!   and
+//! * an [`LruCache`] (no counters of its own) used for the pool's shards,
+//!   keyed through the one [`IdHasher`] every store-id map shares.
 //!
 //! All experiment "search time" numbers in the benchmark harness come from
 //! the simulated clock, which makes the reproduction deterministic and
@@ -64,6 +67,6 @@ pub use pread::PreadStore;
 pub use replica::{ReplicaHealth, ReplicaSet};
 pub use retry::RetryPolicy;
 pub use scrub::{verify_pool, ManualScrubClock, ScrubClock, ScrubConfig, ScrubReport, Scrubber};
-pub use shared::{AtomicIoStats, FrozenPages, SharedCachedFile};
+pub use shared::{FrozenPages, SharedCachedFile};
 pub use stats::IoStats;
 pub use wal::{RecoveredTxn, Wal};

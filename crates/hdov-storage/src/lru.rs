@@ -13,30 +13,27 @@ struct Node<K, V> {
     next: usize,
 }
 
-/// A fixed-capacity least-recently-used cache with O(1) get/insert/evict.
+/// A fixed-capacity least-recently-used cache with O(1) lookup/insert/evict.
 ///
 /// Capacity is counted in entries; the storage layer sizes it so that
-/// `entries × PAGE_SIZE` matches the intended buffer-pool bytes.
+/// `entries × PAGE_SIZE` matches the intended buffer-pool bytes. The cache
+/// keeps no counters: the pool that owns it counts hits and misses.
 ///
 /// ```
 /// use hdov_storage::LruCache;
 /// let mut pool = LruCache::new(2);
 /// pool.insert("a", 1);
 /// pool.insert("b", 2);
-/// assert_eq!(pool.get(&"a"), Some(&1));     // promotes "a"
+/// assert_eq!(pool.lookup(&"a", true), Some(&1)); // promotes "a"
 /// assert_eq!(pool.insert("c", 3), Some(("b", 2))); // evicts the LRU entry
-/// assert_eq!(pool.hit_stats(), (1, 0));
 /// ```
 #[derive(Debug)]
 pub struct LruCache<K, V> {
     map: IdHashMap<K, usize>,
     slab: Vec<Node<K, V>>,
-    free: Vec<usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
     capacity: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
@@ -47,12 +44,9 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         LruCache {
             map: IdHashMap::with_capacity_and_hasher(capacity, Default::default()),
             slab: Vec::with_capacity(capacity),
-            free: Vec::new(),
             head: NIL,
             tail: NIL,
             capacity,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -69,11 +63,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// `(hits, misses)` counters over all `get` calls.
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     fn detach(&mut self, idx: usize) {
@@ -102,60 +91,21 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// Looks up `key`, marking it most-recently-used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
-        self.counted(key, true)
-    }
-
-    /// Looks up `key` without touching recency or hit counters.
+    /// Looks up `key` without touching recency.
     pub fn peek(&self, key: &K) -> Option<&V> {
         self.map.get(key).map(|&idx| &self.slab[idx].value)
     }
 
-    /// Looks up `key`, counting a hit or miss but **not** promoting: the
-    /// eviction order is left untouched. Speculative probes (prefetch) use
-    /// this so pages they only *might* need don't displace genuinely hot
-    /// recency state, while the hit/miss accounting stays comparable with
-    /// [`get`](Self::get).
-    pub fn probe(&mut self, key: &K) -> Option<&V> {
-        self.counted(key, false)
-    }
-
-    /// Finds `key`'s slot, counting a hit (and promoting when `promote`).
-    fn find(&mut self, key: &K, promote: bool) -> Option<usize> {
+    /// Looks up `key`, marking it most-recently-used on a hit when
+    /// `promote`. Speculative probes (prefetch) pass `false`, so pages they
+    /// only *might* need don't displace genuinely hot recency state.
+    pub fn lookup(&mut self, key: &K, promote: bool) -> Option<&V> {
         let idx = *self.map.get(key)?;
-        self.hits += 1;
         if promote {
             self.detach(idx);
             self.attach_front(idx);
         }
-        Some(idx)
-    }
-
-    /// [`find`](Self::find), counting a miss when `key` is absent.
-    fn counted(&mut self, key: &K, promote: bool) -> Option<&V> {
-        match self.find(key, promote) {
-            Some(idx) => Some(&self.slab[idx].value),
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Looks up `key`, counting a hit (and promoting it when `promote`),
-    /// but counting **no** miss: a caller whose miss can still fail after
-    /// the lookup counts it with [`count_miss`](Self::count_miss) once it
-    /// has succeeded, so the counters only ever record completed accesses.
-    pub fn lookup(&mut self, key: &K, promote: bool) -> Option<&V> {
-        let idx = self.find(key, promote)?;
         Some(&self.slab[idx].value)
-    }
-
-    /// Counts one miss (the completion of a [`lookup`](Self::lookup) that
-    /// found nothing).
-    pub fn count_miss(&mut self) {
-        self.misses += 1;
     }
 
     /// Inserts `key -> value`, evicting the least-recently-used entry when
@@ -171,61 +121,29 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             self.attach_front(idx);
             return None;
         }
-        let mut evicted = None;
         if self.map.len() == self.capacity {
+            // Reuse the victim's slot.
             let victim = self.tail;
             debug_assert_ne!(victim, NIL);
             self.detach(victim);
             let node = &mut self.slab[victim];
             self.map.remove(&node.key);
-            // Reuse the slot.
             let old_key = std::mem::replace(&mut node.key, key.clone());
             let old_val = std::mem::replace(&mut node.value, value);
-            evicted = Some((old_key, old_val));
             self.map.insert(key, victim);
             self.attach_front(victim);
-            return evicted;
+            return Some((old_key, old_val));
         }
-        let idx = if let Some(idx) = self.free.pop() {
-            self.slab[idx] = Node {
-                key: key.clone(),
-                value,
-                prev: NIL,
-                next: NIL,
-            };
-            idx
-        } else {
-            self.slab.push(Node {
-                key: key.clone(),
-                value,
-                prev: NIL,
-                next: NIL,
-            });
-            self.slab.len() - 1
-        };
+        self.slab.push(Node {
+            key: key.clone(),
+            value,
+            prev: NIL,
+            next: NIL,
+        });
+        let idx = self.slab.len() - 1;
         self.map.insert(key, idx);
         self.attach_front(idx);
-        evicted
-    }
-
-    /// Removes `key`, returning its value.
-    pub fn remove(&mut self, key: &K) -> Option<V>
-    where
-        V: Default,
-    {
-        let idx = self.map.remove(key)?;
-        self.detach(idx);
-        self.free.push(idx);
-        Some(std::mem::take(&mut self.slab[idx].value))
-    }
-
-    /// Drops all entries (capacity and counters retained).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slab.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
+        None
     }
 }
 
@@ -234,11 +152,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn basic_insert_get() {
+    fn basic_insert_lookup() {
         let mut c = LruCache::new(2);
         assert!(c.insert("a", 1).is_none());
         assert!(c.insert("b", 2).is_none());
-        assert_eq!(c.get(&"a"), Some(&1));
+        assert_eq!(c.lookup(&"a", true), Some(&1));
         assert_eq!(c.len(), 2);
     }
 
@@ -247,7 +165,7 @@ mod tests {
         let mut c = LruCache::new(2);
         c.insert("a", 1);
         c.insert("b", 2);
-        c.get(&"a"); // a is now MRU
+        c.lookup(&"a", true); // a is now MRU
         let evicted = c.insert("c", 3);
         assert_eq!(evicted, Some(("b", 2)));
         assert!(c.peek(&"b").is_none());
@@ -261,42 +179,17 @@ mod tests {
         c.insert("a", 1);
         c.insert("b", 2);
         assert!(c.insert("a", 10).is_none());
-        assert_eq!(c.get(&"a"), Some(&10));
+        assert_eq!(c.lookup(&"a", true), Some(&10));
         assert_eq!(c.len(), 2);
     }
 
     #[test]
-    fn remove_and_reuse_slot() {
-        let mut c = LruCache::new(2);
-        c.insert("a", 1);
-        c.insert("b", 2);
-        assert_eq!(c.remove(&"a"), Some(1));
-        assert_eq!(c.len(), 1);
-        assert!(c.insert("c", 3).is_none());
-        assert!(c.insert("d", 4).is_some()); // evicts b
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn hit_stats_track() {
-        let mut c = LruCache::new(4);
-        c.insert(1u32, ());
-        c.get(&1);
-        c.get(&2);
-        c.get(&1);
-        assert_eq!(c.hit_stats(), (2, 1));
-    }
-
-    #[test]
-    fn lookup_counts_hits_and_leaves_misses_to_the_caller() {
+    fn lookup_promotes_only_when_asked() {
         let mut c = LruCache::new(2);
         c.insert("a", 1);
         c.insert("b", 2);
         assert_eq!(c.lookup(&"z", true), None);
-        assert_eq!(c.hit_stats(), (0, 0), "a failed lookup counts nothing");
-        c.count_miss();
         assert_eq!(c.lookup(&"a", false), Some(&1));
-        assert_eq!(c.hit_stats(), (1, 1));
         // The non-promoting hit left "a" least recently used.
         assert_eq!(c.insert("c", 3), Some(("a", 1)));
         assert_eq!(c.lookup(&"b", true), Some(&2));
@@ -314,17 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets() {
-        let mut c = LruCache::new(2);
-        c.insert("a", 1);
-        c.clear();
-        assert!(c.is_empty());
-        assert!(c.get(&"a").is_none());
-        c.insert("b", 2);
-        assert_eq!(c.get(&"b"), Some(&2));
-    }
-
-    #[test]
     fn capacity_one_churns_correctly() {
         let mut c = LruCache::new(1);
         for i in 0..100u32 {
@@ -339,8 +221,7 @@ mod tests {
         let mut c = LruCache::new(0);
         assert_eq!(c.insert("a", 1), Some(("a", 1)));
         assert!(c.is_empty());
-        assert_eq!(c.get(&"a"), None);
-        assert_eq!(c.hit_stats(), (0, 1));
+        assert_eq!(c.lookup(&"a", true), None);
     }
 
     #[test]
@@ -369,9 +250,9 @@ mod tests {
                 model.push_front((k, step as u32));
                 c.insert(k, step as u32);
             } else {
-                // get
+                // lookup
                 let expect = model.iter().position(|&(mk, _)| mk == k);
-                let got = c.get(&k).copied();
+                let got = c.lookup(&k, true).copied();
                 match expect {
                     Some(pos) => {
                         let entry = model.remove(pos).unwrap();

@@ -10,15 +10,18 @@
 //!   read it, and it has no write API.
 //! * [`SharedCachedFile`] — a buffer pool over a frozen file, striped into
 //!   independently locked LRU shards keyed by page id, so concurrent readers
-//!   contend only when they touch the same stripe. Every miss is verified
-//!   against the store's checksum table before admission, with transient
-//!   failures retried and replicas failed over to. Global pool counters are
-//!   plain atomics ([`AtomicIoStats`]).
+//!   contend only when they touch the same stripe. Every page request —
+//!   one frame, one LoD's page run, or one prefetch run — goes through one
+//!   per-page probe: lookup, hit count, or fetch then admit. Every miss is
+//!   verified against the store's checksum table before admission, with
+//!   transient failures retried and replicas failed over to.
 //!
 //! Each session carries its own [`IoCursor`], because a disk-head position
-//! cannot be shared state once N sessions interleave. A pool hit costs
-//! nothing; a miss charges `seek + transfer` or `transfer` against the
-//! session's head by the cursor's rule, so a single session over a cold
+//! cannot be shared state once N sessions interleave. The cursor is the
+//! one ledger of simulated I/O: a pool hit costs nothing; a miss charges
+//! `seek + transfer` or `transfer` against the session's head by the
+//! cursor's rule, and the pool itself keeps only `(hits, misses)`
+//! atomics. So a single session over a cold
 //! shared pool sees the same simulated timings as one over a private pool
 //! of the same capacity — and a pool of capacity 0 whose cursor is the
 //! build disk's own charges exactly what that disk would
@@ -29,9 +32,8 @@ use crate::mmap::MappedStore;
 use crate::pread::PreadStore;
 use crate::replica::ReplicaSet;
 use crate::{
-    page_checksum, DiskModel, FaultPlan, Frame, IoCursor, IoStats, LruCache, MemPagedFile, Page,
-    PageId, Result, RetryPolicy, SharedFaultyFile, SimulatedDisk, StorageBackend, StorageError,
-    PAGE_SIZE,
+    page_checksum, DiskModel, FaultPlan, Frame, IoCursor, LruCache, MemPagedFile, Page, PageId,
+    Result, RetryPolicy, SharedFaultyFile, SimulatedDisk, StorageBackend, StorageError, PAGE_SIZE,
 };
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,11 +61,9 @@ type Shard = LruCache<u64, Arc<Frame>>;
 ///   The deterministic CI twin; every simulated-cost figure is defined
 ///   against it.
 /// * **mmap** — a frozen-store file mapped read-only ([`MappedStore`]);
-///   [`bytes`](Self::bytes) serves slices straight out of the mapping, and
-///   pooled frames can borrow them without a copy.
+///   pooled frames borrow its bytes without a copy.
 /// * **pread** — a frozen-store file read with positioned reads
-///   ([`PreadStore`]); no resident bytes, so reads go through
-///   [`read_into`](Self::read_into).
+///   ([`PreadStore`]).
 ///
 /// All three serve byte-identical pages for the same built store (a CI
 /// gate and proptests pin this), so the choice changes wall-clock behavior
@@ -184,25 +184,6 @@ impl FrozenPages {
         Ok(())
     }
 
-    /// Raw bytes of page `id`, for backends with resident bytes (mem and
-    /// mmap).
-    ///
-    /// # Errors
-    /// Out-of-bounds ids carry this store's [`origin`](Self::origin); a
-    /// pread store has no resident bytes and returns an `Unsupported` I/O
-    /// error — use [`read_into`](Self::read_into) instead.
-    pub fn bytes(&self, id: PageId) -> Result<&[u8]> {
-        self.check(id)?;
-        match &self.repr {
-            Repr::Mem { pages } => Ok(&pages[id.0 as usize]),
-            Repr::Mapped { store } => store.page_bytes(id),
-            Repr::Pread { .. } => Err(StorageError::Io(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "pread store has no resident bytes; use read_into",
-            ))),
-        }
-    }
-
     /// Copies page `id` into `out` (all backends).
     pub fn read_into(&self, id: PageId, out: &mut [u8]) -> Result<()> {
         self.check(id)?;
@@ -285,89 +266,10 @@ impl FrozenPages {
     }
 }
 
-/// Atomic I/O counters for the shared pool: safe to bump from any thread,
-/// readable without stopping the world.
-///
-/// Simulated elapsed time is kept in integer nanoseconds so concurrent adds
-/// stay exact (every [`DiskModel`] cost is a whole number of nanoseconds).
-#[derive(Debug, Default)]
-pub struct AtomicIoStats {
-    page_reads: AtomicU64,
-    sequential_reads: AtomicU64,
-    random_reads: AtomicU64,
-    pool_hits: AtomicU64,
-    pool_misses: AtomicU64,
-    elapsed_ns: AtomicU64,
-}
-
-impl AtomicIoStats {
-    /// Folds simulated microseconds into the nanosecond accumulator,
-    /// saturating instead of wrapping: the float→int cast already saturates
-    /// (non-finite or oversized costs clamp to `u64::MAX`), and the CAS loop
-    /// pins the running total at `u64::MAX` so a pathological retry storm
-    /// reads as "forever", never as a small wrapped number.
-    fn add_elapsed_us(&self, cost_us: f64) {
-        let add_ns = (cost_us * 1000.0).round() as u64;
-        let mut cur = self.elapsed_ns.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(add_ns);
-            match self.elapsed_ns.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    fn record_miss(&self, sequential: bool, cost_us: f64) {
-        self.page_reads.fetch_add(1, Ordering::Relaxed);
-        self.pool_misses.fetch_add(1, Ordering::Relaxed);
-        if sequential {
-            self.sequential_reads.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.random_reads.fetch_add(1, Ordering::Relaxed);
-        }
-        self.add_elapsed_us(cost_us);
-    }
-
-    fn record_hit(&self) {
-        self.pool_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds pure simulated time (retry backoff, latency spikes) without
-    /// touching any read counter: penalties are time, not I/O.
-    fn record_penalty(&self, cost_us: f64) {
-        self.add_elapsed_us(cost_us);
-    }
-
-    /// `(hits, misses)` over all shards since construction.
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (
-            self.pool_hits.load(Ordering::Relaxed),
-            self.pool_misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Snapshot as a plain [`IoStats`] (writes are always 0: the store is
-    /// immutable).
-    pub fn snapshot(&self) -> IoStats {
-        let mut s = IoStats::new();
-        s.page_reads = self.page_reads.load(Ordering::Relaxed);
-        s.sequential_reads = self.sequential_reads.load(Ordering::Relaxed);
-        s.random_reads = self.random_reads.load(Ordering::Relaxed);
-        s.elapsed_us = self.elapsed_ns.load(Ordering::Relaxed) as f64 / 1000.0;
-        s
-    }
-}
-
 /// A lock-striped LRU buffer pool over a [`FrozenPages`] snapshot.
 ///
-/// `read_frame`/`read_page` take `&self`: all mutability is interior (the
-/// shard mutexes and the atomic counters), so any number of sessions can
+/// Every read takes `&self`: all mutability is interior (the shard mutexes
+/// and the two atomic counters), so any number of sessions can
 /// share one pool. Pages are assigned to shards by `page_id % shards`,
 /// which spreads sequential runs across stripes and keeps a hot run from
 /// serializing on one lock.
@@ -384,8 +286,11 @@ pub struct SharedCachedFile {
     data: FrozenPages,
     model: DiskModel,
     shards: Vec<Mutex<Shard>>,
-    stats: AtomicIoStats,
-    cache_overlay: bool,
+    /// Probes served from the pool, over every session.
+    hits: AtomicU64,
+    /// Probes that fetched, charged and admitted a page. A failed fetch is
+    /// neither; each session's cursor charged every miss it counted here.
+    misses: AtomicU64,
     /// Sidecar per-page FNV-1a table, stamped from the trusted frozen
     /// snapshot at construction; every miss is verified against it before
     /// frame admission. Verification is charged zero simulated time.
@@ -411,23 +316,8 @@ impl SharedCachedFile {
     /// # Panics
     /// Panics when `shards` is zero.
     pub fn new(data: FrozenPages, model: DiskModel, capacity: usize, shards: usize) -> Self {
-        Self::with_overlay(data, model, capacity, shards, true)
-    }
-
-    /// Like [`new`](Self::new) with an explicit decoded-overlay policy.
-    ///
-    /// With `cache_overlay` off, pooled frames rerun their decoder on every
-    /// overlay request — the A/B arm proving overlays change no answers and
-    /// no simulated costs.
-    pub fn with_overlay(
-        data: FrozenPages,
-        model: DiskModel,
-        capacity: usize,
-        shards: usize,
-        cache_overlay: bool,
-    ) -> Self {
         let replicas = ReplicaSet::new(&data);
-        Self::from_replicas(data, model, capacity, shards, cache_overlay, replicas)
+        Self::from_replicas(data, model, capacity, shards, replicas)
     }
 
     fn from_replicas(
@@ -435,7 +325,6 @@ impl SharedCachedFile {
         model: DiskModel,
         capacity: usize,
         shards: usize,
-        cache_overlay: bool,
         replicas: ReplicaSet,
     ) -> Self {
         assert!(shards > 0, "shard count must be positive");
@@ -446,8 +335,8 @@ impl SharedCachedFile {
             shards: (0..shards)
                 .map(|_| Mutex::new(LruCache::new(per_shard)))
                 .collect(),
-            stats: AtomicIoStats::default(),
-            cache_overlay,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
             checksums: Arc::clone(replicas.checksums()),
             retry: RetryPolicy::default(),
             replicas,
@@ -455,10 +344,9 @@ impl SharedCachedFile {
     }
 
     /// Freezes a fully built disk into a pool of `capacity` pages over
-    /// `shards` locks (decoded overlays on). The returned cursor is the
-    /// disk's own, with its head kept and its stats zeroed, so the first
-    /// read after the build is charged exactly as the disk would have
-    /// charged it.
+    /// `shards` locks. The returned cursor is the disk's own, with its head
+    /// kept and its stats zeroed, so the first read after the build is
+    /// charged exactly as the disk would have charged it.
     pub fn from_disk(
         disk: SimulatedDisk<MemPagedFile>,
         capacity: usize,
@@ -534,25 +422,23 @@ impl SharedCachedFile {
         Self::new(FrozenPages::from_mem(file), model, capacity, shards)
     }
 
-    /// A new pool (same frozen data, same geometry, same overlay policy,
-    /// cold cache, zeroed counters) — the per-session-pool baseline of the
-    /// concurrent bench.
+    /// A new pool (same frozen data, same geometry, cold cache, zeroed
+    /// counters) — the per-session-pool baseline of the concurrent bench.
     pub fn fork(&self) -> Self {
         let per_shard = lock_shard(&self.shards[0]).capacity();
         let shards = self.shards.len();
-        self.resized(per_shard * shards, shards, self.cache_overlay)
+        self.resized(per_shard * shards, shards)
     }
 
     /// A cold pool over the same frozen data and trusted checksum table,
-    /// with a new geometry and overlay policy (retry policy and replica
-    /// count are kept). Like [`fork`](Self::fork), faults and health are
-    /// not inherited: each pool arms its own injectors and keeps its own
-    /// quarantine/repair book over the same stores.
-    pub fn resized(&self, capacity: usize, shards: usize, cache_overlay: bool) -> Self {
+    /// with a new geometry (retry policy and replica count are kept). Like
+    /// [`fork`](Self::fork), faults and health are not inherited: each
+    /// pool arms its own injectors and keeps its own quarantine/repair book
+    /// over the same stores.
+    pub fn resized(&self, capacity: usize, shards: usize) -> Self {
         let replicas = self.replicas.fork();
         let data = self.data.clone();
-        Self::from_replicas(data, self.model, capacity, shards, cache_overlay, replicas)
-            .with_retry(self.retry)
+        Self::from_replicas(data, self.model, capacity, shards, replicas).with_retry(self.retry)
     }
 
     /// This pool's pages relocated onto `backend` as store `name` (header
@@ -567,24 +453,7 @@ impl SharedCachedFile {
         let data = backend.freeze(name, self.data.clone(), flags)?;
         let per_shard = lock_shard(&self.shards[0]).capacity();
         let shards = self.shards.len();
-        let pool = Self::with_overlay(
-            data,
-            self.model,
-            per_shard * shards,
-            shards,
-            self.cache_overlay,
-        );
-        Ok(pool.with_retry(self.retry))
-    }
-
-    /// The underlying frozen snapshot.
-    pub fn data(&self) -> &FrozenPages {
-        &self.data
-    }
-
-    /// The cost model in use.
-    pub fn model(&self) -> DiskModel {
-        self.model
+        Ok(Self::new(data, self.model, per_shard * shards, shards).with_retry(self.retry))
     }
 
     /// Number of pages in the backing store.
@@ -592,44 +461,17 @@ impl SharedCachedFile {
         self.data.page_count()
     }
 
-    /// Total size in bytes of the backing store.
-    pub fn size_bytes(&self) -> u64 {
-        self.data.page_count() * crate::PAGE_SIZE as u64
-    }
-
     /// Number of lock stripes.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    /// Global pool counters.
-    pub fn stats(&self) -> &AtomicIoStats {
-        &self.stats
-    }
-
     /// `(hits, misses)` summed over every access since construction.
     pub fn hit_stats(&self) -> (u64, u64) {
-        self.stats.hit_stats()
-    }
-
-    /// Pool hit rate in `[0, 1]` (0 when the pool is untouched).
-    pub fn hit_rate(&self) -> f64 {
-        let (h, m) = self.hit_stats();
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
-    }
-
-    /// Per-shard `(hits, misses)` from each stripe's own LRU counters —
-    /// their sums must equal [`hit_stats`](Self::hit_stats) (covered by
-    /// tests).
-    pub fn per_shard_hit_stats(&self) -> Vec<(u64, u64)> {
-        self.shards
-            .iter()
-            .map(|s| lock_shard(s).hit_stats())
-            .collect()
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
     }
 
     /// Copies page `id` into `out`: through the armed fault injector when
@@ -641,8 +483,8 @@ impl SharedCachedFile {
     /// repair the corrupt copies in place (see [`ReplicaSet::repair`]).
     ///
     /// Each *failed transient* attempt charges `seek + transfer + backoff`
-    /// as pure simulated time (no read counters) against `cursor` and the
-    /// global stats, as does a latency spike on the winning attempt.
+    /// as pure simulated time (no read counters) against `cursor`, as does a
+    /// latency spike on the winning attempt.
     /// Checksum verification itself costs zero simulated time; a mismatch is
     /// permanent ([`StorageError::Corrupt`]) for the copy that served it and
     /// never retried there. With no faults armed and one replica this is a
@@ -735,7 +577,6 @@ impl SharedCachedFile {
                 Ok(spike_us) => {
                     if spike_us > 0.0 {
                         cursor.charge_penalty(spike_us);
-                        self.stats.record_penalty(spike_us);
                     }
                     if page_checksum(out.bytes()) != self.checksums[id.0 as usize] {
                         hdov_obs::add(hdov_obs::Counter::ChecksumFailures, 1);
@@ -749,7 +590,6 @@ impl SharedCachedFile {
                         + self.model.transfer_us
                         + self.retry.backoff_us(attempt);
                     cursor.charge_penalty(penalty);
-                    self.stats.record_penalty(penalty);
                     hdov_obs::add(hdov_obs::Counter::ReadRetries, 1);
                 }
                 Err(e) => return Err(e),
@@ -764,15 +604,14 @@ impl SharedCachedFile {
     /// memcpy) and costs nothing; a miss copies the page out of the frozen
     /// store exactly once into a fresh frame, charges `cursor` by the
     /// simulated-disk rule, and installs the frame (possibly evicting the
-    /// shard's LRU frame, whose decoded overlay dies with it). The hit/miss
-    /// sequence and all cursor charging are identical to the historical
-    /// copying `read_page`, so simulated-cost figures are unaffected.
-    /// Every probe is reported to `hdov-obs` (cache-probe span plus a
-    /// hit/miss counter, and `bytes_copied_saved` for the memcpy a copying
-    /// read would have done) — observational only, never part of the
-    /// simulated cost model.
+    /// shard's LRU frame, whose decoded overlay dies with it). Every probe
+    /// is reported to `hdov-obs` (cache-probe span plus a hit/miss counter,
+    /// and `bytes_copied_saved` for the memcpy a copying read would have
+    /// done) — observational only, never part of the simulated cost model.
     pub fn read_frame(&self, cursor: &mut IoCursor, id: PageId) -> Result<Arc<Frame>> {
-        let frame = self.read_frame_inner(cursor, id)?;
+        // Bounds-check before any accounting: errors are never charged.
+        self.data.check(id)?;
+        let frame = self.probe(cursor, id, true, |cursor| self.build_frame(cursor, id))?;
         hdov_obs::add(hdov_obs::Counter::BytesCopiedSaved, PAGE_SIZE as u64);
         Ok(frame)
     }
@@ -790,7 +629,7 @@ impl SharedCachedFile {
             if let Some(store) = self.data.mapped() {
                 let bytes = store.page_bytes(id)?;
                 if page_checksum(bytes) == self.checksums[id.0 as usize] {
-                    return Ok(Frame::borrowed(id, Arc::clone(store), self.cache_overlay));
+                    return Ok(Frame::borrowed(id, Arc::clone(store)));
                 }
                 // Corrupt (or stale) mapping: fall through to the copying
                 // path, which counts the failure once and can fail over to
@@ -800,7 +639,7 @@ impl SharedCachedFile {
         }
         let mut page = Page::zeroed();
         self.fetch_into(cursor, id, &mut page)?;
-        Ok(Frame::with_overlay_policy(id, page, self.cache_overlay))
+        Ok(Frame::new(id, page))
     }
 
     /// The stripe that owns page `id`.
@@ -808,53 +647,33 @@ impl SharedCachedFile {
         &self.shards[(id.0 % self.shards.len() as u64) as usize]
     }
 
-    /// Counts a pool hit (the shard's own counter was bumped by its lookup).
-    fn count_hit(&self) {
-        self.stats.record_hit();
-        hdov_obs::add(hdov_obs::Counter::PoolHits, 1);
-    }
-
-    /// Charges and installs a verified miss: the cursor charge, the global
-    /// and per-shard miss counters, then the frame. A miss is counted only
-    /// here, once its fetch has succeeded, so a failed fetch leaves every
-    /// counter untouched and the per-shard sums equal
-    /// [`hit_stats`](Self::hit_stats).
-    fn admit(&self, pool: &mut Shard, cursor: &mut IoCursor, frame: Arc<Frame>) {
-        let id = frame.id();
-        let (sequential, cost) = cursor.charge_read(id, self.model);
-        self.stats.record_miss(sequential, cost);
-        pool.count_miss();
-        hdov_obs::add(hdov_obs::Counter::PoolMisses, 1);
-        pool.insert(id.0, frame);
-    }
-
-    fn read_frame_inner(&self, cursor: &mut IoCursor, id: PageId) -> Result<Arc<Frame>> {
+    /// The one per-page probe behind [`read_frame`](Self::read_frame),
+    /// [`read_run`](Self::read_run) and [`warm_run`](Self::warm_run): look
+    /// `id` up (promoting it when `promote`) and count a hit, or build the
+    /// miss's frame with `fetch`, charge it to `cursor`, count the miss and
+    /// admit the frame. A miss is counted only once its fetch has
+    /// succeeded, so a failed fetch is charged and counted nowhere — and
+    /// poison never enters the pool.
+    fn probe(
+        &self,
+        cursor: &mut IoCursor,
+        id: PageId,
+        promote: bool,
+        fetch: impl FnOnce(&mut IoCursor) -> Result<Frame>,
+    ) -> Result<Arc<Frame>> {
         let _probe = hdov_obs::span(hdov_obs::Phase::CacheProbe);
-        // Bounds-check before any accounting: errors are never charged.
-        self.data.check(id)?;
         let mut pool = lock_shard(self.shard(id));
-        if let Some(frame) = pool.lookup(&id.0, true) {
-            let frame = Arc::clone(frame);
-            self.count_hit();
-            return Ok(frame);
+        if let Some(frame) = pool.lookup(&id.0, promote) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            hdov_obs::add(hdov_obs::Counter::PoolHits, 1);
+            return Ok(Arc::clone(frame));
         }
-        // A failed or corrupt fetch returns here before any read is
-        // counted or any frame built: poison never enters the pool.
-        let frame = Arc::new(self.build_frame(cursor, id)?);
-        self.admit(&mut pool, cursor, Arc::clone(&frame));
+        let frame = Arc::new(fetch(cursor)?);
+        cursor.charge_read(id, self.model);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        hdov_obs::add(hdov_obs::Counter::PoolMisses, 1);
+        pool.insert(id.0, Arc::clone(&frame));
         Ok(frame)
-    }
-
-    /// Reads page `id` into `out`, charging any miss against `cursor`.
-    ///
-    /// Compatibility wrapper over [`read_frame`](Self::read_frame) for
-    /// callers that need an owned buffer; it pays one page memcpy per call
-    /// (and therefore doesn't count `bytes_copied_saved`). Accounting is
-    /// identical to `read_frame`.
-    pub fn read_page(&self, cursor: &mut IoCursor, id: PageId, out: &mut Page) -> Result<()> {
-        let frame = self.read_frame_inner(cursor, id)?;
-        out.bytes_mut().copy_from_slice(frame.bytes());
-        Ok(())
     }
 
     /// Reads the contiguous `len`-page run starting at `first` into the
@@ -873,25 +692,16 @@ impl SharedCachedFile {
         Ok(())
     }
 
-    /// Ensures page `id` is pooled without promoting it: the speculative
-    /// prefetch path.
+    /// Warms the contiguous `len`-page run starting at `first` without
+    /// promoting it — the vectored, speculative half of motion prefetch.
     ///
     /// A resident page is left exactly where it sits in the eviction order
     /// (counted as a pool hit, but not promoted — a page prefetch only
     /// *might* use must not displace genuinely hot recency state); a miss
     /// is charged and installed exactly like [`read_frame`](Self::read_frame).
-    pub fn warm(&self, cursor: &mut IoCursor, id: PageId) -> Result<()> {
-        self.probe_run(cursor, id, 1, false)
-    }
-
-    /// Warms the contiguous `len`-page run starting at `first` — the
-    /// vectored half of motion prefetch.
-    ///
-    /// Per-page *simulated* accounting is exactly a loop of
-    /// [`warm`](Self::warm) calls in ascending order (hit/miss sequence,
-    /// cursor charging, pool counters — all identical, so simulated-cost
-    /// figures cannot depend on the backend). What changes is the
-    /// *physical* I/O: when any page of the run is missing, the file
+    /// Per-page *simulated* accounting (hit/miss sequence, cursor charging,
+    /// pool counters) is therefore independent of the backend. What changes
+    /// is the *physical* I/O: when any page of the run is missing, the file
     /// backends issue **one** operation for it — a single
     /// `madvise(WILLNEED)` readahead of the run on the mmap path, a single
     /// `pread` from the first missing page to the end of the run on the
@@ -919,10 +729,8 @@ impl SharedCachedFile {
         self.probe_run(cursor, first, len, false)
     }
 
-    /// Probes the `len`-page run at `first` in ascending order, each page
-    /// exactly as [`read_frame`](Self::read_frame) (`promote`) or
-    /// [`warm`](Self::warm) (not `promote`) would: a hit is counted, a miss
-    /// is fetched, charged and installed before the next page is probed.
+    /// [`probe`](Self::probe)s the `len`-page run at `first` in ascending
+    /// order.
     ///
     /// On a pread store with no faults armed, the first miss that is not
     /// the run's last page reads every page from it to the end of the run
@@ -953,52 +761,40 @@ impl SharedCachedFile {
         let mut run = Vec::new();
         let mut run_first = end;
         for id in (first.0..end).map(PageId) {
-            let _probe = hdov_obs::span(hdov_obs::Phase::CacheProbe);
-            let mut pool = lock_shard(self.shard(id));
-            if pool.lookup(&id.0, promote).is_some() {
-                self.count_hit();
-                continue;
-            }
-            // The first miss short of the run's last page reads the rest.
-            if let Some(s) = store.filter(|_| run.is_empty() && id.0 + 1 < end) {
-                run_first = id.0;
-                run.resize((end - id.0) as usize * PAGE_SIZE, 0);
-                if s.read_run(id, end - id.0, &mut run).is_err() {
-                    // Leave every remaining miss to the per-page fetch.
-                    store = None;
+            self.probe(cursor, id, promote, |cursor| {
+                // The first miss short of the run's last page reads the rest.
+                if let Some(s) = store.filter(|_| run.is_empty() && id.0 + 1 < end) {
+                    run_first = id.0;
+                    run.resize((end - id.0) as usize * PAGE_SIZE, 0);
+                    if s.read_run(id, end - id.0, &mut run).is_err() {
+                        // Leave every remaining miss to the per-page fetch.
+                        store = None;
+                    }
                 }
-            }
-            let staged = match store {
-                Some(_) if id.0 >= run_first => {
+                if store.is_some() && id.0 >= run_first {
                     let at = (id.0 - run_first) as usize * PAGE_SIZE;
-                    Some(&run[at..at + PAGE_SIZE])
+                    let bytes = &run[at..at + PAGE_SIZE];
+                    if page_checksum(bytes) == self.checksums[id.0 as usize] {
+                        self.replicas.note_clean(0, id.0);
+                        return Ok(Frame::new(id, Page::from_bytes(bytes)));
+                    }
                 }
-                _ => None,
-            };
-            let frame = match staged {
-                Some(bytes) if page_checksum(bytes) == self.checksums[id.0 as usize] => {
-                    self.replicas.note_clean(0, id.0);
-                    Frame::with_overlay_policy(id, Page::from_bytes(bytes), self.cache_overlay)
-                }
-                _ => self.build_frame(cursor, id)?,
-            };
-            self.admit(&mut pool, cursor, Arc::new(frame));
+                self.build_frame(cursor, id)
+            })?;
         }
         Ok(())
     }
 
     /// True if page `id` is currently pooled (no promotion, no counters).
     pub fn contains(&self, id: PageId) -> bool {
-        lock_shard(&self.shards[(id.0 % self.shards.len() as u64) as usize])
-            .peek(&id.0)
-            .is_some()
+        lock_shard(self.shard(id)).peek(&id.0).is_some()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PagedFile, PAGE_SIZE};
+    use crate::{IoStats, PagedFile};
 
     fn frozen(n: u64) -> FrozenPages {
         let mut f = MemPagedFile::new();
@@ -1011,27 +807,34 @@ mod tests {
         FrozenPages::from_mem(f)
     }
 
+    /// Reads page `id` through `pool` and returns the number in its first
+    /// 8 bytes.
+    fn read(pool: &SharedCachedFile, cur: &mut IoCursor, id: PageId) -> Result<u64> {
+        let frame = pool.read_frame(cur, id)?;
+        Ok(u64::from_le_bytes(frame.bytes()[..8].try_into().unwrap()))
+    }
+
     #[test]
     fn frozen_pages_expose_contents() {
         let fp = frozen(3);
         assert_eq!(fp.page_count(), 3);
-        assert_eq!(&fp.bytes(PageId(2)).unwrap()[..8], &2u64.to_le_bytes());
-        assert!(fp.bytes(PageId(3)).is_err());
+        let mut out = [0u8; PAGE_SIZE];
+        fp.read_into(PageId(2), &mut out).unwrap();
+        assert_eq!(&out[..8], &2u64.to_le_bytes());
+        assert!(fp.read_into(PageId(3), &mut out).is_err());
     }
 
     #[test]
     fn hit_costs_nothing_miss_charges_cursor() {
         let pool = SharedCachedFile::new(frozen(4), DiskModel::PAPER_ERA, 8, 2);
         let mut cur = IoCursor::new();
-        let mut out = Page::zeroed();
-        pool.read_page(&mut cur, PageId(1), &mut out).unwrap();
-        assert_eq!(&out.bytes()[..8], &1u64.to_le_bytes());
+        assert_eq!(read(&pool, &mut cur, PageId(1)).unwrap(), 1);
         let after_miss = cur.stats();
         assert_eq!(after_miss.page_reads, 1);
         assert_eq!(after_miss.random_reads, 1);
         assert_eq!(after_miss.elapsed_us, 8000.0 + 100.0);
 
-        pool.read_page(&mut cur, PageId(1), &mut out).unwrap();
+        read(&pool, &mut cur, PageId(1)).unwrap();
         assert_eq!(cur.stats(), after_miss, "hit must not charge");
         assert_eq!(pool.hit_stats(), (1, 1));
     }
@@ -1040,29 +843,23 @@ mod tests {
     fn sequential_rule_matches_simulated_disk() {
         let pool = SharedCachedFile::new(frozen(5), DiskModel::PAPER_ERA, 2, 1);
         let mut cur = IoCursor::new();
-        let mut out = Page::zeroed();
         // Tiny pool (2 pages) so every access below misses.
         for i in 0..5 {
-            pool.read_page(&mut cur, PageId(i), &mut out).unwrap();
+            read(&pool, &mut cur, PageId(i)).unwrap();
         }
         let s = cur.stats();
         assert_eq!(s.page_reads, 5);
         assert_eq!(s.random_reads, 1);
         assert_eq!(s.sequential_reads, 4);
         assert_eq!(s.elapsed_us, 8100.0 + 4.0 * 100.0);
-        // Global atomic totals agree (in integer-nanosecond precision).
-        let g = pool.stats().snapshot();
-        assert_eq!(g.page_reads, 5);
-        assert_eq!(g.sequential_reads, 4);
-        assert!((g.elapsed_us - s.elapsed_us).abs() < 1e-6);
+        assert_eq!(pool.hit_stats(), (0, 5), "one pool miss per charged read");
     }
 
     #[test]
     fn errors_not_charged() {
         let pool = SharedCachedFile::new(frozen(1), DiskModel::PAPER_ERA, 2, 1);
         let mut cur = IoCursor::new();
-        let mut out = Page::zeroed();
-        assert!(pool.read_page(&mut cur, PageId(9), &mut out).is_err());
+        assert!(read(&pool, &mut cur, PageId(9)).is_err());
         assert_eq!(cur.stats().page_reads, 0);
         assert_eq!(pool.hit_stats(), (0, 0));
     }
@@ -1071,15 +868,13 @@ mod tests {
     fn fork_shares_data_not_pool_state() {
         let pool = SharedCachedFile::new(frozen(2), DiskModel::FREE, 4, 2);
         let mut cur = IoCursor::new();
-        let mut out = Page::zeroed();
-        pool.read_page(&mut cur, PageId(0), &mut out).unwrap();
+        read(&pool, &mut cur, PageId(0)).unwrap();
         let fork = pool.fork();
         assert_eq!(fork.hit_stats(), (0, 0));
         assert!(!fork.contains(PageId(0)));
-        fork.read_page(&mut cur, PageId(0), &mut out).unwrap();
-        assert_eq!(&out.bytes()[..8], &0u64.to_le_bytes());
+        assert_eq!(read(&fork, &mut cur, PageId(0)).unwrap(), 0);
         assert_eq!(fork.shard_count(), 2);
-        assert_eq!(fork.size_bytes(), 2 * PAGE_SIZE as u64);
+        assert_eq!(fork.page_count(), 2);
     }
 
     #[test]
@@ -1104,25 +899,19 @@ mod tests {
         let mut cur = IoCursor::new();
         pool.read_frame(&mut cur, PageId(0)).unwrap();
         pool.read_frame(&mut cur, PageId(1)).unwrap();
-        // A promoting read of 0 would make 1 the victim; warm must not.
-        pool.warm(&mut cur, PageId(0)).unwrap();
+        // A promoting read of 0 would make 1 the victim; a warm must not.
+        pool.warm_run(&mut cur, PageId(0), 1).unwrap();
         assert_eq!(pool.hit_stats(), (1, 2));
         pool.read_frame(&mut cur, PageId(2)).unwrap(); // evicts the true LRU
         assert!(!pool.contains(PageId(0)), "warm hit must not promote");
         assert!(pool.contains(PageId(1)));
-        // Per-shard LRU counters still reconcile with the atomic totals.
-        let per_shard = pool.per_shard_hit_stats();
-        let sums = per_shard
-            .iter()
-            .fold((0, 0), |(h, m), &(sh, sm)| (h + sh, m + sm));
-        assert_eq!(sums, pool.hit_stats());
     }
 
     #[test]
     fn warm_miss_charges_like_a_read() {
         let pool = SharedCachedFile::new(frozen(4), DiskModel::PAPER_ERA, 8, 2);
         let mut cur = IoCursor::new();
-        pool.warm(&mut cur, PageId(2)).unwrap();
+        pool.warm_run(&mut cur, PageId(2), 1).unwrap();
         assert_eq!(cur.stats().page_reads, 1);
         assert_eq!(cur.stats().elapsed_us, 8000.0 + 100.0);
         assert!(pool.contains(PageId(2)));
@@ -1153,53 +942,26 @@ mod tests {
     }
 
     #[test]
-    fn overlay_policy_off_propagates_to_frames() {
-        let pool = SharedCachedFile::with_overlay(frozen(2), DiskModel::FREE, 4, 2, false);
-        let mut cur = IoCursor::new();
-        let frame = pool.read_frame(&mut cur, PageId(0)).unwrap();
-        assert!(!frame.caches_overlay());
-        let _: Arc<u64> = frame.overlay(|_| Ok(1)).unwrap();
-        assert!(!frame.has_overlay());
-        // fork preserves the policy.
-        let fork = pool.fork();
-        let frame = fork.read_frame(&mut cur, PageId(0)).unwrap();
-        assert!(!frame.caches_overlay());
-    }
-
-    #[test]
     fn corrupt_page_is_rejected_and_never_pooled() {
         let pool = SharedCachedFile::new(frozen(3), DiskModel::PAPER_ERA, 8, 2);
         let injector = pool.arm_faults(&FaultPlan::corrupt_one(1));
         let mut cur = IoCursor::new();
-        let mut out = Page::zeroed();
         // Clean pages still read fine through the injector.
-        pool.read_page(&mut cur, PageId(0), &mut out).unwrap();
-        assert_eq!(&out.bytes()[..8], &0u64.to_le_bytes());
+        assert_eq!(read(&pool, &mut cur, PageId(0)).unwrap(), 0);
         // The corrupt page fails the admission checksum, permanently.
-        let err = pool.read_page(&mut cur, PageId(1), &mut out).unwrap_err();
+        let err = read(&pool, &mut cur, PageId(1)).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
         assert!(!pool.contains(PageId(1)), "poison must not enter the pool");
         assert_eq!(injector.injected(), 1);
         // The failed fetch is charged nowhere: no miss on any counter.
         assert_eq!(pool.hit_stats(), (0, 1));
-        assert_eq!(shard_sums(&pool), pool.hit_stats());
         // A corrupt page inside a faulted run takes the same per-page path.
         assert!(pool.warm_run(&mut cur, PageId(0), 3).is_err());
         assert_eq!(pool.hit_stats(), (1, 1));
-        assert_eq!(shard_sums(&pool), pool.hit_stats());
         // No negative caching either: disarm and the page reads clean.
         injector.disarm();
-        pool.read_page(&mut cur, PageId(1), &mut out).unwrap();
-        assert_eq!(&out.bytes()[..8], &1u64.to_le_bytes());
+        assert_eq!(read(&pool, &mut cur, PageId(1)).unwrap(), 1);
         assert!(pool.contains(PageId(1)));
-        assert_eq!(shard_sums(&pool), pool.hit_stats());
-    }
-
-    /// Per-shard LRU `(hits, misses)` summed over the stripes.
-    fn shard_sums(pool: &SharedCachedFile) -> (u64, u64) {
-        pool.per_shard_hit_stats()
-            .iter()
-            .fold((0, 0), |(h, m), &(sh, sm)| (h + sh, m + sm))
     }
 
     /// Writes `n` numbered pages as frozen-store file `name` under a fresh
@@ -1242,11 +1004,9 @@ mod tests {
         assert!(pool.contains(PageId(1)) && !pool.contains(PageId(2)));
         assert!(!pool.contains(PageId(3)), "the run stops at the error");
         assert_eq!(pool.hit_stats(), (0, 2));
-        assert_eq!(shard_sums(&pool), pool.hit_stats());
         assert_eq!(cur.stats().page_reads, 2);
         assert!(pool.warm_run(&mut cur, PageId(0), 4).is_err());
         assert_eq!(pool.hit_stats(), (2, 2));
-        assert_eq!(shard_sums(&pool), pool.hit_stats());
 
         // Replicated: the corrupt page fails over inside the run, every page
         // is charged once, and the counters still reconcile.
@@ -1260,7 +1020,6 @@ mod tests {
         let mut cur = IoCursor::new();
         pool.warm_run(&mut cur, PageId(0), 4).unwrap();
         assert_eq!(pool.hit_stats(), (0, 4));
-        assert_eq!(shard_sums(&pool), pool.hit_stats());
         assert_eq!(cur.stats().page_reads, 4);
         assert_eq!(cur.stats().elapsed_us, 8100.0 + 3.0 * 100.0);
         let h = pool.replica_set().status();
@@ -1269,7 +1028,6 @@ mod tests {
             let frame = pool.read_frame(&mut cur, PageId(i)).unwrap();
             assert_eq!(&frame.bytes()[..8], &i.to_le_bytes());
         }
-        assert_eq!(shard_sums(&pool), pool.hit_stats());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1290,7 +1048,6 @@ mod tests {
             }
             assert_eq!(c1.stats(), c2.stats());
             assert_eq!(run.hit_stats(), per_page.hit_stats());
-            assert_eq!(run.per_shard_hit_stats(), per_page.per_shard_hit_stats());
             for i in 0..8 {
                 assert_eq!(run.contains(PageId(i)), per_page.contains(PageId(i)));
             }
@@ -1316,20 +1073,17 @@ mod tests {
             ..Default::default()
         });
         let mut cur = IoCursor::new();
-        let mut out = Page::zeroed();
-        pool.read_page(&mut cur, PageId(0), &mut out).unwrap(); // read #1
+        read(&pool, &mut cur, PageId(0)).unwrap(); // read #1
         let base = cur.stats();
         assert_eq!(base.elapsed_us, 8100.0);
-        pool.read_page(&mut cur, PageId(1), &mut out).unwrap(); // #2 fails, #3 ok
-        assert_eq!(&out.bytes()[..8], &1u64.to_le_bytes());
+        // Read #2 fails, the retry (#3) succeeds.
+        assert_eq!(read(&pool, &mut cur, PageId(1)).unwrap(), 1);
         let s = cur.stats();
         assert_eq!(s.page_reads, 2, "the failed attempt is not a read");
         assert_eq!(s.sequential_reads, 1);
         // Penalty: one full access (8000 + 100) + first backoff (100),
         // then the successful sequential read (100).
         assert_eq!(s.elapsed_us, base.elapsed_us + 8200.0 + 100.0);
-        // The global pool stats carry the same penalty.
-        assert!((pool.stats().snapshot().elapsed_us - s.elapsed_us).abs() < 1e-6);
     }
 
     #[test]
@@ -1342,8 +1096,7 @@ mod tests {
             });
         let injector = pool.arm_faults(&FaultPlan::fail_one(0));
         let mut cur = IoCursor::new();
-        let mut out = Page::zeroed();
-        let err = pool.read_page(&mut cur, PageId(0), &mut out).unwrap_err();
+        let err = read(&pool, &mut cur, PageId(0)).unwrap_err();
         assert!(err.is_transient(), "injected faults are I/O errors");
         assert_eq!(injector.reads(), 3, "three attempts were made");
         assert_eq!(cur.stats().page_reads, 0, "failed reads are never counted");
@@ -1358,8 +1111,7 @@ mod tests {
             .with_retry(RetryPolicy::NONE);
         let injector = pool.arm_faults(&FaultPlan::fail_one(0));
         let mut cur = IoCursor::new();
-        let mut out = Page::zeroed();
-        assert!(pool.read_page(&mut cur, PageId(0), &mut out).is_err());
+        assert!(read(&pool, &mut cur, PageId(0)).is_err());
         assert_eq!(injector.reads(), 1);
         assert_eq!(cur.stats().elapsed_us, 0.0, "no retry, no penalty");
     }
@@ -1374,13 +1126,12 @@ mod tests {
             ..Default::default()
         });
         let mut cur = IoCursor::new();
-        let mut out = Page::zeroed();
-        pool.read_page(&mut cur, PageId(0), &mut out).unwrap();
+        read(&pool, &mut cur, PageId(0)).unwrap();
         let s = cur.stats();
         assert_eq!(s.page_reads, 1);
         assert_eq!(s.elapsed_us, 8100.0 + 500.0);
         // Hits bypass the injector entirely: no further spikes.
-        pool.read_page(&mut cur, PageId(0), &mut out).unwrap();
+        read(&pool, &mut cur, PageId(0)).unwrap();
         assert_eq!(cur.stats().elapsed_us, s.elapsed_us);
     }
 
@@ -1388,18 +1139,16 @@ mod tests {
     fn hits_never_consult_the_injector() {
         let pool = SharedCachedFile::new(frozen(1), DiskModel::FREE, 2, 1);
         let mut cur = IoCursor::new();
-        let mut out = Page::zeroed();
-        pool.read_page(&mut cur, PageId(0), &mut out).unwrap();
+        read(&pool, &mut cur, PageId(0)).unwrap();
         // Arm a plan that fails *every* read — pooled pages must keep serving.
         let injector = pool.arm_faults(&FaultPlan {
             fail_every_nth_read: 1,
             ..Default::default()
         });
         for _ in 0..4 {
-            pool.read_page(&mut cur, PageId(0), &mut out).unwrap();
+            assert_eq!(read(&pool, &mut cur, PageId(0)).unwrap(), 0);
         }
         assert_eq!(injector.reads(), 0, "hits bypass the fault source");
-        assert_eq!(&out.bytes()[..8], &0u64.to_le_bytes());
     }
 
     #[test]
@@ -1420,8 +1169,7 @@ mod tests {
         assert_eq!(fork.retry(), RetryPolicy::NONE);
         assert!(fork.faults().is_none(), "forks arm independently");
         let mut cur = IoCursor::new();
-        let mut out = Page::zeroed();
-        fork.read_page(&mut cur, PageId(0), &mut out).unwrap();
+        read(&fork, &mut cur, PageId(0)).unwrap();
     }
 
     #[test]
@@ -1429,10 +1177,8 @@ mod tests {
         let pool = SharedCachedFile::new(frozen(3), DiskModel::PAPER_ERA, 8, 2).with_replicas(2);
         let injector = pool.arm_replica_faults(0, &FaultPlan::corrupt_one(1));
         let mut cur = IoCursor::new();
-        let mut out = Page::zeroed();
         // The primary serves page 1 corrupt; the replica heals the read.
-        pool.read_page(&mut cur, PageId(1), &mut out).unwrap();
-        assert_eq!(&out.bytes()[..8], &1u64.to_le_bytes());
+        assert_eq!(read(&pool, &mut cur, PageId(1)).unwrap(), 1);
         assert_eq!(injector.injected(), 1);
         let h = pool.replica_set().status();
         assert_eq!(h.replicas, 2);
@@ -1444,7 +1190,7 @@ mod tests {
         assert_eq!(cur.stats().elapsed_us, 8000.0 + 100.0);
         assert!(pool.contains(PageId(1)), "recovered bytes are pooled");
         // Hits keep serving without consulting any injector.
-        pool.read_page(&mut cur, PageId(1), &mut out).unwrap();
+        read(&pool, &mut cur, PageId(1)).unwrap();
         assert_eq!(injector.reads(), 1);
     }
 
@@ -1455,10 +1201,8 @@ mod tests {
             .with_retry(RetryPolicy::NONE);
         pool.arm_replica_faults(0, &FaultPlan::dead());
         let mut cur = IoCursor::new();
-        let mut out = Page::zeroed();
         for i in 0..2 {
-            pool.read_page(&mut cur, PageId(i), &mut out).unwrap();
-            assert_eq!(&out.bytes()[..8], &i.to_le_bytes());
+            assert_eq!(read(&pool, &mut cur, PageId(i)).unwrap(), i);
         }
         let h = pool.replica_set().status();
         assert_eq!(h.failover_reads, 2);
@@ -1474,8 +1218,7 @@ mod tests {
         let a = pool.arm_replica_faults(0, &FaultPlan::corrupt_one(0));
         let b = pool.arm_replica_faults(1, &FaultPlan::corrupt_one(0));
         let mut cur = IoCursor::new();
-        let mut out = Page::zeroed();
-        let err = pool.read_page(&mut cur, PageId(0), &mut out).unwrap_err();
+        let err = read(&pool, &mut cur, PageId(0)).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
         assert!(!pool.contains(PageId(0)), "poison must not enter the pool");
         let h = pool.replica_set().status();
@@ -1485,8 +1228,7 @@ mod tests {
         // reads clean again on the first try.
         a.disarm();
         b.disarm();
-        pool.read_page(&mut cur, PageId(0), &mut out).unwrap();
-        assert_eq!(&out.bytes()[..8], &0u64.to_le_bytes());
+        assert_eq!(read(&pool, &mut cur, PageId(0)).unwrap(), 0);
         // The clean primary read clears its own entry; the untouched
         // replica stays quarantined until a scrub revisits it.
         assert_eq!(pool.replica_set().status().quarantined_pages, 1);
@@ -1497,11 +1239,10 @@ mod tests {
         let single = SharedCachedFile::new(frozen(4), DiskModel::PAPER_ERA, 2, 1);
         let triple = SharedCachedFile::new(frozen(4), DiskModel::PAPER_ERA, 2, 1).with_replicas(3);
         let (mut c1, mut c3) = (IoCursor::new(), IoCursor::new());
-        let (mut o1, mut o3) = (Page::zeroed(), Page::zeroed());
         for i in [0u64, 1, 2, 3, 0, 2] {
-            single.read_page(&mut c1, PageId(i), &mut o1).unwrap();
-            triple.read_page(&mut c3, PageId(i), &mut o3).unwrap();
-            assert_eq!(o1.bytes(), o3.bytes());
+            let a = single.read_frame(&mut c1, PageId(i)).unwrap();
+            let b = triple.read_frame(&mut c3, PageId(i)).unwrap();
+            assert_eq!(a.bytes(), b.bytes());
         }
         assert_eq!(c1.stats(), c3.stats(), "replication is free when healthy");
         assert_eq!(single.hit_stats(), triple.hit_stats());
@@ -1513,15 +1254,13 @@ mod tests {
         let pool = SharedCachedFile::new(frozen(2), DiskModel::FREE, 4, 2).with_replicas(2);
         pool.arm_replica_faults(0, &FaultPlan::corrupt_one(0));
         let mut cur = IoCursor::new();
-        let mut out = Page::zeroed();
-        pool.read_page(&mut cur, PageId(0), &mut out).unwrap();
+        read(&pool, &mut cur, PageId(0)).unwrap();
         assert_eq!(pool.replica_set().status().failover_reads, 1);
         let fork = pool.fork();
         let h = fork.replica_set().status();
         assert_eq!(h.replicas, 2, "forks keep the replica topology");
         assert!(h.is_clean(), "health and faults are not inherited");
-        fork.read_page(&mut cur, PageId(0), &mut out).unwrap();
-        assert_eq!(&out.bytes()[..8], &0u64.to_le_bytes());
+        assert_eq!(read(&fork, &mut cur, PageId(0)).unwrap(), 0);
     }
 
     #[test]
@@ -1540,20 +1279,18 @@ mod tests {
         assert_eq!(cur.stats(), IoStats::new(), "build charges stay behind");
         // The next page after the build head is sequential; the unwritten
         // page reads as zeroes and passes admission.
-        let mut out = Page::zeroed();
-        pool.read_page(&mut cur, unwritten, &mut out).unwrap();
-        assert_eq!(out, Page::zeroed());
+        let frame = pool.read_frame(&mut cur, unwritten).unwrap();
+        assert_eq!(frame.bytes(), Page::zeroed().bytes());
         assert!(pool.contains(unwritten));
         assert_eq!(cur.stats().sequential_reads, 1);
         assert_eq!(cur.stats().elapsed_us, 100.0);
         // A far page is random.
-        pool.read_page(&mut cur, PageId(0), &mut out).unwrap();
-        assert_eq!(&out.bytes()[..8], &0u64.to_le_bytes());
+        assert_eq!(read(&pool, &mut cur, PageId(0)).unwrap(), 0);
         assert_eq!(cur.stats().random_reads, 1);
         assert_eq!(cur.stats().elapsed_us, 100.0 + 8100.0);
         // The trusted table came with the handover: corruption is caught.
         pool.arm_faults(&FaultPlan::corrupt_one(1));
-        let err = pool.read_page(&mut cur, PageId(1), &mut out).unwrap_err();
+        let err = read(&pool, &mut cur, PageId(1)).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
         assert!(!pool.contains(PageId(1)), "poison must not enter the pool");
     }
@@ -1562,11 +1299,10 @@ mod tests {
     fn cursor_reset_keeps_head() {
         let pool = SharedCachedFile::new(frozen(3), DiskModel::PAPER_ERA, 1, 1);
         let mut cur = IoCursor::new();
-        let mut out = Page::zeroed();
-        pool.read_page(&mut cur, PageId(0), &mut out).unwrap();
+        read(&pool, &mut cur, PageId(0)).unwrap();
         cur.reset_stats();
         // Pool holds only page 0; page 1 misses but is head-sequential.
-        pool.read_page(&mut cur, PageId(1), &mut out).unwrap();
+        read(&pool, &mut cur, PageId(1)).unwrap();
         assert_eq!(cur.stats().sequential_reads, 1);
         assert_eq!(cur.stats().page_reads, 1);
     }

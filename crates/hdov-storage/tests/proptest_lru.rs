@@ -1,11 +1,10 @@
 //! Property tests for the non-promoting LRU lookups.
 //!
 //! The batched prefetch path probes pages it only *might* need, so the pool
-//! offers two read-only lookups: [`LruCache::peek`] (pure — touches neither
-//! recency nor counters) and [`LruCache::probe`] (counts a hit or miss but
-//! leaves recency untouched). Both must be invisible to the eviction order,
-//! or speculative probes would displace genuinely hot pages and the
-//! deterministic hit/miss traces the CI gate pins down would drift.
+//! has two lookups that leave recency untouched: [`LruCache::peek`] and
+//! [`LruCache::lookup`] with `promote` off. Both must be invisible to the
+//! eviction order, or speculative probes would displace genuinely hot pages
+//! and the deterministic hit/miss traces the CI gate pins down would drift.
 
 use hdov_storage::LruCache;
 use proptest::prelude::*;
@@ -18,7 +17,7 @@ fn apply(c: &mut LruCache<u32, u32>, op: u8, key: u32) -> Option<(u32, u32)> {
     if op == 0 {
         c.insert(key, key.wrapping_mul(31))
     } else {
-        c.get(&key);
+        c.lookup(&key, true);
         None
     }
 }
@@ -34,7 +33,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn peek_never_changes_eviction_order_or_counters(
+    fn peek_never_changes_eviction_order(
         cap in 1usize..9,
         ops in prop::collection::vec((0u8..2, 0u32..KEY_SPACE), 1..100),
     ) {
@@ -42,7 +41,7 @@ proptest! {
         let mut peeked = LruCache::new(cap);
         for &(op, key) in &ops {
             // A peek storm over the whole key space before every op: any
-            // effect on recency or counters would desynchronize the caches.
+            // effect on recency would desynchronize the caches.
             for k in 0..KEY_SPACE {
                 let want = peeked.peek(&k).copied();
                 prop_assert_eq!(want, plain.peek(&k).copied());
@@ -50,8 +49,6 @@ proptest! {
             let a = apply(&mut plain, op, key);
             let b = apply(&mut peeked, op, key);
             prop_assert_eq!(a, b, "peek changed which entry was evicted");
-            prop_assert_eq!(plain.hit_stats(), peeked.hit_stats(),
-                "peek must not count hits or misses");
             prop_assert_eq!(plain.len(), peeked.len());
         }
         prop_assert_eq!(
@@ -62,7 +59,7 @@ proptest! {
     }
 
     #[test]
-    fn probe_counts_but_never_promotes(
+    fn lookup_without_promote_never_promotes(
         cap in 1usize..9,
         ops in prop::collection::vec((0u8..2, 0u32..KEY_SPACE), 1..100),
         probes in prop::collection::vec(0u32..KEY_SPACE, 1..100),
@@ -72,7 +69,7 @@ proptest! {
         let mut next_probe = probes.iter().cycle();
         for &(op, key) in &ops {
             let k = *next_probe.next().unwrap();
-            let hit = probed.probe(&k).is_some();
+            let hit = probed.lookup(&k, false).is_some();
             prop_assert_eq!(hit, probed.peek(&k).is_some(),
                 "probe presence must agree with peek");
             let a = apply(&mut plain, op, key);
@@ -80,12 +77,6 @@ proptest! {
             prop_assert_eq!(a, b, "probe changed which entry was evicted");
             prop_assert_eq!(plain.len(), probed.len());
         }
-        // Probes count exactly one hit-or-miss each on top of the base ops.
-        let (ph, pm) = plain.hit_stats();
-        let (bh, bm) = probed.hit_stats();
-        prop_assert_eq!(bh + bm, ph + pm + ops.len() as u64);
-        prop_assert!(bh >= ph, "base-op hits can only grow with probes");
-        prop_assert!(bm >= pm, "base-op misses can only grow with probes");
         prop_assert_eq!(
             eviction_order(&mut plain, 1_000),
             eviction_order(&mut probed, 1_000),

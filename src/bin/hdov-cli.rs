@@ -13,10 +13,17 @@
 //!
 //! Everything is seeded and deterministic; sizes map to the built-in city
 //! presets (`paper` is the full evaluation scene and takes a while to build).
+//! A flag value that does not parse, or names no known size, scheme or
+//! session kind, is an `error:` line and exit status 1 — never a silent
+//! default.
 
 use hdov::prelude::*;
 use hdov::walkthrough::{run_session, FrameModel};
 use std::collections::HashMap;
+use std::str::FromStr;
+
+/// Any command failure: a storage error or a bad flag value.
+type CliResult<T> = Result<T, Box<dyn std::error::Error>>;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -80,75 +87,69 @@ fn parse_flags(args: &[String]) -> Flags {
     map
 }
 
-fn flag_f64(opts: &Flags, key: &str, default: f64) -> f64 {
+/// `--key` parsed as a `T`, if given.
+fn opt_flag<T: FromStr>(opts: &Flags, key: &str) -> CliResult<Option<T>> {
     opts.get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("invalid --{key} {v:?}").into())
+        })
+        .transpose()
 }
 
-fn flag_u64(opts: &Flags, key: &str, default: u64) -> u64 {
-    opts.get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// `--key` parsed as a `T`, or `default` when absent.
+fn flag<T: FromStr>(opts: &Flags, key: &str, default: T) -> CliResult<T> {
+    Ok(opt_flag(opts, key)?.unwrap_or(default))
 }
 
-fn scene_for(opts: &Flags) -> Scene {
-    let seed = flag_u64(opts, "seed", 7);
+/// The seeded city preset named by `--size` (default small).
+fn city_for(opts: &Flags) -> CliResult<CityConfig> {
     let cfg = match opts.get("size").map(String::as_str) {
         Some("tiny") => CityConfig::tiny(),
         None | Some("small") => CityConfig::small(),
         Some("paper") => CityConfig::default_paper(),
         Some(other) => {
-            eprintln!("unknown --size {other}, using small");
-            CityConfig::small()
+            return Err(format!("unknown --size {other:?}; use tiny, small or paper").into())
         }
     };
-    cfg.seed(seed).generate()
+    Ok(cfg.seed(flag(opts, "seed", 7)?))
 }
 
-fn scheme_for(opts: &Flags) -> StorageScheme {
+fn scheme_for(opts: &Flags) -> CliResult<StorageScheme> {
     match opts.get("scheme").map(String::as_str) {
-        Some("h") | Some("horizontal") => StorageScheme::Horizontal,
-        Some("v") | Some("vertical") => StorageScheme::Vertical,
+        Some("h") | Some("horizontal") => Ok(StorageScheme::Horizontal),
+        Some("v") | Some("vertical") => Ok(StorageScheme::Vertical),
         None | Some("iv") | Some("indexed") | Some("indexed-vertical") => {
-            StorageScheme::IndexedVertical
+            Ok(StorageScheme::IndexedVertical)
         }
-        Some(other) => {
-            eprintln!("unknown --scheme {other}, using indexed-vertical");
-            StorageScheme::IndexedVertical
-        }
+        Some(other) => Err(format!("unknown --scheme {other:?}; use h, v or iv").into()),
     }
 }
 
 /// Scene + environment, either freshly computed or loaded from a project.
-fn scene_and_env(opts: &Flags) -> Result<(Scene, HdovEnvironment), hdov::storage::StorageError> {
+fn scene_and_env(opts: &Flags) -> CliResult<(Scene, HdovEnvironment)> {
+    let scheme = scheme_for(opts)?;
     if let Some(path) = opts.get("project") {
         let project =
             hdov::project::Project::load(path).map_err(hdov::storage::StorageError::Io)?;
         let scene = project.scene();
-        let env = project.environment(HdovBuildConfig::default(), scheme_for(opts))?;
+        let env = project.environment(HdovBuildConfig::default(), scheme)?;
         return Ok((scene, env));
     }
-    let scene = scene_for(opts);
+    let scene = city_for(opts)?.generate();
     let res = if scene.len() > 1000 { (16, 16) } else { (8, 8) };
     let cells = CellGridConfig::for_scene(&scene).with_resolution(res.0, res.1);
-    let env = HdovEnvironment::build(&scene, &cells, HdovBuildConfig::default(), scheme_for(opts))?;
+    let env = HdovEnvironment::build(&scene, &cells, HdovBuildConfig::default(), scheme)?;
     Ok((scene, env))
 }
 
-fn cmd_precompute(opts: &Flags) -> Result<(), hdov::storage::StorageError> {
+fn cmd_precompute(opts: &Flags) -> CliResult<()> {
     let Some(out) = opts.get("out") else {
         eprintln!("precompute requires --out FILE");
         std::process::exit(2);
     };
-    let city = match opts.get("size").map(String::as_str) {
-        Some("tiny") => CityConfig::tiny(),
-        None | Some("small") => CityConfig::small(),
-        Some("paper") => CityConfig::default_paper(),
-        _ => CityConfig::small(),
-    }
-    .seed(flag_u64(opts, "seed", 7));
-    let rays = flag_u64(opts, "rays", 4096) as usize;
+    let city = city_for(opts)?;
+    let rays: usize = flag(opts, "rays", 4096)?;
     let grid = if city.slot_count() > 1000 {
         (16, 16)
     } else {
@@ -157,7 +158,7 @@ fn cmd_precompute(opts: &Flags) -> Result<(), hdov::storage::StorageError> {
     let dov = hdov::visibility::DovConfig {
         rays_per_viewpoint: rays,
         viewpoints_per_cell: 5,
-        seed: flag_u64(opts, "seed", 7),
+        seed: flag(opts, "seed", 7)?,
         ..Default::default()
     };
     let start = std::time::Instant::now();
@@ -172,16 +173,16 @@ fn cmd_precompute(opts: &Flags) -> Result<(), hdov::storage::StorageError> {
     Ok(())
 }
 
-fn cmd_dump(opts: &Flags) -> Result<(), hdov::storage::StorageError> {
+fn cmd_dump(opts: &Flags) -> CliResult<()> {
     let (scene, mut env) = scene_and_env(opts)?;
     let c = scene.viewpoint_region().center();
-    let vp = Vec3::new(flag_f64(opts, "x", c.x), flag_f64(opts, "y", c.y), c.z);
+    let vp = Vec3::new(flag(opts, "x", c.x)?, flag(opts, "y", c.y)?, c.z);
     let cell = env.cell_of(vp);
     print!("{}", env.dump_cell(cell)?);
     Ok(())
 }
 
-fn cmd_info(opts: &Flags) -> Result<(), hdov::storage::StorageError> {
+fn cmd_info(opts: &Flags) -> CliResult<()> {
     let (scene, env) = scene_and_env(opts)?;
     println!("scene");
     println!("  objects            {}", scene.len());
@@ -200,11 +201,11 @@ fn cmd_info(opts: &Flags) -> Result<(), hdov::storage::StorageError> {
     Ok(())
 }
 
-fn cmd_query(opts: &Flags) -> Result<(), hdov::storage::StorageError> {
+fn cmd_query(opts: &Flags) -> CliResult<()> {
+    let eta = flag(opts, "eta", 0.001)?;
     let (scene, mut env) = scene_and_env(opts)?;
     let c = scene.viewpoint_region().center();
-    let vp = Vec3::new(flag_f64(opts, "x", c.x), flag_f64(opts, "y", c.y), c.z);
-    let eta = flag_f64(opts, "eta", 0.001);
+    let vp = Vec3::new(flag(opts, "x", c.x)?, flag(opts, "y", c.y)?, c.z);
     let (result, stats) = env.query(Query::new(env.cell_of(vp), eta))?;
     println!(
         "query at ({:.1}, {:.1}) cell {} eta {eta}",
@@ -237,27 +238,29 @@ fn cmd_query(opts: &Flags) -> Result<(), hdov::storage::StorageError> {
     Ok(())
 }
 
-fn cmd_walk(opts: &Flags) -> Result<(), hdov::storage::StorageError> {
-    let (scene, env) = scene_and_env(opts)?;
-    let eta = flag_f64(opts, "eta", 0.001);
-    let frames = flag_u64(opts, "frames", 120) as usize;
+fn cmd_walk(opts: &Flags) -> CliResult<()> {
+    let eta = flag(opts, "eta", 0.001)?;
+    let frames: usize = flag(opts, "frames", 120)?;
     let kind = match opts.get("kind").map(String::as_str) {
         None | Some("normal") => SessionKind::Normal,
         Some("turning") => SessionKind::Turning,
         Some("backforth") | Some("back-forth") => SessionKind::BackForth,
         Some(other) => {
-            eprintln!("unknown --kind {other}, using normal");
-            SessionKind::Normal
+            return Err(
+                format!("unknown --kind {other:?}; use normal, turning or backforth").into(),
+            )
         }
     };
+    let budget: Option<f64> = opt_flag(opts, "budget")?;
+    let (scene, env) = scene_and_env(opts)?;
     let session = Session::record(
         scene.viewpoint_region(),
         kind,
         frames,
-        flag_u64(opts, "seed", 7),
+        flag(opts, "seed", 7)?,
     );
     // --budget <ms> switches to the streaming (frame-budgeted) mode.
-    let m = if let Some(budget) = opts.get("budget").and_then(|v| v.parse::<f64>().ok()) {
+    let m = if let Some(budget) = budget {
         let mut sys = hdov::walkthrough::StreamingVisualSystem::new(env, eta, budget)?;
         let m = run_session(&mut sys, &session, &FrameModel::PAPER_ERA)?;
         println!(
@@ -283,8 +286,8 @@ fn cmd_walk(opts: &Flags) -> Result<(), hdov::storage::StorageError> {
     Ok(())
 }
 
-fn cmd_schemes(opts: &Flags) -> Result<(), hdov::storage::StorageError> {
-    let scene = scene_for(opts);
+fn cmd_schemes(opts: &Flags) -> CliResult<()> {
+    let scene = city_for(opts)?.generate();
     let vp = scene.viewpoint_region().center();
     println!(
         "{:<18} {:>14} {:>12} {:>12}",
