@@ -1,7 +1,7 @@
 //! Axis-aligned bounding boxes — the `MBR` (minimum bounding rectangle,
 //! here a 3-D box) stored in every HDoV-tree entry.
 
-use crate::{Ray, Vec3};
+use crate::{Ray, SlabRay, Vec3};
 
 /// An axis-aligned bounding box, defined by its minimum and maximum corners.
 ///
@@ -189,30 +189,41 @@ impl Aabb {
         self.closest_point(p).distance(p)
     }
 
-    /// Slab-test ray intersection.
+    /// Slab-test ray intersection: [`slab_hit`](Self::slab_hit) for a
+    /// single test. Casting one ray against many boxes should prepare it
+    /// once with [`SlabRay::new`] instead.
+    #[inline]
+    pub fn ray_hit(&self, ray: &Ray) -> Option<f64> {
+        self.slab_hit(&SlabRay::new(ray))
+    }
+
+    /// Slab-test intersection with a prepared ray.
     ///
     /// Returns the entry parameter `t >= 0` (0 when the origin is inside the
-    /// box), or `None` when the ray misses.
-    pub fn ray_hit(&self, ray: &Ray) -> Option<f64> {
+    /// box), or `None` when the ray misses. An axis the ray runs parallel to
+    /// (`|dir| < EPSILON`) only checks that the origin lies in that slab.
+    /// An empty box ([`Aabb::EMPTY`], or any box with `min > max` on an
+    /// axis) is never hit.
+    ///
+    /// Each slab bound is `(bound − origin) · (1 / dir)`, so a box hit by a
+    /// ray is always entered no later than any box it contains.
+    #[inline]
+    pub fn slab_hit(&self, ray: &SlabRay) -> Option<f64> {
         let mut t_min: f64 = 0.0;
         let mut t_max: f64 = f64::INFINITY;
         for axis in 0..3 {
             let origin = ray.origin[axis];
-            let dir = ray.dir[axis];
             let (lo, hi) = (self.min[axis], self.max[axis]);
-            if dir.abs() < crate::EPSILON {
+            if ray.parallel[axis] {
                 if origin < lo || origin > hi {
                     return None;
                 }
             } else {
-                let inv = 1.0 / dir;
-                let mut t0 = (lo - origin) * inv;
-                let mut t1 = (hi - origin) * inv;
-                if t0 > t1 {
-                    std::mem::swap(&mut t0, &mut t1);
-                }
-                t_min = t_min.max(t0);
-                t_max = t_max.min(t1);
+                let inv = ray.inv[axis];
+                // A ray heading down the axis enters through `hi`.
+                let (near, far) = if inv < 0.0 { (hi, lo) } else { (lo, hi) };
+                t_min = t_min.max((near - origin) * inv);
+                t_max = t_max.min((far - origin) * inv);
                 if t_min > t_max {
                     return None;
                 }
@@ -355,6 +366,22 @@ mod tests {
         // Parallel to X outside the X slab.
         let r2 = Ray::new(Vec3::new(2.0, -1.0, 0.5), Vec3::Y);
         assert!(b.ray_hit(&r2).is_none());
+    }
+
+    #[test]
+    fn empty_box_is_never_hit() {
+        // Generic direction: no axis is parallel, so every slab is tested.
+        let dir = Vec3::new(0.3, -0.5, 0.8).normalize_or_zero();
+        for origin in [Vec3::ZERO, Vec3::splat(-4.0), Vec3::new(1.0, 2.0, 3.0)] {
+            let ray = Ray::new(origin, dir);
+            assert_eq!(Aabb::EMPTY.ray_hit(&ray), None);
+            assert_eq!(Aabb::EMPTY.ray_hit(&Ray::new(origin, -dir)), None);
+        }
+        let inverted = Aabb {
+            min: Vec3::splat(1.0),
+            max: Vec3::new(2.0, 0.0, 2.0),
+        };
+        assert_eq!(inverted.ray_hit(&Ray::new(Vec3::splat(-1.0), dir)), None);
     }
 
     #[test]

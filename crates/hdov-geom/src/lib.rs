@@ -5,7 +5,8 @@
 //!
 //! * [`Vec3`] — double-precision 3-D vectors,
 //! * [`Aabb`] — axis-aligned bounding boxes (the `MBR` of the paper),
-//! * [`Ray`] with ray/box and ray/triangle intersection,
+//! * [`Ray`] with ray/box and ray/triangle intersection (and [`SlabRay`],
+//!   a ray prepared once for many box tests),
 //! * [`Plane`] and [`Frustum`] for view-volume culling,
 //! * [`Triangle`] primitives,
 //! * solid-angle utilities ([`solid_angle`]) used by the degree-of-visibility
@@ -30,7 +31,7 @@ pub mod vec3;
 pub use aabb::Aabb;
 pub use frustum::Frustum;
 pub use plane::Plane;
-pub use ray::Ray;
+pub use ray::{Ray, SlabRay};
 pub use triangle::Triangle;
 pub use vec3::Vec3;
 

@@ -38,6 +38,34 @@ impl Ray {
     }
 }
 
+/// A ray prepared for many box tests: the reciprocal direction and the
+/// per-axis "parallel" flags are computed once, so that each
+/// [`Aabb::slab_hit`](crate::Aabb::slab_hit) only subtracts, multiplies and
+/// compares.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SlabRay {
+    /// Start point, per axis.
+    pub(crate) origin: [f64; 3],
+    /// `1 / dir` per axis (unused where `parallel`).
+    pub(crate) inv: [f64; 3],
+    /// `|dir| < EPSILON` per axis: the ray stays in the slab it starts in.
+    pub(crate) parallel: [bool; 3],
+}
+
+impl SlabRay {
+    /// Prepares `ray` for slab tests.
+    #[inline]
+    pub fn new(ray: &Ray) -> Self {
+        let (o, d) = (ray.origin, ray.dir);
+        let parallel = [d.x, d.y, d.z].map(|c| c.abs() < crate::EPSILON);
+        SlabRay {
+            origin: [o.x, o.y, o.z],
+            inv: [1.0 / d.x, 1.0 / d.y, 1.0 / d.z],
+            parallel,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

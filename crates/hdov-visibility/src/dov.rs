@@ -10,7 +10,7 @@
 use crate::bvh::{Bvh, Hit, TriBvh};
 use crate::cell::{CellGrid, CellId};
 use hdov_geom::sampling;
-use hdov_geom::{Ray, Vec3};
+use hdov_geom::{Ray, SlabRay, Vec3};
 use hdov_scene::Scene;
 
 /// What geometry the visibility rays are cast against.
@@ -274,8 +274,8 @@ impl DovTable {
                 changed_objects.iter().any(|&obj| self.dov(cell, obj) > 0.0)
                     || sample_rays(grid, cell, *cfg).any(|(vp, dirs)| {
                         dirs.iter().any(|&d| {
-                            let ray = Ray::new(vp, d);
-                            regions.iter().any(|r| r.ray_hit(&ray).is_some())
+                            let ray = SlabRay::new(&Ray::new(vp, d));
+                            regions.iter().any(|r| r.slab_hit(&ray).is_some())
                         })
                     })
             })
@@ -384,7 +384,7 @@ impl DovTable {
 
 /// The estimator's sample rays of `cell` under `cfg`: each sample viewpoint
 /// with its ray directions.
-fn sample_rays(
+pub(crate) fn sample_rays(
     grid: &CellGrid,
     cell: CellId,
     cfg: DovConfig,
