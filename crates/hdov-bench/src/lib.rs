@@ -38,15 +38,16 @@ pub struct RunOptions {
     /// Smaller scene, fewer queries (CI / smoke).
     pub quick: bool,
     /// Where frozen stores live during the run (`--backend
-    /// mem|file|file:mmap|file:pread`, default `mem`). `mem` serves every
-    /// frozen store from memory; the file backends serialize each built
-    /// store under the store directory (`results/store`, or
-    /// `HDOV_STORE_DIR`) and serve pages from it, mmap'd or via positioned
-    /// reads. CSV cells derive exclusively from the simulated cost model,
-    /// so they are byte-identical across backends — the file backends add
-    /// *wall-clock* I/O measurements as a separate, never-gated metrics
-    /// snapshot. The backend's replica count (`--backend file:mmap@2` or
-    /// `--replicas N`) changes nothing either, outside faults.
+    /// mem|file|file:pread`, default `mem`). `mem` serves every frozen
+    /// store from memory; the file backend (`file` and `file:pread` name
+    /// the same one) serializes each built store under the store directory
+    /// (`results/store`, or `HDOV_STORE_DIR`) and serves pages from it via
+    /// positioned reads. CSV cells derive exclusively from the simulated
+    /// cost model, so they are byte-identical across backends — the file
+    /// backend adds *wall-clock* I/O measurements as a separate, never-gated
+    /// metrics snapshot. The backend's replica count (`--backend
+    /// file:pread@2` or `--replicas N`) changes nothing either, outside
+    /// faults.
     pub backend: StorageBackend,
     /// V-page wire format (`--codec raw|delta`). Answers are byte-identical
     /// across codecs; simulated I/O and storage footprints are not.
@@ -54,7 +55,7 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// Parses `--quick`, `--backend <mem|file|file:mmap|file:pread>` (with
+    /// Parses `--quick`, `--backend <mem|file|file:pread>` (with
     /// an optional `@N` replica suffix, see [`StorageBackend::from_arg`]),
     /// `--replicas <n>`, and `--codec <raw|delta>` (also the `--flag=<...>`
     /// forms) from the process arguments. A bad value exits with status 2.
@@ -78,8 +79,8 @@ impl RunOptions {
             if let Some(v) = val {
                 let parsed = StorageBackend::from_arg(&v, &store_dir).unwrap_or_else(|| {
                     eprintln!(
-                        "unknown --backend {v:?}; use mem, file, file:mmap, or file:pread \
-                         (the file backends optionally with an @N replica suffix, N >= 1)"
+                        "unknown --backend {v:?}; use mem, file, or file:pread \
+                         (the file backend optionally with an @N replica suffix, N >= 1)"
                     );
                     std::process::exit(2);
                 });
@@ -134,8 +135,8 @@ impl RunOptions {
     }
 
     /// The selected backend for harness binary `bin`: file stores go under
-    /// `<store dir>/<bin>`, so parallel binaries never truncate each
-    /// other's live mappings.
+    /// `<store dir>/<bin>`, so two binaries running at once never write the
+    /// same store path (they would share its `.tmp` sibling).
     pub fn storage(&self, bin: &str) -> StorageBackend {
         let mut backend = self.backend.clone();
         if let StorageBackend::File { dir, .. } = &mut backend {

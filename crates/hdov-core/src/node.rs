@@ -122,7 +122,7 @@ impl HdovNode {
         Page::from_bytes(w.bytes())
     }
 
-    /// Deserializes a node from one page's bytes (owned or file-mapped).
+    /// Deserializes a node from one page's bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let mut r = ByteReader::new(bytes);
         if r.get_u16()? != MAGIC {

@@ -73,10 +73,7 @@ impl Query<'_> {
     /// negative or NaN η — with [`StorageError::InvalidPlan`], before
     /// anything is read or charged.
     pub(crate) fn check(&self, env: &SharedEnvironment) -> Result<()> {
-        let cells = env.vstore.cell_count();
-        check(self.cell < cells, || {
-            format!("cell {} outside the {cells}-cell grid", self.cell)
-        })?;
+        env.vstore.check_cell(self.cell)?;
         check(self.eta >= 0.0, || {
             format!("eta {} is not a non-negative number", self.eta)
         })

@@ -35,7 +35,7 @@ use crate::build::{HdovTree, TerminationHeuristic};
 use crate::delta::{DeltaSearch, DeltaSummary};
 use crate::node::{HdovEntry, HdovNode};
 use crate::search::{
-    object_blend, select_level, terminates_with, Query, QueryResult, ResultEntry, ResultKey,
+    check, object_blend, select_level, terminates_with, Query, QueryResult, ResultEntry, ResultKey,
     SearchStats,
 };
 use crate::storage::StorageScheme;
@@ -304,10 +304,21 @@ impl SharedVStore {
         }
     }
 
+    /// `Ok` when `cell` is inside the grid, else
+    /// [`StorageError::InvalidPlan`](hdov_storage::StorageError).
+    pub(crate) fn check_cell(&self, cell: CellId) -> Result<()> {
+        let cells = self.cell_count();
+        check(cell < cells, || {
+            format!("cell {cell} outside the {cells}-cell grid")
+        })
+    }
+
     /// Segment flip for `ctx` into `cell` — charged to the session's index
-    /// cursor; a no-op when the session is already in `cell`.
+    /// cursor; a no-op when the session is already in `cell`. A cell outside
+    /// the grid is [`StorageError::InvalidPlan`](hdov_storage::StorageError),
+    /// before anything is read.
     pub fn enter_cell(&self, ctx: &mut SessionCtx, cell: CellId) -> Result<()> {
-        assert!(cell < self.cell_count(), "cell {cell} out of range");
+        self.check_cell(cell)?;
         if ctx.current_cell == Some(cell) {
             return Ok(());
         }
@@ -443,8 +454,8 @@ impl SharedVStore {
         // state, so resident pages are probed without promotion; misses
         // charge and install exactly like a read. The sorted page list is
         // coalesced into maximal consecutive runs, each warmed through one
-        // vectored request — on file backends a run costs at most one
-        // physical read (`pread`) or one `madvise(WILLNEED)`.
+        // vectored request — on the file backend a run costs at most one
+        // physical read (`pread`).
         let mut i = 0usize;
         while i < ctx.prefetch_pages.len() {
             let first = ctx.prefetch_pages[i];

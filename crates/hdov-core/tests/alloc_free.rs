@@ -66,9 +66,8 @@ fn steady_state_search_allocates_nothing() {
     // steady state never decodes (and never allocates) either way.
     for codec in [VPageCodec::Raw, VPageCodec::Delta] {
         for scheme in [StorageScheme::Vertical, StorageScheme::IndexedVertical] {
-            // The contract holds on the mmap backend too: pool misses hand
-            // out frames borrowing file-mapped bytes, still without
-            // allocating.
+            // The contract holds on the file backend too: the steady state
+            // is all pool hits, which read nothing from the store file.
             for backend in [
                 StorageBackend::Mem,
                 StorageBackend::file(store_dir.join(format!("{scheme}_{codec:?}"))),

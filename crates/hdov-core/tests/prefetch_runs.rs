@@ -1,9 +1,8 @@
 //! Run-read accounting on file backends.
 //!
 //! * A cold [`SharedVStore::prefetch_cell`] must issue exactly **one**
-//!   physical read per contiguous V-page run — `madvise(WILLNEED)` per run
-//!   on the mmap path, one `pread` per run on the pread path — never one
-//!   per page.
+//!   physical read per contiguous V-page run — one `pread` per run on the
+//!   file backend — never one per page.
 //! * A LoD fetch on the pread path reads the LoD's pages as one run: one
 //!   `pread` per LoD with at least one pool miss, while probes, charges and
 //!   counters stay exactly those of a page-by-page read, with or without
@@ -20,9 +19,7 @@ use hdov_core::{
     SharedEnvironment, StorageScheme, VEntry, VPage, VPageCodec,
 };
 use hdov_scene::CityConfig;
-use hdov_storage::{
-    DiskModel, FaultPlan, FileMode, IoCursor, PageId, SharedCachedFile, StorageBackend,
-};
+use hdov_storage::{DiskModel, FaultPlan, IoCursor, PageId, SharedCachedFile, StorageBackend};
 use hdov_visibility::{CellGridConfig, CellId};
 
 /// One test at a time on the process-global recorder.
@@ -59,46 +56,40 @@ fn cold_prefetch_issues_one_physical_read_per_run() {
     let dir = std::env::temp_dir().join(format!("hdov_prefetch_runs_{}", std::process::id()));
     let (counts, cells) = sample();
     for scheme in [StorageScheme::Vertical, StorageScheme::IndexedVertical] {
-        for mode in [FileMode::Mmap, FileMode::Pread] {
-            let backend = StorageBackend::File {
-                dir: dir.join(format!("{scheme}_{mode:?}")),
-                mode,
-                replicas: 1,
-            };
-            let (store, _) = scheme
-                .build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta)
-                .unwrap();
-            let shared = store
-                .relocated(&backend)
-                .unwrap()
-                .with_pools(PoolConfig::default());
-            let mut ctx = SessionCtx::new();
-            shared.enter_cell(&mut ctx, 0).unwrap();
+        let backend = StorageBackend::file(dir.join(scheme.to_string()));
+        let (store, _) = scheme
+            .build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta)
+            .unwrap();
+        let shared = store
+            .relocated(&backend)
+            .unwrap()
+            .with_pools(PoolConfig::default());
+        let mut ctx = SessionCtx::new();
+        shared.enter_cell(&mut ctx, 0).unwrap();
 
-            hdov_obs::reset();
-            hdov_obs::enable();
-            let pages = shared.prefetch_cell(&mut ctx).unwrap();
-            hdov_obs::disable();
-            let snap = hdov_obs::snapshot("prefetch_runs");
-            hdov_obs::reset();
+        hdov_obs::reset();
+        hdov_obs::enable();
+        let pages = shared.prefetch_cell(&mut ctx).unwrap();
+        hdov_obs::disable();
+        let snap = hdov_obs::snapshot("prefetch_runs");
+        hdov_obs::reset();
 
-            let runs = snap.counters["prefetch_runs"];
-            let phys = snap.counters["phys_reads"];
-            assert!(pages > 1, "{scheme} cell 0 must span several disk pages");
-            assert!(
-                runs >= 1 && runs <= pages,
-                "{scheme}/{mode:?}: runs {runs} outside 1..={pages}"
-            );
-            assert_eq!(
-                phys, runs,
-                "{scheme}/{mode:?}: a cold run must cost exactly one physical read"
-            );
-            assert!(
-                runs < pages,
-                "{scheme}/{mode:?}: coalescing must merge consecutive pages \
-                 ({runs} runs for {pages} pages)"
-            );
-        }
+        let runs = snap.counters["prefetch_runs"];
+        let phys = snap.counters["phys_reads"];
+        assert!(pages > 1, "{scheme} cell 0 must span several disk pages");
+        assert!(
+            runs >= 1 && runs <= pages,
+            "{scheme}: runs {runs} outside 1..={pages}"
+        );
+        assert_eq!(
+            phys, runs,
+            "{scheme}: a cold run must cost exactly one physical read"
+        );
+        assert!(
+            runs < pages,
+            "{scheme}: coalescing must merge consecutive pages \
+             ({runs} runs for {pages} pages)"
+        );
 
         // Mem backend: same prefetch, zero physical reads by definition.
         let (store, _) = scheme
@@ -138,13 +129,7 @@ fn pread_env(dir: &std::path::Path) -> SharedEnvironment {
         StorageScheme::Vertical,
     )
     .unwrap();
-    built
-        .relocate(&StorageBackend::File {
-            dir: dir.to_path_buf(),
-            mode: FileMode::Pread,
-            replicas: 1,
-        })
-        .unwrap();
+    built.relocate(&StorageBackend::file(dir)).unwrap();
     built.into_shared(PoolConfig {
         capacity_pages: 48,
         shards: 4,

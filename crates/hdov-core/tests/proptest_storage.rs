@@ -3,7 +3,7 @@
 //! their storage formulas stay ordered in the sparse regime.
 
 use hdov_core::{SessionCtx, SharedVStore, StorageScheme, VEntry, VPage, VPageCodec};
-use hdov_storage::{DiskModel, FileMode, IoStats, StorageBackend};
+use hdov_storage::{DiskModel, IoStats, StorageBackend};
 use proptest::prelude::*;
 
 /// A built store plus a session whose cursors start at the build's heads.
@@ -123,40 +123,32 @@ proptest! {
 
     #[test]
     fn file_roundtrip_preserves_every_answer(cells in cells_strategy(40, 5)) {
-        // Build → serialize → reopen via mmap (then pread): every fetch and
+        // Build → serialize → reopen for positioned reads: every fetch and
         // every simulated I/O charge must match the never-serialized twin,
         // for all three schemes, on arbitrary sparse data.
         let entry_counts: Vec<u16> = (0..40u32).map(|n| ((n % 7) + 2) as u16).collect();
         let dir = std::env::temp_dir()
             .join(format!("hdov_proptest_roundtrip_{}", std::process::id()));
         for scheme in StorageScheme::all() {
-            for mode in [FileMode::Mmap, FileMode::Pread] {
-                // Fresh twin per mode: simulated charges depend on the disk
-                // head, which moves as the reference store is queried.
-                let (mem, mut mem_ctx) =
-                    build(scheme, &entry_counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta);
-                let backend = StorageBackend::File {
-                    dir: dir.join(format!("{scheme}_{mode:?}")),
-                    mode,
-                    replicas: 1,
-                };
-                let (filed, mut filed_ctx) =
-                    build(scheme, &entry_counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta);
-                let filed = filed.relocated(&backend).unwrap();
-                for cid in 0..cells.len() as u32 {
-                    mem.enter_cell(&mut mem_ctx, cid).unwrap();
-                    filed.enter_cell(&mut filed_ctx, cid).unwrap();
-                    for n in 0..40u32 {
-                        prop_assert_eq!(
-                            mem.fetch(&mut mem_ctx, n).unwrap(),
-                            filed.fetch(&mut filed_ctx, n).unwrap(),
-                            "{} node {} cell {} diverged after {:?} round-trip",
-                            scheme, n, cid, mode
-                        );
-                    }
+            let (mem, mut mem_ctx) =
+                build(scheme, &entry_counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta);
+            let backend = StorageBackend::file(dir.join(scheme.to_string()));
+            let (filed, mut filed_ctx) =
+                build(scheme, &entry_counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta);
+            let filed = filed.relocated(&backend).unwrap();
+            for cid in 0..cells.len() as u32 {
+                mem.enter_cell(&mut mem_ctx, cid).unwrap();
+                filed.enter_cell(&mut filed_ctx, cid).unwrap();
+                for n in 0..40u32 {
+                    prop_assert_eq!(
+                        mem.fetch(&mut mem_ctx, n).unwrap(),
+                        filed.fetch(&mut filed_ctx, n).unwrap(),
+                        "{} node {} cell {} diverged after the file round-trip",
+                        scheme, n, cid
+                    );
                 }
-                prop_assert_eq!(io(&mem_ctx), io(&filed_ctx), "{} I/O charges", scheme);
             }
+            prop_assert_eq!(io(&mem_ctx), io(&filed_ctx), "{} I/O charges", scheme);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

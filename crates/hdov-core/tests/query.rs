@@ -4,8 +4,8 @@
 
 use hdov_core::delta::DeltaSummary;
 use hdov_core::{
-    DeltaSearch, HdovBuildConfig, HdovEnvironment, Query, QueryResult, ResultKey, SearchStats,
-    SessionCtx, StorageScheme, VPageCodec,
+    DeltaSearch, HdovBuildConfig, HdovEnvironment, PoolConfig, Query, QueryResult, ResultKey,
+    SearchStats, SessionCtx, StorageScheme, VPageCodec,
 };
 use hdov_geom::Vec3;
 use hdov_scene::{CityConfig, Scene};
@@ -466,4 +466,26 @@ fn invalid_queries_are_typed_errors_not_panics() {
     let (want, want_stats) = reference.query(q).unwrap();
     assert_eq!(object_set(&got), object_set(&want));
     assert_eq!(got_stats, want_stats);
+}
+
+#[test]
+fn out_of_range_cells_are_typed_errors_on_every_entry_point() {
+    let scene = scene();
+    let mut e = env(&scene, StorageScheme::Vertical);
+    let cells = e.grid().cell_count() as CellId;
+    let err = e.dump_cell(cells).unwrap_err();
+    assert!(
+        matches!(err, hdov_storage::StorageError::InvalidPlan { .. }),
+        "dump_cell: {err}"
+    );
+    let shared = env(&scene, StorageScheme::Vertical).into_shared(PoolConfig::default());
+    let mut ctx = shared.session();
+    let err = shared.prefetch_cell(&mut ctx, cells).unwrap_err();
+    assert!(
+        matches!(err, hdov_storage::StorageError::InvalidPlan { .. }),
+        "prefetch_cell: {err}"
+    );
+    // Rejected before anything was read or charged.
+    assert_eq!(ctx.index_cur.stats(), Default::default());
+    assert_eq!(ctx.vpage_cur.stats(), Default::default());
 }

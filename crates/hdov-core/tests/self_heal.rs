@@ -40,9 +40,9 @@ fn scene() -> &'static Scene {
     SCENE.get_or_init(|| CityConfig::tiny().seed(23).generate())
 }
 
-/// Builds an environment and relocates it onto a 2-replica pread file
-/// backend under a fresh directory. `pread` keeps every read positioned, so
-/// repairs are visible without remapping concerns.
+/// Builds an environment and relocates it onto a 2-replica file backend
+/// under a fresh directory. Every read is a positioned read, so the next
+/// miss after a repair sees the repaired bytes.
 fn replicated_env(scheme: StorageScheme) -> (SharedEnvironment, PathBuf) {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(

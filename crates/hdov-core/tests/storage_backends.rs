@@ -1,5 +1,5 @@
 //! Backend-equivalence suite for the real storage engine: every scheme,
-//! relocated onto the mmap and pread file backends, must answer byte-for-
+//! relocated onto the pread file backend, must answer byte-for-
 //! byte like its in-memory twin — same V-pages, same simulated I/O charges
 //! — and corrupted store files must fail fast at open, before any query
 //! runs.
@@ -9,7 +9,7 @@ use hdov_core::{
     StorageScheme, VEntry, VPage, VPageCodec,
 };
 use hdov_scene::CityConfig;
-use hdov_storage::{DiskModel, FileMode, FrozenPages, IoStats, StorageBackend};
+use hdov_storage::{DiskModel, FrozenPages, IoStats, StorageBackend};
 use hdov_visibility::{CellGridConfig, CellId};
 use std::path::PathBuf;
 
@@ -69,49 +69,31 @@ fn io(ctx: &SessionCtx) -> IoStats {
     ctx.index_cur.stats() + ctx.vpage_cur.stats()
 }
 
-fn file_backends(dir: &std::path::Path) -> [StorageBackend; 2] {
-    [
-        StorageBackend::File {
-            dir: dir.join("mmap"),
-            mode: FileMode::Mmap,
-            replicas: 1,
-        },
-        StorageBackend::File {
-            dir: dir.join("pread"),
-            mode: FileMode::Pread,
-            replicas: 1,
-        },
-    ]
-}
-
 #[test]
 fn every_scheme_answers_identically_on_file_backends() {
     let dir = tmp_dir("schemes");
     let (counts, cells) = sample(40);
     for scheme in StorageScheme::all() {
-        for backend in file_backends(&dir.join(scheme.to_string())) {
-            // Fresh twin per backend: simulated charges depend on the disk
-            // head, which moves as the reference store is queried.
-            let (mem, mut mem_ctx) = build(scheme, &counts, &cells, DiskModel::PAPER_ERA);
-            let (filed, mut filed_ctx) = build(scheme, &counts, &cells, DiskModel::PAPER_ERA);
-            let filed = filed.relocated(&backend).unwrap();
-            for cid in 0..cells.len() as CellId {
-                mem.enter_cell(&mut mem_ctx, cid).unwrap();
-                filed.enter_cell(&mut filed_ctx, cid).unwrap();
-                for n in 0..40u32 {
-                    assert_eq!(
-                        mem.fetch(&mut mem_ctx, n).unwrap(),
-                        filed.fetch(&mut filed_ctx, n).unwrap(),
-                        "{scheme} node {n} cell {cid} ({backend:?})"
-                    );
-                }
+        let backend = StorageBackend::file(dir.join(scheme.to_string()));
+        let (mem, mut mem_ctx) = build(scheme, &counts, &cells, DiskModel::PAPER_ERA);
+        let (filed, mut filed_ctx) = build(scheme, &counts, &cells, DiskModel::PAPER_ERA);
+        let filed = filed.relocated(&backend).unwrap();
+        for cid in 0..cells.len() as CellId {
+            mem.enter_cell(&mut mem_ctx, cid).unwrap();
+            filed.enter_cell(&mut filed_ctx, cid).unwrap();
+            for n in 0..40u32 {
+                assert_eq!(
+                    mem.fetch(&mut mem_ctx, n).unwrap(),
+                    filed.fetch(&mut filed_ctx, n).unwrap(),
+                    "{scheme} node {n} cell {cid}"
+                );
             }
-            assert_eq!(
-                io(&mem_ctx),
-                io(&filed_ctx),
-                "{scheme}: simulated I/O must not depend on the backend"
-            );
         }
+        assert_eq!(
+            io(&mem_ctx),
+            io(&filed_ctx),
+            "{scheme}: simulated I/O must not depend on the backend"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -158,13 +140,8 @@ fn shared_search_identical_across_backends() {
     };
 
     let mem = run(None);
-    for backend in file_backends(&dir) {
-        let filed = run(Some(backend.clone()));
-        assert_eq!(
-            mem, filed,
-            "shared search must be byte-identical on {backend:?}"
-        );
-    }
+    let filed = run(Some(StorageBackend::file(&dir)));
+    assert_eq!(mem, filed, "shared search must be byte-identical on file");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -188,7 +165,7 @@ fn corrupted_store_files_fail_fast_for_every_scheme() {
             // Truncation: the header promises more pages than the file holds.
             let cut = dir.join("truncated.hdov");
             std::fs::write(&cut, &bytes[..bytes.len() - 1]).unwrap();
-            let err = FrozenPages::open_mmap(&cut).unwrap_err().to_string();
+            let err = FrozenPages::open_pread(&cut).unwrap_err().to_string();
             assert!(
                 err.contains("truncated.hdov"),
                 "error must carry the path: {err}"
@@ -199,7 +176,6 @@ fn corrupted_store_files_fail_fast_for_every_scheme() {
             garbled[0] ^= 0xFF;
             let bad = dir.join("garbled.hdov");
             std::fs::write(&bad, &garbled).unwrap();
-            assert!(FrozenPages::open_mmap(&bad).is_err());
             assert!(FrozenPages::open_pread(&bad).is_err());
 
             // Flipped data bit: the checksum sidecar catches it at open.
@@ -208,7 +184,7 @@ fn corrupted_store_files_fail_fast_for_every_scheme() {
             flipped[mid] ^= 0x01;
             let bad = dir.join("flipped.hdov");
             std::fs::write(&bad, &flipped).unwrap();
-            assert!(FrozenPages::open_mmap(&bad).is_err());
+            assert!(FrozenPages::open_pread(&bad).is_err());
         }
         assert!(files >= 1, "{scheme} relocation must produce store files");
     }

@@ -104,9 +104,8 @@ pub enum Counter {
     /// Coalesced prefetch runs issued (one per maximal contiguous V-page
     /// run handed to the pool's vectored warm path).
     PrefetchRuns,
-    /// Physical read operations issued to the OS by a file backend (one
-    /// per `pread` or `madvise(WILLNEED)` call; always 0 on the mem
-    /// backend). With run coalescing, a cold contiguous run costs one.
+    /// Physical read operations issued to the OS by the file backend (one
+    /// per `pread` call; always 0 on the mem backend). With run coalescing, a cold contiguous run costs one.
     PhysReads,
     /// WAL records appended (page images and commit markers).
     WalAppends,

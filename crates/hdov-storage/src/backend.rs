@@ -5,7 +5,7 @@
 //! [`MemPagedFile`](crate::MemPagedFile) frozen into a [`FrozenPages`]); a
 //! [`StorageBackend`] then decides what **relocation** does to each built
 //! store: nothing (the deterministic mem twin), or serialize it as a
-//! frozen-store file and reopen it mmap'd or pread-backed. Answers and
+//! frozen-store file and reopen it for positioned reads. Answers and
 //! simulated costs are byte-identical across backends by construction —
 //! the file holds exactly the pages the mem store held, verified by the
 //! checksum sidecar at open.
@@ -15,15 +15,14 @@ use crate::Result;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How a file-backed frozen store is read.
+/// How a file-backed frozen store is read. There is one way, `pread`; the
+/// enum stays only because the serving benchmark (`hdov_perf`) names
+/// `FileMode::Pread` when it builds its file backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FileMode {
-    /// Read-only mapping; pooled frames borrow mapped bytes and run
-    /// prefetch issues `madvise(WILLNEED)`.
-    #[default]
-    Mmap,
     /// Positioned reads on a shared handle; run prefetch issues one
     /// `pread` per contiguous run.
+    #[default]
     Pread,
 }
 
@@ -60,11 +59,11 @@ pub fn replica_path(dir: &Path, name: &str, k: usize) -> PathBuf {
 static GENERATION: AtomicU64 = AtomicU64::new(1);
 
 impl StorageBackend {
-    /// The file backend in its default (mmap) mode, unreplicated.
+    /// The file backend, unreplicated.
     pub fn file(dir: impl Into<PathBuf>) -> Self {
         StorageBackend::File {
             dir: dir.into(),
-            mode: FileMode::Mmap,
+            mode: FileMode::Pread,
             replicas: 1,
         }
     }
@@ -80,9 +79,9 @@ impl StorageBackend {
         self
     }
 
-    /// Parses a `--backend` argument: `mem`, `file` (= `file:mmap`),
-    /// `file:mmap`, or `file:pread`, optionally suffixed `@N` for N store
-    /// replicas (file backends only); file stores go under `dir`.
+    /// Parses a `--backend` argument: `mem`, `file` or `file:pread` (the
+    /// same backend), optionally suffixed `@N` for N store replicas (file
+    /// backends only); file stores go under `dir`.
     pub fn from_arg(arg: &str, dir: &Path) -> Option<Self> {
         let (base, replicas) = match arg.split_once('@') {
             Some((b, n)) => (b, n.parse::<usize>().ok().filter(|&n| n >= 1)?),
@@ -90,12 +89,7 @@ impl StorageBackend {
         };
         match base {
             "mem" => (replicas == 1).then_some(StorageBackend::Mem),
-            "file" | "file:mmap" => Some(StorageBackend::File {
-                dir: dir.to_path_buf(),
-                mode: FileMode::Mmap,
-                replicas,
-            }),
-            "file:pread" => Some(StorageBackend::File {
+            "file" | "file:pread" => Some(StorageBackend::File {
                 dir: dir.to_path_buf(),
                 mode: FileMode::Pread,
                 replicas,
@@ -118,18 +112,11 @@ impl StorageBackend {
         matches!(self, StorageBackend::File { .. })
     }
 
-    /// Short stable label (`mem`, `file:mmap`, `file:pread`) for reports.
+    /// Short stable label (`mem`, `file:pread`) for reports.
     pub fn label(&self) -> &'static str {
         match self {
             StorageBackend::Mem => "mem",
-            StorageBackend::File {
-                mode: FileMode::Mmap,
-                ..
-            } => "file:mmap",
-            StorageBackend::File {
-                mode: FileMode::Pread,
-                ..
-            } => "file:pread",
+            StorageBackend::File { .. } => "file:pread",
         }
     }
 
@@ -140,26 +127,21 @@ impl StorageBackend {
     /// On `Mem` this returns `frozen` as it is. On `File` the store is
     /// serialized (with its checksum sidecar) to `<dir>/<name>.hdov` plus
     /// one file per extra replica, then reopened — and thereby fully
-    /// verified — in the backend's [`FileMode`].
+    /// verified — for positioned reads.
     pub fn freeze(&self, name: &str, frozen: FrozenPages, flags: u32) -> Result<FrozenPages> {
         match self {
             StorageBackend::Mem => Ok(frozen),
-            StorageBackend::File {
-                dir,
-                mode,
-                replicas,
-            } => {
+            StorageBackend::File { dir, replicas, .. } => {
                 std::fs::create_dir_all(dir)?;
                 let n = (*replicas).max(1);
                 let generation = GENERATION.fetch_add(1, Ordering::Relaxed);
                 let paths: Vec<PathBuf> = (0..n).map(|k| replica_path(dir, name, k)).collect();
                 frozen.write_replicated(&paths, generation, flags)?;
-                let open = |p: &PathBuf| match mode {
-                    FileMode::Mmap => FrozenPages::open_mmap(p),
-                    FileMode::Pread => FrozenPages::open_pread(p),
-                };
-                let primary = open(&paths[0])?;
-                let extras = paths[1..].iter().map(open).collect::<Result<Vec<_>>>()?;
+                let primary = FrozenPages::open_pread(&paths[0])?;
+                let extras = paths[1..]
+                    .iter()
+                    .map(|p| FrozenPages::open_pread(p))
+                    .collect::<Result<Vec<_>>>()?;
                 Ok(primary.with_replicas(extras))
             }
         }
@@ -190,8 +172,8 @@ mod tests {
             Some(StorageBackend::Mem)
         );
         assert_eq!(
-            StorageBackend::from_arg("file", d).map(|b| b.label()),
-            Some("file:mmap")
+            StorageBackend::from_arg("file", d),
+            StorageBackend::from_arg("file:pread", d)
         );
         assert_eq!(
             StorageBackend::from_arg("file:pread", d).map(|b| b.label()),
@@ -239,19 +221,7 @@ mod tests {
     #[test]
     fn freeze_on_every_backend_serves_identical_pages() {
         let dir = std::env::temp_dir().join(format!("hdov_backend_{}", std::process::id()));
-        let backends = [
-            StorageBackend::Mem,
-            StorageBackend::File {
-                dir: dir.clone(),
-                mode: FileMode::Mmap,
-                replicas: 1,
-            },
-            StorageBackend::File {
-                dir: dir.clone(),
-                mode: FileMode::Pread,
-                replicas: 1,
-            },
-        ];
+        let backends = [StorageBackend::Mem, StorageBackend::file(&dir)];
         for b in backends {
             let fp = b.freeze("cells", built(4), 0).unwrap();
             assert_eq!(fp.page_count(), 4);

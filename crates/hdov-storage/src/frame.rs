@@ -5,11 +5,8 @@
 //! its whole pool residency, so any number of sessions may hold clones of
 //! the same `Arc` while the pool retains (or evicts) its own.
 //!
-//! A frame's bytes come in two forms: **owned** (a [`Page`] copied out of
-//! the store at admission — the mem and pread backends and any faulted
-//! read) or **borrowed** (a slice of an [`MappedStore`] mapping — the mmap
-//! backend's miss path, which skips even that one copy; the frame keeps the
-//! mapping alive via `Arc`, see the safety argument in [`crate::mmap`]).
+//! A frame owns its bytes: one [`Page`] copied out of the store at
+//! admission.
 //!
 //! Each frame also carries a **decoded overlay**: a `OnceLock` slot that
 //! memoizes the result of decoding the page into a typed object (an
@@ -24,8 +21,7 @@
 //! integration test checks every pooled overlay against a fresh decode of
 //! its frame's bytes).
 
-use crate::mmap::MappedStore;
-use crate::{Page, PageId, Result, StorageError, PAGE_SIZE};
+use crate::{Page, PageId, Result, StorageError};
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
 
@@ -37,24 +33,11 @@ type OverlaySlot = OnceLock<std::result::Result<DynOverlay, String>>;
 /// A decoded overlay of some page type.
 type DynOverlay = Arc<dyn Any + Send + Sync>;
 
-/// Where a frame's bytes live.
-#[derive(Debug)]
-enum FrameBytes {
-    /// A page copied out of the store at admission.
-    Owned(Page),
-    /// A borrowed window of an mmap'd frozen store. The `Arc` keeps the
-    /// mapping alive for at least as long as this frame.
-    Mapped {
-        store: Arc<MappedStore>,
-        offset: usize,
-    },
-}
-
 /// One immutable pooled page plus its lazily decoded overlay.
 #[derive(Debug)]
 pub struct Frame {
     id: PageId,
-    bytes: FrameBytes,
+    page: Page,
     overlay: OverlaySlot,
 }
 
@@ -63,19 +46,7 @@ impl Frame {
     pub fn new(id: PageId, page: Page) -> Self {
         Frame {
             id,
-            bytes: FrameBytes::Owned(page),
-            overlay: OnceLock::new(),
-        }
-    }
-
-    /// A frame whose bytes are borrowed straight from an mmap'd store —
-    /// no page copy at all. The caller must have bounds-checked `id`
-    /// against the store.
-    pub fn borrowed(id: PageId, store: Arc<MappedStore>) -> Self {
-        let offset = MappedStore::page_offset(id);
-        Frame {
-            id,
-            bytes: FrameBytes::Mapped { store, offset },
+            page,
             overlay: OnceLock::new(),
         }
     }
@@ -87,14 +58,7 @@ impl Frame {
 
     /// Raw page bytes.
     pub fn bytes(&self) -> &[u8] {
-        match &self.bytes {
-            FrameBytes::Owned(page) => page.bytes(),
-            FrameBytes::Mapped { store, offset } => {
-                // In-bounds by construction: `borrowed` is only called with
-                // a bounds-checked id, and the mapping is immutable.
-                &store.mapped_bytes()[*offset..*offset + PAGE_SIZE]
-            }
-        }
+        self.page.bytes()
     }
 
     /// Whether the overlay slot is populated (for residency tests).
@@ -270,32 +234,5 @@ mod tests {
             }
         });
         assert_eq!(decodes.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn borrowed_frame_reads_mapped_bytes() {
-        use crate::frozen::write_store;
-        let dir = std::env::temp_dir().join(format!("hdov_frame_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.hdov");
-        let pages: Vec<Box<[u8]>> = (0..3u64)
-            .map(|i| {
-                let mut p = vec![0u8; PAGE_SIZE].into_boxed_slice();
-                p[..8].copy_from_slice(&i.to_le_bytes());
-                p
-            })
-            .collect();
-        write_store(&path, &pages, 0).unwrap();
-        let store = Arc::new(MappedStore::open(&path).unwrap());
-        let f = Frame::borrowed(PageId(2), Arc::clone(&store));
-        assert_eq!(&f.bytes()[..8], &2u64.to_le_bytes());
-        let v: Arc<u64> = f
-            .overlay(|b| Ok(u64::from_le_bytes(b[..8].try_into().unwrap())))
-            .unwrap();
-        assert_eq!(*v, 2);
-        // The frame keeps the mapping alive after the caller's Arc drops.
-        drop(store);
-        assert_eq!(&f.bytes()[..8], &2u64.to_le_bytes());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

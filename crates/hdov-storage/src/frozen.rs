@@ -294,7 +294,7 @@ pub fn repair_page(path: &Path, id: u64, bytes: &[u8], table: &[u64]) -> Result<
 
 /// Reads the `len`-page run starting at data page `first` straight from an
 /// open store file with one positioned read — the scrubber's sweep
-/// primitive, deliberately bypassing any mapping so verification always
+/// primitive, deliberately bypassing the pool so verification always
 /// sees the bytes currently on disk.
 pub fn read_run_raw(file: &File, first: u64, len: u64, out: &mut [u8]) -> Result<()> {
     let n = len as usize * PAGE_SIZE;

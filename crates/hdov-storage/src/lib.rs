@@ -10,7 +10,7 @@
 //!   cost model into exact [`IoStats`] (page reads/writes, sequential vs.
 //!   random, simulated elapsed time), and a [`SimulatedDisk`] wrapper that
 //!   meters a build through one cursor,
-//! * [`FrozenPages`] snapshots (in memory, mmap'd or pread-backed files) and
+//! * [`FrozenPages`] snapshots (in memory or pread-backed files) and
 //!   the [`SharedCachedFile`] buffer pool: the one page-read path, where
 //!   every page request takes one per-page probe, every miss is
 //!   checksum-verified, retried and failed over, and the pool counts only
@@ -23,9 +23,7 @@
 //! the simulated clock, which makes the reproduction deterministic and
 //! hardware-independent (see `DESIGN.md` §3).
 
-// `unsafe` is denied everywhere except the mmap syscall bindings, which
-// carry per-site `#[allow]`s with safety arguments (see `mmap`).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;
@@ -39,7 +37,6 @@ pub mod frame;
 pub mod frozen;
 pub mod idhash;
 pub mod lru;
-pub mod mmap;
 pub mod mutable;
 pub mod page;
 pub mod pread;
@@ -60,7 +57,6 @@ pub use file::{MemPagedFile, PagedFile};
 pub use frame::Frame;
 pub use idhash::{IdHashMap, IdHasher};
 pub use lru::LruCache;
-pub use mmap::MappedStore;
 pub use mutable::{MutTxn, MutableStore, PageLoc, PageTable, StoreSnapshot};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use pread::PreadStore;

@@ -144,7 +144,7 @@ struct MutableFile {
 /// Snapshots are cheap (`Arc` clones) and stay valid — and unchanged —
 /// across any number of later commits and checkpoints: the page tables are
 /// immutable and shadow pages are refcounted, and a checkpoint replaces the
-/// store's *handles*, not the bytes a pinned `FrozenPages` already mapped.
+/// store's *handles*, not the bytes a pinned `FrozenPages` already holds.
 #[derive(Debug, Clone)]
 pub struct StoreSnapshot {
     epoch: u64,

@@ -1,9 +1,10 @@
 //! Positioned-read (`pread`) access to a verified frozen store.
 //!
-//! The no-mmap file backend: pages are copied out of the store file with
-//! `read_exact_at`, which needs no `unsafe` and no resident mapping. A
-//! contiguous page run is one contiguous byte range on disk, so the
-//! vectored-prefetch path reads a whole run with a **single** `pread`.
+//! The file backend: pages are copied out of the store file with
+//! `read_exact_at` on a shared handle, so pages that are repaired in place
+//! are read fresh on the next miss. A contiguous page run is one
+//! contiguous byte range on disk, so the vectored-prefetch path reads a
+//! whole run with a **single** `pread`.
 //!
 //! Every physical read issued here bumps
 //! [`Counter::PhysReads`](hdov_obs::Counter::PhysReads) — the observable

@@ -200,16 +200,16 @@ impl ReplicaSet {
         self.replicas[k].faults.get()
     }
 
-    /// Whether any replica has an armed injector (the borrowed-frame and
-    /// vectored-prefetch fast paths disable themselves when so).
+    /// Whether any replica has an armed injector (the single-`pread` run
+    /// read disables itself when so).
     pub fn any_faults(&self) -> bool {
         self.replicas.iter().any(|r| r.faults.get().is_some())
     }
 
     /// Records a corrupt read of `page` on replica `k`. Counted (once per
     /// pair) as `quarantined_pages`; repaired pages are not re-quarantined —
-    /// a stale mapping re-serving pre-repair bytes must not spin the
-    /// counter.
+    /// a copy that still serves bad bytes after its repair (an armed
+    /// corruption fault) must not spin the counter.
     pub fn quarantine(&self, k: usize, page: u64) -> bool {
         let mut health = lock(&self.replicas[k].health);
         if health.contains_key(&page) {
@@ -252,8 +252,7 @@ impl ReplicaSet {
     ///
     /// File-backed replicas re-read the page from disk under the lock and
     /// rewrite only if the bytes there are actually bad — a session that
-    /// lost the repair race, or one fed stale pre-repair bytes by a private
-    /// mapping, performs no redundant write. Returns `Ok(true)` when this
+    /// lost the repair race performs no redundant write. Returns `Ok(true)` when this
     /// call healed the pair (counted as `pages_repaired`), `Ok(false)` when
     /// it was already healthy.
     pub fn repair(&self, k: usize, page: u64, good: &[u8]) -> Result<bool> {
@@ -289,7 +288,7 @@ impl ReplicaSet {
                 file.read_exact_at(&mut cur, StoreLayout::page_offset(page))?;
                 drop(file);
                 if page_checksum(&cur) == expected {
-                    false // lost the race (or stale mapping): disk is healthy
+                    false // lost the race: disk is healthy
                 } else {
                     crate::frozen::repair_page(&path, page, &good[..PAGE_SIZE], &self.checksums)?;
                     true

@@ -24,8 +24,8 @@
 //! workload, and fault-free benchmark figures are unchanged by running it.
 //!
 //! Verification always reads **fresh from disk** (a dedicated file handle
-//! per replica, bypassing any mapping), so a store repaired behind a stale
-//! private mapping still verifies by its on-disk bytes.
+//! per replica, bypassing the pool), so a store verifies by its on-disk
+//! bytes, never by a pooled copy.
 
 use crate::error::StoreOrigin;
 use crate::shared::SharedCachedFile;
@@ -129,13 +129,13 @@ impl ScrubReport {
     }
 }
 
-/// A raw, mapping-free view of one replica for verification reads.
+/// A raw, pool-free view of one replica for verification reads.
 #[derive(Debug)]
 enum RawReader {
     /// Mem stores are their own source of truth; read through the snapshot.
     Mem(FrozenPages),
     /// File stores get a dedicated handle so reads see the bytes on disk,
-    /// never a stale mapping.
+    /// never a pooled copy.
     File(File),
 }
 

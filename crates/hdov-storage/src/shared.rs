@@ -28,7 +28,6 @@
 //! ([`SharedCachedFile::from_disk`]).
 
 use crate::error::StoreOrigin;
-use crate::mmap::MappedStore;
 use crate::pread::PreadStore;
 use crate::replica::ReplicaSet;
 use crate::{
@@ -55,17 +54,15 @@ type Shard = LruCache<u64, Arc<Frame>>;
 
 /// An immutable snapshot of a paged file, cheap to share across threads.
 ///
-/// Three backends hide behind the same handle:
+/// Two backends hide behind the same handle:
 ///
 /// * **mem** — the pages of a fully built [`MemPagedFile`], `Arc`-shared.
 ///   The deterministic CI twin; every simulated-cost figure is defined
 ///   against it.
-/// * **mmap** — a frozen-store file mapped read-only ([`MappedStore`]);
-///   pooled frames borrow its bytes without a copy.
 /// * **pread** — a frozen-store file read with positioned reads
 ///   ([`PreadStore`]).
 ///
-/// All three serve byte-identical pages for the same built store (a CI
+/// Both serve byte-identical pages for the same built store (a CI
 /// gate and proptests pin this), so the choice changes wall-clock behavior
 /// only — never answers, never simulated costs.
 #[derive(Debug, Clone)]
@@ -79,7 +76,6 @@ pub struct FrozenPages {
 #[derive(Debug, Clone)]
 enum Repr {
     Mem { pages: Arc<[Box<[u8]>]> },
-    Mapped { store: Arc<MappedStore> },
     Pread { store: Arc<PreadStore> },
 }
 
@@ -92,16 +88,6 @@ impl FrozenPages {
             },
             extra: Vec::new().into(),
         }
-    }
-
-    /// Opens a frozen-store file via a fully verified read-only mapping.
-    pub fn open_mmap(path: &Path) -> Result<Self> {
-        Ok(FrozenPages {
-            repr: Repr::Mapped {
-                store: Arc::new(MappedStore::open(path)?),
-            },
-            extra: Vec::new().into(),
-        })
     }
 
     /// Opens a frozen-store file for fully verified positioned reads.
@@ -147,7 +133,6 @@ impl FrozenPages {
     pub fn page_count(&self) -> u64 {
         match &self.repr {
             Repr::Mem { pages } => pages.len() as u64,
-            Repr::Mapped { store } => store.page_count(),
             Repr::Pread { store } => store.page_count(),
         }
     }
@@ -157,7 +142,6 @@ impl FrozenPages {
     pub fn origin(&self) -> StoreOrigin {
         match &self.repr {
             Repr::Mem { .. } => StoreOrigin::Mem,
-            Repr::Mapped { store } => store.origin(),
             Repr::Pread { store } => store.origin(),
         }
     }
@@ -167,7 +151,6 @@ impl FrozenPages {
     pub fn generation(&self) -> u64 {
         match &self.repr {
             Repr::Mem { .. } => 0,
-            Repr::Mapped { store } => store.generation(),
             Repr::Pread { store } => store.generation(),
         }
     }
@@ -192,10 +175,6 @@ impl FrozenPages {
                 out[..PAGE_SIZE].copy_from_slice(&pages[id.0 as usize]);
                 Ok(())
             }
-            Repr::Mapped { store } => {
-                out[..PAGE_SIZE].copy_from_slice(store.page_bytes(id)?);
-                Ok(())
-            }
             Repr::Pread { store } => store.read_into(id, out),
         }
     }
@@ -205,7 +184,6 @@ impl FrozenPages {
     pub fn checksum_table(&self) -> Arc<[u64]> {
         match &self.repr {
             Repr::Mem { pages } => pages.iter().map(|p| page_checksum(p)).collect(),
-            Repr::Mapped { store } => Arc::clone(store.checksums()),
             Repr::Pread { store } => Arc::clone(store.checksums()),
         }
     }
@@ -218,7 +196,7 @@ impl FrozenPages {
             Repr::Mem { pages } => {
                 crate::frozen::write_store_flagged(path, pages, generation, flags)
             }
-            _ => {
+            Repr::Pread { .. } => {
                 let mut all = Vec::with_capacity(self.page_count() as usize);
                 let mut buf = vec![0u8; PAGE_SIZE];
                 for i in 0..self.page_count() {
@@ -245,15 +223,6 @@ impl FrozenPages {
             self.write_store_flagged(p.as_ref(), generation, flags)?;
         }
         Ok(())
-    }
-
-    /// The mmap store behind this handle, when the mmap backend is active
-    /// (the borrowed-frame and `madvise` fast paths key off this).
-    pub fn mapped(&self) -> Option<&Arc<MappedStore>> {
-        match &self.repr {
-            Repr::Mapped { store } => Some(store),
-            _ => None,
-        }
     }
 
     /// The pread store behind this handle, when the pread backend is
@@ -616,27 +585,10 @@ impl SharedCachedFile {
         Ok(frame)
     }
 
-    /// Builds the frame a miss admits, before any charging.
-    ///
-    /// The mmap fast path: with no faults armed, a mapped store's frame
-    /// *borrows* the mapping's bytes (zero copies; the frame's `Arc` keeps
-    /// the mapping alive) after the same sidecar-checksum verification a
-    /// copying fetch performs. Every other configuration — mem, pread, or
-    /// any armed fault injector — copies through [`fetch_into`](Self::fetch_into)
-    /// so fault/retry semantics are byte-for-byte the historical ones.
+    /// Builds the frame a miss admits, before any charging: the page copied
+    /// out through [`fetch_into`](Self::fetch_into), with its retries,
+    /// checksum check and replica failover.
     fn build_frame(&self, cursor: &mut IoCursor, id: PageId) -> Result<Frame> {
-        if !self.replicas.any_faults() {
-            if let Some(store) = self.data.mapped() {
-                let bytes = store.page_bytes(id)?;
-                if page_checksum(bytes) == self.checksums[id.0 as usize] {
-                    return Ok(Frame::borrowed(id, Arc::clone(store)));
-                }
-                // Corrupt (or stale) mapping: fall through to the copying
-                // path, which counts the failure once and can fail over to
-                // a replica. With one replica the outcome is the same
-                // Corrupt error the borrow path historically returned.
-            }
-        }
         let mut page = Page::zeroed();
         self.fetch_into(cursor, id, &mut page)?;
         Ok(Frame::new(id, page))
@@ -701,11 +653,9 @@ impl SharedCachedFile {
     /// is charged and installed exactly like [`read_frame`](Self::read_frame).
     /// Per-page *simulated* accounting (hit/miss sequence, cursor charging,
     /// pool counters) is therefore independent of the backend. What changes
-    /// is the *physical* I/O: when any page of the run is missing, the file
-    /// backends issue **one** operation for it — a single
-    /// `madvise(WILLNEED)` readahead of the run on the mmap path, a single
-    /// `pread` from the first missing page to the end of the run on the
-    /// pread path (later misses are then installed from that buffer, each
+    /// is the *physical* I/O: when any page of the run is missing, the pread
+    /// backend issues **one** `pread` from the first missing page to the end
+    /// of the run (later misses are then installed from that buffer, each
     /// verified against its sidecar checksum, not re-read page by page). The
     /// mem backend issues none. Each call bumps `prefetch_runs`; the
     /// physical operations bump `phys_reads` at the syscall wrappers, so on
@@ -719,13 +669,6 @@ impl SharedCachedFile {
             return Ok(());
         }
         hdov_obs::add(hdov_obs::Counter::PrefetchRuns, 1);
-        if !self.replicas.any_faults() {
-            if let Some(store) = self.data.mapped() {
-                if (0..len).any(|k| !self.contains(PageId(first.0 + k))) {
-                    store.advise_willneed(first, len);
-                }
-            }
-        }
         self.probe_run(cursor, first, len, false)
     }
 

@@ -1,11 +1,11 @@
 //! Session server over a **file-backed** scene: the whole serving stack —
 //! shared pools, motion prefetch, multi-threaded session replay — runs on
-//! stores relocated to real mmap'd / pread files, and every simulated
+//! stores relocated to real pread-backed files, and every simulated
 //! outcome matches the in-memory twin exactly.
 
 use hdov_core::{HdovBuildConfig, HdovEnvironment, PoolConfig, StorageScheme};
 use hdov_scene::CityConfig;
-use hdov_storage::{FileMode, StorageBackend};
+use hdov_storage::StorageBackend;
 use hdov_visibility::CellGridConfig;
 use hdov_walkthrough::{ServerConfig, Session, SessionKind, SessionOutcome, SessionServer};
 
@@ -61,30 +61,26 @@ fn server_outcomes_identical_on_file_backends() {
     let mem_digest: Vec<_> = mem.sessions.iter().map(digest).collect();
     assert!(mem.page_reads() > 0);
 
-    for mode in [FileMode::Mmap, FileMode::Pread] {
-        let backend = StorageBackend::File {
-            dir: dir.join(format!("{mode:?}")),
-            mode,
-            replicas: 1,
-        };
-        let env = build_env(&backend);
-        let report = SessionServer::new(&env, cfg).run(&sessions, 1).unwrap();
-        let filed: Vec<_> = report.sessions.iter().map(digest).collect();
-        assert_eq!(
-            mem_digest, filed,
-            "simulated serving outcomes diverged on {mode:?}"
-        );
+    let env = build_env(&StorageBackend::file(&dir));
+    let report = SessionServer::new(&env, cfg).run(&sessions, 1).unwrap();
+    let filed: Vec<_> = report.sessions.iter().map(digest).collect();
+    assert_eq!(
+        mem_digest, filed,
+        "simulated serving outcomes diverged on the file backend"
+    );
 
-        // Multi-threaded replay over the same file-backed stores: answers
-        // stay correct (polygons are order-independent) and nothing panics
-        // while four sessions hammer the mapped pages concurrently.
-        let mt = SessionServer::new(&env, cfg).run(&sessions, 4).unwrap();
-        let mut polys: Vec<u64> = mt.sessions.iter().map(|o| o.total_polygons).collect();
-        let mut want: Vec<u64> = mem.sessions.iter().map(|o| o.total_polygons).collect();
-        polys.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(polys, want, "concurrency changed answers on {mode:?}");
-        assert!(mt.simulated_qps() > 0.0);
-    }
+    // Multi-threaded replay over the same file-backed stores: answers stay
+    // correct (polygons are order-independent) and nothing panics while
+    // four sessions hammer the store files concurrently.
+    let mt = SessionServer::new(&env, cfg).run(&sessions, 4).unwrap();
+    let mut polys: Vec<u64> = mt.sessions.iter().map(|o| o.total_polygons).collect();
+    let mut want: Vec<u64> = mem.sessions.iter().map(|o| o.total_polygons).collect();
+    polys.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(
+        polys, want,
+        "concurrency changed answers on the file backend"
+    );
+    assert!(mt.simulated_qps() > 0.0);
     std::fs::remove_dir_all(&dir).ok();
 }

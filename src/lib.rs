@@ -47,6 +47,8 @@
 //!          result.entries().len(), result.total_polygons(), stats.search_time_ms());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod project;
 
 pub use hdov_core as core;
