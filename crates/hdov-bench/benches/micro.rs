@@ -38,7 +38,6 @@ fn hdov_search_by_scheme(c: &mut Criterion) {
             rays_per_viewpoint: 1024,
             viewpoints_per_cell: 3,
             seed: 1,
-            ..Default::default()
         },
         ..Default::default()
     };
@@ -64,7 +63,6 @@ fn naive_vs_hdov(c: &mut Criterion) {
             rays_per_viewpoint: 1024,
             viewpoints_per_cell: 3,
             seed: 1,
-            ..Default::default()
         },
         ..Default::default()
     };
@@ -109,7 +107,6 @@ fn dov_estimation(c: &mut Criterion) {
                     rays_per_viewpoint: 512,
                     viewpoints_per_cell: 3,
                     seed: 1,
-                    ..Default::default()
                 },
                 1,
             ))
@@ -125,7 +122,6 @@ fn prioritized_search(c: &mut Criterion) {
             rays_per_viewpoint: 1024,
             viewpoints_per_cell: 3,
             seed: 1,
-            ..Default::default()
         },
         ..Default::default()
     };

@@ -32,7 +32,7 @@
 //! run) plus a final full sweep must leave every replica verifying clean
 //! from disk.
 
-use hdov_bench::{print_table, write_csv, EvalScene, RunOptions};
+use hdov_bench::{flag_value, print_table, write_csv, EvalScene, RunOptions};
 use hdov_core::{PoolConfig, StorageScheme};
 use hdov_storage::frozen::{read_layout, StoreLayout};
 use hdov_storage::{verify_pool, ReplicaHealth, ScrubConfig, Scrubber, StorageBackend};
@@ -40,16 +40,6 @@ use hdov_walkthrough::{ServerConfig, ServerReport, Session, SessionKind, Session
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Parses `--flag <v>` / `--flag=<v>` out of the raw argument list.
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    let eq = format!("{flag}=");
-    args.iter().enumerate().find_map(|(i, a)| {
-        a.strip_prefix(&eq)
-            .map(str::to_string)
-            .or_else(|| (a == flag).then(|| args.get(i + 1).cloned()).flatten())
-    })
-}
 
 /// Flips one byte in each of up to `n` distinct data pages, round-robin
 /// across the primary (`<name>.hdov`, never `<name>.rK.hdov`) store files
@@ -102,9 +92,7 @@ fn corrupt_primary_pages(dir: &Path, n: usize) -> usize {
 fn main() {
     let opts = RunOptions::from_args();
     let args: Vec<String> = std::env::args().collect();
-    let corrupt_pages: usize = arg_value(&args, "--corrupt-pages")
-        .map(|v| v.parse().expect("--corrupt-pages takes a page count"))
-        .unwrap_or(0);
+    let corrupt_pages: usize = flag_value(&args, "--corrupt-pages", "a page count").unwrap_or(0);
     let scrub = args.iter().any(|a| a == "--scrub");
     hdov_bench::start_metrics();
     let eval = EvalScene::standard(&opts);

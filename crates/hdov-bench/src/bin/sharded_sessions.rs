@@ -19,35 +19,19 @@
 //! The printed contract lines are re-grepped by CI so a silently weakened
 //! binary still fails the job.
 
-use hdov_bench::{print_table, write_csv, EvalScene, RunOptions};
+use hdov_bench::{flag_value, print_table, write_csv, EvalScene, RunOptions};
 use hdov_core::{PoolConfig, StorageScheme};
 use hdov_shard::{BreakerState, RouterConfig, ShardChaos, ShardRouter};
 use hdov_walkthrough::{ServerConfig, ServerReport, Session, SessionKind, SessionServer};
 
-/// Parses `--flag <v>` / `--flag=<v>` out of the raw argument list.
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    let eq = format!("{flag}=");
-    args.iter().enumerate().find_map(|(i, a)| {
-        a.strip_prefix(&eq)
-            .map(str::to_string)
-            .or_else(|| (a == flag).then(|| args.get(i + 1).cloned()).flatten())
-    })
-}
-
 fn main() {
     let opts = RunOptions::from_args();
     let args: Vec<String> = std::env::args().collect();
-    let shards: usize = arg_value(&args, "--shards")
-        .map(|v| v.parse().expect("--shards takes a shard count"))
-        .unwrap_or(4);
-    let kill_shard: Option<usize> =
-        arg_value(&args, "--kill-shard").map(|v| v.parse().expect("--kill-shard takes an index"));
-    let kill_at: u64 = arg_value(&args, "--kill-at-frame")
-        .map(|v| v.parse().expect("--kill-at-frame takes a frame index"))
-        .unwrap_or(10);
-    let revive_at: u64 = arg_value(&args, "--revive-at-frame")
-        .map(|v| v.parse().expect("--revive-at-frame takes a frame index"))
-        .unwrap_or(u64::MAX);
+    let shards: usize = flag_value(&args, "--shards", "a shard count").unwrap_or(4);
+    let kill_shard: Option<usize> = flag_value(&args, "--kill-shard", "a shard index");
+    let kill_at: u64 = flag_value(&args, "--kill-at-frame", "a frame index").unwrap_or(10);
+    let revive_at: u64 =
+        flag_value(&args, "--revive-at-frame", "a frame index").unwrap_or(u64::MAX);
 
     let eval = EvalScene::standard(&opts);
     let n_sessions = if opts.quick { 6 } else { 12 };

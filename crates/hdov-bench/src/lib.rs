@@ -174,6 +174,36 @@ impl RunOptions {
     }
 }
 
+/// The value of `--flag <v>` or `--flag=<v>` in `args`, parsed as a `T`:
+/// `None` when the flag is absent. A missing or unparsable value prints an
+/// error naming `what` the flag takes and exits with status 2, as a bad
+/// `--backend` does in [`RunOptions::from_args`].
+pub fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str, what: &str) -> Option<T> {
+    parse_flag(args, flag, what).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
+}
+
+fn parse_flag<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    what: &str,
+) -> Result<Option<T>, String> {
+    let eq = format!("{flag}=");
+    let Some(raw) = args.iter().enumerate().find_map(|(i, a)| {
+        a.strip_prefix(&eq)
+            .map(Some)
+            .or_else(|| (a == flag).then(|| args.get(i + 1).map(String::as_str)))
+    }) else {
+        return Ok(None);
+    };
+    let raw = raw.unwrap_or_default();
+    raw.parse()
+        .map(Some)
+        .map_err(|_| format!("bad {flag} {raw:?}; it takes {what}"))
+}
+
 /// The evaluation scene bundle shared by the harness binaries.
 pub struct EvalScene {
     /// The generated city.
@@ -210,7 +240,6 @@ impl EvalScene {
             rays_per_viewpoint: if opts.quick { 2048 } else { 8192 },
             viewpoints_per_cell: 5,
             seed: 2003,
-            ..Default::default()
         };
         let build_cfg = HdovBuildConfig {
             dov,
@@ -453,6 +482,30 @@ mod tests {
         if let StorageBackend::File { dir, .. } = &s {
             assert_eq!(dir, Path::new("stores/fig7"));
         }
+    }
+
+    #[test]
+    fn flag_values_parse_or_name_the_bad_value() {
+        let args: Vec<String> = [
+            "bin",
+            "--shards",
+            "3",
+            "--kill-at-frame=7",
+            "--x",
+            "q",
+            "--last",
+        ]
+        .map(String::from)
+        .to_vec();
+        let get = |flag| parse_flag::<u64>(&args, flag, "a count");
+        assert_eq!(get("--shards"), Ok(Some(3)));
+        assert_eq!(get("--kill-at-frame"), Ok(Some(7)));
+        assert_eq!(get("--revive-at-frame"), Ok(None));
+        assert_eq!(get("--x"), Err("bad --x \"q\"; it takes a count".into()));
+        assert_eq!(
+            get("--last"),
+            Err("bad --last \"\"; it takes a count".into())
+        );
     }
 
     /// Heavy smoke test over the shared harness plumbing; run with

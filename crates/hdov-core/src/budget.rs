@@ -3,23 +3,18 @@
 //! A [`QueryBudget`] caps what one visibility query may spend before the
 //! traversal stops descending and serves the remaining subtrees as internal
 //! LoDs (the same graceful-degradation machinery §11 uses for read errors,
-//! recorded with [`DegradeCause::BudgetExhausted`]). Two independent caps:
-//!
-//! * **Simulated cost** — the deterministic I/O + CPU charge every search
-//!   already accounts (`SearchStats::search_time_ms` currency). This is the
-//!   cap CI and the `overload` bench exercise: bit-identical across runs.
-//! * **Wall-clock deadline** — a real [`Instant`] deadline for production
-//!   serving, where a stalled device must not hold a frame hostage.
-//!   Inherently nondeterministic; tests use the simulated cap.
+//! recorded with [`DegradeCause::BudgetExhausted`]). The one cap is
+//! simulated cost: the deterministic I/O + CPU charge every search already
+//! accounts (`SearchStats::search_time_ms` currency), the currency the paper
+//! costs queries in. A capped query is therefore bit-identical across runs,
+//! which is what lets CI and the `overload` bench gate it.
 //!
 //! An [`unlimited`](QueryBudget::unlimited) budget is free: the traversal
-//! performs one branch test per descent and touches no clock, so its answer,
-//! simulated costs, and degrade report are byte-identical to the unbudgeted
-//! path (pinned by the `budget` proptest suite).
+//! performs one branch test per descent, so its answer, simulated costs,
+//! and degrade report are byte-identical to the unbudgeted path (pinned by
+//! the `budget` proptest suite).
 //!
 //! [`DegradeCause::BudgetExhausted`]: crate::search::DegradeCause::BudgetExhausted
-
-use std::time::{Duration, Instant};
 
 /// What one query may spend before its traversal degrades to internal LoDs.
 ///
@@ -36,19 +31,15 @@ pub struct QueryBudget {
     ///
     /// [`SearchStats::search_time_ms`]: crate::search::SearchStats::search_time_ms
     pub sim_ms: f64,
-    /// Wall-clock allowance measured from the start of the query.
-    /// `None` disables the deadline.
-    pub wall: Option<Duration>,
 }
 
 impl QueryBudget {
-    /// No caps — the budgeted path is byte-identical to the unbudgeted one.
+    /// No cap — the budgeted path is byte-identical to the unbudgeted one.
     pub const UNLIMITED: QueryBudget = QueryBudget {
         sim_ms: f64::INFINITY,
-        wall: None,
     };
 
-    /// No caps (const form: [`Self::UNLIMITED`]).
+    /// No cap (const form: [`Self::UNLIMITED`]).
     #[must_use]
     pub fn unlimited() -> Self {
         Self::UNLIMITED
@@ -65,21 +56,14 @@ impl QueryBudget {
         } else {
             f64::INFINITY
         };
-        QueryBudget { sim_ms, wall: None }
+        QueryBudget { sim_ms }
     }
 
-    /// Adds a wall-clock deadline `d` from the start of the query.
-    #[must_use]
-    pub fn with_wall(mut self, d: Duration) -> Self {
-        self.wall = Some(d);
-        self
-    }
-
-    /// True when either cap is active. An unlimited budget short-circuits
+    /// True when the cap is active. An unlimited budget short-circuits
     /// every check in the traversal to a single branch.
     #[must_use]
     pub fn is_limited(&self) -> bool {
-        self.sim_ms.is_finite() || self.wall.is_some()
+        self.sim_ms.is_finite()
     }
 }
 
@@ -89,18 +73,16 @@ impl Default for QueryBudget {
     }
 }
 
-/// Per-query budget tracker: the budget plus the query's cost baseline and
-/// (when a wall deadline is set) its start-derived deadline instant.
+/// Per-query budget tracker: the budget plus the query's cost baseline.
 ///
 /// Created once per search; `exhausted` is called at most once per descent
 /// with the *current* cumulative I/O charge, so the tracker itself holds no
-/// mutable state and never reads a clock on the unlimited path.
+/// mutable state.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BudgetClock {
     limited: bool,
     sim_budget_us: f64,
     base_io_us: f64,
-    deadline: Option<Instant>,
 }
 
 impl BudgetClock {
@@ -108,28 +90,21 @@ impl BudgetClock {
     /// of the query's meters at query start (the stats are shared across
     /// queries; the budget covers only this query's delta).
     pub(crate) fn start(budget: QueryBudget, base_io_us: f64) -> Self {
-        let limited = budget.is_limited();
         BudgetClock {
-            limited,
+            limited: budget.is_limited(),
             sim_budget_us: budget.sim_ms * 1000.0,
             base_io_us,
-            // The only clock read on the limited path happens here, once.
-            deadline: if limited {
-                budget.wall.map(|d| Instant::now() + d)
-            } else {
-                None
-            },
         }
     }
 
-    /// True when any cap is active (callers skip the spent computation —
+    /// True when the cap is active (callers skip the spent computation —
     /// and its meter reads — entirely on the unlimited path).
     #[inline]
     pub(crate) fn is_limited(&self) -> bool {
         self.limited
     }
 
-    /// True when this query's spend has reached a cap. `io_elapsed_us` is
+    /// True when this query's spend has reached the cap. `io_elapsed_us` is
     /// the *cumulative* simulated I/O charge of the query's meters (the
     /// baseline is subtracted here); `nodes`/`vpages` are this query's
     /// counts, charged at the standard CPU rates.
@@ -138,12 +113,7 @@ impl BudgetClock {
         let spent_us = (io_elapsed_us - self.base_io_us)
             + nodes as f64 * crate::search::CPU_PER_NODE_US
             + vpages as f64 * crate::search::CPU_PER_RESULT_US;
-        spent_us >= self.sim_budget_us || self.past_deadline()
-    }
-
-    /// True when the wall-clock deadline (if any) has passed.
-    pub(crate) fn past_deadline(&self) -> bool {
-        matches!(self.deadline, Some(d) if Instant::now() >= d)
+        spent_us >= self.sim_budget_us
     }
 }
 
@@ -163,9 +133,6 @@ mod tests {
     fn sim_cap_is_limited_and_clamped() {
         assert!(QueryBudget::sim_ms(5.0).is_limited());
         assert_eq!(QueryBudget::sim_ms(-3.0).sim_ms, 0.0);
-        assert!(QueryBudget::unlimited()
-            .with_wall(Duration::from_millis(1))
-            .is_limited());
     }
 
     #[test]
@@ -177,16 +144,6 @@ mod tests {
         assert!(c.exhausted(1400.0, 40, 10));
         // 1.0 ms spent: at the cap.
         assert!(c.exhausted(1500.0, 0, 0));
-    }
-
-    #[test]
-    fn wall_deadline_trips_after_elapse() {
-        let c = BudgetClock::start(
-            QueryBudget::unlimited().with_wall(Duration::from_millis(0)),
-            0.0,
-        );
-        assert!(c.is_limited());
-        assert!(c.exhausted(0.0, 0, 0), "zero deadline is already past");
     }
 
     #[test]

@@ -185,9 +185,8 @@ impl MutableScene {
         let handles: Vec<u64> = objects.keys().copied().collect();
         let dense = dense_table(&dov, &handles, cfg.dov.rays_per_viewpoint);
         let shared = publish(
-            &objects,
+            &dense_scene(&objects, &handles, scene.prototypes()),
             &handles,
-            scene.prototypes(),
             &grid,
             &cfg,
             scheme,
@@ -263,9 +262,8 @@ impl MutableScene {
         let handles: Vec<u64> = objects.keys().copied().collect();
         let dense = dense_table(&dov, &handles, cfg.dov.rays_per_viewpoint);
         let shared = publish(
-            &objects,
+            &dense_scene(&objects, &handles, &prototypes),
             &handles,
-            &prototypes,
             &grid,
             &cfg,
             scheme,
@@ -444,7 +442,7 @@ impl MutableScene {
             .eq(w.objects.values().map(|r| r.prototype));
         self.objects = w.objects;
         let handles: Vec<u64> = self.objects.keys().copied().collect();
-        let scene = self.dense_scene(&handles);
+        let scene = dense_scene(&self.objects, &handles, &self.prototypes);
 
         // 4. Translate the surviving visibility to dense keys and
         //    re-estimate only the dirty cells.
@@ -477,9 +475,8 @@ impl MutableScene {
 
         // 7. Derived environment for the new epoch.
         self.shared = publish(
-            &self.objects,
+            &scene,
             &handles,
-            &self.prototypes,
             &self.grid,
             &self.cfg,
             self.scheme,
@@ -547,19 +544,7 @@ impl MutableScene {
     /// from-scratch-rebuild oracle used by the consistency tests.
     pub fn dense_scene_snapshot(&self) -> Scene {
         let handles: Vec<u64> = self.objects.keys().copied().collect();
-        self.dense_scene(&handles)
-    }
-
-    fn dense_scene(&self, handles: &[u64]) -> Scene {
-        let objs = handles
-            .iter()
-            .enumerate()
-            .map(|(i, h)| {
-                let r = &self.objects[h];
-                SceneObject::new(i as u64, r.kind, r.prototype, r.mbr)
-            })
-            .collect();
-        Scene::new(objs, self.prototypes.clone())
+        dense_scene(&self.objects, &handles, &self.prototypes)
     }
 }
 
@@ -602,10 +587,28 @@ fn handle_table(dense: &DovTable, handles: &[u64]) -> DovTable {
         .expect("rank translation preserves table invariants")
 }
 
-/// Builds and publishes the derived environment for one epoch: the tree is
-/// lifted from the live backbone with handle payloads remapped to dense
-/// ids, then V-pages and internal LoDs are rebuilt, and everything is
-/// frozen behind cold pools of `pool` geometry.
+/// The dense-id scene of `objects`: object `i` is the placement of
+/// `handles[i]`, the `i`-th live handle in ascending order.
+fn dense_scene(
+    objects: &BTreeMap<ObjectHandle, ObjectInfo>,
+    handles: &[u64],
+    prototypes: &PrototypeLibrary,
+) -> Scene {
+    let objs = handles
+        .iter()
+        .enumerate()
+        .map(|(i, h)| {
+            let r = &objects[h];
+            SceneObject::new(i as u64, r.kind, r.prototype, r.mbr)
+        })
+        .collect();
+    Scene::new(objs, prototypes.clone())
+}
+
+/// Builds and publishes the derived environment for one epoch from its
+/// [`dense_scene`]: the tree is lifted from the live backbone with handle
+/// payloads remapped to dense ids, then V-pages and internal LoDs are
+/// rebuilt, and everything is frozen behind cold pools of `pool` geometry.
 ///
 /// The object model bank depends only on the dense sequence of prototypes
 /// (object `i`'s LoD chain is prototype `i`'s, laid out in id order). When
@@ -615,9 +618,8 @@ fn handle_table(dense: &DovTable, handles: &[u64]) -> DovTable {
 /// new epoch starts exactly as cold, so simulated costs do not move.
 #[allow(clippy::too_many_arguments)]
 fn publish(
-    objects: &BTreeMap<ObjectHandle, ObjectInfo>,
+    scene: &Scene,
     handles: &[u64],
-    prototypes: &PrototypeLibrary,
     grid: &Arc<CellGrid>,
     cfg: &HdovBuildConfig,
     scheme: StorageScheme,
@@ -626,25 +628,16 @@ fn publish(
     rtree: &mut RTree<MemPagedFile>,
     bank: Option<&SharedModels>,
 ) -> Result<Arc<SharedEnvironment>> {
-    let objs = handles
-        .iter()
-        .enumerate()
-        .map(|(i, h)| {
-            let r = &objects[h];
-            SceneObject::new(i as u64, r.kind, r.prototype, r.mbr)
-        })
-        .collect();
-    let scene = Scene::new(objs, prototypes.clone());
     let remap = |h: u64| {
         handles
             .binary_search(&h)
             .expect("backbone payload is not a live handle") as u64
     };
     let table = Arc::new(dense);
-    let (tree, cells) = HdovTree::build_from_backbone(&scene, cfg, &table, rtree, &remap)?;
+    let (tree, cells) = HdovTree::build_from_backbone(scene, cfg, &table, rtree, &remap)?;
     let models = match bank {
         Some(bank) => bank.fork(),
-        None => SharedModels::build(&scene, cfg.disk)?.0,
+        None => SharedModels::build(scene, cfg.disk)?.0,
     };
     let (env, _) = crate::env::freeze(tree, &cells, cfg, scheme, Arc::clone(grid), table, models)?;
     Ok(Arc::new(env.with_pools(pool)))

@@ -14,7 +14,6 @@
 //! *budgeted* query (a frame deadline) captures far more of the visually
 //! important mass before the deadline than blind truncation would.
 
-use crate::budget::BudgetClock;
 use crate::search::{Query, QueryResult, ResultKey, CPU_PER_NODE_US};
 use crate::shared::{SessionCtx, SharedEnvironment, SharedStorage, Step};
 use crate::SearchStats;
@@ -107,9 +106,9 @@ pub struct PrioritizedOutcome {
 /// The per-entry decision and the LoD step are the depth-first walk's, so
 /// entries resident in `q.resident` are returned `cached` and cost no model
 /// I/O — a walkthrough's per-frame budget is spent on *new* content. When
-/// `q.budget` runs out — its simulated cap (I/O plus per-node CPU, checked
-/// before each work item) or its wall-clock deadline — the entries loaded
-/// so far are returned with `completed = false`.
+/// `q.budget`'s simulated cap (I/O plus per-node CPU, checked before each
+/// work item) runs out, the entries loaded so far are returned with
+/// `completed = false`.
 ///
 /// Run without a budget the answer set is identical to
 /// [`SharedEnvironment::search`] (entry order differs). Fails with
@@ -129,7 +128,6 @@ pub fn search_prioritized(
     };
     let meters = storage.begin();
     let io0 = storage.io_elapsed_us();
-    let bclock = BudgetClock::start(q.budget, io0);
     storage.enter_cell(q.cell)?;
 
     let mut stats = SearchStats::default();
@@ -156,10 +154,10 @@ pub fn search_prioritized(
 
     let mut completed = true;
     while let Some(item) = heap.pop() {
-        if bclock.is_limited() {
+        if q.budget.is_limited() {
             let io = storage.io_elapsed_us() - io0;
             let spent_ms = (io + stats.nodes_visited as f64 * CPU_PER_NODE_US) / 1000.0;
-            if spent_ms >= q.budget.sim_ms || bclock.past_deadline() {
+            if spent_ms >= q.budget.sim_ms {
                 completed = false;
                 break;
             }

@@ -9,7 +9,6 @@ use hdov_geom::{Frustum, Vec3};
 use hdov_scene::{CityConfig, Scene};
 use hdov_visibility::CellGridConfig;
 use std::collections::BTreeSet;
-use std::time::Duration;
 
 fn setup() -> (Scene, HdovEnvironment) {
     let scene = CityConfig::tiny().seed(21).generate();
@@ -202,18 +201,4 @@ fn deterministic_order() {
     let (a, _) = prioritized(&mut env, &frustum, 0.002, QueryBudget::UNLIMITED);
     let (b, _) = prioritized(&mut env, &frustum, 0.002, QueryBudget::UNLIMITED);
     assert_eq!(a.result.entries(), b.result.entries());
-}
-
-/// Every `Query` field reaches best-first: a wall-clock deadline that has
-/// already passed stops the traversal before its first work item.
-#[test]
-fn wall_clock_deadline_stops_best_first() {
-    let (scene, mut env) = setup();
-    let frustum = frustum_at(&scene, Vec3::X);
-    let budget = QueryBudget::unlimited().with_wall(Duration::ZERO);
-    let (o, s) = prioritized(&mut env, &frustum, 0.001, budget);
-    assert!(!o.completed, "a passed deadline must stop the traversal");
-    assert!(o.result.entries().is_empty());
-    assert_eq!((s.nodes_visited, s.vpages_fetched), (0, 0));
-    assert_eq!(s.model_io.page_reads + s.internal_io.page_reads, 0);
 }

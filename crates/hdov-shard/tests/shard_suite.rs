@@ -179,33 +179,28 @@ fn search_shard_rejects_invalid_shards_and_queries() {
 }
 
 /// Whole-server equality: `SessionServer` through a 4-shard router answers
-/// exactly as over the unsharded environment, with motion prefetch on
-/// (warming every shard of the predicted cell's fan-out) and off.
+/// exactly as over the unsharded environment, with motion prefetch warming
+/// every shard of the predicted cell's fan-out.
 #[test]
 fn sharded_server_answers_match_unsharded_server() {
     let env = shared_env();
     let sessions = record_sessions(&env, 4, 25);
-    for motion_prefetch in [true, false] {
-        let cfg = ServerConfig {
-            motion_prefetch,
-            ..ServerConfig::default()
-        };
-        let plain = SessionServer::new(&env, cfg).run(&sessions, 2).unwrap();
-        let router = ShardRouter::new(&env, 4, RouterConfig::default()).unwrap();
-        let sharded = SessionServer::new(&router, cfg).run(&sessions, 2).unwrap();
-        let t = router.totals();
-        assert_eq!((t.degraded_frames, t.timeouts), (0, 0));
-        assert_eq!((t.hedged, t.breaker_opens), (0, 0));
-        let warmed: u64 = sharded.sessions.iter().map(|s| s.prefetched_pages).sum();
-        assert_eq!(warmed > 0, motion_prefetch, "prefetch {motion_prefetch}");
-        for (a, b) in plain.sessions.iter().zip(&sharded.sessions) {
-            assert_eq!(a.session, b.session);
-            assert_eq!(a.total_polygons, b.total_polygons, "session {}", a.session);
-            assert_eq!(a.lod_level_sum, b.lod_level_sum, "session {}", a.session);
-            assert_eq!(a.lod_entries, b.lod_entries, "session {}", a.session);
-            assert_eq!(b.failed_frames, 0);
-            assert_eq!(b.degraded_frames, 0);
-        }
+    let cfg = ServerConfig::default();
+    let plain = SessionServer::new(&env, cfg).run(&sessions, 2).unwrap();
+    let router = ShardRouter::new(&env, 4, RouterConfig::default()).unwrap();
+    let sharded = SessionServer::new(&router, cfg).run(&sessions, 2).unwrap();
+    let t = router.totals();
+    assert_eq!((t.degraded_frames, t.timeouts), (0, 0));
+    assert_eq!((t.hedged, t.breaker_opens), (0, 0));
+    let warmed: u64 = sharded.sessions.iter().map(|s| s.prefetched_pages).sum();
+    assert!(warmed > 0, "motion prefetch must warm the shards");
+    for (a, b) in plain.sessions.iter().zip(&sharded.sessions) {
+        assert_eq!(a.session, b.session);
+        assert_eq!(a.total_polygons, b.total_polygons, "session {}", a.session);
+        assert_eq!(a.lod_level_sum, b.lod_level_sum, "session {}", a.session);
+        assert_eq!(a.lod_entries, b.lod_entries, "session {}", a.session);
+        assert_eq!(b.failed_frames, 0);
+        assert_eq!(b.degraded_frames, 0);
     }
 }
 
@@ -228,11 +223,6 @@ fn single_shard_server_outcomes_equal_unsharded() {
         },
         ServerConfig {
             control: Some(EtaControlConfig::for_target_ms(CONTROL_TARGET_MS)),
-            warm_start: true,
-            ..ServerConfig::default()
-        },
-        ServerConfig {
-            motion_prefetch: false,
             ..ServerConfig::default()
         },
     ];
@@ -250,8 +240,7 @@ fn single_shard_server_outcomes_equal_unsharded() {
         match k {
             0 => assert!(sum(|s| s.prefetched_pages) > 0, "prefetch must warm"),
             1 => assert!(sum(|s| s.budget_stops) > 0, "budget must stop descents"),
-            2 => assert!(sum(|s| s.eta_raises + s.eta_drops) > 0, "η must move"),
-            _ => assert_eq!(sum(|s| s.prefetched_pages), 0),
+            _ => assert!(sum(|s| s.eta_raises + s.eta_drops) > 0, "η must move"),
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! An in-memory BVH (median split on the longest centroid axis) answers
 //! "which object does this ray see first?" in `O(log n)` — the core
-//! primitive of the DoV estimator. A ground plane at `z = 0` terminates
+//! primitive of the DoV estimator, and its only caster. A ground plane at `z = 0` terminates
 //! downward rays so they cannot pass underneath the city.
 //!
 //! [`Bvh::first_hit`] walks nearest child first and returns the
@@ -161,34 +161,6 @@ impl Bvh {
     fn ground_t(&self, ray: &Ray) -> Option<f64> {
         let gz = self.ground_z?;
         (ray.dir.z < -1e-12 && ray.origin.z > gz).then(|| (gz - ray.origin.z) / ray.dir.z)
-    }
-
-    /// Visits every primitive whose leaf box the ray can reach, passing the
-    /// primitive index and its box-entry parameter, in right-child-first
-    /// depth-first order. The callback may use a shrinking upper bound of
-    /// its own; traversal prunes only against box entry distances.
-    fn for_each_candidate(&self, ray: &SlabRay, mut visit: impl FnMut(u32, f64)) {
-        let mut stack = Stack::new();
-        stack.push(0, 0.0);
-        while let Some((ni, _)) = stack.pop() {
-            let node = &self.nodes[ni as usize];
-            if node.bounds.slab_hit(ray).is_none() {
-                continue;
-            }
-            match node.children {
-                None => {
-                    for &prim in &self.order[node.start as usize..node.end as usize] {
-                        if let Some(t) = self.boxes[prim as usize].slab_hit(ray) {
-                            visit(prim, t);
-                        }
-                    }
-                }
-                Some(right) => {
-                    stack.push(right + 1, 0.0);
-                    stack.push(right, 0.0);
-                }
-            }
-        }
     }
 
     /// Casts `ray` (unit direction) and returns the first thing hit.
@@ -848,137 +820,5 @@ mod oracle_tests {
             ..Default::default()
         };
         sweep_city(CityConfig::default_paper(), 16, cfg);
-    }
-}
-
-/// A triangle-level BVH for mesh-accurate visibility: each primitive is a
-/// triangle tagged with its owning object.
-///
-/// Bounding boxes overestimate occlusion (a box blocks rays its mesh lets
-/// through) *and* overestimate visibility (a box face is hit where the mesh
-/// has a gap); [`TriBvh`] resolves both at higher build and query cost.
-#[derive(Debug)]
-pub struct TriBvh {
-    bvh: Bvh,
-    triangles: Vec<hdov_geom::Triangle>,
-    owners: Vec<u32>,
-}
-
-impl TriBvh {
-    /// Builds a triangle BVH from `(triangle, owner)` pairs. Pass
-    /// `ground_z = Some(0.0)` to model the city ground plane.
-    pub fn build(prims: Vec<(hdov_geom::Triangle, u32)>, ground_z: Option<f64>) -> Self {
-        let boxes: Vec<Aabb> = prims.iter().map(|(t, _)| t.aabb()).collect();
-        let (triangles, owners): (Vec<_>, Vec<_>) = prims.into_iter().unzip();
-        TriBvh {
-            bvh: Bvh::build(boxes, ground_z),
-            triangles,
-            owners,
-        }
-    }
-
-    /// Number of triangles.
-    pub fn len(&self) -> usize {
-        self.triangles.len()
-    }
-
-    /// True if no triangles are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.triangles.is_empty()
-    }
-
-    /// Casts `ray`, returning the owner of the first triangle hit.
-    pub fn first_hit(&self, ray: &Ray) -> Hit {
-        // Reuse the box BVH as a broad phase, but the nearest box hit is not
-        // necessarily the nearest triangle hit, so walk candidates by exact
-        // triangle intersection with a shrinking bound.
-        let ground_t = self.bvh.ground_t(ray);
-        let mut best = Best::new(ground_t);
-        self.bvh
-            .for_each_candidate(&SlabRay::new(ray), |prim, box_t| {
-                if box_t >= best.t {
-                    return;
-                }
-                if let Some(t) = self.triangles[prim as usize].ray_hit(ray) {
-                    if t < best.t {
-                        best.t = t;
-                        best.index = Some(self.owners[prim as usize]);
-                    }
-                }
-            });
-        best.into_hit(ground_t)
-    }
-}
-
-#[cfg(test)]
-mod tribvh_tests {
-    use super::*;
-    use hdov_geom::{Triangle, Vec3};
-
-    fn wall(x: f64, owner: u32) -> Vec<(Triangle, u32)> {
-        // A 10x10 wall in the yz-plane at the given x, two triangles.
-        let a = Vec3::new(x, -5.0, 0.0);
-        let b = Vec3::new(x, 5.0, 0.0);
-        let c = Vec3::new(x, 5.0, 10.0);
-        let d = Vec3::new(x, -5.0, 10.0);
-        vec![
-            (Triangle::new(a, b, c), owner),
-            (Triangle::new(a, c, d), owner),
-        ]
-    }
-
-    #[test]
-    fn nearest_wall_occludes_farther() {
-        let mut prims = wall(10.0, 0);
-        prims.extend(wall(20.0, 1));
-        let bvh = TriBvh::build(prims, None);
-        assert_eq!(bvh.len(), 4);
-        let ray = Ray::new(Vec3::new(0.0, 0.0, 5.0), Vec3::X);
-        match bvh.first_hit(&ray) {
-            Hit::Object { index, t } => {
-                assert_eq!(index, 0);
-                assert!((t - 10.0).abs() < 1e-9);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn ray_through_gap_hits_far_wall() {
-        // Near wall with a gap: only the lower half is present.
-        let a = Vec3::new(10.0, -5.0, 0.0);
-        let b = Vec3::new(10.0, 5.0, 0.0);
-        let c = Vec3::new(10.0, 5.0, 4.0);
-        let d = Vec3::new(10.0, -5.0, 4.0);
-        let mut prims = vec![(Triangle::new(a, b, c), 0), (Triangle::new(a, c, d), 0)];
-        prims.extend(wall(20.0, 1));
-        let bvh = TriBvh::build(prims, None);
-        // A ray above the half wall passes the gap and hits wall 1 — a box
-        // caster would have credited wall 0.
-        let ray = Ray::new(Vec3::new(0.0, 0.0, 8.0), Vec3::X);
-        match bvh.first_hit(&ray) {
-            Hit::Object { index, .. } => assert_eq!(index, 1),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn ground_and_miss() {
-        let bvh = TriBvh::build(wall(10.0, 0), Some(0.0));
-        assert!(matches!(
-            bvh.first_hit(&Ray::new(Vec3::new(0.0, 0.0, 5.0), Vec3::Z)),
-            Hit::Miss
-        ));
-        assert!(matches!(
-            bvh.first_hit(&Ray::new(Vec3::new(0.0, 50.0, 5.0), -Vec3::Z)),
-            Hit::Ground { .. }
-        ));
-        assert!(!bvh.is_empty());
-        let empty = TriBvh::build(vec![], None);
-        assert!(empty.is_empty());
-        assert!(matches!(
-            empty.first_hit(&Ray::new(Vec3::ZERO, Vec3::X)),
-            Hit::Miss
-        ));
     }
 }

@@ -6,28 +6,17 @@
 //! first hit is `X` — exactly the paper's "solid angle of the visible part"
 //! (§3.1) evaluated by Monte Carlo — and the region DoV of a cell is the
 //! maximum over its sample viewpoints (Eq. 2).
+//!
+//! Rays are cast against the objects' bounding boxes through one [`Bvh`]
+//! with the ground plane at `z = 0`; [`DovTable::compute`] and
+//! [`DovTable::recompute_cells`] build it the same way, so a repatched cell
+//! is bit-identical to a freshly computed one.
 
-use crate::bvh::{Bvh, Hit, TriBvh};
+use crate::bvh::{Bvh, Hit};
 use crate::cell::{CellGrid, CellId};
 use hdov_geom::sampling;
 use hdov_geom::{Ray, SlabRay, Vec3};
 use hdov_scene::Scene;
-
-/// What geometry the visibility rays are cast against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DovGeometry {
-    /// Object bounding boxes (fast, the default — conservative in the same
-    /// way the paper's object-level visibility is).
-    #[default]
-    BoundingBoxes,
-    /// The objects' actual triangles at the given LoD level (clamped to the
-    /// coarsest available). Slower and finer: rays pass through gaps that a
-    /// box would block, and graze past silhouettes a box would catch.
-    Meshes {
-        /// LoD level to instantiate each object at (0 = full detail).
-        lod_level: usize,
-    },
-}
 
 /// Estimator parameters.
 #[derive(Debug, Clone, Copy)]
@@ -38,8 +27,6 @@ pub struct DovConfig {
     pub viewpoints_per_cell: usize,
     /// Seed for jittered viewpoints and ray-set rotation.
     pub seed: u64,
-    /// Ray-cast target geometry.
-    pub geometry: DovGeometry,
 }
 
 impl Default for DovConfig {
@@ -48,7 +35,6 @@ impl Default for DovConfig {
             rays_per_viewpoint: 4096,
             viewpoints_per_cell: 5,
             seed: 0,
-            geometry: DovGeometry::BoundingBoxes,
         }
     }
 }
@@ -60,43 +46,14 @@ impl DovConfig {
             rays_per_viewpoint: 512,
             viewpoints_per_cell: 3,
             seed: 0,
-            geometry: DovGeometry::BoundingBoxes,
         }
     }
 }
 
-/// The ray-cast backend chosen by [`DovGeometry`].
-enum Caster {
-    Boxes(Bvh),
-    Tris(TriBvh),
-}
-
-impl Caster {
-    fn build(scene: &Scene, geometry: DovGeometry) -> Caster {
-        match geometry {
-            DovGeometry::BoundingBoxes => {
-                let boxes = scene.objects().iter().map(|o| o.mbr).collect::<Vec<_>>();
-                Caster::Boxes(Bvh::build(boxes, Some(0.0)))
-            }
-            DovGeometry::Meshes { lod_level } => {
-                let mut prims = Vec::new();
-                for o in scene.objects() {
-                    let mesh = scene.world_mesh(o.id, lod_level);
-                    for tri in mesh.triangles() {
-                        prims.push((tri, o.id as u32));
-                    }
-                }
-                Caster::Tris(TriBvh::build(prims, Some(0.0)))
-            }
-        }
-    }
-
-    fn first_hit(&self, ray: &Ray) -> Hit {
-        match self {
-            Caster::Boxes(b) => b.first_hit(ray),
-            Caster::Tris(t) => t.first_hit(ray),
-        }
-    }
+/// The caster every estimate uses: a BVH over the objects' bounding boxes
+/// with the city ground plane at `z = 0`.
+fn box_caster(scene: &Scene) -> Bvh {
+    Bvh::build(scene.objects().iter().map(|o| o.mbr).collect(), Some(0.0))
 }
 
 /// Sparse per-cell DoV data: for each cell, the visible objects and their
@@ -121,7 +78,7 @@ impl DovTable {
     pub fn compute(scene: &Scene, grid: &CellGrid, cfg: &DovConfig, threads: usize) -> DovTable {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
-        let bvh = Caster::build(scene, cfg.geometry);
+        let bvh = box_caster(scene);
         let n_cells = grid.cell_count();
         let threads = if threads == 0 {
             std::thread::available_parallelism()
@@ -302,7 +259,7 @@ impl DovTable {
             self.rays_per_viewpoint, cfg.rays_per_viewpoint,
             "recompute must use the table's original ray count"
         );
-        let caster = Caster::build(scene, cfg.geometry);
+        let caster = box_caster(scene);
         for &cell in cells {
             self.cells[cell as usize] = compute_cell(&caster, grid, cell, cfg);
         }
@@ -397,7 +354,7 @@ pub(crate) fn sample_rays(
     })
 }
 
-fn compute_cell(bvh: &Caster, grid: &CellGrid, cell: CellId, cfg: &DovConfig) -> Vec<(u32, f32)> {
+fn compute_cell(bvh: &Bvh, grid: &CellGrid, cell: CellId, cfg: &DovConfig) -> Vec<(u32, f32)> {
     let mut max_dov: std::collections::HashMap<u32, f32> = std::collections::HashMap::new();
     let mut hits: Vec<u32> = Vec::new();
     for (vp, dirs) in sample_rays(grid, cell, *cfg) {
@@ -599,68 +556,45 @@ mod codec_tests {
 }
 
 #[cfg(test)]
-mod geometry_tests {
+mod solid_angle_tests {
     use super::*;
     use crate::cell::CellGridConfig;
-    use hdov_geom::Vec3;
+    use hdov_geom::solid_angle::steradians_to_dov;
+    use hdov_geom::{Aabb, Vec3};
     use hdov_mesh::generate;
-    use hdov_scene::Scene;
 
-    /// One sphere in an otherwise empty world: the mesh subtends a smaller
-    /// solid angle than its bounding box.
+    /// One box in an otherwise empty world, seen from a viewpoint on the
+    /// axis of its near face: only that face is visible, so the estimate
+    /// must match the closed-form solid angle of a rectangle with half-sides
+    /// `a`, `b` at distance `d`, `4·asin(ab / √((a² + d²)(b² + d²)))`.
     #[test]
-    fn mesh_dov_below_box_dov_for_isolated_sphere() {
-        let mesh = {
-            let mut m = generate::icosphere(5.0, 3);
-            m.translate(Vec3::new(30.0, 0.0, 10.0));
-            m
-        };
+    fn box_face_dov_matches_the_rectangle_solid_angle() {
+        let (a, b, d) = (4.0, 6.0, 12.0);
+        let eye = Vec3::new(0.0, 0.0, 10.0);
+        let face = Vec3::new(d, a, b);
+        let mesh = generate::box_mesh(
+            eye + Vec3::new(d, -a, -b),
+            eye + face + Vec3::new(5.0, 0.0, 0.0),
+        );
         let scene = Scene::from_meshes(vec![mesh], 1, 0.5).unwrap();
-        // One cell centred at the origin (the viewpoint region sits over the
-        // scene bounds; use a custom grid around the origin instead).
-        let grid = crate::cell::CellGrid::new(CellGridConfig {
-            region: hdov_geom::Aabb::new(Vec3::new(-1.0, -1.0, 9.5), Vec3::new(1.0, 1.0, 10.5)),
+        let half = Vec3::new(1.0, 1.0, 0.5);
+        let grid = CellGrid::new(CellGridConfig {
+            region: Aabb::new(eye - half, eye + half),
             nx: 1,
             ny: 1,
         });
-        let mk = |geometry| DovConfig {
-            rays_per_viewpoint: 8192,
+        let cfg = DovConfig {
+            rays_per_viewpoint: 16384,
             viewpoints_per_cell: 1,
             seed: 3,
-            geometry,
         };
-        let boxes = DovTable::compute(&scene, &grid, &mk(DovGeometry::BoundingBoxes), 1);
-        let tris = DovTable::compute(&scene, &grid, &mk(DovGeometry::Meshes { lod_level: 0 }), 1);
-        let (b, t) = (boxes.dov(0, 0), tris.dov(0, 0));
-        assert!(b > 0.0 && t > 0.0, "box {b}, tri {t}");
-        assert!(t < b, "mesh DoV {t} must be below box DoV {b}");
-        // Sanity: analytic solid angle of the sphere brackets the MC value.
-        let d = Vec3::new(30.0, 0.0, 10.0).distance(Vec3::new(0.0, 0.0, 10.0));
-        let exact = hdov_geom::solid_angle::sphere_solid_angle(5.0, d)
-            / hdov_geom::solid_angle::FULL_SPHERE;
-        assert!((t as f64 - exact).abs() < 0.01, "tri {t} vs exact {exact}");
-    }
-
-    #[test]
-    fn mesh_mode_is_deterministic_and_well_formed() {
-        let scene = hdov_scene::CityConfig::tiny().seed(4).generate();
-        let grid = CellGridConfig::for_scene(&scene)
-            .with_resolution(2, 2)
-            .build();
-        let cfg = DovConfig {
-            rays_per_viewpoint: 512,
-            viewpoints_per_cell: 2,
-            seed: 5,
-            geometry: DovGeometry::Meshes { lod_level: 1 },
-        };
-        let a = DovTable::compute(&scene, &grid, &cfg, 1);
-        let b = DovTable::compute(&scene, &grid, &cfg, 3);
-        for c in 0..a.cell_count() as CellId {
-            assert_eq!(a.cell(c), b.cell(c));
-            for &(_, d) in a.cell(c) {
-                assert!(d > 0.0 && d <= 1.0);
-            }
-        }
-        assert!(a.avg_visible() > 0.0);
+        let table = DovTable::compute(&scene, &grid, &cfg, 1);
+        let omega = 4.0 * (a * b / ((a * a + d * d) * (b * b + d * d)).sqrt()).asin();
+        let exact = steradians_to_dov(omega);
+        let got = table.dov(0, 0) as f64;
+        assert!(
+            (got - exact).abs() < 0.01,
+            "estimate {got} vs exact {exact}"
+        );
     }
 }

@@ -24,6 +24,6 @@ pub mod bvh;
 pub mod cell;
 pub mod dov;
 
-pub use bvh::{Bvh, TriBvh};
+pub use bvh::Bvh;
 pub use cell::{CellGrid, CellGridConfig, CellId};
-pub use dov::{DovConfig, DovGeometry, DovTable};
+pub use dov::{DovConfig, DovTable};

@@ -34,7 +34,6 @@ fn cfg() -> DovConfig {
         rays_per_viewpoint: 1024,
         viewpoints_per_cell: 2,
         seed: 11,
-        ..Default::default()
     }
 }
 

@@ -20,8 +20,6 @@
 //! replayable η sequence (unit-tested below).
 
 use crate::frame::FrameModel;
-use hdov_core::SharedEnvironment;
-use hdov_visibility::CellId;
 
 /// Tuning for one session's [`EtaController`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,26 +94,6 @@ impl EtaController {
         EtaController { cfg, eta }
     }
 
-    /// A controller whose *first* frame is already budgeted: instead of the
-    /// cold `eta_initial`, the starting η is pre-raised by the same Eq.-4
-    /// feedforward the loop uses on misses, applied to `estimated_polygons`
-    /// (the polygon mass the first frame is expected to retrieve — see
-    /// [`estimate_cell_polygons`]). A visitor spawning in a heavy cell
-    /// starts coarse and spends no frames discovering the overload; an
-    /// estimate inside budget leaves η at `eta_initial` exactly.
-    ///
-    /// Deterministic: a pure function of `(cfg, estimated_polygons)`
-    /// (exact-trace unit test below).
-    pub fn warm_start(cfg: EtaControlConfig, estimated_polygons: u64) -> Self {
-        let mut c = EtaController::new(cfg);
-        let overload = c.polygon_overload(0.0, estimated_polygons);
-        if overload > 1.0 {
-            let factor = overload.min(cfg.max_raise_factor);
-            c.eta = (c.eta * factor).clamp(cfg.eta_min, cfg.eta_max);
-        }
-        c
-    }
-
     /// The η the next frame should be searched with.
     pub fn eta(&self) -> f64 {
         self.eta
@@ -171,21 +149,6 @@ impl EtaController {
     }
 }
 
-/// The Eq. 4 polygon estimate for a first frame in `cell`: the finest-level
-/// polygon count summed over the cell's ground-truth visible set (the DoV
-/// table the tree was built from). An upper bound on what an η = 0 query
-/// could retrieve — model directories only, zero I/O — and the seed for
-/// [`EtaController::warm_start`].
-pub fn estimate_cell_polygons(env: &SharedEnvironment, cell: CellId) -> u64 {
-    let store = env.models().store();
-    env.dov_table()
-        .cell(cell)
-        .iter()
-        .filter(|&&(_, dov)| dov > 0.0)
-        .map(|&(oid, _)| store.handle(oid as u64, 0).polygons as u64)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,33 +199,6 @@ mod tests {
                 c.eta()
             );
         }
-    }
-
-    /// Warm start is the miss feedforward applied before frame one: exact
-    /// values on the fixture config (budget = (10 ms · 1000 − 2000 µs) /
-    /// 0.1 µs = 80 000 polygons).
-    #[test]
-    fn warm_start_seeds_eta_from_polygon_estimate() {
-        // In budget (0.5× = 40k): cold start exactly.
-        let c = EtaController::warm_start(cfg(), 40_000);
-        assert!((c.eta() - 0.002).abs() < 1e-15);
-        // Exactly at budget: overload 1.0 is not an overload.
-        let c = EtaController::warm_start(cfg(), 80_000);
-        assert!((c.eta() - 0.002).abs() < 1e-15);
-        // 2× over budget: η starts doubled.
-        let c = EtaController::warm_start(cfg(), 160_000);
-        assert!((c.eta() - 0.004).abs() < 1e-15);
-        // 3.5× over: scaled exactly, no raise_factor floor on warm start.
-        let c = EtaController::warm_start(cfg(), 280_000);
-        assert!((c.eta() - 0.007).abs() < 1e-15);
-        // 12.5× over: capped at max_raise_factor 8 → 0.016 (= eta_max).
-        let c = EtaController::warm_start(cfg(), 1_000_000);
-        assert!((c.eta() - 0.016).abs() < 1e-15);
-        // And the loop continues from the warm value deterministically:
-        // a quiet frame drops from 0.004 → 0.0035.
-        let mut c = EtaController::warm_start(cfg(), 160_000);
-        assert_eq!(c.observe(1.0, 10_000), EtaAction::Drop);
-        assert!((c.eta() - 0.0035).abs() < 1e-15);
     }
 
     #[test]

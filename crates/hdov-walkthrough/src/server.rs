@@ -73,8 +73,8 @@ pub trait FrameEngine: Sync {
     /// Advisory: a failed warm-up warms nothing. Returns pages warmed.
     fn prefetch(&self, lane: &mut Self::Lane, cell: CellId) -> u64;
 
-    /// The frozen environment behind the engine: cell lookup, the η warm
-    /// start's polygon estimate and the shed path's root LoD.
+    /// The frozen environment behind the engine: cell lookup for frames
+    /// and motion prefetch, and the shed path's root LoD.
     fn env(&self) -> &SharedEnvironment;
 
     /// Replica-set health merged over every pool the engine reads.
@@ -169,9 +169,6 @@ pub struct ServerConfig {
     /// [`control`](Self::control) is active (the controller's
     /// `eta_initial` rules then).
     pub eta: f64,
-    /// Extrapolate each session's motion vector and warm the predicted
-    /// cell's V-pages ahead of arrival.
-    pub motion_prefetch: bool,
     /// Render-cost model for per-frame times in [`SessionOutcome::frame_ms`].
     pub frame_model: FrameModel,
     /// Per-frame traversal budget; an exhausted budget serves the remaining
@@ -182,11 +179,6 @@ pub struct ServerConfig {
     /// Closed-loop AIMD η control per session; `None` (the default) keeps η
     /// static at [`eta`](Self::eta).
     pub control: Option<EtaControlConfig>,
-    /// Seed each session's controller from the Eq. 4 polygon estimate of
-    /// its first viewing cell ([`EtaController::warm_start`]) instead of
-    /// cold-starting at `eta_initial`. No effect unless
-    /// [`control`](Self::control) is active.
-    pub warm_start: bool,
     /// Bounded session admission; `None` (the default) admits everything.
     pub admission: Option<AdmissionConfig>,
 }
@@ -195,11 +187,9 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             eta: 0.002,
-            motion_prefetch: true,
             frame_model: FrameModel::PAPER_ERA,
             budget: QueryBudget::UNLIMITED,
             control: None,
-            warm_start: false,
             admission: None,
         }
     }
@@ -594,14 +584,7 @@ impl<'a, E: FrameEngine> SessionServer<'a, E> {
         let engine = self.engine;
         let env = engine.env();
         let mut lane = engine.lane();
-        let mut controller = self.cfg.control.map(|c| {
-            if self.cfg.warm_start && !session.viewpoints.is_empty() {
-                let cell = env.cell_of(session.viewpoints[0]);
-                EtaController::warm_start(c, crate::control::estimate_cell_polygons(env, cell))
-            } else {
-                EtaController::new(c)
-            }
-        });
+        let mut controller = self.cfg.control.map(EtaController::new);
         let mut search_ms = Vec::with_capacity(session.len());
         let mut frame_ms = Vec::with_capacity(session.len());
         let mut total_polygons = 0u64;
@@ -664,7 +647,7 @@ impl<'a, E: FrameEngine> SessionServer<'a, E> {
                 Err(_) => failed_frames += 1,
             }
 
-            if self.cfg.motion_prefetch && i > 0 {
+            if i > 0 {
                 // Dead-reckon the next viewpoint from the current motion
                 // vector; if it crosses into another cell, warm that cell.
                 // Prefetch is advisory: a failed warm-up costs nothing.
@@ -776,15 +759,9 @@ mod tests {
     fn motion_prefetch_warms_upcoming_cells() {
         let env = shared_env();
         let sessions = record_sessions(&env, 2, 60);
-        let report = SessionServer::new(
-            &env,
-            ServerConfig {
-                motion_prefetch: true,
-                ..Default::default()
-            },
-        )
-        .run(&sessions, 2)
-        .unwrap();
+        let report = SessionServer::new(&env, ServerConfig::default())
+            .run(&sessions, 2)
+            .unwrap();
         let prefetched: u64 = report.sessions.iter().map(|s| s.prefetched_pages).sum();
         assert!(
             prefetched > 0,

@@ -150,6 +150,11 @@ fn cmd_precompute(opts: &Flags) -> CliResult<()> {
     };
     let city = city_for(opts)?;
     let rays: usize = flag(opts, "rays", 4096)?;
+    if rays == 0 {
+        return Err(
+            "--rays must be positive: a table estimated from 0 rays cannot be loaded".into(),
+        );
+    }
     let grid = if city.slot_count() > 1000 {
         (16, 16)
     } else {
@@ -159,7 +164,6 @@ fn cmd_precompute(opts: &Flags) -> CliResult<()> {
         rays_per_viewpoint: rays,
         viewpoints_per_cell: 5,
         seed: flag(opts, "seed", 7)?,
-        ..Default::default()
     };
     let start = std::time::Instant::now();
     let project = hdov::project::Project::create(city, grid, &dov, 0);
