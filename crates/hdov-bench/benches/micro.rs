@@ -10,7 +10,7 @@ use hdov_mesh::{generate, simplify};
 use hdov_rtree::{RTree, SplitMethod};
 use hdov_scene::CityConfig;
 use hdov_storage::MemPagedFile;
-use hdov_visibility::{Bvh, CellGridConfig, DovConfig, DovTable};
+use hdov_visibility::{CellGridConfig, ColumnGrid, DovConfig, DovTable, Hit};
 use std::hint::black_box;
 
 fn bench_scene() -> hdov_scene::Scene {
@@ -77,7 +77,7 @@ fn naive_vs_hdov(c: &mut Criterion) {
 fn dov_estimation(c: &mut Criterion) {
     let scene = bench_scene();
     let boxes: Vec<Aabb> = scene.objects().iter().map(|o| o.mbr).collect();
-    let bvh = Bvh::build(boxes, Some(0.0));
+    let caster = ColumnGrid::build(&boxes, Some(0.0));
     let dirs = hdov_geom::sampling::random_sphere(1024, 5);
     let origin = scene.viewpoint_region().center();
     c.bench_function("dov/first_hit_1024_rays", |b| {
@@ -85,8 +85,8 @@ fn dov_estimation(c: &mut Criterion) {
             let mut hits = 0usize;
             for d in &dirs {
                 if matches!(
-                    bvh.first_hit(&hdov_geom::Ray::new(origin, *d)),
-                    hdov_visibility::bvh::Hit::Object { .. }
+                    caster.first_hit(&hdov_geom::Ray::new(origin, *d)),
+                    Hit::Object { .. }
                 ) {
                     hits += 1;
                 }

@@ -209,6 +209,18 @@ impl Aabb {
     /// ray is always entered no later than any box it contains.
     #[inline]
     pub fn slab_hit(&self, ray: &SlabRay) -> Option<f64> {
+        self.slab_span(ray).map(|(t_min, _)| t_min)
+    }
+
+    /// The parameter interval `[t_min, t_max]` over which a prepared ray is
+    /// inside the box, from the same slab test as
+    /// [`slab_hit`](Self::slab_hit) (whose answer is `t_min`). `t_max` is
+    /// `∞` when the ray runs parallel to every axis.
+    ///
+    /// Rounding is monotone in the bounds, so a box's interval contains the
+    /// interval of every box inside it, bit for bit.
+    #[inline]
+    pub fn slab_span(&self, ray: &SlabRay) -> Option<(f64, f64)> {
         let mut t_min: f64 = 0.0;
         let mut t_max: f64 = f64::INFINITY;
         for axis in 0..3 {
@@ -229,7 +241,7 @@ impl Aabb {
                 }
             }
         }
-        Some(t_min)
+        Some((t_min, t_max))
     }
 
     /// Expands the box by `margin` on every side.

@@ -5,7 +5,7 @@
 //!
 //! * [`Vec3`] — double-precision 3-D vectors,
 //! * [`Aabb`] — axis-aligned bounding boxes (the `MBR` of the paper),
-//! * [`Ray`] with ray/box and ray/triangle intersection (and [`SlabRay`],
+//! * [`Ray`] with ray/box intersection (and [`SlabRay`],
 //!   a ray prepared once for many box tests),
 //! * [`Plane`] and [`Frustum`] for view-volume culling,
 //! * [`Triangle`] primitives,

@@ -64,6 +64,25 @@ impl SlabRay {
             parallel,
         }
     }
+
+    /// Start point, per axis.
+    #[inline]
+    pub fn origin(&self) -> [f64; 3] {
+        self.origin
+    }
+
+    /// `1 / dir` per axis (meaningless where [`parallel`](Self::parallel)).
+    #[inline]
+    pub fn inv(&self) -> [f64; 3] {
+        self.inv
+    }
+
+    /// Per axis, whether the ray counts as parallel to it (`|dir| <
+    /// EPSILON`): slab tests keep it in the slab it starts in.
+    #[inline]
+    pub fn parallel(&self) -> [bool; 3] {
+        self.parallel
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
-//! Triangle primitives with Möller–Trumbore ray intersection.
+//! Triangle primitives: area, normal, centroid and bounding box.
 
-use crate::{Aabb, Ray, Vec3};
+use crate::{Aabb, Vec3};
 
 /// A triangle given by its three vertices.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,32 +43,6 @@ impl Triangle {
     pub fn aabb(&self) -> Aabb {
         Aabb::from_points([self.a, self.b, self.c])
     }
-
-    /// Möller–Trumbore ray/triangle intersection (double-sided).
-    ///
-    /// Returns the hit parameter `t > EPSILON`, or `None`.
-    pub fn ray_hit(&self, ray: &Ray) -> Option<f64> {
-        let e1 = self.b - self.a;
-        let e2 = self.c - self.a;
-        let p = ray.dir.cross(e2);
-        let det = e1.dot(p);
-        if det.abs() < crate::EPSILON {
-            return None; // parallel
-        }
-        let inv_det = 1.0 / det;
-        let s = ray.origin - self.a;
-        let u = s.dot(p) * inv_det;
-        if !(0.0..=1.0).contains(&u) {
-            return None;
-        }
-        let q = s.cross(e1);
-        let v = ray.dir.dot(q) * inv_det;
-        if v < 0.0 || u + v > 1.0 {
-            return None;
-        }
-        let t = e2.dot(q) * inv_det;
-        (t > crate::EPSILON).then_some(t)
-    }
 }
 
 #[cfg(test)]
@@ -90,38 +64,5 @@ mod tests {
         assert!((t.normal().normalize_or_zero() - Vec3::Z).length() < 1e-12);
         assert!((t.centroid() - Vec3::new(2.0 / 3.0, 2.0 / 3.0, 0.0)).length() < 1e-12);
         assert_eq!(t.aabb().max, Vec3::new(2.0, 2.0, 0.0));
-    }
-
-    #[test]
-    fn ray_hits_interior() {
-        let t = xy_triangle();
-        let r = Ray::new(Vec3::new(0.5, 0.5, 5.0), -Vec3::Z);
-        assert!((t.ray_hit(&r).unwrap() - 5.0).abs() < 1e-12);
-        // Double-sided: from below too.
-        let r2 = Ray::new(Vec3::new(0.5, 0.5, -5.0), Vec3::Z);
-        assert!((t.ray_hit(&r2).unwrap() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ray_misses_outside() {
-        let t = xy_triangle();
-        let r = Ray::new(Vec3::new(1.5, 1.5, 5.0), -Vec3::Z); // outside hypotenuse
-        assert!(t.ray_hit(&r).is_none());
-        let r2 = Ray::new(Vec3::new(-0.5, 0.5, 5.0), -Vec3::Z);
-        assert!(t.ray_hit(&r2).is_none());
-    }
-
-    #[test]
-    fn ray_parallel_misses() {
-        let t = xy_triangle();
-        let r = Ray::new(Vec3::new(0.0, 0.0, 1.0), Vec3::X);
-        assert!(t.ray_hit(&r).is_none());
-    }
-
-    #[test]
-    fn behind_origin_misses() {
-        let t = xy_triangle();
-        let r = Ray::new(Vec3::new(0.5, 0.5, -1.0), -Vec3::Z);
-        assert!(t.ray_hit(&r).is_none());
     }
 }

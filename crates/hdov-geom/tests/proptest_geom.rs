@@ -1,6 +1,6 @@
 //! Property-based tests of the geometry substrate.
 
-use hdov_geom::{solid_angle, Aabb, Ray, Triangle, Vec3};
+use hdov_geom::{solid_angle, Aabb, Ray, Vec3};
 use proptest::prelude::*;
 
 fn vec3() -> impl Strategy<Value = Vec3> {
@@ -83,23 +83,6 @@ proptest! {
         prop_assert!((n.length() - 1.0).abs() < 1e-9);
         // Direction preserved.
         prop_assert!(n.dot(v) > 0.0);
-    }
-
-    #[test]
-    fn triangle_ray_hit_lies_in_plane(
-        a in vec3(), b in vec3(), c in vec3(), origin in vec3(), dir in vec3()
-    ) {
-        prop_assume!(dir.length() > 1e-6);
-        let tri = Triangle::new(a, b, c);
-        prop_assume!(tri.area() > 1e-3);
-        let ray = Ray::new(origin, dir.normalize_or_zero());
-        if let Some(t) = tri.ray_hit(&ray) {
-            let hit = ray.at(t);
-            let n = tri.normal().normalize_or_zero();
-            let plane_dist = (hit - a).dot(n).abs();
-            prop_assert!(plane_dist < 1e-4 * (1.0 + hit.length()), "off-plane by {plane_dist}");
-            prop_assert!(tri.aabb().inflate(1e-4 * (1.0 + hit.length())).contains_point(hit));
-        }
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! (§3.1) evaluated by Monte Carlo — and the region DoV of a cell is the
 //! maximum over its sample viewpoints (Eq. 2).
 //!
-//! Rays are cast against the objects' bounding boxes through one [`Bvh`]
-//! with the ground plane at `z = 0`; [`DovTable::compute`] and
+//! Rays are cast against the objects' bounding boxes through one
+//! [`ColumnGrid`] with the ground plane at `z = 0`; [`DovTable::compute`] and
 //! [`DovTable::recompute_cells`] build it the same way, so a repatched cell
 //! is bit-identical to a freshly computed one.
 
-use crate::bvh::{Bvh, Hit};
 use crate::cell::{CellGrid, CellId};
+use crate::columns::{ColumnGrid, Hit};
 use hdov_geom::sampling;
 use hdov_geom::{Ray, SlabRay, Vec3};
 use hdov_scene::Scene;
@@ -50,10 +50,11 @@ impl DovConfig {
     }
 }
 
-/// The caster every estimate uses: a BVH over the objects' bounding boxes
-/// with the city ground plane at `z = 0`.
-fn box_caster(scene: &Scene) -> Bvh {
-    Bvh::build(scene.objects().iter().map(|o| o.mbr).collect(), Some(0.0))
+/// The caster every estimate uses: a column grid over the objects'
+/// bounding boxes with the city ground plane at `z = 0`.
+fn box_caster(scene: &Scene) -> ColumnGrid {
+    let boxes: Vec<_> = scene.objects().iter().map(|o| o.mbr).collect();
+    ColumnGrid::build(&boxes, Some(0.0))
 }
 
 /// Sparse per-cell DoV data: for each cell, the visible objects and their
@@ -78,7 +79,7 @@ impl DovTable {
     pub fn compute(scene: &Scene, grid: &CellGrid, cfg: &DovConfig, threads: usize) -> DovTable {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
-        let bvh = box_caster(scene);
+        let caster = box_caster(scene);
         let n_cells = grid.cell_count();
         let threads = if threads == 0 {
             std::thread::available_parallelism()
@@ -103,7 +104,7 @@ impl DovTable {
                             if cell >= n_cells {
                                 break done;
                             }
-                            done.push((cell, compute_cell(&bvh, grid, cell as CellId, cfg)));
+                            done.push((cell, compute_cell(&caster, grid, cell as CellId, cfg)));
                         }
                     })
                 })
@@ -354,13 +355,18 @@ pub(crate) fn sample_rays(
     })
 }
 
-fn compute_cell(bvh: &Bvh, grid: &CellGrid, cell: CellId, cfg: &DovConfig) -> Vec<(u32, f32)> {
+fn compute_cell(
+    caster: &ColumnGrid,
+    grid: &CellGrid,
+    cell: CellId,
+    cfg: &DovConfig,
+) -> Vec<(u32, f32)> {
     let mut max_dov: std::collections::HashMap<u32, f32> = std::collections::HashMap::new();
     let mut hits: Vec<u32> = Vec::new();
     for (vp, dirs) in sample_rays(grid, cell, *cfg) {
         hits.clear();
         for d in &dirs {
-            if let Hit::Object { index, .. } = bvh.first_hit(&Ray::new(vp, *d)) {
+            if let Hit::Object { index, .. } = caster.first_hit(&Ray::new(vp, *d)) {
                 hits.push(index);
             }
         }

@@ -9,8 +9,9 @@
 //! semantics:
 //!
 //! * [`CellGrid`] — the cell partition of the walkable space,
-//! * [`Bvh`] — a first-hit ray caster over object bounding boxes (with a
-//!   ground plane, so rays cannot sneak under the city), and
+//! * [`ColumnGrid`] — a first-hit ray caster over object bounding boxes: a
+//!   2-D grid of columns over the city's footprint, walked in ray order,
+//!   with a ground plane so rays cannot sneak under the city, and
 //! * [`DovTable`] — per-cell sparse `(object, DoV)` tables, computed in
 //!   parallel on `std::thread::scope` workers pulling cells from an
 //!   atomic-counter work queue (per-cell cost is wildly uneven, so dynamic
@@ -20,10 +21,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bvh;
 pub mod cell;
+pub mod columns;
 pub mod dov;
 
-pub use bvh::Bvh;
 pub use cell::{CellGrid, CellGridConfig, CellId};
+pub use columns::{ColumnGrid, Hit};
 pub use dov::{DovConfig, DovTable};
