@@ -1,14 +1,14 @@
 //! Criterion microbenchmarks of the core operations behind the paper's
 //! experiments: R-tree window queries, HDoV threshold search per storage
-//! scheme, the naïve baseline, DoV cell estimation, mesh simplification, and
-//! LoD selection.
+//! scheme, the naïve baseline, DoV cell estimation, mesh simplification, the
+//! prototype library build, and LoD selection.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdov_core::{HdovBuildConfig, HdovEnvironment, Query, StorageScheme};
 use hdov_geom::{Aabb, Vec3};
 use hdov_mesh::{generate, simplify};
 use hdov_rtree::{RTree, SplitMethod};
-use hdov_scene::CityConfig;
+use hdov_scene::{CityConfig, PrototypeLibrary};
 use hdov_storage::MemPagedFile;
 use hdov_visibility::{CellGridConfig, ColumnGrid, DovConfig, DovTable, Hit};
 use std::hint::black_box;
@@ -78,17 +78,27 @@ fn dov_estimation(c: &mut Criterion) {
     let scene = bench_scene();
     let boxes: Vec<Aabb> = scene.objects().iter().map(|o| o.mbr).collect();
     let caster = ColumnGrid::build(&boxes, Some(0.0));
-    let dirs = hdov_geom::sampling::random_sphere(1024, 5);
-    let origin = scene.viewpoint_region().center();
+    // 128 rays from each of 8 sample viewpoints (2 in each of 4 cells of
+    // the 8×8 grid): the kind of origins the estimator casts from.
+    let grid = CellGridConfig::for_scene(&scene)
+        .with_resolution(8, 8)
+        .build();
+    let origins: Vec<Vec3> = [9, 27, 36, 54]
+        .into_iter()
+        .flat_map(|cell| grid.sample_viewpoints(cell, 2, 1))
+        .collect();
+    let dirs = hdov_geom::sampling::random_sphere(128, 5);
     c.bench_function("dov/first_hit_1024_rays", |b| {
         b.iter(|| {
             let mut hits = 0usize;
-            for d in &dirs {
-                if matches!(
-                    caster.first_hit(&hdov_geom::Ray::new(origin, *d)),
-                    Hit::Object { .. }
-                ) {
-                    hits += 1;
+            for &origin in &origins {
+                for d in &dirs {
+                    if matches!(
+                        caster.first_hit(&hdov_geom::Ray::new(origin, *d)),
+                        Hit::Object { .. }
+                    ) {
+                        hits += 1;
+                    }
                 }
             }
             black_box(hits)
@@ -143,6 +153,26 @@ fn mesh_simplification(c: &mut Criterion) {
     c.bench_function("mesh/simplify_1280_to_128", |b| {
         b.iter(|| black_box(simplify(black_box(&sphere), 128).triangle_count()))
     });
+    // A three-tier building at the prototypes' detail, to the first LoD's
+    // 25 %: flat facades, where nearly every collapse ties at cost 0.
+    let building = generate::building(
+        Vec3::new(-0.4, -0.45, 0.0),
+        Vec3::new(0.4, 0.45, 0.0),
+        1.0,
+        8,
+        1,
+    );
+    assert_eq!(building.triangle_count(), 2304);
+    c.bench_function("mesh/simplify_building_2304", |b| {
+        b.iter(|| black_box(simplify(black_box(&building), 576).triangle_count()))
+    });
+}
+
+fn prototype_library(c: &mut Criterion) {
+    let cfg = CityConfig::default_paper().seed(2003).prototypes;
+    c.bench_function("scene/prototype_library", |b| {
+        b.iter(|| black_box(PrototypeLibrary::build(black_box(&cfg)).len()))
+    });
 }
 
 fn lod_selection(c: &mut Criterion) {
@@ -172,6 +202,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = rtree_window_query, hdov_search_by_scheme, naive_vs_hdov,
-              prioritized_search, dov_estimation, mesh_simplification, lod_selection
+              prioritized_search, dov_estimation, mesh_simplification,
+              prototype_library, lod_selection
 }
 criterion_main!(benches);
