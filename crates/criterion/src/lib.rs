@@ -5,7 +5,9 @@
 //! cannot be vendored. This shim keeps `benches/` compiling and useful: each
 //! benchmark runs a warm-up pass, then `sample_size` timed samples, and
 //! prints the median and min per-iteration time. There are no statistics,
-//! plots, or baselines.
+//! plots, or baselines. As upstream, the first non-flag command-line
+//! argument filters benchmarks by substring (`cargo bench --bench micro --
+//! mesh/` runs only the names containing `mesh/`).
 
 #![forbid(unsafe_code)]
 
@@ -19,13 +21,16 @@ pub use std::hint::black_box;
 pub struct Criterion {
     sample_size: usize,
     target_time: Duration,
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
+    /// Reads the name filter from the process arguments.
     fn default() -> Self {
         Criterion {
             sample_size: 50,
             target_time: Duration::from_millis(400),
+            filter: std::env::args().skip(1).find(|a| !a.starts_with('-')),
         }
     }
 }
@@ -44,12 +49,24 @@ impl Criterion {
         self
     }
 
-    /// Runs one benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
+    /// Runs one benchmark, unless the name filter excludes it.
+    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> &mut Self {
+        self.run(name, f);
+        self
+    }
+
+    /// Times `f` under `name` when the filter (if any) is a substring of it.
+    fn run<F: FnMut(&mut Bencher)>(&self, name: &str, mut f: F) {
+        if self
+            .filter
+            .as_ref()
+            .is_some_and(|w| !name.contains(w.as_str()))
+        {
+            return;
+        }
         let mut b = Bencher::new(self.sample_size, self.target_time);
         f(&mut b);
         b.report(name);
-        self
     }
 
     /// Starts a named group of related benchmarks.
@@ -68,28 +85,21 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Runs one benchmark in the group with an input value.
+    /// Runs one benchmark in the group with an input value, unless the
+    /// name filter excludes it.
     pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher, &I),
     {
         let name = format!("{}/{}", self.name, id.0);
-        let mut b = Bencher::new(self.criterion.sample_size, self.criterion.target_time);
-        f(&mut b, input);
-        b.report(&name);
+        self.criterion.run(&name, |b| f(b, input));
         self
     }
 
-    /// Runs one benchmark in the group.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(
-        &mut self,
-        id: BenchmarkId,
-        mut f: F,
-    ) -> &mut Self {
+    /// Runs one benchmark in the group, unless the name filter excludes it.
+    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: BenchmarkId, f: F) -> &mut Self {
         let name = format!("{}/{}", self.name, id.0);
-        let mut b = Bencher::new(self.criterion.sample_size, self.criterion.target_time);
-        f(&mut b);
-        b.report(&name);
+        self.criterion.run(&name, f);
         self
     }
 
@@ -221,6 +231,28 @@ mod tests {
             b.iter(|| black_box(x) * 2)
         });
         g.finish();
+    }
+
+    #[test]
+    fn filter_skips_names_without_the_substring() {
+        let mut c = Criterion {
+            filter: Some("mesh/".to_string()),
+            ..Criterion::default()
+        }
+        .sample_size(1)
+        .measurement_time(Duration::from_millis(1));
+        let mut ran = Vec::new();
+        c.bench_function("mesh/simplify", |_| ran.push("mesh/simplify"));
+        c.bench_function("dov/first_hit", |_| ran.push("dov/first_hit"));
+        let mut g = c.benchmark_group("hdov");
+        g.bench_with_input(BenchmarkId::from_parameter("mesh/x"), &(), |_, _| {
+            ran.push("hdov/mesh/x")
+        });
+        g.bench_function(BenchmarkId::from_parameter("search"), |_| {
+            ran.push("hdov/search")
+        });
+        g.finish();
+        assert_eq!(ran, ["mesh/simplify", "hdov/mesh/x"]);
     }
 
     #[test]

@@ -12,27 +12,21 @@ use hdov_scene::{CityConfig, PrototypeLibrary};
 use hdov_storage::MemPagedFile;
 use hdov_visibility::{CellGridConfig, ColumnGrid, DovConfig, DovTable, Hit};
 use std::hint::black_box;
+use std::sync::OnceLock;
 
-fn bench_scene() -> hdov_scene::Scene {
-    CityConfig::small().seed(42).generate()
+// Every bench builds its inputs inside its own closure, so a run filtered
+// by name (`cargo bench --bench micro -- mesh/`) skips the other builds.
+
+/// The small city every scene-based bench reads, generated on first use.
+fn bench_scene() -> &'static hdov_scene::Scene {
+    static SCENE: OnceLock<hdov_scene::Scene> = OnceLock::new();
+    SCENE.get_or_init(|| CityConfig::small().seed(42).generate())
 }
 
-fn rtree_window_query(c: &mut Criterion) {
+/// The 8×8-cell environment of the search benches over [`bench_scene`].
+fn bench_env(scheme: StorageScheme) -> HdovEnvironment {
     let scene = bench_scene();
-    let mut tree = RTree::with_fanout(MemPagedFile::new(), SplitMethod::AngTanLinear, 16).unwrap();
-    for o in scene.objects() {
-        tree.insert(o.mbr, o.id).unwrap();
-    }
-    let center = scene.bounds().center();
-    let q = Aabb::from_center_half_extent(center, Vec3::new(100.0, 100.0, 100.0));
-    c.bench_function("rtree/window_query_200m", |b| {
-        b.iter(|| black_box(tree.window_query(black_box(&q)).unwrap().len()))
-    });
-}
-
-fn hdov_search_by_scheme(c: &mut Criterion) {
-    let scene = bench_scene();
-    let grid_cfg = CellGridConfig::for_scene(&scene).with_resolution(8, 8);
+    let grid_cfg = CellGridConfig::for_scene(scene).with_resolution(8, 8);
     let cfg = HdovBuildConfig {
         dov: DovConfig {
             rays_per_viewpoint: 1024,
@@ -41,11 +35,29 @@ fn hdov_search_by_scheme(c: &mut Criterion) {
         },
         ..Default::default()
     };
-    let vp = scene.bounds().center();
+    HdovEnvironment::build(scene, &grid_cfg, cfg, scheme).unwrap()
+}
+
+fn rtree_window_query(c: &mut Criterion) {
+    c.bench_function("rtree/window_query_200m", |b| {
+        let scene = bench_scene();
+        let mut tree =
+            RTree::with_fanout(MemPagedFile::new(), SplitMethod::AngTanLinear, 16).unwrap();
+        for o in scene.objects() {
+            tree.insert(o.mbr, o.id).unwrap();
+        }
+        let center = scene.bounds().center();
+        let q = Aabb::from_center_half_extent(center, Vec3::new(100.0, 100.0, 100.0));
+        b.iter(|| black_box(tree.window_query(black_box(&q)).unwrap().len()))
+    });
+}
+
+fn hdov_search_by_scheme(c: &mut Criterion) {
     let mut group = c.benchmark_group("hdov/search_eta0.001");
     for scheme in StorageScheme::all() {
-        let mut env = HdovEnvironment::build(&scene, &grid_cfg, cfg.clone(), scheme).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(scheme), &(), |b, _| {
+            let mut env = bench_env(scheme);
+            let vp = bench_scene().bounds().center();
             b.iter(|| {
                 let q = Query::new(env.cell_of(black_box(vp)), 0.001);
                 black_box(env.query(q).unwrap().0.total_polygons())
@@ -56,39 +68,28 @@ fn hdov_search_by_scheme(c: &mut Criterion) {
 }
 
 fn naive_vs_hdov(c: &mut Criterion) {
-    let scene = bench_scene();
-    let grid_cfg = CellGridConfig::for_scene(&scene).with_resolution(8, 8);
-    let cfg = HdovBuildConfig {
-        dov: DovConfig {
-            rays_per_viewpoint: 1024,
-            viewpoints_per_cell: 3,
-            seed: 1,
-        },
-        ..Default::default()
-    };
-    let mut env =
-        HdovEnvironment::build(&scene, &grid_cfg, cfg, StorageScheme::IndexedVertical).unwrap();
-    let vp = scene.bounds().center();
     c.bench_function("hdov/naive_query", |b| {
+        let mut env = bench_env(StorageScheme::IndexedVertical);
+        let vp = bench_scene().bounds().center();
         b.iter(|| black_box(env.query_naive(black_box(vp)).unwrap().0.total_polygons()))
     });
 }
 
 fn dov_estimation(c: &mut Criterion) {
-    let scene = bench_scene();
-    let boxes: Vec<Aabb> = scene.objects().iter().map(|o| o.mbr).collect();
-    let caster = ColumnGrid::build(&boxes, Some(0.0));
-    // 128 rays from each of 8 sample viewpoints (2 in each of 4 cells of
-    // the 8×8 grid): the kind of origins the estimator casts from.
-    let grid = CellGridConfig::for_scene(&scene)
-        .with_resolution(8, 8)
-        .build();
-    let origins: Vec<Vec3> = [9, 27, 36, 54]
-        .into_iter()
-        .flat_map(|cell| grid.sample_viewpoints(cell, 2, 1))
-        .collect();
-    let dirs = hdov_geom::sampling::random_sphere(128, 5);
     c.bench_function("dov/first_hit_1024_rays", |b| {
+        let scene = bench_scene();
+        let boxes: Vec<Aabb> = scene.objects().iter().map(|o| o.mbr).collect();
+        let caster = ColumnGrid::build(&boxes, Some(0.0));
+        // 128 rays from each of 8 sample viewpoints (2 in each of 4 cells of
+        // the 8×8 grid): the kind of origins the estimator casts from.
+        let grid = CellGridConfig::for_scene(scene)
+            .with_resolution(8, 8)
+            .build();
+        let origins: Vec<Vec3> = [9, 27, 36, 54]
+            .into_iter()
+            .flat_map(|cell| grid.sample_viewpoints(cell, 2, 1))
+            .collect();
+        let dirs = hdov_geom::sampling::random_sphere(128, 5);
         b.iter(|| {
             let mut hits = 0usize;
             for &origin in &origins {
@@ -105,13 +106,14 @@ fn dov_estimation(c: &mut Criterion) {
         })
     });
 
-    let grid = CellGridConfig::for_scene(&scene)
-        .with_resolution(2, 2)
-        .build();
     c.bench_function("dov/table_2x2_cells", |b| {
+        let scene = bench_scene();
+        let grid = CellGridConfig::for_scene(scene)
+            .with_resolution(2, 2)
+            .build();
         b.iter(|| {
             black_box(DovTable::compute(
-                &scene,
+                scene,
                 &grid,
                 &DovConfig {
                     rays_per_viewpoint: 512,
@@ -125,21 +127,10 @@ fn dov_estimation(c: &mut Criterion) {
 }
 
 fn prioritized_search(c: &mut Criterion) {
-    let scene = bench_scene();
-    let grid_cfg = CellGridConfig::for_scene(&scene).with_resolution(8, 8);
-    let cfg = HdovBuildConfig {
-        dov: DovConfig {
-            rays_per_viewpoint: 1024,
-            viewpoints_per_cell: 3,
-            seed: 1,
-        },
-        ..Default::default()
-    };
-    let mut env =
-        HdovEnvironment::build(&scene, &grid_cfg, cfg, StorageScheme::IndexedVertical).unwrap();
-    let eye = scene.viewpoint_region().center();
-    let frustum = hdov_geom::Frustum::new(eye, Vec3::X, Vec3::Z, 1.2, 1.6, 0.5, 5000.0);
     c.bench_function("hdov/prioritized_search", |b| {
+        let mut env = bench_env(StorageScheme::IndexedVertical);
+        let eye = bench_scene().viewpoint_region().center();
+        let frustum = hdov_geom::Frustum::new(eye, Vec3::X, Vec3::Z, 1.2, 1.6, 0.5, 5000.0);
         b.iter(|| {
             let q = Query::new(env.cell_of(frustum.eye), 0.001);
             let (o, _) = env.query_prioritized(q, black_box(&frustum)).unwrap();
@@ -176,18 +167,18 @@ fn prototype_library(c: &mut Criterion) {
 }
 
 fn lod_selection(c: &mut Criterion) {
-    let scene = bench_scene();
-    let mut disk =
-        hdov_storage::SimulatedDisk::new(MemPagedFile::new(), hdov_storage::DiskModel::FREE);
-    let store = hdov_scene::ModelStore::build(
-        &mut disk,
-        scene
-            .objects()
-            .iter()
-            .map(|o| scene.prototypes().chain(o.prototype)),
-    )
-    .unwrap();
     c.bench_function("lod/select_level", |b| {
+        let scene = bench_scene();
+        let mut disk =
+            hdov_storage::SimulatedDisk::new(MemPagedFile::new(), hdov_storage::DiskModel::FREE);
+        let store = hdov_scene::ModelStore::build(
+            &mut disk,
+            scene
+                .objects()
+                .iter()
+                .map(|o| scene.prototypes().chain(o.prototype)),
+        )
+        .unwrap();
         b.iter(|| {
             let mut acc = 0usize;
             for k in 0..100 {

@@ -12,14 +12,13 @@ use hdov_bench::{print_table, write_csv, EvalScene, RunOptions};
 use hdov_core::StorageScheme;
 use hdov_review::{LodRTreeConfig, LodRTreeSystem, ReviewConfig, ReviewSystem};
 use hdov_walkthrough::{
-    run_session, FrameModel, LodRTreeWalkthrough, ReviewWalkthrough, Session, SessionKind,
-    VisualSystem, WalkthroughMetrics, WalkthroughSystem,
+    run_session, LodRTreeWalkthrough, ReviewWalkthrough, Session, SessionKind, VisualSystem,
+    WalkthroughMetrics, WalkthroughSystem,
 };
 
 fn main() {
     let opts = RunOptions::from_args();
     let eval = EvalScene::standard(&opts);
-    let fm = FrameModel::PAPER_ERA;
 
     let mut visual =
         VisualSystem::new(eval.environment(StorageScheme::IndexedVertical), 0.001).expect("visual");
@@ -57,7 +56,7 @@ fn main() {
             (&mut lodr, "LoD-R-tree"),
         ];
         for (sys, label) in systems {
-            let m: WalkthroughMetrics = run_session(sys, &session, &fm).unwrap();
+            let m: WalkthroughMetrics = run_session(sys, &session).unwrap();
             rows.push(vec![
                 kind.label().to_string(),
                 label.to_string(),

@@ -9,9 +9,7 @@
 
 use hdov_bench::{print_table, write_csv, EvalScene, RunOptions};
 use hdov_core::StorageScheme;
-use hdov_walkthrough::{
-    run_session, FrameModel, Session, SessionKind, StreamingVisualSystem, VisualSystem,
-};
+use hdov_walkthrough::{run_session, Session, SessionKind, StreamingVisualSystem, VisualSystem};
 
 fn main() {
     let opts = RunOptions::from_args();
@@ -22,13 +20,12 @@ fn main() {
         opts.session_frames(),
         50,
     );
-    let fm = FrameModel::PAPER_ERA;
     let eta = 0.001;
 
     // Reference: unbounded VISUAL.
     let mut unbounded =
         VisualSystem::new(eval.environment(StorageScheme::IndexedVertical), eta).expect("visual");
-    let mu = run_session(&mut unbounded, &session, &fm).unwrap();
+    let mu = run_session(&mut unbounded, &session).unwrap();
 
     let mut rows = vec![vec![
         "unbounded".to_string(),
@@ -48,7 +45,7 @@ fn main() {
             budget,
         )
         .expect("streaming");
-        let m = run_session(&mut sys, &session, &fm).unwrap();
+        let m = run_session(&mut sys, &session).unwrap();
         rows.push(vec![
             format!("{budget:.0} ms/frame"),
             format!("{:.1}", m.avg_frame_time_ms()),

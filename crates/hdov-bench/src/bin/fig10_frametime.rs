@@ -9,8 +9,7 @@ use hdov_bench::{print_table, write_csv, EvalScene, RunOptions};
 use hdov_core::StorageScheme;
 use hdov_review::{ReviewConfig, ReviewSystem};
 use hdov_walkthrough::{
-    run_session, FrameModel, ReviewWalkthrough, Session, SessionKind, VisualSystem,
-    WalkthroughMetrics,
+    run_session, ReviewWalkthrough, Session, SessionKind, VisualSystem, WalkthroughMetrics,
 };
 
 fn main() {
@@ -22,7 +21,6 @@ fn main() {
         opts.session_frames(),
         1,
     );
-    let fm = FrameModel::PAPER_ERA;
 
     let mut visual_1 =
         VisualSystem::new(eval.environment(StorageScheme::IndexedVertical), 0.001).expect("visual");
@@ -38,9 +36,9 @@ fn main() {
     .expect("review");
     let mut review = ReviewWalkthrough::new(review_sys, eval.table.clone(), eval.grid.clone());
 
-    let mv1 = run_session(&mut visual_1, &session, &fm).unwrap();
-    let mv03 = run_session(&mut visual_03, &session, &fm).unwrap();
-    let mr = run_session(&mut review, &session, &fm).unwrap();
+    let mv1 = run_session(&mut visual_1, &session).unwrap();
+    let mv03 = run_session(&mut visual_03, &session).unwrap();
+    let mr = run_session(&mut review, &session).unwrap();
 
     // Fig. 10(a) and 10(b) series: frame index vs frame time.
     let mut series = Vec::with_capacity(session.len());

@@ -9,8 +9,7 @@ use hdov_bench::{print_table, write_csv, EvalScene, RunOptions};
 use hdov_core::StorageScheme;
 use hdov_review::{ReviewConfig, ReviewSystem};
 use hdov_walkthrough::{
-    run_session, FrameModel, ReviewWalkthrough, Session, SessionKind, VisualSystem,
-    WalkthroughMetrics,
+    run_session, ReviewWalkthrough, Session, SessionKind, VisualSystem, WalkthroughMetrics,
 };
 
 fn main() {
@@ -22,7 +21,6 @@ fn main() {
         opts.session_frames(),
         11,
     );
-    let fm = FrameModel::PAPER_ERA;
 
     let mut rows = Vec::new();
     fn row(label: &str, m: &WalkthroughMetrics, polys: f64) -> Vec<String> {
@@ -68,13 +66,13 @@ fn main() {
     )
     .unwrap();
     let mut review = ReviewWalkthrough::new(review_sys, eval.table.clone(), eval.grid.clone());
-    let mr = run_session(&mut review, &session, &fm).unwrap();
+    let mr = run_session(&mut review, &session).unwrap();
     rows.push(row("(b) REVIEW (200m boxes)", &mr, mr.avg_polygons()));
 
     // (c) VISUAL, eta = 0.001.
     let mut visual =
         VisualSystem::new(eval.environment(StorageScheme::IndexedVertical), 0.001).unwrap();
-    let mv = run_session(&mut visual, &session, &fm).unwrap();
+    let mv = run_session(&mut visual, &session).unwrap();
     rows.push(row("(c) VISUAL (eta=0.001)", &mv, mv.avg_polygons()));
 
     print_table(

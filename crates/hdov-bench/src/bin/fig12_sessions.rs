@@ -8,14 +8,11 @@
 use hdov_bench::{print_table, write_csv, EvalScene, RunOptions};
 use hdov_core::StorageScheme;
 use hdov_review::{ReviewConfig, ReviewSystem};
-use hdov_walkthrough::{
-    run_session, FrameModel, ReviewWalkthrough, Session, SessionKind, VisualSystem,
-};
+use hdov_walkthrough::{run_session, ReviewWalkthrough, Session, SessionKind, VisualSystem};
 
 fn main() {
     let opts = RunOptions::from_args();
     let eval = EvalScene::standard(&opts);
-    let fm = FrameModel::PAPER_ERA;
 
     let mut visual =
         VisualSystem::new(eval.environment(StorageScheme::IndexedVertical), 0.001).expect("visual");
@@ -37,8 +34,8 @@ fn main() {
             opts.session_frames(),
             12 + i as u64,
         );
-        let mv = run_session(&mut visual, &session, &fm).unwrap();
-        let mr = run_session(&mut review, &session, &fm).unwrap();
+        let mv = run_session(&mut visual, &session).unwrap();
+        let mr = run_session(&mut review, &session).unwrap();
         rows.push(vec![
             kind.label().to_string(),
             format!("{:.2}", mv.avg_search_time_ms()),

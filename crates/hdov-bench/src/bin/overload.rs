@@ -28,9 +28,7 @@
 
 use hdov_bench::{print_table, write_csv, EvalScene, RunOptions};
 use hdov_core::{PoolConfig, QueryBudget, StorageScheme};
-use hdov_walkthrough::{
-    AdmissionConfig, EtaControlConfig, ServerConfig, Session, SessionKind, SessionServer,
-};
+use hdov_walkthrough::{ServerConfig, Session, SessionKind, SessionServer};
 
 /// Serving capacity: sessions allowed to drive queries concurrently.
 const SLOTS: usize = 4;
@@ -53,8 +51,8 @@ fn main() {
         // cell fetched at once) would blow far past the deadline without a
         // mid-frame stop.
         budget: QueryBudget::sim_ms(TARGET_FRAME_MS),
-        control: Some(EtaControlConfig::for_target_ms(TARGET_FRAME_MS)),
-        admission: Some(AdmissionConfig::strict(SLOTS)),
+        control: Some(TARGET_FRAME_MS),
+        admission: Some(SLOTS),
         ..Default::default()
     };
 

@@ -9,8 +9,7 @@ use hdov_bench::{fmt_bytes, print_table, write_csv, EvalScene, RunOptions, TABLE
 use hdov_core::StorageScheme;
 use hdov_review::{ReviewConfig, ReviewSystem};
 use hdov_walkthrough::{
-    run_session, FrameModel, ReviewWalkthrough, Session, SessionKind, VisualSystem,
-    WalkthroughSystem,
+    run_session, ReviewWalkthrough, Session, SessionKind, VisualSystem, WalkthroughSystem,
 };
 
 const PAPER: [(f64, f64, f64); 9] = [
@@ -34,7 +33,6 @@ fn main() {
         opts.session_frames(),
         3,
     );
-    let fm = FrameModel::PAPER_ERA;
 
     let mut visual =
         VisualSystem::new(eval.environment(StorageScheme::IndexedVertical), 0.0).expect("visual");
@@ -42,7 +40,7 @@ fn main() {
     let mut visual_peak = 0u64;
     for (i, &eta) in TABLE3_ETAS.iter().enumerate() {
         visual.set_eta(eta);
-        let m = run_session(&mut visual, &session, &fm).unwrap();
+        let m = run_session(&mut visual, &session).unwrap();
         visual_peak = visual_peak.max(m.peak_memory_bytes);
         let (p_eta, p_avg, p_var) = PAPER[i];
         debug_assert_eq!(p_eta, eta);
@@ -64,7 +62,7 @@ fn main() {
     )
     .expect("review");
     let mut review = ReviewWalkthrough::new(review_sys, eval.table.clone(), eval.grid.clone());
-    let mr = run_session(&mut review, &session, &fm).unwrap();
+    let mr = run_session(&mut review, &session).unwrap();
     rows.push(vec![
         "REVIEW".into(),
         format!("{:.2}", mr.avg_frame_time_ms()),

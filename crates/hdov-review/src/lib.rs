@@ -6,6 +6,8 @@
 //! in earlier operations do not need to be accessed again [the *complement
 //! search*]. It also supports a semantic-based cache replacement strategy
 //! based on spatial distance between the viewer and the nodes" (paper §2).
+//! The paper's head-to-head runs REVIEW without that cache, and so does this
+//! crate: complement search is its only reuse.
 //!
 //! At query time REVIEW converts the viewpoint into a spatial query box of
 //! configurable size and retrieves every object intersecting it, at a
@@ -18,10 +20,8 @@
 
 pub mod fidelity;
 pub mod lodrtree;
-pub mod semantic_cache;
 pub mod system;
 
 pub use fidelity::FidelityReport;
 pub use lodrtree::{LodRTreeConfig, LodRTreeSystem};
-pub use semantic_cache::SemanticCache;
 pub use system::{ReviewConfig, ReviewResult, ReviewStats, ReviewSystem};

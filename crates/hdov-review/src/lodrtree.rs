@@ -22,7 +22,7 @@ use crate::system::{ReviewEntry, ReviewResult, ReviewStats};
 use hdov_geom::{Aabb, Vec3};
 use hdov_rtree::{bulk, RTree, SplitMethod};
 use hdov_scene::{ModelStore, Scene};
-use hdov_storage::{DiskModel, IoStats, MemPagedFile, Result, SimulatedDisk};
+use hdov_storage::{DiskModel, MemPagedFile, Result, SimulatedDisk};
 use std::collections::HashMap;
 
 /// LoD-R-tree configuration.
@@ -38,8 +38,6 @@ pub struct LodRTreeConfig {
     pub split: SplitMethod,
     /// Build with STR bulk loading.
     pub bulk_load: bool,
-    /// Bulk fill factor.
-    pub fill: f64,
     /// Disk cost model.
     pub disk: DiskModel,
 }
@@ -52,7 +50,6 @@ impl Default for LodRTreeConfig {
             fanout: 8,
             split: SplitMethod::AngTanLinear,
             bulk_load: false,
-            fill: 0.7,
             disk: DiskModel::PAPER_ERA,
         }
     }
@@ -77,7 +74,7 @@ impl LodRTreeSystem {
         let items: Vec<_> = scene.objects().iter().map(|o| (o.mbr, o.id)).collect();
         let node_disk = SimulatedDisk::new(MemPagedFile::new(), cfg.disk);
         let mut rtree = if cfg.bulk_load {
-            bulk::bulk_load_with_fanout(node_disk, items, cfg.fill, cfg.fanout)?
+            bulk::bulk_load_with_fanout(node_disk, items, bulk::FILL, cfg.fanout)?
         } else {
             let mut t = RTree::with_fanout(node_disk, cfg.split, cfg.fanout)?;
             for (mbr, id) in items {
@@ -183,7 +180,6 @@ impl LodRTreeSystem {
                 nodes_visited: node_io.page_reads,
                 node_io,
                 model_io,
-                prefetch_io: IoStats::default(),
             },
         ))
     }

@@ -18,15 +18,8 @@ pub struct ReviewConfig {
     pub split: SplitMethod,
     /// Build the backbone with STR bulk loading.
     pub bulk_load: bool,
-    /// Bulk fill factor.
-    pub fill: f64,
     /// Disk cost model.
     pub disk: DiskModel,
-    /// Optional semantic model cache (bytes). REVIEW's distance-based
-    /// replacement keeps models that *left* the query box for a while —
-    /// complement search alone refetches them when the viewer doubles back.
-    /// `None` matches the paper's cache-less head-to-head.
-    pub cache_bytes: Option<u64>,
 }
 
 impl Default for ReviewConfig {
@@ -36,9 +29,7 @@ impl Default for ReviewConfig {
             fanout: 8,
             split: SplitMethod::AngTanLinear,
             bulk_load: false,
-            fill: 0.7,
             disk: DiskModel::PAPER_ERA,
-            cache_bytes: None,
         }
     }
 }
@@ -109,9 +100,6 @@ pub struct ReviewStats {
     pub node_io: IoStats,
     /// Object model I/O.
     pub model_io: IoStats,
-    /// Background prefetch I/O (overlapped with rendering in the real
-    /// system; excluded from the foreground search time).
-    pub prefetch_io: IoStats,
 }
 
 impl ReviewStats {
@@ -147,11 +135,6 @@ pub struct ReviewSystem {
     resident: HashMap<u64, (usize, u64)>,
     resident_bytes: u64,
     peak_bytes: u64,
-    /// Optional semantic cache of evicted models: (object, level) hits skip
-    /// model I/O on re-entry.
-    cache: Option<crate::SemanticCache>,
-    /// Level the cache holds per object (the cache itself is keyed by id).
-    cache_levels: HashMap<u64, usize>,
 }
 
 impl ReviewSystem {
@@ -160,7 +143,7 @@ impl ReviewSystem {
         let items: Vec<_> = scene.objects().iter().map(|o| (o.mbr, o.id)).collect();
         let node_disk = SimulatedDisk::new(MemPagedFile::new(), cfg.disk);
         let mut rtree = if cfg.bulk_load {
-            bulk::bulk_load_with_fanout(node_disk, items, cfg.fill, cfg.fanout)?
+            bulk::bulk_load_with_fanout(node_disk, items, bulk::FILL, cfg.fanout)?
         } else {
             let mut t = RTree::with_fanout(node_disk, cfg.split, cfg.fanout)?;
             for (mbr, id) in items {
@@ -178,7 +161,6 @@ impl ReviewSystem {
         let store = ModelStore::build(&mut model_disk, chains)?;
         model_disk.reset_stats();
 
-        let cache = cfg.cache_bytes.map(crate::SemanticCache::new);
         Ok(ReviewSystem {
             rtree,
             store,
@@ -187,8 +169,6 @@ impl ReviewSystem {
             resident: HashMap::new(),
             resident_bytes: 0,
             peak_bytes: 0,
-            cache,
-            cache_levels: HashMap::new(),
         })
     }
 
@@ -224,26 +204,13 @@ impl ReviewSystem {
         for (id, mbr) in hits {
             let k = self.lod_k(viewpoint, &mbr);
             let level = self.store.select_level(id, k);
-            let mut cached = self.resident.get(&id).is_some_and(|&(l, _)| l == level);
-            // Semantic cache: a model that left the box earlier may still be
-            // held at the right level.
-            if !cached {
-                if let Some(cache) = &mut self.cache {
-                    if cache.lookup(id) && self.cache_levels.get(&id) == Some(&level) {
-                        cached = true;
-                    }
-                }
-            }
+            let cached = self.resident.get(&id).is_some_and(|&(l, _)| l == level);
             let h = if cached {
                 self.store.handle(id, level)
             } else {
                 self.store.fetch(&mut self.model_disk, id, level)?
             };
             next_resident.insert(id, (level, h.bytes as u64));
-            if let Some(cache) = &mut self.cache {
-                cache.insert(id, mbr.center(), h.bytes as u64, viewpoint);
-                self.cache_levels.insert(id, level);
-            }
             result.entries.push(ReviewEntry {
                 object: id,
                 level,
@@ -265,61 +232,14 @@ impl ReviewSystem {
                 nodes_visited,
                 node_io,
                 model_io,
-                prefetch_io: IoStats::default(),
             },
         ))
     }
 
-    /// [`query`](Self::query) followed by movement-predictive prefetching —
-    /// one of REVIEW's optimisations mentioned in the paper's §2.
-    ///
-    /// After answering the foreground query, the system predicts the viewer
-    /// position `lookahead` steps along `velocity`, window-queries the
-    /// predicted box, and pulls not-yet-resident models into the resident
-    /// set. Prefetch I/O is reported separately in
-    /// [`ReviewStats::prefetch_io`] (in the real system it overlaps
-    /// rendering), and the prefetched models make the *next* complement
-    /// search cheaper.
-    pub fn query_prefetch(
-        &mut self,
-        viewpoint: Vec3,
-        velocity: Vec3,
-        lookahead: f64,
-    ) -> Result<(ReviewResult, ReviewStats)> {
-        let (result, mut stats) = self.query(viewpoint)?;
-        let node_io0 = self.rtree.file().stats();
-        let model_io0 = self.model_disk.stats();
-        let future = viewpoint + velocity * lookahead;
-        let hits = self.rtree.window_query(&self.query_box(future))?;
-        for (id, mbr) in hits {
-            let k = self.lod_k(future, &mbr);
-            let level = self.store.select_level(id, k);
-            if self.resident.get(&id).is_some_and(|&(l, _)| l == level) {
-                continue;
-            }
-            let h = self.store.fetch(&mut self.model_disk, id, level)?;
-            self.resident.insert(id, (level, h.bytes as u64));
-        }
-        self.resident_bytes = self.resident.values().map(|&(_, b)| b).sum();
-        self.peak_bytes = self.peak_bytes.max(self.resident_bytes);
-        stats.prefetch_io =
-            self.rtree.file().stats().since(&node_io0) + self.model_disk.stats().since(&model_io0);
-        Ok((result, stats))
-    }
-
-    /// Clears the complement-search resident set and the semantic cache.
+    /// Clears the complement-search resident set.
     pub fn clear_resident(&mut self) {
         self.resident.clear();
         self.resident_bytes = 0;
-        if let Some(cache) = &mut self.cache {
-            cache.clear();
-        }
-        self.cache_levels.clear();
-    }
-
-    /// `(hits, misses)` of the semantic cache, if enabled.
-    pub fn cache_stats(&self) -> Option<(u64, u64)> {
-        self.cache.as_ref().map(|c| c.hit_stats())
     }
 
     /// Bytes currently resident.
@@ -481,156 +401,5 @@ mod tests {
         let (rl, sl) = large.query(vp).unwrap();
         assert!(rl.entries().len() > rs.entries().len());
         assert!(sl.total_io().page_reads > ss.total_io().page_reads);
-    }
-}
-
-#[cfg(test)]
-mod prefetch_tests {
-    use super::*;
-    use hdov_scene::CityConfig;
-
-    #[test]
-    fn prefetch_makes_next_query_cheaper() {
-        let scene = CityConfig::small().seed(3).generate();
-        let make = || {
-            ReviewSystem::build(
-                &scene,
-                ReviewConfig {
-                    box_size: 120.0,
-                    fanout: 8,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        };
-        // A straight walk: position advances 10 m per query.
-        let start = scene.viewpoint_region().center();
-        let velocity = Vec3::new(10.0, 0.0, 0.0);
-        let steps = 6;
-
-        let mut plain = make();
-        let mut plain_fg = 0u64;
-        for i in 0..steps {
-            let (_, st) = plain.query(start + velocity * i as f64).unwrap();
-            if i > 0 {
-                plain_fg += st.model_io.page_reads;
-            }
-        }
-
-        let mut pf = make();
-        let mut pf_fg = 0u64;
-        let mut pf_bg = 0u64;
-        for i in 0..steps {
-            let (_, st) = pf
-                .query_prefetch(start + velocity * i as f64, velocity, 1.0)
-                .unwrap();
-            if i > 0 {
-                pf_fg += st.model_io.page_reads;
-                pf_bg += st.prefetch_io.page_reads;
-            }
-        }
-        assert!(
-            pf_fg < plain_fg,
-            "prefetching foreground reads {pf_fg} !< plain {plain_fg}"
-        );
-        assert!(pf_bg > 0, "prefetch must have done background work");
-    }
-
-    #[test]
-    fn stationary_prefetch_is_idempotent() {
-        let scene = CityConfig::tiny().seed(3).generate();
-        let mut sys = ReviewSystem::build(
-            &scene,
-            ReviewConfig {
-                box_size: 100.0,
-                fanout: 8,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let vp = scene.viewpoint_region().center();
-        sys.query_prefetch(vp, Vec3::ZERO, 1.0).unwrap();
-        let (_, st) = sys.query_prefetch(vp, Vec3::ZERO, 1.0).unwrap();
-        assert_eq!(st.model_io.page_reads, 0, "everything should be resident");
-        assert_eq!(
-            st.prefetch_io.page_reads,
-            st.prefetch_io.page_reads.min(16),
-            "stationary prefetch should only re-walk the tree"
-        );
-    }
-}
-
-#[cfg(test)]
-mod semantic_cache_integration {
-    use super::*;
-    use hdov_scene::CityConfig;
-
-    fn make(scene: &hdov_scene::Scene, cache_bytes: Option<u64>) -> ReviewSystem {
-        ReviewSystem::build(
-            scene,
-            ReviewConfig {
-                box_size: 80.0,
-                fanout: 8,
-                cache_bytes,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn semantic_cache_saves_refetches_on_double_back() {
-        let scene = CityConfig::small().seed(9).generate();
-        let a = scene
-            .viewpoint_region()
-            .min
-            .lerp(scene.viewpoint_region().max, 0.25);
-        let b = scene
-            .viewpoint_region()
-            .min
-            .lerp(scene.viewpoint_region().max, 0.75);
-
-        // Walk a -> b -> a. Without the cache, returning to `a` refetches
-        // everything that left the box; with it, most models are still held.
-        let run = |cache: Option<u64>| -> u64 {
-            let mut sys = make(&scene, cache);
-            sys.query(a).unwrap();
-            sys.query(b).unwrap();
-            let (_, st) = sys.query(a).unwrap();
-            st.model_io.page_reads
-        };
-        let without = run(None);
-        let with = run(Some(64 * 1024 * 1024)); // generous budget
-        assert!(without > 0, "returning must refetch without a cache");
-        assert_eq!(with, 0, "a big semantic cache must absorb the return");
-    }
-
-    #[test]
-    fn tight_cache_still_correct_and_bounded() {
-        let scene = CityConfig::tiny().seed(9).generate();
-        let vr = scene.viewpoint_region();
-        let mut sys = make(&scene, Some(20_000)); // tight budget
-        let mut baseline = make(&scene, None);
-        for i in 0..8 {
-            let vp = vr.min.lerp(vr.max, (i % 4) as f64 / 4.0);
-            let (r_cached, _) = sys.query(vp).unwrap();
-            let (r_plain, _) = baseline.query(vp).unwrap();
-            // Same answer set regardless of caching.
-            let mut a: Vec<_> = r_cached
-                .entries()
-                .iter()
-                .map(|e| (e.object, e.level))
-                .collect();
-            let mut b: Vec<_> = r_plain
-                .entries()
-                .iter()
-                .map(|e| (e.object, e.level))
-                .collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "step {i}");
-        }
-        let (hits, misses) = sys.cache_stats().unwrap();
-        assert!(hits + misses > 0);
     }
 }

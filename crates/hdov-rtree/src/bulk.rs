@@ -12,11 +12,15 @@ use crate::tree::RTree;
 use hdov_geom::Aabb;
 use hdov_storage::{PagedFile, Result};
 
+/// The fill factor every bulk-loaded backbone in the workspace uses (the
+/// paper-era default).
+pub const FILL: f64 = 0.7;
+
 /// Bulk loads `items` into a fresh tree over `file` using STR at the full
 /// page fan-out.
 ///
-/// `fill` is the target entries-per-node in `(0, 1]` of capacity; the paper
-/// era default is 0.7.
+/// `fill` is the target entries-per-node in `(0, 1]` of capacity (see
+/// [`FILL`]).
 pub fn bulk_load<F: PagedFile>(file: F, items: Vec<(Aabb, u64)>, fill: f64) -> Result<RTree<F>> {
     bulk_load_with_fanout(file, items, fill, MAX_ENTRIES)
 }

@@ -7,38 +7,26 @@
 //! state trace (unit-tested below) and the chaos drill's recovery point is
 //! a pure function of the frame schedule.
 //!
-//! * **Closed** — requests flow; `trip_after` *consecutive* failures open
-//!   the breaker.
+//! * **Closed** — requests flow; three *consecutive* failures (`TRIP_AFTER`)
+//!   open the breaker.
 //! * **Open** — requests are denied without touching the shard (the router
-//!   serves the shard's coarse cover instead). After `cooldown` denials the
-//!   breaker moves to half-open.
+//!   serves the shard's coarse cover instead). After eight denials
+//!   (`COOLDOWN`) the breaker moves to half-open.
 //! * **Half-open** — the next request is a probe. Success closes the
 //!   breaker; failure re-opens it and restarts the cooldown.
 
 use std::sync::Mutex;
 
-/// Breaker tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive sub-query failures that trip the breaker open.
-    pub trip_after: u32,
-    /// Denied requests an open breaker absorbs before probing half-open.
-    pub cooldown: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            trip_after: 3,
-            cooldown: 8,
-        }
-    }
-}
+/// Consecutive sub-query failures that trip the breaker open.
+pub(crate) const TRIP_AFTER: u32 = 3;
+/// Denied requests an open breaker absorbs before probing half-open.
+pub(crate) const COOLDOWN: u32 = 8;
 
 /// Breaker state, in increasing order of distrust.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BreakerState {
     /// Healthy: requests flow.
+    #[default]
     Closed,
     /// Probing: one request at a time decides reopen vs close.
     HalfOpen,
@@ -46,7 +34,7 @@ pub enum BreakerState {
     Open,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Inner {
     state: BreakerState,
     consecutive_failures: u32,
@@ -55,26 +43,13 @@ struct Inner {
 
 /// One shard's breaker. Thread-safe: many visitor sessions consult the
 /// same breaker concurrently (a Mutex over three words — uncontended in
-/// practice next to the query work it guards).
-#[derive(Debug)]
+/// practice next to the query work it guards). `default()` is closed.
+#[derive(Debug, Default)]
 pub struct CircuitBreaker {
-    cfg: BreakerConfig,
     inner: Mutex<Inner>,
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with tuning `cfg`.
-    pub fn new(cfg: BreakerConfig) -> CircuitBreaker {
-        CircuitBreaker {
-            cfg,
-            inner: Mutex::new(Inner {
-                state: BreakerState::Closed,
-                consecutive_failures: 0,
-                denials: 0,
-            }),
-        }
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -93,7 +68,7 @@ impl CircuitBreaker {
             BreakerState::Closed | BreakerState::HalfOpen => true,
             BreakerState::Open => {
                 inner.denials += 1;
-                if inner.denials >= self.cfg.cooldown {
+                if inner.denials >= COOLDOWN {
                     inner.state = BreakerState::HalfOpen;
                     true
                 } else {
@@ -120,7 +95,7 @@ impl CircuitBreaker {
         let trip = match inner.state {
             // A failed probe re-opens immediately.
             BreakerState::HalfOpen => true,
-            BreakerState::Closed => inner.consecutive_failures >= self.cfg.trip_after,
+            BreakerState::Closed => inner.consecutive_failures >= TRIP_AFTER,
             BreakerState::Open => false, // concurrent failure while already tripped
         };
         if trip {
@@ -135,16 +110,18 @@ impl CircuitBreaker {
 mod tests {
     use super::*;
 
-    fn breaker() -> CircuitBreaker {
-        CircuitBreaker::new(BreakerConfig {
-            trip_after: 3,
-            cooldown: 4,
-        })
+    /// Trips a fresh breaker: `TRIP_AFTER` (3) consecutive failures.
+    fn tripped() -> CircuitBreaker {
+        let b = CircuitBreaker::default();
+        assert!(!b.record_failure());
+        assert!(!b.record_failure());
+        assert!(b.record_failure());
+        b
     }
 
     #[test]
     fn trips_after_consecutive_failures_only() {
-        let b = breaker();
+        let b = CircuitBreaker::default();
         assert!(!b.record_failure());
         assert!(!b.record_failure());
         b.record_success(); // streak broken
@@ -156,15 +133,13 @@ mod tests {
 
     #[test]
     fn cooldown_denials_lead_to_half_open_probe() {
-        let b = breaker();
-        for _ in 0..3 {
-            b.record_failure();
-        }
+        let b = tripped();
         assert_eq!(b.state(), BreakerState::Open);
-        // Three denials inside the cooldown, the fourth is the probe.
-        assert!(!b.allow());
-        assert!(!b.allow());
-        assert!(!b.allow());
+        // Seven denials inside the cooldown, the eighth is the probe.
+        for i in 0..7 {
+            assert!(!b.allow(), "denial {i}");
+            assert_eq!(b.state(), BreakerState::Open);
+        }
         assert!(b.allow(), "cooldown exhausted: probe goes through");
         assert_eq!(b.state(), BreakerState::HalfOpen);
         b.record_success();
@@ -174,11 +149,8 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens_and_restarts_cooldown() {
-        let b = breaker();
-        for _ in 0..3 {
-            b.record_failure();
-        }
-        for _ in 0..3 {
+        let b = tripped();
+        for _ in 0..7 {
             assert!(!b.allow());
         }
         assert!(b.allow()); // probe
@@ -187,28 +159,38 @@ mod tests {
             "failed probe is a fresh open transition"
         );
         assert_eq!(b.state(), BreakerState::Open);
-        for _ in 0..3 {
+        for _ in 0..7 {
             assert!(!b.allow());
         }
         assert!(b.allow(), "cooldown counts from the reopen");
     }
 
+    /// The full trace, request by request, with the fixed tuning
+    /// (trip after 3, cooldown 8).
     #[test]
     fn exact_state_trace_is_deterministic() {
-        let b = CircuitBreaker::new(BreakerConfig {
-            trip_after: 2,
-            cooldown: 2,
-        });
+        let b = CircuitBreaker::default();
+        for _ in 0..2 {
+            assert!(b.allow());
+            assert!(!b.record_failure()); // failures 1, 2: still closed
+        }
         assert!(b.allow());
-        assert!(!b.record_failure());
-        assert!(b.allow());
-        assert!(b.record_failure()); // trip 1
-        assert!(!b.allow()); // denial 1
-        assert!(b.allow()); // denial 2 → probe
+        assert!(b.record_failure()); // failure 3: trip 1
+        for _ in 0..7 {
+            assert!(!b.allow()); // denials 1–7
+        }
+        assert!(b.allow()); // denial 8 → half-open probe
         assert!(b.record_failure()); // trip 2 (reopen)
-        assert!(!b.allow());
-        assert!(b.allow());
+        assert!(!b.record_failure(), "a failure while open is no new trip");
+        for _ in 0..7 {
+            assert!(!b.allow());
+        }
+        assert!(b.allow()); // probe
         b.record_success();
+        assert_eq!(b.state(), BreakerState::Closed);
+        // The success reset the streak: two failures do not trip again.
+        assert!(!b.record_failure());
+        assert!(!b.record_failure());
         assert_eq!(b.state(), BreakerState::Closed);
     }
 }

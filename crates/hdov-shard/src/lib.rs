@@ -34,7 +34,7 @@ pub mod breaker;
 pub mod router;
 pub mod tile;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+pub use breaker::{BreakerState, CircuitBreaker};
 pub use router::{
     RouteStats, RouterConfig, RouterTotals, SessionLane, ShardChaos, ShardEngine, ShardRouter,
 };

@@ -30,7 +30,7 @@
 //! pay — the simulated clock, like the paper's, only charges I/O), and the
 //! breaker counts requests, not seconds.
 
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::tile::TileMap;
 use hdov_core::shard::{
     check_shard_count, merge_frames, search_shard, MergeScratch, ShardFrame, ShardPlan,
@@ -56,8 +56,6 @@ pub struct RouterConfig {
     /// Deterministic retry attempts after a failed sub-query (dead engine
     /// or storage error), before the shard degrades or hedges.
     pub retries: u32,
-    /// Per-shard circuit-breaker tuning.
-    pub breaker: BreakerConfig,
     /// Simulated search time above which a *successful* primary sub-query
     /// is hedged to the shard's replica engine (when one is attached): the
     /// faster of the two answers wins. `INFINITY` never hedges.
@@ -69,7 +67,6 @@ impl Default for RouterConfig {
         RouterConfig {
             deadline_sim_ms: f64::INFINITY,
             retries: 1,
-            breaker: BreakerConfig::default(),
             hedge_sim_ms: f64::INFINITY,
         }
     }
@@ -258,9 +255,7 @@ impl ShardRouter {
                 )
             })
             .collect();
-        let breakers = (0..shards)
-            .map(|_| CircuitBreaker::new(cfg.breaker))
-            .collect();
+        let breakers = (0..shards).map(|_| CircuitBreaker::default()).collect();
         Ok(ShardRouter {
             engines,
             plan,

@@ -19,9 +19,7 @@ use hdov_scene::CityConfig;
 use hdov_shard::{BreakerState, RouterConfig, ShardChaos, ShardRouter};
 use hdov_storage::StorageError;
 use hdov_visibility::CellGridConfig;
-use hdov_walkthrough::{
-    AdmissionConfig, EtaControlConfig, ServerConfig, Session, SessionKind, SessionServer,
-};
+use hdov_walkthrough::{ServerConfig, Session, SessionKind, SessionServer};
 use proptest::prelude::*;
 
 /// A per-frame simulated budget tight enough that some frames stop
@@ -222,7 +220,7 @@ fn single_shard_server_outcomes_equal_unsharded() {
             ..ServerConfig::default()
         },
         ServerConfig {
-            control: Some(EtaControlConfig::for_target_ms(CONTROL_TARGET_MS)),
+            control: Some(CONTROL_TARGET_MS),
             ..ServerConfig::default()
         },
     ];
@@ -348,7 +346,7 @@ fn global_admission_sheds_overflow_once() {
     let report = SessionServer::new(
         &router,
         ServerConfig {
-            admission: Some(AdmissionConfig::strict(2)),
+            admission: Some(2),
             ..ServerConfig::default()
         },
     )

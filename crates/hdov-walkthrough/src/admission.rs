@@ -3,134 +3,71 @@
 //! A saturated server helps nobody by queueing unboundedly: every admitted
 //! visitor's frames slow down together until all of them miss their
 //! deadlines (congestion collapse). [`SessionSlots`] bounds how many
-//! sessions may drive queries concurrently; a session that cannot take a
-//! slot before its queue deadline is *shed* — served the root's internal LoD
-//! for every frame (coarse but complete, and never an error) instead of
-//! holding a query lane.
+//! sessions may drive queries concurrently; a session that finds no free
+//! slot is *shed* at once — served the root's internal LoD for every frame
+//! (coarse but complete, and never an error) instead of holding a query
+//! lane. Nothing waits in a queue.
 //!
 //! Shedding is deliberately the same primitive as graceful degradation
 //! (DESIGN.md §11/§12): the coarsest answer the tree can give is the root's
 //! internal LoD, and it is always available without touching the overloaded
 //! pools.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
-
-/// Admission policy for a [`SessionServer`](crate::SessionServer) run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionConfig {
-    /// Sessions allowed to drive queries concurrently.
-    pub slots: usize,
-    /// How long a session may wait for a slot before being shed. Zero
-    /// sheds immediately whenever no slot is free.
-    pub queue_timeout: Duration,
-}
-
-impl AdmissionConfig {
-    /// `slots` concurrent sessions, shedding immediately when full.
-    pub fn strict(slots: usize) -> Self {
-        AdmissionConfig {
-            slots,
-            queue_timeout: Duration::ZERO,
-        }
-    }
-}
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Backpressure counters for one server run (per engine).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackpressureStats {
-    /// Sessions that took a slot (immediately or after queueing).
+    /// Sessions that took a slot.
     pub admitted: u64,
     /// Sessions shed to the root's internal LoD.
     pub shed: u64,
-    /// Sessions that waited for a slot before being admitted.
-    pub queued: u64,
 }
 
-impl BackpressureStats {
-    /// Fraction of sessions shed, `[0, 1]`.
-    pub fn shed_rate(&self) -> f64 {
-        let total = self.admitted + self.shed;
-        if total == 0 {
-            0.0
-        } else {
-            self.shed as f64 / total as f64
-        }
-    }
-}
-
-/// A bounded counting semaphore with a queue timeout (no `std` semaphore
-/// exists; this is the classic Mutex + Condvar construction).
-///
-/// Poisoning is absorbed the same way the storage pools do it
-/// (`lock_shard`): a worker that panicked while holding the lock leaves a
-/// plain integer behind, which is always valid — admission must keep
-/// working while the rest of the run winds down.
+/// A bounded count of free session slots; taking one never waits.
 #[derive(Debug)]
 pub struct SessionSlots {
-    free: Mutex<usize>,
-    cv: Condvar,
+    free: AtomicUsize,
     admitted: AtomicU64,
     shed: AtomicU64,
-    queued: AtomicU64,
 }
 
 impl SessionSlots {
     /// `slots` concurrent holders (0 sheds every session — useful in tests).
     pub fn new(slots: usize) -> Self {
         SessionSlots {
-            free: Mutex::new(slots),
-            cv: Condvar::new(),
+            free: AtomicUsize::new(slots),
             admitted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            queued: AtomicU64::new(0),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, usize> {
-        self.free.lock().unwrap_or_else(|e| e.into_inner())
+    /// Takes a slot if one is free. Returns `true` when admitted (the
+    /// caller must [`release`](Self::release)) and `false` when the server
+    /// is full — the caller sheds the session.
+    pub fn try_acquire(&self) -> bool {
+        // The count guards no other data, so `Relaxed` suffices: each
+        // update is one atomic read-modify-write, so two sessions can never
+        // both take the last slot.
+        let took = self
+            .free
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |f| f.checked_sub(1))
+            .is_ok();
+        let counter = if took { &self.admitted } else { &self.shed };
+        counter.fetch_add(1, Ordering::Relaxed);
+        took
     }
 
-    /// Tries to take a slot, waiting at most `timeout`. Returns `true` when
-    /// admitted (the caller must [`release`](Self::release)) and `false`
-    /// when the deadline passed with the server still full — the caller
-    /// sheds the session.
-    pub fn try_acquire(&self, timeout: Duration) -> bool {
-        let mut free = self.lock();
-        if *free == 0 && !timeout.is_zero() {
-            self.queued.fetch_add(1, Ordering::Relaxed);
-            let (guard, _timed_out) = self
-                .cv
-                .wait_timeout_while(free, timeout, |f| *f == 0)
-                .unwrap_or_else(|e| e.into_inner());
-            free = guard;
-        }
-        if *free > 0 {
-            *free -= 1;
-            self.admitted.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            false
-        }
-    }
-
-    /// Returns a slot taken by [`try_acquire`](Self::try_acquire) and wakes
-    /// one waiter.
+    /// Returns a slot taken by [`try_acquire`](Self::try_acquire).
     pub fn release(&self) {
-        let mut free = self.lock();
-        *free += 1;
-        drop(free);
-        self.cv.notify_one();
+        self.free.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counters so far (admitted / shed / queued).
+    /// Counters so far (admitted / shed).
     pub fn stats(&self) -> BackpressureStats {
         BackpressureStats {
             admitted: self.admitted.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
-            queued: self.queued.load(Ordering::Relaxed),
         }
     }
 }
@@ -138,54 +75,33 @@ impl SessionSlots {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
-    fn admits_up_to_slots_then_sheds_on_zero_timeout() {
+    fn admits_up_to_slots_then_sheds() {
         let slots = SessionSlots::new(2);
-        assert!(slots.try_acquire(Duration::ZERO));
-        assert!(slots.try_acquire(Duration::ZERO));
-        assert!(!slots.try_acquire(Duration::ZERO), "third must shed");
+        assert!(slots.try_acquire());
+        assert!(slots.try_acquire());
+        assert!(!slots.try_acquire(), "third must shed");
         let s = slots.stats();
         assert_eq!((s.admitted, s.shed), (2, 1));
-        assert!((s.shed_rate() - 1.0 / 3.0).abs() < 1e-12);
 
         slots.release();
-        assert!(slots.try_acquire(Duration::ZERO), "released slot reusable");
-    }
-
-    #[test]
-    fn queued_waiter_is_admitted_on_release() {
-        let slots = Arc::new(SessionSlots::new(1));
-        assert!(slots.try_acquire(Duration::ZERO));
-        let waiter = {
-            let slots = Arc::clone(&slots);
-            std::thread::spawn(move || slots.try_acquire(Duration::from_secs(30)))
-        };
-        // Give the waiter time to block, then free the slot.
-        std::thread::sleep(Duration::from_millis(20));
-        slots.release();
-        assert!(waiter.join().unwrap(), "waiter should win the freed slot");
-        let s = slots.stats();
-        assert_eq!((s.admitted, s.shed), (2, 0));
-        assert_eq!(s.queued, 1);
-    }
-
-    #[test]
-    fn timeout_expires_into_shed() {
-        let slots = SessionSlots::new(1);
-        assert!(slots.try_acquire(Duration::ZERO));
-        assert!(!slots.try_acquire(Duration::from_millis(10)));
-        assert_eq!(slots.stats().shed, 1);
+        assert!(slots.try_acquire(), "released slot reusable");
+        assert_eq!(slots.stats().admitted, 3);
     }
 
     #[test]
     fn zero_slots_sheds_everything() {
         let slots = SessionSlots::new(0);
         for _ in 0..5 {
-            assert!(!slots.try_acquire(Duration::ZERO));
+            assert!(!slots.try_acquire());
         }
-        assert_eq!(slots.stats().shed, 5);
-        assert_eq!(slots.stats().shed_rate(), 1.0);
+        assert_eq!(
+            slots.stats(),
+            BackpressureStats {
+                admitted: 0,
+                shed: 5
+            }
+        );
     }
 }

@@ -7,35 +7,20 @@
 //! the paper are driven by query I/O and retrieved polygon counts, both of
 //! which we measure exactly, so the model preserves the comparison shape
 //! (see `DESIGN.md` §3).
+//!
+//! The constants are calibrated so the default city at VISUAL's typical
+//! answer-set size lands in the paper's 12–16 ms frame range.
 
-/// Render-cost parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FrameModel {
-    /// Fixed per-frame cost (scene setup, culling, buffer swap) in µs.
-    pub base_us: f64,
-    /// Render cost per polygon in µs (≈ 2002-era fixed-function throughput
-    /// of ~15–20 M triangles/s).
-    pub per_polygon_us: f64,
-}
+/// Fixed per-frame cost (scene setup, culling, buffer swap) in µs.
+pub(crate) const BASE_US: f64 = 2000.0;
 
-impl FrameModel {
-    /// Calibrated so the default city at VISUAL's typical answer-set size
-    /// lands in the paper's 12–16 ms frame range.
-    pub const PAPER_ERA: FrameModel = FrameModel {
-        base_us: 2000.0,
-        per_polygon_us: 0.06,
-    };
+/// Render cost per polygon in µs (≈ 2002-era fixed-function throughput of
+/// ~15–20 M triangles/s).
+pub(crate) const PER_POLYGON_US: f64 = 0.06;
 
-    /// Total frame time in milliseconds.
-    pub fn frame_time_ms(&self, search_ms: f64, polygons: u64) -> f64 {
-        search_ms + (self.base_us + polygons as f64 * self.per_polygon_us) / 1000.0
-    }
-}
-
-impl Default for FrameModel {
-    fn default() -> Self {
-        FrameModel::PAPER_ERA
-    }
+/// Total frame time in milliseconds: search plus the render charge.
+pub fn frame_time_ms(search_ms: f64, polygons: u64) -> f64 {
+    search_ms + (BASE_US + polygons as f64 * PER_POLYGON_US) / 1000.0
 }
 
 /// Everything measured about one frame.
@@ -66,18 +51,13 @@ mod tests {
 
     #[test]
     fn frame_time_composition() {
-        let m = FrameModel {
-            base_us: 1000.0,
-            per_polygon_us: 0.1,
-        };
-        // 2 ms search + 1 ms base + 50_000 * 0.1 us = 5 ms render.
-        assert!((m.frame_time_ms(2.0, 50_000) - 8.0).abs() < 1e-9);
-        assert_eq!(m.frame_time_ms(0.0, 0), 1.0);
+        // 2 ms search + 2 ms base + 50_000 * 0.06 us = 3 ms render.
+        assert!((frame_time_ms(2.0, 50_000) - 7.0).abs() < 1e-9);
+        assert_eq!(frame_time_ms(0.0, 0), 2.0);
     }
 
     #[test]
     fn more_polygons_cost_more() {
-        let m = FrameModel::PAPER_ERA;
-        assert!(m.frame_time_ms(1.0, 200_000) > m.frame_time_ms(1.0, 50_000));
+        assert!(frame_time_ms(1.0, 200_000) > frame_time_ms(1.0, 50_000));
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * [`Session`] — seeded, replayable camera paths for the three motion
 //!   patterns of Fig. 12 (normal walk / turning / back-and-forth),
-//! * [`FrameModel`] — the analytic render-time model
+//! * [`frame_time_ms`] — the analytic render-time model
 //!   (`frame = search + base + polygons × per-poly cost`) substituting for
 //!   the paper's OpenGL renderer,
 //! * [`VisualSystem`] and [`ReviewWalkthrough`] — both behind the
@@ -31,9 +31,9 @@ pub mod session;
 pub mod streaming;
 pub mod system;
 
-pub use admission::{AdmissionConfig, BackpressureStats, SessionSlots};
-pub use control::{EtaAction, EtaControlConfig, EtaController};
-pub use frame::{FrameModel, FrameRecord};
+pub use admission::{BackpressureStats, SessionSlots};
+pub use control::{EtaAction, EtaController};
+pub use frame::{frame_time_ms, FrameRecord};
 pub use metrics::{run_session, WalkthroughMetrics};
 pub use server::{EnvLane, FrameEngine, ServerConfig, ServerReport, SessionOutcome, SessionServer};
 pub use session::{Session, SessionKind};

@@ -1,6 +1,6 @@
 //! Session playback and aggregate metrics.
 
-use crate::frame::{FrameModel, FrameRecord};
+use crate::frame::FrameRecord;
 use crate::session::Session;
 use crate::system::WalkthroughSystem;
 use hdov_storage::Result;
@@ -116,12 +116,11 @@ fn variance(it: impl Iterator<Item = f64>) -> f64 {
 pub fn run_session(
     system: &mut dyn WalkthroughSystem,
     session: &Session,
-    model: &FrameModel,
 ) -> Result<WalkthroughMetrics> {
     system.reset();
     let mut frames = Vec::with_capacity(session.len());
     for &vp in &session.viewpoints {
-        frames.push(system.frame(vp, model)?);
+        frames.push(system.frame(vp)?);
     }
     Ok(WalkthroughMetrics {
         system: system.name(),

@@ -28,9 +28,9 @@
 //! search *times* under a shared pool depend on session interleaving, which
 //! is the phenomenon the `concurrent_sessions` benchmark measures.
 
-use crate::admission::{AdmissionConfig, BackpressureStats, SessionSlots};
-use crate::control::{EtaAction, EtaControlConfig, EtaController};
-use crate::frame::FrameModel;
+use crate::admission::{BackpressureStats, SessionSlots};
+use crate::control::{EtaAction, EtaController};
+use crate::frame::frame_time_ms;
 use crate::session::Session;
 use hdov_core::{
     DeltaSearch, Query, QueryBudget, QueryResult, ResultKey, SearchScratch, SessionCtx,
@@ -165,29 +165,29 @@ fn served_lod_rank(key: ResultKey, level: usize) -> u64 {
 /// a default-configured server is byte-identical to one without them.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// DoV threshold `η` for every session. Ignored when
-    /// [`control`](Self::control) is active (the controller's
-    /// `eta_initial` rules then).
+    /// DoV threshold `η` for every session: static without
+    /// [`control`](Self::control), the controller's starting η with it
+    /// (clamped into the controller's range, see [`crate::control`]).
     pub eta: f64,
-    /// Render-cost model for per-frame times in [`SessionOutcome::frame_ms`].
-    pub frame_model: FrameModel,
     /// Per-frame traversal budget; an exhausted budget serves the remaining
     /// subtrees as internal LoDs instead of failing or running long.
     /// Through a shard router every fanned-out sub-query gets this budget.
     /// [`QueryBudget::UNLIMITED`] (the default) changes nothing.
     pub budget: QueryBudget,
-    /// Closed-loop AIMD η control per session; `None` (the default) keeps η
+    /// Closed-loop AIMD η control per session, toward this frame-time
+    /// deadline in simulated milliseconds; `None` (the default) keeps η
     /// static at [`eta`](Self::eta).
-    pub control: Option<EtaControlConfig>,
-    /// Bounded session admission; `None` (the default) admits everything.
-    pub admission: Option<AdmissionConfig>,
+    pub control: Option<f64>,
+    /// Bounded session admission: at most this many sessions drive queries
+    /// at once, and a session that finds no free slot is shed. `None` (the
+    /// default) admits everything.
+    pub admission: Option<usize>,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             eta: 0.002,
-            frame_model: FrameModel::PAPER_ERA,
             budget: QueryBudget::UNLIMITED,
             control: None,
             admission: None,
@@ -203,7 +203,7 @@ pub struct SessionOutcome {
     /// Simulated search time per frame (ms).
     pub search_ms: Vec<f64>,
     /// Simulated end-to-end frame time per frame (ms): search plus the
-    /// configured [`FrameModel`]'s render charge.
+    /// [frame model](crate::frame)'s render charge.
     pub frame_ms: Vec<f64>,
     /// Σ rendered polygons over all frames (deterministic; used to check
     /// that concurrency never changes answers).
@@ -436,13 +436,12 @@ impl<'a, E: FrameEngine> SessionServer<'a, E> {
     /// With one thread this is an ordinary sequential replay; with N it is N
     /// concurrent visitors sharing the environment's pools. With
     /// [`ServerConfig::admission`] set, each claimed session must take a
-    /// slot before driving queries; one that cannot before its queue
-    /// deadline is shed — served the root's internal LoD per frame, never
-    /// an error.
+    /// slot before driving queries; one that finds none free is shed —
+    /// served the root's internal LoD per frame, never an error.
     pub fn run(&self, sessions: &[Session], threads: usize) -> Result<ServerReport> {
         let workers = threads.clamp(1, sessions.len().max(1));
         let next = AtomicUsize::new(0);
-        let slots = self.cfg.admission.map(|a| SessionSlots::new(a.slots));
+        let slots = self.cfg.admission.map(SessionSlots::new);
         // Rendezvous between each worker's first claim and its first drive:
         // thread spawn is slow relative to a short session, so without the
         // barrier early workers can drain the whole queue before late ones
@@ -465,7 +464,7 @@ impl<'a, E: FrameEngine> SessionServer<'a, E> {
                     s.spawn(move || {
                         let mut done = Vec::new();
                         let first = next.fetch_add(1, Ordering::Relaxed);
-                        let admitted = (first < sessions.len()).then(|| self.try_admit(slots));
+                        let admitted = (first < sessions.len()).then(|| try_admit(slots));
                         barrier.wait();
                         if let Some(adm) = admitted {
                             done.push(self.finish_claim(adm, slots, first, &sessions[first]));
@@ -475,7 +474,7 @@ impl<'a, E: FrameEngine> SessionServer<'a, E> {
                             if i >= sessions.len() {
                                 break done;
                             }
-                            let adm = self.try_admit(slots);
+                            let adm = try_admit(slots);
                             done.push(self.finish_claim(adm, slots, i, &sessions[i]));
                         }
                     })
@@ -502,36 +501,23 @@ impl<'a, E: FrameEngine> SessionServer<'a, E> {
         })
     }
 
-    /// Admission decision for one claimed session: `None` when admission is
-    /// off, `Some(got_slot)` otherwise. May wait up to the configured queue
-    /// timeout.
-    fn try_admit(&self, slots: Option<&SessionSlots>) -> Option<bool> {
-        match (slots, self.cfg.admission) {
-            (Some(slots), Some(adm)) => Some(slots.try_acquire(adm.queue_timeout)),
-            _ => None,
-        }
-    }
-
     /// Drives a claimed session according to its admission decision,
     /// releasing the slot (if one was taken) afterwards.
     fn finish_claim(
         &self,
-        admitted: Option<bool>,
+        admitted: bool,
         slots: Option<&SessionSlots>,
         index: usize,
         session: &Session,
     ) -> SessionOutcome {
-        match admitted {
-            Some(false) => self.drive_shed(index, session),
-            Some(true) => {
-                let out = self.drive(index, session);
-                if let Some(slots) = slots {
-                    slots.release();
-                }
-                out
-            }
-            None => self.drive(index, session),
+        if !admitted {
+            return self.drive_shed(index, session);
         }
+        let out = self.drive(index, session);
+        if let Some(slots) = slots {
+            slots.release();
+        }
+        out
     }
 
     /// Serves a shed session: every frame gets the root's finest internal
@@ -544,7 +530,7 @@ impl<'a, E: FrameEngine> SessionServer<'a, E> {
         let level = tree.internal_store().select_level(root as u64, 1.0);
         let h = tree.internal_store().handle(root as u64, level);
         let frames = session.len();
-        let frame_ms = self.cfg.frame_model.frame_time_ms(0.0, h.polygons as u64);
+        let frame_ms = frame_time_ms(0.0, h.polygons as u64);
 
         hdov_obs::add(Counter::ShedSessions, 1);
         hdov_obs::add(Counter::SessionsCompleted, 1);
@@ -584,7 +570,10 @@ impl<'a, E: FrameEngine> SessionServer<'a, E> {
         let engine = self.engine;
         let env = engine.env();
         let mut lane = engine.lane();
-        let mut controller = self.cfg.control.map(EtaController::new);
+        let mut controller = self
+            .cfg
+            .control
+            .map(|target_ms| EtaController::new(target_ms, self.cfg.eta));
         let mut search_ms = Vec::with_capacity(session.len());
         let mut frame_ms = Vec::with_capacity(session.len());
         let mut total_polygons = 0u64;
@@ -609,8 +598,9 @@ impl<'a, E: FrameEngine> SessionServer<'a, E> {
                     }
                     let answer = engine.answer(&lane);
                     let polygons = answer.total_polygons();
+                    let t = frame_time_ms(search, polygons);
                     search_ms.push(search);
-                    frame_ms.push(self.cfg.frame_model.frame_time_ms(search, polygons));
+                    frame_ms.push(t);
                     total_polygons += polygons;
                     page_reads += reads;
                     if answer.degrade().errors_absorbed() > 0 {
@@ -625,7 +615,6 @@ impl<'a, E: FrameEngine> SessionServer<'a, E> {
                         // Closed loop: this frame's simulated cost moves the
                         // next frame's η. All inputs are simulated, so the
                         // new frame metrics stay deterministic and gateable.
-                        let t = self.cfg.frame_model.frame_time_ms(search, polygons);
                         hdov_obs::observe(Hist::SimFrameTimeNs, (t * 1e6) as u64);
                         if t > c.target_frame_ms() {
                             deadline_misses += 1;
@@ -681,6 +670,12 @@ impl<'a, E: FrameEngine> SessionServer<'a, E> {
             lod_entries,
         }
     }
+}
+
+/// Whether a claimed session may drive queries: always without admission,
+/// otherwise when it takes a free slot. Never waits.
+fn try_admit(slots: Option<&SessionSlots>) -> bool {
+    slots.is_none_or(SessionSlots::try_acquire)
 }
 
 #[cfg(test)]
@@ -845,7 +840,7 @@ mod tests {
         let env = shared_env();
         let sessions = record_sessions(&env, 2, 30);
         let cfg = ServerConfig {
-            control: Some(EtaControlConfig::for_target_ms(0.001)),
+            control: Some(0.001),
             ..Default::default()
         };
         let report = SessionServer::new(&env, cfg).run(&sessions, 1).unwrap();
@@ -853,11 +848,32 @@ mod tests {
         for s in &report.sessions {
             assert!(s.eta_raises > 0, "misses must push η up");
             assert!(
-                s.eta_final >= EtaControlConfig::for_target_ms(0.001).eta_initial,
+                s.eta_final >= cfg.eta,
                 "η should end at or above its start under overload"
             );
             assert_eq!(s.failed_frames, 0);
         }
+    }
+
+    /// The controller starts at `ServerConfig::eta`: under a deadline no
+    /// frame can miss, a one-frame session ends one drop step below it.
+    #[test]
+    fn controller_starts_at_the_configured_eta() {
+        let env = shared_env();
+        let sessions = record_sessions(&env, 1, 1);
+        let cfg = ServerConfig {
+            eta: 0.004,
+            control: Some(1e9),
+            ..Default::default()
+        };
+        let report = SessionServer::new(&env, cfg).run(&sessions, 1).unwrap();
+        let s = &report.sessions[0];
+        assert_eq!((s.deadline_misses, s.eta_raises, s.eta_drops), (0, 0, 1));
+        assert!(
+            (s.eta_final - (0.004 - crate::control::DROP_STEP)).abs() < 1e-12,
+            "η ended at {}, not 0.0035",
+            s.eta_final
+        );
     }
 
     /// Strict admission with more sessions than slots: the overflow is shed
@@ -867,7 +883,7 @@ mod tests {
         let env = shared_env();
         let sessions = record_sessions(&env, 6, 10);
         let cfg = ServerConfig {
-            admission: Some(AdmissionConfig::strict(1)),
+            admission: Some(1),
             ..Default::default()
         };
         let report = SessionServer::new(&env, cfg).run(&sessions, 4).unwrap();
@@ -884,7 +900,7 @@ mod tests {
         }
         // Plenty of slots: nothing sheds.
         let cfg = ServerConfig {
-            admission: Some(AdmissionConfig::strict(16)),
+            admission: Some(16),
             ..Default::default()
         };
         let report = SessionServer::new(&env, cfg).run(&sessions, 4).unwrap();

@@ -8,7 +8,7 @@
 //! Fig. 10 get clipped — at the price of briefly reduced coverage right
 //! after large viewpoint jumps.
 
-use crate::frame::{FrameModel, FrameRecord};
+use crate::frame::{frame_time_ms, FrameRecord};
 use crate::system::WalkthroughSystem;
 use hdov_core::{DeltaSearch, HdovEnvironment, Query, QueryBudget, ResultKey};
 use hdov_geom::{Frustum, Vec3};
@@ -100,7 +100,7 @@ impl WalkthroughSystem for StreamingVisualSystem {
         )
     }
 
-    fn frame(&mut self, viewpoint: Vec3, model: &FrameModel) -> Result<FrameRecord> {
+    fn frame(&mut self, viewpoint: Vec3) -> Result<FrameRecord> {
         let frustum = self.frustum_for(viewpoint);
         self.last_pos = Some(viewpoint);
         let cell = self.env.cell_of(viewpoint);
@@ -146,7 +146,7 @@ impl WalkthroughSystem for StreamingVisualSystem {
         let polygons = outcome.result.total_polygons();
         Ok(FrameRecord {
             search_ms,
-            frame_ms: model.frame_time_ms(search_ms, polygons),
+            frame_ms: frame_time_ms(search_ms, polygons),
             polygons,
             fetched_bytes: outcome.result.fetched_bytes(),
             page_reads: stats.total_io().page_reads,

@@ -1,6 +1,6 @@
 //! The two walkthrough systems behind one trait.
 
-use crate::frame::{FrameModel, FrameRecord};
+use crate::frame::{frame_time_ms, FrameRecord};
 use hdov_core::{DeltaSearch, HdovEnvironment, Query, ResultKey};
 use hdov_geom::Vec3;
 use hdov_review::{FidelityReport, ReviewSystem};
@@ -16,7 +16,7 @@ pub trait WalkthroughSystem {
     fn name(&self) -> String;
 
     /// Processes one frame at `viewpoint`.
-    fn frame(&mut self, viewpoint: Vec3, model: &FrameModel) -> Result<FrameRecord>;
+    fn frame(&mut self, viewpoint: Vec3) -> Result<FrameRecord>;
 
     /// Clears per-session state (resident sets); peak-memory tracking
     /// continues across resets unless noted.
@@ -98,7 +98,7 @@ impl WalkthroughSystem for VisualSystem {
         format!("VISUAL(eta={})", self.eta)
     }
 
-    fn frame(&mut self, viewpoint: Vec3, model: &FrameModel) -> Result<FrameRecord> {
+    fn frame(&mut self, viewpoint: Vec3) -> Result<FrameRecord> {
         let cell = self.env.cell_of(viewpoint);
         let q = Query {
             resident: Some(&self.delta),
@@ -133,7 +133,7 @@ impl WalkthroughSystem for VisualSystem {
         let polygons = result.total_polygons();
         Ok(FrameRecord {
             search_ms,
-            frame_ms: model.frame_time_ms(search_ms, polygons),
+            frame_ms: frame_time_ms(search_ms, polygons),
             polygons,
             fetched_bytes: result.fetched_bytes(),
             page_reads: stats.total_io().page_reads,
@@ -178,7 +178,7 @@ impl WalkthroughSystem for ReviewWalkthrough {
         format!("REVIEW(box={}m)", self.sys.box_size())
     }
 
-    fn frame(&mut self, viewpoint: Vec3, model: &FrameModel) -> Result<FrameRecord> {
+    fn frame(&mut self, viewpoint: Vec3) -> Result<FrameRecord> {
         let cell = self.grid.clamped_cell_of(viewpoint);
         let (result, stats) = self.sys.query(viewpoint)?;
         let retrieved: HashSet<u64> = result.object_ids().collect();
@@ -187,7 +187,7 @@ impl WalkthroughSystem for ReviewWalkthrough {
         let polygons = result.total_polygons();
         Ok(FrameRecord {
             search_ms,
-            frame_ms: model.frame_time_ms(search_ms, polygons),
+            frame_ms: frame_time_ms(search_ms, polygons),
             polygons,
             fetched_bytes: result.fetched_bytes(),
             page_reads: stats.total_io().page_reads,
@@ -243,7 +243,7 @@ impl WalkthroughSystem for LodRTreeWalkthrough {
         format!("LoD-R-tree(range={}m)", self.sys.view_range())
     }
 
-    fn frame(&mut self, viewpoint: Vec3, model: &FrameModel) -> Result<FrameRecord> {
+    fn frame(&mut self, viewpoint: Vec3) -> Result<FrameRecord> {
         let dir = self
             .last_pos
             .and_then(|prev| (viewpoint - prev).try_normalize())
@@ -257,7 +257,7 @@ impl WalkthroughSystem for LodRTreeWalkthrough {
         let polygons = result.total_polygons();
         Ok(FrameRecord {
             search_ms,
-            frame_ms: model.frame_time_ms(search_ms, polygons),
+            frame_ms: frame_time_ms(search_ms, polygons),
             polygons,
             fetched_bytes: result.fetched_bytes(),
             page_reads: stats.total_io().page_reads,

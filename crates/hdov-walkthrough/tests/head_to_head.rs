@@ -5,9 +5,7 @@ use hdov_core::{HdovBuildConfig, HdovEnvironment, StorageScheme};
 use hdov_review::{ReviewConfig, ReviewSystem};
 use hdov_scene::{CityConfig, Scene};
 use hdov_visibility::CellGridConfig;
-use hdov_walkthrough::{
-    run_session, FrameModel, ReviewWalkthrough, Session, SessionKind, VisualSystem,
-};
+use hdov_walkthrough::{run_session, ReviewWalkthrough, Session, SessionKind, VisualSystem};
 
 fn scene() -> Scene {
     CityConfig::tiny().seed(12).generate()
@@ -50,12 +48,7 @@ fn session(scene: &Scene, kind: SessionKind) -> Session {
 fn visual_never_misses_a_visible_object() {
     let scene = scene();
     let mut v = visual(&scene, 0.01);
-    let m = run_session(
-        &mut v,
-        &session(&scene, SessionKind::Normal),
-        &FrameModel::PAPER_ERA,
-    )
-    .unwrap();
+    let m = run_session(&mut v, &session(&scene, SessionKind::Normal)).unwrap();
     assert!(
         (m.avg_dov_coverage() - 1.0).abs() < 1e-6,
         "VISUAL coverage {}",
@@ -70,12 +63,7 @@ fn review_with_small_box_is_shortsighted() {
     let scene = scene();
     let v = visual(&scene, 0.001);
     let mut r = review(&scene, &v, 60.0);
-    let m = run_session(
-        &mut r,
-        &session(&scene, SessionKind::Normal),
-        &FrameModel::PAPER_ERA,
-    )
-    .unwrap();
+    let m = run_session(&mut r, &session(&scene, SessionKind::Normal)).unwrap();
     assert!(
         m.avg_missed_objects() > 0.0,
         "a 60 m box must miss far visible objects"
@@ -89,8 +77,8 @@ fn visual_frames_are_faster_and_smoother_than_review() {
     let mut v = visual(&scene, 0.01);
     let mut r = review(&scene, &v, 400.0); // comparable-fidelity box
     let s = session(&scene, SessionKind::Normal);
-    let mv = run_session(&mut v, &s, &FrameModel::PAPER_ERA).unwrap();
-    let mr = run_session(&mut r, &s, &FrameModel::PAPER_ERA).unwrap();
+    let mv = run_session(&mut v, &s).unwrap();
+    let mr = run_session(&mut r, &s).unwrap();
     assert!(
         mv.avg_frame_time_ms() < mr.avg_frame_time_ms(),
         "VISUAL {} ms !< REVIEW {} ms",
@@ -116,8 +104,8 @@ fn review_uses_more_memory_than_visual() {
     let mut v = visual(&scene, 0.01);
     let mut r = review(&scene, &v, 400.0);
     let s = session(&scene, SessionKind::Normal);
-    let mv = run_session(&mut v, &s, &FrameModel::PAPER_ERA).unwrap();
-    let mr = run_session(&mut r, &s, &FrameModel::PAPER_ERA).unwrap();
+    let mv = run_session(&mut v, &s).unwrap();
+    let mr = run_session(&mut r, &s).unwrap();
     assert!(
         mr.peak_memory_bytes >= mv.peak_memory_bytes,
         "REVIEW {} < VISUAL {}",
@@ -132,8 +120,8 @@ fn larger_eta_gives_faster_or_equal_frames() {
     let s = session(&scene, SessionKind::Normal);
     let mut fine = visual(&scene, 0.002);
     let mut coarse = visual(&scene, 0.05);
-    let mf = run_session(&mut fine, &s, &FrameModel::PAPER_ERA).unwrap();
-    let mc = run_session(&mut coarse, &s, &FrameModel::PAPER_ERA).unwrap();
+    let mf = run_session(&mut fine, &s).unwrap();
+    let mc = run_session(&mut coarse, &s).unwrap();
     assert!(
         mc.avg_frame_time_ms() <= mf.avg_frame_time_ms() * 1.05,
         "coarse {} ms vs fine {} ms",
@@ -148,7 +136,7 @@ fn all_three_sessions_play_back() {
     let mut v = visual(&scene, 0.01);
     for kind in SessionKind::all() {
         let s = session(&scene, kind);
-        let m = run_session(&mut v, &s, &FrameModel::PAPER_ERA).unwrap();
+        let m = run_session(&mut v, &s).unwrap();
         assert_eq!(m.frames.len(), s.len(), "{kind:?}");
         assert!(m.avg_frame_time_ms() > 0.0);
         assert!(m.system.contains("VISUAL"));
@@ -160,7 +148,7 @@ fn delta_search_discount_shows_after_first_frame() {
     let scene = scene();
     let mut v = visual(&scene, 0.01);
     let s = session(&scene, SessionKind::BackForth);
-    let m = run_session(&mut v, &s, &FrameModel::PAPER_ERA).unwrap();
+    let m = run_session(&mut v, &s).unwrap();
     let first = &m.frames[0];
     let rest_avg_bytes: f64 = m.frames[1..]
         .iter()
@@ -211,14 +199,13 @@ mod streaming {
         }
         let mut negative = streaming(&scene, -1.0, 5.0);
         let s = Session::record(scene.viewpoint_region(), SessionKind::Normal, 3, 5);
-        invalid(run_session(&mut negative, &s, &FrameModel::PAPER_ERA).unwrap_err());
+        invalid(run_session(&mut negative, &s).unwrap_err());
     }
 
     #[test]
     fn budget_caps_frame_spikes() {
         let scene = CityConfig::tiny().seed(12).generate();
         let s = Session::record(scene.viewpoint_region(), SessionKind::Normal, 60, 5);
-        let fm = FrameModel::PAPER_ERA;
 
         let mut unbounded = {
             let grid_cfg = CellGridConfig::for_scene(&scene).with_resolution(4, 4);
@@ -231,14 +218,14 @@ mod streaming {
             .unwrap();
             VisualSystem::new(env, 0.01).unwrap()
         };
-        let mu = run_session(&mut unbounded, &s, &fm).unwrap();
+        let mu = run_session(&mut unbounded, &s).unwrap();
 
         // Budget: a fraction of the *cold* frame's cost — enough to make
         // real progress each frame (the fixed flip + node traversal must
         // fit), but far below what an unbudgeted cold frame spends.
         let budget = mu.frames[0].search_ms * 0.3;
         let mut bounded = streaming(&scene, 0.01, budget);
-        let mb = run_session(&mut bounded, &s, &fm).unwrap();
+        let mb = run_session(&mut bounded, &s).unwrap();
 
         assert!(
             bounded.truncated_frames() > 0,
@@ -271,9 +258,8 @@ mod streaming {
     fn generous_budget_matches_full_visual_coverage() {
         let scene = CityConfig::tiny().seed(12).generate();
         let s = Session::record(scene.viewpoint_region(), SessionKind::Normal, 40, 6);
-        let fm = FrameModel::PAPER_ERA;
         let mut bounded = streaming(&scene, 0.01, 1e6);
-        let m = run_session(&mut bounded, &s, &fm).unwrap();
+        let m = run_session(&mut bounded, &s).unwrap();
         assert_eq!(bounded.truncated_frames(), 0);
         assert!((m.avg_dov_coverage() - 1.0).abs() < 1e-6);
     }
@@ -282,9 +268,8 @@ mod streaming {
     fn reset_clears_state() {
         let scene = CityConfig::tiny().seed(12).generate();
         let s = Session::record(scene.viewpoint_region(), SessionKind::Normal, 10, 7);
-        let fm = FrameModel::PAPER_ERA;
         let mut sys = streaming(&scene, 0.01, 0.5);
-        let _ = run_session(&mut sys, &s, &fm).unwrap();
+        let _ = run_session(&mut sys, &s).unwrap();
         sys.reset();
         assert_eq!(sys.truncated_frames(), 0);
     }

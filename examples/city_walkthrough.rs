@@ -8,7 +8,7 @@
 
 use hdov::prelude::*;
 use hdov::review::ReviewConfig;
-use hdov::walkthrough::{run_session, FrameModel, ReviewWalkthrough};
+use hdov::walkthrough::{run_session, ReviewWalkthrough};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scene = CityConfig::small().seed(42).generate();
@@ -44,10 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.len(),
         session.path_length()
     );
-
-    let fm = FrameModel::PAPER_ERA;
-    let mv: WalkthroughMetrics = run_session(&mut visual, &session, &fm)?;
-    let mr: WalkthroughMetrics = run_session(&mut review, &session, &fm)?;
+    let mv: WalkthroughMetrics = run_session(&mut visual, &session)?;
+    let mr: WalkthroughMetrics = run_session(&mut review, &session)?;
 
     println!(
         "{:<22} {:>10} {:>10} {:>10} {:>10} {:>10}",

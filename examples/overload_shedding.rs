@@ -16,7 +16,7 @@
 
 use hdov::core::{PoolConfig, QueryBudget};
 use hdov::prelude::*;
-use hdov::walkthrough::{AdmissionConfig, EtaControlConfig, ServerConfig, SessionServer};
+use hdov::walkthrough::{ServerConfig, SessionServer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scene = CityConfig::tiny().seed(42).generate();
@@ -37,8 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     const TARGET_MS: f64 = 20.0;
     let cfg = ServerConfig {
         budget: QueryBudget::sim_ms(TARGET_MS),
-        control: Some(EtaControlConfig::for_target_ms(TARGET_MS)),
-        admission: Some(AdmissionConfig::strict(SLOTS)),
+        control: Some(TARGET_MS),
+        admission: Some(SLOTS),
         ..ServerConfig::default()
     };
 
@@ -86,8 +86,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.sessions.iter().map(|o| o.eta_raises).sum::<u64>(),
     );
     println!(
-        "admission book: {} admitted, {} shed, {} queued for a slot",
-        report.backpressure.admitted, report.backpressure.shed, report.backpressure.queued,
+        "admission book: {} admitted, {} shed",
+        report.backpressure.admitted, report.backpressure.shed,
     );
     Ok(())
 }

@@ -12,7 +12,7 @@
 use hdov::prelude::*;
 use hdov::project::Project;
 use hdov::visibility::DovConfig;
-use hdov::walkthrough::{run_session, FrameModel};
+use hdov::walkthrough::run_session;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Offline, once: precompute and "publish" the project.
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 project.environment(HdovBuildConfig::default(), StorageScheme::IndexedVertical)?;
             let mut visual = VisualSystem::new(env, eta)?;
             let session = Session::record(scene.viewpoint_region(), kind, 80, seed);
-            let m = run_session(&mut visual, &session, &FrameModel::PAPER_ERA)?;
+            let m = run_session(&mut visual, &session)?;
             Ok(format!(
                 "viewer {i} [{}] eta={eta}: avg {:.1} ms, coverage {:.3}, peak {} KB",
                 kind.label(),

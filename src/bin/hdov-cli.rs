@@ -18,7 +18,7 @@
 //! default.
 
 use hdov::prelude::*;
-use hdov::walkthrough::{run_session, FrameModel};
+use hdov::walkthrough::run_session;
 use std::collections::HashMap;
 use std::str::FromStr;
 
@@ -266,7 +266,7 @@ fn cmd_walk(opts: &Flags) -> CliResult<()> {
     // --budget <ms> switches to the streaming (frame-budgeted) mode.
     let m = if let Some(budget) = budget {
         let mut sys = hdov::walkthrough::StreamingVisualSystem::new(env, eta, budget)?;
-        let m = run_session(&mut sys, &session, &FrameModel::PAPER_ERA)?;
+        let m = run_session(&mut sys, &session)?;
         println!(
             "streaming: {} of {} frames budget-truncated",
             sys.truncated_frames(),
@@ -275,7 +275,7 @@ fn cmd_walk(opts: &Flags) -> CliResult<()> {
         m
     } else {
         let mut visual = VisualSystem::new(env, eta)?;
-        run_session(&mut visual, &session, &FrameModel::PAPER_ERA)?
+        run_session(&mut visual, &session)?
     };
     println!("{} over {} ({} frames)", m.system, kind.label(), frames);
     println!("  avg frame        {:.2} ms", m.avg_frame_time_ms());

@@ -3,7 +3,7 @@
 
 use hdov::prelude::*;
 use hdov::review::ReviewConfig;
-use hdov::walkthrough::{run_session, FrameModel, ReviewWalkthrough};
+use hdov::walkthrough::{run_session, ReviewWalkthrough};
 
 fn small_env(scheme: StorageScheme) -> (Scene, HdovEnvironment) {
     let scene = CityConfig::tiny().seed(99).generate();
@@ -66,9 +66,8 @@ fn walkthrough_pipeline_through_facade() {
         visual.env().grid_shared(),
     );
     let session = Session::record(scene.viewpoint_region(), SessionKind::Turning, 40, 1);
-    let fm = FrameModel::PAPER_ERA;
-    let mv: WalkthroughMetrics = run_session(&mut visual, &session, &fm).unwrap();
-    let mr: WalkthroughMetrics = run_session(&mut review, &session, &fm).unwrap();
+    let mv: WalkthroughMetrics = run_session(&mut visual, &session).unwrap();
+    let mr: WalkthroughMetrics = run_session(&mut review, &session).unwrap();
     assert_eq!(mv.frames.len(), 40);
     assert_eq!(mr.frames.len(), 40);
     // VISUAL never misses anything visible; boxed REVIEW on a tiny city may
