@@ -291,6 +291,11 @@ impl HdovEnvironment {
         &self.env.vstore
     }
 
+    /// The object model bank.
+    pub fn models(&self) -> &SharedModels {
+        &self.env.models
+    }
+
     /// Hands the environment over to concurrent serving: the same frozen
     /// files behind cold pools of `pool` geometry — see [`crate::shared`].
     /// Pages are shared, not copied, and the checksum tables are reused.

@@ -447,7 +447,7 @@ impl MutableScene {
         // 4. Translate the surviving visibility to dense keys and
         //    re-estimate only the dirty cells.
         let mut dense = dense_table(&self.dov, &handles, self.cfg.dov.rays_per_viewpoint);
-        dense.recompute_cells(&scene, &self.grid, &self.cfg.dov, &dirty);
+        dense.recompute_cells_threaded(&scene, &self.grid, &self.cfg.dov, &dirty, self.cfg.threads);
 
         // 5. Back to handle keys for the durable image.
         self.dov = handle_table(&dense, &handles);

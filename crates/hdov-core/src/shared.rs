@@ -231,8 +231,27 @@ pub struct SessionCtx {
     /// Reusable staging buffer for the indexed-vertical flip (segment bytes
     /// straddle page boundaries).
     seg_bytes: Vec<u8>,
-    /// Reusable page-id list for [`SharedVStore::prefetch_cell`].
-    prefetch_pages: Vec<u64>,
+    /// The current cell's V-page disk pages as maximal consecutive
+    /// `(first page, length)` runs, ascending: planned at the flip, warmed
+    /// by [`SharedVStore::prefetch_cell`].
+    prefetch_runs: Vec<(u64, u64)>,
+}
+
+/// Replaces `runs` with `pages` sorted, deduplicated and coalesced into
+/// maximal consecutive `(first page, length)` runs.
+fn plan_runs(runs: &mut Vec<(u64, u64)>, pages: impl Iterator<Item = u64>) {
+    runs.clear();
+    runs.extend(pages.map(|p| (p, 1)));
+    runs.sort_unstable();
+    // Ascending pages: one inside the last run is a duplicate, one just
+    // past its end extends it.
+    runs.dedup_by(|next, last| {
+        let end = last.0 + last.1;
+        if next.0 == end {
+            last.1 += 1;
+        }
+        next.0 <= end
+    });
 }
 
 impl SessionCtx {
@@ -314,7 +333,9 @@ impl SharedVStore {
     }
 
     /// Segment flip for `ctx` into `cell` — charged to the session's index
-    /// cursor; a no-op when the session is already in `cell`. A cell outside
+    /// cursor; a no-op when the session is already in `cell`. The flip also
+    /// plans the cell's prefetch runs (see
+    /// [`prefetch_cell`](Self::prefetch_cell)). A cell outside
     /// the grid is [`StorageError::InvalidPlan`](hdov_storage::StorageError),
     /// before anything is read.
     pub fn enter_cell(&self, ctx: &mut SessionCtx, cell: CellId) -> Result<()> {
@@ -345,6 +366,11 @@ impl SharedVStore {
                         ctx.seg_dense.push(r.get_u64()?);
                     }
                 }
+                let pages = ctx.seg_dense.iter().filter(|&&p| p != NIL);
+                plan_runs(
+                    &mut ctx.prefetch_runs,
+                    pages.map(|&p| s.vpages.disk_page_of(p)),
+                );
             }
             SharedVStore::IndexedVertical(s) => {
                 let (start_byte, count) = s.dir[cell as usize];
@@ -371,6 +397,11 @@ impl SharedVStore {
                         ctx.seg_sparse.push((ordinal, ptr));
                     }
                 }
+                let pages = ctx
+                    .seg_sparse
+                    .iter()
+                    .map(|&(_, p)| s.vpages.disk_page_of(p));
+                plan_runs(&mut ctx.prefetch_runs, pages);
             }
         }
         ctx.current_cell = Some(cell);
@@ -417,9 +448,9 @@ impl SharedVStore {
     }
 
     /// Batch-reads the current cell's V-pages: the distinct disk pages
-    /// holding them, ascending (one sequential run), so subsequent fetches
-    /// are pool hits. Charged to the session's V-page cursor. Returns the
-    /// number of disk pages touched.
+    /// holding them, ascending, as the maximal consecutive runs the flip
+    /// planned, so subsequent fetches are pool hits. Charged to the
+    /// session's V-page cursor. Returns the number of disk pages touched.
     ///
     /// The horizontal scheme interleaves every cell's V-pages node-major, so
     /// there is no per-cell run to batch: this is a no-op returning 0 (the
@@ -435,40 +466,19 @@ impl SharedVStore {
             ctx.current_cell.is_some(),
             "enter_cell before prefetch_cell"
         );
-        ctx.prefetch_pages.clear();
-        match self {
-            SharedVStore::Horizontal(_) => unreachable!(),
-            SharedVStore::Vertical(_) => ctx.prefetch_pages.extend(
-                ctx.seg_dense
-                    .iter()
-                    .filter(|&&p| p != NIL)
-                    .map(|&p| vpages.disk_page_of(p)),
-            ),
-            SharedVStore::IndexedVertical(_) => ctx
-                .prefetch_pages
-                .extend(ctx.seg_sparse.iter().map(|&(_, p)| vpages.disk_page_of(p))),
-        };
-        ctx.prefetch_pages.sort_unstable();
-        ctx.prefetch_pages.dedup();
         // Speculative warm-up must not displace genuinely hot recency
         // state, so resident pages are probed without promotion; misses
-        // charge and install exactly like a read. The sorted page list is
-        // coalesced into maximal consecutive runs, each warmed through one
-        // vectored request — on the file backend a run costs at most one
-        // physical read (`pread`).
-        let mut i = 0usize;
-        while i < ctx.prefetch_pages.len() {
-            let first = ctx.prefetch_pages[i];
-            let mut j = i + 1;
-            while j < ctx.prefetch_pages.len() && ctx.prefetch_pages[j] == first + (j - i) as u64 {
-                j += 1;
-            }
+        // charge and install exactly like a read. Each run is warmed
+        // through one vectored request — on the file backend a run costs
+        // at most one physical read (`pread`).
+        let mut pages = 0;
+        for &(first, len) in &ctx.prefetch_runs {
             vpages
                 .pool
-                .warm_run(&mut ctx.vpage_cur, PageId(first), (j - i) as u64)?;
-            i = j;
+                .warm_run(&mut ctx.vpage_cur, PageId(first), len)?;
+            pages += len;
         }
-        Ok(ctx.prefetch_pages.len() as u64)
+        Ok(pages)
     }
 
     /// The store's V-page file (every layout clusters its V-pages in one).

@@ -9,6 +9,7 @@ use hdov_geom::Vec3;
 use hdov_mesh::{LodChain, TriMesh};
 use hdov_storage::codec::{ByteReader, ByteWriter};
 use hdov_storage::{Page, PageId, PagedFile, Result, StorageError, PAGE_SIZE};
+use std::collections::HashMap;
 
 /// Location and metadata of one stored LoD level.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,16 +88,29 @@ pub fn decode_mesh(bytes: &[u8]) -> Result<TriMesh> {
 impl ModelStore {
     /// Writes every chain into `file` (keys are assigned densely in iteration
     /// order) and returns the directory.
+    ///
+    /// Every key gets its own pages, even when several keys pass the same
+    /// chain (the copies of one prototype); such a chain is encoded once,
+    /// at its first key, and its payloads are written again for the rest.
     pub fn build<'a, F, I>(file: &mut F, chains: I) -> Result<Self>
     where
         F: PagedFile,
         I: IntoIterator<Item = &'a LodChain>,
     {
         let mut dir = Vec::new();
+        // Level payloads by chain address: every borrowed chain outlives
+        // the loop, so an address names one chain throughout.
+        let mut encoded: HashMap<*const LodChain, Vec<Vec<u8>>> = HashMap::new();
         for (key, chain) in chains.into_iter().enumerate() {
+            let payloads = encoded.entry(std::ptr::from_ref(chain)).or_insert_with(|| {
+                chain
+                    .levels()
+                    .iter()
+                    .map(|l| encode_mesh(&l.mesh))
+                    .collect()
+            });
             let mut levels = Vec::with_capacity(chain.len());
-            for (lvl, level) in chain.levels().iter().enumerate() {
-                let payload = encode_mesh(&level.mesh);
+            for (lvl, (level, payload)) in chain.levels().iter().zip(payloads.iter()).enumerate() {
                 let pages = payload.len().div_ceil(PAGE_SIZE).max(1) as u32;
                 let mut first_page = None;
                 for chunk_idx in 0..pages as usize {

@@ -7,7 +7,9 @@
 //! read through this trait: they read frozen pages through the buffer pool.
 
 use crate::error::StoreOrigin;
-use crate::{Page, PageId, Result, StorageError, PAGE_SIZE};
+use crate::{page_checksum, Page, PageId, Result, StorageError, PAGE_SIZE};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A file addressed in whole pages.
 ///
@@ -39,14 +41,45 @@ pub trait PagedFile {
     }
 }
 
-/// In-memory backend: a vector of pages.
+/// In-memory backend: a vector of pages, one shared copy per distinct
+/// content.
 ///
 /// Every structure is built into one — the I/O *costs* come from the
 /// [`SimulatedDisk`](crate::SimulatedDisk) wrapper, not from real device
 /// time, so results are deterministic.
-#[derive(Debug, Default)]
+///
+/// Pages are interned as they are written: each slot holds an `Arc` of its
+/// bytes, and slots with equal bytes hold the same `Arc`. A scene that
+/// places many copies of one prototype's LoD chain therefore keeps one copy
+/// of each of its pages in memory, however many page ids the copies take.
+/// The intern table is keyed by [`page_checksum`], and a page is shared
+/// only after a full byte comparison. Fresh pages share one zero page. An
+/// overwrite points its slot at the new bytes and drops the old bytes from
+/// the table once no slot holds them. Interning changes no page id and no
+/// byte read back.
+#[derive(Debug)]
 pub struct MemPagedFile {
-    pages: Vec<Box<[u8]>>,
+    pages: Vec<Arc<[u8]>>,
+    /// Every distinct content some slot holds, by checksum; a bucket lists
+    /// the contents that share one checksum. Page bytes can come from
+    /// outside the program (a loaded project), so the map keeps the
+    /// default, flooding-resistant hasher.
+    interned: HashMap<u64, Vec<Arc<[u8]>>>,
+    /// The zero page every fresh slot shares (also interned, never dropped).
+    zero: Arc<[u8]>,
+}
+
+impl Default for MemPagedFile {
+    fn default() -> Self {
+        let zero: Arc<[u8]> = Arc::from(vec![0u8; PAGE_SIZE]);
+        let mut interned = HashMap::new();
+        interned.insert(page_checksum(&zero), vec![Arc::clone(&zero)]);
+        MemPagedFile {
+            pages: Vec::new(),
+            interned,
+            zero,
+        }
+    }
 }
 
 impl MemPagedFile {
@@ -68,10 +101,36 @@ impl MemPagedFile {
         }
     }
 
-    /// Consumes the file, yielding its raw pages — used to freeze a fully
-    /// built store into an immutable, shareable
-    /// [`FrozenPages`](crate::FrozenPages) snapshot.
-    pub fn into_pages(self) -> Vec<Box<[u8]>> {
+    /// The shared copy of `bytes`, interned on first sight.
+    fn intern(&mut self, bytes: &[u8]) -> Arc<[u8]> {
+        let bucket = self.interned.entry(page_checksum(bytes)).or_default();
+        if let Some(shared) = bucket.iter().find(|p| ***p == *bytes) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<[u8]> = Arc::from(bytes);
+        bucket.push(Arc::clone(&shared));
+        shared
+    }
+
+    /// Drops `old`, just swapped out of a slot, from the intern table when
+    /// the table's reference and `old` itself are the last ones left.
+    fn release(&mut self, old: Arc<[u8]>) {
+        if Arc::strong_count(&old) > 2 {
+            return;
+        }
+        let sum = page_checksum(&old);
+        if let Some(bucket) = self.interned.get_mut(&sum) {
+            bucket.retain(|p| !Arc::ptr_eq(p, &old));
+            if bucket.is_empty() {
+                self.interned.remove(&sum);
+            }
+        }
+    }
+
+    /// Consumes the file, yielding its pages — slots with equal bytes share
+    /// one `Arc` — to freeze a fully built store into an immutable,
+    /// shareable [`FrozenPages`](crate::FrozenPages) snapshot.
+    pub fn into_pages(self) -> Vec<Arc<[u8]>> {
         self.pages
     }
 }
@@ -85,12 +144,14 @@ impl PagedFile for MemPagedFile {
 
     fn write_page(&mut self, id: PageId, page: &Page) -> Result<()> {
         let idx = self.check(id)?;
-        self.pages[idx].copy_from_slice(page.bytes());
+        let shared = self.intern(page.bytes());
+        let old = std::mem::replace(&mut self.pages[idx], shared);
+        self.release(old);
         Ok(())
     }
 
     fn allocate_page(&mut self) -> Result<PageId> {
-        self.pages.push(vec![0u8; PAGE_SIZE].into_boxed_slice());
+        self.pages.push(Arc::clone(&self.zero));
         Ok(PageId(self.pages.len() as u64 - 1))
     }
 
@@ -131,6 +192,64 @@ mod tests {
     fn mem_backend_roundtrip() {
         let mut f = MemPagedFile::new();
         roundtrip(&mut f);
+    }
+
+    fn page(tag: u64) -> Page {
+        Page::from_bytes(&tag.to_le_bytes())
+    }
+
+    #[test]
+    fn equal_pages_share_one_allocation() {
+        let mut f = MemPagedFile::new();
+        for tag in [1, 2, 1, 1] {
+            f.append_page(&page(tag)).unwrap();
+        }
+        let pages = f.into_pages();
+        assert!(Arc::ptr_eq(&pages[0], &pages[2]));
+        assert!(Arc::ptr_eq(&pages[0], &pages[3]));
+        assert!(!Arc::ptr_eq(&pages[0], &pages[1]));
+        assert_eq!(&pages[1][..8], &2u64.to_le_bytes());
+    }
+
+    #[test]
+    fn overwriting_one_of_two_equal_pages_leaves_the_other() {
+        let mut f = MemPagedFile::new();
+        let a = f.append_page(&page(7)).unwrap();
+        let b = f.append_page(&page(7)).unwrap();
+        f.write_page(a, &page(8)).unwrap();
+        let mut out = Page::zeroed();
+        f.read_page(b, &mut out).unwrap();
+        assert_eq!(out, page(7));
+        f.read_page(a, &mut out).unwrap();
+        assert_eq!(out, page(8));
+    }
+
+    #[test]
+    fn rewrites_drop_old_versions_from_the_table() {
+        let mut f = MemPagedFile::new();
+        let id = f.allocate_page().unwrap();
+        for tag in 1..=1000 {
+            f.write_page(id, &page(tag)).unwrap();
+        }
+        // The zero page and the live version, nothing older.
+        let entries: usize = f.interned.values().map(Vec::len).sum();
+        assert!(entries <= 2, "{entries} table entries");
+        let mut out = Page::zeroed();
+        f.read_page(id, &mut out).unwrap();
+        assert_eq!(out, page(1000));
+    }
+
+    #[test]
+    fn fresh_pages_share_one_zero_page() {
+        let mut f = MemPagedFile::new();
+        for _ in 0..3 {
+            f.allocate_page().unwrap();
+        }
+        // A written page of zeros is the same content, so the same page.
+        f.append_page(&Page::zeroed()).unwrap();
+        let pages = f.into_pages();
+        assert!(pages[0].iter().all(|&b| b == 0));
+        assert!(pages.iter().all(|p| Arc::ptr_eq(p, &pages[0])));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! the same `Arc` while the pool retains (or evicts) its own.
 //!
 //! A frame owns its bytes: one [`Page`] copied out of the store at
-//! admission.
+//! admission. When the pool evicts a frame that no session still holds,
+//! its buffer becomes its shard's spare, and the shard's next miss is
+//! copied into it.
 //!
 //! Each frame also carries a **decoded overlay**: a `OnceLock` slot that
 //! memoizes the result of decoding the page into a typed object (an
@@ -49,6 +51,12 @@ impl Frame {
             page,
             overlay: OnceLock::new(),
         }
+    }
+
+    /// The frame's page buffer, its overlay dropped — how the pool recycles
+    /// the buffer of an evicted frame no session still holds.
+    pub fn into_page(self) -> Page {
+        self.page
     }
 
     /// The page id this frame holds.

@@ -40,25 +40,59 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Locks a pool shard, recovering from poison.
 ///
-/// Shards hold plain `(page id → Arc<Frame>)` maps with no invariants that
-/// span a panic point, so a shard abandoned mid-operation by a panicking
-/// session is still structurally sound: recover the guard and keep serving.
+/// Shards hold plain `(page id → Arc<Frame>)` maps and a spare buffer, with
+/// no invariants that span a panic point, so a shard abandoned
+/// mid-operation by a panicking session is still structurally sound:
+/// recover the guard and keep serving.
 /// One crashed session must never wedge every other session sharing the
 /// pool.
 fn lock_shard<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
     shard.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One pool stripe: page id → pooled frame.
-type Shard = LruCache<u64, Arc<Frame>>;
+/// One pool stripe: page id → pooled frame, plus one spare page buffer.
+#[derive(Debug)]
+struct Shard {
+    frames: LruCache<u64, Arc<Frame>>,
+    /// The buffer of the last evicted frame no session still held. The
+    /// next miss fills it instead of allocating and zero-filling a fresh
+    /// page, so a full pool's steady stream of misses allocates no page.
+    /// One spare per shard: eviction frees at most one frame per admission.
+    spare: Option<Page>,
+}
+
+impl Shard {
+    fn new(capacity: usize) -> Self {
+        Shard {
+            frames: LruCache::new(capacity),
+            spare: None,
+        }
+    }
+
+    /// A page buffer for the next miss: the spare, or a fresh zeroed page.
+    fn buffer(&mut self) -> Page {
+        self.spare.take().unwrap_or_else(Page::zeroed)
+    }
+
+    /// Admits `frame`, keeping the evicted frame's buffer as the spare
+    /// when no session still holds that frame.
+    fn admit(&mut self, id: u64, frame: Arc<Frame>) {
+        if let Some((_, evicted)) = self.frames.insert(id, frame) {
+            if self.spare.is_none() {
+                self.spare = Arc::try_unwrap(evicted).ok().map(Frame::into_page);
+            }
+        }
+    }
+}
 
 /// An immutable snapshot of a paged file, cheap to share across threads.
 ///
 /// Two backends hide behind the same handle:
 ///
-/// * **mem** — the pages of a fully built [`MemPagedFile`], `Arc`-shared.
-///   The deterministic CI twin; every simulated-cost figure is defined
-///   against it.
+/// * **mem** — the pages of a fully built [`MemPagedFile`], `Arc`-shared:
+///   equal pages share one allocation, so residency scales with distinct
+///   contents, not page ids. The deterministic CI twin; every
+///   simulated-cost figure is defined against it.
 /// * **pread** — a frozen-store file read with positioned reads
 ///   ([`PreadStore`]).
 ///
@@ -75,7 +109,7 @@ pub struct FrozenPages {
 
 #[derive(Debug, Clone)]
 enum Repr {
-    Mem { pages: Arc<[Box<[u8]>]> },
+    Mem { pages: Arc<[Arc<[u8]>]> },
     Pread { store: Arc<PreadStore> },
 }
 
@@ -133,6 +167,21 @@ impl FrozenPages {
     pub fn page_count(&self) -> u64 {
         match &self.repr {
             Repr::Mem { pages } => pages.len() as u64,
+            Repr::Pread { store } => store.page_count(),
+        }
+    }
+
+    /// Number of distinct page buffers this store keeps in memory: one per
+    /// distinct content on the mem backend, whose build interns pages, and
+    /// the page count on pread, whose file keeps every copy.
+    pub fn distinct_pages(&self) -> u64 {
+        match &self.repr {
+            Repr::Mem { pages } => {
+                let mut ptrs: Vec<*const u8> = pages.iter().map(|p| p.as_ptr()).collect();
+                ptrs.sort_unstable();
+                ptrs.dedup();
+                ptrs.len() as u64
+            }
             Repr::Pread { store } => store.page_count(),
         }
     }
@@ -302,7 +351,7 @@ impl SharedCachedFile {
             data,
             model,
             shards: (0..shards)
-                .map(|_| Mutex::new(LruCache::new(per_shard)))
+                .map(|_| Mutex::new(Shard::new(per_shard)))
                 .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -394,7 +443,7 @@ impl SharedCachedFile {
     /// A new pool (same frozen data, same geometry, cold cache, zeroed
     /// counters) — the per-session-pool baseline of the concurrent bench.
     pub fn fork(&self) -> Self {
-        let per_shard = lock_shard(&self.shards[0]).capacity();
+        let per_shard = lock_shard(&self.shards[0]).frames.capacity();
         let shards = self.shards.len();
         self.resized(per_shard * shards, shards)
     }
@@ -420,7 +469,7 @@ impl SharedCachedFile {
             return Ok(self.fork());
         }
         let data = backend.freeze(name, self.data.clone(), flags)?;
-        let per_shard = lock_shard(&self.shards[0]).capacity();
+        let per_shard = lock_shard(&self.shards[0]).frames.capacity();
         let shards = self.shards.len();
         Ok(Self::new(data, self.model, per_shard * shards, shards).with_retry(self.retry))
     }
@@ -571,27 +620,21 @@ impl SharedCachedFile {
     ///
     /// The zero-copy hot path: a pool hit clones the pooled `Arc` (no page
     /// memcpy) and costs nothing; a miss copies the page out of the frozen
-    /// store exactly once into a fresh frame, charges `cursor` by the
-    /// simulated-disk rule, and installs the frame (possibly evicting the
-    /// shard's LRU frame, whose decoded overlay dies with it). Every probe
+    /// store exactly once into a frame (reusing the shard's spare buffer
+    /// when it has one), charges `cursor` by the simulated-disk rule, and
+    /// installs the frame (possibly evicting the shard's LRU frame, whose
+    /// decoded overlay dies with it). Every probe
     /// is reported to `hdov-obs` (cache-probe span plus a hit/miss counter,
     /// and `bytes_copied_saved` for the memcpy a copying read would have
     /// done) — observational only, never part of the simulated cost model.
     pub fn read_frame(&self, cursor: &mut IoCursor, id: PageId) -> Result<Arc<Frame>> {
         // Bounds-check before any accounting: errors are never charged.
         self.data.check(id)?;
-        let frame = self.probe(cursor, id, true, |cursor| self.build_frame(cursor, id))?;
+        let frame = self.probe(cursor, id, true, |cursor, page| {
+            self.fetch_into(cursor, id, page)
+        })?;
         hdov_obs::add(hdov_obs::Counter::BytesCopiedSaved, PAGE_SIZE as u64);
         Ok(frame)
-    }
-
-    /// Builds the frame a miss admits, before any charging: the page copied
-    /// out through [`fetch_into`](Self::fetch_into), with its retries,
-    /// checksum check and replica failover.
-    fn build_frame(&self, cursor: &mut IoCursor, id: PageId) -> Result<Frame> {
-        let mut page = Page::zeroed();
-        self.fetch_into(cursor, id, &mut page)?;
-        Ok(Frame::new(id, page))
     }
 
     /// The stripe that owns page `id`.
@@ -601,30 +644,37 @@ impl SharedCachedFile {
 
     /// The one per-page probe behind [`read_frame`](Self::read_frame),
     /// [`read_run`](Self::read_run) and [`warm_run`](Self::warm_run): look
-    /// `id` up (promoting it when `promote`) and count a hit, or build the
-    /// miss's frame with `fetch`, charge it to `cursor`, count the miss and
-    /// admit the frame. A miss is counted only once its fetch has
-    /// succeeded, so a failed fetch is charged and counted nowhere — and
-    /// poison never enters the pool.
+    /// `id` up (promoting it when `promote`) and count a hit, or fill a
+    /// page buffer with `fetch` — the page copied out with its retries,
+    /// checksum check and replica failover — charge it to `cursor`, count
+    /// the miss and admit the frame. A miss is counted only once its fetch
+    /// has succeeded, so a failed fetch is charged and counted nowhere, and
+    /// poison never enters the pool: its buffer goes back to the shard as
+    /// the spare, which every later fetch overwrites whole.
     fn probe(
         &self,
         cursor: &mut IoCursor,
         id: PageId,
         promote: bool,
-        fetch: impl FnOnce(&mut IoCursor) -> Result<Frame>,
+        fetch: impl FnOnce(&mut IoCursor, &mut Page) -> Result<()>,
     ) -> Result<Arc<Frame>> {
         let _probe = hdov_obs::span(hdov_obs::Phase::CacheProbe);
-        let mut pool = lock_shard(self.shard(id));
-        if let Some(frame) = pool.lookup(&id.0, promote) {
+        let mut shard = lock_shard(self.shard(id));
+        if let Some(frame) = shard.frames.lookup(&id.0, promote) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             hdov_obs::add(hdov_obs::Counter::PoolHits, 1);
             return Ok(Arc::clone(frame));
         }
-        let frame = Arc::new(fetch(cursor)?);
+        let mut page = shard.buffer();
+        if let Err(e) = fetch(cursor, &mut page) {
+            shard.spare = Some(page);
+            return Err(e);
+        }
+        let frame = Arc::new(Frame::new(id, page));
         cursor.charge_read(id, self.model);
         self.misses.fetch_add(1, Ordering::Relaxed);
         hdov_obs::add(hdov_obs::Counter::PoolMisses, 1);
-        pool.insert(id.0, Arc::clone(&frame));
+        shard.admit(id.0, Arc::clone(&frame));
         Ok(frame)
     }
 
@@ -704,7 +754,7 @@ impl SharedCachedFile {
         let mut run = Vec::new();
         let mut run_first = end;
         for id in (first.0..end).map(PageId) {
-            self.probe(cursor, id, promote, |cursor| {
+            self.probe(cursor, id, promote, |cursor, page| {
                 // The first miss short of the run's last page reads the rest.
                 if let Some(s) = store.filter(|_| run.is_empty() && id.0 + 1 < end) {
                     run_first = id.0;
@@ -719,10 +769,11 @@ impl SharedCachedFile {
                     let bytes = &run[at..at + PAGE_SIZE];
                     if page_checksum(bytes) == self.checksums[id.0 as usize] {
                         self.replicas.note_clean(0, id.0);
-                        return Ok(Frame::new(id, Page::from_bytes(bytes)));
+                        page.bytes_mut().copy_from_slice(bytes);
+                        return Ok(());
                     }
                 }
-                self.build_frame(cursor, id)
+                self.fetch_into(cursor, id, page)
             })?;
         }
         Ok(())
@@ -730,7 +781,7 @@ impl SharedCachedFile {
 
     /// True if page `id` is currently pooled (no promotion, no counters).
     pub fn contains(&self, id: PageId) -> bool {
-        lock_shard(self.shard(id)).peek(&id.0).is_some()
+        lock_shard(self.shard(id)).frames.peek(&id.0).is_some()
     }
 }
 
@@ -921,6 +972,26 @@ mod tests {
         let path = dir.join(name);
         crate::frozen::write_store(&path, &pages, 1).unwrap();
         path
+    }
+
+    #[test]
+    fn distinct_pages_counts_shared_buffers_in_memory_only() {
+        // Pages 0, 2 and 3 hold one content; page 1 another.
+        let mut f = MemPagedFile::new();
+        for tag in [5u64, 6, 5, 5] {
+            f.append_page(&Page::from_bytes(&tag.to_le_bytes()))
+                .unwrap();
+        }
+        let mem = FrozenPages::from_mem(f);
+        assert_eq!((mem.page_count(), mem.distinct_pages()), (4, 2));
+        // The file keeps every copy.
+        let dir = std::env::temp_dir().join(format!("hdov_shared_distinct_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("dup.hdov");
+        mem.write_store_flagged(&path, 1, 0).unwrap();
+        let pread = FrozenPages::open_pread(&path).unwrap();
+        assert_eq!((pread.page_count(), pread.distinct_pages()), (4, 4));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Flips a byte of data page `page` in the store file at `path`, behind

@@ -5,11 +5,13 @@
 //!    cursors charged exactly the misses),
 //! 2. single-shard [`SharedCachedFile`] matches an in-test reference (an
 //!    [`LruCache`] of page ids over a [`SimulatedDisk`]) on hit/miss,
-//!    eviction and simulated-cost accounting for the same access trace.
+//!    eviction and simulated-cost accounting for the same access trace,
+//! 3. recycled frame buffers: a frame a session still holds is never
+//!    recycled, and a failed miss leaks none of its bytes into the next.
 
 use hdov_storage::{
-    DiskModel, IoCursor, LruCache, MemPagedFile, Page, PageId, PagedFile, SharedCachedFile,
-    SimulatedDisk,
+    DiskModel, FaultPlan, IoCursor, LruCache, MemPagedFile, Page, PageId, PagedFile,
+    SharedCachedFile, SimulatedDisk,
 };
 
 const N_PAGES: u64 = 64;
@@ -164,4 +166,46 @@ fn single_shard_matches_lru_over_simulated_disk() {
     // equality above genuinely covered evictions.
     let (_, misses) = shared.hit_stats();
     assert!(misses as usize > CAPACITY, "trace must force evictions");
+}
+
+#[test]
+fn held_frame_keeps_its_bytes_after_eviction() {
+    // One single-page shard: every miss evicts the previous frame.
+    let pool = SharedCachedFile::from_mem(mem_file(), DiskModel::PAPER_ERA, 1, 1);
+    let mut cursor = IoCursor::new();
+    let held = pool.read_frame(&mut cursor, PageId(0)).unwrap();
+    for id in 1..N_PAGES {
+        // Dropped at once, so each of these buffers is recycled in turn.
+        let frame = pool.read_frame(&mut cursor, PageId(id)).unwrap();
+        assert_eq!(&frame.bytes()[..8], &id.to_le_bytes());
+        assert!(!pool.contains(PageId(0)));
+        assert_eq!(&held.bytes()[..8], &0u64.to_le_bytes(), "after miss {id}");
+    }
+    assert!(held.bytes()[8..].iter().all(|&b| b == 0));
+    assert_eq!(pool.hit_stats(), (0, N_PAGES));
+}
+
+#[test]
+fn failed_miss_admits_nothing_and_leaks_no_bytes() {
+    let pool = SharedCachedFile::from_mem(mem_file(), DiskModel::PAPER_ERA, 2, 1);
+    let mut cursor = IoCursor::new();
+    // Fill the pool and evict once, so the shard holds a spare buffer.
+    for id in 0..3 {
+        pool.read_frame(&mut cursor, PageId(id)).unwrap();
+    }
+    let charged = cursor.stats().page_reads;
+    // Page 5 is served bit-flipped: its bytes land in the spare, fail the
+    // checksum, and must go nowhere.
+    pool.arm_faults(&FaultPlan::corrupt_one(5));
+    assert!(pool.read_frame(&mut cursor, PageId(5)).is_err());
+    assert!(!pool.contains(PageId(5)));
+    assert_eq!(pool.hit_stats(), (0, 3));
+    assert_eq!(cursor.stats().page_reads, charged);
+    for id in [6, 7, 8] {
+        let frame = pool.read_frame(&mut cursor, PageId(id)).unwrap();
+        let mut want = Page::zeroed();
+        want.bytes_mut()[..8].copy_from_slice(&id.to_le_bytes());
+        assert_eq!(frame.bytes(), want.bytes(), "page {id}");
+    }
+    assert_eq!(pool.hit_stats(), (0, 6));
 }

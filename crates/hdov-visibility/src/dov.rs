@@ -77,10 +77,30 @@ impl DovTable {
     /// count and claim order — each cell's estimate depends only on the cell
     /// id and `cfg`.
     pub fn compute(scene: &Scene, grid: &CellGrid, cfg: &DovConfig, threads: usize) -> DovTable {
+        let all: Vec<CellId> = (0..grid.cell_count() as CellId).collect();
+        let mut table = DovTable {
+            cells: vec![Vec::new(); all.len()],
+            rays_per_viewpoint: cfg.rays_per_viewpoint,
+        };
+        table.estimate(scene, grid, cfg, &all, threads);
+        table
+    }
+
+    /// Estimates each of `cells` against `scene` into this table, over
+    /// `threads` scoped workers (0 = the available parallelism) claiming
+    /// cells one at a time from an atomic work queue (see
+    /// [`compute`](Self::compute)).
+    fn estimate(
+        &mut self,
+        scene: &Scene,
+        grid: &CellGrid,
+        cfg: &DovConfig,
+        cells: &[CellId],
+        threads: usize,
+    ) {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         let caster = box_caster(scene);
-        let n_cells = grid.cell_count();
         let threads = if threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -88,24 +108,21 @@ impl DovTable {
         } else {
             threads
         };
-        let workers = threads.clamp(1, n_cells.max(1));
+        let workers = threads.clamp(1, cells.len().max(1));
 
-        // One worker's output: (cell index, that cell's (object, DoV) list).
-        type WorkerCells = Vec<(usize, Vec<(u32, f32)>)>;
+        // One worker's output: (cell, that cell's (object, DoV) list).
+        type WorkerCells = Vec<(CellId, Vec<(u32, f32)>)>;
 
         let next = AtomicUsize::new(0);
-        let mut per_worker: Vec<WorkerCells> = std::thread::scope(|s| {
+        let per_worker: Vec<WorkerCells> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     s.spawn(|| {
                         let mut done = Vec::new();
-                        loop {
-                            let cell = next.fetch_add(1, Ordering::Relaxed);
-                            if cell >= n_cells {
-                                break done;
-                            }
-                            done.push((cell, compute_cell(&caster, grid, cell as CellId, cfg)));
+                        while let Some(&cell) = cells.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            done.push((cell, compute_cell(&caster, grid, cell, cfg)));
                         }
+                        done
                     })
                 })
                 .collect();
@@ -115,14 +132,8 @@ impl DovTable {
                 .collect()
         });
 
-        let mut cells: Vec<Vec<(u32, f32)>> = vec![Vec::new(); n_cells];
-        for (cell, data) in per_worker.drain(..).flatten() {
-            cells[cell] = data;
-        }
-
-        DovTable {
-            cells,
-            rays_per_viewpoint: cfg.rays_per_viewpoint,
+        for (cell, data) in per_worker.into_iter().flatten() {
+            self.cells[cell as usize] = data;
         }
     }
 
@@ -241,14 +252,15 @@ impl DovTable {
     }
 
     /// Recomputes the listed cells in place against the (edited) `scene` —
-    /// the incremental companion to [`compute`](Self::compute). Cells not
-    /// listed keep their existing data.
+    /// the incremental companion to [`compute`](Self::compute) — on the
+    /// available parallelism. Cells not listed keep their existing data.
     ///
     /// Typical flow after a scene edit:
     /// `let dirty = table.affected_cells(...); table.recompute_cells(&new_scene, &grid, &cfg, &dirty);`
     /// — the mutable write path (`hdov_core::MutableScene::commit`) runs
-    /// exactly this, then republishes the environment from the patched
-    /// table.
+    /// exactly this, with its own thread count
+    /// ([`recompute_cells_threaded`](Self::recompute_cells_threaded)), then
+    /// republishes the environment from the patched table.
     pub fn recompute_cells(
         &mut self,
         scene: &Scene,
@@ -256,14 +268,26 @@ impl DovTable {
         cfg: &DovConfig,
         cells: &[CellId],
     ) {
+        self.recompute_cells_threaded(scene, grid, cfg, cells, 0);
+    }
+
+    /// [`recompute_cells`](Self::recompute_cells) over `threads` workers
+    /// (0 = the available parallelism), as [`compute`](Self::compute)
+    /// spreads its cells. Each cell's estimate depends only on its id and
+    /// `cfg`, so the table is the same for every thread count.
+    pub fn recompute_cells_threaded(
+        &mut self,
+        scene: &Scene,
+        grid: &CellGrid,
+        cfg: &DovConfig,
+        cells: &[CellId],
+        threads: usize,
+    ) {
         assert_eq!(
             self.rays_per_viewpoint, cfg.rays_per_viewpoint,
             "recompute must use the table's original ray count"
         );
-        let caster = box_caster(scene);
-        for &cell in cells {
-            self.cells[cell as usize] = compute_cell(&caster, grid, cell, cfg);
-        }
+        self.estimate(scene, grid, cfg, cells, threads);
     }
 
     /// Serializes the table (little-endian, versioned). DoV precomputation

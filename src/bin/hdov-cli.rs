@@ -202,6 +202,11 @@ fn cmd_info(opts: &Flags) -> CliResult<()> {
         "  internal LoD bytes {}",
         env.tree().internal_store().total_bytes()
     );
+    // Replica 0 is the store the pool reads.
+    let bank = env.models().pool().replica_set().data(0);
+    println!("model bank");
+    println!("  pages              {}", bank.page_count());
+    println!("  distinct in memory {}", bank.distinct_pages());
     Ok(())
 }
 
