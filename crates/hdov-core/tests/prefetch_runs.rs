@@ -4,9 +4,10 @@
 //!   physical read per contiguous V-page run — one `pread` per run on the
 //!   file backend — never one per page.
 //! * A LoD fetch on the pread path reads the LoD's pages as one run: one
-//!   `pread` per LoD with at least one pool miss, while probes, charges and
-//!   counters stay exactly those of a page-by-page read, with or without
-//!   faults armed.
+//!   `pread` per LoD with at least one pool miss whose byte-identical twin
+//!   is not pooled (a miss whose twin is pooled copies it and reads
+//!   nothing), while probes, charges and counters stay exactly those of a
+//!   page-by-page read, with or without faults armed.
 //!
 //! Lives in its own integration-test binary because it asserts on the
 //! process-global observability recorder (like `obs_wiring`). The tests
@@ -157,9 +158,11 @@ impl PerPage {
     }
 
     /// Replays the LoD fetches of `scratch`'s answer in emission order,
-    /// page by page; returns how many of them missed at least one page.
+    /// page by page; returns how many of them need a physical read: a miss
+    /// whose twin is pooled copies it, so a LoD reads once exactly when it
+    /// misses a page with no pooled twin.
     fn replay(&mut self, env: &SharedEnvironment, scratch: &SearchScratch) -> u64 {
-        let mut with_miss = 0;
+        let mut with_read = 0;
         for e in scratch.result().entries() {
             let (pool, cur, h) = match e.key {
                 ResultKey::Object(id) => (
@@ -173,15 +176,14 @@ impl PerPage {
                     env.tree().internal_store().handle(ordinal as u64, e.level),
                 ),
             };
-            let pages = (h.first_page.0..h.first_page.0 + u64::from(h.pages)).map(PageId);
-            if pages.clone().any(|id| !pool.contains(id)) {
-                with_miss += 1;
-            }
-            for id in pages {
+            let mut reads = false;
+            for id in (h.first_page.0..h.first_page.0 + u64::from(h.pages)).map(PageId) {
+                reads |= !pool.contains(id) && !pool.twin_resident(id);
                 pool.read_frame(cur, id).unwrap();
             }
+            with_read += u64::from(reads);
         }
-        with_miss
+        with_read
     }
 
     /// Asserts the environment's LoD pools and cursors ended exactly where
@@ -216,7 +218,7 @@ fn lod_runs_cost_one_physical_read_and_account_per_page() {
     let env = pread_env(&dir);
     let cells = env.grid().cell_count() as CellId;
 
-    let (mut phys, mut runs, mut expected, mut misses) = (0, 0, 0, 0);
+    let (mut phys, mut runs, mut expected, mut misses, mut twins) = (0, 0, 0, 0, 0);
     for cell in 0..cells {
         // Cold pools per cell, so every prefetch run misses.
         let env = env.fork_with_private_pools();
@@ -242,6 +244,7 @@ fn lod_runs_cost_one_physical_read_and_account_per_page() {
         let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
         phys += counter("phys_reads");
         runs += counter("prefetch_runs");
+        twins += counter("twin_copies");
         reference.assert_matches(&env, &ctx, &format!("cell {cell}"));
         // Every node, V-page and index miss outside the prefetch costs one
         // positioned read of its own.
@@ -252,10 +255,15 @@ fn lod_runs_cost_one_physical_read_and_account_per_page() {
         misses += all_misses;
     }
     assert!(runs > 0, "the trace must prefetch");
+    assert!(
+        twins > 0,
+        "the model bank repeats pages: some misses copy a twin"
+    );
     assert_eq!(
         phys,
         runs + expected,
-        "one pread per prefetch run, per node/V-page miss, and per LoD with a miss"
+        "one pread per prefetch run, per node/V-page miss, and per LoD with a miss \
+         that has no pooled twin"
     );
     assert!(
         phys < misses,

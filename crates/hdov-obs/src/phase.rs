@@ -148,11 +148,15 @@ pub enum Counter {
     /// Frames in which at least one shard's tiles were served coarse
     /// because the shard was tripped, timed out, or failed.
     ShardDegradedFrames,
+    /// Pool misses on a file store served by copying a resident frame
+    /// whose page holds byte-identical contents (a twin), with no physical
+    /// read.
+    TwinCopies,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 38;
+    pub const COUNT: usize = 39;
 
     /// Every counter, in snapshot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -194,6 +198,7 @@ impl Counter {
         Counter::BreakerOpens,
         Counter::HedgedReads,
         Counter::ShardDegradedFrames,
+        Counter::TwinCopies,
     ];
 
     /// Stable snake_case name used in snapshot keys.
@@ -237,6 +242,7 @@ impl Counter {
             Counter::BreakerOpens => "breaker_opens",
             Counter::HedgedReads => "hedged_reads",
             Counter::ShardDegradedFrames => "shard_degraded_frames",
+            Counter::TwinCopies => "twin_copies",
         }
     }
 

@@ -85,6 +85,22 @@ pub fn page_checksum(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The [`page_checksum`] of every buffer in `pages`, in order, hashing
+/// each distinct buffer once: buffers that are one allocation (the pages
+/// of an interned store) share the hash memoized by their address. All of
+/// `pages` stay borrowed for the call, so an address names one content.
+pub fn page_checksums<'a>(pages: impl IntoIterator<Item = &'a [u8]>) -> Vec<u64> {
+    let mut seen: crate::IdHashMap<(usize, usize), u64> = Default::default();
+    pages
+        .into_iter()
+        .map(|p| {
+            *seen
+                .entry((p.as_ptr() as usize, p.len()))
+                .or_insert_with(|| page_checksum(p))
+        })
+        .collect()
+}
+
 /// One FNV-1a step: xor in `word`, multiply by the prime.
 #[inline(always)]
 fn fnv_step(h: u64, word: u64) -> u64 {

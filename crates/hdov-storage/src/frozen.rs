@@ -118,8 +118,9 @@ pub fn write_store_flagged<P: AsRef<[u8]>>(
     let file = File::create(&tmp)?;
     let mut w = BufWriter::new(file);
     w.write_all(&header)?;
+    let sums = crate::checksum::page_checksums(pages.iter().map(AsRef::as_ref));
     let mut table = Vec::with_capacity((pages.len() + 1) * 8);
-    for p in pages {
+    for (p, sum) in pages.iter().zip(sums) {
         let bytes = p.as_ref();
         if bytes.len() != PAGE_SIZE {
             drop(w);
@@ -130,7 +131,7 @@ pub fn write_store_flagged<P: AsRef<[u8]>>(
             )));
         }
         w.write_all(bytes)?;
-        table.extend_from_slice(&page_checksum(bytes).to_le_bytes());
+        table.extend_from_slice(&sum.to_le_bytes());
     }
     let tsum = page_checksum(&table);
     table.extend_from_slice(&tsum.to_le_bytes());

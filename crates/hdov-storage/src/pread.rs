@@ -6,17 +6,35 @@
 //! contiguous byte range on disk, so the vectored-prefetch path reads a
 //! whole run with a **single** `pread`.
 //!
-//! Every physical read issued here bumps
+//! Opening a store reads it whole, in fixed chunks of [`OPEN_CHUNK_PAGES`]
+//! pages, to verify every page and to build its **twin table**
+//! ([`twin_classes`]): for each page whose bytes repeat elsewhere in the
+//! file, the lowest page id holding the same bytes. A pool over the store
+//! serves a miss on such a page by copying a resident frame of its class,
+//! so the file keeps every copy but a miss reads its own copy only when no
+//! twin is pooled.
+//!
+//! Every physical read issued on the query path bumps
 //! [`Counter::PhysReads`](hdov_obs::Counter::PhysReads) — the observable
-//! the run-coalescing acceptance test asserts on.
+//! the run-coalescing acceptance test asserts on. A miss served by a twin
+//! issues none (it bumps `twin_copies` instead), and neither do the reads
+//! of [`PreadStore::open`].
 
 use crate::error::StoreOrigin;
 use crate::frozen::{self, StoreLayout};
 use crate::{PageId, Result, StorageError, PAGE_SIZE};
+use std::collections::HashMap;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// Pages read per positioned read while [`PreadStore::open`] verifies a
+/// store (256 KiB).
+pub const OPEN_CHUNK_PAGES: u64 = 64;
+
+/// The twin class of a page whose bytes appear nowhere else in its store.
+pub const NO_TWIN: u32 = u32::MAX;
 
 /// A frozen store served by positioned reads on a shared file handle.
 ///
@@ -28,25 +46,36 @@ pub struct PreadStore {
     path: PathBuf,
     layout: StoreLayout,
     checksums: Arc<[u64]>,
+    twins: Arc<[u32]>,
 }
 
 impl PreadStore {
     /// Opens and fully verifies the frozen store at `path` (header, exact
-    /// length, checksum table, every page).
+    /// length, checksum table, every page), reading the pages in chunks of
+    /// [`OPEN_CHUNK_PAGES`] and building the twin table in the same pass.
     pub fn open(path: &Path) -> Result<Self> {
         let file = File::open(path)?;
         let layout = frozen::read_layout(&file, path)?;
         let checksums: Arc<[u64]> = frozen::read_checksum_table(&file, path, &layout)?.into();
-        let mut buf = vec![0u8; PAGE_SIZE];
-        for i in 0..layout.page_count {
-            file.read_exact_at(&mut buf, StoreLayout::page_offset(i))?;
-            frozen::verify_page(path, i, &buf, checksums[i as usize])?;
-        }
+        let twins = twin_classes(&checksums, |visit| {
+            let n = layout.page_count;
+            let mut chunk = vec![0u8; OPEN_CHUNK_PAGES.min(n) as usize * PAGE_SIZE];
+            for first in (0..n).step_by(OPEN_CHUNK_PAGES as usize) {
+                let len = OPEN_CHUNK_PAGES.min(n - first);
+                frozen::read_run_raw(&file, first, len, &mut chunk)?;
+                for (id, bytes) in (first..).zip(chunk.chunks_exact(PAGE_SIZE).take(len as usize)) {
+                    frozen::verify_page(path, id, bytes, checksums[id as usize])?;
+                    visit(id, bytes);
+                }
+            }
+            Ok(())
+        })?;
         Ok(PreadStore {
             file,
             path: path.to_path_buf(),
             layout,
             checksums,
+            twins: twins.into(),
         })
     }
 
@@ -73,6 +102,12 @@ impl PreadStore {
     /// The verified per-page checksum sidecar.
     pub fn checksums(&self) -> &Arc<[u64]> {
         &self.checksums
+    }
+
+    /// The twin table built at open (see [`twin_classes`]): 4 bytes per
+    /// page.
+    pub fn twins(&self) -> &Arc<[u32]> {
+        &self.twins
     }
 
     fn check(&self, id: PageId) -> Result<()> {
@@ -109,6 +144,52 @@ impl PreadStore {
         hdov_obs::add(hdov_obs::Counter::PhysReads, 1);
         Ok(())
     }
+}
+
+/// The `(lowest page id, bytes)` of each distinct content seen under one
+/// repeated checksum.
+type Contents = Vec<(u32, Box<[u8]>)>;
+
+/// The twin table of a store: for every page whose bytes repeat elsewhere
+/// in the store, the lowest page id holding the same bytes (a page that
+/// repeats later ones names itself); [`NO_TWIN`] for every other page.
+///
+/// `pages` must hand each page's bytes to its visitor once, in ascending
+/// id order. Only pages whose checksum appears more than once in
+/// `checksums` are looked at: each is compared byte for byte with one kept
+/// representative of every distinct content seen under its checksum, so an
+/// equal checksum alone never makes two pages twins. The representatives
+/// are freed before this returns. The checksums come from the store file,
+/// so the maps keyed by them keep the default (flooding-resistant) hasher.
+pub fn twin_classes(
+    checksums: &[u64],
+    pages: impl FnOnce(&mut dyn FnMut(u64, &[u8])) -> Result<()>,
+) -> Result<Box<[u32]>> {
+    let mut repeats: HashMap<u64, u32> = HashMap::new();
+    for &c in checksums {
+        *repeats.entry(c).or_default() += 1;
+    }
+    repeats.retain(|_, n| *n > 1);
+    let mut classes = vec![NO_TWIN; checksums.len()].into_boxed_slice();
+    let mut reps: HashMap<u64, Contents> = HashMap::new();
+    pages(&mut |id, bytes| {
+        let sum = checksums[id as usize];
+        let Ok(id32) = u32::try_from(id) else {
+            return;
+        };
+        if id32 == NO_TWIN || !repeats.contains_key(&sum) {
+            return;
+        }
+        let group = reps.entry(sum).or_default();
+        match group.iter().find(|(_, rep)| **rep == *bytes) {
+            Some(&(class, _)) => {
+                classes[class as usize] = class;
+                classes[id as usize] = class;
+            }
+            None => group.push((id32, bytes.into())),
+        }
+    })?;
+    Ok(classes)
 }
 
 #[cfg(test)]
@@ -161,6 +242,87 @@ mod tests {
         // A run that starts in bounds but runs off the end is rejected too.
         let mut run = vec![0u8; 2 * PAGE_SIZE];
         assert!(s.read_run(PageId(1), 2, &mut run).is_err());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    /// [`twin_classes`] over in-memory pages with their real checksums.
+    fn classes_of(pages: &[Vec<u8>]) -> Box<[u32]> {
+        let sums: Vec<u64> = pages.iter().map(|p| crate::page_checksum(p)).collect();
+        classes_with(&sums, pages)
+    }
+
+    fn classes_with(sums: &[u64], pages: &[Vec<u8>]) -> Box<[u32]> {
+        twin_classes(sums, |visit| {
+            for (id, p) in (0u64..).zip(pages) {
+                visit(id, p);
+            }
+            Ok(())
+        })
+        .unwrap()
+    }
+
+    fn tagged(tag: u64) -> Vec<u8> {
+        let mut p = vec![0u8; PAGE_SIZE];
+        p[..8].copy_from_slice(&tag.to_le_bytes());
+        p
+    }
+
+    #[test]
+    fn equal_pages_share_the_lowest_id_as_class() {
+        let pages: Vec<Vec<u8>> = [7u64, 1, 7, 2, 1, 7].map(tagged).to_vec();
+        assert_eq!(&*classes_of(&pages), &[0, 1, 0, NO_TWIN, 1, 0]);
+    }
+
+    #[test]
+    fn unique_pages_have_no_class() {
+        let pages: Vec<Vec<u8>> = (0..5).map(tagged).collect();
+        assert!(classes_of(&pages).iter().all(|&c| c == NO_TWIN));
+        assert!(classes_of(&[]).is_empty());
+    }
+
+    #[test]
+    fn equal_checksums_with_different_bytes_are_not_twins() {
+        // A forged table: every page claims one checksum. Pages 0 and 2
+        // differ in bytes from 1 and 3, which are equal.
+        let pages: Vec<Vec<u8>> = [4u64, 9, 5, 9].map(tagged).to_vec();
+        assert_eq!(&*classes_with(&[42; 4], &pages), &[NO_TWIN, 1, NO_TWIN, 1]);
+    }
+
+    #[test]
+    fn open_builds_the_twin_table_across_chunks() {
+        // More pages than one open chunk; page 3 repeats at 70 and 71.
+        let n = OPEN_CHUNK_PAGES + 8;
+        let mut all = pages(n);
+        all[70] = all[3].clone();
+        all[71] = all[3].clone();
+        let path = tmp("twins");
+        write_store(&path, &all, 0).unwrap();
+        let s = PreadStore::open(&path).unwrap();
+        let twins = s.twins();
+        assert_eq!(twins.len() as u64, n);
+        for (id, &class) in twins.iter().enumerate() {
+            let want = if [3, 70, 71].contains(&id) {
+                3
+            } else {
+                NO_TWIN
+            };
+            assert_eq!(class, want, "page {id}");
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn open_reports_the_first_corrupt_page_past_the_first_chunk() {
+        let path = tmp("corrupt_late");
+        write_store(&path, &pages(OPEN_CHUNK_PAGES + 8), 0).unwrap();
+        let mut raw = std::fs::read(&path).unwrap();
+        for page in [OPEN_CHUNK_PAGES + 2, OPEN_CHUNK_PAGES + 5] {
+            raw[(1 + page as usize) * PAGE_SIZE + 9] ^= 0x01;
+        }
+        std::fs::write(&path, &raw).unwrap();
+        let err = PreadStore::open(&path).unwrap_err();
+        let want = format!("page {} checksum", OPEN_CHUNK_PAGES + 2);
+        assert!(err.to_string().contains(&want), "{err}");
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

@@ -14,7 +14,10 @@
 //!   one frame, one LoD's page run, or one prefetch run — goes through one
 //!   per-page probe: lookup, hit count, or fetch then admit. Every miss is
 //!   verified against the store's checksum table before admission, with
-//!   transient failures retried and replicas failed over to.
+//!   transient failures retried and replicas failed over to. On a pread
+//!   store, a miss on a page whose byte-identical twin is pooled copies
+//!   that frame instead of reading the file; the copy is charged and
+//!   counted as the read would have been.
 //!
 //! Each session carries its own [`IoCursor`], because a disk-head position
 //! cannot be shared state once N sessions interleave. The cursor is the
@@ -27,16 +30,18 @@
 //! build disk's own charges exactly what that disk would
 //! ([`SharedCachedFile::from_disk`]).
 
+use crate::checksum::page_checksums;
 use crate::error::StoreOrigin;
-use crate::pread::PreadStore;
+use crate::pread::{PreadStore, NO_TWIN};
 use crate::replica::ReplicaSet;
 use crate::{
-    page_checksum, DiskModel, FaultPlan, Frame, IoCursor, LruCache, MemPagedFile, Page, PageId,
-    Result, RetryPolicy, SharedFaultyFile, SimulatedDisk, StorageBackend, StorageError, PAGE_SIZE,
+    page_checksum, DiskModel, FaultPlan, Frame, IdHashMap, IoCursor, LruCache, MemPagedFile, Page,
+    PageId, Result, RetryPolicy, SharedFaultyFile, SimulatedDisk, StorageBackend, StorageError,
+    PAGE_SIZE,
 };
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 /// Locks a pool shard, recovering from poison.
 ///
@@ -74,12 +79,99 @@ impl Shard {
         self.spare.take().unwrap_or_else(Page::zeroed)
     }
 
-    /// Admits `frame`, keeping the evicted frame's buffer as the spare
-    /// when no session still holds that frame.
-    fn admit(&mut self, id: u64, frame: Arc<Frame>) {
-        if let Some((_, evicted)) = self.frames.insert(id, frame) {
-            if self.spare.is_none() {
-                self.spare = Arc::try_unwrap(evicted).ok().map(Frame::into_page);
+    /// Keeps the buffer of an `evicted` frame as the spare when no session
+    /// still holds that frame.
+    fn recycle(&mut self, evicted: Arc<Frame>) {
+        if self.spare.is_none() {
+            self.spare = Arc::try_unwrap(evicted).ok().map(Frame::into_page);
+        }
+    }
+}
+
+/// A pool's index from twin class to a resident frame of that class, over
+/// a pread store whose file repeats pages (see
+/// [`twin_classes`](crate::pread::twin_classes)).
+///
+/// Entries are `Weak`: admitting a frame makes it its class's entry, and
+/// evicting a frame removes the entry when it names that frame, so the
+/// index never holds more entries than the pool holds frames and never
+/// keeps an evicted frame's buffer from its shard's spare. Striped like the
+/// pool; a stripe lock is only ever taken under a shard lock, never the
+/// other way round.
+#[derive(Debug)]
+struct TwinIndex {
+    classes: Arc<[u32]>,
+    stripes: Vec<Stripe>,
+}
+
+/// One lock stripe of a [`TwinIndex`]: twin class → resident frame.
+type Stripe = Mutex<IdHashMap<u32, Weak<Frame>>>;
+
+impl TwinIndex {
+    /// The index for a pool of `capacity` pages over `data`, or `None`
+    /// where twins are never used: mem stores, where a miss already
+    /// copies memory; stores without twins; and capacity-0 pools, where no
+    /// frame is ever resident.
+    fn new(data: &FrozenPages, capacity: usize, stripes: usize) -> Option<Self> {
+        let classes = Arc::clone(data.pread_store()?.twins());
+        if capacity == 0 || classes.iter().all(|&c| c == NO_TWIN) {
+            return None;
+        }
+        Some(TwinIndex {
+            classes,
+            stripes: (0..stripes).map(|_| Mutex::default()).collect(),
+        })
+    }
+
+    /// `id`'s twin class and the stripe indexing it, if `id` has twins.
+    fn class(&self, id: PageId) -> Option<(u32, &Stripe)> {
+        let class = self.classes[id.0 as usize];
+        (class != NO_TWIN).then(|| (class, &self.stripes[class as usize % self.stripes.len()]))
+    }
+
+    /// Copies the resident frame of `id`'s class into `out`; false when
+    /// `id` has no twin or none is resident. The frame is released before
+    /// the stripe lock, so an eviction that clears its entry next finds it
+    /// unshared.
+    fn copy_resident(&self, id: PageId, out: &mut Page) -> bool {
+        let Some((class, stripe)) = self.class(id) else {
+            return false;
+        };
+        let index = lock_shard(stripe);
+        match index.get(&class).and_then(Weak::upgrade) {
+            Some(frame) => {
+                out.bytes_mut().copy_from_slice(frame.bytes());
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Whether a frame of `id`'s class is resident.
+    fn resident(&self, id: PageId) -> bool {
+        self.class(id).is_some_and(|(class, stripe)| {
+            lock_shard(stripe)
+                .get(&class)
+                .is_some_and(|w| w.strong_count() > 0)
+        })
+    }
+
+    /// Makes the just-admitted `frame` its class's entry, then removes the
+    /// entry of the `evicted` frame's class if it names that frame.
+    fn admit(&self, frame: &Arc<Frame>, evicted: Option<&Arc<Frame>>) {
+        if let Some((class, stripe)) = self.class(frame.id()) {
+            lock_shard(stripe).insert(class, Arc::downgrade(frame));
+        }
+        let Some(evicted) = evicted else {
+            return;
+        };
+        if let Some((class, stripe)) = self.class(evicted.id()) {
+            let mut index = lock_shard(stripe);
+            if index
+                .get(&class)
+                .is_some_and(|w| std::ptr::eq(w.as_ptr(), Arc::as_ptr(evicted)))
+            {
+                index.remove(&class);
             }
         }
     }
@@ -228,11 +320,12 @@ impl FrozenPages {
         }
     }
 
-    /// The per-page FNV checksum table: computed fresh for mem stores,
-    /// returned from the verified on-disk sidecar for file stores.
+    /// The per-page FNV checksum table: computed fresh for mem stores
+    /// (each distinct buffer hashed once), returned from the verified
+    /// on-disk sidecar for file stores.
     pub fn checksum_table(&self) -> Arc<[u64]> {
         match &self.repr {
-            Repr::Mem { pages } => pages.iter().map(|p| page_checksum(p)).collect(),
+            Repr::Mem { pages } => page_checksums(pages.iter().map(|p| &p[..])).into(),
             Repr::Pread { store } => Arc::clone(store.checksums()),
         }
     }
@@ -322,6 +415,10 @@ pub struct SharedCachedFile {
     /// owns the per-replica fault slots (replica 0's slot is the pool's
     /// historical injector).
     replicas: ReplicaSet,
+    /// Resident frames by twin class, on a pread store that repeats pages
+    /// (`None` elsewhere): a miss whose class is resident copies that
+    /// frame instead of reading the file.
+    twins: Option<TwinIndex>,
 }
 
 impl SharedCachedFile {
@@ -348,6 +445,7 @@ impl SharedCachedFile {
         assert!(shards > 0, "shard count must be positive");
         let per_shard = capacity.div_ceil(shards);
         SharedCachedFile {
+            twins: TwinIndex::new(&data, capacity, shards),
             data,
             model,
             shards: (0..shards)
@@ -651,6 +749,9 @@ impl SharedCachedFile {
     /// has succeeded, so a failed fetch is charged and counted nowhere, and
     /// poison never enters the pool: its buffer goes back to the shard as
     /// the spare, which every later fetch overwrites whole.
+    ///
+    /// A miss whose twin is resident ([`copy_twin`](Self::copy_twin)) skips
+    /// `fetch` and is charged, counted and admitted exactly like any other.
     fn probe(
         &self,
         cursor: &mut IoCursor,
@@ -666,16 +767,48 @@ impl SharedCachedFile {
             return Ok(Arc::clone(frame));
         }
         let mut page = shard.buffer();
-        if let Err(e) = fetch(cursor, &mut page) {
-            shard.spare = Some(page);
-            return Err(e);
+        if !self.copy_twin(id, &mut page) {
+            if let Err(e) = fetch(cursor, &mut page) {
+                shard.spare = Some(page);
+                return Err(e);
+            }
         }
         let frame = Arc::new(Frame::new(id, page));
         cursor.charge_read(id, self.model);
         self.misses.fetch_add(1, Ordering::Relaxed);
         hdov_obs::add(hdov_obs::Counter::PoolMisses, 1);
-        shard.admit(id.0, Arc::clone(&frame));
+        let evicted = shard
+            .frames
+            .insert(id.0, Arc::clone(&frame))
+            .map(|(_, e)| e);
+        if let Some(twins) = &self.twins {
+            twins.admit(&frame, evicted.as_ref());
+        }
+        if let Some(evicted) = evicted {
+            shard.recycle(evicted);
+        }
         Ok(frame)
+    }
+
+    /// Fills `page` for a miss on `id` from a resident frame of its twin
+    /// class, verified against `id`'s own sidecar checksum like every
+    /// miss; false when the pool has no twin index, faults are armed (each
+    /// miss then draws from the fault stream), no twin is resident, or the
+    /// copy fails the check. Issues no read: while a twin is resident,
+    /// `id`'s own copy in the file is not read, and rot there is left to
+    /// the scrubber.
+    fn copy_twin(&self, id: PageId, page: &mut Page) -> bool {
+        let Some(twins) = &self.twins else {
+            return false;
+        };
+        if self.replicas.any_faults()
+            || !twins.copy_resident(id, page)
+            || page_checksum(page.bytes()) != self.checksums[id.0 as usize]
+        {
+            return false;
+        }
+        hdov_obs::add(hdov_obs::Counter::TwinCopies, 1);
+        true
     }
 
     /// Reads the contiguous `len`-page run starting at `first` into the
@@ -704,12 +837,13 @@ impl SharedCachedFile {
     /// Per-page *simulated* accounting (hit/miss sequence, cursor charging,
     /// pool counters) is therefore independent of the backend. What changes
     /// is the *physical* I/O: when any page of the run is missing, the pread
-    /// backend issues **one** `pread` from the first missing page to the end
-    /// of the run (later misses are then installed from that buffer, each
-    /// verified against its sidecar checksum, not re-read page by page). The
-    /// mem backend issues none. Each call bumps `prefetch_runs`; the
-    /// physical operations bump `phys_reads` at the syscall wrappers, so on
-    /// a cold file backend `phys_reads` counts exactly one per run.
+    /// backend issues **one** `pread` from the first missing page with no
+    /// resident twin to the end of the run (later misses are then installed
+    /// from that buffer or their twin, each verified against its sidecar
+    /// checksum, not re-read page by page). The mem backend issues none.
+    /// Each call bumps `prefetch_runs`; the physical operations bump
+    /// `phys_reads` at the syscall wrappers, so on a cold file backend
+    /// `phys_reads` counts at most one per run.
     ///
     /// With a fault injector armed every miss is fetched on its own, so each
     /// attempt draws from the deterministic fault stream as a per-page warm
@@ -725,13 +859,15 @@ impl SharedCachedFile {
     /// [`probe`](Self::probe)s the `len`-page run at `first` in ascending
     /// order.
     ///
-    /// On a pread store with no faults armed, the first miss that is not
-    /// the run's last page reads every page from it to the end of the run
-    /// with one `pread`. Later misses are installed from that buffer after
-    /// their own checksum check; a page that fails it — or every page, when
-    /// the run read itself fails — takes the per-page fetch, which retries,
-    /// counts the failure and fails over to a replica. Any other store, or
-    /// a pool with faults armed, fetches each miss on its own.
+    /// On a pread store with no faults armed, a miss whose twin is resident
+    /// copies it and reads nothing (see [`probe`](Self::probe)); the first
+    /// other miss that is not the run's last page reads every page from it
+    /// to the end of the run with one `pread`. Later misses are installed
+    /// from that buffer after their own checksum check; a page that fails
+    /// it — or every page, when the run read itself fails — takes the
+    /// per-page fetch, which retries, counts the failure and fails over to
+    /// a replica. Any other store, or a pool with faults armed, fetches
+    /// each miss on its own.
     fn probe_run(
         &self,
         cursor: &mut IoCursor,
@@ -782,6 +918,16 @@ impl SharedCachedFile {
     /// True if page `id` is currently pooled (no promotion, no counters).
     pub fn contains(&self, id: PageId) -> bool {
         lock_shard(self.shard(id)).frames.peek(&id.0).is_some()
+    }
+
+    /// True if a miss on page `id` would copy a pooled frame of its twin
+    /// class (a page with byte-identical contents) instead of reading the
+    /// store (no promotion, no counters). Always false on mem stores,
+    /// capacity-0 pools and while faults are armed.
+    pub fn twin_resident(&self, id: PageId) -> bool {
+        self.twins
+            .as_ref()
+            .is_some_and(|t| !self.replicas.any_faults() && t.resident(id))
     }
 }
 
@@ -991,6 +1137,35 @@ mod tests {
         mem.write_store_flagged(&path, 1, 0).unwrap();
         let pread = FrozenPages::open_pread(&path).unwrap();
         assert_eq!((pread.page_count(), pread.distinct_pages()), (4, 4));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checksum_tables_hash_shared_buffers_once_and_match_per_page() {
+        // The build interns pages: 0, 2 and 4 share one buffer; 1, 3 and 5
+        // are unique.
+        let mut f = MemPagedFile::new();
+        for tag in [5u64, 6, 5, 7, 5, 8] {
+            f.append_page(&Page::from_bytes(&tag.to_le_bytes()))
+                .unwrap();
+        }
+        let mem = FrozenPages::from_mem(f);
+        assert!(mem.distinct_pages() < mem.page_count());
+        let mut page = vec![0u8; PAGE_SIZE];
+        let per_page: Vec<u64> = (0..mem.page_count())
+            .map(|i| {
+                mem.read_into(PageId(i), &mut page).unwrap();
+                page_checksum(&page)
+            })
+            .collect();
+        assert_eq!(&*mem.checksum_table(), &per_page[..]);
+        // The writer's sidecar (verified again at open) matches too.
+        let dir = std::env::temp_dir().join(format!("hdov_shared_sums_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sums.hdov");
+        mem.write_store_flagged(&path, 1, 0).unwrap();
+        let pread = FrozenPages::open_pread(&path).unwrap();
+        assert_eq!(&*pread.checksum_table(), &per_page[..]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,11 +7,19 @@
 //!    [`LruCache`] of page ids over a [`SimulatedDisk`]) on hit/miss,
 //!    eviction and simulated-cost accounting for the same access trace,
 //! 3. recycled frame buffers: a frame a session still holds is never
-//!    recycled, and a failed miss leaks none of its bytes into the next.
+//!    recycled, and a failed miss leaks none of its bytes into the next,
+//! 4. twin copies on pread stores: a miss whose byte-identical twin is
+//!    pooled copies it with no physical read and is charged and counted
+//!    exactly as the read; an evicted twin or armed faults send the miss
+//!    back to the file, and rot in a twin's own copy is left to the
+//!    scrubber.
+
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
 use hdov_storage::{
-    DiskModel, FaultPlan, IoCursor, LruCache, MemPagedFile, Page, PageId, PagedFile,
-    SharedCachedFile, SimulatedDisk,
+    verify_pool, DiskModel, FaultPlan, FrozenPages, IoCursor, LruCache, MemPagedFile, Page, PageId,
+    PagedFile, ScrubConfig, Scrubber, SharedCachedFile, SimulatedDisk,
 };
 
 const N_PAGES: u64 = 64;
@@ -208,4 +216,241 @@ fn failed_miss_admits_nothing_and_leaks_no_bytes() {
         assert_eq!(frame.bytes(), want.bytes(), "page {id}");
     }
     assert_eq!(pool.hit_stats(), (0, 6));
+}
+
+/// One twin test at a time on the process-global obs recorder (the other
+/// tests here run on mem stores, which never count physical reads or twin
+/// copies).
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Runs `f` with obs recording and returns its `(phys_reads, twin_copies)`.
+fn io_counts(f: impl FnOnce()) -> (u64, u64) {
+    hdov_obs::reset();
+    hdov_obs::enable();
+    f();
+    hdov_obs::disable();
+    let snap = hdov_obs::snapshot("twins");
+    hdov_obs::reset();
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    (counter("phys_reads"), counter("twin_copies"))
+}
+
+const TWIN_PAGES: u64 = 16;
+
+/// The tag in the first 8 bytes of page `id` of the twin store: pages
+/// `8..16` repeat pages `0..8`.
+fn twin_tag(id: u64) -> u64 {
+    id % 8
+}
+
+/// Writes a `TWIN_PAGES`-page store under `dir` as `name` (and as
+/// `name.r1` when `replica`), page `id` tagged `tag(id)`, and opens it.
+fn store(dir: &Path, name: &str, tag: fn(u64) -> u64, replica: bool) -> FrozenPages {
+    std::fs::create_dir_all(dir).unwrap();
+    let mut f = MemPagedFile::new();
+    for id in 0..TWIN_PAGES {
+        f.append_page(&Page::from_bytes(&tag(id).to_le_bytes()))
+            .unwrap();
+    }
+    let mut paths = vec![dir.join(format!("{name}.hdov"))];
+    if replica {
+        paths.push(dir.join(format!("{name}.r1.hdov")));
+    }
+    FrozenPages::from_mem(f)
+        .write_replicated(&paths, 1, 0)
+        .unwrap();
+    let extra = paths[1..]
+        .iter()
+        .map(|p| FrozenPages::open_pread(p).unwrap())
+        .collect();
+    FrozenPages::open_pread(&paths[0])
+        .unwrap()
+        .with_replicas(extra)
+}
+
+fn tmp(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("hdov_twins_{}_{name}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+fn tag_of(pool: &SharedCachedFile, cursor: &mut IoCursor, id: u64) -> u64 {
+    let frame = pool.read_frame(cursor, PageId(id)).unwrap();
+    u64::from_le_bytes(frame.bytes()[..8].try_into().unwrap())
+}
+
+#[test]
+fn resident_twin_serves_a_miss_without_a_read_and_charges_it_the_same() {
+    let _g = serial();
+    let dir = tmp("copy");
+    let twins = SharedCachedFile::new(
+        store(&dir, "twins", twin_tag, false),
+        DiskModel::PAPER_ERA,
+        12,
+        2,
+    );
+    let unique = SharedCachedFile::new(
+        store(&dir, "unique", |id| id, false),
+        DiskModel::PAPER_ERA,
+        12,
+        2,
+    );
+    let (mut ct, mut cu) = (IoCursor::new(), IoCursor::new());
+    let same_accounting = |ct: &IoCursor, cu: &IoCursor, step: &str| {
+        assert_eq!(ct.stats(), cu.stats(), "{step}");
+        assert_eq!(twins.hit_stats(), unique.hit_stats(), "{step}");
+        for id in (0..TWIN_PAGES).map(PageId) {
+            assert_eq!(twins.contains(id), unique.contains(id), "{step}: {id}");
+        }
+    };
+
+    // Cold: page 3 has no resident twin, so its miss reads the file.
+    assert!(!twins.twin_resident(PageId(3)));
+    assert_eq!(
+        io_counts(|| assert_eq!(tag_of(&twins, &mut ct, 3), 3)),
+        (1, 0)
+    );
+    tag_of(&unique, &mut cu, 3);
+    same_accounting(&ct, &cu, "cold miss");
+
+    // Page 11 repeats page 3: a miss, served by copying the pooled frame.
+    assert!(twins.twin_resident(PageId(11)) && !unique.twin_resident(PageId(11)));
+    assert_eq!(
+        io_counts(|| assert_eq!(tag_of(&twins, &mut ct, 11), 3)),
+        (0, 1)
+    );
+    tag_of(&unique, &mut cu, 11);
+    same_accounting(&ct, &cu, "twin miss");
+
+    // Runs: 0..4 reads once; 8..12 then copies all four twins, no read.
+    assert_eq!(
+        io_counts(|| twins.read_run(&mut ct, PageId(0), 4).unwrap()),
+        (1, 0)
+    );
+    unique.read_run(&mut cu, PageId(0), 4).unwrap();
+    same_accounting(&ct, &cu, "cold run");
+    assert_eq!(
+        io_counts(|| twins.warm_run(&mut ct, PageId(8), 4).unwrap()),
+        (0, 3)
+    );
+    unique.warm_run(&mut cu, PageId(8), 4).unwrap();
+    same_accounting(&ct, &cu, "twin run");
+    for id in 8..12 {
+        assert_eq!(tag_of(&twins, &mut ct, id), id - 8);
+        tag_of(&unique, &mut cu, id);
+    }
+    same_accounting(&ct, &cu, "twin run hits");
+
+    // Page 12 repeats page 4: the run 12..16 copies it, then starts its
+    // one read at 13, its first miss with no resident twin.
+    assert_eq!(
+        io_counts(|| assert_eq!(tag_of(&twins, &mut ct, 4), 4)),
+        (1, 0)
+    );
+    tag_of(&unique, &mut cu, 4);
+    assert_eq!(
+        io_counts(|| twins.read_run(&mut ct, PageId(12), 4).unwrap()),
+        (1, 1)
+    );
+    unique.read_run(&mut cu, PageId(12), 4).unwrap();
+    same_accounting(&ct, &cu, "mixed run");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn evicted_twin_or_armed_faults_send_the_miss_to_the_file() {
+    let _g = serial();
+    let dir = tmp("evicted");
+    let data = store(&dir, "twins", twin_tag, false);
+    let counts = |pool: &SharedCachedFile, cur: &mut IoCursor, id: u64| {
+        io_counts(|| assert_eq!(tag_of(pool, cur, id), twin_tag(id)))
+    };
+
+    // One two-frame shard. Pages 3 and 11 are twins.
+    let pool = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 2, 1);
+    let mut cur = IoCursor::new();
+    assert_eq!(counts(&pool, &mut cur, 3), (1, 0));
+    assert_eq!(counts(&pool, &mut cur, 11), (0, 1)); // the class entry: 11
+                                                     // Evicting 3 keeps the entry, which names 11.
+    assert_eq!(counts(&pool, &mut cur, 4), (1, 0));
+    assert!(!pool.contains(PageId(3)) && pool.twin_resident(PageId(3)));
+    assert_eq!(counts(&pool, &mut cur, 3), (0, 1)); // evicts 11; entry: 3
+                                                    // A session holds 3 while it is evicted: its entry goes all the same,
+                                                    // and the miss on 11 reads the file.
+    let held = pool.read_frame(&mut cur, PageId(3)).unwrap();
+    assert_eq!(counts(&pool, &mut cur, 5), (1, 0));
+    assert_eq!(counts(&pool, &mut cur, 6), (1, 0));
+    assert!(!pool.contains(PageId(3)) && !pool.twin_resident(PageId(11)));
+    assert_eq!(counts(&pool, &mut cur, 11), (1, 0));
+    drop(held);
+
+    // A capacity-0 pool keeps nothing, so it never copies.
+    let none = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 0, 1);
+    let mut cur = IoCursor::new();
+    assert_eq!(counts(&none, &mut cur, 3), (1, 0));
+    assert_eq!(counts(&none, &mut cur, 11), (1, 0));
+
+    // Faults armed (a plan that injects nothing): every miss draws from
+    // the fault stream, so the resident twin is not copied.
+    let pool = SharedCachedFile::new(data, DiskModel::PAPER_ERA, 8, 2);
+    let mut cur = IoCursor::new();
+    tag_of(&pool, &mut cur, 3);
+    let injector = pool.arm_faults(&FaultPlan::default());
+    assert!(!pool.twin_resident(PageId(11)));
+    assert_eq!(counts(&pool, &mut cur, 11), (1, 0));
+    assert_eq!(injector.reads(), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn rot_in_a_resident_twins_copy_is_served_clean_and_left_to_the_scrubber() {
+    let _g = serial();
+    let dir = tmp("rot");
+    let pool = SharedCachedFile::new(
+        store(&dir, "twins", twin_tag, true),
+        DiskModel::PAPER_ERA,
+        8,
+        2,
+    );
+    let mut cur = IoCursor::new();
+    tag_of(&pool, &mut cur, 3);
+    // Rot page 11 on the primary's disk after open, behind the pool.
+    {
+        use std::os::unix::fs::FileExt;
+        let f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join("twins.hdov"))
+            .unwrap();
+        let at = hdov_storage::frozen::StoreLayout::page_offset(11) + 100;
+        f.write_all_at(&[0xEE], at).unwrap();
+    }
+    assert_eq!(verify_pool(&pool).unwrap(), vec![(0, 11)]);
+
+    // The miss copies the resident twin: trusted bytes, no failure seen.
+    hdov_obs::reset();
+    hdov_obs::enable();
+    let frame = pool.read_frame(&mut cur, PageId(11)).unwrap();
+    hdov_obs::disable();
+    let snap = hdov_obs::snapshot("rot");
+    hdov_obs::reset();
+    let mut want = Page::zeroed();
+    want.bytes_mut()[..8].copy_from_slice(&3u64.to_le_bytes());
+    assert_eq!(frame.bytes(), want.bytes());
+    assert_eq!(snap.counters.get("checksum_failures"), None);
+    assert_eq!(snap.counters.get("twin_copies"), Some(&1));
+    assert!(
+        pool.replica_set().status().is_clean(),
+        "no failover, no repair"
+    );
+
+    // The scrubber reads the raw file, finds the rot and repairs it.
+    let report = Scrubber::new(ScrubConfig::default())
+        .scrub_pool(&pool)
+        .unwrap();
+    assert_eq!((report.corrupt_found, report.repaired), (1, 1));
+    assert!(verify_pool(&pool).unwrap().is_empty(), "healed on disk");
+    std::fs::remove_dir_all(&dir).ok();
 }
