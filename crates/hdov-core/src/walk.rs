@@ -1,4 +1,5 @@
-//! The one traversal of the HDoV-tree visibility query (paper Fig. 3).
+//! The one depth-first traversal of the HDoV-tree visibility query (paper
+//! Fig. 3).
 //!
 //! ```text
 //! Algorithm Search(Node)

@@ -4,10 +4,10 @@
 //!   physical read per contiguous V-page run — one `pread` per run on the
 //!   file backend — never one per page.
 //! * A LoD fetch on the pread path reads the LoD's pages as one run: one
-//!   `pread` per LoD with at least one pool miss whose byte-identical twin
-//!   is not pooled (a miss whose twin is pooled copies it and reads
-//!   nothing), while probes, charges and counters stay exactly those of a
-//!   page-by-page read, with or without faults armed.
+//!   `pread` per LoD with at least one pool miss on a page whose bytes
+//!   repeat nowhere in the store (a miss on a repeated page copies its
+//!   twin class and reads nothing), while probes, charges and counters stay
+//!   exactly those of a page-by-page read, with or without faults armed.
 //!
 //! Lives in its own integration-test binary because it asserts on the
 //! process-global observability recorder (like `obs_wiring`). The tests
@@ -159,8 +159,8 @@ impl PerPage {
 
     /// Replays the LoD fetches of `scratch`'s answer in emission order,
     /// page by page; returns how many of them need a physical read: a miss
-    /// whose twin is pooled copies it, so a LoD reads once exactly when it
-    /// misses a page with no pooled twin.
+    /// on a page whose bytes repeat in the store copies its twin class, so a
+    /// LoD reads once exactly when it misses a page outside every class.
     fn replay(&mut self, env: &SharedEnvironment, scratch: &SearchScratch) -> u64 {
         let mut with_read = 0;
         for e in scratch.result().entries() {
@@ -178,7 +178,7 @@ impl PerPage {
             };
             let mut reads = false;
             for id in (h.first_page.0..h.first_page.0 + u64::from(h.pages)).map(PageId) {
-                reads |= !pool.contains(id) && !pool.twin_resident(id);
+                reads |= !pool.contains(id) && !pool.miss_copies_class(id);
                 pool.read_frame(cur, id).unwrap();
             }
             with_read += u64::from(reads);
@@ -263,7 +263,7 @@ fn lod_runs_cost_one_physical_read_and_account_per_page() {
         phys,
         runs + expected,
         "one pread per prefetch run, per node/V-page miss, and per LoD with a miss \
-         that has no pooled twin"
+         outside every twin class"
     );
     assert!(
         phys < misses,

@@ -1,9 +1,12 @@
 //! Deterministic direction sampling on the unit sphere.
 //!
-//! The DoV estimator casts a fixed set of rays per sample viewpoint. We use a
-//! Fibonacci spiral — a deterministic, near-uniform spherical point set — so
-//! experiments are reproducible bit-for-bit, with optional seeded jitter to
-//! decorrelate neighbouring viewpoints.
+//! The DoV estimator casts a set of rays per sample viewpoint drawn by
+//! [`random_sphere`], seeded per cell and viewpoint
+//! (`hdov_visibility::dov::sample_rays`): the same seed gives the same
+//! directions, so experiments are reproducible bit-for-bit, while distinct
+//! seeds decorrelate the Monte-Carlo error of neighbouring viewpoints.
+//! [`fibonacci_sphere`] is a deterministic, near-uniform alternative with
+//! no seed.
 
 use crate::Vec3;
 

@@ -7,18 +7,20 @@
 //! whole run with a **single** `pread`.
 //!
 //! Opening a store reads it whole, in fixed chunks of [`OPEN_CHUNK_PAGES`]
-//! pages, to verify every page and to build its **twin table**
-//! ([`twin_classes`]): for each page whose bytes repeat elsewhere in the
-//! file, the lowest page id holding the same bytes. A pool over the store
-//! serves a miss on such a page by copying a resident frame of its class,
-//! so the file keeps every copy but a miss reads its own copy only when no
-//! twin is pooled.
+//! pages, to verify every page and to build its **twin classes**
+//! ([`twin_classes`]): the sets of pages whose bytes repeat elsewhere in
+//! the file. The store keeps one verified copy of each class in memory
+//! ([`PreadStore::class_copy`]), shared through the store's `Arc` by every
+//! pool over it, and a pool serves any miss on a class member by copying
+//! it. So the file keeps every copy, memory holds one page per repeated
+//! content (never more than the mem backend keeps for the same pages), and
+//! a miss reads the file only for a page that repeats nowhere.
 //!
 //! Every physical read issued on the query path bumps
 //! [`Counter::PhysReads`](hdov_obs::Counter::PhysReads) — the observable
-//! the run-coalescing acceptance test asserts on. A miss served by a twin
-//! issues none (it bumps `twin_copies` instead), and neither do the reads
-//! of [`PreadStore::open`].
+//! the run-coalescing acceptance test asserts on. A miss served by its
+//! class copy issues none (it bumps `twin_copies` instead), and neither do
+//! the reads of [`PreadStore::open`].
 
 use crate::error::StoreOrigin;
 use crate::frozen::{self, StoreLayout};
@@ -46,13 +48,14 @@ pub struct PreadStore {
     path: PathBuf,
     layout: StoreLayout,
     checksums: Arc<[u64]>,
-    twins: Arc<[u32]>,
+    twins: TwinClasses,
 }
 
 impl PreadStore {
     /// Opens and fully verifies the frozen store at `path` (header, exact
     /// length, checksum table, every page), reading the pages in chunks of
-    /// [`OPEN_CHUNK_PAGES`] and building the twin table in the same pass.
+    /// [`OPEN_CHUNK_PAGES`] and building the twin classes, with their
+    /// kept copies, in the same pass.
     pub fn open(path: &Path) -> Result<Self> {
         let file = File::open(path)?;
         let layout = frozen::read_layout(&file, path)?;
@@ -75,7 +78,7 @@ impl PreadStore {
             path: path.to_path_buf(),
             layout,
             checksums,
-            twins: twins.into(),
+            twins,
         })
     }
 
@@ -106,8 +109,22 @@ impl PreadStore {
 
     /// The twin table built at open (see [`twin_classes`]): 4 bytes per
     /// page.
-    pub fn twins(&self) -> &Arc<[u32]> {
-        &self.twins
+    pub fn twins(&self) -> &[u32] {
+        &self.twins.table
+    }
+
+    /// Number of twin-class copies held in memory: one page per repeated
+    /// content.
+    pub fn class_copies(&self) -> usize {
+        self.twins.copies.len()
+    }
+
+    /// The verified bytes of page `id`'s twin class, kept since open;
+    /// `None` when `id`'s bytes appear nowhere else in the store (or `id`
+    /// is out of bounds).
+    pub fn class_copy(&self, id: PageId) -> Option<&[u8]> {
+        let class = *self.twins.table.get(usize::try_from(id.0).ok()?)?;
+        (class != NO_TWIN).then(|| &*self.twins.copies[class as usize])
     }
 
     fn check(&self, id: PageId) -> Result<()> {
@@ -150,26 +167,37 @@ impl PreadStore {
 /// repeated checksum.
 type Contents = Vec<(u32, Box<[u8]>)>;
 
-/// The twin table of a store: for every page whose bytes repeat elsewhere
-/// in the store, the lowest page id holding the same bytes (a page that
-/// repeats later ones names itself); [`NO_TWIN`] for every other page.
+/// The twin classes of a store: sets of pages with byte-identical
+/// contents, numbered in the order of their lowest page id.
+#[derive(Debug)]
+pub struct TwinClasses {
+    /// The twin table: for every page whose bytes repeat elsewhere in the
+    /// store, its class number; [`NO_TWIN`] for every other page.
+    pub table: Box<[u32]>,
+    /// One copy of each class's bytes, indexed by class number.
+    pub copies: Box<[Box<[u8]>]>,
+}
+
+/// Finds the [`TwinClasses`] of a store.
 ///
 /// `pages` must hand each page's bytes to its visitor once, in ascending
 /// id order. Only pages whose checksum appears more than once in
 /// `checksums` are looked at: each is compared byte for byte with one kept
 /// representative of every distinct content seen under its checksum, so an
 /// equal checksum alone never makes two pages twins. The representatives
-/// are freed before this returns. The checksums come from the store file,
-/// so the maps keyed by them keep the default (flooding-resistant) hasher.
+/// that found a twin become the class copies; the others are freed before
+/// this returns. The checksums come from the store file, so the maps keyed
+/// by them keep the default (flooding-resistant) hasher.
 pub fn twin_classes(
     checksums: &[u64],
     pages: impl FnOnce(&mut dyn FnMut(u64, &[u8])) -> Result<()>,
-) -> Result<Box<[u32]>> {
+) -> Result<TwinClasses> {
     let mut repeats: HashMap<u64, u32> = HashMap::new();
     for &c in checksums {
         *repeats.entry(c).or_default() += 1;
     }
     repeats.retain(|_, n| *n > 1);
+    // Each member first names its class's lowest page id.
     let mut classes = vec![NO_TWIN; checksums.len()].into_boxed_slice();
     let mut reps: HashMap<u64, Contents> = HashMap::new();
     pages(&mut |id, bytes| {
@@ -189,7 +217,19 @@ pub fn twin_classes(
             None => group.push((id32, bytes.into())),
         }
     })?;
-    Ok(classes)
+    let mut kept: Vec<(u32, Box<[u8]>)> = reps
+        .into_values()
+        .flatten()
+        .filter(|&(id, _)| classes[id as usize] == id)
+        .collect();
+    kept.sort_unstable_by_key(|&(id, _)| id);
+    for class in classes.iter_mut().filter(|c| **c != NO_TWIN) {
+        *class = kept.partition_point(|&(id, _)| id < *class) as u32;
+    }
+    Ok(TwinClasses {
+        table: classes,
+        copies: kept.into_iter().map(|(_, bytes)| bytes).collect(),
+    })
 }
 
 #[cfg(test)]
@@ -246,12 +286,12 @@ mod tests {
     }
 
     /// [`twin_classes`] over in-memory pages with their real checksums.
-    fn classes_of(pages: &[Vec<u8>]) -> Box<[u32]> {
+    fn classes_of(pages: &[Vec<u8>]) -> TwinClasses {
         let sums: Vec<u64> = pages.iter().map(|p| crate::page_checksum(p)).collect();
         classes_with(&sums, pages)
     }
 
-    fn classes_with(sums: &[u64], pages: &[Vec<u8>]) -> Box<[u32]> {
+    fn classes_with(sums: &[u64], pages: &[Vec<u8>]) -> TwinClasses {
         twin_classes(sums, |visit| {
             for (id, p) in (0u64..).zip(pages) {
                 visit(id, p);
@@ -268,16 +308,22 @@ mod tests {
     }
 
     #[test]
-    fn equal_pages_share_the_lowest_id_as_class() {
-        let pages: Vec<Vec<u8>> = [7u64, 1, 7, 2, 1, 7].map(tagged).to_vec();
-        assert_eq!(&*classes_of(&pages), &[0, 1, 0, NO_TWIN, 1, 0]);
+    fn equal_pages_share_one_class_numbered_by_lowest_id() {
+        let pages: Vec<Vec<u8>> = [9u64, 7, 1, 7, 2, 1, 7].map(tagged).to_vec();
+        let TwinClasses { table, copies } = classes_of(&pages);
+        assert_eq!(&*table, &[NO_TWIN, 0, 1, 0, NO_TWIN, 1, 0]);
+        assert_eq!(copies.len(), 2);
+        assert_eq!(&*copies[0], &tagged(7)[..]);
+        assert_eq!(&*copies[1], &tagged(1)[..]);
     }
 
     #[test]
     fn unique_pages_have_no_class() {
         let pages: Vec<Vec<u8>> = (0..5).map(tagged).collect();
-        assert!(classes_of(&pages).iter().all(|&c| c == NO_TWIN));
-        assert!(classes_of(&[]).is_empty());
+        let TwinClasses { table, copies } = classes_of(&pages);
+        assert!(table.iter().all(|&c| c == NO_TWIN));
+        assert!(copies.is_empty());
+        assert!(classes_of(&[]).table.is_empty());
     }
 
     #[test]
@@ -285,29 +331,92 @@ mod tests {
         // A forged table: every page claims one checksum. Pages 0 and 2
         // differ in bytes from 1 and 3, which are equal.
         let pages: Vec<Vec<u8>> = [4u64, 9, 5, 9].map(tagged).to_vec();
-        assert_eq!(&*classes_with(&[42; 4], &pages), &[NO_TWIN, 1, NO_TWIN, 1]);
+        let TwinClasses { table, copies } = classes_with(&[42; 4], &pages);
+        assert_eq!(&*table, &[NO_TWIN, 0, NO_TWIN, 0]);
+        assert_eq!(copies.len(), 1);
+        assert_eq!(&*copies[0], &tagged(9)[..]);
+    }
+
+    /// A store of more pages than one open chunk in which pages 3, 40, 70
+    /// and 71 share one content and pages 5 and 66 another.
+    fn twin_store(name: &str) -> (PathBuf, PreadStore) {
+        let mut all = pages(OPEN_CHUNK_PAGES + 8);
+        for id in [40, 70, 71] {
+            all[id] = all[3].clone();
+        }
+        all[66] = all[5].clone();
+        let path = tmp(name);
+        write_store(&path, &all, 0).unwrap();
+        let s = PreadStore::open(&path).unwrap();
+        (path, s)
     }
 
     #[test]
     fn open_builds_the_twin_table_across_chunks() {
-        // More pages than one open chunk; page 3 repeats at 70 and 71.
-        let n = OPEN_CHUNK_PAGES + 8;
-        let mut all = pages(n);
-        all[70] = all[3].clone();
-        all[71] = all[3].clone();
-        let path = tmp("twins");
-        write_store(&path, &all, 0).unwrap();
-        let s = PreadStore::open(&path).unwrap();
+        let (path, s) = twin_store("twins");
         let twins = s.twins();
-        assert_eq!(twins.len() as u64, n);
+        assert_eq!(twins.len() as u64, OPEN_CHUNK_PAGES + 8);
         for (id, &class) in twins.iter().enumerate() {
-            let want = if [3, 70, 71].contains(&id) {
-                3
-            } else {
-                NO_TWIN
+            let want = match id {
+                3 | 40 | 70 | 71 => 0,
+                5 | 66 => 1,
+                _ => NO_TWIN,
             };
             assert_eq!(class, want, "page {id}");
         }
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn every_class_copy_equals_each_members_file_bytes() {
+        let (path, s) = twin_store("copies");
+        let mut members = 0;
+        let mut bytes = vec![0u8; PAGE_SIZE];
+        for id in (0..s.page_count()).map(PageId) {
+            s.read_into(id, &mut bytes).unwrap();
+            match s.class_copy(id) {
+                Some(copy) => {
+                    assert_eq!(copy, &bytes[..], "{id}");
+                    members += 1;
+                }
+                None => assert_eq!(s.twins()[id.0 as usize], NO_TWIN, "{id}"),
+            }
+        }
+        assert_eq!(members, 6);
+        assert!(s.class_copy(PageId(s.page_count())).is_none());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn the_store_keeps_one_copy_per_twin_class() {
+        let (path, s) = twin_store("one_copy");
+        let mut classes: Vec<u32> = s
+            .twins()
+            .iter()
+            .copied()
+            .filter(|&c| c != NO_TWIN)
+            .collect();
+        classes.sort_unstable();
+        classes.dedup();
+        assert_eq!(s.class_copies(), classes.len());
+        assert_eq!(s.class_copies(), 2);
+        // Members of one class share its one copy.
+        let (a, b) = (
+            s.class_copy(PageId(3)).unwrap(),
+            s.class_copy(PageId(71)).unwrap(),
+        );
+        assert!(std::ptr::eq(a, b));
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn a_store_without_repeats_keeps_no_copies() {
+        let path = tmp("no_repeats");
+        write_store(&path, &pages(OPEN_CHUNK_PAGES + 8), 0).unwrap();
+        let s = PreadStore::open(&path).unwrap();
+        assert_eq!(s.class_copies(), 0);
+        assert!(s.twins().iter().all(|&c| c == NO_TWIN));
+        assert!((0..s.page_count()).all(|id| s.class_copy(PageId(id)).is_none()));
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

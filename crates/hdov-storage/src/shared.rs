@@ -15,9 +15,9 @@
 //!   per-page probe: lookup, hit count, or fetch then admit. Every miss is
 //!   verified against the store's checksum table before admission, with
 //!   transient failures retried and replicas failed over to. On a pread
-//!   store, a miss on a page whose byte-identical twin is pooled copies
-//!   that frame instead of reading the file; the copy is charged and
-//!   counted as the read would have been.
+//!   store, a miss on a page whose bytes repeat elsewhere in the store
+//!   copies the store's kept copy of that twin class instead of reading
+//!   the file; the copy is charged and counted as the read would have been.
 //!
 //! Each session carries its own [`IoCursor`], because a disk-head position
 //! cannot be shared state once N sessions interleave. The cursor is the
@@ -32,16 +32,15 @@
 
 use crate::checksum::page_checksums;
 use crate::error::StoreOrigin;
-use crate::pread::{PreadStore, NO_TWIN};
+use crate::pread::PreadStore;
 use crate::replica::ReplicaSet;
 use crate::{
-    page_checksum, DiskModel, FaultPlan, Frame, IdHashMap, IoCursor, LruCache, MemPagedFile, Page,
-    PageId, Result, RetryPolicy, SharedFaultyFile, SimulatedDisk, StorageBackend, StorageError,
-    PAGE_SIZE,
+    page_checksum, DiskModel, FaultPlan, Frame, IoCursor, LruCache, MemPagedFile, Page, PageId,
+    Result, RetryPolicy, SharedFaultyFile, SimulatedDisk, StorageBackend, StorageError, PAGE_SIZE,
 };
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Locks a pool shard, recovering from poison.
 ///
@@ -84,95 +83,6 @@ impl Shard {
     fn recycle(&mut self, evicted: Arc<Frame>) {
         if self.spare.is_none() {
             self.spare = Arc::try_unwrap(evicted).ok().map(Frame::into_page);
-        }
-    }
-}
-
-/// A pool's index from twin class to a resident frame of that class, over
-/// a pread store whose file repeats pages (see
-/// [`twin_classes`](crate::pread::twin_classes)).
-///
-/// Entries are `Weak`: admitting a frame makes it its class's entry, and
-/// evicting a frame removes the entry when it names that frame, so the
-/// index never holds more entries than the pool holds frames and never
-/// keeps an evicted frame's buffer from its shard's spare. Striped like the
-/// pool; a stripe lock is only ever taken under a shard lock, never the
-/// other way round.
-#[derive(Debug)]
-struct TwinIndex {
-    classes: Arc<[u32]>,
-    stripes: Vec<Stripe>,
-}
-
-/// One lock stripe of a [`TwinIndex`]: twin class → resident frame.
-type Stripe = Mutex<IdHashMap<u32, Weak<Frame>>>;
-
-impl TwinIndex {
-    /// The index for a pool of `capacity` pages over `data`, or `None`
-    /// where twins are never used: mem stores, where a miss already
-    /// copies memory; stores without twins; and capacity-0 pools, where no
-    /// frame is ever resident.
-    fn new(data: &FrozenPages, capacity: usize, stripes: usize) -> Option<Self> {
-        let classes = Arc::clone(data.pread_store()?.twins());
-        if capacity == 0 || classes.iter().all(|&c| c == NO_TWIN) {
-            return None;
-        }
-        Some(TwinIndex {
-            classes,
-            stripes: (0..stripes).map(|_| Mutex::default()).collect(),
-        })
-    }
-
-    /// `id`'s twin class and the stripe indexing it, if `id` has twins.
-    fn class(&self, id: PageId) -> Option<(u32, &Stripe)> {
-        let class = self.classes[id.0 as usize];
-        (class != NO_TWIN).then(|| (class, &self.stripes[class as usize % self.stripes.len()]))
-    }
-
-    /// Copies the resident frame of `id`'s class into `out`; false when
-    /// `id` has no twin or none is resident. The frame is released before
-    /// the stripe lock, so an eviction that clears its entry next finds it
-    /// unshared.
-    fn copy_resident(&self, id: PageId, out: &mut Page) -> bool {
-        let Some((class, stripe)) = self.class(id) else {
-            return false;
-        };
-        let index = lock_shard(stripe);
-        match index.get(&class).and_then(Weak::upgrade) {
-            Some(frame) => {
-                out.bytes_mut().copy_from_slice(frame.bytes());
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Whether a frame of `id`'s class is resident.
-    fn resident(&self, id: PageId) -> bool {
-        self.class(id).is_some_and(|(class, stripe)| {
-            lock_shard(stripe)
-                .get(&class)
-                .is_some_and(|w| w.strong_count() > 0)
-        })
-    }
-
-    /// Makes the just-admitted `frame` its class's entry, then removes the
-    /// entry of the `evicted` frame's class if it names that frame.
-    fn admit(&self, frame: &Arc<Frame>, evicted: Option<&Arc<Frame>>) {
-        if let Some((class, stripe)) = self.class(frame.id()) {
-            lock_shard(stripe).insert(class, Arc::downgrade(frame));
-        }
-        let Some(evicted) = evicted else {
-            return;
-        };
-        if let Some((class, stripe)) = self.class(evicted.id()) {
-            let mut index = lock_shard(stripe);
-            if index
-                .get(&class)
-                .is_some_and(|w| std::ptr::eq(w.as_ptr(), Arc::as_ptr(evicted)))
-            {
-                index.remove(&class);
-            }
         }
     }
 }
@@ -263,9 +173,12 @@ impl FrozenPages {
         }
     }
 
-    /// Number of distinct page buffers this store keeps in memory: one per
-    /// distinct content on the mem backend, whose build interns pages, and
-    /// the page count on pread, whose file keeps every copy.
+    /// Number of distinct page buffers this store keeps: one per distinct
+    /// content on the mem backend, whose build interns pages, and the page
+    /// count on pread, whose file keeps every copy. A pread store also
+    /// holds one verified copy per twin class in memory
+    /// ([`PreadStore::class_copies`]), never more than the mem count for
+    /// the same pages.
     pub fn distinct_pages(&self) -> u64 {
         match &self.repr {
             Repr::Mem { pages } => {
@@ -415,10 +328,6 @@ pub struct SharedCachedFile {
     /// owns the per-replica fault slots (replica 0's slot is the pool's
     /// historical injector).
     replicas: ReplicaSet,
-    /// Resident frames by twin class, on a pread store that repeats pages
-    /// (`None` elsewhere): a miss whose class is resident copies that
-    /// frame instead of reading the file.
-    twins: Option<TwinIndex>,
 }
 
 impl SharedCachedFile {
@@ -445,7 +354,6 @@ impl SharedCachedFile {
         assert!(shards > 0, "shard count must be positive");
         let per_shard = capacity.div_ceil(shards);
         SharedCachedFile {
-            twins: TwinIndex::new(&data, capacity, shards),
             data,
             model,
             shards: (0..shards)
@@ -750,8 +658,9 @@ impl SharedCachedFile {
     /// poison never enters the pool: its buffer goes back to the shard as
     /// the spare, which every later fetch overwrites whole.
     ///
-    /// A miss whose twin is resident ([`copy_twin`](Self::copy_twin)) skips
-    /// `fetch` and is charged, counted and admitted exactly like any other.
+    /// A miss that copies its twin class ([`copy_twin`](Self::copy_twin))
+    /// skips `fetch` and is charged, counted and admitted exactly like any
+    /// other.
     fn probe(
         &self,
         cursor: &mut IoCursor,
@@ -777,38 +686,38 @@ impl SharedCachedFile {
         cursor.charge_read(id, self.model);
         self.misses.fetch_add(1, Ordering::Relaxed);
         hdov_obs::add(hdov_obs::Counter::PoolMisses, 1);
-        let evicted = shard
-            .frames
-            .insert(id.0, Arc::clone(&frame))
-            .map(|(_, e)| e);
-        if let Some(twins) = &self.twins {
-            twins.admit(&frame, evicted.as_ref());
-        }
-        if let Some(evicted) = evicted {
+        if let Some((_, evicted)) = shard.frames.insert(id.0, Arc::clone(&frame)) {
             shard.recycle(evicted);
         }
         Ok(frame)
     }
 
-    /// Fills `page` for a miss on `id` from a resident frame of its twin
-    /// class, verified against `id`'s own sidecar checksum like every
-    /// miss; false when the pool has no twin index, faults are armed (each
-    /// miss then draws from the fault stream), no twin is resident, or the
-    /// copy fails the check. Issues no read: while a twin is resident,
-    /// `id`'s own copy in the file is not read, and rot there is left to
-    /// the scrubber.
+    /// Fills `page` for a miss on `id` from the store's kept copy of its
+    /// twin class ([`class_copy`](Self::class_copy)), verified against
+    /// `id`'s own sidecar checksum like every miss; false when there is no
+    /// such copy or it fails the check. Issues no read: `id`'s own copy in
+    /// the file is never read for a miss, so rot there is left to the
+    /// scrubber.
     fn copy_twin(&self, id: PageId, page: &mut Page) -> bool {
-        let Some(twins) = &self.twins else {
+        let Some(class) = self.class_copy(id) else {
             return false;
         };
-        if self.replicas.any_faults()
-            || !twins.copy_resident(id, page)
-            || page_checksum(page.bytes()) != self.checksums[id.0 as usize]
-        {
+        page.bytes_mut().copy_from_slice(class);
+        if page_checksum(page.bytes()) != self.checksums[id.0 as usize] {
             return false;
         }
         hdov_obs::add(hdov_obs::Counter::TwinCopies, 1);
         true
+    }
+
+    /// The bytes a miss on `id` copies instead of reading: the pread
+    /// store's copy of `id`'s twin class. `None` on mem stores (where a
+    /// miss already copies memory), for a page whose bytes repeat nowhere,
+    /// and while faults are armed (each miss then draws from the fault
+    /// stream).
+    fn class_copy(&self, id: PageId) -> Option<&[u8]> {
+        let class = self.data.pread_store()?.class_copy(id)?;
+        (!self.replicas.any_faults()).then_some(class)
     }
 
     /// Reads the contiguous `len`-page run starting at `first` into the
@@ -837,10 +746,11 @@ impl SharedCachedFile {
     /// Per-page *simulated* accounting (hit/miss sequence, cursor charging,
     /// pool counters) is therefore independent of the backend. What changes
     /// is the *physical* I/O: when any page of the run is missing, the pread
-    /// backend issues **one** `pread` from the first missing page with no
-    /// resident twin to the end of the run (later misses are then installed
-    /// from that buffer or their twin, each verified against its sidecar
-    /// checksum, not re-read page by page). The mem backend issues none.
+    /// backend issues **one** `pread` from the first missing page outside a
+    /// twin class to the end of the run (later misses are then installed
+    /// from that buffer or their class copy, each verified against its
+    /// sidecar checksum, not re-read page by page). The mem backend issues
+    /// none.
     /// Each call bumps `prefetch_runs`; the physical operations bump
     /// `phys_reads` at the syscall wrappers, so on a cold file backend
     /// `phys_reads` counts at most one per run.
@@ -859,8 +769,8 @@ impl SharedCachedFile {
     /// [`probe`](Self::probe)s the `len`-page run at `first` in ascending
     /// order.
     ///
-    /// On a pread store with no faults armed, a miss whose twin is resident
-    /// copies it and reads nothing (see [`probe`](Self::probe)); the first
+    /// On a pread store with no faults armed, a miss in a twin class copies
+    /// the class and reads nothing (see [`probe`](Self::probe)); the first
     /// other miss that is not the run's last page reads every page from it
     /// to the end of the run with one `pread`. Later misses are installed
     /// from that buffer after their own checksum check; a page that fails
@@ -920,14 +830,12 @@ impl SharedCachedFile {
         lock_shard(self.shard(id)).frames.peek(&id.0).is_some()
     }
 
-    /// True if a miss on page `id` would copy a pooled frame of its twin
-    /// class (a page with byte-identical contents) instead of reading the
-    /// store (no promotion, no counters). Always false on mem stores,
-    /// capacity-0 pools and while faults are armed.
-    pub fn twin_resident(&self, id: PageId) -> bool {
-        self.twins
-            .as_ref()
-            .is_some_and(|t| !self.replicas.any_faults() && t.resident(id))
+    /// True if a miss on page `id` copies its twin class (the store's copy
+    /// of a page with byte-identical contents) instead of reading the store
+    /// (no promotion, no counters). Always false on mem stores, for a page
+    /// whose bytes repeat nowhere and while faults are armed.
+    pub fn miss_copies_class(&self, id: PageId) -> bool {
+        self.class_copy(id).is_some()
     }
 }
 

@@ -8,11 +8,12 @@
 //!    eviction and simulated-cost accounting for the same access trace,
 //! 3. recycled frame buffers: a frame a session still holds is never
 //!    recycled, and a failed miss leaks none of its bytes into the next,
-//! 4. twin copies on pread stores: a miss whose byte-identical twin is
-//!    pooled copies it with no physical read and is charged and counted
-//!    exactly as the read; an evicted twin or armed faults send the miss
-//!    back to the file, and rot in a twin's own copy is left to the
-//!    scrubber.
+//! 4. twin copies on pread stores: a miss on a page whose bytes repeat
+//!    elsewhere in the store copies the store's copy of that class with no
+//!    physical read, and is charged and counted exactly as the read; it
+//!    does so cold, after evictions and in a capacity-0 pool, armed faults
+//!    send it back to the file, and rot in a class member's own copy is
+//!    left to the scrubber.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
@@ -241,9 +242,13 @@ fn io_counts(f: impl FnOnce()) -> (u64, u64) {
 const TWIN_PAGES: u64 = 16;
 
 /// The tag in the first 8 bytes of page `id` of the twin store: pages
-/// `8..16` repeat pages `0..8`.
+/// `8..12` repeat pages `0..4`, and every other page is unique.
 fn twin_tag(id: u64) -> u64 {
-    id % 8
+    if (8..12).contains(&id) {
+        id - 8
+    } else {
+        id
+    }
 }
 
 /// Writes a `TWIN_PAGES`-page store under `dir` as `name` (and as
@@ -283,7 +288,7 @@ fn tag_of(pool: &SharedCachedFile, cursor: &mut IoCursor, id: u64) -> u64 {
 }
 
 #[test]
-fn resident_twin_serves_a_miss_without_a_read_and_charges_it_the_same() {
+fn a_class_miss_copies_without_a_read_and_is_charged_the_same() {
     let _g = serial();
     let dir = tmp("copy");
     let twins = SharedCachedFile::new(
@@ -307,17 +312,15 @@ fn resident_twin_serves_a_miss_without_a_read_and_charges_it_the_same() {
         }
     };
 
-    // Cold: page 3 has no resident twin, so its miss reads the file.
-    assert!(!twins.twin_resident(PageId(3)));
+    // Cold: page 3 shares its bytes with page 11, so even its first miss
+    // copies the class and reads nothing.
+    assert!(twins.miss_copies_class(PageId(3)) && !unique.miss_copies_class(PageId(3)));
     assert_eq!(
         io_counts(|| assert_eq!(tag_of(&twins, &mut ct, 3), 3)),
-        (1, 0)
+        (0, 1)
     );
     tag_of(&unique, &mut cu, 3);
-    same_accounting(&ct, &cu, "cold miss");
-
-    // Page 11 repeats page 3: a miss, served by copying the pooled frame.
-    assert!(twins.twin_resident(PageId(11)) && !unique.twin_resident(PageId(11)));
+    same_accounting(&ct, &cu, "cold class miss");
     assert_eq!(
         io_counts(|| assert_eq!(tag_of(&twins, &mut ct, 11), 3)),
         (0, 1)
@@ -325,43 +328,50 @@ fn resident_twin_serves_a_miss_without_a_read_and_charges_it_the_same() {
     tag_of(&unique, &mut cu, 11);
     same_accounting(&ct, &cu, "twin miss");
 
-    // Runs: 0..4 reads once; 8..12 then copies all four twins, no read.
+    // Page 5 repeats nowhere: its miss reads the file.
+    assert!(!twins.miss_copies_class(PageId(5)));
+    assert_eq!(
+        io_counts(|| assert_eq!(tag_of(&twins, &mut ct, 5), 5)),
+        (1, 0)
+    );
+    tag_of(&unique, &mut cu, 5);
+    same_accounting(&ct, &cu, "unique miss");
+
+    // Runs: 0..4 copies its three misses, no read; 4..8 reads once.
     assert_eq!(
         io_counts(|| twins.read_run(&mut ct, PageId(0), 4).unwrap()),
-        (1, 0)
-    );
-    unique.read_run(&mut cu, PageId(0), 4).unwrap();
-    same_accounting(&ct, &cu, "cold run");
-    assert_eq!(
-        io_counts(|| twins.warm_run(&mut ct, PageId(8), 4).unwrap()),
         (0, 3)
     );
-    unique.warm_run(&mut cu, PageId(8), 4).unwrap();
-    same_accounting(&ct, &cu, "twin run");
-    for id in 8..12 {
-        assert_eq!(tag_of(&twins, &mut ct, id), id - 8);
-        tag_of(&unique, &mut cu, id);
-    }
-    same_accounting(&ct, &cu, "twin run hits");
-
-    // Page 12 repeats page 4: the run 12..16 copies it, then starts its
-    // one read at 13, its first miss with no resident twin.
+    unique.read_run(&mut cu, PageId(0), 4).unwrap();
+    same_accounting(&ct, &cu, "class run");
     assert_eq!(
-        io_counts(|| assert_eq!(tag_of(&twins, &mut ct, 4), 4)),
+        io_counts(|| twins.warm_run(&mut ct, PageId(4), 4).unwrap()),
         (1, 0)
     );
-    tag_of(&unique, &mut cu, 4);
+    unique.warm_run(&mut cu, PageId(4), 4).unwrap();
+    same_accounting(&ct, &cu, "unique run");
+    for id in 0..8 {
+        assert_eq!(tag_of(&twins, &mut ct, id), id);
+        tag_of(&unique, &mut cu, id);
+    }
+    same_accounting(&ct, &cu, "run hits");
+
+    // The run 8..16 copies 8, 9 and 10, hits 11, and starts its one read
+    // at 12, its first miss outside a class.
     assert_eq!(
-        io_counts(|| twins.read_run(&mut ct, PageId(12), 4).unwrap()),
-        (1, 1)
+        io_counts(|| twins.read_run(&mut ct, PageId(8), 8).unwrap()),
+        (1, 3)
     );
-    unique.read_run(&mut cu, PageId(12), 4).unwrap();
+    unique.read_run(&mut cu, PageId(8), 8).unwrap();
     same_accounting(&ct, &cu, "mixed run");
+    for id in 8..TWIN_PAGES {
+        assert_eq!(tag_of(&twins, &mut ct, id), twin_tag(id));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn evicted_twin_or_armed_faults_send_the_miss_to_the_file() {
+fn evicted_twins_and_capacity_0_pools_copy_but_armed_faults_read_the_file() {
     let _g = serial();
     let dir = tmp("evicted");
     let data = store(&dir, "twins", twin_tag, false);
@@ -372,41 +382,45 @@ fn evicted_twin_or_armed_faults_send_the_miss_to_the_file() {
     // One two-frame shard. Pages 3 and 11 are twins.
     let pool = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 2, 1);
     let mut cur = IoCursor::new();
-    assert_eq!(counts(&pool, &mut cur, 3), (1, 0));
-    assert_eq!(counts(&pool, &mut cur, 11), (0, 1)); // the class entry: 11
-                                                     // Evicting 3 keeps the entry, which names 11.
+    assert_eq!(counts(&pool, &mut cur, 3), (0, 1));
+    assert_eq!(counts(&pool, &mut cur, 11), (0, 1));
+    // With both evicted, a miss on either still copies the class.
     assert_eq!(counts(&pool, &mut cur, 4), (1, 0));
-    assert!(!pool.contains(PageId(3)) && pool.twin_resident(PageId(3)));
-    assert_eq!(counts(&pool, &mut cur, 3), (0, 1)); // evicts 11; entry: 3
-                                                    // A session holds 3 while it is evicted: its entry goes all the same,
-                                                    // and the miss on 11 reads the file.
-    let held = pool.read_frame(&mut cur, PageId(3)).unwrap();
     assert_eq!(counts(&pool, &mut cur, 5), (1, 0));
+    assert!(!pool.contains(PageId(3)) && !pool.contains(PageId(11)));
+    assert!(pool.miss_copies_class(PageId(3)) && pool.miss_copies_class(PageId(11)));
+    assert_eq!(counts(&pool, &mut cur, 3), (0, 1));
+    // So does one whose twin a session holds past its eviction.
+    let held = pool.read_frame(&mut cur, PageId(3)).unwrap();
     assert_eq!(counts(&pool, &mut cur, 6), (1, 0));
-    assert!(!pool.contains(PageId(3)) && !pool.twin_resident(PageId(11)));
-    assert_eq!(counts(&pool, &mut cur, 11), (1, 0));
+    assert_eq!(counts(&pool, &mut cur, 7), (1, 0));
+    assert!(!pool.contains(PageId(3)));
+    assert_eq!(counts(&pool, &mut cur, 11), (0, 1));
     drop(held);
 
-    // A capacity-0 pool keeps nothing, so it never copies.
+    // A capacity-0 pool keeps nothing, and copies all the same.
     let none = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 0, 1);
     let mut cur = IoCursor::new();
-    assert_eq!(counts(&none, &mut cur, 3), (1, 0));
-    assert_eq!(counts(&none, &mut cur, 11), (1, 0));
+    assert_eq!(counts(&none, &mut cur, 3), (0, 1));
+    assert_eq!(counts(&none, &mut cur, 11), (0, 1));
+    assert_eq!(counts(&none, &mut cur, 3), (0, 1));
+    assert_eq!(counts(&none, &mut cur, 5), (1, 0));
+    assert_eq!(none.hit_stats(), (0, 4));
 
     // Faults armed (a plan that injects nothing): every miss draws from
-    // the fault stream, so the resident twin is not copied.
+    // the fault stream, so the class is not copied.
     let pool = SharedCachedFile::new(data, DiskModel::PAPER_ERA, 8, 2);
     let mut cur = IoCursor::new();
     tag_of(&pool, &mut cur, 3);
     let injector = pool.arm_faults(&FaultPlan::default());
-    assert!(!pool.twin_resident(PageId(11)));
+    assert!(!pool.miss_copies_class(PageId(11)));
     assert_eq!(counts(&pool, &mut cur, 11), (1, 0));
     assert_eq!(injector.reads(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn rot_in_a_resident_twins_copy_is_served_clean_and_left_to_the_scrubber() {
+fn rot_in_a_class_members_copy_is_served_clean_and_left_to_the_scrubber() {
     let _g = serial();
     let dir = tmp("rot");
     let pool = SharedCachedFile::new(
@@ -429,7 +443,7 @@ fn rot_in_a_resident_twins_copy_is_served_clean_and_left_to_the_scrubber() {
     }
     assert_eq!(verify_pool(&pool).unwrap(), vec![(0, 11)]);
 
-    // The miss copies the resident twin: trusted bytes, no failure seen.
+    // The miss copies its class: trusted bytes, no failure seen.
     hdov_obs::reset();
     hdov_obs::enable();
     let frame = pool.read_frame(&mut cur, PageId(11)).unwrap();
