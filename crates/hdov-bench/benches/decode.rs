@@ -49,7 +49,7 @@ fn frame_vs_copy(c: &mut Criterion) {
     pool.read_frame(&mut cur, PageId(0)).unwrap(); // warm
 
     c.bench_function("decode/frame_hit_arc_clone", |b| {
-        b.iter(|| black_box(pool.read_frame(&mut cur, PageId(0)).unwrap().id()))
+        b.iter(|| black_box(pool.read_frame(&mut cur, PageId(0)).unwrap()))
     });
 
     let mut out = Page::zeroed();

@@ -35,7 +35,6 @@ fn main() {
         &eval.scene,
         LodRTreeConfig {
             view_range: 400.0,
-            bands: 3,
             ..Default::default()
         },
     )

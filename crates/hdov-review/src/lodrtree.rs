@@ -12,32 +12,29 @@
 //! However, its performance degenerates significantly as the user view
 //! changes." (paper §2)
 //!
-//! This implementation issues `bands` query boxes marching along the view
+//! This implementation issues [`BANDS`] query boxes marching along the view
 //! direction — near boxes narrow and high-detail, far boxes wide and coarse —
 //! with a complement-search resident set. The view-dependence weakness is
 //! real here: turning the camera swings the boxes and triggers refetch
 //! storms, which the `ablation_baselines` bench measures.
 
-use crate::system::{ReviewEntry, ReviewResult, ReviewStats};
+use crate::system::{ReviewEntry, ReviewResult, ReviewStats, SPLIT};
 use hdov_geom::{Aabb, Vec3};
-use hdov_rtree::{bulk, RTree, SplitMethod};
+use hdov_rtree::RTree;
 use hdov_scene::{ModelStore, Scene};
 use hdov_storage::{DiskModel, MemPagedFile, Result, SimulatedDisk};
 use std::collections::HashMap;
+
+/// Number of distance bands (each its own query box and LoD level).
+pub const BANDS: usize = 3;
 
 /// LoD-R-tree configuration.
 #[derive(Debug, Clone)]
 pub struct LodRTreeConfig {
     /// Total view range covered by the query boxes (metres).
     pub view_range: f64,
-    /// Number of distance bands (each its own query box and LoD level).
-    pub bands: usize,
     /// R-tree fan-out.
     pub fanout: usize,
-    /// Split algorithm.
-    pub split: SplitMethod,
-    /// Build with STR bulk loading.
-    pub bulk_load: bool,
     /// Disk cost model.
     pub disk: DiskModel,
 }
@@ -46,10 +43,7 @@ impl Default for LodRTreeConfig {
     fn default() -> Self {
         LodRTreeConfig {
             view_range: 400.0,
-            bands: 3,
             fanout: 8,
-            split: SplitMethod::AngTanLinear,
-            bulk_load: false,
             disk: DiskModel::PAPER_ERA,
         }
     }
@@ -69,19 +63,13 @@ pub struct LodRTreeSystem {
 impl LodRTreeSystem {
     /// Builds the system over `scene`.
     pub fn build(scene: &Scene, cfg: LodRTreeConfig) -> Result<Self> {
-        assert!(cfg.bands >= 1, "need at least one band");
         assert!(cfg.view_range > 0.0, "view range must be positive");
         let items: Vec<_> = scene.objects().iter().map(|o| (o.mbr, o.id)).collect();
         let node_disk = SimulatedDisk::new(MemPagedFile::new(), cfg.disk);
-        let mut rtree = if cfg.bulk_load {
-            bulk::bulk_load_with_fanout(node_disk, items, bulk::FILL, cfg.fanout)?
-        } else {
-            let mut t = RTree::with_fanout(node_disk, cfg.split, cfg.fanout)?;
-            for (mbr, id) in items {
-                t.insert(mbr, id)?;
-            }
-            t
-        };
+        let mut rtree = RTree::with_fanout(node_disk, SPLIT, cfg.fanout)?;
+        for (mbr, id) in items {
+            rtree.insert(mbr, id)?;
+        }
         rtree.file_mut().reset_stats();
 
         let mut model_disk = SimulatedDisk::new(MemPagedFile::new(), cfg.disk);
@@ -104,15 +92,15 @@ impl LodRTreeSystem {
     }
 
     /// The band query boxes for a viewer at `viewpoint` looking along `dir`
-    /// (z ignored): band `i` covers distances `[i, i+1] · range/bands` in
+    /// (z ignored): band `i` covers distances `[i, i+1] · range/BANDS` in
     /// front of the viewer, widening with distance like a frustum footprint.
     pub fn band_boxes(&self, viewpoint: Vec3, dir: Vec3) -> Vec<Aabb> {
         let d = Vec3::new(dir.x, dir.y, 0.0)
             .try_normalize()
             .unwrap_or(Vec3::X);
         let side = Vec3::new(-d.y, d.x, 0.0);
-        let step = self.cfg.view_range / self.cfg.bands as f64;
-        (0..self.cfg.bands)
+        let step = self.cfg.view_range / BANDS as f64;
+        (0..BANDS)
             .map(|i| {
                 let near = i as f64 * step;
                 let far = near + step;
@@ -151,7 +139,7 @@ impl LodRTreeSystem {
         ids.sort_unstable();
         for (id, band) in ids {
             // Band → blend factor: nearest band full detail, farthest coarsest.
-            let k = 1.0 - band as f64 / (self.cfg.bands.max(2) - 1) as f64;
+            let k = 1.0 - band as f64 / (BANDS - 1) as f64;
             let level = self.store.select_level(id, k);
             let cached = self.resident.get(&id).is_some_and(|&(l, _)| l == level);
             let h = if cached {
@@ -216,7 +204,6 @@ mod tests {
             scene,
             LodRTreeConfig {
                 view_range: 200.0,
-                bands: 3,
                 ..Default::default()
             },
         )

@@ -1,10 +1,14 @@
 //! The REVIEW system: window queries + complement search.
 
 use hdov_geom::{Aabb, Vec3};
-use hdov_rtree::{bulk, RTree, SplitMethod};
+use hdov_rtree::{RTree, SplitMethod};
 use hdov_scene::{ModelStore, Scene};
 use hdov_storage::{DiskModel, IoStats, MemPagedFile, Result, SimulatedDisk};
 use std::collections::HashMap;
+
+/// The R-tree split algorithm of both baselines (REVIEW and the
+/// LoD-R-tree), whose trees are built by insertion.
+pub const SPLIT: SplitMethod = SplitMethod::AngTanLinear;
 
 /// REVIEW configuration.
 #[derive(Debug, Clone)]
@@ -14,10 +18,6 @@ pub struct ReviewConfig {
     pub box_size: f64,
     /// R-tree fan-out (match the HDoV-tree's for a fair comparison).
     pub fanout: usize,
-    /// Split algorithm.
-    pub split: SplitMethod,
-    /// Build the backbone with STR bulk loading.
-    pub bulk_load: bool,
     /// Disk cost model.
     pub disk: DiskModel,
 }
@@ -27,8 +27,6 @@ impl Default for ReviewConfig {
         ReviewConfig {
             box_size: 400.0,
             fanout: 8,
-            split: SplitMethod::AngTanLinear,
-            bulk_load: false,
             disk: DiskModel::PAPER_ERA,
         }
     }
@@ -142,15 +140,10 @@ impl ReviewSystem {
     pub fn build(scene: &Scene, cfg: ReviewConfig) -> Result<Self> {
         let items: Vec<_> = scene.objects().iter().map(|o| (o.mbr, o.id)).collect();
         let node_disk = SimulatedDisk::new(MemPagedFile::new(), cfg.disk);
-        let mut rtree = if cfg.bulk_load {
-            bulk::bulk_load_with_fanout(node_disk, items, bulk::FILL, cfg.fanout)?
-        } else {
-            let mut t = RTree::with_fanout(node_disk, cfg.split, cfg.fanout)?;
-            for (mbr, id) in items {
-                t.insert(mbr, id)?;
-            }
-            t
-        };
+        let mut rtree = RTree::with_fanout(node_disk, SPLIT, cfg.fanout)?;
+        for (mbr, id) in items {
+            rtree.insert(mbr, id)?;
+        }
         rtree.file_mut().reset_stats();
 
         let mut model_disk = SimulatedDisk::new(MemPagedFile::new(), cfg.disk);

@@ -2,28 +2,33 @@
 //!
 //! The zero-copy read path hands callers an [`Arc<Frame>`] instead of
 //! copying page bytes into a caller-owned buffer. A frame is immutable for
-//! its whole pool residency, so any number of sessions may hold clones of
-//! the same `Arc` while the pool retains (or evicts) its own.
+//! its whole life, so any number of sessions may hold clones of the same
+//! `Arc` while the pool retains (or evicts) its own.
 //!
-//! A frame owns its bytes: one [`Page`] copied out of the store at
-//! admission. When the pool evicts a frame that no session still holds,
-//! its buffer becomes its shard's spare, and the shard's next miss is
-//! copied into it.
+//! A frame owns its bytes and knows nothing of which page id it serves.
+//! Most frames hold one [`Page`] copied out of the store at admission;
+//! when the pool evicts such a frame and no session still holds it, its
+//! buffer becomes its shard's spare, and the shard's next miss is copied
+//! into it. A pread store also builds one frame per **twin class** (a set
+//! of pages with byte-identical contents) when it opens, and a pool
+//! admits a clone of that frame for a miss on any member of the class,
+//! under the member's own page id; such a frame is never recycled.
 //!
 //! Each frame also carries a **decoded overlay**: a `OnceLock` slot that
 //! memoizes the result of decoding the page into a typed object (an
 //! `HdovNode`, a vector of V-pages, …). Every frame memoizes; there is no
-//! policy to turn it off. The overlay is populated at most once per pool
-//! residency — concurrent sessions racing on a cold frame run the decoder
-//! once and everyone shares the same `Arc<T>` — and it is dropped exactly
-//! when the frame itself is evicted, because the pool's `Arc` is the only
-//! long-lived owner. Overlay state is *outside* the simulated-disk cost
-//! model: the pool has counted and charged the read before any decode
+//! policy to turn it off. The overlay is populated at most once per frame
+//! — concurrent sessions racing on a cold frame run the decoder once and
+//! everyone shares the same `Arc<T>` — and it is dropped exactly when the
+//! frame itself is: at eviction for a copied frame, whose pool `Arc` is
+//! its only long-lived owner, and with the store for a twin-class frame,
+//! which the store owns. Overlay state is *outside* the simulated-disk
+//! cost model: the pool has counted and charged the read before any decode
 //! runs, and a decode never reads a page (the `overlay_residency`
 //! integration test checks every pooled overlay against a fresh decode of
 //! its frame's bytes).
 
-use crate::{Page, PageId, Result, StorageError};
+use crate::{Page, Result, StorageError};
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
 
@@ -38,16 +43,14 @@ type DynOverlay = Arc<dyn Any + Send + Sync>;
 /// One immutable pooled page plus its lazily decoded overlay.
 #[derive(Debug)]
 pub struct Frame {
-    id: PageId,
     page: Page,
     overlay: OverlaySlot,
 }
 
 impl Frame {
-    /// A frame owning a page copied out of the store.
-    pub fn new(id: PageId, page: Page) -> Self {
+    /// A frame owning `page`.
+    pub fn new(page: Page) -> Self {
         Frame {
-            id,
             page,
             overlay: OnceLock::new(),
         }
@@ -57,11 +60,6 @@ impl Frame {
     /// the buffer of an evicted frame no session still holds.
     pub fn into_page(self) -> Page {
         self.page
-    }
-
-    /// The page id this frame holds.
-    pub fn id(&self) -> PageId {
-        self.id
     }
 
     /// Raw page bytes.
@@ -77,12 +75,13 @@ impl Frame {
     /// The decoded overlay of this page, decoding with `decode` on first
     /// use.
     ///
-    /// Exactly one caller per residency runs `decode` (under the `OnceLock`
+    /// Exactly one caller per frame runs `decode` (under the `OnceLock`
     /// race, only the winner's closure executes); everyone else gets a clone
     /// of the same `Arc<T>`. Records `decode_misses` for the run that
     /// decoded and `decode_hits` for every memoized return, so for a page
     /// type that is decoded on every pool read, `decode_misses` equals the
-    /// pool's miss count exactly.
+    /// pool's copied misses exactly: a miss that shares a twin-class frame
+    /// decodes only if no earlier reader of the class has.
     ///
     /// # Errors
     /// Propagates the decoder's error (memoized as [`StorageError::Corrupt`]
@@ -141,10 +140,7 @@ impl Frame {
     }
 
     fn type_mismatch(&self) -> StorageError {
-        StorageError::Corrupt(format!(
-            "{} overlay requested as two different types",
-            self.id
-        ))
+        StorageError::Corrupt("page overlay requested as two different types".into())
     }
 }
 
@@ -153,7 +149,7 @@ mod tests {
     use super::*;
 
     fn frame(byte: u8) -> Frame {
-        Frame::new(PageId(7), Page::from_bytes(&[byte; 16]))
+        Frame::new(Page::from_bytes(&[byte; 16]))
     }
 
     #[test]

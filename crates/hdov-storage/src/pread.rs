@@ -9,22 +9,25 @@
 //! Opening a store reads it whole, in fixed chunks of [`OPEN_CHUNK_PAGES`]
 //! pages, to verify every page and to build its **twin classes**
 //! ([`twin_classes`]): the sets of pages whose bytes repeat elsewhere in
-//! the file. The store keeps one verified copy of each class in memory
-//! ([`PreadStore::class_copy`]), shared through the store's `Arc` by every
-//! pool over it, and a pool serves any miss on a class member by copying
-//! it. So the file keeps every copy, memory holds one page per repeated
-//! content (never more than the mem backend keeps for the same pages), and
-//! a miss reads the file only for a page that repeats nowhere.
+//! the file. The store keeps one verified [`Frame`] per class
+//! ([`PreadStore::class_frame`]) with the checksum of its bytes, hashed
+//! once. Every pool over the store shares that frame through the store's
+//! `Arc`: a miss on any class member admits a clone of it, with no copy
+//! and no hash. So the file keeps every copy, memory holds one page per
+//! repeated content (never more than the mem backend keeps for the same
+//! pages), and a miss reads the file only for a page that repeats nowhere.
+//! A class frame lives as long as the store, and so does its decoded
+//! overlay: at most one per class.
 //!
 //! Every physical read issued on the query path bumps
 //! [`Counter::PhysReads`](hdov_obs::Counter::PhysReads) — the observable
 //! the run-coalescing acceptance test asserts on. A miss served by its
-//! class copy issues none (it bumps `twin_copies` instead), and neither do
-//! the reads of [`PreadStore::open`].
+//! class frame issues none (it bumps `twin_copies` instead), and neither
+//! do the reads of [`PreadStore::open`].
 
 use crate::error::StoreOrigin;
 use crate::frozen::{self, StoreLayout};
-use crate::{PageId, Result, StorageError, PAGE_SIZE};
+use crate::{page_checksum, Frame, Page, PageId, Result, StorageError, PAGE_SIZE};
 use std::collections::HashMap;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
@@ -55,7 +58,7 @@ impl PreadStore {
     /// Opens and fully verifies the frozen store at `path` (header, exact
     /// length, checksum table, every page), reading the pages in chunks of
     /// [`OPEN_CHUNK_PAGES`] and building the twin classes, with their
-    /// kept copies, in the same pass.
+    /// frames, in the same pass.
     pub fn open(path: &Path) -> Result<Self> {
         let file = File::open(path)?;
         let layout = frozen::read_layout(&file, path)?;
@@ -113,18 +116,18 @@ impl PreadStore {
         &self.twins.table
     }
 
-    /// Number of twin-class copies held in memory: one page per repeated
+    /// Number of twin-class frames held in memory: one page per repeated
     /// content.
     pub fn class_copies(&self) -> usize {
-        self.twins.copies.len()
+        self.twins.frames.len()
     }
 
-    /// The verified bytes of page `id`'s twin class, kept since open;
-    /// `None` when `id`'s bytes appear nowhere else in the store (or `id`
-    /// is out of bounds).
-    pub fn class_copy(&self, id: PageId) -> Option<&[u8]> {
+    /// The verified frame of page `id`'s twin class, built at open; `None`
+    /// when `id`'s bytes appear nowhere else in the store (or `id` is out
+    /// of bounds).
+    pub fn class_frame(&self, id: PageId) -> Option<&ClassFrame> {
         let class = *self.twins.table.get(usize::try_from(id.0).ok()?)?;
-        (class != NO_TWIN).then(|| &*self.twins.copies[class as usize])
+        (class != NO_TWIN).then(|| &self.twins.frames[class as usize])
     }
 
     fn check(&self, id: PageId) -> Result<()> {
@@ -163,9 +166,37 @@ impl PreadStore {
     }
 }
 
+/// One twin class's shared frame and the checksum of its bytes.
+#[derive(Debug)]
+pub struct ClassFrame {
+    frame: Arc<Frame>,
+    checksum: u64,
+}
+
+impl ClassFrame {
+    /// A frame owning `page`, its checksum hashed once from those bytes.
+    fn new(page: Page) -> Self {
+        ClassFrame {
+            checksum: page_checksum(page.bytes()),
+            frame: Arc::new(Frame::new(page)),
+        }
+    }
+
+    /// The frame every pool over the store admits for a miss on a member.
+    pub fn frame(&self) -> &Arc<Frame> {
+        &self.frame
+    }
+
+    /// [`page_checksum`] of the frame's bytes: a pool compares it with the
+    /// missed member's own sidecar checksum before admitting the frame.
+    pub fn checksum(&self) -> u64 {
+        self.checksum
+    }
+}
+
 /// The `(lowest page id, bytes)` of each distinct content seen under one
 /// repeated checksum.
-type Contents = Vec<(u32, Box<[u8]>)>;
+type Contents = Vec<(u32, Page)>;
 
 /// The twin classes of a store: sets of pages with byte-identical
 /// contents, numbered in the order of their lowest page id.
@@ -174,8 +205,8 @@ pub struct TwinClasses {
     /// The twin table: for every page whose bytes repeat elsewhere in the
     /// store, its class number; [`NO_TWIN`] for every other page.
     pub table: Box<[u32]>,
-    /// One copy of each class's bytes, indexed by class number.
-    pub copies: Box<[Box<[u8]>]>,
+    /// One frame of each class's bytes, indexed by class number.
+    pub frames: Box<[ClassFrame]>,
 }
 
 /// Finds the [`TwinClasses`] of a store.
@@ -185,7 +216,7 @@ pub struct TwinClasses {
 /// `checksums` are looked at: each is compared byte for byte with one kept
 /// representative of every distinct content seen under its checksum, so an
 /// equal checksum alone never makes two pages twins. The representatives
-/// that found a twin become the class copies; the others are freed before
+/// that found a twin become the class frames; the others are freed before
 /// this returns. The checksums come from the store file, so the maps keyed
 /// by them keep the default (flooding-resistant) hasher.
 pub fn twin_classes(
@@ -209,15 +240,15 @@ pub fn twin_classes(
             return;
         }
         let group = reps.entry(sum).or_default();
-        match group.iter().find(|(_, rep)| **rep == *bytes) {
+        match group.iter().find(|(_, rep)| rep.bytes() == bytes) {
             Some(&(class, _)) => {
                 classes[class as usize] = class;
                 classes[id as usize] = class;
             }
-            None => group.push((id32, bytes.into())),
+            None => group.push((id32, Page::from_bytes(bytes))),
         }
     })?;
-    let mut kept: Vec<(u32, Box<[u8]>)> = reps
+    let mut kept: Vec<(u32, Page)> = reps
         .into_values()
         .flatten()
         .filter(|&(id, _)| classes[id as usize] == id)
@@ -228,7 +259,10 @@ pub fn twin_classes(
     }
     Ok(TwinClasses {
         table: classes,
-        copies: kept.into_iter().map(|(_, bytes)| bytes).collect(),
+        frames: kept
+            .into_iter()
+            .map(|(_, page)| ClassFrame::new(page))
+            .collect(),
     })
 }
 
@@ -310,19 +344,22 @@ mod tests {
     #[test]
     fn equal_pages_share_one_class_numbered_by_lowest_id() {
         let pages: Vec<Vec<u8>> = [9u64, 7, 1, 7, 2, 1, 7].map(tagged).to_vec();
-        let TwinClasses { table, copies } = classes_of(&pages);
+        let TwinClasses { table, frames } = classes_of(&pages);
         assert_eq!(&*table, &[NO_TWIN, 0, 1, 0, NO_TWIN, 1, 0]);
-        assert_eq!(copies.len(), 2);
-        assert_eq!(&*copies[0], &tagged(7)[..]);
-        assert_eq!(&*copies[1], &tagged(1)[..]);
+        assert_eq!(frames.len(), 2);
+        assert_eq!(frames[0].frame().bytes(), &tagged(7)[..]);
+        assert_eq!(frames[1].frame().bytes(), &tagged(1)[..]);
+        for (class, tag) in frames.iter().zip([7, 1]) {
+            assert_eq!(class.checksum(), crate::page_checksum(&tagged(tag)));
+        }
     }
 
     #[test]
     fn unique_pages_have_no_class() {
         let pages: Vec<Vec<u8>> = (0..5).map(tagged).collect();
-        let TwinClasses { table, copies } = classes_of(&pages);
+        let TwinClasses { table, frames } = classes_of(&pages);
         assert!(table.iter().all(|&c| c == NO_TWIN));
-        assert!(copies.is_empty());
+        assert!(frames.is_empty());
         assert!(classes_of(&[]).table.is_empty());
     }
 
@@ -331,10 +368,13 @@ mod tests {
         // A forged table: every page claims one checksum. Pages 0 and 2
         // differ in bytes from 1 and 3, which are equal.
         let pages: Vec<Vec<u8>> = [4u64, 9, 5, 9].map(tagged).to_vec();
-        let TwinClasses { table, copies } = classes_with(&[42; 4], &pages);
+        let TwinClasses { table, frames } = classes_with(&[42; 4], &pages);
         assert_eq!(&*table, &[NO_TWIN, 0, NO_TWIN, 0]);
-        assert_eq!(copies.len(), 1);
-        assert_eq!(&*copies[0], &tagged(9)[..]);
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].frame().bytes(), &tagged(9)[..]);
+        // The class checksum is hashed from the bytes, not taken from the
+        // (forged) table.
+        assert_eq!(frames[0].checksum(), crate::page_checksum(&tagged(9)));
     }
 
     /// A store of more pages than one open chunk in which pages 3, 40, 70
@@ -368,27 +408,28 @@ mod tests {
     }
 
     #[test]
-    fn every_class_copy_equals_each_members_file_bytes() {
+    fn every_class_frame_equals_each_members_file_bytes() {
         let (path, s) = twin_store("copies");
         let mut members = 0;
         let mut bytes = vec![0u8; PAGE_SIZE];
         for id in (0..s.page_count()).map(PageId) {
             s.read_into(id, &mut bytes).unwrap();
-            match s.class_copy(id) {
-                Some(copy) => {
-                    assert_eq!(copy, &bytes[..], "{id}");
+            match s.class_frame(id) {
+                Some(class) => {
+                    assert_eq!(class.frame().bytes(), &bytes[..], "{id}");
+                    assert_eq!(class.checksum(), s.checksums()[id.0 as usize], "{id}");
                     members += 1;
                 }
                 None => assert_eq!(s.twins()[id.0 as usize], NO_TWIN, "{id}"),
             }
         }
         assert_eq!(members, 6);
-        assert!(s.class_copy(PageId(s.page_count())).is_none());
+        assert!(s.class_frame(PageId(s.page_count())).is_none());
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
-    fn the_store_keeps_one_copy_per_twin_class() {
+    fn the_store_keeps_one_frame_per_twin_class() {
         let (path, s) = twin_store("one_copy");
         let mut classes: Vec<u32> = s
             .twins()
@@ -400,12 +441,12 @@ mod tests {
         classes.dedup();
         assert_eq!(s.class_copies(), classes.len());
         assert_eq!(s.class_copies(), 2);
-        // Members of one class share its one copy.
+        // Members of one class share its one frame.
         let (a, b) = (
-            s.class_copy(PageId(3)).unwrap(),
-            s.class_copy(PageId(71)).unwrap(),
+            s.class_frame(PageId(3)).unwrap(),
+            s.class_frame(PageId(71)).unwrap(),
         );
-        assert!(std::ptr::eq(a, b));
+        assert!(Arc::ptr_eq(a.frame(), b.frame()));
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
@@ -416,7 +457,7 @@ mod tests {
         let s = PreadStore::open(&path).unwrap();
         assert_eq!(s.class_copies(), 0);
         assert!(s.twins().iter().all(|&c| c == NO_TWIN));
-        assert!((0..s.page_count()).all(|id| s.class_copy(PageId(id)).is_none()));
+        assert!((0..s.page_count()).all(|id| s.class_frame(PageId(id)).is_none()));
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

@@ -16,8 +16,9 @@
 //!   verified against the store's checksum table before admission, with
 //!   transient failures retried and replicas failed over to. On a pread
 //!   store, a miss on a page whose bytes repeat elsewhere in the store
-//!   copies the store's kept copy of that twin class instead of reading
-//!   the file; the copy is charged and counted as the read would have been.
+//!   admits the store's shared frame of that twin class instead of reading
+//!   the file, after comparing the frame's checksum with the page's own;
+//!   the miss is charged and counted as the read would have been.
 //!
 //! Each session carries its own [`IoCursor`], because a disk-head position
 //! cannot be shared state once N sessions interleave. The cursor is the
@@ -79,7 +80,8 @@ impl Shard {
     }
 
     /// Keeps the buffer of an `evicted` frame as the spare when no session
-    /// still holds that frame.
+    /// still holds that frame. A twin-class frame is never recycled: its
+    /// store holds it for as long as the store is open.
     fn recycle(&mut self, evicted: Arc<Frame>) {
         if self.spare.is_none() {
             self.spare = Arc::try_unwrap(evicted).ok().map(Frame::into_page);
@@ -176,7 +178,7 @@ impl FrozenPages {
     /// Number of distinct page buffers this store keeps: one per distinct
     /// content on the mem backend, whose build interns pages, and the page
     /// count on pread, whose file keeps every copy. A pread store also
-    /// holds one verified copy per twin class in memory
+    /// holds one verified frame per twin class in memory
     /// ([`PreadStore::class_copies`]), never more than the mem count for
     /// the same pages.
     pub fn distinct_pages(&self) -> u64 {
@@ -299,10 +301,12 @@ impl FrozenPages {
 /// serializing on one lock.
 ///
 /// Shards hold [`Arc<Frame>`]s: the zero-copy [`read_frame`] hands back a
-/// clone of the pooled `Arc` (a pointer bump, no page memcpy), and the
-/// frame's decoded overlay lives exactly as long as the frame stays pooled
-/// — eviction drops the pool's `Arc`, and the overlay dies with the last
-/// session reference.
+/// clone of the pooled `Arc` (a pointer bump, no page memcpy), and a
+/// copied frame's decoded overlay lives exactly as long as the frame stays
+/// pooled — eviction drops the pool's `Arc`, and the overlay dies with the
+/// last session reference. A twin-class frame of a pread store is owned by
+/// the store, so its overlay outlives eviction and is shared by every
+/// member of the class in every pool over the store.
 ///
 /// [`read_frame`]: Self::read_frame
 #[derive(Debug)]
@@ -627,9 +631,10 @@ impl SharedCachedFile {
     /// The zero-copy hot path: a pool hit clones the pooled `Arc` (no page
     /// memcpy) and costs nothing; a miss copies the page out of the frozen
     /// store exactly once into a frame (reusing the shard's spare buffer
-    /// when it has one), charges `cursor` by the simulated-disk rule, and
-    /// installs the frame (possibly evicting the shard's LRU frame, whose
-    /// decoded overlay dies with it). Every probe
+    /// when it has one) or shares its twin class's frame, charges `cursor`
+    /// by the simulated-disk rule, and installs the frame (possibly
+    /// evicting the shard's LRU frame, whose decoded overlay dies with it
+    /// unless the store owns it). Every probe
     /// is reported to `hdov-obs` (cache-probe span plus a hit/miss counter,
     /// and `bytes_copied_saved` for the memcpy a copying read would have
     /// done) — observational only, never part of the simulated cost model.
@@ -658,9 +663,11 @@ impl SharedCachedFile {
     /// poison never enters the pool: its buffer goes back to the shard as
     /// the spare, which every later fetch overwrites whole.
     ///
-    /// A miss that copies its twin class ([`copy_twin`](Self::copy_twin))
-    /// skips `fetch` and is charged, counted and admitted exactly like any
-    /// other.
+    /// A miss that shares its twin class's frame
+    /// ([`class_frame`](Self::class_frame)) skips `fetch`, takes no buffer
+    /// and copies nothing, and is charged, counted and admitted exactly like
+    /// any other, under its own page id. Evicting that frame later frees no
+    /// spare.
     fn probe(
         &self,
         cursor: &mut IoCursor,
@@ -675,14 +682,20 @@ impl SharedCachedFile {
             hdov_obs::add(hdov_obs::Counter::PoolHits, 1);
             return Ok(Arc::clone(frame));
         }
-        let mut page = shard.buffer();
-        if !self.copy_twin(id, &mut page) {
-            if let Err(e) = fetch(cursor, &mut page) {
-                shard.spare = Some(page);
-                return Err(e);
+        let frame = match self.class_frame(id) {
+            Some(class) => {
+                hdov_obs::add(hdov_obs::Counter::TwinCopies, 1);
+                Arc::clone(class)
             }
-        }
-        let frame = Arc::new(Frame::new(id, page));
+            None => {
+                let mut page = shard.buffer();
+                if let Err(e) = fetch(cursor, &mut page) {
+                    shard.spare = Some(page);
+                    return Err(e);
+                }
+                Arc::new(Frame::new(page))
+            }
+        };
         cursor.charge_read(id, self.model);
         self.misses.fetch_add(1, Ordering::Relaxed);
         hdov_obs::add(hdov_obs::Counter::PoolMisses, 1);
@@ -692,32 +705,19 @@ impl SharedCachedFile {
         Ok(frame)
     }
 
-    /// Fills `page` for a miss on `id` from the store's kept copy of its
-    /// twin class ([`class_copy`](Self::class_copy)), verified against
-    /// `id`'s own sidecar checksum like every miss; false when there is no
-    /// such copy or it fails the check. Issues no read: `id`'s own copy in
-    /// the file is never read for a miss, so rot there is left to the
-    /// scrubber.
-    fn copy_twin(&self, id: PageId, page: &mut Page) -> bool {
-        let Some(class) = self.class_copy(id) else {
-            return false;
-        };
-        page.bytes_mut().copy_from_slice(class);
-        if page_checksum(page.bytes()) != self.checksums[id.0 as usize] {
-            return false;
-        }
-        hdov_obs::add(hdov_obs::Counter::TwinCopies, 1);
-        true
-    }
-
-    /// The bytes a miss on `id` copies instead of reading: the pread
-    /// store's copy of `id`'s twin class. `None` on mem stores (where a
+    /// The frame a miss on `id` shares instead of reading: the pread
+    /// store's frame of `id`'s twin class, verified against `id`'s own
+    /// sidecar checksum like every miss (by the class checksum the store
+    /// hashed once from the frame's bytes). `None` on mem stores (where a
     /// miss already copies memory), for a page whose bytes repeat nowhere,
-    /// and while faults are armed (each miss then draws from the fault
-    /// stream).
-    fn class_copy(&self, id: PageId) -> Option<&[u8]> {
-        let class = self.data.pread_store()?.class_copy(id)?;
-        (!self.replicas.any_faults()).then_some(class)
+    /// when the checksums differ, and while faults are armed (each miss
+    /// then draws from the fault stream). Issues no read: `id`'s own copy
+    /// in the file is never read for such a miss, so rot there is left to
+    /// the scrubber.
+    fn class_frame(&self, id: PageId) -> Option<&Arc<Frame>> {
+        let class = self.data.pread_store()?.class_frame(id)?;
+        let trusted = class.checksum() == self.checksums[id.0 as usize];
+        (trusted && !self.replicas.any_faults()).then(|| class.frame())
     }
 
     /// Reads the contiguous `len`-page run starting at `first` into the
@@ -748,7 +748,7 @@ impl SharedCachedFile {
     /// is the *physical* I/O: when any page of the run is missing, the pread
     /// backend issues **one** `pread` from the first missing page outside a
     /// twin class to the end of the run (later misses are then installed
-    /// from that buffer or their class copy, each verified against its
+    /// from that buffer or their class frame, each verified against its
     /// sidecar checksum, not re-read page by page). The mem backend issues
     /// none.
     /// Each call bumps `prefetch_runs`; the physical operations bump
@@ -769,8 +769,8 @@ impl SharedCachedFile {
     /// [`probe`](Self::probe)s the `len`-page run at `first` in ascending
     /// order.
     ///
-    /// On a pread store with no faults armed, a miss in a twin class copies
-    /// the class and reads nothing (see [`probe`](Self::probe)); the first
+    /// On a pread store with no faults armed, a miss in a twin class shares
+    /// the class frame and reads nothing (see [`probe`](Self::probe)); the first
     /// other miss that is not the run's last page reads every page from it
     /// to the end of the run with one `pread`. Later misses are installed
     /// from that buffer after their own checksum check; a page that fails
@@ -830,12 +830,13 @@ impl SharedCachedFile {
         lock_shard(self.shard(id)).frames.peek(&id.0).is_some()
     }
 
-    /// True if a miss on page `id` copies its twin class (the store's copy
-    /// of a page with byte-identical contents) instead of reading the store
-    /// (no promotion, no counters). Always false on mem stores, for a page
-    /// whose bytes repeat nowhere and while faults are armed.
-    pub fn miss_copies_class(&self, id: PageId) -> bool {
-        self.class_copy(id).is_some()
+    /// True if a miss on page `id` shares its twin class's frame (the
+    /// store's frame of a page with byte-identical contents) instead of
+    /// reading the store (no promotion, no counters). Always false on mem
+    /// stores, for a page whose bytes repeat nowhere and while faults are
+    /// armed.
+    pub fn miss_shares_class(&self, id: PageId) -> bool {
+        self.class_frame(id).is_some()
     }
 }
 

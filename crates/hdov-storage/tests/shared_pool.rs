@@ -8,19 +8,21 @@
 //!    eviction and simulated-cost accounting for the same access trace,
 //! 3. recycled frame buffers: a frame a session still holds is never
 //!    recycled, and a failed miss leaks none of its bytes into the next,
-//! 4. twin copies on pread stores: a miss on a page whose bytes repeat
-//!    elsewhere in the store copies the store's copy of that class with no
-//!    physical read, and is charged and counted exactly as the read; it
-//!    does so cold, after evictions and in a capacity-0 pool, armed faults
-//!    send it back to the file, and rot in a class member's own copy is
-//!    left to the scrubber.
+//! 4. twin classes on pread stores: a miss on a page whose bytes repeat
+//!    elsewhere in the store admits the store's frame of that class with
+//!    no physical read, and is charged and counted exactly as the read; it
+//!    does so cold, after evictions and in a capacity-0 pool, every pool
+//!    and fork over the store shares the one frame and its one decoded
+//!    overlay, evicting it frees no spare buffer, armed faults send it back
+//!    to the file, and rot in a class member's own copy is left to the
+//!    scrubber.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use hdov_storage::{
-    verify_pool, DiskModel, FaultPlan, FrozenPages, IoCursor, LruCache, MemPagedFile, Page, PageId,
-    PagedFile, ScrubConfig, Scrubber, SharedCachedFile, SimulatedDisk,
+    verify_pool, DiskModel, FaultPlan, Frame, FrozenPages, IoCursor, LruCache, MemPagedFile, Page,
+    PageId, PagedFile, ScrubConfig, Scrubber, SharedCachedFile, SimulatedDisk,
 };
 
 const N_PAGES: u64 = 64;
@@ -288,7 +290,7 @@ fn tag_of(pool: &SharedCachedFile, cursor: &mut IoCursor, id: u64) -> u64 {
 }
 
 #[test]
-fn a_class_miss_copies_without_a_read_and_is_charged_the_same() {
+fn a_class_miss_shares_without_a_read_and_is_charged_the_same() {
     let _g = serial();
     let dir = tmp("copy");
     let twins = SharedCachedFile::new(
@@ -313,8 +315,8 @@ fn a_class_miss_copies_without_a_read_and_is_charged_the_same() {
     };
 
     // Cold: page 3 shares its bytes with page 11, so even its first miss
-    // copies the class and reads nothing.
-    assert!(twins.miss_copies_class(PageId(3)) && !unique.miss_copies_class(PageId(3)));
+    // shares the class frame and reads nothing.
+    assert!(twins.miss_shares_class(PageId(3)) && !unique.miss_shares_class(PageId(3)));
     assert_eq!(
         io_counts(|| assert_eq!(tag_of(&twins, &mut ct, 3), 3)),
         (0, 1)
@@ -329,7 +331,7 @@ fn a_class_miss_copies_without_a_read_and_is_charged_the_same() {
     same_accounting(&ct, &cu, "twin miss");
 
     // Page 5 repeats nowhere: its miss reads the file.
-    assert!(!twins.miss_copies_class(PageId(5)));
+    assert!(!twins.miss_shares_class(PageId(5)));
     assert_eq!(
         io_counts(|| assert_eq!(tag_of(&twins, &mut ct, 5), 5)),
         (1, 0)
@@ -337,7 +339,8 @@ fn a_class_miss_copies_without_a_read_and_is_charged_the_same() {
     tag_of(&unique, &mut cu, 5);
     same_accounting(&ct, &cu, "unique miss");
 
-    // Runs: 0..4 copies its three misses, no read; 4..8 reads once.
+    // Runs: 0..4 shares the class frames of its three misses, no read;
+    // 4..8 reads once.
     assert_eq!(
         io_counts(|| twins.read_run(&mut ct, PageId(0), 4).unwrap()),
         (0, 3)
@@ -356,7 +359,7 @@ fn a_class_miss_copies_without_a_read_and_is_charged_the_same() {
     }
     same_accounting(&ct, &cu, "run hits");
 
-    // The run 8..16 copies 8, 9 and 10, hits 11, and starts its one read
+    // The run 8..16 shares for 8, 9 and 10, hits 11, and starts its one read
     // at 12, its first miss outside a class.
     assert_eq!(
         io_counts(|| twins.read_run(&mut ct, PageId(8), 8).unwrap()),
@@ -371,7 +374,7 @@ fn a_class_miss_copies_without_a_read_and_is_charged_the_same() {
 }
 
 #[test]
-fn evicted_twins_and_capacity_0_pools_copy_but_armed_faults_read_the_file() {
+fn evicted_twins_and_capacity_0_pools_share_but_armed_faults_read_the_file() {
     let _g = serial();
     let dir = tmp("evicted");
     let data = store(&dir, "twins", twin_tag, false);
@@ -384,11 +387,11 @@ fn evicted_twins_and_capacity_0_pools_copy_but_armed_faults_read_the_file() {
     let mut cur = IoCursor::new();
     assert_eq!(counts(&pool, &mut cur, 3), (0, 1));
     assert_eq!(counts(&pool, &mut cur, 11), (0, 1));
-    // With both evicted, a miss on either still copies the class.
+    // With both evicted, a miss on either still shares the class frame.
     assert_eq!(counts(&pool, &mut cur, 4), (1, 0));
     assert_eq!(counts(&pool, &mut cur, 5), (1, 0));
     assert!(!pool.contains(PageId(3)) && !pool.contains(PageId(11)));
-    assert!(pool.miss_copies_class(PageId(3)) && pool.miss_copies_class(PageId(11)));
+    assert!(pool.miss_shares_class(PageId(3)) && pool.miss_shares_class(PageId(11)));
     assert_eq!(counts(&pool, &mut cur, 3), (0, 1));
     // So does one whose twin a session holds past its eviction.
     let held = pool.read_frame(&mut cur, PageId(3)).unwrap();
@@ -398,7 +401,7 @@ fn evicted_twins_and_capacity_0_pools_copy_but_armed_faults_read_the_file() {
     assert_eq!(counts(&pool, &mut cur, 11), (0, 1));
     drop(held);
 
-    // A capacity-0 pool keeps nothing, and copies all the same.
+    // A capacity-0 pool keeps nothing, and shares all the same.
     let none = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 0, 1);
     let mut cur = IoCursor::new();
     assert_eq!(counts(&none, &mut cur, 3), (0, 1));
@@ -408,12 +411,12 @@ fn evicted_twins_and_capacity_0_pools_copy_but_armed_faults_read_the_file() {
     assert_eq!(none.hit_stats(), (0, 4));
 
     // Faults armed (a plan that injects nothing): every miss draws from
-    // the fault stream, so the class is not copied.
+    // the fault stream, so the class frame is not shared.
     let pool = SharedCachedFile::new(data, DiskModel::PAPER_ERA, 8, 2);
     let mut cur = IoCursor::new();
     tag_of(&pool, &mut cur, 3);
     let injector = pool.arm_faults(&FaultPlan::default());
-    assert!(!pool.miss_copies_class(PageId(11)));
+    assert!(!pool.miss_shares_class(PageId(11)));
     assert_eq!(counts(&pool, &mut cur, 11), (1, 0));
     assert_eq!(injector.reads(), 1);
     std::fs::remove_dir_all(&dir).ok();
@@ -443,7 +446,7 @@ fn rot_in_a_class_members_copy_is_served_clean_and_left_to_the_scrubber() {
     }
     assert_eq!(verify_pool(&pool).unwrap(), vec![(0, 11)]);
 
-    // The miss copies its class: trusted bytes, no failure seen.
+    // The miss shares its class frame: trusted bytes, no failure seen.
     hdov_obs::reset();
     hdov_obs::enable();
     let frame = pool.read_frame(&mut cur, PageId(11)).unwrap();
@@ -466,5 +469,135 @@ fn rot_in_a_class_members_copy_is_served_clean_and_left_to_the_scrubber() {
         .unwrap();
     assert_eq!((report.corrupt_found, report.repaired), (1, 1));
     assert!(verify_pool(&pool).unwrap().is_empty(), "healed on disk");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The store's frame of page `id`'s twin class.
+fn class_frame(data: &FrozenPages, id: u64) -> Arc<Frame> {
+    let class = data.pread_store().unwrap().class_frame(PageId(id)).unwrap();
+    Arc::clone(class.frame())
+}
+
+#[test]
+fn class_members_share_one_frame_across_pools_and_forks() {
+    let _g = serial();
+    let dir = tmp("shared_frame");
+    let data = store(&dir, "twins", twin_tag, false);
+    let a = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 8, 2);
+    let b = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 8, 2);
+    let fork = a.fork();
+    let (mut ca, mut cb, mut cf) = (IoCursor::new(), IoCursor::new(), IoCursor::new());
+    let class = class_frame(&data, 3);
+    let frames = [
+        a.read_frame(&mut ca, PageId(3)).unwrap(),
+        a.read_frame(&mut ca, PageId(11)).unwrap(),
+        b.read_frame(&mut cb, PageId(11)).unwrap(),
+        fork.read_frame(&mut cf, PageId(3)).unwrap(),
+    ];
+    for frame in &frames {
+        assert!(Arc::ptr_eq(frame, &class));
+    }
+    // A run's class misses admit the same frame; pooled under each
+    // member's own id, it then serves hits.
+    fork.read_run(&mut cf, PageId(8), 4).unwrap();
+    for (member, twin) in (8..12).zip(0..4) {
+        let frame = fork.read_frame(&mut cf, PageId(member)).unwrap();
+        assert!(Arc::ptr_eq(&frame, &class_frame(&data, twin)), "{member}");
+    }
+    assert_eq!(fork.hit_stats(), (4, 5));
+    // A page that repeats nowhere is copied into a frame of each pool.
+    let (x, y) = (
+        a.read_frame(&mut ca, PageId(5)).unwrap(),
+        b.read_frame(&mut cb, PageId(5)).unwrap(),
+    );
+    assert!(!Arc::ptr_eq(&x, &y));
+    assert!(data.pread_store().unwrap().class_frame(PageId(5)).is_none());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_class_overlay_is_decoded_once_across_members_and_outlives_eviction() {
+    let _g = serial();
+    let dir = tmp("overlay");
+    let data = store(&dir, "twins", twin_tag, false);
+    // One single-frame shard: every miss evicts the previous frame.
+    let a = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 1, 1);
+    let b = a.fork();
+    let (mut ca, mut cb) = (IoCursor::new(), IoCursor::new());
+    let mut decodes = 0;
+    let mut decode = |frame: &Frame| -> u64 {
+        *frame
+            .overlay(|p| {
+                decodes += 1;
+                Ok(u64::from_le_bytes(p[..8].try_into().unwrap()))
+            })
+            .unwrap()
+    };
+    assert_eq!(decode(&a.read_frame(&mut ca, PageId(3)).unwrap()), 3);
+    assert_eq!(decode(&b.read_frame(&mut cb, PageId(11)).unwrap()), 3);
+    // Page 3 is evicted from `a` and missed again: the class frame comes
+    // back with its overlay, which the store kept.
+    assert_eq!(decode(&a.read_frame(&mut ca, PageId(4)).unwrap()), 4);
+    assert!(!a.contains(PageId(3)));
+    let again = a.read_frame(&mut ca, PageId(3)).unwrap();
+    assert!(again.has_overlay());
+    assert_eq!(decode(&again), 3);
+    assert_eq!(decodes, 2, "one decode for the class, one for page 4");
+    assert_eq!(a.hit_stats(), (0, 3));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn evicting_a_class_frame_frees_no_spare_and_never_overwrites_it() {
+    let _g = serial();
+    let dir = tmp("no_spare");
+    let data = store(&dir, "twins", twin_tag, false);
+    let class = class_frame(&data, 3);
+    let bytes = class.bytes().to_vec();
+    let pool = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 1, 1);
+    let mut cur = IoCursor::new();
+    // Class misses and copied misses, alternating, each evicting the last.
+    for round in 0..3 {
+        for id in [3, 5, 11, 6, 0, 7] {
+            let frame = pool.read_frame(&mut cur, PageId(id)).unwrap();
+            assert_eq!(&frame.bytes()[..8], &twin_tag(id).to_le_bytes(), "{round}");
+            assert_eq!(class.bytes(), &bytes[..], "round {round}, page {id}");
+        }
+    }
+    assert_eq!(pool.hit_stats(), (0, 18));
+    // With the pool gone, only the store and this test hold the frame.
+    drop(pool);
+    assert_eq!(Arc::strong_count(&class), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn with_faults_armed_class_misses_read_the_file() {
+    let _g = serial();
+    let dir = tmp("faulted");
+    let data = store(&dir, "twins", twin_tag, false);
+    let pool = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 8, 2);
+    let injector = pool.arm_faults(&FaultPlan::default());
+    let mut cur = IoCursor::new();
+    for id in [3, 11] {
+        assert!(!pool.miss_shares_class(PageId(id)));
+        let (frame, counts) = {
+            let mut frame = None;
+            let counts = io_counts(|| frame = Some(pool.read_frame(&mut cur, PageId(id)).unwrap()));
+            (frame.unwrap(), counts)
+        };
+        assert_eq!(counts, (1, 0), "page {id}");
+        assert!(!Arc::ptr_eq(&frame, &class_frame(&data, id)));
+        assert_eq!(&frame.bytes()[..8], &3u64.to_le_bytes());
+    }
+    // A run over the class pages fetches each miss on its own.
+    assert_eq!(
+        io_counts(|| pool.read_run(&mut cur, PageId(8), 3).unwrap()),
+        (3, 0)
+    );
+    assert_eq!(injector.reads(), 5);
+    // Disarming stops injection, not the fault path: misses still read.
+    injector.disarm();
+    assert!(!pool.miss_shares_class(PageId(0)));
     std::fs::remove_dir_all(&dir).ok();
 }
