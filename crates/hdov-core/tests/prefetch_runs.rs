@@ -5,9 +5,10 @@
 //!   file backend — never one per page.
 //! * A LoD fetch on the pread path reads the LoD's pages as one run: one
 //!   `pread` per LoD with at least one pool miss on a page whose bytes
-//!   repeat nowhere in the store (a miss on a repeated page copies its
-//!   twin class and reads nothing), while probes, charges and counters stay
-//!   exactly those of a page-by-page read, with or without faults armed.
+//!   repeat nowhere in the store (a miss on a repeated page shares the
+//!   store's frame of its twin class and reads nothing), while probes,
+//!   charges and counters stay exactly those of a page-by-page read, with
+//!   or without faults armed.
 //!
 //! Lives in its own integration-test binary because it asserts on the
 //! process-global observability recorder (like `obs_wiring`). The tests
@@ -159,8 +160,9 @@ impl PerPage {
 
     /// Replays the LoD fetches of `scratch`'s answer in emission order,
     /// page by page; returns how many of them need a physical read: a miss
-    /// on a page whose bytes repeat in the store copies its twin class, so a
-    /// LoD reads once exactly when it misses a page outside every class.
+    /// on a page whose bytes repeat in the store shares the store's frame of
+    /// its twin class, so a LoD reads once exactly when it misses a page
+    /// outside every class.
     fn replay(&mut self, env: &SharedEnvironment, scratch: &SearchScratch) -> u64 {
         let mut with_read = 0;
         for e in scratch.result().entries() {

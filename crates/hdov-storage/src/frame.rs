@@ -5,14 +5,23 @@
 //! its whole life, so any number of sessions may hold clones of the same
 //! `Arc` while the pool retains (or evicts) its own.
 //!
-//! A frame owns its bytes and knows nothing of which page id it serves.
-//! Most frames hold one [`Page`] copied out of the store at admission;
-//! when the pool evicts such a frame and no session still holds it, its
-//! buffer becomes its shard's spare, and the shard's next miss is copied
-//! into it. A pread store also builds one frame per **twin class** (a set
-//! of pages with byte-identical contents) when it opens, and a pool
-//! admits a clone of that frame for a miss on any member of the class,
-//! under the member's own page id; such a frame is never recycled.
+//! A frame is an immutable `Arc<[u8]>` of page bytes plus its overlay
+//! slot, and knows nothing of which page id it serves. Its bytes come from
+//! one of three places:
+//!
+//! * **the mem store's own buffer** — a pool miss on a mem store with no
+//!   faults armed admits a frame over the store's interned `Arc<[u8]>` of
+//!   the page (a reference-count bump, no copy);
+//! * **a pool buffer** — a pread miss on a page whose bytes repeat nowhere,
+//!   and every miss while faults are armed, is copied into a buffer the
+//!   pool owns alone. When the pool evicts such a frame and no session
+//!   still holds it, the buffer becomes its shard's spare, and the shard's
+//!   next copying miss is filled into it. Only a uniquely owned buffer is
+//!   ever recycled, so a store's bytes never become a spare;
+//! * **a twin class** — a pread store builds one frame per twin class (a
+//!   set of pages with byte-identical contents) when it opens, and a pool
+//!   admits a clone of that frame for a miss on any member of the class,
+//!   under the member's own page id; such a frame is never recycled.
 //!
 //! Each frame also carries a **decoded overlay**: a `OnceLock` slot that
 //! memoizes the result of decoding the page into a typed object (an
@@ -20,15 +29,17 @@
 //! policy to turn it off. The overlay is populated at most once per frame
 //! — concurrent sessions racing on a cold frame run the decoder once and
 //! everyone shares the same `Arc<T>` — and it is dropped exactly when the
-//! frame itself is: at eviction for a copied frame, whose pool `Arc` is
-//! its only long-lived owner, and with the store for a twin-class frame,
-//! which the store owns. Overlay state is *outside* the simulated-disk
-//! cost model: the pool has counted and charged the read before any decode
-//! runs, and a decode never reads a page (the `overlay_residency`
-//! integration test checks every pooled overlay against a fresh decode of
-//! its frame's bytes).
+//! frame itself is: at eviction for a pool's own frame (mem-shared or
+//! copied), whose pool `Arc` is its only long-lived owner, and with the
+//! store for a twin-class frame, which the store owns. Sharing a mem
+//! store's bytes shares no overlay: each pool frame over them decodes on
+//! its own. Overlay state is *outside* the simulated-disk cost model: the
+//! pool has counted and charged the read before any decode runs, and a
+//! decode never reads a page (the `overlay_residency` integration test
+//! checks every pooled overlay against a fresh decode of its frame's
+//! bytes).
 
-use crate::{Page, Result, StorageError};
+use crate::{Result, StorageError};
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
 
@@ -43,28 +54,30 @@ type DynOverlay = Arc<dyn Any + Send + Sync>;
 /// One immutable pooled page plus its lazily decoded overlay.
 #[derive(Debug)]
 pub struct Frame {
-    page: Page,
+    bytes: Arc<[u8]>,
     overlay: OverlaySlot,
 }
 
 impl Frame {
-    /// A frame owning `page`.
-    pub fn new(page: Page) -> Self {
+    /// A frame over `bytes`, which it may share with a store or other
+    /// frames, with an empty overlay slot.
+    pub fn new(bytes: Arc<[u8]>) -> Self {
         Frame {
-            page,
+            bytes,
             overlay: OnceLock::new(),
         }
     }
 
     /// The frame's page buffer, its overlay dropped — how the pool recycles
-    /// the buffer of an evicted frame no session still holds.
-    pub fn into_page(self) -> Page {
-        self.page
+    /// the buffer of an evicted frame no session still holds (when the
+    /// buffer is not shared with a store).
+    pub fn into_bytes(self) -> Arc<[u8]> {
+        self.bytes
     }
 
     /// Raw page bytes.
     pub fn bytes(&self) -> &[u8] {
-        self.page.bytes()
+        &self.bytes
     }
 
     /// Whether the overlay slot is populated (for residency tests).
@@ -80,8 +93,9 @@ impl Frame {
     /// of the same `Arc<T>`. Records `decode_misses` for the run that
     /// decoded and `decode_hits` for every memoized return, so for a page
     /// type that is decoded on every pool read, `decode_misses` equals the
-    /// pool's copied misses exactly: a miss that shares a twin-class frame
-    /// decodes only if no earlier reader of the class has.
+    /// pool's misses that admitted a frame of their own (every miss on a
+    /// mem store): a miss that shares a twin-class frame decodes only if no
+    /// earlier reader of the class has.
     ///
     /// # Errors
     /// Propagates the decoder's error (memoized as [`StorageError::Corrupt`]
@@ -149,7 +163,7 @@ mod tests {
     use super::*;
 
     fn frame(byte: u8) -> Frame {
-        Frame::new(Page::from_bytes(&[byte; 16]))
+        Frame::new(Arc::from([byte; 16]))
     }
 
     #[test]

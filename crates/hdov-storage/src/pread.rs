@@ -27,7 +27,7 @@
 
 use crate::error::StoreOrigin;
 use crate::frozen::{self, StoreLayout};
-use crate::{page_checksum, Frame, Page, PageId, Result, StorageError, PAGE_SIZE};
+use crate::{page_checksum, Frame, PageId, Result, StorageError, PAGE_SIZE};
 use std::collections::HashMap;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
@@ -174,11 +174,11 @@ pub struct ClassFrame {
 }
 
 impl ClassFrame {
-    /// A frame owning `page`, its checksum hashed once from those bytes.
-    fn new(page: Page) -> Self {
+    /// A frame over `bytes`, its checksum hashed once from those bytes.
+    fn new(bytes: Arc<[u8]>) -> Self {
         ClassFrame {
-            checksum: page_checksum(page.bytes()),
-            frame: Arc::new(Frame::new(page)),
+            checksum: page_checksum(&bytes),
+            frame: Arc::new(Frame::new(bytes)),
         }
     }
 
@@ -196,7 +196,7 @@ impl ClassFrame {
 
 /// The `(lowest page id, bytes)` of each distinct content seen under one
 /// repeated checksum.
-type Contents = Vec<(u32, Page)>;
+type Contents = Vec<(u32, Arc<[u8]>)>;
 
 /// The twin classes of a store: sets of pages with byte-identical
 /// contents, numbered in the order of their lowest page id.
@@ -240,15 +240,15 @@ pub fn twin_classes(
             return;
         }
         let group = reps.entry(sum).or_default();
-        match group.iter().find(|(_, rep)| rep.bytes() == bytes) {
+        match group.iter().find(|(_, rep)| **rep == *bytes) {
             Some(&(class, _)) => {
                 classes[class as usize] = class;
                 classes[id as usize] = class;
             }
-            None => group.push((id32, Page::from_bytes(bytes))),
+            None => group.push((id32, Arc::from(bytes))),
         }
     })?;
-    let mut kept: Vec<(u32, Page)> = reps
+    let mut kept: Contents = reps
         .into_values()
         .flatten()
         .filter(|&(id, _)| classes[id as usize] == id)

@@ -14,11 +14,16 @@
 //!   one frame, one LoD's page run, or one prefetch run — goes through one
 //!   per-page probe: lookup, hit count, or fetch then admit. Every miss is
 //!   verified against the store's checksum table before admission, with
-//!   transient failures retried and replicas failed over to. On a pread
-//!   store, a miss on a page whose bytes repeat elsewhere in the store
-//!   admits the store's shared frame of that twin class instead of reading
-//!   the file, after comparing the frame's checksum with the page's own;
-//!   the miss is charged and counted as the read would have been.
+//!   transient failures retried and replicas failed over to. A miss copies
+//!   a page only when it must: on a mem store with no faults armed, the
+//!   admitted frame shares the store's interned buffer of the page, after
+//!   hashing those bytes against the page's checksum; on a pread store, a
+//!   miss on a page whose bytes repeat elsewhere in the store admits the
+//!   store's shared frame of that twin class instead of reading the file,
+//!   after comparing the frame's checksum with the page's own. Either way
+//!   the miss is charged and counted as a copying read would have been.
+//!   Only a pread miss on a page that repeats nowhere, and every miss while
+//!   faults are armed, copies into a buffer the pool owns.
 //!
 //! Each session carries its own [`IoCursor`], because a disk-head position
 //! cannot be shared state once N sessions interleave. The cursor is the
@@ -36,8 +41,8 @@ use crate::error::StoreOrigin;
 use crate::pread::PreadStore;
 use crate::replica::ReplicaSet;
 use crate::{
-    page_checksum, DiskModel, FaultPlan, Frame, IoCursor, LruCache, MemPagedFile, Page, PageId,
-    Result, RetryPolicy, SharedFaultyFile, SimulatedDisk, StorageBackend, StorageError, PAGE_SIZE,
+    page_checksum, DiskModel, FaultPlan, Frame, IoCursor, LruCache, MemPagedFile, PageId, Result,
+    RetryPolicy, SharedFaultyFile, SimulatedDisk, StorageBackend, StorageError, PAGE_SIZE,
 };
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,11 +64,13 @@ fn lock_shard<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug)]
 struct Shard {
     frames: LruCache<u64, Arc<Frame>>,
-    /// The buffer of the last evicted frame no session still held. The
-    /// next miss fills it instead of allocating and zero-filling a fresh
-    /// page, so a full pool's steady stream of misses allocates no page.
+    /// The buffer of the last evicted frame no session still held, when
+    /// the pool owned it alone (never a store's buffer). The next copying
+    /// miss fills it instead of allocating and zero-filling a fresh page,
+    /// so a full pool's steady stream of copying misses allocates no page.
     /// One spare per shard: eviction frees at most one frame per admission.
-    spare: Option<Page>,
+    /// Always uniquely owned, so it can be filled in place.
+    spare: Option<Arc<[u8]>>,
 }
 
 impl Shard {
@@ -74,17 +81,24 @@ impl Shard {
         }
     }
 
-    /// A page buffer for the next miss: the spare, or a fresh zeroed page.
-    fn buffer(&mut self) -> Page {
-        self.spare.take().unwrap_or_else(Page::zeroed)
+    /// A uniquely owned page buffer for the next copying miss: the spare,
+    /// or a fresh zeroed page.
+    fn buffer(&mut self) -> Arc<[u8]> {
+        self.spare
+            .take()
+            .unwrap_or_else(|| std::iter::repeat_n(0, PAGE_SIZE).collect())
     }
 
     /// Keeps the buffer of an `evicted` frame as the spare when no session
-    /// still holds that frame. A twin-class frame is never recycled: its
-    /// store holds it for as long as the store is open.
+    /// still holds that frame and nothing else shares its buffer. Neither
+    /// a twin-class frame (its store holds it for as long as the store is
+    /// open) nor a frame over a mem store's buffer is ever recycled.
     fn recycle(&mut self, evicted: Arc<Frame>) {
         if self.spare.is_none() {
-            self.spare = Arc::try_unwrap(evicted).ok().map(Frame::into_page);
+            self.spare = Arc::try_unwrap(evicted)
+                .ok()
+                .map(Frame::into_bytes)
+                .filter(|bytes| Arc::strong_count(bytes) == 1 && Arc::weak_count(bytes) == 0);
         }
     }
 }
@@ -223,6 +237,15 @@ impl FrozenPages {
         Ok(())
     }
 
+    /// The store's own buffer of page `id` on the mem backend, shared by
+    /// every page with the same bytes; `None` on pread and out of bounds.
+    pub fn mem_page(&self, id: PageId) -> Option<&Arc<[u8]>> {
+        match &self.repr {
+            Repr::Mem { pages } => pages.get(usize::try_from(id.0).ok()?),
+            Repr::Pread { .. } => None,
+        }
+    }
+
     /// Copies page `id` into `out` (all backends).
     pub fn read_into(&self, id: PageId, out: &mut [u8]) -> Result<()> {
         self.check(id)?;
@@ -301,12 +324,14 @@ impl FrozenPages {
 /// serializing on one lock.
 ///
 /// Shards hold [`Arc<Frame>`]s: the zero-copy [`read_frame`] hands back a
-/// clone of the pooled `Arc` (a pointer bump, no page memcpy), and a
-/// copied frame's decoded overlay lives exactly as long as the frame stays
-/// pooled — eviction drops the pool's `Arc`, and the overlay dies with the
-/// last session reference. A twin-class frame of a pread store is owned by
-/// the store, so its overlay outlives eviction and is shared by every
-/// member of the class in every pool over the store.
+/// clone of the pooled `Arc` (a pointer bump, no page memcpy). A frame the
+/// pool admitted for a miss — over a mem store's buffer or over a copy —
+/// keeps its decoded overlay exactly as long as the frame stays pooled:
+/// eviction drops the pool's `Arc`, and the overlay dies with the last
+/// session reference (the mem store's bytes stay with the store). A
+/// twin-class frame of a pread store is owned by the store, so its overlay
+/// outlives eviction and is shared by every member of the class in every
+/// pool over the store.
 ///
 /// [`read_frame`]: Self::read_frame
 #[derive(Debug)]
@@ -517,7 +542,7 @@ impl SharedCachedFile {
     /// permanent ([`StorageError::Corrupt`]) for the copy that served it and
     /// never retried there. With no faults armed and one replica this is a
     /// plain copy + verify and cannot fail transiently.
-    fn fetch_into(&self, cursor: &mut IoCursor, id: PageId, out: &mut Page) -> Result<()> {
+    fn fetch_into(&self, cursor: &mut IoCursor, id: PageId, out: &mut [u8]) -> Result<()> {
         match self.fetch_from(0, cursor, id, out) {
             Ok(()) => {
                 self.replicas.note_clean(0, id.0);
@@ -537,7 +562,7 @@ impl SharedCachedFile {
         primary_err: StorageError,
         cursor: &mut IoCursor,
         id: PageId,
-        out: &mut Page,
+        out: &mut [u8],
     ) -> Result<()> {
         // Bounds errors are caller bugs, not bad copies: never fail over.
         if matches!(primary_err, StorageError::PageOutOfBounds { .. }) {
@@ -563,7 +588,7 @@ impl SharedCachedFile {
                         m &= m - 1;
                         // Repair failures are non-fatal: the read succeeded,
                         // and the page stays quarantined for the scrubber.
-                        let _ = self.replicas.repair(j, id.0, out.bytes());
+                        let _ = self.replicas.repair(j, id.0, out);
                     }
                     return Ok(());
                 }
@@ -588,25 +613,21 @@ impl SharedCachedFile {
         replica: usize,
         cursor: &mut IoCursor,
         id: PageId,
-        out: &mut Page,
+        out: &mut [u8],
     ) -> Result<()> {
         let attempts = self.retry.attempts();
         let mut attempt = 0u32;
         loop {
             let outcome = match self.replicas.faults(replica) {
-                Some(f) => f.read_into(id, out.bytes_mut()),
-                None => self
-                    .replicas
-                    .data(replica)
-                    .read_into(id, out.bytes_mut())
-                    .map(|()| 0.0),
+                Some(f) => f.read_into(id, out),
+                None => self.replicas.data(replica).read_into(id, out).map(|()| 0.0),
             };
             match outcome {
                 Ok(spike_us) => {
                     if spike_us > 0.0 {
                         cursor.charge_penalty(spike_us);
                     }
-                    if page_checksum(out.bytes()) != self.checksums[id.0 as usize] {
+                    if page_checksum(out) != self.checksums[id.0 as usize] {
                         hdov_obs::add(hdov_obs::Counter::ChecksumFailures, 1);
                         return Err(StorageError::Corrupt(format!("checksum mismatch on {id}")));
                     }
@@ -629,12 +650,13 @@ impl SharedCachedFile {
     /// `cursor`.
     ///
     /// The zero-copy hot path: a pool hit clones the pooled `Arc` (no page
-    /// memcpy) and costs nothing; a miss copies the page out of the frozen
-    /// store exactly once into a frame (reusing the shard's spare buffer
-    /// when it has one) or shares its twin class's frame, charges `cursor`
-    /// by the simulated-disk rule, and installs the frame (possibly
-    /// evicting the shard's LRU frame, whose decoded overlay dies with it
-    /// unless the store owns it). Every probe
+    /// memcpy) and costs nothing; a miss admits a frame over the mem
+    /// store's own buffer, shares its twin class's frame, or copies the
+    /// page out of the frozen store exactly once into a frame (reusing the
+    /// shard's spare buffer when it has one), charges `cursor` by the
+    /// simulated-disk rule, and installs the frame (possibly evicting the
+    /// shard's LRU frame, whose decoded overlay dies with it unless the
+    /// store owns it). Every probe
     /// is reported to `hdov-obs` (cache-probe span plus a hit/miss counter,
     /// and `bytes_copied_saved` for the memcpy a copying read would have
     /// done) — observational only, never part of the simulated cost model.
@@ -664,7 +686,8 @@ impl SharedCachedFile {
     /// the spare, which every later fetch overwrites whole.
     ///
     /// A miss that shares its twin class's frame
-    /// ([`class_frame`](Self::class_frame)) skips `fetch`, takes no buffer
+    /// ([`class_frame`](Self::class_frame)) or a mem store's buffer
+    /// ([`store_bytes`](Self::store_bytes)) skips `fetch`, takes no buffer
     /// and copies nothing, and is charged, counted and admitted exactly like
     /// any other, under its own page id. Evicting that frame later frees no
     /// spare.
@@ -673,7 +696,7 @@ impl SharedCachedFile {
         cursor: &mut IoCursor,
         id: PageId,
         promote: bool,
-        fetch: impl FnOnce(&mut IoCursor, &mut Page) -> Result<()>,
+        fetch: impl FnOnce(&mut IoCursor, &mut [u8]) -> Result<()>,
     ) -> Result<Arc<Frame>> {
         let _probe = hdov_obs::span(hdov_obs::Phase::CacheProbe);
         let mut shard = lock_shard(self.shard(id));
@@ -682,19 +705,19 @@ impl SharedCachedFile {
             hdov_obs::add(hdov_obs::Counter::PoolHits, 1);
             return Ok(Arc::clone(frame));
         }
-        let frame = match self.class_frame(id) {
-            Some(class) => {
-                hdov_obs::add(hdov_obs::Counter::TwinCopies, 1);
-                Arc::clone(class)
+        let frame = if let Some(class) = self.class_frame(id) {
+            hdov_obs::add(hdov_obs::Counter::TwinCopies, 1);
+            Arc::clone(class)
+        } else if let Some(bytes) = self.store_bytes(id) {
+            Arc::new(Frame::new(Arc::clone(bytes)))
+        } else {
+            let mut buf = shard.buffer();
+            let out = Arc::get_mut(&mut buf).expect("a pool buffer is uniquely owned");
+            if let Err(e) = fetch(cursor, out) {
+                shard.spare = Some(buf);
+                return Err(e);
             }
-            None => {
-                let mut page = shard.buffer();
-                if let Err(e) = fetch(cursor, &mut page) {
-                    shard.spare = Some(page);
-                    return Err(e);
-                }
-                Arc::new(Frame::new(page))
-            }
+            Arc::new(Frame::new(buf))
         };
         cursor.charge_read(id, self.model);
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -705,13 +728,32 @@ impl SharedCachedFile {
         Ok(frame)
     }
 
+    /// The buffer a miss on `id` shares instead of copying: the mem
+    /// store's own interned buffer of the page, once hashing it matches
+    /// `id`'s sidecar checksum (the check a copy would get). `None` on
+    /// pread stores, when the checksums differ (the copying fetch then
+    /// counts the failure and fails over) and while faults are armed (each
+    /// miss then draws from the fault stream and copies).
+    fn store_bytes(&self, id: PageId) -> Option<&Arc<[u8]>> {
+        if self.replicas.any_faults() {
+            return None;
+        }
+        let bytes = self.data.mem_page(id)?;
+        if page_checksum(bytes) != self.checksums[id.0 as usize] {
+            return None;
+        }
+        self.replicas.note_clean(0, id.0);
+        Some(bytes)
+    }
+
     /// The frame a miss on `id` shares instead of reading: the pread
     /// store's frame of `id`'s twin class, verified against `id`'s own
     /// sidecar checksum like every miss (by the class checksum the store
-    /// hashed once from the frame's bytes). `None` on mem stores (where a
-    /// miss already copies memory), for a page whose bytes repeat nowhere,
-    /// when the checksums differ, and while faults are armed (each miss
-    /// then draws from the fault stream). Issues no read: `id`'s own copy
+    /// hashed once from the frame's bytes). `None` on mem stores (a miss
+    /// there shares the store's buffer: [`store_bytes`](Self::store_bytes)),
+    /// for a page whose bytes repeat nowhere, when the checksums differ,
+    /// and while faults are armed (each miss then draws from the fault
+    /// stream). Issues no read: `id`'s own copy
     /// in the file is never read for such a miss, so rot there is left to
     /// the scrubber.
     fn class_frame(&self, id: PageId) -> Option<&Arc<Frame>> {
@@ -815,7 +857,7 @@ impl SharedCachedFile {
                     let bytes = &run[at..at + PAGE_SIZE];
                     if page_checksum(bytes) == self.checksums[id.0 as usize] {
                         self.replicas.note_clean(0, id.0);
-                        page.bytes_mut().copy_from_slice(bytes);
+                        page.copy_from_slice(bytes);
                         return Ok(());
                     }
                 }
@@ -843,7 +885,7 @@ impl SharedCachedFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IoStats, PagedFile};
+    use crate::{IoStats, Page, PagedFile};
 
     fn frozen(n: u64) -> FrozenPages {
         let mut f = MemPagedFile::new();

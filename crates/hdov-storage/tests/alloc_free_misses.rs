@@ -1,7 +1,9 @@
-//! Pool misses recycle evicted frame buffers: once a full pool has taken
-//! its spares, a steady stream of misses allocates no page-sized block, on
-//! the mem backend and on pread. Each miss copies into the buffer of the
-//! frame it evicts (no session holds it), so only the small `Arc<Frame>`
+//! A full pool's steady stream of misses allocates no page-sized block, on
+//! the mem backend and on pread. On pread, pool misses recycle evicted
+//! frame buffers: once a full pool has taken its spares, each miss copies
+//! into the buffer of the frame it evicts (no session holds it). On mem, a
+//! miss shares the store's own buffer and copies nothing (see
+//! `alloc_free_mem_fill.rs`). Either way only the small `Arc<Frame>`
 //! header is allocated.
 //!
 //! A counting global allocator needs its own process: this file holds

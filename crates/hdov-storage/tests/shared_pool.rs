@@ -15,14 +15,20 @@
 //!    and fork over the store shares the one frame and its one decoded
 //!    overlay, evicting it frees no spare buffer, armed faults send it back
 //!    to the file, and rot in a class member's own copy is left to the
-//!    scrubber.
+//!    scrubber,
+//! 5. mem misses share the store's interned buffers: a miss's frame bytes
+//!    are the store's own (equal pages on different ids share one buffer)
+//!    in every pool and fork, charged and counted exactly like a copying
+//!    miss; armed faults send every miss back to a copy, corruption is
+//!    still caught and failed over, and a shared buffer never becomes a
+//!    spare, so no later miss writes into store bytes.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use hdov_storage::{
     verify_pool, DiskModel, FaultPlan, Frame, FrozenPages, IoCursor, LruCache, MemPagedFile, Page,
-    PageId, PagedFile, ScrubConfig, Scrubber, SharedCachedFile, SimulatedDisk,
+    PageId, PagedFile, ScrubConfig, Scrubber, SharedCachedFile, SimulatedDisk, StorageError,
 };
 
 const N_PAGES: u64 = 64;
@@ -181,8 +187,11 @@ fn single_shard_matches_lru_over_simulated_disk() {
 
 #[test]
 fn held_frame_keeps_its_bytes_after_eviction() {
-    // One single-page shard: every miss evicts the previous frame.
+    // One single-page shard: every miss evicts the previous frame. An
+    // armed plan that injects nothing makes every miss copy into a pool
+    // buffer (a mem miss would otherwise share the store's).
     let pool = SharedCachedFile::from_mem(mem_file(), DiskModel::PAPER_ERA, 1, 1);
+    pool.arm_faults(&FaultPlan::default());
     let mut cursor = IoCursor::new();
     let held = pool.read_frame(&mut cursor, PageId(0)).unwrap();
     for id in 1..N_PAGES {
@@ -199,15 +208,17 @@ fn held_frame_keeps_its_bytes_after_eviction() {
 #[test]
 fn failed_miss_admits_nothing_and_leaks_no_bytes() {
     let pool = SharedCachedFile::from_mem(mem_file(), DiskModel::PAPER_ERA, 2, 1);
+    // Page 5 will be served bit-flipped; with faults armed, every miss
+    // copies into a pool buffer.
+    pool.arm_faults(&FaultPlan::corrupt_one(5));
     let mut cursor = IoCursor::new();
     // Fill the pool and evict once, so the shard holds a spare buffer.
     for id in 0..3 {
         pool.read_frame(&mut cursor, PageId(id)).unwrap();
     }
     let charged = cursor.stats().page_reads;
-    // Page 5 is served bit-flipped: its bytes land in the spare, fail the
-    // checksum, and must go nowhere.
-    pool.arm_faults(&FaultPlan::corrupt_one(5));
+    // Page 5's bytes land in the spare, fail the checksum, and must go
+    // nowhere.
     assert!(pool.read_frame(&mut cursor, PageId(5)).is_err());
     assert!(!pool.contains(PageId(5)));
     assert_eq!(pool.hit_stats(), (0, 3));
@@ -600,4 +611,200 @@ fn with_faults_armed_class_misses_read_the_file() {
     injector.disarm();
     assert!(!pool.miss_shares_class(PageId(0)));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A mem store of `TWIN_PAGES` pages tagged by [`twin_tag`]: pages `8..12`
+/// share the interned buffers of pages `0..4`.
+fn twin_mem() -> FrozenPages {
+    let mut f = MemPagedFile::new();
+    for id in 0..TWIN_PAGES {
+        f.append_page(&Page::from_bytes(&twin_tag(id).to_le_bytes()))
+            .unwrap();
+    }
+    FrozenPages::from_mem(f)
+}
+
+/// The mem store's own buffer of page `id`.
+fn mem_buffer(data: &FrozenPages, id: u64) -> &Arc<[u8]> {
+    data.mem_page(PageId(id)).unwrap()
+}
+
+/// Whether `frame`'s bytes are the mem store's own buffer of page `id`
+/// (same address, same length), not a copy of it.
+fn in_store(frame: &Frame, data: &FrozenPages, id: u64) -> bool {
+    std::ptr::eq(frame.bytes(), &**mem_buffer(data, id))
+}
+
+#[test]
+fn a_mem_miss_admits_the_stores_buffer_in_every_pool_and_fork() {
+    let data = twin_mem();
+    assert!(Arc::ptr_eq(mem_buffer(&data, 3), mem_buffer(&data, 11)));
+    let a = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 8, 2);
+    let b = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 8, 2);
+    let fork = a.fork();
+    let (mut ca, mut cb, mut cf) = (IoCursor::new(), IoCursor::new(), IoCursor::new());
+    let frames = [
+        a.read_frame(&mut ca, PageId(3)).unwrap(),
+        a.read_frame(&mut ca, PageId(11)).unwrap(),
+        b.read_frame(&mut cb, PageId(3)).unwrap(),
+        fork.read_frame(&mut cf, PageId(11)).unwrap(),
+    ];
+    for frame in &frames {
+        assert!(in_store(frame, &data, 3));
+        assert_eq!(&frame.bytes()[..8], &3u64.to_le_bytes());
+    }
+    // The bytes are shared, the frames (and their overlays) are not: each
+    // miss admits a frame of its own.
+    for (i, x) in frames.iter().enumerate() {
+        for y in &frames[i + 1..] {
+            assert!(!Arc::ptr_eq(x, y));
+        }
+    }
+    // Runs and warms share too; a unique page is shared with the store
+    // alone.
+    fork.read_run(&mut cf, PageId(4), 4).unwrap();
+    b.warm_run(&mut cb, PageId(8), 4).unwrap();
+    for id in 4..8 {
+        let frame = fork.read_frame(&mut cf, PageId(id)).unwrap();
+        assert!(in_store(&frame, &data, id), "{id}");
+    }
+    for id in 8..12 {
+        let frame = b.read_frame(&mut cb, PageId(id)).unwrap();
+        assert!(in_store(&frame, &data, id - 8), "{id}");
+    }
+    assert_eq!(fork.hit_stats(), (4, 5));
+    assert_eq!(b.hit_stats(), (4, 5));
+}
+
+#[test]
+fn mem_shared_misses_account_exactly_like_copying_misses() {
+    let data = twin_mem();
+    // Capacity 5 over 16 pages: the trace below evicts constantly.
+    let shared = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 5, 2);
+    let copying = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 5, 2);
+    // An armed plan that injects nothing: every miss copies through it.
+    let injector = copying.arm_faults(&FaultPlan::default());
+    let (mut cs, mut cc) = (IoCursor::new(), IoCursor::new());
+    let mut state = 0x5EED;
+    for step in 0..600 {
+        let first = splitmix(&mut state) % TWIN_PAGES;
+        let len = 1 + splitmix(&mut state) % 4;
+        let len = len.min(TWIN_PAGES - first);
+        match step % 3 {
+            0 => {
+                let s = shared.read_frame(&mut cs, PageId(first)).unwrap();
+                let c = copying.read_frame(&mut cc, PageId(first)).unwrap();
+                assert_eq!(s.bytes(), c.bytes(), "step {step}");
+                assert!(in_store(&s, &data, first));
+                assert!(!in_store(&c, &data, first));
+            }
+            1 => {
+                shared.read_run(&mut cs, PageId(first), len).unwrap();
+                copying.read_run(&mut cc, PageId(first), len).unwrap();
+            }
+            _ => {
+                shared.warm_run(&mut cs, PageId(first), len).unwrap();
+                copying.warm_run(&mut cc, PageId(first), len).unwrap();
+            }
+        }
+        assert_eq!(cs.stats(), cc.stats(), "step {step}");
+        assert_eq!(shared.hit_stats(), copying.hit_stats(), "step {step}");
+        for id in (0..TWIN_PAGES).map(PageId) {
+            assert_eq!(
+                shared.contains(id),
+                copying.contains(id),
+                "step {step}: {id}"
+            );
+        }
+    }
+    let (hits, misses) = shared.hit_stats();
+    assert!(hits > 0 && misses > 100, "({hits}, {misses})");
+    assert_eq!(injector.reads(), misses, "every copying miss read once");
+}
+
+#[test]
+fn with_faults_armed_mem_misses_copy_and_corruption_fails_over() {
+    let data = twin_mem();
+    let before: Vec<Vec<u8>> = (0..TWIN_PAGES)
+        .map(|id| mem_buffer(&data, id).to_vec())
+        .collect();
+
+    // Unreplicated: page 3 is served bit-flipped, fails the checksum and
+    // never enters the pool; its twin 11 is copied clean.
+    let pool = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 8, 2);
+    pool.arm_faults(&FaultPlan::corrupt_one(3));
+    let mut cur = IoCursor::new();
+    let err = pool.read_frame(&mut cur, PageId(3)).unwrap_err();
+    assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+    assert!(!pool.contains(PageId(3)));
+    let twin = pool.read_frame(&mut cur, PageId(11)).unwrap();
+    assert!(!in_store(&twin, &data, 11));
+    assert_eq!(twin.bytes(), mem_buffer(&data, 11).as_ref());
+    assert_eq!(pool.hit_stats(), (0, 1));
+
+    // Replicated: the corrupt primary copy fails over to the replica, and
+    // the pooled frame is a verified copy, not the store's buffer.
+    let pool = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 8, 2).with_replicas(2);
+    let injector = pool.arm_replica_faults(0, &FaultPlan::corrupt_one(3));
+    let mut cur = IoCursor::new();
+    let frame = pool.read_frame(&mut cur, PageId(3)).unwrap();
+    assert_eq!(injector.injected(), 1);
+    assert_eq!(pool.replica_set().status().failover_reads, 1);
+    assert!(!in_store(&frame, &data, 3));
+    assert_eq!(&frame.bytes()[..8], &3u64.to_le_bytes());
+    assert_eq!(cur.stats().page_reads, 1);
+
+    // The fault wrote into pool buffers only.
+    for (id, want) in (0..TWIN_PAGES).zip(&before) {
+        assert_eq!(mem_buffer(&data, id).as_ref(), &want[..], "page {id}");
+    }
+}
+
+#[test]
+fn evicting_a_mem_shared_frame_frees_no_spare_and_no_miss_writes_store_bytes() {
+    let data = twin_mem();
+    let before: Vec<Vec<u8>> = (0..TWIN_PAGES)
+        .map(|id| mem_buffer(&data, id).to_vec())
+        .collect();
+    let holders: Vec<usize> = (0..TWIN_PAGES)
+        .map(|id| Arc::strong_count(mem_buffer(&data, id)))
+        .collect();
+    // One single-frame shard: every miss evicts the previous frame, which
+    // no session holds, so the pool may recycle its buffer if it owns it.
+    let pool = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 1, 1);
+    let mut cur = IoCursor::new();
+    for id in 0..TWIN_PAGES {
+        tag_of(&pool, &mut cur, id);
+    }
+    // Every evicted frame let go of the store's buffer: none is a spare.
+    // Page 15, still pooled, holds one reference more.
+    for id in 0..TWIN_PAGES {
+        let pooled = usize::from(id == TWIN_PAGES - 1);
+        assert_eq!(
+            Arc::strong_count(mem_buffer(&data, id)),
+            holders[id as usize] + pooled,
+            "page {id}"
+        );
+    }
+    // Copying misses (faults armed, none injected) fill pool buffers only,
+    // alternating with the shared frames they evict.
+    pool.arm_faults(&FaultPlan::default());
+    for round in 0..3 {
+        for id in 0..TWIN_PAGES {
+            let frame = pool.read_frame(&mut cur, PageId(id)).unwrap();
+            assert!(!in_store(&frame, &data, id));
+            assert_eq!(&frame.bytes()[..8], &twin_tag(id).to_le_bytes(), "{round}");
+        }
+    }
+    for (id, want) in (0..TWIN_PAGES).zip(&before) {
+        assert_eq!(mem_buffer(&data, id).as_ref(), &want[..], "page {id}");
+    }
+    assert_eq!(pool.hit_stats(), (0, 4 * TWIN_PAGES));
+    drop(pool);
+    for id in 0..TWIN_PAGES {
+        assert_eq!(
+            Arc::strong_count(mem_buffer(&data, id)),
+            holders[id as usize]
+        );
+    }
 }
