@@ -2,7 +2,7 @@
 //! models + cell grid, behind a small single-user query API.
 
 use crate::build::{CellVPages, HdovBuildConfig, HdovTree};
-use crate::node::HdovNode;
+use crate::node::NodePage;
 use crate::priority::{search_prioritized, PrioritizedOutcome};
 use crate::search::{naive_query, Query, QueryResult, SearchStats};
 use crate::shared::{
@@ -176,7 +176,7 @@ impl HdovEnvironment {
     /// Reads node `ordinal` outside any query, charged to the session's
     /// node cursor like a query's read (so later queries see the head where
     /// this read left it).
-    pub fn read_node(&mut self, ordinal: u32) -> Result<Arc<HdovNode>> {
+    pub fn read_node(&mut self, ordinal: u32) -> Result<NodePage> {
         self.env.tree.read_node(&mut self.ctx.node_cur, ordinal)
     }
 
@@ -208,11 +208,11 @@ impl HdovEnvironment {
         let _ = writeln!(
             out,
             "{indent}node {ordinal} [{}] dov={:.4} nvo={}",
-            if node.is_leaf { "leaf" } else { "internal" },
+            if node.is_leaf() { "leaf" } else { "internal" },
             vpage.node_dov(),
             vpage.node_nvo()
         );
-        for (e, ve) in node.entries.iter().zip(&vpage.entries) {
+        for (e, ve) in node.entries().zip(&vpage.entries) {
             if !ve.visible() {
                 continue;
             }

@@ -50,7 +50,7 @@ pub use build::{HdovBuildConfig, HdovTree, TerminationHeuristic};
 pub use delta::DeltaSearch;
 pub use env::HdovEnvironment;
 pub use mutable::{MutableScene, ObjectHandle, ObjectInfo, SCENE_FILES};
-pub use node::{HdovEntry, HdovNode};
+pub use node::{HdovEntry, HdovNode, NodePage};
 pub use priority::{search_prioritized, PrioritizedOutcome};
 pub use search::{
     DegradeCause, DegradeEvent, DegradeReport, Query, QueryResult, ResultEntry, ResultKey,

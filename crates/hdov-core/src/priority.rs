@@ -173,8 +173,8 @@ pub fn search_prioritized(
                 }
                 let node = storage.node(ordinal)?;
                 stats.nodes_visited += 1;
-                for (entry, ve) in node.entries.iter().zip(&vpage.entries) {
-                    let work = match storage.step(entry, ve, q.eta) {
+                for (entry, ve) in node.entries().zip(&vpage.entries) {
+                    let work = match storage.step(&entry, ve, q.eta) {
                         Step::Prune => continue,
                         Step::Emit { key, k } => Work::Lod {
                             key,

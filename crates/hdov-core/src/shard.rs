@@ -274,11 +274,11 @@ impl ShardPlan {
         depth: usize,
     ) -> Result<(u64, u32)> {
         let node = env.tree().read_node(&mut ctx.node_cur, ordinal)?;
-        PathKey::check_encodable(depth, node.entries.len())?;
+        PathKey::check_encodable(depth, node.len())?;
         let mut mask = 0u64;
         let mut owner: Option<u32> = None;
-        let mut entries = Vec::with_capacity(node.entries.len());
-        for entry in &node.entries {
+        let mut entries = Vec::with_capacity(node.len());
+        for entry in node.entries() {
             if entry.is_object() {
                 let s = assign(entry.child, entry.mbr.center());
                 check(s < self.shards, || {

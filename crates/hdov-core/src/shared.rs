@@ -33,7 +33,7 @@
 
 use crate::build::{HdovTree, TerminationHeuristic};
 use crate::delta::{DeltaSearch, DeltaSummary};
-use crate::node::{HdovEntry, HdovNode};
+use crate::node::{HdovEntry, NodePage};
 use crate::search::{
     check, object_blend, select_level, terminates_with, Query, QueryResult, ResultEntry, ResultKey,
     SearchStats,
@@ -697,16 +697,13 @@ impl SharedTree {
 
     /// Reads node `ordinal`, charging any pool miss to `cursor`.
     ///
-    /// Zero-copy: the node comes from the pooled frame's decoded overlay —
-    /// it is decoded at most once per pool residency (across *all*
-    /// sessions), and every later read clones the shared `Arc`.
-    pub fn read_node(
-        &self,
-        cursor: &mut IoCursor,
-        ordinal: u32,
-    ) -> Result<Arc<crate::node::HdovNode>> {
+    /// Zero-copy: the node is a [`NodePage`] view of the pooled frame,
+    /// read in place. A miss costs the pool's read (or shared-buffer
+    /// admit) and checksum and nothing else; a hit is one frame `Arc`
+    /// clone. Nothing is decoded, so node reads record no decode counters.
+    pub fn read_node(&self, cursor: &mut IoCursor, ordinal: u32) -> Result<NodePage> {
         let frame = self.nodes.read_frame(cursor, PageId(ordinal as u64))?;
-        frame.overlay(crate::node::HdovNode::decode)
+        NodePage::new(frame)
     }
 
     /// Fetches node `ordinal`'s internal LoD at `level`, charging `cursor`.
@@ -877,8 +874,9 @@ impl SharedEnvironment {
     /// [`SearchStats`] cover this query only.
     ///
     /// With warm pools and a same-cell session the whole query touches no
-    /// allocator (overlay `Arc` clones on every node and V-page, reused
-    /// segment and result buffers — pinned by the `alloc_free` test). An
+    /// allocator (frame `Arc` clones for nodes, read in place; overlay
+    /// `Arc` clones for V-pages; reused segment and result buffers —
+    /// pinned by the `alloc_free` test). An
     /// exhausted [`budget`](Query::budget) serves every remaining subtree
     /// as its internal LoD, recorded as a `BudgetExhausted` degrade event;
     /// the budget covers everything charged from the call on, including the
@@ -1165,7 +1163,7 @@ impl SharedStorage<'_> {
     }
 
     /// Node `ordinal`.
-    pub(crate) fn node(&mut self, ordinal: u32) -> Result<Arc<HdovNode>> {
+    pub(crate) fn node(&mut self, ordinal: u32) -> Result<NodePage> {
         self.env.tree.read_node(&mut self.ctx.node_cur, ordinal)
     }
 

@@ -166,8 +166,8 @@ impl<E: Emit> Walk<'_, '_, E> {
         };
         self.stats.nodes_visited += 1;
 
-        for (i, (entry, ve)) in node.entries.iter().zip(&vpage.entries).enumerate() {
-            match self.storage.step(entry, ve, self.eta) {
+        for (i, (entry, ve)) in node.entries().zip(&vpage.entries).enumerate() {
+            match self.storage.step(&entry, ve, self.eta) {
                 Step::Emit { key, k } if self.sink.emits(key) => {
                     let e = self.storage.lod(key, k, ve.dov, self.resident, true)?;
                     let at = self.sink.child(path, i);

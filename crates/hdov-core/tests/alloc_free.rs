@@ -1,10 +1,12 @@
 //! The acceptance criterion of the zero-copy read path: a steady-state
 //! `SharedEnvironment::search` over warm pools performs **zero** heap
 //! allocations. Every byte the query touches is either a pooled frame
-//! (`Arc` clone), a decoded overlay (`Arc` clone), or a buffer reused from
-//! `SessionCtx` / `SearchScratch`; a resident set is read in place, and
-//! folding each answer into a walk's resident set (`DeltaSearch::apply`)
-//! reuses its maps.
+//! (`Arc` clone; node pages are read in place from it), a decoded V-page
+//! overlay (`Arc` clone), or a buffer reused from `SessionCtx` /
+//! `SearchScratch`; a resident set is read in place, and folding each
+//! answer into a walk's resident set (`DeltaSearch::apply`) reuses its
+//! maps. Its cold phase pins the node-miss path: a node read allocates
+//! exactly what the pool's frame read beneath it does, nothing more.
 //!
 //! A counting global allocator needs its own process: this file holds
 //! exactly one test, and obs stays disabled (registering a thread-local
@@ -15,11 +17,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hdov_core::{
-    DeltaSearch, HdovBuildConfig, HdovEnvironment, PoolConfig, Query, SearchScratch, StorageScheme,
-    VPageCodec,
+    DeltaSearch, HdovBuildConfig, HdovEnvironment, PoolConfig, Query, SearchScratch,
+    SharedEnvironment, StorageScheme, VPageCodec,
 };
-use hdov_scene::CityConfig;
-use hdov_storage::StorageBackend;
+use hdov_scene::{CityConfig, Scene};
+use hdov_storage::{IoCursor, PageId, StorageBackend};
 use hdov_visibility::{CellGridConfig, CellId};
 
 struct CountingAlloc;
@@ -52,6 +54,79 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Allocations of `rounds` passes of a cyclic stream over every node of
+/// `env`'s tree through `read` (an all-miss stream once the node pool is
+/// full and smaller than the tree), checked to miss on every read.
+fn cyclic_node_misses(
+    env: &SharedEnvironment,
+    rounds: u32,
+    mut read: impl FnMut(&mut IoCursor, u32) -> u64,
+) -> u64 {
+    let pool = env.tree().node_pool();
+    let n = env.tree().node_count();
+    let mut cur = IoCursor::new();
+    let (hits, misses) = pool.hit_stats();
+    let before = allocations();
+    let mut sink = 0u64;
+    for _ in 0..rounds {
+        for ordinal in 0..n {
+            sink = sink.wrapping_add(read(&mut cur, ordinal));
+        }
+    }
+    let allocated = allocations() - before;
+    std::hint::black_box(sink);
+    let reads = u64::from(rounds) * u64::from(n);
+    assert_eq!(
+        pool.hit_stats(),
+        (hits, misses + reads),
+        "every read misses"
+    );
+    allocated
+}
+
+/// The cold phase: over a full node pool, a node-miss stream through
+/// `SharedTree::read_node`, reading every entry, allocates exactly as many
+/// blocks as the same stream through the pool's `read_frame` alone — a
+/// node miss decodes nothing and allocates nothing of its own.
+fn node_misses_allocate_only_frames(
+    scene: &Scene,
+    grid_cfg: &CellGridConfig,
+    backend: StorageBackend,
+) {
+    let label = backend.label();
+    let scheme = StorageScheme::IndexedVertical;
+    let cfg = HdovBuildConfig::fast_test();
+    let mut built = HdovEnvironment::build(scene, grid_cfg, cfg, scheme).unwrap();
+    built.relocate(&backend).unwrap();
+    let n = built.tree().node_count();
+    let env = built.into_shared(PoolConfig {
+        capacity_pages: (n as usize / 2).max(1),
+        shards: 1,
+        ..PoolConfig::default()
+    });
+    let tree = env.tree();
+    let frame_read = |cur: &mut IoCursor, ordinal: u32| {
+        let frame = tree.node_pool().read_frame(cur, PageId(u64::from(ordinal)));
+        u64::from(frame.unwrap().bytes()[0])
+    };
+    let node_read = |cur: &mut IoCursor, ordinal: u32| {
+        let node = tree.read_node(cur, ordinal).unwrap();
+        node.entries()
+            .map(|e| e.child)
+            .fold(0u64, u64::wrapping_add)
+    };
+    // Warm-up fills the pool and leaves each path at its steady state.
+    cyclic_node_misses(&env, 2, frame_read);
+    cyclic_node_misses(&env, 2, node_read);
+    let frames = cyclic_node_misses(&env, 3, frame_read);
+    let nodes = cyclic_node_misses(&env, 3, node_read);
+    assert!(n > 1, "the tree must outgrow its node pool");
+    assert_eq!(
+        nodes, frames,
+        "node misses allocated beyond their frame reads (backend {label})"
+    );
 }
 
 #[test]
@@ -147,6 +222,12 @@ fn steady_state_search_allocates_nothing() {
                 }
             }
         }
+    }
+    for backend in [
+        StorageBackend::Mem,
+        StorageBackend::file(store_dir.join("cold_nodes")),
+    ] {
+        node_misses_allocate_only_frames(&scene, &grid_cfg, backend);
     }
     std::fs::remove_dir_all(&store_dir).ok();
 }

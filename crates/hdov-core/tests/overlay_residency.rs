@@ -1,13 +1,15 @@
-//! Residency semantics of the decoded-overlay cache:
+//! Residency semantics of the decoded-overlay cache, and of node pages,
+//! which are read in place and never decoded:
 //!
-//! (a) a frame's decoded overlay is dropped exactly when the frame is
-//!     evicted — no unbounded decoded-object memory — while data an active
-//!     session still holds stays alive through its own `Arc`;
-//! (b) after a fig7/fig8-style η sweep, every pooled node and V-page
-//!     overlay equals a fresh decode of its frame's bytes (the overlay is
-//!     pure CPU memoization, never a different answer);
-//! (c) concurrent sessions racing on one frame observe exactly one decode:
-//!     `decode_misses == pool_misses` for node pages.
+//! (a) a V-page frame's decoded overlay is dropped exactly when the frame
+//!     is evicted — no unbounded decoded-object memory — while data an
+//!     active session still holds stays alive through its own `Arc`;
+//! (b) after a fig7/fig8-style η sweep, every pooled V-page overlay equals
+//!     a fresh decode of its frame's bytes (the overlay is pure CPU
+//!     memoization, never a different answer), and every pooled node page
+//!     read in place equals `HdovNode::decode` of its bytes;
+//! (c) node frames never gain an overlay, and node reads record no decode
+//!     counters, however many sessions share the frames.
 //!
 //! The obs registry is process-wide, so every test serializes on one lock;
 //! only (c) enables recording, inside its critical section.
@@ -213,43 +215,65 @@ fn overlay_eviction_semantics_hold_under_delta_codec() {
 }
 
 #[test]
-fn node_reads_share_one_decoded_arc() {
+fn node_frames_never_gain_an_overlay() {
     let _g = serial();
     let scene = scene();
-    let env = shared_env(
-        &scene,
-        StorageScheme::IndexedVertical,
-        PoolConfig::default(),
-    );
-    let mut a_cur = IoCursor::new();
-    let mut b_cur = IoCursor::new();
-    let a = env.tree().read_node(&mut a_cur, 0).unwrap();
-    let b = env.tree().read_node(&mut b_cur, 0).unwrap();
-    assert!(
-        Arc::ptr_eq(&a, &b),
-        "two sessions reading one resident node page must share one decode"
-    );
+    for scheme in StorageScheme::all() {
+        let env = shared_env(&scene, scheme, PoolConfig::default());
+        let mut ctx = env.session();
+        for cell in 0..env.grid().cell_count() as CellId {
+            env.query_cell(&mut ctx, cell, 0.002).unwrap();
+        }
+        let nodes = env.tree().node_pool();
+        let mut cur = IoCursor::new();
+        let mut resident = 0;
+        for id in (0..nodes.page_count()).map(PageId) {
+            if nodes.contains(id) {
+                let frame = nodes.read_frame(&mut cur, id).unwrap();
+                assert!(!frame.has_overlay(), "{scheme}: node {id} decoded");
+                resident += 1;
+            }
+        }
+        assert!(resident > 0, "{scheme}: the sweep must leave node frames");
+    }
 }
 
-/// The overlay oracle: every pooled node and V-page frame whose overlay is
-/// populated holds exactly what a fresh `HdovNode::decode` /
-/// `VPageCodec::decode_record` of the frame's bytes gives. Returns the
-/// number of overlays checked.
-fn check_overlays_against_fresh_decodes(env: &SharedEnvironment) -> usize {
+/// The node-page oracle: every pooled node page, read in place through
+/// `SharedTree::read_node`, equals a fresh `HdovNode::decode` of its
+/// frame's bytes, header and entries, bit for bit. Returns the number of
+/// pages checked.
+fn check_node_pages_against_fresh_decodes(env: &SharedEnvironment) -> usize {
     let mut cur = IoCursor::new();
     let mut checked = 0;
-    let nodes = env.tree().node_pool();
+    let tree = env.tree();
+    let nodes = tree.node_pool();
     for id in (0..nodes.page_count()).map(PageId) {
         if !nodes.contains(id) {
             continue;
         }
         let frame = nodes.read_frame(&mut cur, id).unwrap();
-        if frame.has_overlay() {
-            let pooled: Arc<HdovNode> = frame.overlay(|_| unreachable!("decoded")).unwrap();
-            assert_eq!(*pooled, HdovNode::decode(frame.bytes()).unwrap(), "{id}");
-            checked += 1;
+        let fresh = HdovNode::decode(frame.bytes()).unwrap();
+        let view = tree.read_node(&mut cur, id.0 as u32).unwrap();
+        let header = (view.ordinal(), view.is_leaf(), view.leaf_descendants());
+        let want = (fresh.ordinal, fresh.is_leaf, fresh.leaf_descendants);
+        assert_eq!(header, want, "{id}");
+        assert_eq!(view.height(), fresh.height, "{id}");
+        assert_eq!(view.len(), fresh.entries.len(), "{id}");
+        for (got, want) in view.entries().zip(&fresh.entries) {
+            assert_eq!(got, *want, "{id}");
         }
+        assert!(!frame.has_overlay(), "{id}: read in place, never decoded");
+        checked += 1;
     }
+    checked
+}
+
+/// The overlay oracle: every pooled V-page frame whose overlay is
+/// populated holds exactly what a fresh `VPageCodec::decode_record` of the
+/// frame's bytes gives. Returns the number of overlays checked.
+fn check_overlays_against_fresh_decodes(env: &SharedEnvironment) -> usize {
+    let mut cur = IoCursor::new();
+    let mut checked = 0;
     let vpages = env.vstore().vpages();
     let (rb, codec) = (vpages.record_bytes(), vpages.codec());
     for id in (0..vpages.pool().page_count()).map(PageId) {
@@ -258,11 +282,15 @@ fn check_overlays_against_fresh_decodes(env: &SharedEnvironment) -> usize {
         }
         let frame = vpages.pool().read_frame(&mut cur, id).unwrap();
         if frame.has_overlay() {
-            let pooled: Arc<Vec<Arc<VPage>>> = frame.overlay(|_| unreachable!("decoded")).unwrap();
-            for (slot, vp) in pooled.iter().enumerate() {
-                let fresh = codec.decode_record(&frame.bytes()[slot * rb..(slot + 1) * rb]);
-                assert_eq!(**vp, fresh.unwrap(), "{id} slot {slot}");
-            }
+            let decoded = |_: &[u8]| unreachable!("decoded");
+            frame
+                .with_overlay(decoded, |pooled: &Vec<Arc<VPage>>| {
+                    for (slot, vp) in pooled.iter().enumerate() {
+                        let fresh = codec.decode_record(&frame.bytes()[slot * rb..(slot + 1) * rb]);
+                        assert_eq!(**vp, fresh.unwrap(), "{id} slot {slot}");
+                    }
+                })
+                .unwrap();
             checked += 1;
         }
     }
@@ -292,17 +320,19 @@ fn pooled_overlays_equal_fresh_decodes() {
             }
             let checked = check_overlays_against_fresh_decodes(&env);
             assert!(checked > 0, "{scheme}: the sweep must leave decoded frames");
+            let nodes = check_node_pages_against_fresh_decodes(&env);
+            assert!(nodes > 0, "{scheme}: the sweep must leave node frames");
         }
     }
 }
 
 #[test]
-fn concurrent_sessions_observe_one_decode_per_node_frame() {
+fn node_reads_record_no_decode_counters() {
     let _g = serial();
     const SESSIONS: u32 = 4;
     let scene = scene();
     // Pool big enough that no node page is ever evicted: each page is then
-    // loaded and decoded exactly once across every session.
+    // loaded exactly once across every session.
     let env = shared_env(
         &scene,
         StorageScheme::IndexedVertical,
@@ -322,7 +352,8 @@ fn concurrent_sessions_observe_one_decode_per_node_frame() {
             s.spawn(move || {
                 let mut cur = IoCursor::new();
                 for ordinal in 0..n {
-                    env.tree().read_node(&mut cur, ordinal).unwrap();
+                    let node = env.tree().read_node(&mut cur, ordinal).unwrap();
+                    assert_eq!(node.ordinal(), ordinal);
                 }
             });
         }
@@ -331,23 +362,21 @@ fn concurrent_sessions_observe_one_decode_per_node_frame() {
     let snap = hdov_obs::snapshot("overlay_residency");
     hdov_obs::reset();
 
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     let reads = u64::from(SESSIONS) * u64::from(n);
-    // Node pages decode on every pooled read, so decode accounting mirrors
-    // pool accounting exactly: one miss (= one decode) per frame load, one
-    // hit per shared reuse — regardless of which thread won the race.
+    // Node pages are read in place: no decode is run or counted, while the
+    // pool's own accounting is unchanged — one miss per frame load, one
+    // hit per shared reuse.
+    assert_eq!(counter("decode_hits"), 0);
+    assert_eq!(counter("decode_misses"), 0);
+    assert_eq!(counter("pool_hits") + counter("pool_misses"), reads);
     assert_eq!(
-        snap.counters["decode_hits"] + snap.counters["decode_misses"],
-        reads
-    );
-    assert_eq!(snap.counters["decode_misses"], snap.counters["pool_misses"]);
-    assert_eq!(snap.counters["decode_hits"], snap.counters["pool_hits"]);
-    assert_eq!(
-        snap.counters["pool_misses"],
+        counter("pool_misses"),
         u64::from(n),
         "every node page loads exactly once across all sessions"
     );
     assert_eq!(
-        snap.counters["bytes_copied_saved"],
+        counter("bytes_copied_saved"),
         reads * PAGE_SIZE as u64,
         "every frame read saves one page memcpy"
     );

@@ -140,7 +140,7 @@ fn every_visible_object_is_represented() {
     let mut parents: HashMap<u32, u32> = HashMap::new();
     for ord in 0..n {
         let node = e.read_node(ord).unwrap();
-        for entry in &node.entries {
+        for entry in node.entries() {
             if entry.is_object() {
                 object_leaf.insert(entry.child, ord);
             } else {

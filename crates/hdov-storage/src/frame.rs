@@ -23,21 +23,23 @@
 //!   admits a clone of that frame for a miss on any member of the class,
 //!   under the member's own page id; such a frame is never recycled.
 //!
-//! Each frame also carries a **decoded overlay**: a `OnceLock` slot that
-//! memoizes the result of decoding the page into a typed object (an
-//! `HdovNode`, a vector of V-pages, …). Every frame memoizes; there is no
-//! policy to turn it off. The overlay is populated at most once per frame
-//! — concurrent sessions racing on a cold frame run the decoder once and
-//! everyone shares the same `Arc<T>` — and it is dropped exactly when the
-//! frame itself is: at eviction for a pool's own frame (mem-shared or
-//! copied), whose pool `Arc` is its only long-lived owner, and with the
-//! store for a twin-class frame, which the store owns. Sharing a mem
-//! store's bytes shares no overlay: each pool frame over them decodes on
-//! its own. Overlay state is *outside* the simulated-disk cost model: the
-//! pool has counted and charged the read before any decode runs, and a
-//! decode never reads a page (the `overlay_residency` integration test
-//! checks every pooled overlay against a fresh decode of its frame's
-//! bytes).
+//! Readers of a fixed-layout page (an HDoV node) read it in place through
+//! [`bytes`](Frame::bytes) and leave the overlay slot empty. Readers of a
+//! page that takes real work to decode (a page of V-page records, possibly
+//! delta-encoded) use the frame's **decoded overlay**: a `OnceLock` slot
+//! that memoizes the result of decoding the page into a typed object and
+//! lends it out ([`with_overlay`](Frame::with_overlay)). The overlay is
+//! populated at most once per frame — concurrent sessions racing on a cold
+//! frame run the decoder once and everyone reads the same value — and it
+//! is dropped exactly when the frame itself is: at eviction for a pool's
+//! own frame (mem-shared or copied), whose pool `Arc` is its only
+//! long-lived owner, and with the store for a twin-class frame, which the
+//! store owns. Sharing a mem store's bytes shares no overlay: each pool
+//! frame over them decodes on its own. Overlay state is *outside* the
+//! simulated-disk cost model: the pool has counted and charged the read
+//! before any decode runs, and a decode never reads a page (the
+//! `overlay_residency` integration test checks every pooled overlay
+//! against a fresh decode of its frame's bytes).
 
 use crate::{Result, StorageError};
 use std::any::Any;
@@ -49,7 +51,7 @@ use std::sync::{Arc, OnceLock};
 type OverlaySlot = OnceLock<std::result::Result<DynOverlay, String>>;
 
 /// A decoded overlay of some page type.
-type DynOverlay = Arc<dyn Any + Send + Sync>;
+type DynOverlay = Box<dyn Any + Send + Sync>;
 
 /// One immutable pooled page plus its lazily decoded overlay.
 #[derive(Debug)]
@@ -86,49 +88,35 @@ impl Frame {
     }
 
     /// The decoded overlay of this page, decoding with `decode` on first
-    /// use.
+    /// use, lent to `read`.
     ///
     /// Exactly one caller per frame runs `decode` (under the `OnceLock`
-    /// race, only the winner's closure executes); everyone else gets a clone
-    /// of the same `Arc<T>`. Records `decode_misses` for the run that
-    /// decoded and `decode_hits` for every memoized return, so for a page
-    /// type that is decoded on every pool read, `decode_misses` equals the
-    /// pool's misses that admitted a frame of their own (every miss on a
-    /// mem store): a miss that shares a twin-class frame decodes only if no
-    /// earlier reader of the class has.
+    /// race, only the winner's closure executes); everyone else reads the
+    /// same value. Records `decode_misses` for the run that decoded and
+    /// `decode_hits` for every memoized read, so for a page type that is
+    /// decoded on every pool read, `decode_misses` equals the pool's misses
+    /// that admitted a frame of their own (every miss on a mem store): a
+    /// miss that shares a twin-class frame decodes only if no earlier
+    /// reader of the class has.
     ///
     /// # Errors
     /// Propagates the decoder's error (memoized as [`StorageError::Corrupt`]
     /// on later calls), or `Corrupt` if the same page is requested as two
     /// different overlay types.
-    pub fn overlay<T, F>(&self, decode: F) -> Result<Arc<T>>
-    where
-        T: Any + Send + Sync,
-        F: FnOnce(&[u8]) -> Result<T>,
-    {
-        let any = Arc::clone(self.decoded(decode)?);
-        any.downcast::<T>().map_err(|_| self.type_mismatch())
-    }
-
-    /// [`overlay`](Self::overlay), lending the decoded value to `read`
-    /// instead of cloning its `Arc`: same decode-once rule, same counters,
-    /// same errors. A reader that copies one small piece out of a large
-    /// overlay (one V-page of a decoded page) takes no reference count.
     pub fn with_overlay<T, F, R>(&self, decode: F, read: impl FnOnce(&T) -> R) -> Result<R>
     where
         T: Any + Send + Sync,
         F: FnOnce(&[u8]) -> Result<T>,
     {
         let any = self.decoded(decode)?;
-        let value = any
-            .downcast_ref::<T>()
-            .ok_or_else(|| self.type_mismatch())?;
+        let value = any.downcast_ref::<T>().ok_or_else(|| {
+            StorageError::Corrupt("page overlay requested as two different types".into())
+        })?;
         Ok(read(value))
     }
 
-    /// The one decode path behind [`overlay`](Self::overlay) and
-    /// [`with_overlay`](Self::with_overlay): the memoized slot, decoding on
-    /// first use, with the decode counters recorded.
+    /// The memoized slot behind [`with_overlay`](Self::with_overlay),
+    /// decoding on first use, with the decode counters recorded.
     fn decoded<T, F>(&self, decode: F) -> Result<&DynOverlay>
     where
         T: Any + Send + Sync,
@@ -138,7 +126,7 @@ impl Frame {
         let slot = self.overlay.get_or_init(|| {
             ran = true;
             match decode(self.bytes()) {
-                Ok(v) => Ok(Arc::new(v) as DynOverlay),
+                Ok(v) => Ok(Box::new(v) as DynOverlay),
                 Err(e) => Err(e.to_string()),
             }
         });
@@ -152,9 +140,11 @@ impl Frame {
             Err(msg) => Err(StorageError::Corrupt(msg.clone())),
         }
     }
+}
 
-    fn type_mismatch(&self) -> StorageError {
-        StorageError::Corrupt("page overlay requested as two different types".into())
+impl AsRef<[u8]> for Frame {
+    fn as_ref(&self) -> &[u8] {
+        &self.bytes
     }
 }
 
@@ -166,27 +156,29 @@ mod tests {
         Frame::new(Arc::from([byte; 16]))
     }
 
+    /// The overlay of `f` as a `u32`, decoded from the first byte × 10.
+    fn read_u32(f: &Frame, decodes: &mut u32) -> (u32, *const u32) {
+        f.with_overlay(
+            |p| {
+                *decodes += 1;
+                Ok(u32::from(p[0]) * 10)
+            },
+            |v: &u32| (*v, v as *const u32),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn overlay_decodes_once_and_shares() {
         let f = frame(3);
         assert!(!f.has_overlay());
         let mut decodes = 0;
-        let a: Arc<u32> = f
-            .overlay(|p| {
-                decodes += 1;
-                Ok(u32::from(p[0]) * 10)
-            })
-            .unwrap();
-        let b: Arc<u32> = f
-            .overlay(|_| {
-                decodes += 1;
-                Ok(999)
-            })
-            .unwrap();
-        assert_eq!((*a, *b), (30, 30), "second call must reuse the first");
+        let (a, a_at) = read_u32(&f, &mut decodes);
+        let (b, b_at) = read_u32(&f, &mut decodes);
+        assert_eq!((a, b), (30, 30), "second call must reuse the first");
         assert_eq!(decodes, 1);
         assert!(f.has_overlay());
-        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(a_at, b_at, "both reads lend the one memoized value");
     }
 
     #[test]
@@ -203,31 +195,29 @@ mod tests {
             )
             .unwrap();
         assert_eq!(first, 7);
-        // The lent value is the memoized one `overlay` hands out.
-        let shared: Arc<Vec<u32>> = f.overlay(|_| Ok(vec![0])).unwrap();
-        assert_eq!(*shared, vec![4, 7]);
+        let again = f
+            .with_overlay(|_| Ok(vec![0]), |v: &Vec<u32>| v.clone())
+            .unwrap();
+        assert_eq!(again, vec![4, 7]);
         assert_eq!(decodes, 1);
-        let err = f.with_overlay(|_| Ok(1u8), |v: &u8| *v).unwrap_err();
-        assert!(err.to_string().contains("two different types"));
     }
 
     #[test]
     fn overlay_caches_decode_errors() {
         let f = frame(0);
-        let err = f
-            .overlay::<u32, _>(|_| Err(StorageError::Corrupt("bad magic".into())))
-            .unwrap_err();
+        let fail = |_: &[u8]| -> Result<u32> { Err(StorageError::Corrupt("bad magic".into())) };
+        let err = f.with_overlay(fail, |v: &u32| *v).unwrap_err();
         assert!(err.to_string().contains("bad magic"));
         // The failure is memoized: a second (would-succeed) decode never runs.
-        let err = f.overlay::<u32, _>(|_| Ok(1)).unwrap_err();
+        let err = f.with_overlay(|_| Ok(1u32), |v: &u32| *v).unwrap_err();
         assert!(err.to_string().contains("bad magic"));
     }
 
     #[test]
     fn overlay_type_mismatch_is_an_error() {
         let f = frame(1);
-        let _: Arc<u32> = f.overlay(|_| Ok(1u32)).unwrap();
-        let err = f.overlay::<u64, _>(|_| Ok(1u64)).unwrap_err();
+        f.with_overlay(|_| Ok(1u32), |v: &u32| *v).unwrap();
+        let err = f.with_overlay(|_| Ok(1u64), |v: &u64| *v).unwrap_err();
         assert!(err.to_string().contains("two different types"));
     }
 
@@ -241,16 +231,26 @@ mod tests {
                 let f = Arc::clone(&f);
                 let decodes = &decodes;
                 s.spawn(move || {
-                    let v: Arc<u32> = f
-                        .overlay(|p| {
-                            decodes.fetch_add(1, Ordering::Relaxed);
-                            Ok(u32::from(p[0]))
-                        })
+                    let v = f
+                        .with_overlay(
+                            |p| {
+                                decodes.fetch_add(1, Ordering::Relaxed);
+                                Ok(u32::from(p[0]))
+                            },
+                            |v: &u32| *v,
+                        )
                         .unwrap();
-                    assert_eq!(*v, 9);
+                    assert_eq!(v, 9);
                 });
             }
         });
         assert_eq!(decodes.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn frame_reads_as_its_bytes() {
+        let f = frame(7);
+        assert_eq!(f.as_ref(), f.bytes());
+        assert_eq!(f.as_ref(), &[7u8; 16]);
     }
 }

@@ -1017,15 +1017,12 @@ mod tests {
         let pool = SharedCachedFile::new(frozen(3), DiskModel::FREE, 1, 1);
         let mut cur = IoCursor::new();
         let frame = pool.read_frame(&mut cur, PageId(0)).unwrap();
-        let overlay: Arc<u64> = frame
-            .overlay(|p| Ok(u64::from_le_bytes(p[..8].try_into().unwrap())))
-            .unwrap();
-        assert_eq!(*overlay, 0);
+        let first = |p: &[u8]| Ok(u64::from_le_bytes(p[..8].try_into().unwrap()));
+        assert_eq!(frame.with_overlay(first, |v: &u64| *v).unwrap(), 0);
         let weak = Arc::downgrade(&frame);
         drop(frame);
         assert!(weak.upgrade().is_some(), "pool must keep the frame alive");
         pool.read_frame(&mut cur, PageId(1)).unwrap(); // capacity 1: evicts 0
-        drop(overlay);
         assert!(
             weak.upgrade().is_none(),
             "evicted frame (and its overlay) must be freed once unreferenced"

@@ -537,11 +537,14 @@ fn a_class_overlay_is_decoded_once_across_members_and_outlives_eviction() {
     let (mut ca, mut cb) = (IoCursor::new(), IoCursor::new());
     let mut decodes = 0;
     let mut decode = |frame: &Frame| -> u64 {
-        *frame
-            .overlay(|p| {
-                decodes += 1;
-                Ok(u64::from_le_bytes(p[..8].try_into().unwrap()))
-            })
+        frame
+            .with_overlay(
+                |p| {
+                    decodes += 1;
+                    Ok(u64::from_le_bytes(p[..8].try_into().unwrap()))
+                },
+                |v: &u64| *v,
+            )
             .unwrap()
     };
     assert_eq!(decode(&a.read_frame(&mut ca, PageId(3)).unwrap()), 3);

@@ -34,7 +34,7 @@ pub(crate) fn ancestor_map(env: &mut HdovEnvironment) -> Result<HashMap<u64, Vec
     let mut leaf_of: HashMap<u64, u32> = HashMap::new();
     for ord in 0..env.tree().node_count() {
         let node = env.read_node(ord)?;
-        for e in &node.entries {
+        for e in node.entries() {
             if e.is_object() {
                 leaf_of.insert(e.child, ord);
             } else {
