@@ -1,7 +1,7 @@
 //! `decode_bench` — microbenchmarks of the zero-copy hot read path.
 //!
 //! Three groups measure what the `Arc<Frame>` read path costs on pool
-//! hits:
+//! hits, and one what a pool miss costs:
 //!
 //! * `frame_hit_arc_clone` vs `page_hit_memcpy`: handing back the pooled
 //!   frame vs copying its bytes into a caller buffer;
@@ -9,7 +9,9 @@
 //!   every node through the in-place `NodePage` view vs running
 //!   `HdovNode::decode` on the pooled frame's bytes per read;
 //! * `search_steady/overlay_on`: a full steady-state query sweep over warm
-//!   pools.
+//!   pools;
+//! * `pool_miss/mem_shared`: one miss through a full mem pool, which admits
+//!   the store's shared frame of the page.
 //!
 //! Kept deliberately small (tiny scene, fast build) so the CI perf gate can
 //! run it as a smoke test.
@@ -20,7 +22,10 @@ use hdov_core::{
     SharedEnvironment, StorageScheme, VEntry, VPage, VPageCodec,
 };
 use hdov_scene::CityConfig;
-use hdov_storage::{IoCursor, Page, PageId, PAGE_SIZE};
+use hdov_storage::{
+    DiskModel, FrozenPages, IoCursor, MemPagedFile, Page, PageId, PagedFile, SharedCachedFile,
+    PAGE_SIZE,
+};
 use hdov_visibility::{CellGridConfig, CellId};
 use std::hint::black_box;
 
@@ -177,9 +182,37 @@ fn vpage_batch(c: &mut Criterion) {
     group.finish();
 }
 
+/// A cyclic miss stream through a full mem pool, one miss per iteration:
+/// each miss admits the store's shared frame of the page (no hash, no copy,
+/// no allocation), charges the cursor and evicts the shard's LRU frame.
+/// `decode/pool_miss/mem_shared` is gated by the CI perf job against the
+/// checked-in budget in `ci/decode_budget.toml`.
+fn pool_miss(c: &mut Criterion) {
+    const PAGES: u64 = 256;
+    let mut group = c.benchmark_group("decode/pool_miss");
+    let mut file = MemPagedFile::new();
+    for id in 0..PAGES {
+        file.append_page(&Page::from_bytes(&id.to_le_bytes()))
+            .unwrap();
+    }
+    // A scan over 4× the pool's capacity: every read misses.
+    let pool = SharedCachedFile::new(FrozenPages::from_mem(file), DiskModel::PAPER_ERA, 64, 8);
+    let mut cur = IoCursor::new();
+    let mut next = 0;
+    group.bench_function(BenchmarkId::from_parameter("mem_shared"), |b| {
+        b.iter(|| {
+            next = (next + 1) % PAGES;
+            black_box(pool.read_frame(&mut cur, PageId(next)).unwrap())
+        })
+    });
+    group.finish();
+    let (hits, _) = pool.hit_stats();
+    assert_eq!(hits, 0, "every read must miss");
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = frame_vs_copy, node_page, search_steady, vpage_batch
+    targets = frame_vs_copy, node_page, search_steady, vpage_batch, pool_miss
 }
 criterion_main!(benches);

@@ -159,8 +159,9 @@ impl SharedVPageFile {
     /// frame's overlay holds every record of the page decoded (trailing
     /// unused slots are zero bytes, which decode as empty V-pages). Repeat
     /// reads of any record on the page — from this or any other session —
-    /// share the one decoded vector; the decoded data dies when the frame
-    /// is evicted.
+    /// share the one decoded vector. A store-owned frame (every page of a
+    /// mem store) keeps it as long as the store; a pool's copy drops it at
+    /// eviction.
     pub fn read(&self, cursor: &mut IoCursor, idx: u64) -> Result<Arc<VPage>> {
         let slot = (idx % self.records_per_page) as usize;
         let frame = self
@@ -171,7 +172,7 @@ impl SharedVPageFile {
         let codec = self.codec;
         // Batch decode: one pass materializes every record of the page into
         // the frame's OnceLock overlay slot, so the whole page pays decode
-        // at most once per pool residency regardless of codec. The read
+        // at most once per frame regardless of codec. The read
         // borrows the decoded vector and clones only the one record's `Arc`.
         frame.with_overlay(
             |page| {

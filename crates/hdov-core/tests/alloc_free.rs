@@ -137,7 +137,7 @@ fn steady_state_search_allocates_nothing() {
     let store_dir = std::env::temp_dir().join(format!("hdov_alloc_free_{}", std::process::id()));
 
     // Both wire formats: the Delta codec's batch decode lands in the
-    // OnceLock overlay exactly once per pool residency, so an all-hits
+    // OnceLock overlay exactly once per frame, so an all-hits
     // steady state never decodes (and never allocates) either way.
     for codec in [VPageCodec::Raw, VPageCodec::Delta] {
         for scheme in [StorageScheme::Vertical, StorageScheme::IndexedVertical] {

@@ -1,9 +1,12 @@
 //! Residency semantics of the decoded-overlay cache, and of node pages,
 //! which are read in place and never decoded:
 //!
-//! (a) a V-page frame's decoded overlay is dropped exactly when the frame
-//!     is evicted — no unbounded decoded-object memory — while data an
-//!     active session still holds stays alive through its own `Arc`;
+//! (a) on a mem store, a V-page page's decoded overlay lives in the
+//!     store's one frame of the page: it is decoded once per store, shared
+//!     by every pool and fork over it, and outlives eviction (at most one
+//!     overlay per distinct page). A pool's own copy (a copied miss) drops
+//!     its overlay exactly when it is evicted, while data an active
+//!     session still holds stays alive through its own `Arc`;
 //! (b) after a fig7/fig8-style η sweep, every pooled V-page overlay equals
 //!     a fresh decode of its frame's bytes (the overlay is pure CPU
 //!     memoization, never a different answer), and every pooled node page
@@ -18,10 +21,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use hdov_core::{
     HdovBuildConfig, HdovEnvironment, HdovNode, PoolConfig, SessionCtx, SharedEnvironment,
-    StorageScheme, VEntry, VPage, VPageCodec,
+    SharedVStore, StorageScheme, VEntry, VPage, VPageCodec,
 };
 use hdov_scene::{CityConfig, Scene};
-use hdov_storage::{DiskModel, IoCursor, PageId, PAGE_SIZE};
+use hdov_storage::{DiskModel, FaultPlan, IoCursor, PageId, PAGE_SIZE};
 use hdov_visibility::{CellGridConfig, CellId};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -89,129 +92,131 @@ fn wide_delta_store(n: u32) -> (Vec<u16>, Vec<Vec<(u32, VPage)>>) {
     (counts, vec![cell])
 }
 
+/// `store` behind a single-shard two-frame pool: reading three distinct
+/// pages is guaranteed to evict the oldest.
+fn two_frame_pools(store: &SharedVStore) -> SharedVStore {
+    store.with_pools(PoolConfig {
+        capacity_pages: 2,
+        shards: 1,
+        ..PoolConfig::default()
+    })
+}
+
+/// A session of `vs` in its one cell.
+fn session(vs: &SharedVStore) -> SessionCtx {
+    let mut ctx = SessionCtx::new();
+    vs.enter_cell(&mut ctx, 0).unwrap();
+    ctx
+}
+
+/// The overlay lifetime of record 0 of `store`, a mem V-page store of one
+/// cell; each record of `others` lives on a disk page of its own other than
+/// record 0's, so fetching them through a two-frame pool evicts record 0's
+/// page.
+///
+/// The store owns one frame per distinct page, so its one decoded overlay
+/// is shared by two pools and a fork and outlives eviction. A copied miss
+/// (faults armed) decodes into the pool's own frame, which dies, overlay
+/// and all, at eviction.
+fn check_overlay_lifetime(store: &SharedVStore, others: &[u32]) -> Arc<VPage> {
+    let page0 = PageId(store.vpages().disk_page_of(0));
+    let (a, b) = (two_frame_pools(store), two_frame_pools(store));
+    let (mut ca, mut cb) = (session(&a), session(&b));
+    let v0 = a.fetch(&mut ca, 0).unwrap().unwrap();
+    let frame = a
+        .vpages()
+        .pool()
+        .read_frame(&mut ca.vpage_cur, page0)
+        .unwrap();
+    assert!(frame.has_overlay(), "fetch must have decoded the overlay");
+    for &o in others {
+        a.fetch(&mut ca, o).unwrap().unwrap();
+    }
+    assert!(!a.vpages().pool().contains(page0), "page 0 must be evicted");
+    assert!(frame.has_overlay(), "the store's frame keeps its overlay");
+    let forked = a
+        .vpages()
+        .pool()
+        .fork()
+        .read_frame(&mut IoCursor::new(), page0)
+        .unwrap();
+    assert!(Arc::ptr_eq(&frame, &forked), "a fork admits the same frame");
+    for got in [a.fetch(&mut ca, 0), b.fetch(&mut cb, 0)] {
+        let got = got.unwrap().unwrap();
+        assert!(Arc::ptr_eq(&v0, &got), "one decode per page per store");
+    }
+
+    // An armed plan that injects nothing: every miss copies.
+    let c = two_frame_pools(store);
+    c.vpages().pool().arm_faults(&FaultPlan::default());
+    let mut cc = session(&c);
+    let c0 = c.fetch(&mut cc, 0).unwrap().unwrap();
+    assert!(!Arc::ptr_eq(&v0, &c0), "a copy decodes on its own");
+    assert_eq!(*v0, *c0);
+    let copy = c
+        .vpages()
+        .pool()
+        .read_frame(&mut cc.vpage_cur, page0)
+        .unwrap();
+    assert!(copy.has_overlay() && !Arc::ptr_eq(&copy, &frame));
+    let weak = Arc::downgrade(&copy);
+    drop(copy);
+    for &o in others {
+        c.fetch(&mut cc, o).unwrap().unwrap();
+    }
+    assert!(
+        weak.upgrade().is_none(),
+        "an evicted copy (and its overlay) must be dropped at eviction"
+    );
+    // The session's own Arc keeps the decoded record alive, and re-reading
+    // the page decodes afresh into a new Arc.
+    let again = c.fetch(&mut cc, 0).unwrap().unwrap();
+    assert!(!Arc::ptr_eq(&c0, &again));
+    assert_eq!(*c0, *again, "re-decode must agree");
+    v0
+}
+
 #[test]
-fn overlay_dropped_exactly_on_frame_eviction() {
+fn mem_overlays_live_with_the_store_and_copies_die_at_eviction() {
     let _g = serial();
     let (counts, cells) = one_record_per_page_store(8);
     let store = StorageScheme::Vertical
         .build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Raw)
         .unwrap();
-    // A single-shard two-frame V-page pool: reading three distinct pages is
-    // guaranteed to evict the oldest.
-    let vs = store.0.with_pools(PoolConfig {
-        capacity_pages: 2,
-        shards: 1,
-        ..PoolConfig::default()
-    });
-
-    let mut ctx = SessionCtx::new();
-    vs.enter_cell(&mut ctx, 0).unwrap();
-    let v0 = vs.fetch(&mut ctx, 0).unwrap().unwrap();
-
-    // While the frame is resident its overlay is populated, and every fetch
-    // of the record shares the one decoded Arc.
-    let frame = vs
-        .vpages()
-        .pool()
-        .read_frame(&mut ctx.vpage_cur, PageId(0))
-        .unwrap();
-    assert!(frame.has_overlay(), "fetch must have decoded the overlay");
-    let weak = Arc::downgrade(&frame);
-    drop(frame);
-    let v0_again = vs.fetch(&mut ctx, 0).unwrap().unwrap();
-    assert!(
-        Arc::ptr_eq(&v0, &v0_again),
-        "repeat fetch of a resident record must share the decoded Arc"
-    );
-    assert!(weak.upgrade().is_some(), "frame still pooled");
-
-    // Stream four other pages through the two-frame pool: page 0's frame is
-    // evicted, and the frame (with its overlay) dies immediately — the pool
-    // held the only long-lived reference.
-    for ordinal in 1..5 {
-        vs.fetch(&mut ctx, ordinal).unwrap().unwrap();
-    }
-    assert!(
-        weak.upgrade().is_none(),
-        "evicted frame (and its overlay) must be dropped at eviction"
-    );
-
-    // The session's own Arc keeps the decoded record itself alive...
-    assert_eq!(*v0, *v0_again);
-    // ...and re-reading the page decodes afresh into a new Arc.
-    let v0_redecoded = vs.fetch(&mut ctx, 0).unwrap().unwrap();
-    assert!(
-        !Arc::ptr_eq(&v0, &v0_redecoded),
-        "a re-pooled frame starts with an empty overlay slot"
-    );
-    assert_eq!(*v0, *v0_redecoded, "re-decode must agree");
+    assert_eq!(store.0.vpages().disk_page_of(4), 4, "one record per page");
+    let v0 = check_overlay_lifetime(&store.0, &[1, 2, 3, 4]);
+    assert_eq!(*v0, cells[0][0].1);
 }
 
 #[test]
-fn overlay_eviction_semantics_hold_under_delta_codec() {
+fn overlay_lifetime_holds_under_delta_codec() {
     let _g = serial();
     let (counts, cells) = wide_delta_store(120);
     let store = StorageScheme::Vertical
         .build(&counts, &cells, DiskModel::PAPER_ERA, VPageCodec::Delta)
         .unwrap();
-    let vs = store.0.with_pools(PoolConfig {
-        capacity_pages: 2,
-        shards: 1,
-        ..PoolConfig::default()
-    });
-
-    let mut ctx = SessionCtx::new();
-    vs.enter_cell(&mut ctx, 0).unwrap();
     // Vertical append order == ordinal here (one cell, all visible), so
     // record index k lives on disk page `disk_page_of(k)`.
-    let v0 = vs.fetch(&mut ctx, 0).unwrap().unwrap();
+    let vpages = store.0.vpages();
+    let page_of = |o: u32| vpages.disk_page_of(u64::from(o));
+    let mut seen = std::collections::HashSet::from([page_of(0)]);
+    let others: Vec<u32> = (1..120u32)
+        .filter(|&o| seen.insert(page_of(o)))
+        .take(4)
+        .collect();
+    assert_eq!(others.len(), 4, "store too small to steer eviction");
+    let v0 = check_overlay_lifetime(&store.0, &others);
     assert_eq!(*v0, cells[0][0].1, "batch decode must reproduce the page");
 
-    let frame = vs
-        .vpages()
-        .pool()
-        .read_frame(&mut ctx.vpage_cur, PageId(vs.vpages().disk_page_of(0)))
-        .unwrap();
-    assert!(
-        frame.has_overlay(),
-        "fetch must have batch-decoded the overlay"
-    );
-    let weak = Arc::downgrade(&frame);
-    drop(frame);
-    let v0_again = vs.fetch(&mut ctx, 0).unwrap().unwrap();
-    assert!(
-        Arc::ptr_eq(&v0, &v0_again),
-        "repeat fetch of a resident record must share the decoded Arc"
-    );
-    // A neighbouring record on the same disk page shares the one batch
-    // decode: no per-record decode work while the frame is resident.
-    let same_page_neighbour = (1..120u32)
-        .find(|&o| vs.vpages().disk_page_of(o as u64) == vs.vpages().disk_page_of(0))
+    // A neighbouring record on the same disk page is served from the one
+    // batch decode.
+    let vs = two_frame_pools(&store.0);
+    let mut ctx = session(&vs);
+    let neighbour = (1..120u32)
+        .find(|&o| page_of(o) == page_of(0))
         .expect("several delta records share a page");
-    let vn = vs.fetch(&mut ctx, same_page_neighbour).unwrap().unwrap();
-    assert_eq!(*vn, cells[0][same_page_neighbour as usize].1);
-
-    // Stream records from four other disk pages through the two-frame pool:
-    // page 0's frame — and its decoded overlay — dies at eviction.
-    let mut seen = std::collections::HashSet::new();
-    for o in 1..120u32 {
-        let p = vs.vpages().disk_page_of(o as u64);
-        if p != vs.vpages().disk_page_of(0) && seen.insert(p) {
-            let got = vs.fetch(&mut ctx, o).unwrap().unwrap();
-            assert_eq!(*got, cells[0][o as usize].1);
-        }
-        if seen.len() >= 4 {
-            break;
-        }
-    }
-    assert!(seen.len() >= 4, "store too small to steer eviction");
-    assert!(
-        weak.upgrade().is_none(),
-        "evicted frame (and its overlay) must be dropped at eviction"
-    );
-    let v0_redecoded = vs.fetch(&mut ctx, 0).unwrap().unwrap();
-    assert!(!Arc::ptr_eq(&v0, &v0_redecoded));
-    assert_eq!(*v0, *v0_redecoded, "delta re-decode must agree");
+    let vn = vs.fetch(&mut ctx, neighbour).unwrap().unwrap();
+    assert_eq!(*vn, cells[0][neighbour as usize].1);
 }
 
 #[test]

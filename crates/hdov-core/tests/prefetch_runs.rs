@@ -180,7 +180,7 @@ impl PerPage {
             };
             let mut reads = false;
             for id in (h.first_page.0..h.first_page.0 + u64::from(h.pages)).map(PageId) {
-                reads |= !pool.contains(id) && !pool.miss_shares_class(id);
+                reads |= !pool.contains(id) && !pool.miss_shares(id);
                 pool.read_frame(cur, id).unwrap();
             }
             with_read += u64::from(reads);

@@ -7,6 +7,7 @@
 //! read through this trait: they read frozen pages through the buffer pool.
 
 use crate::error::StoreOrigin;
+use crate::frame::{SharedPage, SharedPages};
 use crate::{page_checksum, Page, PageId, Result, StorageError, PAGE_SIZE};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -127,11 +128,33 @@ impl MemPagedFile {
         }
     }
 
-    /// Consumes the file, yielding its pages — slots with equal bytes share
-    /// one `Arc` — to freeze a fully built store into an immutable,
-    /// shareable [`FrozenPages`](crate::FrozenPages) snapshot.
-    pub fn into_pages(self) -> Vec<Arc<[u8]>> {
-        self.pages
+    /// Consumes the file, yielding one [`SharedPage`] per distinct content
+    /// a slot holds (in order of first slot), with the checksum it was
+    /// interned under, and every slot's index into them: the frozen
+    /// [`FrozenPages`](crate::FrozenPages) snapshot of a built store.
+    pub fn into_shared(self) -> SharedPages {
+        let sums: HashMap<*const u8, u64> = self
+            .interned
+            .iter()
+            .flat_map(|(&sum, bucket)| bucket.iter().map(move |p| (p.as_ptr(), sum)))
+            .collect();
+        let mut index: HashMap<*const u8, u32> = HashMap::new();
+        let mut pages = Vec::new();
+        let table = self
+            .pages
+            .into_iter()
+            .map(|bytes| {
+                let at = bytes.as_ptr();
+                *index.entry(at).or_insert_with(|| {
+                    pages.push(SharedPage::new(bytes, sums[&at]));
+                    u32::try_from(pages.len() - 1).expect("fewer than 2^32 distinct pages")
+                })
+            })
+            .collect();
+        SharedPages {
+            table,
+            pages: pages.into(),
+        }
     }
 }
 
@@ -204,11 +227,13 @@ mod tests {
         for tag in [1, 2, 1, 1] {
             f.append_page(&page(tag)).unwrap();
         }
-        let pages = f.into_pages();
-        assert!(Arc::ptr_eq(&pages[0], &pages[2]));
-        assert!(Arc::ptr_eq(&pages[0], &pages[3]));
-        assert!(!Arc::ptr_eq(&pages[0], &pages[1]));
-        assert_eq!(&pages[1][..8], &2u64.to_le_bytes());
+        let shared = f.into_shared();
+        assert_eq!(&*shared.table, &[0, 1, 0, 0]);
+        assert_eq!(shared.pages.len(), 2);
+        for (page, tag) in shared.pages.iter().zip([1u64, 2]) {
+            assert_eq!(&page.frame().bytes()[..8], &tag.to_le_bytes());
+            assert_eq!(page.checksum(), page_checksum(page.frame().bytes()));
+        }
     }
 
     #[test]
@@ -247,9 +272,9 @@ mod tests {
         }
         // A written page of zeros is the same content, so the same page.
         f.append_page(&Page::zeroed()).unwrap();
-        let pages = f.into_pages();
-        assert!(pages[0].iter().all(|&b| b == 0));
-        assert!(pages.iter().all(|p| Arc::ptr_eq(p, &pages[0])));
+        let shared = f.into_shared();
+        assert_eq!(&*shared.table, &[0; 4]);
+        assert!(shared.pages[0].frame().bytes().iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -6,22 +6,12 @@
 //! `Arc` while the pool retains (or evicts) its own.
 //!
 //! A frame is an immutable `Arc<[u8]>` of page bytes plus its overlay
-//! slot, and knows nothing of which page id it serves. Its bytes come from
-//! one of three places:
-//!
-//! * **the mem store's own buffer** — a pool miss on a mem store with no
-//!   faults armed admits a frame over the store's interned `Arc<[u8]>` of
-//!   the page (a reference-count bump, no copy);
-//! * **a pool buffer** — a pread miss on a page whose bytes repeat nowhere,
-//!   and every miss while faults are armed, is copied into a buffer the
-//!   pool owns alone. When the pool evicts such a frame and no session
-//!   still holds it, the buffer becomes its shard's spare, and the shard's
-//!   next copying miss is filled into it. Only a uniquely owned buffer is
-//!   ever recycled, so a store's bytes never become a spare;
-//! * **a twin class** — a pread store builds one frame per twin class (a
-//!   set of pages with byte-identical contents) when it opens, and a pool
-//!   admits a clone of that frame for a miss on any member of the class,
-//!   under the member's own page id; such a frame is never recycled.
+//! slot, and knows nothing of which page id it serves. A pool miss admits
+//! either the store's own frame of the page's bytes (a [`SharedPage`]:
+//! every mem page, every repeated pread page), which every pool and fork
+//! over the store shares and no pool recycles, or a copy into a buffer the
+//! pool owns alone, which becomes its shard's spare once evicted and
+//! unheld.
 //!
 //! Readers of a fixed-layout page (an HDoV node) read it in place through
 //! [`bytes`](Frame::bytes) and leave the overlay slot empty. Readers of a
@@ -31,17 +21,18 @@
 //! lends it out ([`with_overlay`](Frame::with_overlay)). The overlay is
 //! populated at most once per frame — concurrent sessions racing on a cold
 //! frame run the decoder once and everyone reads the same value — and it
-//! is dropped exactly when the frame itself is: at eviction for a pool's
-//! own frame (mem-shared or copied), whose pool `Arc` is its only
-//! long-lived owner, and with the store for a twin-class frame, which the
-//! store owns. Sharing a mem store's bytes shares no overlay: each pool
-//! frame over them decodes on its own. Overlay state is *outside* the
-//! simulated-disk cost model: the pool has counted and charged the read
-//! before any decode runs, and a decode never reads a page (the
-//! `overlay_residency` integration test checks every pooled overlay
-//! against a fresh decode of its frame's bytes).
+//! is dropped exactly when the frame itself is: with the store for a shared
+//! page, so a store holds at most one overlay per distinct page, and at
+//! eviction for a copy, whose pool `Arc` is its only long-lived owner.
+//! Decoding is a pure function of the bytes, and each store's pages are
+//! decoded as one overlay type, so sharing an overlay never changes an
+//! answer. Overlay state is *outside* the simulated-disk cost model: the
+//! pool has counted and charged the read before any decode runs, and a
+//! decode never reads a page (the `overlay_residency` integration test
+//! checks every pooled overlay against a fresh decode of its frame's
+//! bytes).
 
-use crate::{Result, StorageError};
+use crate::{PageId, Result, StorageError};
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
 
@@ -71,8 +62,7 @@ impl Frame {
     }
 
     /// The frame's page buffer, its overlay dropped — how the pool recycles
-    /// the buffer of an evicted frame no session still holds (when the
-    /// buffer is not shared with a store).
+    /// the buffer of an evicted copy no session still holds.
     pub fn into_bytes(self) -> Arc<[u8]> {
         self.bytes
     }
@@ -94,10 +84,8 @@ impl Frame {
     /// race, only the winner's closure executes); everyone else reads the
     /// same value. Records `decode_misses` for the run that decoded and
     /// `decode_hits` for every memoized read, so for a page type that is
-    /// decoded on every pool read, `decode_misses` equals the pool's misses
-    /// that admitted a frame of their own (every miss on a mem store): a
-    /// miss that shares a twin-class frame decodes only if no earlier
-    /// reader of the class has.
+    /// decoded on every pool read, `decode_misses` counts the copied misses
+    /// plus the distinct shared pages the store has decoded so far.
     ///
     /// # Errors
     /// Propagates the decoder's error (memoized as [`StorageError::Corrupt`]
@@ -145,6 +133,65 @@ impl Frame {
 impl AsRef<[u8]> for Frame {
     fn as_ref(&self) -> &[u8] {
         &self.bytes
+    }
+}
+
+/// A store's own frame of some page bytes and the [`page_checksum`] of
+/// those bytes, hashed once: what a pool admits for a miss on any page
+/// with these bytes, after comparing the checksum with the page's own.
+///
+/// [`page_checksum`]: crate::page_checksum
+#[derive(Debug)]
+pub struct SharedPage {
+    frame: Arc<Frame>,
+    checksum: u64,
+}
+
+impl SharedPage {
+    /// A frame over `bytes`, whose checksum is `checksum`.
+    pub(crate) fn new(bytes: Arc<[u8]>, checksum: u64) -> Self {
+        SharedPage {
+            frame: Arc::new(Frame::new(bytes)),
+            checksum,
+        }
+    }
+
+    /// The frame every pool over the store admits for a miss on the page.
+    pub fn frame(&self) -> &Arc<Frame> {
+        &self.frame
+    }
+
+    /// The checksum of the frame's bytes.
+    pub fn checksum(&self) -> u64 {
+        self.checksum
+    }
+}
+
+/// The [`SharedPages::table`] entry of a page without a shared frame.
+pub const UNSHARED: u32 = u32::MAX;
+
+/// A store's shared pages: which page ids share which frame.
+#[derive(Debug)]
+pub struct SharedPages {
+    /// Per page id, the index of its shared page in `pages`, or
+    /// [`UNSHARED`].
+    pub table: Box<[u32]>,
+    /// One shared page per distinct content that has one.
+    pub pages: Box<[SharedPage]>,
+}
+
+impl SharedPages {
+    /// The shared page of page `id`; `None` when it has none or `id` is
+    /// out of bounds.
+    pub(crate) fn get(&self, id: PageId) -> Option<&SharedPage> {
+        let at = *self.table.get(usize::try_from(id.0).ok()?)?;
+        self.pages.get(at as usize)
+    }
+
+    /// The shared page of every page id in order, for a store that shares
+    /// every page (a mem store's); panics at a page without one.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &SharedPage> {
+        self.table.iter().map(|&at| &self.pages[at as usize])
     }
 }
 

@@ -54,7 +54,7 @@ pub use disk::{DiskModel, IoCursor, SimulatedDisk};
 pub use error::{Result, StorageError, StoreOrigin};
 pub use fault::{FaultPlan, FaultyFile, SharedFaultyFile};
 pub use file::{MemPagedFile, PagedFile};
-pub use frame::Frame;
+pub use frame::{Frame, SharedPage, SharedPages};
 pub use idhash::{IdHashMap, IdHasher};
 pub use lru::LruCache;
 pub use mutable::{MutTxn, MutableStore, PageLoc, PageTable, StoreSnapshot};

@@ -9,15 +9,13 @@
 //! Opening a store reads it whole, in fixed chunks of [`OPEN_CHUNK_PAGES`]
 //! pages, to verify every page and to build its **twin classes**
 //! ([`twin_classes`]): the sets of pages whose bytes repeat elsewhere in
-//! the file. The store keeps one verified [`Frame`] per class
-//! ([`PreadStore::class_frame`]) with the checksum of its bytes, hashed
-//! once. Every pool over the store shares that frame through the store's
-//! `Arc`: a miss on any class member admits a clone of it, with no copy
-//! and no hash. So the file keeps every copy, memory holds one page per
-//! repeated content (never more than the mem backend keeps for the same
-//! pages), and a miss reads the file only for a page that repeats nowhere.
-//! A class frame lives as long as the store, and so does its decoded
-//! overlay: at most one per class.
+//! the file. The store keeps one verified [`SharedPage`] per class
+//! ([`PreadStore::shared`]), which a miss on any member admits, as a miss
+//! on any mem page admits its store's (see
+//! [`FrozenPages::shared`](crate::FrozenPages::shared)). So the file keeps
+//! every copy, memory holds one page per repeated content, and a miss
+//! reads the file only for a page that repeats nowhere. A class frame, and
+//! its decoded overlay, lives as long as the store.
 //!
 //! Every physical read issued on the query path bumps
 //! [`Counter::PhysReads`](hdov_obs::Counter::PhysReads) — the observable
@@ -26,8 +24,9 @@
 //! do the reads of [`PreadStore::open`].
 
 use crate::error::StoreOrigin;
+use crate::frame::{SharedPage, SharedPages, UNSHARED};
 use crate::frozen::{self, StoreLayout};
-use crate::{page_checksum, Frame, PageId, Result, StorageError, PAGE_SIZE};
+use crate::{page_checksum, PageId, Result, StorageError, PAGE_SIZE};
 use std::collections::HashMap;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
@@ -37,9 +36,6 @@ use std::sync::Arc;
 /// Pages read per positioned read while [`PreadStore::open`] verifies a
 /// store (256 KiB).
 pub const OPEN_CHUNK_PAGES: u64 = 64;
-
-/// The twin class of a page whose bytes appear nowhere else in its store.
-pub const NO_TWIN: u32 = u32::MAX;
 
 /// A frozen store served by positioned reads on a shared file handle.
 ///
@@ -51,7 +47,7 @@ pub struct PreadStore {
     path: PathBuf,
     layout: StoreLayout,
     checksums: Arc<[u64]>,
-    twins: TwinClasses,
+    twins: SharedPages,
 }
 
 impl PreadStore {
@@ -110,24 +106,17 @@ impl PreadStore {
         &self.checksums
     }
 
-    /// The twin table built at open (see [`twin_classes`]): 4 bytes per
-    /// page.
-    pub fn twins(&self) -> &[u32] {
-        &self.twins.table
-    }
-
     /// Number of twin-class frames held in memory: one page per repeated
     /// content.
     pub fn class_copies(&self) -> usize {
-        self.twins.frames.len()
+        self.twins.pages.len()
     }
 
-    /// The verified frame of page `id`'s twin class, built at open; `None`
-    /// when `id`'s bytes appear nowhere else in the store (or `id` is out
-    /// of bounds).
-    pub fn class_frame(&self, id: PageId) -> Option<&ClassFrame> {
-        let class = *self.twins.table.get(usize::try_from(id.0).ok()?)?;
-        (class != NO_TWIN).then(|| &self.twins.frames[class as usize])
+    /// The verified shared page of page `id`'s twin class, built at open;
+    /// `None` when `id`'s bytes appear nowhere else in the store (or `id`
+    /// is out of bounds).
+    pub fn shared(&self, id: PageId) -> Option<&SharedPage> {
+        self.twins.get(id)
     }
 
     fn check(&self, id: PageId) -> Result<()> {
@@ -166,50 +155,15 @@ impl PreadStore {
     }
 }
 
-/// One twin class's shared frame and the checksum of its bytes.
-#[derive(Debug)]
-pub struct ClassFrame {
-    frame: Arc<Frame>,
-    checksum: u64,
-}
-
-impl ClassFrame {
-    /// A frame over `bytes`, its checksum hashed once from those bytes.
-    fn new(bytes: Arc<[u8]>) -> Self {
-        ClassFrame {
-            checksum: page_checksum(&bytes),
-            frame: Arc::new(Frame::new(bytes)),
-        }
-    }
-
-    /// The frame every pool over the store admits for a miss on a member.
-    pub fn frame(&self) -> &Arc<Frame> {
-        &self.frame
-    }
-
-    /// [`page_checksum`] of the frame's bytes: a pool compares it with the
-    /// missed member's own sidecar checksum before admitting the frame.
-    pub fn checksum(&self) -> u64 {
-        self.checksum
-    }
-}
-
 /// The `(lowest page id, bytes)` of each distinct content seen under one
 /// repeated checksum.
 type Contents = Vec<(u32, Arc<[u8]>)>;
 
-/// The twin classes of a store: sets of pages with byte-identical
-/// contents, numbered in the order of their lowest page id.
-#[derive(Debug)]
-pub struct TwinClasses {
-    /// The twin table: for every page whose bytes repeat elsewhere in the
-    /// store, its class number; [`NO_TWIN`] for every other page.
-    pub table: Box<[u32]>,
-    /// One frame of each class's bytes, indexed by class number.
-    pub frames: Box<[ClassFrame]>,
-}
-
-/// Finds the [`TwinClasses`] of a store.
+/// Finds the twin classes of a store: sets of pages with byte-identical
+/// contents, numbered in the order of their lowest page id. In the
+/// returned table every page whose bytes repeat elsewhere in the store
+/// names its class, and every other page is [`UNSHARED`]; class `k`'s
+/// shared page is the `k`-th.
 ///
 /// `pages` must hand each page's bytes to its visitor once, in ascending
 /// id order. Only pages whose checksum appears more than once in
@@ -222,21 +176,21 @@ pub struct TwinClasses {
 pub fn twin_classes(
     checksums: &[u64],
     pages: impl FnOnce(&mut dyn FnMut(u64, &[u8])) -> Result<()>,
-) -> Result<TwinClasses> {
+) -> Result<SharedPages> {
     let mut repeats: HashMap<u64, u32> = HashMap::new();
     for &c in checksums {
         *repeats.entry(c).or_default() += 1;
     }
     repeats.retain(|_, n| *n > 1);
     // Each member first names its class's lowest page id.
-    let mut classes = vec![NO_TWIN; checksums.len()].into_boxed_slice();
+    let mut classes = vec![UNSHARED; checksums.len()].into_boxed_slice();
     let mut reps: HashMap<u64, Contents> = HashMap::new();
     pages(&mut |id, bytes| {
         let sum = checksums[id as usize];
         let Ok(id32) = u32::try_from(id) else {
             return;
         };
-        if id32 == NO_TWIN || !repeats.contains_key(&sum) {
+        if id32 == UNSHARED || !repeats.contains_key(&sum) {
             return;
         }
         let group = reps.entry(sum).or_default();
@@ -254,14 +208,17 @@ pub fn twin_classes(
         .filter(|&(id, _)| classes[id as usize] == id)
         .collect();
     kept.sort_unstable_by_key(|&(id, _)| id);
-    for class in classes.iter_mut().filter(|c| **c != NO_TWIN) {
+    for class in classes.iter_mut().filter(|c| **c != UNSHARED) {
         *class = kept.partition_point(|&(id, _)| id < *class) as u32;
     }
-    Ok(TwinClasses {
+    Ok(SharedPages {
         table: classes,
-        frames: kept
+        pages: kept
             .into_iter()
-            .map(|(_, page)| ClassFrame::new(page))
+            .map(|(_, page)| {
+                let checksum = page_checksum(&page);
+                SharedPage::new(page, checksum)
+            })
             .collect(),
     })
 }
@@ -320,12 +277,12 @@ mod tests {
     }
 
     /// [`twin_classes`] over in-memory pages with their real checksums.
-    fn classes_of(pages: &[Vec<u8>]) -> TwinClasses {
+    fn classes_of(pages: &[Vec<u8>]) -> SharedPages {
         let sums: Vec<u64> = pages.iter().map(|p| crate::page_checksum(p)).collect();
         classes_with(&sums, pages)
     }
 
-    fn classes_with(sums: &[u64], pages: &[Vec<u8>]) -> TwinClasses {
+    fn classes_with(sums: &[u64], pages: &[Vec<u8>]) -> SharedPages {
         twin_classes(sums, |visit| {
             for (id, p) in (0u64..).zip(pages) {
                 visit(id, p);
@@ -344,8 +301,11 @@ mod tests {
     #[test]
     fn equal_pages_share_one_class_numbered_by_lowest_id() {
         let pages: Vec<Vec<u8>> = [9u64, 7, 1, 7, 2, 1, 7].map(tagged).to_vec();
-        let TwinClasses { table, frames } = classes_of(&pages);
-        assert_eq!(&*table, &[NO_TWIN, 0, 1, 0, NO_TWIN, 1, 0]);
+        let SharedPages {
+            table,
+            pages: frames,
+        } = classes_of(&pages);
+        assert_eq!(&*table, &[UNSHARED, 0, 1, 0, UNSHARED, 1, 0]);
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0].frame().bytes(), &tagged(7)[..]);
         assert_eq!(frames[1].frame().bytes(), &tagged(1)[..]);
@@ -357,8 +317,11 @@ mod tests {
     #[test]
     fn unique_pages_have_no_class() {
         let pages: Vec<Vec<u8>> = (0..5).map(tagged).collect();
-        let TwinClasses { table, frames } = classes_of(&pages);
-        assert!(table.iter().all(|&c| c == NO_TWIN));
+        let SharedPages {
+            table,
+            pages: frames,
+        } = classes_of(&pages);
+        assert!(table.iter().all(|&c| c == UNSHARED));
         assert!(frames.is_empty());
         assert!(classes_of(&[]).table.is_empty());
     }
@@ -368,8 +331,11 @@ mod tests {
         // A forged table: every page claims one checksum. Pages 0 and 2
         // differ in bytes from 1 and 3, which are equal.
         let pages: Vec<Vec<u8>> = [4u64, 9, 5, 9].map(tagged).to_vec();
-        let TwinClasses { table, frames } = classes_with(&[42; 4], &pages);
-        assert_eq!(&*table, &[NO_TWIN, 0, NO_TWIN, 0]);
+        let SharedPages {
+            table,
+            pages: frames,
+        } = classes_with(&[42; 4], &pages);
+        assert_eq!(&*table, &[UNSHARED, 0, UNSHARED, 0]);
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].frame().bytes(), &tagged(9)[..]);
         // The class checksum is hashed from the bytes, not taken from the
@@ -394,13 +360,12 @@ mod tests {
     #[test]
     fn open_builds_the_twin_table_across_chunks() {
         let (path, s) = twin_store("twins");
-        let twins = s.twins();
-        assert_eq!(twins.len() as u64, OPEN_CHUNK_PAGES + 8);
-        for (id, &class) in twins.iter().enumerate() {
+        assert_eq!(s.twins.table.len() as u64, OPEN_CHUNK_PAGES + 8);
+        for (id, &class) in s.twins.table.iter().enumerate() {
             let want = match id {
                 3 | 40 | 70 | 71 => 0,
                 5 | 66 => 1,
-                _ => NO_TWIN,
+                _ => UNSHARED,
             };
             assert_eq!(class, want, "page {id}");
         }
@@ -414,17 +379,17 @@ mod tests {
         let mut bytes = vec![0u8; PAGE_SIZE];
         for id in (0..s.page_count()).map(PageId) {
             s.read_into(id, &mut bytes).unwrap();
-            match s.class_frame(id) {
+            match s.shared(id) {
                 Some(class) => {
                     assert_eq!(class.frame().bytes(), &bytes[..], "{id}");
                     assert_eq!(class.checksum(), s.checksums()[id.0 as usize], "{id}");
                     members += 1;
                 }
-                None => assert_eq!(s.twins()[id.0 as usize], NO_TWIN, "{id}"),
+                None => assert_eq!(s.twins.table[id.0 as usize], UNSHARED, "{id}"),
             }
         }
         assert_eq!(members, 6);
-        assert!(s.class_frame(PageId(s.page_count())).is_none());
+        assert!(s.shared(PageId(s.page_count())).is_none());
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
@@ -432,20 +397,18 @@ mod tests {
     fn the_store_keeps_one_frame_per_twin_class() {
         let (path, s) = twin_store("one_copy");
         let mut classes: Vec<u32> = s
-            .twins()
+            .twins
+            .table
             .iter()
             .copied()
-            .filter(|&c| c != NO_TWIN)
+            .filter(|&c| c != UNSHARED)
             .collect();
         classes.sort_unstable();
         classes.dedup();
         assert_eq!(s.class_copies(), classes.len());
         assert_eq!(s.class_copies(), 2);
         // Members of one class share its one frame.
-        let (a, b) = (
-            s.class_frame(PageId(3)).unwrap(),
-            s.class_frame(PageId(71)).unwrap(),
-        );
+        let (a, b) = (s.shared(PageId(3)).unwrap(), s.shared(PageId(71)).unwrap());
         assert!(Arc::ptr_eq(a.frame(), b.frame()));
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
@@ -456,8 +419,8 @@ mod tests {
         write_store(&path, &pages(OPEN_CHUNK_PAGES + 8), 0).unwrap();
         let s = PreadStore::open(&path).unwrap();
         assert_eq!(s.class_copies(), 0);
-        assert!(s.twins().iter().all(|&c| c == NO_TWIN));
-        assert!((0..s.page_count()).all(|id| s.class_frame(PageId(id)).is_none()));
+        assert!(s.twins.table.iter().all(|&c| c == UNSHARED));
+        assert!((0..s.page_count()).all(|id| s.shared(PageId(id)).is_none()));
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

@@ -13,39 +13,36 @@
 //!   contend only when they touch the same stripe. Every page request —
 //!   one frame, one LoD's page run, or one prefetch run — goes through one
 //!   per-page probe: lookup, hit count, or fetch then admit. Every miss is
-//!   verified against the store's checksum table before admission, with
-//!   transient failures retried and replicas failed over to. A miss copies
-//!   a page only when it must: on a mem store with no faults armed, the
-//!   admitted frame shares the store's interned buffer of the page, after
-//!   hashing those bytes against the page's checksum; on a pread store, a
-//!   miss on a page whose bytes repeat elsewhere in the store admits the
-//!   store's shared frame of that twin class instead of reading the file,
-//!   after comparing the frame's checksum with the page's own. Either way
-//!   the miss is charged and counted as a copying read would have been.
-//!   Only a pread miss on a page that repeats nowhere, and every miss while
-//!   faults are armed, copies into a buffer the pool owns.
+//!   verified against the store's checksum table before admission. A miss
+//!   takes one of two paths. It is **shared** when the store owns a frame
+//!   of the page ([`FrozenPages::shared`]: every page of a mem store, the
+//!   twin-class members of a pread store), no faults are armed, and the
+//!   frame's checksum, hashed once by the store, equals the page's own:
+//!   the pool admits a clone of the store's frame, with no read, hash,
+//!   copy or allocation. Every other miss is **copied** into a buffer the
+//!   pool owns, with transient failures retried and replicas failed over
+//!   to. Either way the miss is charged and counted alike.
 //!
 //! Each session carries its own [`IoCursor`], because a disk-head position
 //! cannot be shared state once N sessions interleave. The cursor is the
 //! one ledger of simulated I/O: a pool hit costs nothing; a miss charges
 //! `seek + transfer` or `transfer` against the session's head by the
 //! cursor's rule, and the pool itself keeps only `(hits, misses)`
-//! atomics. So a single session over a cold
+//! counts, one pair per shard. So a single session over a cold
 //! shared pool sees the same simulated timings as one over a private pool
 //! of the same capacity — and a pool of capacity 0 whose cursor is the
 //! build disk's own charges exactly what that disk would
 //! ([`SharedCachedFile::from_disk`]).
 
-use crate::checksum::page_checksums;
 use crate::error::StoreOrigin;
 use crate::pread::PreadStore;
 use crate::replica::ReplicaSet;
 use crate::{
     page_checksum, DiskModel, FaultPlan, Frame, IoCursor, LruCache, MemPagedFile, PageId, Result,
-    RetryPolicy, SharedFaultyFile, SimulatedDisk, StorageBackend, StorageError, PAGE_SIZE,
+    RetryPolicy, SharedFaultyFile, SharedPage, SharedPages, SimulatedDisk, StorageBackend,
+    StorageError, PAGE_SIZE,
 };
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Locks a pool shard, recovering from poison.
@@ -60,17 +57,23 @@ fn lock_shard<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
     shard.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One pool stripe: page id → pooled frame, plus one spare page buffer.
+/// One pool stripe: page id → pooled frame, one spare page buffer, and
+/// the stripe's probe counts.
 #[derive(Debug)]
 struct Shard {
     frames: LruCache<u64, Arc<Frame>>,
-    /// The buffer of the last evicted frame no session still held, when
-    /// the pool owned it alone (never a store's buffer). The next copying
-    /// miss fills it instead of allocating and zero-filling a fresh page,
-    /// so a full pool's steady stream of copying misses allocates no page.
-    /// One spare per shard: eviction frees at most one frame per admission.
-    /// Always uniquely owned, so it can be filled in place.
+    /// The buffer of the last evicted copy no session still held. The next
+    /// copying miss fills it instead of allocating and zero-filling a fresh
+    /// page, so a full pool's steady stream of copying misses allocates no
+    /// page. One spare per shard: eviction frees at most one frame per
+    /// admission. Always uniquely owned, so it can be filled in place.
     spare: Option<Arc<[u8]>>,
+    /// Probes of this stripe served from the pool.
+    hits: u64,
+    /// Probes of this stripe that fetched, charged and admitted a page. A
+    /// failed fetch is neither; the session's cursor charged every miss
+    /// counted here.
+    misses: u64,
 }
 
 impl Shard {
@@ -78,6 +81,8 @@ impl Shard {
         Shard {
             frames: LruCache::new(capacity),
             spare: None,
+            hits: 0,
+            misses: 0,
         }
     }
 
@@ -90,15 +95,12 @@ impl Shard {
     }
 
     /// Keeps the buffer of an `evicted` frame as the spare when no session
-    /// still holds that frame and nothing else shares its buffer. Neither
-    /// a twin-class frame (its store holds it for as long as the store is
-    /// open) nor a frame over a mem store's buffer is ever recycled.
+    /// still holds that frame. Only a copy can be unwrapped: a shared
+    /// page's frame is held by its store for as long as the store is open
+    /// (and so by the pool's own handle on the store).
     fn recycle(&mut self, evicted: Arc<Frame>) {
         if self.spare.is_none() {
-            self.spare = Arc::try_unwrap(evicted)
-                .ok()
-                .map(Frame::into_bytes)
-                .filter(|bytes| Arc::strong_count(bytes) == 1 && Arc::weak_count(bytes) == 0);
+            self.spare = Arc::try_unwrap(evicted).ok().map(Frame::into_bytes);
         }
     }
 }
@@ -107,12 +109,12 @@ impl Shard {
 ///
 /// Two backends hide behind the same handle:
 ///
-/// * **mem** — the pages of a fully built [`MemPagedFile`], `Arc`-shared:
-///   equal pages share one allocation, so residency scales with distinct
-///   contents, not page ids. The deterministic CI twin; every
+/// * **mem** — the pages of a fully built [`MemPagedFile`], one
+///   [`SharedPage`] per distinct content, so residency scales with
+///   distinct contents, not page ids. The deterministic CI twin; every
 ///   simulated-cost figure is defined against it.
 /// * **pread** — a frozen-store file read with positioned reads
-///   ([`PreadStore`]).
+///   ([`PreadStore`]), with one [`SharedPage`] per twin class.
 ///
 /// Both serve byte-identical pages for the same built store (a CI
 /// gate and proptests pin this), so the choice changes wall-clock behavior
@@ -127,7 +129,7 @@ pub struct FrozenPages {
 
 #[derive(Debug, Clone)]
 enum Repr {
-    Mem { pages: Arc<[Arc<[u8]>]> },
+    Mem { pages: Arc<SharedPages> },
     Pread { store: Arc<PreadStore> },
 }
 
@@ -136,7 +138,7 @@ impl FrozenPages {
     pub fn from_mem(file: MemPagedFile) -> Self {
         FrozenPages {
             repr: Repr::Mem {
-                pages: file.into_pages().into(),
+                pages: Arc::new(file.into_shared()),
             },
             extra: Vec::new().into(),
         }
@@ -184,7 +186,7 @@ impl FrozenPages {
     /// Number of pages.
     pub fn page_count(&self) -> u64 {
         match &self.repr {
-            Repr::Mem { pages } => pages.len() as u64,
+            Repr::Mem { pages } => pages.table.len() as u64,
             Repr::Pread { store } => store.page_count(),
         }
     }
@@ -197,12 +199,7 @@ impl FrozenPages {
     /// the same pages.
     pub fn distinct_pages(&self) -> u64 {
         match &self.repr {
-            Repr::Mem { pages } => {
-                let mut ptrs: Vec<*const u8> = pages.iter().map(|p| p.as_ptr()).collect();
-                ptrs.sort_unstable();
-                ptrs.dedup();
-                ptrs.len() as u64
-            }
+            Repr::Mem { pages } => pages.pages.len() as u64,
             Repr::Pread { store } => store.page_count(),
         }
     }
@@ -237,12 +234,13 @@ impl FrozenPages {
         Ok(())
     }
 
-    /// The store's own buffer of page `id` on the mem backend, shared by
-    /// every page with the same bytes; `None` on pread and out of bounds.
-    pub fn mem_page(&self, id: PageId) -> Option<&Arc<[u8]>> {
+    /// The store's own frame of page `id` and its checksum, which a pool
+    /// admits for a miss on `id` ([`SharedCachedFile::miss_shares`]): on
+    /// mem, every page's; on pread, `id`'s twin class's, if any.
+    pub fn shared(&self, id: PageId) -> Option<&SharedPage> {
         match &self.repr {
-            Repr::Mem { pages } => pages.get(usize::try_from(id.0).ok()?),
-            Repr::Pread { .. } => None,
+            Repr::Mem { pages } => pages.get(id),
+            Repr::Pread { store } => store.shared(id),
         }
     }
 
@@ -251,19 +249,20 @@ impl FrozenPages {
         self.check(id)?;
         match &self.repr {
             Repr::Mem { pages } => {
-                out[..PAGE_SIZE].copy_from_slice(&pages[id.0 as usize]);
+                let page = pages.get(id).expect("a mem store shares every page");
+                out[..PAGE_SIZE].copy_from_slice(page.frame().bytes());
                 Ok(())
             }
             Repr::Pread { store } => store.read_into(id, out),
         }
     }
 
-    /// The per-page FNV checksum table: computed fresh for mem stores
-    /// (each distinct buffer hashed once), returned from the verified
-    /// on-disk sidecar for file stores.
+    /// The per-page FNV checksum table: on mem stores, each page's shared
+    /// checksum, which the build hashed when it interned the bytes (so this
+    /// hashes nothing); on file stores, the verified on-disk sidecar.
     pub fn checksum_table(&self) -> Arc<[u64]> {
         match &self.repr {
-            Repr::Mem { pages } => page_checksums(pages.iter().map(|p| &p[..])).into(),
+            Repr::Mem { pages } => pages.iter().map(SharedPage::checksum).collect(),
             Repr::Pread { store } => Arc::clone(store.checksums()),
         }
     }
@@ -274,7 +273,8 @@ impl FrozenPages {
     pub fn write_store_flagged(&self, path: &Path, generation: u64, flags: u32) -> Result<()> {
         match &self.repr {
             Repr::Mem { pages } => {
-                crate::frozen::write_store_flagged(path, pages, generation, flags)
+                let all: Vec<&[u8]> = pages.iter().map(|p| p.frame().bytes()).collect();
+                crate::frozen::write_store_flagged(path, &all, generation, flags)
             }
             Repr::Pread { .. } => {
                 let mut all = Vec::with_capacity(self.page_count() as usize);
@@ -317,21 +317,19 @@ impl FrozenPages {
 
 /// A lock-striped LRU buffer pool over a [`FrozenPages`] snapshot.
 ///
-/// Every read takes `&self`: all mutability is interior (the shard mutexes
-/// and the two atomic counters), so any number of sessions can
-/// share one pool. Pages are assigned to shards by `page_id % shards`,
+/// Every read takes `&self`: all mutability is interior (the shard
+/// mutexes, which also guard each stripe's counters), so any number of
+/// sessions can share one pool. Pages are assigned to shards by `page_id % shards`,
 /// which spreads sequential runs across stripes and keeps a hot run from
 /// serializing on one lock.
 ///
 /// Shards hold [`Arc<Frame>`]s: the zero-copy [`read_frame`] hands back a
-/// clone of the pooled `Arc` (a pointer bump, no page memcpy). A frame the
-/// pool admitted for a miss — over a mem store's buffer or over a copy —
-/// keeps its decoded overlay exactly as long as the frame stays pooled:
-/// eviction drops the pool's `Arc`, and the overlay dies with the last
-/// session reference (the mem store's bytes stay with the store). A
-/// twin-class frame of a pread store is owned by the store, so its overlay
-/// outlives eviction and is shared by every member of the class in every
-/// pool over the store.
+/// clone of the pooled `Arc` (a pointer bump, no page memcpy). A shared
+/// page's frame is owned by the store, so its decoded overlay outlives
+/// eviction and is shared by every page with those bytes in every pool
+/// and fork over the store. A copy keeps its overlay exactly as long as
+/// the frame stays pooled: eviction drops the pool's `Arc`, and the
+/// overlay dies with the last session reference.
 ///
 /// [`read_frame`]: Self::read_frame
 #[derive(Debug)]
@@ -339,11 +337,6 @@ pub struct SharedCachedFile {
     data: FrozenPages,
     model: DiskModel,
     shards: Vec<Mutex<Shard>>,
-    /// Probes served from the pool, over every session.
-    hits: AtomicU64,
-    /// Probes that fetched, charged and admitted a page. A failed fetch is
-    /// neither; each session's cursor charged every miss it counted here.
-    misses: AtomicU64,
     /// Sidecar per-page FNV-1a table, stamped from the trusted frozen
     /// snapshot at construction; every miss is verified against it before
     /// frame admission. Verification is charged zero simulated time.
@@ -388,8 +381,6 @@ impl SharedCachedFile {
             shards: (0..shards)
                 .map(|_| Mutex::new(Shard::new(per_shard)))
                 .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             checksums: Arc::clone(replicas.checksums()),
             retry: RetryPolicy::default(),
             replicas,
@@ -521,10 +512,10 @@ impl SharedCachedFile {
 
     /// `(hits, misses)` summed over every access since construction.
     pub fn hit_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        self.shards.iter().fold((0, 0), |(h, m), shard| {
+            let shard = lock_shard(shard);
+            (h + shard.hits, m + shard.misses)
+        })
     }
 
     /// Copies page `id` into `out`: through the armed fault injector when
@@ -650,13 +641,12 @@ impl SharedCachedFile {
     /// `cursor`.
     ///
     /// The zero-copy hot path: a pool hit clones the pooled `Arc` (no page
-    /// memcpy) and costs nothing; a miss admits a frame over the mem
-    /// store's own buffer, shares its twin class's frame, or copies the
-    /// page out of the frozen store exactly once into a frame (reusing the
-    /// shard's spare buffer when it has one), charges `cursor` by the
-    /// simulated-disk rule, and installs the frame (possibly evicting the
-    /// shard's LRU frame, whose decoded overlay dies with it unless the
-    /// store owns it). Every probe
+    /// memcpy) and costs nothing; a miss admits the store's shared frame of
+    /// the page or copies the page out of the frozen store exactly once
+    /// into a frame (reusing the shard's spare buffer when it has one),
+    /// charges `cursor` by the simulated-disk rule, and installs the frame
+    /// (possibly evicting the shard's LRU frame, whose decoded overlay dies
+    /// with it unless the store owns it). Every probe
     /// is reported to `hdov-obs` (cache-probe span plus a hit/miss counter,
     /// and `bytes_copied_saved` for the memcpy a copying read would have
     /// done) — observational only, never part of the simulated cost model.
@@ -685,12 +675,10 @@ impl SharedCachedFile {
     /// poison never enters the pool: its buffer goes back to the shard as
     /// the spare, which every later fetch overwrites whole.
     ///
-    /// A miss that shares its twin class's frame
-    /// ([`class_frame`](Self::class_frame)) or a mem store's buffer
-    /// ([`store_bytes`](Self::store_bytes)) skips `fetch`, takes no buffer
-    /// and copies nothing, and is charged, counted and admitted exactly like
-    /// any other, under its own page id. Evicting that frame later frees no
-    /// spare.
+    /// A shared miss ([`shared`](Self::shared)) skips `fetch`, takes no
+    /// buffer and copies nothing, and is charged, counted and admitted
+    /// exactly like a copied one, under its own page id. Evicting that
+    /// frame later frees no spare.
     fn probe(
         &self,
         cursor: &mut IoCursor,
@@ -701,15 +689,17 @@ impl SharedCachedFile {
         let _probe = hdov_obs::span(hdov_obs::Phase::CacheProbe);
         let mut shard = lock_shard(self.shard(id));
         if let Some(frame) = shard.frames.lookup(&id.0, promote) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            let frame = Arc::clone(frame);
+            shard.hits += 1;
             hdov_obs::add(hdov_obs::Counter::PoolHits, 1);
-            return Ok(Arc::clone(frame));
+            return Ok(frame);
         }
-        let frame = if let Some(class) = self.class_frame(id) {
-            hdov_obs::add(hdov_obs::Counter::TwinCopies, 1);
-            Arc::clone(class)
-        } else if let Some(bytes) = self.store_bytes(id) {
-            Arc::new(Frame::new(Arc::clone(bytes)))
+        let frame = if let Some(page) = self.shared(id) {
+            if self.data.pread_store().is_some() {
+                // A pread twin-class share stands in for a read of the file.
+                hdov_obs::add(hdov_obs::Counter::TwinCopies, 1);
+            }
+            Arc::clone(page.frame())
         } else {
             let mut buf = shard.buffer();
             let out = Arc::get_mut(&mut buf).expect("a pool buffer is uniquely owned");
@@ -720,7 +710,7 @@ impl SharedCachedFile {
             Arc::new(Frame::new(buf))
         };
         cursor.charge_read(id, self.model);
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        shard.misses += 1;
         hdov_obs::add(hdov_obs::Counter::PoolMisses, 1);
         if let Some((_, evicted)) = shard.frames.insert(id.0, Arc::clone(&frame)) {
             shard.recycle(evicted);
@@ -728,38 +718,17 @@ impl SharedCachedFile {
         Ok(frame)
     }
 
-    /// The buffer a miss on `id` shares instead of copying: the mem
-    /// store's own interned buffer of the page, once hashing it matches
-    /// `id`'s sidecar checksum (the check a copy would get). `None` on
-    /// pread stores, when the checksums differ (the copying fetch then
-    /// counts the failure and fails over) and while faults are armed (each
-    /// miss then draws from the fault stream and copies).
-    fn store_bytes(&self, id: PageId) -> Option<&Arc<[u8]>> {
-        if self.replicas.any_faults() {
-            return None;
-        }
-        let bytes = self.data.mem_page(id)?;
-        if page_checksum(bytes) != self.checksums[id.0 as usize] {
-            return None;
-        }
-        self.replicas.note_clean(0, id.0);
-        Some(bytes)
-    }
-
-    /// The frame a miss on `id` shares instead of reading: the pread
-    /// store's frame of `id`'s twin class, verified against `id`'s own
-    /// sidecar checksum like every miss (by the class checksum the store
-    /// hashed once from the frame's bytes). `None` on mem stores (a miss
-    /// there shares the store's buffer: [`store_bytes`](Self::store_bytes)),
-    /// for a page whose bytes repeat nowhere, when the checksums differ,
-    /// and while faults are armed (each miss then draws from the fault
-    /// stream). Issues no read: `id`'s own copy
-    /// in the file is never read for such a miss, so rot there is left to
-    /// the scrubber.
-    fn class_frame(&self, id: PageId) -> Option<&Arc<Frame>> {
-        let class = self.data.pread_store()?.class_frame(id)?;
-        let trusted = class.checksum() == self.checksums[id.0 as usize];
-        (trusted && !self.replicas.any_faults()).then(|| class.frame())
+    /// The store's frame a miss on `id` admits instead of a copy
+    /// ([`FrozenPages::shared`]), verified by an integer compare of the
+    /// checksum the store hashed once with `id`'s sidecar entry. `None`
+    /// when the store has none, when the checksums differ (the copying
+    /// fetch then counts the failure and fails over), and while faults are
+    /// armed (each miss then draws from the fault stream). Reads nothing,
+    /// so rot in a pread page's own file copy is left to the scrubber.
+    fn shared(&self, id: PageId) -> Option<&SharedPage> {
+        let page = self.data.shared(id)?;
+        let trusted = page.checksum() == self.checksums[id.0 as usize];
+        (trusted && !self.replicas.any_faults()).then_some(page)
     }
 
     /// Reads the contiguous `len`-page run starting at `first` into the
@@ -812,8 +781,8 @@ impl SharedCachedFile {
     /// order.
     ///
     /// On a pread store with no faults armed, a miss in a twin class shares
-    /// the class frame and reads nothing (see [`probe`](Self::probe)); the first
-    /// other miss that is not the run's last page reads every page from it
+    /// the class frame and reads nothing (see [`probe`](Self::probe)); the
+    /// first other miss that is not the run's last page reads every page from it
     /// to the end of the run with one `pread`. Later misses are installed
     /// from that buffer after their own checksum check; a page that fails
     /// it — or every page, when the run read itself fails — takes the
@@ -872,13 +841,12 @@ impl SharedCachedFile {
         lock_shard(self.shard(id)).frames.peek(&id.0).is_some()
     }
 
-    /// True if a miss on page `id` shares its twin class's frame (the
-    /// store's frame of a page with byte-identical contents) instead of
-    /// reading the store (no promotion, no counters). Always false on mem
-    /// stores, for a page whose bytes repeat nowhere and while faults are
-    /// armed.
-    pub fn miss_shares_class(&self, id: PageId) -> bool {
-        self.class_frame(id).is_some()
+    /// True if a miss on page `id` admits the store's shared frame of the
+    /// page instead of copying it (no promotion, no counters): on mem, for
+    /// every page; on pread, for twin-class members. Always false while
+    /// faults are armed.
+    pub fn miss_shares(&self, id: PageId) -> bool {
+        self.shared(id).is_some()
     }
 }
 
@@ -1013,8 +981,10 @@ mod tests {
     }
 
     #[test]
-    fn overlay_dropped_on_eviction() {
+    fn copied_overlay_dropped_on_eviction() {
         let pool = SharedCachedFile::new(frozen(3), DiskModel::FREE, 1, 1);
+        // An armed plan that injects nothing: every miss copies.
+        pool.arm_faults(&FaultPlan::default());
         let mut cur = IoCursor::new();
         let frame = pool.read_frame(&mut cur, PageId(0)).unwrap();
         let first = |p: &[u8]| Ok(u64::from_le_bytes(p[..8].try_into().unwrap()));

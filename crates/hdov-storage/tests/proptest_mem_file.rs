@@ -4,9 +4,10 @@
 //! `Vec<Vec<u8>>` model. Contents come from a tiny alphabet (tag 0 is the
 //! zero page), so slots collide on equal bytes all the time. Every read must
 //! match the model, and the file must keep exactly one allocation per
-//! distinct live content: no duplicate copies and no stale versions.
+//! distinct live content, frozen with its checksum: no duplicate copies
+//! and no stale versions.
 
-use hdov_storage::{MemPagedFile, Page, PageId, PagedFile, PAGE_SIZE};
+use hdov_storage::{page_checksum, MemPagedFile, Page, PageId, PagedFile, PAGE_SIZE};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -45,9 +46,13 @@ proptest! {
             }
         }
         prop_assert_eq!(file.page_count(), model.len() as u64);
-        let pages = file.into_pages();
-        let allocations: HashSet<*const u8> = pages.iter().map(|p| p.as_ptr()).collect();
+        let shared = file.into_shared();
         let contents: HashSet<&Vec<u8>> = model.iter().collect();
-        prop_assert_eq!(allocations.len(), contents.len());
+        prop_assert_eq!(shared.pages.len(), contents.len());
+        for (i, want) in model.iter().enumerate() {
+            let page = &shared.pages[shared.table[i] as usize];
+            prop_assert_eq!(page.frame().bytes(), &want[..]);
+            prop_assert_eq!(page.checksum(), page_checksum(want));
+        }
     }
 }

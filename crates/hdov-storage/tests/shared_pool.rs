@@ -16,12 +16,13 @@
 //!    overlay, evicting it frees no spare buffer, armed faults send it back
 //!    to the file, and rot in a class member's own copy is left to the
 //!    scrubber,
-//! 5. mem misses share the store's interned buffers: a miss's frame bytes
-//!    are the store's own (equal pages on different ids share one buffer)
-//!    in every pool and fork, charged and counted exactly like a copying
-//!    miss; armed faults send every miss back to a copy, corruption is
-//!    still caught and failed over, and a shared buffer never becomes a
-//!    spare, so no later miss writes into store bytes.
+//! 5. mem misses share the store's frames: a miss admits the store's one
+//!    frame of the page's bytes (equal pages on different ids share it) in
+//!    every pool and fork, with one decoded overlay per frame that
+//!    outlives eviction, charged and counted exactly like a copying miss;
+//!    armed faults send every miss back to a copy, corruption is still
+//!    caught and failed over, and a shared frame never becomes a spare, so
+//!    no later miss writes into store bytes.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -327,7 +328,7 @@ fn a_class_miss_shares_without_a_read_and_is_charged_the_same() {
 
     // Cold: page 3 shares its bytes with page 11, so even its first miss
     // shares the class frame and reads nothing.
-    assert!(twins.miss_shares_class(PageId(3)) && !unique.miss_shares_class(PageId(3)));
+    assert!(twins.miss_shares(PageId(3)) && !unique.miss_shares(PageId(3)));
     assert_eq!(
         io_counts(|| assert_eq!(tag_of(&twins, &mut ct, 3), 3)),
         (0, 1)
@@ -342,7 +343,7 @@ fn a_class_miss_shares_without_a_read_and_is_charged_the_same() {
     same_accounting(&ct, &cu, "twin miss");
 
     // Page 5 repeats nowhere: its miss reads the file.
-    assert!(!twins.miss_shares_class(PageId(5)));
+    assert!(!twins.miss_shares(PageId(5)));
     assert_eq!(
         io_counts(|| assert_eq!(tag_of(&twins, &mut ct, 5), 5)),
         (1, 0)
@@ -402,7 +403,7 @@ fn evicted_twins_and_capacity_0_pools_share_but_armed_faults_read_the_file() {
     assert_eq!(counts(&pool, &mut cur, 4), (1, 0));
     assert_eq!(counts(&pool, &mut cur, 5), (1, 0));
     assert!(!pool.contains(PageId(3)) && !pool.contains(PageId(11)));
-    assert!(pool.miss_shares_class(PageId(3)) && pool.miss_shares_class(PageId(11)));
+    assert!(pool.miss_shares(PageId(3)) && pool.miss_shares(PageId(11)));
     assert_eq!(counts(&pool, &mut cur, 3), (0, 1));
     // So does one whose twin a session holds past its eviction.
     let held = pool.read_frame(&mut cur, PageId(3)).unwrap();
@@ -427,7 +428,7 @@ fn evicted_twins_and_capacity_0_pools_share_but_armed_faults_read_the_file() {
     let mut cur = IoCursor::new();
     tag_of(&pool, &mut cur, 3);
     let injector = pool.arm_faults(&FaultPlan::default());
-    assert!(!pool.miss_shares_class(PageId(11)));
+    assert!(!pool.miss_shares(PageId(11)));
     assert_eq!(counts(&pool, &mut cur, 11), (1, 0));
     assert_eq!(injector.reads(), 1);
     std::fs::remove_dir_all(&dir).ok();
@@ -483,10 +484,9 @@ fn rot_in_a_class_members_copy_is_served_clean_and_left_to_the_scrubber() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The store's frame of page `id`'s twin class.
-fn class_frame(data: &FrozenPages, id: u64) -> Arc<Frame> {
-    let class = data.pread_store().unwrap().class_frame(PageId(id)).unwrap();
-    Arc::clone(class.frame())
+/// The store's shared frame of page `id`: its twin class's on pread.
+fn shared_frame(data: &FrozenPages, id: u64) -> Arc<Frame> {
+    Arc::clone(data.shared(PageId(id)).unwrap().frame())
 }
 
 #[test]
@@ -498,7 +498,7 @@ fn class_members_share_one_frame_across_pools_and_forks() {
     let b = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 8, 2);
     let fork = a.fork();
     let (mut ca, mut cb, mut cf) = (IoCursor::new(), IoCursor::new(), IoCursor::new());
-    let class = class_frame(&data, 3);
+    let class = shared_frame(&data, 3);
     let frames = [
         a.read_frame(&mut ca, PageId(3)).unwrap(),
         a.read_frame(&mut ca, PageId(11)).unwrap(),
@@ -513,7 +513,7 @@ fn class_members_share_one_frame_across_pools_and_forks() {
     fork.read_run(&mut cf, PageId(8), 4).unwrap();
     for (member, twin) in (8..12).zip(0..4) {
         let frame = fork.read_frame(&mut cf, PageId(member)).unwrap();
-        assert!(Arc::ptr_eq(&frame, &class_frame(&data, twin)), "{member}");
+        assert!(Arc::ptr_eq(&frame, &shared_frame(&data, twin)), "{member}");
     }
     assert_eq!(fork.hit_stats(), (4, 5));
     // A page that repeats nowhere is copied into a frame of each pool.
@@ -522,7 +522,7 @@ fn class_members_share_one_frame_across_pools_and_forks() {
         b.read_frame(&mut cb, PageId(5)).unwrap(),
     );
     assert!(!Arc::ptr_eq(&x, &y));
-    assert!(data.pread_store().unwrap().class_frame(PageId(5)).is_none());
+    assert!(data.shared(PageId(5)).is_none());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -566,7 +566,7 @@ fn evicting_a_class_frame_frees_no_spare_and_never_overwrites_it() {
     let _g = serial();
     let dir = tmp("no_spare");
     let data = store(&dir, "twins", twin_tag, false);
-    let class = class_frame(&data, 3);
+    let class = shared_frame(&data, 3);
     let bytes = class.bytes().to_vec();
     let pool = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 1, 1);
     let mut cur = IoCursor::new();
@@ -594,14 +594,14 @@ fn with_faults_armed_class_misses_read_the_file() {
     let injector = pool.arm_faults(&FaultPlan::default());
     let mut cur = IoCursor::new();
     for id in [3, 11] {
-        assert!(!pool.miss_shares_class(PageId(id)));
+        assert!(!pool.miss_shares(PageId(id)));
         let (frame, counts) = {
             let mut frame = None;
             let counts = io_counts(|| frame = Some(pool.read_frame(&mut cur, PageId(id)).unwrap()));
             (frame.unwrap(), counts)
         };
         assert_eq!(counts, (1, 0), "page {id}");
-        assert!(!Arc::ptr_eq(&frame, &class_frame(&data, id)));
+        assert!(!Arc::ptr_eq(&frame, &shared_frame(&data, id)));
         assert_eq!(&frame.bytes()[..8], &3u64.to_le_bytes());
     }
     // A run over the class pages fetches each miss on its own.
@@ -612,7 +612,7 @@ fn with_faults_armed_class_misses_read_the_file() {
     assert_eq!(injector.reads(), 5);
     // Disarming stops injection, not the fault path: misses still read.
     injector.disarm();
-    assert!(!pool.miss_shares_class(PageId(0)));
+    assert!(!pool.miss_shares(PageId(0)));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -627,24 +627,22 @@ fn twin_mem() -> FrozenPages {
     FrozenPages::from_mem(f)
 }
 
-/// The mem store's own buffer of page `id`.
-fn mem_buffer(data: &FrozenPages, id: u64) -> &Arc<[u8]> {
-    data.mem_page(PageId(id)).unwrap()
-}
-
-/// Whether `frame`'s bytes are the mem store's own buffer of page `id`
-/// (same address, same length), not a copy of it.
-fn in_store(frame: &Frame, data: &FrozenPages, id: u64) -> bool {
-    std::ptr::eq(frame.bytes(), &**mem_buffer(data, id))
+/// Whether `frame` is the mem store's shared frame of page `id`, not a
+/// copy of its bytes.
+fn in_store(frame: &Arc<Frame>, data: &FrozenPages, id: u64) -> bool {
+    Arc::ptr_eq(frame, &shared_frame(data, id))
 }
 
 #[test]
-fn a_mem_miss_admits_the_stores_buffer_in_every_pool_and_fork() {
+fn a_mem_miss_admits_the_stores_shared_frame_in_every_pool_and_fork() {
     let data = twin_mem();
-    assert!(Arc::ptr_eq(mem_buffer(&data, 3), mem_buffer(&data, 11)));
+    // Equal pages on different ids share one frame; every page has one.
+    assert!(in_store(&shared_frame(&data, 11), &data, 3));
+    assert_eq!(data.distinct_pages(), TWIN_PAGES - 4);
     let a = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 8, 2);
     let b = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 8, 2);
     let fork = a.fork();
+    assert!((0..TWIN_PAGES).all(|id| a.miss_shares(PageId(id))));
     let (mut ca, mut cb, mut cf) = (IoCursor::new(), IoCursor::new(), IoCursor::new());
     let frames = [
         a.read_frame(&mut ca, PageId(3)).unwrap(),
@@ -656,20 +654,13 @@ fn a_mem_miss_admits_the_stores_buffer_in_every_pool_and_fork() {
         assert!(in_store(frame, &data, 3));
         assert_eq!(&frame.bytes()[..8], &3u64.to_le_bytes());
     }
-    // The bytes are shared, the frames (and their overlays) are not: each
-    // miss admits a frame of its own.
-    for (i, x) in frames.iter().enumerate() {
-        for y in &frames[i + 1..] {
-            assert!(!Arc::ptr_eq(x, y));
-        }
-    }
-    // Runs and warms share too; a unique page is shared with the store
-    // alone.
+    // Runs and warms share too; a unique page's frame is its own.
     fork.read_run(&mut cf, PageId(4), 4).unwrap();
     b.warm_run(&mut cb, PageId(8), 4).unwrap();
     for id in 4..8 {
         let frame = fork.read_frame(&mut cf, PageId(id)).unwrap();
         assert!(in_store(&frame, &data, id), "{id}");
+        assert!(!in_store(&frame, &data, id + 1), "{id}");
     }
     for id in 8..12 {
         let frame = b.read_frame(&mut cb, PageId(id)).unwrap();
@@ -729,7 +720,7 @@ fn mem_shared_misses_account_exactly_like_copying_misses() {
 fn with_faults_armed_mem_misses_copy_and_corruption_fails_over() {
     let data = twin_mem();
     let before: Vec<Vec<u8>> = (0..TWIN_PAGES)
-        .map(|id| mem_buffer(&data, id).to_vec())
+        .map(|id| shared_frame(&data, id).bytes().to_vec())
         .collect();
 
     // Unreplicated: page 3 is served bit-flipped, fails the checksum and
@@ -742,11 +733,11 @@ fn with_faults_armed_mem_misses_copy_and_corruption_fails_over() {
     assert!(!pool.contains(PageId(3)));
     let twin = pool.read_frame(&mut cur, PageId(11)).unwrap();
     assert!(!in_store(&twin, &data, 11));
-    assert_eq!(twin.bytes(), mem_buffer(&data, 11).as_ref());
+    assert_eq!(twin.bytes(), shared_frame(&data, 11).bytes());
     assert_eq!(pool.hit_stats(), (0, 1));
 
     // Replicated: the corrupt primary copy fails over to the replica, and
-    // the pooled frame is a verified copy, not the store's buffer.
+    // the pooled frame is a verified copy, not the store's frame.
     let pool = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 8, 2).with_replicas(2);
     let injector = pool.arm_replica_faults(0, &FaultPlan::corrupt_one(3));
     let mut cur = IoCursor::new();
@@ -759,7 +750,7 @@ fn with_faults_armed_mem_misses_copy_and_corruption_fails_over() {
 
     // The fault wrote into pool buffers only.
     for (id, want) in (0..TWIN_PAGES).zip(&before) {
-        assert_eq!(mem_buffer(&data, id).as_ref(), &want[..], "page {id}");
+        assert_eq!(shared_frame(&data, id).bytes(), &want[..], "page {id}");
     }
 }
 
@@ -767,11 +758,11 @@ fn with_faults_armed_mem_misses_copy_and_corruption_fails_over() {
 fn evicting_a_mem_shared_frame_frees_no_spare_and_no_miss_writes_store_bytes() {
     let data = twin_mem();
     let before: Vec<Vec<u8>> = (0..TWIN_PAGES)
-        .map(|id| mem_buffer(&data, id).to_vec())
+        .map(|id| shared_frame(&data, id).bytes().to_vec())
         .collect();
-    let holders: Vec<usize> = (0..TWIN_PAGES)
-        .map(|id| Arc::strong_count(mem_buffer(&data, id)))
-        .collect();
+    // Holders of each shared frame: the store, once per distinct content.
+    let holders = |id: u64| Arc::strong_count(&shared_frame(&data, id)) - 1;
+    assert!((0..TWIN_PAGES).all(|id| holders(id) == 1));
     // One single-frame shard: every miss evicts the previous frame, which
     // no session holds, so the pool may recycle its buffer if it owns it.
     let pool = SharedCachedFile::new(data.clone(), DiskModel::PAPER_ERA, 1, 1);
@@ -779,15 +770,10 @@ fn evicting_a_mem_shared_frame_frees_no_spare_and_no_miss_writes_store_bytes() {
     for id in 0..TWIN_PAGES {
         tag_of(&pool, &mut cur, id);
     }
-    // Every evicted frame let go of the store's buffer: none is a spare.
-    // Page 15, still pooled, holds one reference more.
+    // Every evicted frame went back to the store alone: none is a spare.
+    // Page 15, still pooled, has one holder more.
     for id in 0..TWIN_PAGES {
-        let pooled = usize::from(id == TWIN_PAGES - 1);
-        assert_eq!(
-            Arc::strong_count(mem_buffer(&data, id)),
-            holders[id as usize] + pooled,
-            "page {id}"
-        );
+        assert_eq!(holders(id), 1 + usize::from(id == TWIN_PAGES - 1), "{id}");
     }
     // Copying misses (faults armed, none injected) fill pool buffers only,
     // alternating with the shared frames they evict.
@@ -800,14 +786,9 @@ fn evicting_a_mem_shared_frame_frees_no_spare_and_no_miss_writes_store_bytes() {
         }
     }
     for (id, want) in (0..TWIN_PAGES).zip(&before) {
-        assert_eq!(mem_buffer(&data, id).as_ref(), &want[..], "page {id}");
+        assert_eq!(shared_frame(&data, id).bytes(), &want[..], "page {id}");
     }
     assert_eq!(pool.hit_stats(), (0, 4 * TWIN_PAGES));
     drop(pool);
-    for id in 0..TWIN_PAGES {
-        assert_eq!(
-            Arc::strong_count(mem_buffer(&data, id)),
-            holders[id as usize]
-        );
-    }
+    assert!((0..TWIN_PAGES).all(|id| holders(id) == 1));
 }
