@@ -83,7 +83,7 @@ fn run() -> Result<bool, String> {
     }
     for r in &out.regressions {
         println!(
-            "  FAIL {}: baseline {:.6} -> current {:.6} ({:+.2}% worse, tolerance {:.2}%)",
+            "  FAIL {}: baseline {:.6} -> current {:.6} ({:+.2}%, + is worse; tolerance {:.2}%)",
             r.metric,
             r.baseline,
             r.current,

@@ -56,7 +56,7 @@ fn main() {
         let report = SessionServer::new(&env, ServerConfig::default())
             .run(&sessions, 4)
             .expect("unsharded run");
-        println!("sharded run: shards=0 degraded_frames=0 timeouts=0 hedged=0 breaker_opens=0");
+        println!("sharded run: shards=0 degraded_frames=0 timeouts=0 breaker_opens=0");
         report
     } else {
         let mut router = match ShardRouter::new(&env, shards, RouterConfig::default()) {
@@ -91,8 +91,8 @@ fn main() {
         // The router is fresh, so its totals are this run's counters.
         let t = router.totals();
         println!(
-            "sharded run: shards={shards} degraded_frames={} timeouts={} hedged={} breaker_opens={}",
-            t.degraded_frames, t.timeouts, t.hedged, t.breaker_opens
+            "sharded run: shards={shards} degraded_frames={} timeouts={} breaker_opens={}",
+            t.degraded_frames, t.timeouts, t.breaker_opens
         );
         let states: Vec<String> = (0..shards)
             .map(|s| format!("{:?}", router.breaker_state(s)))

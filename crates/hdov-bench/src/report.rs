@@ -4,9 +4,12 @@
 //! and a fresh run) are flattened to `snapshot/metric → f64` maps and
 //! compared metric-by-metric under a per-metric relative tolerance loaded
 //! from `ci/tolerances.toml`. A tracked metric that moves in its *worse*
-//! direction by more than its tolerance is a regression; `bench_report`
-//! exits nonzero when any exist, which is what turns the metrics files into
-//! a CI gate instead of a CSV a human has to eyeball.
+//! direction by more than its tolerance is a regression, and so is any
+//! move at all, either way, of a metric whose tolerance is exactly zero
+//! (those metrics are deterministic, so a change in either direction is a
+//! change of behaviour); `bench_report` exits nonzero when any exist,
+//! which is what turns the metrics files into a CI gate instead of a CSV a
+//! human has to eyeball.
 //!
 //! ## Tolerance file
 //!
@@ -202,7 +205,8 @@ pub fn flatten(snap: &MetricsSnapshot) -> BTreeMap<String, f64> {
     out
 }
 
-/// One gated metric that moved beyond its tolerance in the worse direction.
+/// One gated metric that moved beyond its tolerance in the worse direction,
+/// or moved at all under a zero tolerance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
     /// Full `snapshot/metric` id.
@@ -211,7 +215,8 @@ pub struct Regression {
     pub baseline: f64,
     /// Current value.
     pub current: f64,
-    /// Signed relative change, positive = worse.
+    /// Signed relative change, positive = worse (negative only under a
+    /// zero tolerance).
     pub rel_change: f64,
     /// The tolerance it exceeded.
     pub tolerance: f64,
@@ -244,7 +249,9 @@ impl ReportOutcome {
 ///
 /// Snapshots pair by name; metric ids are `name/flattened-key`. The signed
 /// relative change is `(cur - base) / |base|` (flipped for higher-is-better
-/// metrics); a zero baseline compares exactly.
+/// metrics); a zero baseline compares exactly. A change beyond the
+/// tolerance in the worse direction is a regression; at a tolerance of
+/// exactly zero, any nonzero change is.
 pub fn compare(
     baseline: &[MetricsSnapshot],
     current: &[MetricsSnapshot],
@@ -290,7 +297,12 @@ pub fn compare(
         } else {
             signed
         };
-        if rel_change > tolerance {
+        let regressed = if tolerance == 0.0 {
+            rel_change != 0.0
+        } else {
+            rel_change > tolerance
+        };
+        if regressed {
             out.regressions.push(Regression {
                 metric: id.clone(),
                 baseline: base,
@@ -465,6 +477,34 @@ mod tests {
         let out = compare(&a, &[snap("run", &[("x", 41.5), ("zero", 1.0)])], &cfg);
         assert!(out.failed());
         assert!(out.regressions[0].rel_change.is_infinite());
+    }
+
+    /// A deterministic metric gated at zero tolerance fails on any move:
+    /// a counter that falls is as much a behaviour change as one that
+    /// rises, and a throughput that rises as one that falls. A nonzero
+    /// tolerance still forgives moves in the better direction.
+    #[test]
+    fn zero_tolerance_gates_both_directions() {
+        let cfg = ToleranceConfig {
+            default_tolerance: 0.0,
+            ignore: vec![],
+            higher_is_better: vec!["*qps".into()],
+            overrides: vec![("loose/".into(), 0.05)],
+        };
+        let base = [
+            snap("run", &[("codec_decodes", 3_580_930.0), ("qps", 1000.0)]),
+            snap("loose", &[("codec_decodes", 100.0)]),
+        ];
+        let cur = [
+            snap("run", &[("codec_decodes", 9_405.0), ("qps", 1200.0)]),
+            snap("loose", &[("codec_decodes", 50.0)]),
+        ];
+        let out = compare(&base, &cur, &cfg);
+        assert!(out.failed());
+        let moved: Vec<&str> = out.regressions.iter().map(|r| r.metric.as_str()).collect();
+        assert_eq!(moved, ["run/gauge.codec_decodes", "run/gauge.qps"]);
+        assert!(out.regressions.iter().all(|r| r.rel_change < 0.0));
+        assert_eq!(out.compared, 3);
     }
 
     #[test]

@@ -355,41 +355,10 @@ impl ShardPlan {
         }
     }
 
-    /// Number of shards the plan was built for.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard owning `object`, if the object is indexed.
-    pub fn object_owner(&self, object: u64) -> Option<usize> {
-        self.object_owner.get(&object).copied()
-    }
-
-    /// The shard owning the subtree rooted at `ordinal` (the owner of its
-    /// leftmost object — deterministic and cell-independent).
-    pub fn node_owner(&self, ordinal: u32) -> usize {
-        self.node_owner[ordinal as usize] as usize
-    }
-
-    /// The shards with at least one owned object under `ordinal`.
-    pub fn node_mask(&self, ordinal: u32) -> u64 {
-        self.node_mask[ordinal as usize]
-    }
-
     /// The shards that can emit an entry for a query in `cell` (from the
     /// ground-truth visible set; the router adds the home-tile bit).
     pub fn cell_mask(&self, cell: CellId) -> u64 {
         self.cell_masks[cell as usize]
-    }
-
-    /// Objects owned by `shard`.
-    pub fn owned_objects(&self, shard: usize) -> u64 {
-        self.owned_objects[shard]
-    }
-
-    /// The size of `shard`'s coarse cover.
-    pub fn cover_len(&self, shard: usize) -> usize {
-        self.covers[shard].len()
     }
 
     /// Builds the synthetic frame served in place of an unavailable
@@ -452,8 +421,8 @@ impl ShardPlan {
 /// same prune/terminate/descend tests against the same V-pages — with a
 /// shard frame as its emission filter:
 ///
-/// * subtrees whose [`ShardPlan::node_mask`] lacks this shard's bit are
-///   skipped without reading them,
+/// * subtrees whose node mask (the shards owning an object under them)
+///   lacks this shard's bit are skipped without reading them,
 /// * object entries are emitted (and their models fetched) only when this
 ///   shard owns the object, and η-terminated internal entries only when it
 ///   owns the subtree,

@@ -142,9 +142,6 @@ pub enum Counter {
     ShardTimeouts,
     /// Circuit-breaker transitions from closed (or half-open) to open.
     BreakerOpens,
-    /// Hedged sub-queries issued to a replica engine after the primary
-    /// shard exceeded its hedge budget or answered degraded.
-    HedgedReads,
     /// Frames in which at least one shard's tiles were served coarse
     /// because the shard was tripped, timed out, or failed.
     ShardDegradedFrames,
@@ -156,7 +153,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 39;
+    pub const COUNT: usize = 38;
 
     /// Every counter, in snapshot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -196,7 +193,6 @@ impl Counter {
         Counter::QuarantinedPages,
         Counter::ShardTimeouts,
         Counter::BreakerOpens,
-        Counter::HedgedReads,
         Counter::ShardDegradedFrames,
         Counter::TwinCopies,
     ];
@@ -240,7 +236,6 @@ impl Counter {
             Counter::QuarantinedPages => "quarantined_pages",
             Counter::ShardTimeouts => "shard_timeouts",
             Counter::BreakerOpens => "breaker_opens",
-            Counter::HedgedReads => "hedged_reads",
             Counter::ShardDegradedFrames => "shard_degraded_frames",
             Counter::TwinCopies => "twin_copies",
         }

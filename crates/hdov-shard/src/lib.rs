@@ -14,8 +14,8 @@
 //!   independent of shard completion order — the data plane lives in
 //!   [`hdov_core::shard`]).
 //! * [`CircuitBreaker`] trips a shard after consecutive failures and probes
-//!   it back half-open; deadlines, retries, and hedged reads are all
-//!   deterministic (simulated time, request-counted cooldowns).
+//!   it back half-open; the deadline and the retry are both deterministic
+//!   (simulated time, request-counted cooldowns).
 //! * A tripped, timed-out, or dead shard contributes its tiles at the
 //!   coarsest internal LoD
 //!   ([`DegradeCause::ShardUnavailable`](hdov_core::DegradeCause)) instead

@@ -8,14 +8,13 @@
 //!    every shard that can contribute an entry for this cell (precomputed
 //!    by [`ShardPlan`] from the ground-truth visible set),
 //! 2. runs the pruned sharded search on each fanned-out shard, guarded by
-//!    that shard's circuit breaker, a simulated per-request deadline, a
-//!    deterministic retry budget, and (optionally) a hedged read to the
-//!    shard's replica engine,
+//!    that shard's circuit breaker, a simulated per-request deadline and
+//!    one deterministic retry,
 //! 3. merges the per-shard frames into one deterministic
 //!    [`QueryResult`] — stable object order
 //!    independent of shard completion order.
 //!
-//! A shard that is tripped, timed out, or dead past its retries contributes
+//! A shard that is tripped, timed out, or dead past its retry contributes
 //! its precomputed coarse cover instead of failing the frame
 //! ([`DegradeCause::ShardUnavailable`](hdov_core::DegradeCause)); the
 //! router never returns an error for a routable frame.
@@ -25,7 +24,7 @@
 //! sessions through it exactly as through one unsharded engine.
 //!
 //! All robustness accounting is simulated-time and deterministic: deadlines
-//! compare *simulated* search milliseconds, retries are instant (a retry
+//! compare *simulated* search milliseconds, the retry is instant (a retry
 //! against a dead engine models the network timeout the real system would
 //! pay — the simulated clock, like the paper's, only charges I/O), and the
 //! breaker counts requests, not seconds.
@@ -43,9 +42,13 @@ use hdov_visibility::CellId;
 use hdov_walkthrough::FrameEngine;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Router tuning. The defaults keep every fault-domain mechanism inert:
-/// infinite deadline, no hedging, and a breaker that a fault-free run never
-/// feeds a failure — a default-configured fan-out is byte-identical to the
+/// Deterministic retry attempts after a failed sub-query (dead engine or
+/// storage error), before the shard degrades.
+const RETRIES: u32 = 1;
+
+/// Router tuning. The default keeps every fault-domain mechanism inert: an
+/// infinite deadline and a breaker that a fault-free run never feeds a
+/// failure, so a default-configured fan-out is byte-identical to the
 /// unsharded search.
 #[derive(Debug, Clone, Copy)]
 pub struct RouterConfig {
@@ -53,21 +56,12 @@ pub struct RouterConfig {
     /// whose simulated search time exceeds it is treated as abandoned
     /// (`shard_timeouts`) and the shard degrades for that frame.
     pub deadline_sim_ms: f64,
-    /// Deterministic retry attempts after a failed sub-query (dead engine
-    /// or storage error), before the shard degrades or hedges.
-    pub retries: u32,
-    /// Simulated search time above which a *successful* primary sub-query
-    /// is hedged to the shard's replica engine (when one is attached): the
-    /// faster of the two answers wins. `INFINITY` never hedges.
-    pub hedge_sim_ms: f64,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             deadline_sim_ms: f64::INFINITY,
-            retries: 1,
-            hedge_sim_ms: f64::INFINITY,
         }
     }
 }
@@ -85,33 +79,19 @@ pub struct ShardChaos {
     pub revive_at_frame: u64,
 }
 
-/// One shard: a private-pool fork of the frozen environment, its optional
-/// hedge replica, and a liveness flag the chaos schedule (or an operator)
-/// flips. A dead engine refuses queries; its in-memory directories stay
-/// readable, which is exactly what serving the coarse cover needs.
+/// One shard: a private-pool fork of the frozen environment and a liveness
+/// flag the chaos schedule (or an operator) flips. A dead engine refuses
+/// queries; its in-memory directories stay readable, which is exactly what
+/// serving the coarse cover needs.
 pub struct ShardEngine {
     env: SharedEnvironment,
-    replica: Option<SharedEnvironment>,
     alive: AtomicBool,
 }
 
 impl ShardEngine {
-    fn new(env: SharedEnvironment, replica: Option<SharedEnvironment>) -> ShardEngine {
-        ShardEngine {
-            env,
-            replica,
-            alive: AtomicBool::new(true),
-        }
-    }
-
     /// The shard's frozen environment.
     pub fn env(&self) -> &SharedEnvironment {
         &self.env
-    }
-
-    /// The hedge replica, when attached.
-    pub fn replica(&self) -> Option<&SharedEnvironment> {
-        self.replica.as_ref()
     }
 
     /// Is the engine accepting queries?
@@ -130,14 +110,13 @@ impl ShardEngine {
     }
 }
 
-/// Per-visitor routing state: one cursor set per shard (plus one per
-/// replica and one for motion prefetch), the per-shard frame slots, the
+/// Per-visitor routing state: one cursor set per shard (plus one for
+/// motion prefetch), the per-shard frame slots, the
 /// merge buffer, the merged frame, and the delta resident set — everything
 /// a visitor carries between frames. All of it is reused, so a
 /// steady-state fault-free frame over warm pools allocates nothing.
 pub struct SessionLane {
     ctxs: Vec<SessionCtx>,
-    hedge_ctxs: Vec<SessionCtx>,
     prefetch_ctxs: Vec<SessionCtx>,
     frames: Vec<ShardFrame>,
     merge: MergeScratch,
@@ -149,11 +128,6 @@ impl SessionLane {
     /// The most recent merged frame.
     pub fn merged(&self) -> &QueryResult {
         &self.merged
-    }
-
-    /// The visitor's delta resident set.
-    pub fn delta(&self) -> &DeltaSearch {
-        &self.delta
     }
 
     /// The per-shard frame slots of the most recent frame, by shard id
@@ -176,10 +150,6 @@ pub struct RouteStats {
     pub fanout: u32,
     /// Shards that contributed their coarse cover instead of a live answer.
     pub degraded_shards: u32,
-    /// Sub-queries abandoned past the simulated deadline.
-    pub timeouts: u32,
-    /// Hedged sub-queries issued to replica engines.
-    pub hedged: u32,
 }
 
 /// Aggregate router counters since construction.
@@ -191,7 +161,9 @@ pub struct RouterTotals {
     pub degraded_frames: u64,
     /// Sub-queries abandoned past the deadline.
     pub timeouts: u64,
-    /// Hedged sub-queries issued.
+    /// Always 0: the router issues no hedged reads. Kept only because the
+    /// serving benchmark still reads it; ROADMAP item 1 drops that read and
+    /// then this field.
     pub hedged: u64,
     /// Breaker open transitions.
     pub breaker_opens: u64,
@@ -208,7 +180,6 @@ pub struct ShardRouter {
     frames_routed: AtomicU64,
     degraded_frames: AtomicU64,
     timeouts: AtomicU64,
-    hedged: AtomicU64,
     breaker_opens: AtomicU64,
 }
 
@@ -216,31 +187,12 @@ impl ShardRouter {
     /// Builds a router over `shards` tile shards of `base`: the tile map
     /// from the grid, the ownership plan from one tree walk, then one
     /// private-pool engine fork per shard (cold pools — each shard is its
-    /// own fault domain). With `hedge`, each shard also gets a replica
-    /// engine for hedged reads.
+    /// own fault domain).
     ///
     /// Fails with [`StorageError::InvalidPlan`](hdov_storage::StorageError)
     /// when `shards` is outside `1..=`[`MAX_SHARDS`](hdov_core::MAX_SHARDS)
     /// or the tree cannot be planned (see [`ShardPlan::build`]).
     pub fn new(base: &SharedEnvironment, shards: usize, cfg: RouterConfig) -> Result<ShardRouter> {
-        Self::build(base, shards, cfg, false)
-    }
-
-    /// [`new`](Self::new) with a hedge replica engine per shard.
-    pub fn new_hedged(
-        base: &SharedEnvironment,
-        shards: usize,
-        cfg: RouterConfig,
-    ) -> Result<ShardRouter> {
-        Self::build(base, shards, cfg, true)
-    }
-
-    fn build(
-        base: &SharedEnvironment,
-        shards: usize,
-        cfg: RouterConfig,
-        hedge: bool,
-    ) -> Result<ShardRouter> {
         check_shard_count(shards)?;
         let tiles = TileMap::new(base.grid(), shards);
         let grid = base.grid();
@@ -248,11 +200,9 @@ impl ShardRouter {
             tiles.shard_of_cell(grid.clamped_cell_of(center))
         })?;
         let engines = (0..shards)
-            .map(|_| {
-                ShardEngine::new(
-                    base.fork_with_private_pools(),
-                    hedge.then(|| base.fork_with_private_pools()),
-                )
+            .map(|_| ShardEngine {
+                env: base.fork_with_private_pools(),
+                alive: AtomicBool::new(true),
             })
             .collect();
         let breakers = (0..shards).map(|_| CircuitBreaker::default()).collect();
@@ -266,7 +216,6 @@ impl ShardRouter {
             frames_routed: AtomicU64::new(0),
             degraded_frames: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
-            hedged: AtomicU64::new(0),
             breaker_opens: AtomicU64::new(0),
         })
     }
@@ -294,16 +243,6 @@ impl ShardRouter {
         &self.engines
     }
 
-    /// The ownership plan.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// The tile map.
-    pub fn tiles(&self) -> &TileMap {
-        &self.tiles
-    }
-
     /// Shard `shard`'s breaker state.
     pub fn breaker_state(&self, shard: usize) -> BreakerState {
         self.breakers[shard].state()
@@ -315,21 +254,17 @@ impl ShardRouter {
             frames: self.frames_routed.load(Ordering::Relaxed),
             degraded_frames: self.degraded_frames.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
-            hedged: self.hedged.load(Ordering::Relaxed),
+            hedged: 0,
             breaker_opens: self.breaker_opens.load(Ordering::Relaxed),
         }
     }
 
-    /// Replica-set health merged over every shard engine's pools (and
-    /// hedge replicas) — the cross-shard view of the PR 9 self-healing
-    /// counters.
+    /// Replica-set health merged over every shard engine's pools — the
+    /// cross-shard view of the pools' self-healing counters.
     pub fn storage_health(&self) -> ReplicaHealth {
         let mut health = ReplicaHealth::default();
         for e in &self.engines {
             health.merge(&e.env.storage_health());
-            if let Some(r) = &e.replica {
-                health.merge(&r.storage_health());
-            }
         }
         health
     }
@@ -340,7 +275,6 @@ impl ShardRouter {
         let ctxs = || self.engines.iter().map(|e| e.env.session()).collect();
         SessionLane {
             ctxs: ctxs(),
-            hedge_ctxs: ctxs(),
             prefetch_ctxs: ctxs(),
             frames: (0..n).map(|_| ShardFrame::new()).collect(),
             merge: MergeScratch::new(),
@@ -390,7 +324,6 @@ impl ShardRouter {
         // own cursors and frame slot.
         let SessionLane {
             ctxs,
-            hedge_ctxs,
             frames,
             delta,
             ..
@@ -407,8 +340,7 @@ impl ShardRouter {
                 continue;
             }
             rs.fanout += 1;
-            let (ctx, hedge_ctx) = (&mut ctxs[s], &mut hedge_ctxs[s]);
-            self.sub_query(s, q, ctx, hedge_ctx, &mut frames[s], &mut rs);
+            self.sub_query(s, q, &mut ctxs[s], &mut frames[s], &mut rs);
         }
 
         merge_frames(&mut lane.frames, &mut lane.merge, &mut lane.merged);
@@ -421,26 +353,24 @@ impl ShardRouter {
         rs
     }
 
-    /// One shard's guarded sub-query for `q`: breaker gate → primary
-    /// through `ctx` (with retries and deadline) → hedge through
-    /// `hedge_ctx` → coarse cover. Leaves `frame` holding the shard's
-    /// contribution no matter what failed.
+    /// One shard's guarded sub-query for `q`: breaker gate → search
+    /// through `ctx` (with retry and deadline) → coarse cover. Leaves
+    /// `frame` holding the shard's contribution no matter what failed.
     fn sub_query(
         &self,
         s: usize,
         q: Query<'_>,
         ctx: &mut SessionCtx,
-        hedge_ctx: &mut SessionCtx,
         frame: &mut ShardFrame,
         rs: &mut RouteStats,
     ) {
         let engine = &self.engines[s];
         let breaker = &self.breakers[s];
         let mut detail = String::new();
-        let mut primary_ms: Option<f64> = None;
+        let mut answered_ms: Option<f64> = None;
 
         if breaker.allow() {
-            for _attempt in 0..=self.cfg.retries {
+            for _attempt in 0..=RETRIES {
                 if !engine.is_alive() {
                     detail = format!("shard {s} engine down");
                     continue; // deterministic retry: instant in simulated time
@@ -451,7 +381,6 @@ impl ShardRouter {
                         if ms > self.cfg.deadline_sim_ms {
                             // Abandoned reply: the same deterministic query
                             // would bust the same deadline, so no retry.
-                            rs.timeouts += 1;
                             self.timeouts.fetch_add(1, Ordering::Relaxed);
                             hdov_obs::add(Counter::ShardTimeouts, 1);
                             detail = format!(
@@ -461,13 +390,13 @@ impl ShardRouter {
                             break;
                         }
                         rs.page_reads += stats.total_io().page_reads;
-                        primary_ms = Some(ms);
+                        answered_ms = Some(ms);
                         break;
                     }
                     Err(e) => detail = format!("shard {s}: {e}"),
                 }
             }
-            match primary_ms {
+            match answered_ms {
                 Some(_) => breaker.record_success(),
                 None => {
                     if breaker.record_failure() {
@@ -480,33 +409,10 @@ impl ShardRouter {
             detail = format!("shard {s} circuit open");
         }
 
-        // Hedge: on a slow primary the faster of the two identical answers
-        // wins; on a failed/denied primary the replica is the serve path.
-        let hedge_due = match primary_ms {
-            Some(ms) => ms > self.cfg.hedge_sim_ms,
-            None => true,
-        };
-        if hedge_due {
-            if let Some(replica) = &engine.replica {
-                rs.hedged += 1;
-                self.hedged.fetch_add(1, Ordering::Relaxed);
-                hdov_obs::add(Counter::HedgedReads, 1);
-                // Rerunning into the same slot is safe: frozen data, so the
-                // replica's entries are identical to the primary's.
-                if let Ok(stats) = search_shard(replica, hedge_ctx, &self.plan, s, frame, q) {
-                    let ms = stats.search_time_ms();
-                    if primary_ms.is_none() {
-                        rs.page_reads += stats.total_io().page_reads;
-                    }
-                    primary_ms = Some(primary_ms.map_or(ms, |p| p.min(ms)));
-                }
-            }
-        }
-
-        match primary_ms {
+        match answered_ms {
             Some(ms) => rs.search_ms = rs.search_ms.max(ms),
             None => {
-                // Tripped, timed out, or dead past retries and hedges: the
+                // Tripped, timed out, or dead past its retry: the
                 // shard's tiles arrive at the coarsest internal LoD instead
                 // of failing the frame.
                 self.plan.cover_frame(&engine.env, s, &detail, frame);

@@ -7,13 +7,11 @@
 //! The map is a pure function of `(grid resolution, shard count)` — every
 //! router over the same environment derives the same ownership.
 
-use hdov_geom::Vec3;
 use hdov_visibility::{CellGrid, CellId};
 
 /// Assignment of viewing cells (and, through them, objects) to shards.
 #[derive(Debug, Clone)]
 pub struct TileMap {
-    shards: usize,
     tiles_x: usize,
     tiles_y: usize,
     cell_shard: Vec<u32>,
@@ -39,16 +37,10 @@ impl TileMap {
             })
             .collect();
         TileMap {
-            shards,
             tiles_x,
             tiles_y,
             cell_shard,
         }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// The tile lattice `(columns, rows)`.
@@ -60,26 +52,12 @@ impl TileMap {
     pub fn shard_of_cell(&self, cell: CellId) -> usize {
         self.cell_shard[cell as usize] as usize
     }
-
-    /// The home shard of a viewpoint (via the grid's clamped cell lookup).
-    pub fn shard_of_point(&self, grid: &CellGrid, p: Vec3) -> usize {
-        self.shard_of_cell(grid.clamped_cell_of(p))
-    }
-
-    /// Cells owned by `shard`.
-    pub fn cells_of(&self, shard: usize) -> impl Iterator<Item = CellId> + '_ {
-        self.cell_shard
-            .iter()
-            .enumerate()
-            .filter(move |&(_, &s)| s as usize == shard)
-            .map(|(c, _)| c as CellId)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdov_geom::Aabb;
+    use hdov_geom::{Aabb, Vec3};
     use hdov_visibility::CellGridConfig;
 
     fn grid(nx: usize, ny: usize) -> CellGrid {

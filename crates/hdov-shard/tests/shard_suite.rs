@@ -188,8 +188,7 @@ fn sharded_server_answers_match_unsharded_server() {
     let router = ShardRouter::new(&env, 4, RouterConfig::default()).unwrap();
     let sharded = SessionServer::new(&router, cfg).run(&sessions, 2).unwrap();
     let t = router.totals();
-    assert_eq!((t.degraded_frames, t.timeouts), (0, 0));
-    assert_eq!((t.hedged, t.breaker_opens), (0, 0));
+    assert_eq!((t.degraded_frames, t.timeouts, t.breaker_opens), (0, 0, 0));
     let warmed: u64 = sharded.sessions.iter().map(|s| s.prefetched_pages).sum();
     assert!(warmed > 0, "motion prefetch must warm the shards");
     for (a, b) in plain.sessions.iter().zip(&sharded.sessions) {
@@ -291,7 +290,6 @@ fn impossible_deadline_degrades_every_frame() {
         4,
         RouterConfig {
             deadline_sim_ms: 0.0,
-            ..RouterConfig::default()
         },
     )
     .unwrap();
@@ -306,34 +304,6 @@ fn impossible_deadline_degrades_every_frame() {
         assert_eq!(s.failed_frames, 0);
         assert!(s.total_polygons > 0, "covers are a real picture");
     }
-}
-
-/// Hedged reads: with replicas attached and a hair-trigger hedge threshold,
-/// hedges fire, answers stay byte-identical, and nothing degrades.
-#[test]
-fn hedged_reads_do_not_change_answers() {
-    let env = shared_env();
-    let plain = ShardRouter::new(&env, 2, RouterConfig::default()).unwrap();
-    let hedged = ShardRouter::new_hedged(
-        &env,
-        2,
-        RouterConfig {
-            hedge_sim_ms: 0.0,
-            ..RouterConfig::default()
-        },
-    )
-    .unwrap();
-    let session = &record_sessions(&env, 1, 15)[0];
-    let mut lane_a = plain.lane();
-    let mut lane_b = hedged.lane();
-    for &vp in &session.viewpoints {
-        plain.route(&mut lane_a, vp, 0.002);
-        hedged.route(&mut lane_b, vp, 0.002);
-        assert_eq!(lane_a.merged().entries(), lane_b.merged().entries());
-    }
-    assert!(hedged.totals().hedged > 0, "0ms threshold must hedge");
-    assert_eq!(hedged.totals().degraded_frames, 0);
-    assert_eq!(plain.totals().hedged, 0, "no replicas, no hedges");
 }
 
 /// Global admission: one logical slot per visitor across all shards — the
