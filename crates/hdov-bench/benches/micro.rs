@@ -1,10 +1,13 @@
 //! Criterion microbenchmarks of the core operations behind the paper's
 //! experiments: R-tree window queries, HDoV threshold search per storage
-//! scheme, the naïve baseline, DoV cell estimation, mesh simplification, the
-//! prototype library build, and LoD selection.
+//! scheme, the naïve baseline, a served same-cell walkthrough frame, DoV cell
+//! estimation, mesh simplification, the prototype library build, and LoD
+//! selection.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hdov_core::{HdovBuildConfig, HdovEnvironment, Query, StorageScheme};
+use hdov_core::{
+    DeltaSearch, HdovBuildConfig, HdovEnvironment, PoolConfig, Query, SearchScratch, StorageScheme,
+};
 use hdov_geom::{Aabb, Vec3};
 use hdov_mesh::{generate, simplify};
 use hdov_rtree::{RTree, SplitMethod};
@@ -72,6 +75,27 @@ fn naive_vs_hdov(c: &mut Criterion) {
         let mut env = bench_env(StorageScheme::IndexedVertical);
         let vp = bench_scene().bounds().center();
         b.iter(|| black_box(env.query_naive(black_box(vp)).unwrap().0.total_polygons()))
+    });
+}
+
+/// One served walkthrough frame that stays in its cell: the delta query the
+/// session server runs per frame, over the default (warm) shared pools.
+fn served_same_cell_delta(c: &mut Criterion) {
+    c.bench_function("hdov/served_same_cell_delta", |b| {
+        let env = bench_env(StorageScheme::IndexedVertical).into_shared(PoolConfig::default());
+        let vp = bench_scene().bounds().center();
+        let mut ctx = env.session();
+        let mut scratch = SearchScratch::new();
+        let mut delta = DeltaSearch::new();
+        // The first frame flips into the cell and warms the pools.
+        env.query_delta_into(&mut ctx, &mut scratch, vp, 0.002, &mut delta)
+            .unwrap();
+        b.iter(|| {
+            let (stats, _) = env
+                .query_delta_into(&mut ctx, &mut scratch, black_box(vp), 0.002, &mut delta)
+                .unwrap();
+            black_box(stats.vpages_fetched)
+        })
     });
 }
 
@@ -193,7 +217,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = rtree_window_query, hdov_search_by_scheme, naive_vs_hdov,
-              prioritized_search, dov_estimation, mesh_simplification,
+              served_same_cell_delta, prioritized_search, dov_estimation, mesh_simplification,
               prototype_library, lod_selection
 }
 criterion_main!(benches);

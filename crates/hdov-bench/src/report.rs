@@ -234,7 +234,9 @@ pub struct ReportOutcome {
     /// Tracked metrics the current run no longer produces (also gate
     /// failures: a vanished metric must be a deliberate baseline update).
     pub missing_in_current: Vec<String>,
-    /// New metrics with no baseline yet (informational only).
+    /// New metrics with no baseline yet and a nonzero tolerance
+    /// (informational only; a zero-tolerance one is gated as if its
+    /// baseline were zero).
     pub new_in_current: Vec<String>,
 }
 
@@ -251,7 +253,9 @@ impl ReportOutcome {
 /// relative change is `(cur - base) / |base|` (flipped for higher-is-better
 /// metrics); a zero baseline compares exactly. A change beyond the
 /// tolerance in the worse direction is a regression; at a tolerance of
-/// exactly zero, any nonzero change is.
+/// exactly zero, any nonzero change is. A metric only the current run has
+/// is gated against a zero baseline when its tolerance is exactly zero, and
+/// is informational otherwise.
 pub fn compare(
     baseline: &[MetricsSnapshot],
     current: &[MetricsSnapshot],
@@ -283,41 +287,61 @@ pub fn compare(
             continue;
         };
         out.compared += 1;
-        let signed = if base == 0.0 {
-            if cur == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            (cur - base) / base.abs()
-        };
-        let rel_change = if cfg.is_higher_better(id) {
-            -signed
-        } else {
-            signed
-        };
-        let regressed = if tolerance == 0.0 {
-            rel_change != 0.0
-        } else {
-            rel_change > tolerance
-        };
-        if regressed {
-            out.regressions.push(Regression {
-                metric: id.clone(),
-                baseline: base,
-                current: cur,
-                rel_change,
-                tolerance,
-            });
-        }
+        out.regressions.extend(gate(cfg, id, base, cur, tolerance));
     }
-    for id in cur_metrics.keys() {
-        if !base_metrics.contains_key(id) {
+    for (id, &cur) in &cur_metrics {
+        if base_metrics.contains_key(id) {
+            continue;
+        }
+        // Zero-valued counters are left out of snapshots, so an absent
+        // baseline reads as zero: a metric pinned there at tolerance 0
+        // fails once it appears with a value. Any other new metric has no
+        // baseline yet.
+        if cfg.tolerance_for(id) == Some(0.0) {
+            out.compared += 1;
+            out.regressions.extend(gate(cfg, id, 0.0, cur, 0.0));
+        } else {
             out.new_in_current.push(id.clone());
         }
     }
     out
+}
+
+/// The regression, if any, of metric `id` moving from `base` to `cur`
+/// under `tolerance` (see [`compare`]).
+fn gate(
+    cfg: &ToleranceConfig,
+    id: &str,
+    base: f64,
+    cur: f64,
+    tolerance: f64,
+) -> Option<Regression> {
+    let signed = if base == 0.0 {
+        if cur == 0.0 {
+            0.0
+        } else {
+            f64::INFINITY
+        }
+    } else {
+        (cur - base) / base.abs()
+    };
+    let rel_change = if cfg.is_higher_better(id) {
+        -signed
+    } else {
+        signed
+    };
+    let regressed = if tolerance == 0.0 {
+        rel_change != 0.0
+    } else {
+        rel_change > tolerance
+    };
+    regressed.then(|| Regression {
+        metric: id.to_string(),
+        baseline: base,
+        current: cur,
+        rel_change,
+        tolerance,
+    })
 }
 
 /// Loads one metrics snapshot JSON file.
@@ -523,6 +547,43 @@ mod tests {
             ..ToleranceConfig::default()
         };
         assert!(!compare(&base, &cur, &cfg).failed());
+    }
+
+    /// A metric only the current run has is pinned to the absent (zero)
+    /// baseline when its tolerance is exactly zero, and is informational
+    /// under a nonzero one.
+    #[test]
+    fn new_metrics_gate_only_at_zero_tolerance() {
+        let cfg = ToleranceConfig {
+            default_tolerance: 0.05,
+            ignore: vec![],
+            higher_is_better: vec![],
+            overrides: vec![("pinned/".into(), 0.0)],
+        };
+        let base = [snap("pinned", &[("a", 1.0)]), snap("loose", &[("a", 1.0)])];
+        let cur = [
+            snap(
+                "pinned",
+                &[("a", 1.0), ("breaker_opens", 3.0), ("idle", 0.0)],
+            ),
+            snap("loose", &[("a", 1.0), ("breaker_opens", 3.0)]),
+        ];
+        let out = compare(&base, &cur, &cfg);
+        assert!(out.failed());
+        assert_eq!(out.regressions.len(), 1);
+        let r = &out.regressions[0];
+        assert_eq!(r.metric, "pinned/gauge.breaker_opens");
+        assert_eq!((r.baseline, r.current), (0.0, 3.0));
+        assert!(r.rel_change.is_infinite());
+        assert_eq!(out.new_in_current, ["loose/gauge.breaker_opens"]);
+        // A zero value matches the absent baseline; both gated new metrics
+        // count as compared.
+        assert_eq!(out.compared, 4);
+
+        // The same new metric under a nonzero tolerance alone passes.
+        let out = compare(&base[1..], &cur[1..], &cfg);
+        assert!(!out.failed());
+        assert_eq!(out.new_in_current, ["loose/gauge.breaker_opens"]);
     }
 
     /// A `--baseline`/`--current` path that is not a directory is a usage

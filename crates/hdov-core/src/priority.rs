@@ -121,11 +121,7 @@ pub fn search_prioritized(
     frustum: &Frustum,
 ) -> Result<(PrioritizedOutcome, SearchStats)> {
     q.check(env)?;
-    let mut storage = SharedStorage {
-        env,
-        ctx,
-        prefetch: q.prefetch,
-    };
+    let mut storage = SharedStorage::new(env, ctx, q.prefetch);
     let meters = storage.begin();
     let io0 = storage.io_elapsed_us();
     storage.enter_cell(q.cell)?;

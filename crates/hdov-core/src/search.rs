@@ -422,11 +422,7 @@ pub(crate) fn naive_query(
     ctx: &mut SessionCtx,
     cell: CellId,
 ) -> Result<(QueryResult, SearchStats)> {
-    let mut storage = SharedStorage {
-        env,
-        ctx,
-        prefetch: false,
-    };
+    let mut storage = SharedStorage::new(env, ctx, false);
     let meters = storage.begin();
     storage.enter_cell(cell)?;
 

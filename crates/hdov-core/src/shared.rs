@@ -30,6 +30,13 @@
 //! through the pools and charges the session's cursors. The adapter also
 //! owns the two steps every traversal shares: Fig. 3's per-entry decision
 //! and the Eq. 5/6 LoD fetch.
+//!
+//! The adapter lives for one query and keeps the last V-page disk page it
+//! read, so a run of records clustered on one page (§4.2–4.3) costs one
+//! V-page pool probe, not one per node. In one session the skipped probes
+//! were hits on the page its shard had just promoted, so no miss, charge
+//! or LRU order moves; concurrent sessions see the page promoted once per
+//! run instead of once per record (see [`SharedVStore::fetch`]).
 
 use crate::build::{HdovTree, TerminationHeuristic};
 use crate::delta::{DeltaSearch, DeltaSummary};
@@ -46,7 +53,7 @@ use hdov_obs::Phase;
 use hdov_scene::{ModelHandle, ModelStore, Scene};
 use hdov_storage::codec::ByteReader;
 use hdov_storage::{
-    DiskModel, FaultPlan, IoCursor, IoStats, MemPagedFile, PageId, ReplicaHealth, Result,
+    DiskModel, FaultPlan, Frame, IoCursor, IoStats, MemPagedFile, PageId, ReplicaHealth, Result,
     RetryPolicy, ScrubReport, Scrubber, SharedCachedFile, SharedFaultyFile, SimulatedDisk,
     StorageBackend, PAGE_SIZE,
 };
@@ -61,6 +68,11 @@ pub(crate) const NIL: u64 = u64::MAX;
 /// Bytes per indexed-vertical index record: node offset (u32) + V-page
 /// pointer (u64).
 pub(crate) const INDEX_REC_BYTES: usize = 12;
+
+/// The V-page disk page a query read last, with its pooled frame. It lives
+/// for one query only: a longer-lived memo would pin the frame past its
+/// eviction from the pool.
+pub(crate) type PageMemo = Option<(u64, Arc<Frame>)>;
 
 /// Maps one pool of an environment to its replacement (see
 /// [`SharedEnvironment::try_map_pools`]).
@@ -162,11 +174,32 @@ impl SharedVPageFile {
     /// share the one decoded vector. A store-owned frame (every page of a
     /// mem store) keeps it as long as the store; a pool's copy drops it at
     /// eviction.
+    ///
+    /// Every call probes the pool once and holds no frame after it
+    /// returns; a query reading many records instead probes once per run
+    /// of records on the same page (see [`SharedVStore::fetch`]).
     pub fn read(&self, cursor: &mut IoCursor, idx: u64) -> Result<Arc<VPage>> {
+        self.read_with(cursor, &mut None, idx)
+    }
+
+    /// [`read`](Self::read) through `memo`, the last disk page this query
+    /// read: the pool is probed only when record `idx` lies on another
+    /// page, which then replaces the memo.
+    pub(crate) fn read_with(
+        &self,
+        cursor: &mut IoCursor,
+        memo: &mut PageMemo,
+        idx: u64,
+    ) -> Result<Arc<VPage>> {
+        let page = self.disk_page_of(idx);
+        let frame = match memo {
+            Some((p, frame)) if *p == page => frame,
+            _ => {
+                let frame = self.pool.read_frame(cursor, PageId(page))?;
+                &memo.insert((page, frame)).1
+            }
+        };
         let slot = (idx % self.records_per_page) as usize;
-        let frame = self
-            .pool
-            .read_frame(cursor, PageId(self.disk_page_of(idx)))?;
         let rb = self.record_bytes;
         let rpp = self.records_per_page as usize;
         let codec = self.codec;
@@ -409,42 +442,75 @@ impl SharedVStore {
         Ok(())
     }
 
-    /// Fetches the V-page of node `ordinal` in the session's current cell.
-    ///
-    /// Returns `Ok(None)` when the node is invisible **and** the scheme can
-    /// prove it without touching disk (vertical / indexed-vertical). The
-    /// horizontal scheme always performs one V-page access and returns an
-    /// all-hidden V-page for invisible nodes. The V-page is borrowed from
-    /// the pooled frame's decoded overlay — no per-fetch decode or copy
-    /// once the frame is warm.
+    /// The V-page record of node `ordinal` in the session's current cell;
+    /// `None` when the node is invisible **and** the scheme can prove it
+    /// without touching disk (vertical / indexed-vertical). The horizontal
+    /// scheme has a record for every node. Reads nothing.
     ///
     /// # Panics
-    /// Panics if the session entered no cell.
-    pub fn fetch(&self, ctx: &mut SessionCtx, ordinal: u32) -> Result<Option<Arc<VPage>>> {
+    /// Panics if the session entered no cell or `ordinal` is out of range.
+    pub fn record_of(&self, ctx: &SessionCtx, ordinal: u32) -> Option<u64> {
         let cell = ctx.current_cell.expect("enter_cell before fetch");
         match self {
             SharedVStore::Horizontal(s) => {
                 assert!(ordinal < s.n_nodes, "node ordinal out of range");
-                let record = ordinal as u64 * s.cells as u64 + cell as u64;
-                Ok(Some(s.vpages.read(&mut ctx.vpage_cur, record)?))
+                Some(ordinal as u64 * s.cells as u64 + cell as u64)
             }
             SharedVStore::Vertical(s) => {
                 assert!(ordinal < s.n_nodes, "node ordinal out of range");
-                match ctx.seg_dense[ordinal as usize] {
-                    NIL => Ok(None),
-                    ptr => Ok(Some(s.vpages.read(&mut ctx.vpage_cur, ptr)?)),
-                }
+                Some(ctx.seg_dense[ordinal as usize]).filter(|&p| p != NIL)
             }
             SharedVStore::IndexedVertical(s) => {
                 assert!(ordinal < s.n_nodes, "node ordinal out of range");
-                match ctx.seg_sparse.binary_search_by_key(&ordinal, |&(o, _)| o) {
-                    Err(_) => Ok(None),
-                    Ok(i) => {
-                        let ptr = ctx.seg_sparse[i].1;
-                        Ok(Some(s.vpages.read(&mut ctx.vpage_cur, ptr)?))
-                    }
-                }
+                let i = ctx
+                    .seg_sparse
+                    .binary_search_by_key(&ordinal, |&(o, _)| o)
+                    .ok()?;
+                Some(ctx.seg_sparse[i].1)
             }
+        }
+    }
+
+    /// Fetches the V-page of node `ordinal` in the session's current cell.
+    ///
+    /// Returns `Ok(None)` when the node is invisible **and** the scheme can
+    /// prove it without touching disk (see [`record_of`](Self::record_of)).
+    /// The horizontal scheme always performs one V-page access and returns
+    /// an all-hidden V-page for invisible nodes. The V-page is borrowed from
+    /// the pooled frame's decoded overlay — no per-fetch decode or copy
+    /// once the frame is warm.
+    ///
+    /// Each call probes the V-page pool and holds no frame after it
+    /// returns. A query instead keeps the last V-page disk page it read and
+    /// probes the pool only when the next record lies on another page, so
+    /// a run of records clustered on one page (§4.2–4.3) costs one probe.
+    /// The skipped probes were hits that promoted the page its shard had
+    /// just used, so one session's misses, charges and LRU order are
+    /// unchanged; only concurrent sessions see a page promoted once per run
+    /// rather than once per record. (A V-page pool of capacity 0 keeps
+    /// nothing, so there a run is charged one miss instead of one per
+    /// record.)
+    ///
+    /// # Panics
+    /// Panics if the session entered no cell.
+    pub fn fetch(&self, ctx: &mut SessionCtx, ordinal: u32) -> Result<Option<Arc<VPage>>> {
+        self.fetch_with(ctx, &mut None, ordinal)
+    }
+
+    /// [`fetch`](Self::fetch) through the query's page memo (see
+    /// [`SharedVPageFile::read_with`]).
+    pub(crate) fn fetch_with(
+        &self,
+        ctx: &mut SessionCtx,
+        memo: &mut PageMemo,
+        ordinal: u32,
+    ) -> Result<Option<Arc<VPage>>> {
+        match self.record_of(ctx, ordinal) {
+            None => Ok(None),
+            Some(idx) => self
+                .vpages()
+                .read_with(&mut ctx.vpage_cur, memo, idx)
+                .map(Some),
         }
     }
 
@@ -1114,15 +1180,29 @@ pub(crate) enum Step {
 }
 
 /// How a traversal reaches a frozen environment's pages, and what they
-/// cost: the environment's pools, charged to one session's cursors.
+/// cost: the environment's pools, charged to one session's cursors. One
+/// per query.
 pub(crate) struct SharedStorage<'a> {
     pub(crate) env: &'a SharedEnvironment,
     pub(crate) ctx: &'a mut SessionCtx,
     /// Batch-read the cell's V-pages right after the segment flip.
-    pub(crate) prefetch: bool,
+    prefetch: bool,
+    /// The last V-page disk page this query read (see
+    /// [`SharedVStore::fetch`]); dropped with the query.
+    vpage_memo: PageMemo,
 }
 
-impl SharedStorage<'_> {
+impl<'a> SharedStorage<'a> {
+    /// One query's view of `env`, charged to `ctx`.
+    pub(crate) fn new(env: &'a SharedEnvironment, ctx: &'a mut SessionCtx, prefetch: bool) -> Self {
+        SharedStorage {
+            env,
+            ctx,
+            prefetch,
+            vpage_memo: None,
+        }
+    }
+
     /// Snapshots the node, internal-LoD, model, V-page-index and V-page
     /// cursors a query will be charged against.
     pub(crate) fn begin(&self) -> [IoStats; 5] {
@@ -1160,7 +1240,9 @@ impl SharedStorage<'_> {
     /// The V-page of `ordinal` in the current cell; `None` when the scheme
     /// proves the node invisible for free.
     pub(crate) fn vpage(&mut self, ordinal: u32) -> Result<Option<Arc<VPage>>> {
-        self.env.vstore.fetch(self.ctx, ordinal)
+        self.env
+            .vstore
+            .fetch_with(self.ctx, &mut self.vpage_memo, ordinal)
     }
 
     /// Node `ordinal`.

@@ -99,11 +99,7 @@ pub(crate) fn run<E: Emit>(
     q: Query<'_>,
 ) -> Result<SearchStats> {
     q.check(env)?;
-    let mut storage = SharedStorage {
-        env,
-        ctx,
-        prefetch: q.prefetch,
-    };
+    let mut storage = SharedStorage::new(env, ctx, q.prefetch);
     let meters = storage.begin();
     let bclock = BudgetClock::start(q.budget, storage.io_elapsed_us());
     sink.clear();

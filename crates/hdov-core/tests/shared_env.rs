@@ -1,14 +1,18 @@
 //! Served sessions must agree with the single-user `HdovEnvironment` session:
 //! identical result entries and traversal counts on every scheme, identical
 //! answers from any number of concurrent sessions, and the batched V-page
-//! prefetch must not change answers — only costs.
+//! prefetch must not change answers — only costs. A query probes the V-page
+//! pool once per run of records on one disk page, and holds no frame after
+//! it returns.
 
 use hdov_core::{
     DeltaSearch, HdovBuildConfig, HdovEnvironment, PoolConfig, Query, QueryResult, ResultKey,
-    SearchScratch, StorageScheme,
+    SearchScratch, SessionCtx, SharedEnvironment, StorageScheme,
 };
 use hdov_scene::{CityConfig, Scene};
+use hdov_storage::{IoCursor, PageId};
 use hdov_visibility::{CellGridConfig, CellId};
+use std::sync::Arc;
 
 fn scene() -> Scene {
     CityConfig::tiny().seed(4).generate()
@@ -232,4 +236,111 @@ fn prefetch_cell_makes_vpage_fetches_free() {
         vstore_reads <= 1 + ctx.index_cur.stats().page_reads,
         "V-page reads should be pool hits after prefetch, got {stats:?}"
     );
+}
+
+/// The cell with the most visible objects.
+fn busiest(shared: &SharedEnvironment) -> CellId {
+    (0..shared.grid().cell_count() as CellId)
+        .max_by_key(|&c| shared.dov_table().visible_count(c))
+        .unwrap()
+}
+
+/// Appends the V-page records an η = 0 walk of the subtree at `ordinal`
+/// reads in `ctx`'s cell, in visit order: Fig. 3 at η = 0 prunes hidden
+/// entries and descends every other internal one.
+fn walk_records(
+    shared: &SharedEnvironment,
+    ctx: &mut SessionCtx,
+    ordinal: u32,
+    out: &mut Vec<u64>,
+) {
+    let vs = shared.vstore();
+    let Some(record) = vs.record_of(ctx, ordinal) else {
+        return;
+    };
+    out.push(record);
+    let vpage = vs.fetch(ctx, ordinal).unwrap().unwrap();
+    if !vpage.any_visible() {
+        return;
+    }
+    let node = shared
+        .tree()
+        .read_node(&mut IoCursor::new(), ordinal)
+        .unwrap();
+    for (entry, ve) in node.entries().zip(&vpage.entries) {
+        if ve.dov > 0.0 && !entry.is_object() {
+            walk_records(shared, ctx, entry.child_ordinal, out);
+        }
+    }
+}
+
+#[test]
+fn served_query_probes_each_vpage_page_once_per_run() {
+    let scene = scene();
+    for scheme in StorageScheme::all() {
+        let shared = env(&scene, scheme).into_shared(PoolConfig::default());
+        let cell = busiest(&shared);
+        let mut ctx = shared.session();
+        shared.query_cell(&mut ctx, cell, 0.0).unwrap(); // warm, in the cell
+
+        let mut records = Vec::new();
+        walk_records(
+            &shared,
+            &mut ctx,
+            shared.tree().root_ordinal(),
+            &mut records,
+        );
+        let vpages = shared.vstore().vpages();
+        let mut runs: Vec<u64> = records.iter().map(|&r| vpages.disk_page_of(r)).collect();
+        runs.dedup();
+        let prefetched = shared.prefetch_cell(&mut shared.session(), cell).unwrap();
+
+        let probes = || {
+            let (hits, misses) = vpages.pool().hit_stats();
+            hits + misses
+        };
+        let before = probes();
+        let (_, stats) = shared.query_cell(&mut ctx, cell, 0.0).unwrap();
+        assert_eq!(stats.vpages_fetched, records.len() as u64, "{scheme}");
+        assert_eq!(
+            probes() - before,
+            prefetched + runs.len() as u64,
+            "{scheme}: one probe per prefetched page and per page run"
+        );
+        if scheme != StorageScheme::Horizontal {
+            assert!(
+                runs.len() < records.len(),
+                "{scheme}: clustered records share pages"
+            );
+        }
+    }
+}
+
+#[test]
+fn fetch_holds_no_frame_after_it_returns() {
+    let scene = scene();
+    for scheme in StorageScheme::all() {
+        let shared = env(&scene, scheme).into_shared(PoolConfig::default());
+        let cell = busiest(&shared);
+        let mut ctx = shared.session();
+        shared.query_cell(&mut ctx, cell, 0.0).unwrap(); // warm, in the cell
+
+        let vs = shared.vstore();
+        let root = shared.tree().root_ordinal();
+        let record = vs
+            .record_of(&ctx, root)
+            .expect("the busiest cell sees the root");
+        let page = PageId(vs.vpages().disk_page_of(record));
+        let frame = vs
+            .vpages()
+            .pool()
+            .read_frame(&mut IoCursor::new(), page)
+            .unwrap();
+        let held = Arc::strong_count(&frame);
+        let by_fetch = vs.fetch(&mut ctx, root).unwrap().unwrap();
+        assert_eq!(Arc::strong_count(&frame), held, "{scheme}: fetch");
+        let by_read = vs.vpages().read(&mut IoCursor::new(), record).unwrap();
+        assert_eq!(Arc::strong_count(&frame), held, "{scheme}: read");
+        assert_eq!(by_fetch, by_read);
+    }
 }

@@ -61,7 +61,10 @@ impl Phase {
 /// A monotonically increasing event counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
-    /// Buffer-pool hits (shared read path).
+    /// Buffer-pool hits (shared read path): one per pool probe that finds
+    /// its page resident. A query probes a V-page disk page once per run
+    /// of consecutive records it reads from that page, so the run's repeat
+    /// reads count no hit.
     PoolHits,
     /// Buffer-pool misses (shared read path).
     PoolMisses,
@@ -81,7 +84,10 @@ pub enum Counter {
     DecodeHits,
     /// Frame-overlay lookups that had to run the decoder.
     DecodeMisses,
-    /// Page bytes the zero-copy frame path did not memcpy (vs a copying read).
+    /// Page bytes the zero-copy frame path did not memcpy (vs a copying
+    /// read): one page per pool probe of a frame or page run. A query
+    /// probes a V-page disk page once per run of consecutive records it
+    /// reads from that page.
     BytesCopiedSaved,
     /// Pages whose bytes failed checksum verification at frame admission.
     ChecksumFailures,
@@ -145,9 +151,9 @@ pub enum Counter {
     /// Frames in which at least one shard's tiles were served coarse
     /// because the shard was tripped, timed out, or failed.
     ShardDegradedFrames,
-    /// Pool misses on a file store served by copying a resident frame
-    /// whose page holds byte-identical contents (a twin), with no physical
-    /// read.
+    /// Pool misses on a file store served by sharing the store's frame of
+    /// the page's twin class (pages with byte-identical contents): no
+    /// physical read, copy or hash.
     TwinCopies,
 }
 
