@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks of the core operations behind the paper's
 //! experiments: R-tree window queries, HDoV threshold search per storage
-//! scheme, the naïve baseline, a served same-cell walkthrough frame, DoV cell
-//! estimation, mesh simplification, the prototype library build, and LoD
-//! selection.
+//! scheme, the naïve baseline, a served same-cell walkthrough frame
+//! (unsharded and through the 4-shard router), DoV cell estimation, mesh
+//! simplification, the prototype library build, and LoD selection.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdov_core::{
@@ -12,6 +12,7 @@ use hdov_geom::{Aabb, Vec3};
 use hdov_mesh::{generate, simplify};
 use hdov_rtree::{RTree, SplitMethod};
 use hdov_scene::{CityConfig, PrototypeLibrary};
+use hdov_shard::{RouterConfig, ShardRouter};
 use hdov_storage::MemPagedFile;
 use hdov_visibility::{CellGridConfig, ColumnGrid, DovConfig, DovTable, Hit};
 use std::hint::black_box;
@@ -96,6 +97,20 @@ fn served_same_cell_delta(c: &mut Criterion) {
                 .unwrap();
             black_box(stats.vpages_fetched)
         })
+    });
+}
+
+/// The same served frame through the 4-shard router: fan-out, the shard
+/// sub-walks, the k-way merge and the resident-set fold, over warm pools.
+fn sharded_same_cell(c: &mut Criterion) {
+    c.bench_function("shard/route_same_cell", |b| {
+        let env = bench_env(StorageScheme::IndexedVertical).into_shared(PoolConfig::default());
+        let router = ShardRouter::new(&env, 4, RouterConfig::default()).unwrap();
+        let vp = bench_scene().bounds().center();
+        let mut lane = router.lane();
+        // The first frame flips every shard into the cell and warms its pools.
+        router.route(&mut lane, vp, 0.002);
+        b.iter(|| black_box(router.route(&mut lane, black_box(vp), 0.002).fanout))
     });
 }
 
@@ -217,7 +232,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = rtree_window_query, hdov_search_by_scheme, naive_vs_hdov,
-              served_same_cell_delta, prioritized_search, dov_estimation, mesh_simplification,
+              served_same_cell_delta, sharded_same_cell, prioritized_search, dov_estimation, mesh_simplification,
               prototype_library, lod_selection
 }
 criterion_main!(benches);

@@ -254,8 +254,9 @@ impl ReportOutcome {
 /// metrics); a zero baseline compares exactly. A change beyond the
 /// tolerance in the worse direction is a regression; at a tolerance of
 /// exactly zero, any nonzero change is. A metric only the current run has
-/// is gated against a zero baseline when its tolerance is exactly zero, and
-/// is informational otherwise.
+/// is gated against a zero baseline when its tolerance is exactly zero,
+/// counted as ignored when its configuration ignores it, and is
+/// informational (`new`) otherwise.
 pub fn compare(
     baseline: &[MetricsSnapshot],
     current: &[MetricsSnapshot],
@@ -295,13 +296,16 @@ pub fn compare(
         }
         // Zero-valued counters are left out of snapshots, so an absent
         // baseline reads as zero: a metric pinned there at tolerance 0
-        // fails once it appears with a value. Any other new metric has no
+        // fails once it appears with a value. An ignored metric is ignored
+        // whether or not the baseline has it; any other new metric has no
         // baseline yet.
-        if cfg.tolerance_for(id) == Some(0.0) {
-            out.compared += 1;
-            out.regressions.extend(gate(cfg, id, 0.0, cur, 0.0));
-        } else {
-            out.new_in_current.push(id.clone());
+        match cfg.tolerance_for(id) {
+            Some(0.0) => {
+                out.compared += 1;
+                out.regressions.extend(gate(cfg, id, 0.0, cur, 0.0));
+            }
+            Some(_) => out.new_in_current.push(id.clone()),
+            None => out.ignored += 1,
         }
     }
     out
@@ -552,6 +556,25 @@ mod tests {
     /// A metric only the current run has is pinned to the absent (zero)
     /// baseline when its tolerance is exactly zero, and is informational
     /// under a nonzero one.
+    /// An ignored metric that only the current run has counts as ignored,
+    /// not as a new metric awaiting a baseline.
+    #[test]
+    fn new_ignored_metrics_count_as_ignored() {
+        let cfg = ToleranceConfig {
+            ignore: vec!["*.wall_ns".into()],
+            ..ToleranceConfig::default()
+        };
+        let base = [snap("run", &[("a", 1.0), ("b.wall_ns", 5.0)])];
+        let cur = [snap(
+            "run",
+            &[("a", 1.0), ("b.wall_ns", 6.0), ("c.wall_ns", 7.0)],
+        )];
+        let out = compare(&base, &cur, &cfg);
+        assert!(out.new_in_current.is_empty(), "{:?}", out.new_in_current);
+        assert_eq!((out.compared, out.ignored), (1, 2));
+        assert!(!out.failed());
+    }
+
     #[test]
     fn new_metrics_gate_only_at_zero_tolerance() {
         let cfg = ToleranceConfig {

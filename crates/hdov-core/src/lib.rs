@@ -56,9 +56,7 @@ pub use search::{
     DegradeCause, DegradeEvent, DegradeReport, Query, QueryResult, ResultEntry, ResultKey,
     SearchStats,
 };
-pub use shard::{
-    merge_frames, search_shard, MergeScratch, PathKey, ShardFrame, ShardPlan, MAX_SHARDS,
-};
+pub use shard::{merge_frames, search_shard, PathKey, ShardFrame, ShardPlan, MAX_SHARDS};
 pub use shared::{PoolConfig, SearchScratch, SessionCtx, SharedEnvironment, SharedVStore};
 pub use storage::StorageScheme;
 pub use vpage::{VEntry, VPage, VPageCodec, VPAGE_SIZE};

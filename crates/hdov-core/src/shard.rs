@@ -7,41 +7,55 @@
 //! module provides the pieces that must agree with the traversal itself:
 //!
 //! * [`ShardPlan`] — a one-time walk of the frozen tree that assigns every
-//!   object an owning shard, every node an owner and a *subtree shard
-//!   mask*, precomputes each cell's fan-out mask, and each shard's coarse
-//!   cover (the ready-made entries served when the shard is down).
+//!   object an owning shard and every node an owner, then records per
+//!   (cell, shard) a node bitset: the nodes under which the shard has
+//!   visible work in that cell (Fig. 3 line 3's DoV = 0 prune, per shard).
+//!   A cell's fan-out mask is the shards whose root bit is set. It also
+//!   holds each shard's coarse cover (the ready-made entries served when
+//!   the shard is down).
 //! * [`search_shard`] — the one Fig. 3 walk that
 //!   [`SharedEnvironment::search`] runs, for the same [`Query`], with a
-//!   shard frame as its emission filter: shard `S` skips subtrees whose
-//!   mask lacks its bit and emits only the entries it owns, each tagged
-//!   with a [`PathKey`].
-//! * [`merge_frames`] — concatenates per-shard frames (in shard order) and
-//!   sorts by path key, reconstructing the *exact* DFS emission order of
-//!   the unsharded traversal. Fault-free, the merged frame is
-//!   byte-identical to [`SharedEnvironment::search`]'s answer, independent
-//!   of shard completion order (pinned by the `hdov-shard` crate's
-//!   proptests).
+//!   shard frame as its emission filter: shard `S` enters only subtrees
+//!   its bitset marks for the query's cell and emits only the entries it
+//!   owns, each tagged with a [`PathKey`].
+//! * [`merge_frames`] — k-way merges the per-shard frames (in shard order),
+//!   each already in DFS order, by path key, reconstructing the *exact*
+//!   DFS emission order of the unsharded traversal. Fault-free, the merged
+//!   frame is byte-identical to [`SharedEnvironment::search`]'s answer,
+//!   independent of shard completion order (pinned by the `hdov-shard`
+//!   crate's proptests).
 //!
 //! The key invariant: every emission position of the unsharded traversal —
 //! an object entry, or an entry whose subtree η-terminates at an internal
-//! LoD — is owned by exactly one shard, so fault-free the concatenation has
+//! LoD — is owned by exactly one shard, so fault-free the merged frame has
 //! no duplicates and no gaps. Under faults a shard serves fallbacks for
-//! subtrees it descended but does not wholly own, so degraded frames may
+//! subtrees it entered but does not wholly own, so degraded frames may
 //! carry a coarse duplicate next to another shard's fine entries — coverage
-//! is chosen over minimality, exactly like the budget-stop path.
+//! is chosen over minimality, exactly like the budget-stop path. A shard
+//! enters only subtrees where it has visible work, so it serves no
+//! fallback for a subtree whose visible objects all belong to others;
+//! those shards cover it.
 
 use crate::search::{
     check, select_level, DegradeCause, DegradeEvent, Query, QueryResult, ResultEntry, ResultKey,
     SearchStats,
 };
 use crate::shared::{SessionCtx, SharedEnvironment, SharedTree};
-use crate::walk::{self, Emit};
-use hdov_storage::{IdHashMap, Result};
-use hdov_visibility::CellId;
-use std::collections::HashMap;
+use crate::walk::{self, Emit, ROOT};
+use hdov_storage::Result;
+use hdov_visibility::{CellId, DovTable};
+use std::sync::Arc;
 
-/// Hard cap on shards per plan: subtree masks are one `u64` per node.
+/// Hard cap on shards per plan: shard masks are one `u64`.
 pub const MAX_SHARDS: usize = 64;
+
+/// [`ShardPlan`]'s owner slot for an id no tree entry carries.
+const NO_OWNER: u8 = u8::MAX;
+
+/// Is bit `ordinal` of node bitset `work` set?
+fn has_work(work: &[u64], ordinal: u32) -> bool {
+    work[ordinal as usize / 64] >> (ordinal % 64) & 1 != 0
+}
 
 /// Rejects a shard count outside `1..=`[`MAX_SHARDS`] with
 /// [`StorageError::InvalidPlan`](hdov_storage::StorageError::InvalidPlan)
@@ -103,8 +117,16 @@ impl PathKey {
     }
 }
 
-/// Mirror of one tree entry, kept in memory by the plan walk so the cover
-/// pass never re-reads node pages.
+/// Mirror of one tree node, kept in memory by the plan walk so the later
+/// passes never re-read node pages.
+#[derive(Debug, Clone, Default)]
+struct MirrorNode {
+    entries: Vec<MirrorEntry>,
+    /// The shards owning an object in this subtree.
+    mask: u64,
+}
+
+/// Mirror of one tree entry.
 #[derive(Debug, Clone, Copy)]
 struct MirrorEntry {
     /// Object id for leaf entries, child ordinal for internal entries.
@@ -164,26 +186,41 @@ impl ShardFrame {
 }
 
 /// The ownership map of a sharded deployment: who owns each object and
-/// node, which shards a subtree spans, which shards each cell fans out to,
-/// and each shard's coarse cover. Built once per frozen environment and
-/// shared by every router and session.
+/// node, where each shard has visible work in each cell, and each shard's
+/// coarse cover. Built once per frozen environment and shared by every
+/// router and session.
 #[derive(Debug)]
 pub struct ShardPlan {
     shards: usize,
-    /// Looked up for every object entry of every shard sub-walk, so it is
-    /// keyed through the store's [`IdHasher`](hdov_storage::IdHasher).
-    object_owner: IdHashMap<u64, usize>,
+    /// Owning shard by object id (frozen ids are dense); looked up for
+    /// every object entry of every shard sub-walk.
+    object_owner: Vec<u8>,
     node_owner: Vec<u32>,
-    node_mask: Vec<u64>,
-    cell_masks: Vec<u64>,
+    /// Words per node bitset: `⌈nodes / 64⌉`.
+    words: usize,
+    /// One node bitset per (cell, shard), cell-major: bit `n` is set when
+    /// the shard has visible work at or below node `n` in that cell.
+    work: Vec<u64>,
     covers: Vec<Vec<(PathKey, ResultKey)>>,
     owned_objects: Vec<u64>,
+    /// The DoV table and tree the plan was built from, held so
+    /// [`search_shard`] can refuse any other environment by identity.
+    table: Arc<DovTable>,
+    tree: Arc<Vec<u16>>,
 }
 
 impl ShardPlan {
     /// Walks the frozen tree once and builds the plan. `assign` maps an
     /// object id and its MBR-center to its owning shard (the tile map
     /// policy lives with the router).
+    ///
+    /// Besides the owners and covers, the plan answers "must shard `s`
+    /// enter node `n` in cell `c`?" (paper Fig. 3 line 3, per shard): for
+    /// every object visible from `c`, one climb from its leaf to the root
+    /// sets, on each node passed, the bits of the object's owner and of the
+    /// owners of the nodes already climbed — exactly the shards that emit
+    /// the object or an η-terminated subtree holding it. A cell's fan-out
+    /// mask is the set of shards whose root bit is set.
     ///
     /// Fails with
     /// [`StorageError::InvalidPlan`](hdov_storage::StorageError::InvalidPlan)
@@ -202,74 +239,80 @@ impl ShardPlan {
     ) -> Result<ShardPlan> {
         check_shard_count(shards)?;
         let n_nodes = env.tree().node_count() as usize;
+        let cells = env.grid().cell_count();
+        let words = n_nodes.div_ceil(64);
         let mut plan = ShardPlan {
             shards,
-            object_owner: IdHashMap::default(),
+            object_owner: Vec::new(),
             node_owner: vec![0; n_nodes],
-            node_mask: vec![0; n_nodes],
-            cell_masks: Vec::new(),
+            words,
+            work: vec![0; cells * shards * words],
             covers: vec![Vec::new(); shards],
             owned_objects: vec![0; shards],
+            table: Arc::clone(&env.table),
+            tree: Arc::clone(&env.tree.entry_counts),
         };
-        let mut mirror: Vec<Vec<MirrorEntry>> = vec![Vec::new(); n_nodes];
+        let mut mirror = vec![MirrorNode::default(); n_nodes];
         let mut ctx = env.session();
-        plan.walk(
-            env,
-            &mut ctx,
-            &mut assign,
-            &mut mirror,
-            env.tree().root_ordinal(),
-            0,
-        )?;
-        for &s in plan.object_owner.values() {
-            plan.owned_objects[s] += 1;
+        plan.walk(env, &mut ctx, &mut assign, &mut mirror, ROOT, 0)?;
+        for &s in plan.object_owner.iter().filter(|&&s| s != NO_OWNER) {
+            plan.owned_objects[s as usize] += 1;
         }
 
-        // Per-object emission mask: the owners of every emission position
-        // that can stand in for this object — the object's own owner plus
-        // the owner of each ancestor subtree (an η-terminated ancestor is
-        // emitted by its subtree's owner).
-        let mut obj_emit: HashMap<u64, u64> = HashMap::new();
-        plan.emit_masks(&mirror, env.tree().root_ordinal(), 0, &mut obj_emit);
-
-        // Per-cell fan-out mask: the union of emission masks over the
-        // cell's ground-truth visible set. Every entry the unsharded
-        // traversal could emit for this cell is owned by a shard in the
-        // mask, so fanning out to exactly these shards loses nothing.
+        // Parent links, and the leaf holding each object, from the mirror.
+        let mut parent = vec![ROOT; n_nodes];
+        let mut leaf = vec![ROOT; plan.object_owner.len()];
+        for (ordinal, node) in mirror.iter().enumerate() {
+            for e in &node.entries {
+                if e.is_object() {
+                    leaf[e.id as usize] = ordinal as u32;
+                } else {
+                    parent[e.child_ordinal as usize] = ordinal as u32;
+                }
+            }
+        }
         let table = env.dov_table();
-        let cells = env.grid().cell_count();
-        plan.cell_masks = (0..cells)
-            .map(|c| {
-                table
-                    .cell(c as CellId)
-                    .iter()
-                    .filter(|&&(_, dov)| dov > 0.0)
-                    .map(|&(oid, _)| obj_emit.get(&(oid as u64)).copied().unwrap_or(0))
-                    .fold(0u64, |m, b| m | b)
-            })
-            .collect();
+        for c in 0..cells {
+            let cell = &mut plan.work[c * shards * words..(c + 1) * shards * words];
+            for &(oid, _) in table.cell(c as CellId).iter().filter(|&&(_, d)| d > 0.0) {
+                let owner = plan.object_owner.get(oid as usize);
+                let Some(&owner) = owner.filter(|&&o| o != NO_OWNER) else {
+                    continue;
+                };
+                let mut owners = 1u64 << owner;
+                let mut n = leaf[oid as usize];
+                loop {
+                    let (word, bit) = (n as usize / 64, 1u64 << (n % 64));
+                    let mut m = owners;
+                    while m != 0 {
+                        let s = m.trailing_zeros() as usize;
+                        cell[s * words + word] |= bit;
+                        m &= m - 1;
+                    }
+                    if n == ROOT {
+                        break;
+                    }
+                    owners |= 1u64 << plan.node_owner[n as usize];
+                    n = parent[n as usize];
+                }
+            }
+        }
 
         for s in 0..shards {
             let mut cover = Vec::new();
-            plan.cover_walk(
-                &mirror,
-                s,
-                env.tree().root_ordinal(),
-                PathKey::ROOT,
-                0,
-                &mut cover,
-            );
+            plan.cover_walk(&mirror, s, ROOT, PathKey::ROOT, 0, &mut cover);
             plan.covers[s] = cover;
         }
         Ok(plan)
     }
 
+    /// Records the subtree at `ordinal` into `mirror` and the owners.
     fn walk(
         &mut self,
         env: &SharedEnvironment,
         ctx: &mut SessionCtx,
         assign: &mut impl FnMut(u64, hdov_geom::Vec3) -> usize,
-        mirror: &mut [Vec<MirrorEntry>],
+        mirror: &mut [MirrorNode],
         ordinal: u32,
         depth: usize,
     ) -> Result<(u64, u32)> {
@@ -287,7 +330,11 @@ impl ShardPlan {
                         entry.child, self.shards
                     )
                 })?;
-                self.object_owner.insert(entry.child, s);
+                let id = entry.child as usize;
+                if id >= self.object_owner.len() {
+                    self.object_owner.resize(id + 1, NO_OWNER);
+                }
+                self.object_owner[id] = s as u8;
                 mask |= 1 << s;
                 owner.get_or_insert(s as u32);
                 entries.push(MirrorEntry {
@@ -304,33 +351,14 @@ impl ShardPlan {
                 });
             }
         }
-        mirror[ordinal as usize] = entries;
-        self.node_mask[ordinal as usize] = mask;
+        mirror[ordinal as usize] = MirrorNode { entries, mask };
         self.node_owner[ordinal as usize] = owner.unwrap_or(0);
         Ok((mask, self.node_owner[ordinal as usize]))
     }
 
-    fn emit_masks(
-        &self,
-        mirror: &[Vec<MirrorEntry>],
-        ordinal: u32,
-        anc: u64,
-        out: &mut HashMap<u64, u64>,
-    ) {
-        for e in &mirror[ordinal as usize] {
-            if e.is_object() {
-                let owner = 1u64 << self.object_owner[&e.id];
-                out.insert(e.id, anc | owner);
-            } else {
-                let here = anc | (1u64 << self.node_owner[e.child_ordinal as usize]);
-                self.emit_masks(mirror, e.child_ordinal, here, out);
-            }
-        }
-    }
-
     fn cover_walk(
         &self,
-        mirror: &[Vec<MirrorEntry>],
+        mirror: &[MirrorNode],
         shard: usize,
         ordinal: u32,
         path: PathKey,
@@ -338,14 +366,14 @@ impl ShardPlan {
         out: &mut Vec<(PathKey, ResultKey)>,
     ) {
         let bit = 1u64 << shard;
-        for (i, e) in mirror[ordinal as usize].iter().enumerate() {
+        for (i, e) in mirror[ordinal as usize].entries.iter().enumerate() {
             let key = path.child(depth, i);
             if e.is_object() {
-                if self.object_owner[&e.id] == shard {
+                if self.object_owner[e.id as usize] as usize == shard {
                     out.push((key, ResultKey::Object(e.id)));
                 }
             } else {
-                let m = self.node_mask[e.child_ordinal as usize];
+                let m = mirror[e.child_ordinal as usize].mask;
                 if m == bit {
                     out.push((key, ResultKey::Internal(e.child_ordinal)));
                 } else if m & bit != 0 {
@@ -355,10 +383,25 @@ impl ShardPlan {
         }
     }
 
-    /// The shards that can emit an entry for a query in `cell` (from the
-    /// ground-truth visible set; the router adds the home-tile bit).
+    /// Shard `shard`'s node bitset for `cell`.
+    fn work(&self, cell: CellId, shard: usize) -> &[u64] {
+        let at = (cell as usize * self.shards + shard) * self.words;
+        &self.work[at..at + self.words]
+    }
+
+    /// Was the plan built from `env`'s tree and DoV table? Every fork of
+    /// one environment shares both.
+    fn built_for(&self, env: &SharedEnvironment) -> bool {
+        Arc::ptr_eq(&self.table, &env.table) && Arc::ptr_eq(&self.tree, &env.tree.entry_counts)
+    }
+
+    /// The shards that can emit an entry for a query in `cell`: those with
+    /// visible work under the root there (from the ground-truth visible
+    /// set; the router adds the home-tile bit).
     pub fn cell_mask(&self, cell: CellId) -> u64 {
-        self.cell_masks[cell as usize]
+        (0..self.shards)
+            .filter(|&s| has_work(self.work(cell, s), ROOT))
+            .fold(0, |m, s| m | 1 << s)
     }
 
     /// Builds the synthetic frame served in place of an unavailable
@@ -421,8 +464,10 @@ impl ShardPlan {
 /// same prune/terminate/descend tests against the same V-pages — with a
 /// shard frame as its emission filter:
 ///
-/// * subtrees whose node mask (the shards owning an object under them)
-///   lacks this shard's bit are skipped without reading them,
+/// * a subtree is entered only when the plan records visible work for this
+///   shard under it in `q.cell` (an object it owns, or a node it owns above
+///   one, visible from the cell); every other subtree is skipped without
+///   reading it,
 /// * object entries are emitted (and their models fetched) only when this
 ///   shard owns the object, and η-terminated internal entries only when it
 ///   owns the subtree,
@@ -432,13 +477,18 @@ impl ShardPlan {
 /// With a single-shard plan the filter keeps everything: same answer, same
 /// I/O sequence, same stats (pinned by the `hdov-shard` tests). Budget
 /// exhaustion and absorbed read errors degrade to internal LoDs exactly
-/// like the unsharded path; the fallback is emitted even for subtrees this
-/// shard does not wholly own (coverage over minimality), and the root
-/// fallback stands in for the objects this shard owns. Each sub-query is
-/// reported to `hdov-obs` as one query.
+/// like the unsharded path, but only in subtrees this shard enters: the
+/// fallback may stand in for another shard's objects too (coverage over
+/// minimality), while a subtree holding none of this shard's visible work
+/// is left to the shards that have some. The root fallback stands in for
+/// the objects this shard owns. Each sub-query is reported to `hdov-obs`
+/// as one query.
 ///
 /// Fails with [`StorageError::InvalidPlan`](hdov_storage::StorageError)
-/// when `shard` is not one of the plan's shards, or `q` is invalid (see
+/// when `shard` is not one of the plan's shards, when the plan was built
+/// from another tree or DoV table than `env`'s (an environment built
+/// separately, or another epoch of a mutable scene; forks of the plan's
+/// environment are accepted), or when `q` is invalid (see
 /// [`SharedEnvironment::search`]).
 pub fn search_shard(
     env: &SharedEnvironment,
@@ -452,18 +502,29 @@ pub fn search_shard(
     check(shard < shards, || {
         format!("shard {shard} outside the plan's {shards} shards")
     })?;
-    let mut sink = ShardSink { frame, plan, shard };
+    check(plan.built_for(env), || {
+        "shard plan was built for another tree or DoV table".to_string()
+    })?;
+    q.check(env)?; // before the plan is indexed by `q.cell`
+    let mut sink = ShardSink {
+        frame,
+        plan,
+        shard,
+        work: plan.work(q.cell, shard),
+    };
     let stats = walk::run(env, ctx, &mut sink, q)?;
     sink.frame.stats = stats;
     Ok(stats)
 }
 
 /// The shard emission filter: a [`ShardFrame`] that keeps only what
-/// `shard` owns under `plan`.
+/// `shard` owns under `plan`, entering only subtrees marked in `work`.
 struct ShardSink<'a> {
     frame: &'a mut ShardFrame,
     plan: &'a ShardPlan,
     shard: usize,
+    /// The shard's node bitset for the query's cell.
+    work: &'a [u64],
 }
 
 impl Emit for ShardSink<'_> {
@@ -476,7 +537,9 @@ impl Emit for ShardSink<'_> {
 
     fn emits(&self, key: ResultKey) -> bool {
         match key {
-            ResultKey::Object(id) => self.plan.object_owner.get(&id) == Some(&self.shard),
+            ResultKey::Object(id) => {
+                self.plan.object_owner.get(id as usize) == Some(&(self.shard as u8))
+            }
             ResultKey::Internal(ordinal) => {
                 self.plan.node_owner[ordinal as usize] as usize == self.shard
             }
@@ -484,7 +547,7 @@ impl Emit for ShardSink<'_> {
     }
 
     fn descends(&self, ordinal: u32) -> bool {
-        self.plan.node_mask[ordinal as usize] & (1 << self.shard) != 0
+        has_work(self.work, ordinal)
     }
 
     fn root_objects(&self, _: &SharedTree) -> u64 {
@@ -517,55 +580,91 @@ impl Emit for ShardSink<'_> {
     }
 }
 
-/// The reusable buffer [`merge_frames`] orders entries in: one per
-/// visitor lane, so a steady-state merge allocates nothing.
-#[derive(Debug, Default)]
-pub struct MergeScratch {
-    /// `(key, shard, position)` of every entry: unique, so an unstable
-    /// (allocation-free) sort yields the stable shard-order tiebreak.
-    order: Vec<(PathKey, u32, u32)>,
-}
-
-impl MergeScratch {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Merges per-shard frames into one [`QueryResult`], draining the frames.
 ///
 /// Pass the frames **in shard order** (slot per shard id), never in
-/// completion order: entries sort by [`PathKey`], then shard id, then
-/// emission position, so shard order is the deterministic tiebreak for the
-/// duplicate keys a faulty run can produce. Fault-free there are no
-/// duplicates, and the sorted sequence is exactly the unsharded
-/// traversal's DFS emission order. `scratch` is reused across calls: once
-/// it has grown to the largest frame, a fault-free merge allocates nothing.
-pub fn merge_frames(frames: &mut [ShardFrame], scratch: &mut MergeScratch, out: &mut QueryResult) {
+/// completion order: entries come out ordered by [`PathKey`], then shard
+/// id, then emission position, so shard order is the deterministic
+/// tiebreak for the duplicate keys a faulty run can produce. Fault-free
+/// there are no duplicates, and the merged sequence is exactly the
+/// unsharded traversal's DFS emission order.
+///
+/// A sub-query emits in DFS order, so each frame's keys already ascend and
+/// the frames are merged k-way, a run at a time. A frame filled in any
+/// other order is first sorted in place (stably); a frame that is already
+/// in order is only checked, so a fault-free merge allocates nothing.
+///
+/// # Panics
+///
+/// When given more than [`MAX_SHARDS`] frames.
+pub fn merge_frames(frames: &mut [ShardFrame], out: &mut QueryResult) {
     out.clear();
-    let order = &mut scratch.order;
-    order.clear();
-    for (s, f) in frames.iter().enumerate() {
-        order.extend(
-            f.entries
-                .iter()
-                .enumerate()
-                .map(|(i, &(k, _))| (k, s as u32, i as u32)),
-        );
+    for f in frames.iter_mut() {
+        sort_by_path(&mut f.entries);
+        sort_by_path(&mut f.degrades);
     }
-    order.sort_unstable();
-    for &(_, s, i) in order.iter() {
-        out.push(frames[s as usize].entries[i as usize].1);
-    }
-    let mut degs: Vec<(PathKey, DegradeEvent)> = Vec::new();
+    merge_by_path(
+        frames,
+        |f| &f.entries,
+        |s, i| out.push(frames[s].entries[i].1),
+    );
+    merge_by_path(
+        frames,
+        |f| &f.degrades,
+        |s, i| out.record_degrade(frames[s].degrades[i].1.clone()),
+    );
     for f in frames.iter_mut() {
         f.entries.clear();
-        degs.append(&mut f.degrades);
+        f.degrades.clear();
     }
-    degs.sort_by_key(|&(k, _)| k);
-    for (_, d) in degs {
-        out.record_degrade(d);
+}
+
+/// Stably sorts `list` by key unless it already ascends.
+fn sort_by_path<T>(list: &mut [(PathKey, T)]) {
+    if list.windows(2).any(|w| w[0].0 > w[1].0) {
+        list.sort_by_key(|&(k, _)| k);
+    }
+}
+
+/// K-way merges the key-ascending lists `list` picks out of `frames`,
+/// calling `emit(shard, position)` in (key, shard) order. The frame holding
+/// the least head emits a run, up to the next frame's head.
+fn merge_by_path<T>(
+    frames: &[ShardFrame],
+    list: fn(&ShardFrame) -> &[(PathKey, T)],
+    mut emit: impl FnMut(usize, usize),
+) {
+    // Past every head: no emitted key has a 0xFF level byte.
+    const END: (PathKey, usize) = (PathKey(u128::MAX), usize::MAX);
+    assert!(frames.len() <= MAX_SHARDS, "more frames than shards");
+    let mut next = [0usize; MAX_SHARDS];
+    loop {
+        // The least and second-least (key, shard) heads.
+        let (mut least, mut bound) = (END, END);
+        for (s, f) in frames.iter().enumerate() {
+            let Some(&(k, _)) = list(f).get(next[s]) else {
+                continue;
+            };
+            if (k, s) < least {
+                bound = least;
+                least = (k, s);
+            } else if (k, s) < bound {
+                bound = (k, s);
+            }
+        }
+        if least == END {
+            return;
+        }
+        let s = least.1;
+        let run = list(&frames[s]);
+        loop {
+            emit(s, next[s]);
+            next[s] += 1;
+            match run.get(next[s]) {
+                Some(&(k, _)) if (k, s) < bound => {}
+                _ => break,
+            }
+        }
     }
 }
 
@@ -593,6 +692,36 @@ mod tests {
                 assert_eq!(i == j, x == y);
             }
         }
+    }
+
+    /// A run from one frame stops before a key another frame also holds
+    /// when that frame is the lower shard, so duplicates keep shard order
+    /// even in the middle of a run.
+    #[test]
+    fn merge_runs_yield_to_a_lower_shard_on_equal_keys() {
+        let entry = |level| ResultEntry {
+            key: ResultKey::Object(1),
+            level,
+            polygons: 1,
+            bytes: 1,
+            dov: 0.5,
+            cached: false,
+        };
+        let (a, x, z) = (
+            PathKey::ROOT.child(0, 0),
+            PathKey::ROOT.child(0, 1),
+            PathKey::ROOT.child(0, 2),
+        );
+        let mut frames = vec![ShardFrame::new(), ShardFrame::new(), ShardFrame::new()];
+        frames[2].push_for_test(a, entry(0));
+        frames[2].push_for_test(x, entry(1));
+        frames[2].push_for_test(z, entry(2));
+        frames[0].push_for_test(x, entry(3));
+        let mut out = QueryResult::default();
+        merge_frames(&mut frames, &mut out);
+        let levels: Vec<usize> = out.entries().iter().map(|e| e.level).collect();
+        assert_eq!(levels, [0, 3, 1, 2]);
+        assert!(frames.iter().all(|f| f.entries().is_empty()));
     }
 
     #[test]

@@ -671,7 +671,7 @@ pub struct SharedTree {
     object_count: u64,
     fanout: usize,
     heuristic: TerminationHeuristic,
-    entry_counts: Arc<Vec<u16>>,
+    pub(crate) entry_counts: Arc<Vec<u16>>,
     leaf_ordinals: Arc<Vec<u32>>,
     leaf_objects: Arc<Vec<Vec<u64>>>,
 }

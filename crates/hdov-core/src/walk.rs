@@ -43,7 +43,7 @@ use hdov_visibility::CellId;
 const BUDGET_EXHAUSTED_DETAIL: &str = "query budget exhausted before descent";
 
 /// The root ordinal (nodes are numbered in DFS preorder).
-const ROOT: u32 = 0;
+pub(crate) const ROOT: u32 = 0;
 
 /// Where the walk's answers go, and which positions this sink keeps (by
 /// default: every one).

@@ -5,14 +5,16 @@
 //! plan armed on one shard's pools cannot touch another's. Per frame it:
 //!
 //! 1. maps the visitor's cell to its *fan-out mask* — the home tile plus
-//!    every shard that can contribute an entry for this cell (precomputed
-//!    by [`ShardPlan`] from the ground-truth visible set),
-//! 2. runs the pruned sharded search on each fanned-out shard, guarded by
-//!    that shard's circuit breaker, a simulated per-request deadline and
-//!    one deterministic retry,
-//! 3. merges the per-shard frames into one deterministic
-//!    [`QueryResult`] — stable object order
-//!    independent of shard completion order.
+//!    every shard whose root bit in [`ShardPlan`]'s per-(cell, shard) node
+//!    bitset is set, i.e. every shard with visible work in this cell (from
+//!    the ground-truth visible set),
+//! 2. runs the sharded search on each fanned-out shard, one after another
+//!    on the routing thread, each entering only the subtrees where that
+//!    bitset marks visible work, guarded by that shard's circuit breaker, a
+//!    simulated per-request deadline and one deterministic retry,
+//! 3. k-way merges the per-shard frames (each already in DFS order) into
+//!    one deterministic [`QueryResult`] — stable object order independent
+//!    of shard completion order.
 //!
 //! A shard that is tripped, timed out, or dead past its retry contributes
 //! its precomputed coarse cover instead of failing the frame
@@ -31,9 +33,7 @@
 
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::tile::TileMap;
-use hdov_core::shard::{
-    check_shard_count, merge_frames, search_shard, MergeScratch, ShardFrame, ShardPlan,
-};
+use hdov_core::shard::{check_shard_count, merge_frames, search_shard, ShardFrame, ShardPlan};
 use hdov_core::{DeltaSearch, Query, QueryBudget, QueryResult, SessionCtx, SharedEnvironment};
 use hdov_geom::Vec3;
 use hdov_obs::Counter;
@@ -111,15 +111,14 @@ impl ShardEngine {
 }
 
 /// Per-visitor routing state: one cursor set per shard (plus one for
-/// motion prefetch), the per-shard frame slots, the
-/// merge buffer, the merged frame, and the delta resident set — everything
-/// a visitor carries between frames. All of it is reused, so a
-/// steady-state fault-free frame over warm pools allocates nothing.
+/// motion prefetch), the per-shard frame slots, the merged frame, and the
+/// delta resident set — everything a visitor carries between frames. All
+/// of it is reused, so a steady-state fault-free frame over warm pools
+/// allocates nothing.
 pub struct SessionLane {
     ctxs: Vec<SessionCtx>,
     prefetch_ctxs: Vec<SessionCtx>,
     frames: Vec<ShardFrame>,
-    merge: MergeScratch,
     merged: QueryResult,
     delta: DeltaSearch,
 }
@@ -146,6 +145,11 @@ pub struct RouteStats {
     pub search_ms: f64,
     /// Simulated page reads summed over the sub-queries.
     pub page_reads: u64,
+    /// Tree nodes read, summed over the answered sub-queries (a shard
+    /// serving its cover adds 0).
+    pub nodes_visited: u64,
+    /// V-pages fetched, summed over the answered sub-queries.
+    pub vpages_fetched: u64,
     /// Shards fanned out to.
     pub fanout: u32,
     /// Shards that contributed their coarse cover instead of a live answer.
@@ -277,7 +281,6 @@ impl ShardRouter {
             ctxs: ctxs(),
             prefetch_ctxs: ctxs(),
             frames: (0..n).map(|_| ShardFrame::new()).collect(),
-            merge: MergeScratch::new(),
             merged: QueryResult::default(),
             delta: DeltaSearch::new(),
         }
@@ -343,7 +346,7 @@ impl ShardRouter {
             self.sub_query(s, q, &mut ctxs[s], &mut frames[s], &mut rs);
         }
 
-        merge_frames(&mut lane.frames, &mut lane.merge, &mut lane.merged);
+        merge_frames(&mut lane.frames, &mut lane.merged);
         lane.delta.apply(&lane.merged);
 
         if rs.degraded_shards > 0 {
@@ -390,6 +393,8 @@ impl ShardRouter {
                             break;
                         }
                         rs.page_reads += stats.total_io().page_reads;
+                        rs.nodes_visited += stats.nodes_visited;
+                        rs.vpages_fetched += stats.vpages_fetched;
                         answered_ms = Some(ms);
                         break;
                     }

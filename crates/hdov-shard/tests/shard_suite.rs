@@ -10,17 +10,20 @@
 //!   its breaker, and recovers after revival;
 //! * a default-configured router keeps every fault-domain mechanism inert.
 
-use hdov_core::shard::{merge_frames, search_shard, MergeScratch, PathKey, ShardFrame, ShardPlan};
+use hdov_core::shard::{merge_frames, search_shard, PathKey, ShardFrame, ShardPlan};
 use hdov_core::{
-    DeltaSearch, HdovBuildConfig, HdovEnvironment, PoolConfig, Query, QueryBudget, QueryResult,
-    ResultEntry, ResultKey, SearchScratch, SharedEnvironment, StorageScheme, MAX_SHARDS,
+    DeltaSearch, HdovBuildConfig, HdovEnvironment, MutableScene, PoolConfig, Query, QueryBudget,
+    QueryResult, ResultEntry, ResultKey, SearchScratch, SharedEnvironment, StorageScheme,
+    MAX_SHARDS,
 };
+use hdov_geom::Vec3;
 use hdov_scene::CityConfig;
 use hdov_shard::{BreakerState, RouterConfig, ShardChaos, ShardRouter};
 use hdov_storage::StorageError;
-use hdov_visibility::CellGridConfig;
+use hdov_visibility::{CellGridConfig, CellId};
 use hdov_walkthrough::{ServerConfig, Session, SessionKind, SessionServer};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 /// A per-frame simulated budget tight enough that some frames stop
 /// descending.
@@ -128,6 +131,260 @@ fn seven_shard_frames_are_byte_identical_to_unsharded() {
     // A deliberately lopsided count: the tile grid (3×3 for 7) leaves two
     // tiles empty-handed, exercising uneven ownership.
     assert_frames_identical(7, QueryBudget::UNLIMITED);
+}
+
+/// A viewpoint at the centre of every cell of `env`'s grid, in cell order.
+fn cell_centres(env: &SharedEnvironment) -> Vec<Vec3> {
+    let grid = env.grid();
+    (0..grid.cell_count())
+        .map(|c| {
+            let vp = grid.cell_bounds(c as CellId).center();
+            assert_eq!(env.cell_of(vp), c as CellId);
+            vp
+        })
+        .collect()
+}
+
+/// The descend gate loses nothing: visiting every cell of the grid in
+/// turn (one visitor, so the resident set carries across cells), the merged
+/// frame equals the unsharded answer at 1, 4 and 7 shards and at η of 0,
+/// 0.002 and 0.05 — a shard enters a subtree only where it has visible
+/// work, and every cell fans out to every shard that has some.
+///
+/// Besides the router's spatial tiles, a dealt plan gives shard 0 only the
+/// first object of each leaf — so, as a node's owner is the owner of its
+/// first object, shard 0 owns every node — and deals the rest round-robin
+/// to the other shards. Shard 0 then must enter a subtree to emit an
+/// η-terminated child there even when none of its own objects is visible.
+#[test]
+fn every_cell_merges_to_the_unsharded_answer() {
+    let env = shared_env();
+    let centres = cell_centres(&env);
+    let leading: HashSet<u64> = tree_positions(&env)
+        .into_iter()
+        .filter(|&(_, _, index)| index == 0)
+        .filter_map(|(key, _, _)| match key {
+            ResultKey::Object(id) => Some(id),
+            ResultKey::Internal(_) => None,
+        })
+        .collect();
+    let mut internal = 0;
+    for shards in [1, 4, 7] {
+        let router = ShardRouter::new(&env, shards, RouterConfig::default()).unwrap();
+        let dealt = ShardPlan::build(&env, shards, |id, _| {
+            if shards == 1 || leading.contains(&id) {
+                0
+            } else {
+                1 + id as usize % (shards - 1)
+            }
+        })
+        .unwrap();
+        for eta in [0.0, 0.002, 0.05] {
+            let reference = env.fork_with_private_pools();
+            let mut ctx = reference.session();
+            let mut scratch = SearchScratch::new();
+            let mut delta = DeltaSearch::new();
+            let mut lane = router.lane();
+            let mut ctxs: Vec<_> = (0..shards).map(|_| env.session()).collect();
+            let mut frames: Vec<_> = (0..shards).map(|_| ShardFrame::new()).collect();
+            let mut dealt_out = QueryResult::default();
+            for (cell, &vp) in centres.iter().enumerate() {
+                let q = Query {
+                    resident: Some(&delta),
+                    prefetch: true,
+                    ..Query::new(cell as CellId, eta)
+                };
+                reference.search(&mut ctx, &mut scratch, q).unwrap();
+                let want = scratch.result();
+                let rs = router.route(&mut lane, vp, eta);
+                assert_eq!(
+                    lane.merged().entries(),
+                    want.entries(),
+                    "cell {cell} at η {eta} diverged through {shards} shard(s)"
+                );
+                assert_eq!(rs.degraded_shards, 0);
+
+                let fanout = dealt.cell_mask(cell as CellId);
+                for (s, frame) in frames.iter_mut().enumerate() {
+                    frame.clear();
+                    if fanout & (1 << s) != 0 {
+                        search_shard(&env, &mut ctxs[s], &dealt, s, frame, q).unwrap();
+                    }
+                }
+                merge_frames(&mut frames, &mut dealt_out);
+                assert_eq!(
+                    dealt_out.entries(),
+                    want.entries(),
+                    "cell {cell} at η {eta} diverged through {shards} dealt shard(s)"
+                );
+                internal += want
+                    .entries()
+                    .iter()
+                    .filter(|e| matches!(e.key, ResultKey::Internal(_)))
+                    .count();
+                delta.apply(want);
+            }
+        }
+    }
+    assert!(internal > 0, "some subtrees must η-terminate");
+}
+
+/// Every tree position below the root: what an answer entry names there,
+/// its parent node's ordinal, and its entry index in that node.
+fn tree_positions(env: &SharedEnvironment) -> Vec<(ResultKey, u32, usize)> {
+    let mut ctx = env.session();
+    let mut out = Vec::new();
+    let mut stack = vec![env.tree().root_ordinal()];
+    while let Some(ordinal) = stack.pop() {
+        let node = env.tree().read_node(&mut ctx.node_cur, ordinal).unwrap();
+        for (i, e) in node.entries().enumerate() {
+            let key = if e.is_object() {
+                ResultKey::Object(e.child)
+            } else {
+                stack.push(e.child_ordinal);
+                ResultKey::Internal(e.child_ordinal)
+            };
+            out.push((key, ordinal, i));
+        }
+    }
+    out
+}
+
+/// Budget stops under the descend gate narrow the coarse fallbacks a shard
+/// serves to subtrees where it has visible work, but never leave a gap:
+/// replaying budgeted sessions through 4 and 7 shards, every entry of the
+/// unsharded *unlimited* answer is in the merged frame itself or under an
+/// internal LoD of one of its ancestors.
+#[test]
+fn budgeted_sharded_frames_cover_every_visible_entry() {
+    let env = shared_env();
+    let parent: HashMap<ResultKey, u32> = tree_positions(&env)
+        .into_iter()
+        .map(|(key, p, _)| (key, p))
+        .collect();
+    let sessions = record_sessions(&env, 3, 30);
+    let budget = QueryBudget::sim_ms(BUDGET_MS);
+    for shards in [4, 7] {
+        let router = ShardRouter::new(&env, shards, RouterConfig::default()).unwrap();
+        let reference = env.fork_with_private_pools();
+        let mut ctx = reference.session();
+        let mut scratch = SearchScratch::new();
+        let mut stops = 0;
+        for session in &sessions {
+            let mut lane = router.lane();
+            for (i, &vp) in session.viewpoints.iter().enumerate() {
+                let q = Query::new(reference.cell_of(vp), 0.002);
+                reference.search(&mut ctx, &mut scratch, q).unwrap();
+                router.route_budgeted(&mut lane, vp, 0.002, budget);
+                let got = lane.merged();
+                stops += got.degrade().budget_stops();
+                let served: HashSet<ResultKey> = got.entries().iter().map(|e| e.key).collect();
+                for e in scratch.result().entries() {
+                    let mut at = e.key;
+                    let covered = loop {
+                        if served.contains(&at) {
+                            break true;
+                        }
+                        match parent.get(&at) {
+                            Some(&p) => at = ResultKey::Internal(p),
+                            None => break false,
+                        }
+                    };
+                    assert!(
+                        covered,
+                        "frame {i}: {:?} uncovered at {shards} shards",
+                        e.key
+                    );
+                }
+            }
+        }
+        assert!(
+            stops > 0,
+            "the budget must stop descents at {shards} shards"
+        );
+        assert_eq!(router.totals().degraded_frames, 0);
+    }
+}
+
+/// Each routed frame reports the nodes and V-pages its answered
+/// sub-queries read; at one shard those are the unsharded search's counts,
+/// frame by frame.
+#[test]
+fn single_shard_route_counts_equal_unsharded_stats() {
+    let env = shared_env();
+    let router = ShardRouter::new(&env, 1, RouterConfig::default()).unwrap();
+    let reference = env.fork_with_private_pools();
+    let mut ctx = reference.session();
+    let mut scratch = SearchScratch::new();
+    let mut delta = DeltaSearch::new();
+    let mut lane = router.lane();
+    for (i, &vp) in record_sessions(&env, 1, 30)[0]
+        .viewpoints
+        .iter()
+        .enumerate()
+    {
+        let q = Query {
+            resident: Some(&delta),
+            prefetch: true,
+            ..Query::new(reference.cell_of(vp), 0.002)
+        };
+        let want = reference.search(&mut ctx, &mut scratch, q).unwrap();
+        delta.apply(scratch.result());
+        let rs = router.route(&mut lane, vp, 0.002);
+        assert!(want.nodes_visited > 0);
+        assert_eq!(
+            (rs.nodes_visited, rs.vpages_fetched),
+            (want.nodes_visited, want.vpages_fetched),
+            "frame {i}"
+        );
+    }
+}
+
+/// A plan answers only for the tree and DoV table it was built from: a
+/// separately built environment of the same scene, or a mutable scene's
+/// next epoch, is refused with a typed error, while any fork of the
+/// plan's environment is served.
+#[test]
+fn search_shard_refuses_a_plan_from_another_environment() {
+    let refused = |plan: &ShardPlan, other: &SharedEnvironment| {
+        let mut ctx = other.session();
+        let mut frame = ShardFrame::new();
+        let q = Query::new(0, 0.002);
+        let err = search_shard(other, &mut ctx, plan, 0, &mut frame, q).unwrap_err();
+        assert!(matches!(err, StorageError::InvalidPlan { .. }), "{err}");
+        assert!(!err.is_transient());
+    };
+
+    let env = shared_env();
+    let plan = ShardPlan::build(&env, 4, |id, _| id as usize % 4).unwrap();
+    refused(&plan, &shared_env());
+    let fork = env.fork_with_private_pools();
+    let mut ctx = fork.session();
+    let mut frame = ShardFrame::new();
+    search_shard(&fork, &mut ctx, &plan, 0, &mut frame, Query::new(0, 0.002)).unwrap();
+
+    let dir = std::env::temp_dir().join(format!("hdov_shard_pin_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let scene = CityConfig::tiny().seed(11).generate();
+    let grid_cfg = CellGridConfig::for_scene(&scene).with_resolution(4, 4);
+    let mut ms = MutableScene::create(
+        &dir,
+        "pin",
+        &scene,
+        &grid_cfg,
+        HdovBuildConfig::fast_test(),
+        StorageScheme::IndexedVertical,
+        PoolConfig::default(),
+    )
+    .unwrap();
+    let first = ms.current();
+    let plan = ShardPlan::build(&first, 4, |id, _| id as usize % 4).unwrap();
+    let handle = ms.handles()[0];
+    ms.translate(handle, Vec3::new(1.0, 0.0, 0.0)).unwrap();
+    ms.commit().unwrap();
+    refused(&plan, &ms.current());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Shard counts a plan cannot encode — and chaos schedules naming a shard
@@ -358,7 +615,7 @@ fn key_of(i: usize) -> PathKey {
 
 fn merged(frames: &mut [ShardFrame]) -> QueryResult {
     let mut out = QueryResult::default();
-    merge_frames(frames, &mut MergeScratch::new(), &mut out);
+    merge_frames(frames, &mut out);
     out
 }
 
